@@ -208,12 +208,12 @@ class AlgebraElement:
     def nilpotent_part(self):
         return self._like(t1=0, t2=0)
 
-    def coords(self, include_a=True):
-        """Real coordinate vector; exact mode gives Fractions."""
-        out = []
-        if include_a:
-            out += [self.t1, self.t2]
-        out += [re(self.phi), im(self.phi)]
+    def coords(self):
+        """Real coordinate vector; exact mode gives Fractions.
+
+        The layout is the one `slot_columns` describes.
+        """
+        out = [self.t1, self.t2, re(self.phi), im(self.phi)]
         for v in self.x:
             out += [re(v), im(v)]
         for v in self.y:
@@ -222,31 +222,39 @@ class AlgebraElement:
         return out
 
     @staticmethod
-    def coord_dim(n, include_a=True):
-        return (2 if include_a else 0) + 4 * (n - 2) + 6
+    def slot_columns(n) -> dict:
+        """Slot name -> slice of its columns in coords().
+
+        t is (t1, t2); phi, x, y, eta are (Re, Im) pairs per complex entry;
+        xx and yy are one column each.
+        """
+        d = 2 * (n - 2)
+        cols, start = {}, 0
+        for name, width in (("t", 2), ("phi", 2), ("x", d), ("y", d),
+                            ("eta", 2), ("xx", 1), ("yy", 1)):
+            cols[name] = slice(start, start + width)
+            start += width
+        return cols
 
     @staticmethod
-    def from_coords(n, vec, mode="exact", include_a=True):
-        it = iter(vec)
-        t1 = t2 = 0
-        if include_a:
-            t1, t2 = next(it), next(it)
-        d = n - 2
-        pr, pi = next(it), next(it)
-        x = []
-        for _ in range(d):
-            a, b = next(it), next(it)
-            x.append(QQi(a, b) if mode == "exact" else complex(a, b))
-        y = []
-        for _ in range(d):
-            a, b = next(it), next(it)
-            y.append(QQi(a, b) if mode == "exact" else complex(a, b))
-        er, ei = next(it), next(it)
-        xx, yy = next(it), next(it)
-        phi = QQi(pr, pi) if mode == "exact" else complex(pr, pi)
-        eta = QQi(er, ei) if mode == "exact" else complex(er, ei)
-        return AlgebraElement(n, t1=t1, t2=t2, phi=phi, x=x, y=y, eta=eta,
-                              xx=xx, yy=yy, mode=mode)
+    def coord_dim(n):
+        return AlgebraElement.slot_columns(n)["yy"].stop
+
+    @staticmethod
+    def from_coords(n, vec, mode="exact"):
+        """The element whose coords() is the list `vec`."""
+        cols = AlgebraElement.slot_columns(n)
+        cplx = QQi if mode == "exact" else complex
+
+        def pairs(name):
+            v = vec[cols[name]]
+            return [cplx(a, b) for a, b in zip(v[0::2], v[1::2])]
+
+        t1, t2 = vec[cols["t"]]
+        (phi,), (eta,) = pairs("phi"), pairs("eta")
+        (xx,), (yy,) = vec[cols["xx"]], vec[cols["yy"]]
+        return AlgebraElement(n, t1=t1, t2=t2, phi=phi, x=pairs("x"), y=pairs("y"),
+                              eta=eta, xx=xx, yy=yy, mode=mode)
 
     def root_component(self, root: str):
         """The root-space component as a new element (a-part dropped)."""
@@ -317,8 +325,6 @@ def matrix_of(u: AlgebraElement):
     M[1][n] = i_ * u.yy
     M[1][m - 1] = -conj(u.eta)
     M[n][m - 1] = -conj(u.phi)
-    if u.mode == "exact":
-        return M
     return M
 
 

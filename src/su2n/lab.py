@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -354,8 +354,7 @@ def _oneparam_curves(spec: OneParam, plan):
 
 def fit_ray_drift(spec: OneParam, plan: SamplingPlan = None) -> float:
     """Empirical drift power k for a one-parameter subgroup."""
-    plan = plan or SamplingPlan()
-    plan.collect_mu = True
+    plan = replace(plan or SamplingPlan(), collect_mu=True)
     cloud = sample_subgroup(spec, plan)
     cloud.meta["ray_direction"] = (abs(spec.x.t1), abs(spec.x.t2))
     return fit_ray_power(cloud)
@@ -385,7 +384,7 @@ def fit_graph_log_power(spec: Graph, plan: SamplingPlan = None):
 def verify_shape(spec, plan: SamplingPlan = None, seed: int = 0,
                  spec_id: str = "") -> VerificationReport:
     """Classify, sample, fit, and compare against the predicted shape."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     plan = plan or SamplingPlan(seed=seed)
     result = None
     if isinstance(spec, Subalgebra):
@@ -396,8 +395,7 @@ def verify_shape(spec, plan: SamplingPlan = None, seed: int = 0,
         shape = result.shape
     if shape.symbolic:
         if shape.kind == "ray":
-            plan.collect_mu = True
-            cloud = sample_subgroup(spec, plan)
+            cloud = sample_subgroup(spec, replace(plan, collect_mu=True))
             if isinstance(spec, OneParam):
                 cloud.meta["ray_direction"] = (abs(spec.x.t1), abs(spec.x.t2))
             try:
@@ -408,10 +406,10 @@ def verify_shape(spec, plan: SamplingPlan = None, seed: int = 0,
                 note = f"ray fit failed: {e}"
             return VerificationReport(
                 spec_id, "unverifiable", shape, fitted=(k,),
-                runtime=time.time() - t0,
+                runtime=time.perf_counter() - t0,
                 notes=note + "; no predicted value", classification=result)
         return VerificationReport(
-            spec_id, "unverifiable", shape, runtime=time.time() - t0,
+            spec_id, "unverifiable", shape, runtime=time.perf_counter() - t0,
             notes="symbolic exponent (quoted classification); " + result.notes
             if getattr(result, "notes", "") else "symbolic exponent",
             classification=result)
@@ -430,7 +428,7 @@ def verify_shape(spec, plan: SamplingPlan = None, seed: int = 0,
     return VerificationReport(
         spec_id, "pass" if report.verdict else "fail", shape,
         fitted=report.fitted, log_fits=report.details,
-        runtime=time.time() - t0, classification=result,
+        runtime=time.perf_counter() - t0, classification=result,
         notes=f"cloud of {len(cloud)} samples, "
               f"discard fraction {cloud.meta.get('discard_fraction', 0):.2f}")
 

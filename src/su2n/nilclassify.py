@@ -145,44 +145,27 @@ class _Frame:
         self.n = h.n
         self.d = h.dim
         self.rng = rng
+        self.cols = AlgebraElement.slot_columns(self.n)
         self.full = [self._unit(i) for i in range(self.d)]
-        zc = h.subspace(lambda b: self._func("phi", b) + self._func("x", b)
-                        + self._func("y", b))
-        self.z_coeffs = zc
+        self.z_coeffs = self.kernel(["phi", "x", "y"])
 
     def _unit(self, i):
         v = [Fraction(0)] * self.d
         v[i] = Fraction(1)
         return v
 
-    # functional component extraction ------------------------------------
-
-    def _func(self, name, elem):
-        if name == "phi":
-            return [re(elem.phi), im(elem.phi)]
-        if name == "eta":
-            return [re(elem.eta), im(elem.eta)]
-        if name == "x":
-            out = []
-            for v in elem.x:
-                out += [re(v), im(v)]
-            return out
-        if name == "y":
-            out = []
-            for v in elem.y:
-                out += [re(v), im(v)]
-            return out
-        if name == "xx":
-            return [elem.xx]
-        if name == "yy":
-            return [elem.yy]
-        raise KeyError(name)
+    # functional values, read as column slices of coeffs . C ----------------
 
     def element(self, coeffs) -> AlgebraElement:
         return self.h.element(coeffs)
 
+    def funcs_on(self, names, coeffs):
+        """Values of the named slot functionals (concatenated) at coeffs."""
+        v = self.h.coords_of(coeffs)
+        return [x for nm in names for x in v[self.cols[nm]]]
+
     def func_on(self, name, coeffs):
-        return self._func(name, self.element(coeffs))
+        return self.h.coords_of(coeffs)[self.cols[name]]
 
     # subspace machinery ---------------------------------------------------
 
@@ -191,14 +174,7 @@ class _Frame:
         within = self.full if within is None else within
         if not within:
             return []
-        rows = []
-        for c in within:
-            e = self.element(c)
-            vals = []
-            for nm in names:
-                vals += self._func(nm, e)
-            rows.append(vals)
-        mat = _horizontal(rows)
+        mat = _horizontal([self.funcs_on(names, c) for c in within])
         kern = linalg.kernel_basis(mat)
         return [self._combine(within, k) for k in kern]
 
@@ -355,11 +331,7 @@ def _rational_zero(frame, gram_data, within, avoid_kernels=()):
     def ok(coeffs):
         if all(c == 0 for c in coeffs):
             return False
-        for names in avoid_kernels:
-            e = frame.element(coeffs)
-            if all(all(x == 0 for x in frame._func(nm, e)) for nm in names):
-                return False
-        return True
+        return all(any(frame.funcs_on(names, coeffs)) for names in avoid_kernels)
 
     candidates = [lift(v) for v in cert["radical"]]
     # combinations inside the radical
@@ -1122,8 +1094,7 @@ _ALL_SLOTS = ["phi", "y", "x", "yy", "eta", "xx"]
 def _span_in_slots(frame, coeffs_list, slots):
     """Every element of the coefficient span supported inside `slots`."""
     others = [s for s in _ALL_SLOTS if s not in slots]
-    return all(all(v == 0 for nm in others for v in frame.func_on(nm, c))
-               for c in coeffs_list)
+    return not any(any(frame.funcs_on(others, c)) for c in coeffs_list)
 
 
 def _slot_subspace(frame, slots, within=None):

@@ -10,8 +10,11 @@ Classifiers require exact mode; floating bases are only used for sampling.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from . import linalg
 from .elements import AlgebraElement, bracket
+from .scalars import as_exact_real
 
 
 class SubalgebraError(ValueError):
@@ -33,20 +36,17 @@ class MixedModes(SubalgebraError):
 
 
 class Subalgebra:
-    def __init__(self, basis, mode=None, check=True):
+    def __init__(self, basis, check=True):
         if not basis:
             raise SubalgebraError("empty basis")
         n = basis[0].n
         modes = {b.mode for b in basis}
         if len(modes) > 1:
             raise MixedModes("basis mixes exact and floating elements")
-        bmode = modes.pop()
-        if mode is not None and mode != bmode:
-            raise MixedModes(f"requested mode {mode} but basis is {bmode}")
         if any(b.n != n for b in basis):
             raise SubalgebraError("inconsistent n across basis")
         self.n = n
-        self.mode = bmode
+        self.mode = modes.pop()
         self.basis = list(basis)
         self._coord_rows = [b.coords() for b in basis]
         self._structure = None
@@ -82,13 +82,21 @@ class Subalgebra:
     def is_nilpotent(self):
         return all(b.is_nilpotent() for b in self.basis)
 
+    def coords_of(self, coeffs) -> list:
+        """coords() of the linear combination of the basis with real coefficients."""
+        exact = self.mode == "exact"
+        out = [Fraction(0) if exact else 0.0] * len(self._coord_rows[0])
+        for c, row in zip(coeffs, self._coord_rows):
+            if c:
+                c = as_exact_real(c) if exact else c
+                for k, v in enumerate(row):
+                    if v:
+                        out[k] += c * v
+        return out
+
     def element(self, coeffs) -> AlgebraElement:
         """Linear combination of the basis with real coefficients."""
-        out = None
-        for c, b in zip(coeffs, self.basis):
-            term = b.scale(c)
-            out = term if out is None else out + term
-        return out
+        return AlgebraElement.from_coords(self.n, self.coords_of(coeffs), mode=self.mode)
 
     def contains(self, u: AlgebraElement) -> bool:
         return linalg.span_contains(self._coord_rows, u.coords())
@@ -111,31 +119,15 @@ class Subalgebra:
             return list(self._z_basis)
         if self.mode != "exact":
             raise SubalgebraError("z_part requires exact mode")
-        rows = []
-        for b in self.basis:
-            c = b.coords(include_a=False)
-            # layout: [Re phi, Im phi, x pairs, y pairs, Re eta, Im eta, xx, yy]
-            head = 2 + 4 * (self.n - 2)
-            rows.append([b.t1, b.t2] + c[:head])
+        slots = AlgebraElement.slot_columns(self.n)
+        head = [slots[name] for name in ("t", "phi", "x", "y")]
+        rows = [[v for s in head for v in row[s]] for row in self._coord_rows]
         # kernel over coefficients: t parts must vanish too (z lives in n)
         cols = len(rows[0])
         mat = [[rows[i][c] for i in range(len(rows))] for c in range(cols)]
         kern = linalg.kernel_basis(mat)
         self._z_basis = [self.element(k) for k in kern]
         return list(self._z_basis)
-
-    def subspace(self, predicate_rows) -> list:
-        """Coefficient basis of {u in span : L u = 0} for rows of functionals.
-
-        `predicate_rows` maps a basis element to the list of linear-functional
-        values; returns coefficient vectors over the basis.
-        """
-        if not self.basis:
-            return []
-        vals = [predicate_rows(b) for b in self.basis]
-        width = len(vals[0])
-        mat = [[vals[i][c] for i in range(len(vals))] for c in range(width)]
-        return linalg.kernel_basis(mat)
 
     def to_float(self) -> "Subalgebra":
         return Subalgebra([b.to_float() for b in self.basis], check=False)

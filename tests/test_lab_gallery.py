@@ -15,6 +15,7 @@ from su2n.lab import (
     check_dimension_table,
     designed_subcloud,
     fit_graph_log_power,
+    fit_ray_drift,
     sample_subgroup,
     verify_gallery_entry,
     verify_shape,
@@ -140,3 +141,13 @@ def test_corpus_generator_reproducible():
     c2 = random_corpus(count=40, seed=5)
     assert [cid for cid, _ in c1] == [cid for cid, _ in c2]
     assert all(h.dim >= 1 for _, h in c1)
+
+
+def test_ray_sampling_leaves_the_callers_plan_alone():
+    spec = gallery.get("oneparam-alpha-n3").spec()
+    plan = SamplingPlan(seed=0)
+    rep = verify_shape(spec, plan=plan, spec_id="oneparam-alpha-n3")
+    assert rep.predicted.kind == "ray" and rep.fitted[0] is not None
+    assert plan == SamplingPlan(seed=0)
+    fit_ray_drift(spec, plan)
+    assert plan == SamplingPlan(seed=0)

@@ -8,6 +8,7 @@ from su2n import AlgebraElement, Subalgebra
 from su2n.metrics import rho_norm, sup_norm
 from su2n.nilclassify import (
     FloatingModeUnsupported,
+    _Frame,
     NotInN,
     check_linear,
     check_square,
@@ -20,7 +21,7 @@ from su2n.nilclassify import (
     r_alpha,
     witness_curve,
 )
-from su2n.scalars import QQi
+from su2n.scalars import QQi, im, re
 from su2n.shapes import MuShape
 
 
@@ -243,3 +244,30 @@ def test_linear_five_with_xx_component(alg, sub):
     assert r.verdict == "CDS" and r.linear.condition_id == 5
     slope = _curve_slope(witness_curve(r.linear, h), tmax=3e4)
     assert abs(slope - 1.0) < 0.08
+
+
+def _slot_values(e, name):
+    """A slot of an element as real numbers, (Re, Im) per complex entry."""
+    if name == "t":
+        return [e.t1, e.t2]
+    if name in ("xx", "yy"):
+        return [getattr(e, name)]
+    entries = {"phi": [e.phi], "eta": [e.eta], "x": e.x, "y": e.y}[name]
+    return [part(v) for v in entries for part in (re, im)]
+
+
+def test_func_on_reads_the_slot_of_the_element():
+    from su2n import gallery
+
+    rng = random.Random(3)
+    for entry in gallery.entries():
+        if entry.kind != "nil":
+            continue
+        frame = _Frame(entry.spec(), random.Random(0))
+        coeffs = [frame.full[0]]
+        coeffs += [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(frame.d)]
+                   for _ in range(3)]
+        for c in coeffs:
+            e = frame.element(c)
+            for name in ("t", "phi", "x", "y", "eta", "xx", "yy"):
+                assert frame.func_on(name, c) == _slot_values(e, name), (entry.id, name)

@@ -114,3 +114,42 @@ def test_element_and_contains(alg):
     assert e.phi == QQi(2) and e.xx == -1
     assert h.contains(e)
     assert not h.contains(alg(3, yy=1))
+
+
+def _coefficient_vectors(d, rng):
+    """Zero, unit, negative and non-integer Fraction coefficient vectors."""
+    vecs = [[Fraction(0)] * d, [Fraction(-1)] * d,
+            [Fraction(1) if i == d - 1 else Fraction(0) for i in range(d)]]
+    for _ in range(4):
+        vecs.append([Fraction(rng.randint(-7, 7), rng.randint(1, 5)) for _ in range(d)])
+    return vecs
+
+
+def _written_sum(h, coeffs):
+    out = AlgebraElement(h.n)
+    for c, b in zip(coeffs, h.basis):
+        out = out + b.scale(c)
+    return out
+
+
+def test_element_equals_scaled_sum_of_basis(alg):
+    from su2n import gallery
+
+    rng = random.Random(11)
+    subs = [e.spec() for e in gallery.entries() if e.kind == "nil"]
+    an = close_under_bracket([alg(3, t1=1, t2=Fraction(1, 2), yy=3),
+                              alg(3, phi=QQi(1, 2))])
+    assert any(b.t1 or b.t2 for b in an.basis)
+    subs.append(an)
+    for h in subs:
+        for coeffs in _coefficient_vectors(h.dim, rng):
+            assert h.element(coeffs) == _written_sum(h, coeffs), (h, coeffs)
+
+
+def test_from_coords_inverts_coords(alg):
+    rng = random.Random(5)
+    for n in (3, 4, 6):
+        u = random_element(n, rng, max_slots=6) + alg(n, t1=Fraction(2, 3), t2=-1)
+        back = AlgebraElement.from_coords(n, u.coords())
+        assert back == u
+        assert len(u.coords()) == AlgebraElement.coord_dim(n)
