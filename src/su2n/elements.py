@@ -486,20 +486,57 @@ def exp_closed(u: AlgebraElement) -> "GroupElement":
     """
     if not u.is_nilpotent():
         raise ValueError("exp_closed needs a nilpotent element (t1 = t2 = 0)")
-    n, m, mode = u.n, u.n + 2, u.mode
-    x_row, e1n, e1m, e2n, e2m, mid_n, mid_m = _exp_rows_general(u)
+    m, mode = u.n + 2, u.mode
+    if mode == "exact":
+        M = [[QQi(1 if i == j else 0) for j in range(m)] for i in range(m)]
+        phi_zero, y_zero = not u.phi, not any(u.y)
+    else:
+        M = np.eye(m, dtype=complex)
+        phi_zero, y_zero = u.phi == 0, all(v == 0 for v in u.y)
+    _fill_closed(M, u, phi_zero, y_zero)
+    return GroupElement(u.n, M, mode=mode)
 
-    phi_zero = not u.phi if mode == "exact" else u.phi == 0
-    y_zero = not any(u.y) if mode == "exact" else all(v == 0 for v in u.y)
+
+class _GridSlots:
+    """The nilpotent slots of s*u for a float array s: one array per scalar."""
+
+    mode = "float"
+
+    def __init__(self, u: AlgebraElement, s):
+        self.n = u.n
+        self.phi, self.eta = u.phi * s, u.eta * s
+        self.x = tuple(v * s for v in u.x)
+        self.y = tuple(v * s for v in u.y)
+        self.xx, self.yy = s * u.xx, s * u.yy
+
+
+def exp_closed_grid(u: AlgebraElement, s) -> np.ndarray:
+    """exp(s_k u) for every entry of the float array s, as a (T, m, m) stack.
+
+    The same general display as exp_closed, evaluated on arrays of slot
+    values; the phi = 0 and y = 0 self-checks run once for the whole grid.
+    """
+    u = u.to_float()
+    if not u.is_nilpotent():
+        raise ValueError("exp_closed needs a nilpotent element (t1 = t2 = 0)")
+    s = np.asarray(s, dtype=float)
+    m = u.n + 2
+    out = np.zeros((len(s), m, m), dtype=complex)
+    out[:, range(m), range(m)] = 1
+    # M[i][j] is the grid column out[:, i, j]
+    M = out.transpose(1, 2, 0)
+    _fill_closed(M, _GridSlots(u, s), u.phi == 0, all(v == 0 for v in u.y))
+    return out
+
+
+def _fill_closed(M, u, phi_zero, y_zero):
+    """Write exp(u) per the general display into the identity matrix M."""
+    n, m = u.n, u.n + 2
+    x_row, e1n, e1m, e2n, e2m, mid_n, mid_m = _exp_rows_general(u)
     if phi_zero:
         _check_phi0_form(u, x_row, e1n, e1m, e2n, e2m)
     if y_zero:
         _check_y0_form(u, x_row, e1n, e1m, e2n, e2m)
-
-    if mode == "exact":
-        M = [[QQi(1 if i == j else 0) for j in range(m)] for i in range(m)]
-    else:
-        M = np.eye(m, dtype=complex)
     M[0][1] = u.phi
     for j in range(n - 2):
         M[0][2 + j] = x_row[j]
@@ -511,13 +548,14 @@ def exp_closed(u: AlgebraElement) -> "GroupElement":
     M[1][n] = e2n
     M[1][m - 1] = e2m
     M[n][m - 1] = -conj(u.phi)
-    return GroupElement(u.n, M, mode=mode)
 
 
 def _eq_scalar(a, b, mode):
+    """a == b; in floating mode to identity_rtol, at every entry of arrays."""
     if mode == "exact":
         return a == b
-    return abs(complex(a) - complex(b)) <= DEFAULT.identity_rtol * (1 + abs(complex(a)))
+    ok = abs(a - b) <= DEFAULT.identity_rtol * (1 + abs(a))
+    return bool(ok.all()) if isinstance(ok, np.ndarray) else ok
 
 
 def _check_phi0_form(u, x_row, e1n, e1m, e2n, e2m):

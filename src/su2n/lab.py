@@ -2,9 +2,10 @@
 
 Element clouds are generated from subgroup specs as products of exponentials
 (depth up to 3, so the cloud probes the full band of mu(H), not a single
-curve), clipped at the norm ceiling where doubles stay trustworthy.  Fitted
-envelope exponents and log-power regressions are then compared against the
-classifier's predicted shape.
+curve), clipped at the norm ceiling where doubles stay trustworthy.  A curve
+is evaluated on a whole parameter grid at once, as a (T, m, m) numpy stack.
+Fitted envelope exponents and log-power regressions are then compared against
+the classifier's predicted shape.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
@@ -19,11 +21,12 @@ from typing import Optional
 import numpy as np
 
 from .anclassify import Graph, OneParam, Semidirect, classify_an
-from .config import DEFAULT
-from .elements import exp_closed, exp_series
+from .config import DEFAULT, Tolerances
+from .elements import exp_closed, exp_closed_grid, matrix_of
 from .gallery import GalleryEntry, get as gallery_get
 from .gallery import maximal_band_family, mixing_pair_family
 from .metrics import (
+    InsufficientRange,
     SampleCloud,
     fit_log_power,
     fit_ray_power,
@@ -32,7 +35,7 @@ from .metrics import (
     shape_check,
     sup_norm,
 )
-from .nilclassify import classify, witness_curve
+from .nilclassify import ImplicitSolveFailed, classify, witness_curve
 from .scalars import QQi, abs2
 from .shapes import MuShape
 from .subalgebra import Subalgebra
@@ -51,7 +54,7 @@ class SamplingPlan:
     include_witness_curves: bool = True
     collect_mu: bool = False
     t_cap: Optional[float] = None
-    tol = DEFAULT
+    tol: Tolerances = DEFAULT
 
 
 @dataclass
@@ -69,58 +72,110 @@ class VerificationReport:
         return self.verdict == "pass"
 
 
+# A curve maps a float array of parameters t to the (T, m, m) stack of its
+# group elements (a _PerPoint wraps the curves that solve per t).  Rungs of
+# the doubling ladder are evaluated this many at a time.
+LADDER_CHUNK = 16
+
+
+class _PerPoint:
+    """A curve that solves for each t on its own (root brackets, best-of-k
+    choices), stacked over a grid.  A failed solve leaves a NaN slice."""
+
+    def __init__(self, fn, n):
+        self.fn, self.m = fn, n + 2
+
+    def evaluate(self, ts):
+        """(stack, {index: error name}) for the points whose solve failed."""
+        out = np.full((len(ts), self.m, self.m), np.nan, dtype=complex)
+        failed = {}
+        for k, t in enumerate(ts):
+            try:
+                out[k] = self.fn(float(t)).mat
+            except (ArithmeticError, ImplicitSolveFailed) as e:
+                failed[k] = type(e).__name__
+        return out, failed
+
+
+def _evaluate(curve, ts):
+    """The curve's stack on ts, and the per-point errors behind NaN slices."""
+    if isinstance(curve, _PerPoint):
+        return curve.evaluate(ts)
+    return curve(ts), {}
+
+
 def _adaptive_grid(curve, per, ceiling, t_lo=1.0, t_cap=None):
-    """Log-spaced parameter grid ending where the curve hits the ceiling."""
-    t_hi = t_lo * 2
-    for _ in range(80):
-        if t_cap is not None and t_hi >= t_cap:
-            t_hi = t_cap
+    """Log-spaced parameter grid ending where the curve hits the ceiling.
+
+    The doubling ladder t_lo 2^k, k = 1..80, ends at the first rung at or
+    above t_cap (at t_cap), at the first rung with a non-finite entry (at
+    half that rung) or at the first rung above the ceiling (at that rung); a
+    curve that passes every rung ends at t_lo 2^81.
+    """
+    rungs = t_lo * 2.0 ** np.arange(1, 81)
+    t_hi = t_lo * 2.0 ** 81
+    if t_cap is not None and rungs[-1] >= t_cap:
+        cut = int(np.argmax(rungs >= t_cap))
+        rungs, t_hi = rungs[:cut], t_cap
+    for start in range(0, len(rungs), LADDER_CHUNK):
+        chunk = rungs[start:start + LADDER_CHUNK]
+        with np.errstate(all="ignore"):
+            norms = sup_norm(_evaluate(curve, chunk)[0])
+        finite = np.isfinite(norms)
+        hit = ~finite | (norms > ceiling)
+        if hit.any():
+            k = int(np.argmax(hit))
+            t_hi = chunk[k] if finite[k] else chunk[k] / 2
             break
-        try:
-            g = curve(t_hi)
-        except Exception:
-            t_hi /= 2
-            break
-        if not np.all(np.isfinite(np.asarray(g.mat))):
-            t_hi /= 2
-            break
-        if sup_norm(g) > ceiling:
-            break
-        t_hi *= 2
     t_hi = max(t_hi, t_lo * 4)
     return np.geomspace(t_lo, t_hi, per)
 
 
 def _collect(curves, plan) -> SampleCloud:
-    """Evaluate labeled curves on adaptive grids; discard above the ceiling."""
+    """Evaluate labeled curves on adaptive grids; discard above the ceiling.
+
+    meta["discards"] counts the dropped points by cause: non_finite,
+    over_ceiling, at_most_one (|h| <= 1) and the name of each error a
+    per-point solve raised.
+    """
     ceiling = plan.tol.norm_ceiling
     pts = []
     mu_points = []
     t_vals = []
+    discards = Counter(non_finite=0, over_ceiling=0, at_most_one=0)
     total = kept = 0
     for tag, curve in curves:
         grid = _adaptive_grid(curve, plan.per_curve, ceiling,
                               t_cap=plan.t_cap)
-        for t in grid:
-            total += 1
-            try:
-                g = curve(float(t))
-            except Exception:
-                continue
-            nrm = sup_norm(g)
-            if not math.isfinite(nrm) or nrm > ceiling or nrm <= 1.0:
-                continue
-            kept += 1
-            pts.append((nrm, rho_norm(g), tag))
-            t_vals.append(float(t))
-            if plan.collect_mu:
-                mu_points.append(mu(g).as_tuple())
+        with np.errstate(all="ignore"):
+            stack, failed = _evaluate(curve, grid)
+            norms = sup_norm(stack)
+        # failed points are NaN slices, counted under their error alone
+        finite = np.isfinite(norms)
+        over = finite & (norms > ceiling)
+        low = finite & (norms <= 1.0)
+        keep = finite & ~over & ~low
+        discards.update(failed.values())
+        discards["non_finite"] += int((~finite).sum()) - len(failed)
+        discards["over_ceiling"] += int(over.sum())
+        discards["at_most_one"] += int(low.sum())
+        total += len(grid)
+        if not keep.any():
+            continue
+        kept += int(keep.sum())
+        good = stack[keep]
+        pts += zip(norms[keep].tolist(), rho_norm(good).tolist(),
+                   [tag] * len(good))
+        t_vals += grid[keep].tolist()
+        if plan.collect_mu:
+            mu_points += [mu(g).as_tuple() for g in good]
     if kept < plan.tol.min_samples:
         raise OverflowCeiling(
             f"only {kept} of {total} samples survived the ceiling")
     cloud = SampleCloud.collect(pts)
     cloud.meta["t_values"] = t_vals
     cloud.meta["discard_fraction"] = 1.0 - kept / max(total, 1)
+    cloud.meta["discards"] = dict(discards)
     if plan.collect_mu:
         cloud.meta["mu_points"] = mu_points
     return cloud
@@ -142,10 +197,10 @@ def _product_curve(rng, basis, depth):
     exps = [rng.uniform(0.35, 1.0) for _ in range(k)]
     exps[rng.randrange(k)] = 1.0
 
-    def curve(t):
+    def curve(ts):
         g = None
         for v, e in zip(dirs, exps):
-            f = exp_closed(v.scale(t ** e))
+            f = exp_closed_grid(v, ts ** e)
             g = f if g is None else g @ f
         return g
     return curve
@@ -157,14 +212,16 @@ def _nil_curves(h: Subalgebra, plan, result=None):
     curves = []
     if plan.include_witness_curves and result is not None:
         if result.square is not None:
-            curves.append(("square-witness", witness_curve(result.square, h)))
+            curves.append(("square-witness",
+                           _PerPoint(witness_curve(result.square, h), h.n)))
         if result.linear is not None:
-            curves.append(("linear-witness", witness_curve(result.linear, h)))
+            curves.append(("linear-witness",
+                           _PerPoint(witness_curve(result.linear, h), h.n)))
     if result is not None and result.template is not None:
         curves += _template_extremal_curves(result.template)
     for i, b in enumerate(hf.basis):
-        curves.append((f"ray{i}", lambda t, b=b: exp_closed(b.scale(t))))
-        curves.append((f"ray{i}-", lambda t, b=b: exp_closed(b.scale(-t))))
+        curves.append((f"ray{i}", lambda ts, b=b: exp_closed_grid(b, ts)))
+        curves.append((f"ray{i}-", lambda ts, b=b: exp_closed_grid(b, -ts)))
     for i in range(plan.n_product_curves):
         curves.append((f"prod{i}", _product_curve(rng, hf.basis, plan.depth)))
     return curves
@@ -190,10 +247,10 @@ def _template_extremal_curves(tm):
                 if best_ratio is None or ratio < best_ratio:
                     best, best_ratio = g, ratio
             return best
-        curves.append(("extremal-54", lower))
+        curves.append(("extremal-54", _PerPoint(lower, u.n)))
     if tm.type_id == 7 and "rank_one" in tm.evidence:
         v = tm.evidence["rank_one"].to_float()
-        curves.append(("extremal-32", lambda t: exp_closed(v.scale(t))))
+        curves.append(("extremal-32", lambda ts: exp_closed_grid(v, ts)))
     return curves
 
 
@@ -207,7 +264,7 @@ def designed_subcloud(cloud: SampleCloud) -> SampleCloud:
     interior of a band but converge slowly, so envelope slopes are read off
     the designed curves when they provide enough range."""
     keep = [i for i, t in enumerate(cloud.tags)
-            if any(t.startswith(p) for p in DESIGNED_PREFIXES)]
+            if t.startswith(DESIGNED_PREFIXES)]
     if not keep:
         return cloud
     idx = np.array(keep)
@@ -234,11 +291,11 @@ def sample_subgroup(spec, plan: SamplingPlan = None, result=None) -> SampleCloud
     raise TypeError(f"cannot sample {type(spec).__name__}")
 
 
-def _torus_curve(telt):
-    def curve(t):
-        u = telt.scale(math.log(t))
-        return exp_series(u)
-    return curve
+def _expm_line(X, c):
+    """exp(c_k X) for every entry of the float array c: one stacked expm."""
+    from scipy.linalg import expm
+
+    return expm(np.multiply.outer(c, matrix_of(X)))
 
 
 def _semidirect_curves(spec: Semidirect, plan):
@@ -246,17 +303,17 @@ def _semidirect_curves(spec: Semidirect, plan):
     tf = spec.torus.element(spec.n, mode="float")
     uf = spec.u.to_float()
     scale = max(abs(spec.torus.p), abs(spec.torus.q))
-    curves = [("torus", _torus_curve(tf.scale(1.0 / scale))),
-              ("torus-", _torus_curve(tf.scale(-1.0 / scale)))]
+    t_unit = tf.scale(1.0 / scale)
+    curves = [("torus", lambda ts: _expm_line(t_unit, np.log(ts))),
+              ("torus-", lambda ts: _expm_line(-t_unit, np.log(ts)))]
     for i, b in enumerate(uf.basis):
-        curves.append((f"u-ray{i}", lambda t, b=b: exp_closed(b.scale(t))))
+        curves.append((f"u-ray{i}", lambda ts, b=b: exp_closed_grid(b, ts)))
     for i in range(plan.n_product_curves):
         s = rng.uniform(-2, 2)
         udirs = _product_curve(rng, uf.basis, plan.depth)
 
-        def curve(t, s=s, udirs=udirs):
-            a = exp_series(tf.scale(s * math.log(t) / scale))
-            return a @ udirs(t)
+        def curve(ts, s=s, udirs=udirs):
+            return _expm_line(tf, s * np.log(ts) / scale) @ udirs(ts)
         curves.append((f"mix{i}", curve))
     return curves
 
@@ -271,17 +328,16 @@ def _graph_curves(spec: Graph, plan):
     X = _graph_x_element(spec)
     uf = spec.u.to_float()
     scale = max(abs(spec.torus().p), abs(spec.torus().q))
-    curves = [("graph-line", lambda t: exp_series(X.scale(math.log(t) / scale))),
-              ("graph-line-", lambda t: exp_series(X.scale(-math.log(t) / scale)))]
+    curves = [("graph-line", lambda ts: _expm_line(X, np.log(ts) / scale)),
+              ("graph-line-", lambda ts: _expm_line(X, -np.log(ts) / scale))]
     for i, b in enumerate(uf.basis):
-        curves.append((f"u-ray{i}", lambda t, b=b: exp_closed(b.scale(t))))
+        curves.append((f"u-ray{i}", lambda ts, b=b: exp_closed_grid(b, ts)))
     for i in range(plan.n_product_curves):
         s = rng.uniform(-2, 2)
         udirs = _product_curve(rng, uf.basis, plan.depth)
 
-        def curve(t, s=s, udirs=udirs):
-            a = exp_series(X.scale(s * math.log(t) / scale))
-            return a @ udirs(t)
+        def curve(ts, s=s, udirs=udirs):
+            return _expm_line(X, s * np.log(ts) / scale) @ udirs(ts)
         curves.append((f"mix{i}", curve))
     curves += extremal_graph_curves(spec)
     return curves
@@ -309,33 +365,34 @@ def extremal_graph_curves(spec: Graph, result=None):
         # direction with the torus outpacing the unipotent factor
         u0i = inter[0]
 
-        def square_curve(t, u0i=u0i):
-            return exp_series(X.scale(2.0 * math.log(t) / scale)) @ exp_closed(
-                u0i.scale(t))
+        def square_curve(ts, u0i=u0i):
+            return (_expm_line(X, 2.0 * np.log(ts) / scale)
+                    @ exp_closed_grid(u0i, ts))
         curves.append(("extremal-square", square_curve))
     if case == ("alpha", "alpha+beta"):
         # upper extremal: |x_u|^2 ~ log a1
-        def upper(t):
-            tau = math.log(t)
-            return exp_series(X.scale(tau / scale)) @ exp_closed(
-                u0.scale(math.sqrt(max(tau, 1e-9))))
+        def upper(ts):
+            tau = np.log(ts)
+            return (_expm_line(X, tau / scale)
+                    @ exp_closed_grid(u0, np.sqrt(np.maximum(tau, 1e-9))))
         curves.append(("extremal-upper", upper))
     elif case == ("alpha", "alpha+2beta"):
-        def lower(t):
-            tau = math.log(t)
-            return exp_series(X.scale(tau / scale)) @ exp_closed(u0)
+        g0 = exp_closed(u0).mat
+
+        def lower(ts):
+            return _expm_line(X, np.log(ts) / scale) @ g0
         curves.append(("extremal-lower", lower))
     elif case == ("beta", "alpha+2beta"):
         r = 1 if (spec.psi_value.root_component("beta").is_zero()
                   and not spec.psi_value.root_component("2beta").is_zero()) else 2
-        def lower(t, r=r):
-            tau = math.log(t)
-            return exp_series(X.scale(tau / scale)) @ exp_closed(
-                u0.scale(max(tau, 1e-9) ** (r / 2.0)))
+        def lower(ts, r=r):
+            tau = np.log(ts)
+            return (_expm_line(X, tau / scale)
+                    @ exp_closed_grid(u0, np.maximum(tau, 1e-9) ** (r / 2.0)))
         curves.append(("extremal-lower", lower))
     elif case == ("beta", "alpha+beta"):
         curves.append(("extremal-upper",
-                       lambda t: exp_series(X.scale(math.log(t) / scale))))
+                       lambda ts: _expm_line(X, np.log(ts) / scale)))
     return curves
 
 
@@ -348,8 +405,8 @@ def _graph_case(spec: Graph):
 def _oneparam_curves(spec: OneParam, plan):
     X = spec.x.to_float()
     scale = max(abs(X.t1), abs(X.t2))
-    return [("line", lambda t: exp_series(X.scale(math.log(t) / scale))),
-            ("line-", lambda t: exp_series(X.scale(-math.log(t) / scale)))]
+    return [("line", lambda ts: _expm_line(X, np.log(ts) / scale)),
+            ("line-", lambda ts: _expm_line(X, -np.log(ts) / scale))]
 
 
 def fit_ray_drift(spec: OneParam, plan: SamplingPlan = None) -> float:
@@ -401,7 +458,7 @@ def verify_shape(spec, plan: SamplingPlan = None, seed: int = 0,
             try:
                 k = fit_ray_power(cloud)
                 note = f"ray drift power fitted as k = {k:.3f}"
-            except Exception as e:
+            except (InsufficientRange, np.linalg.LinAlgError) as e:
                 k = None
                 note = f"ray fit failed: {e}"
             return VerificationReport(
@@ -421,7 +478,7 @@ def verify_shape(spec, plan: SamplingPlan = None, seed: int = 0,
     # can only widen the fitted band, which is the success direction there).
     try:
         report = shape_check(designed_subcloud(cloud), shape, plan.tol)
-    except Exception:
+    except (InsufficientRange, np.linalg.LinAlgError):
         report = None
     if report is None or (not report.verdict and shape.kind == "full_chamber"):
         report = shape_check(cloud, shape, plan.tol)

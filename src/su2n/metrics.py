@@ -51,9 +51,15 @@ def _as_array(g) -> np.ndarray:
     return np.asarray(g, dtype=complex)
 
 
-def sup_norm(g) -> float:
+def _per_matrix(values):
+    """A float for one matrix, the array of values for a stack."""
+    return float(values) if values.ndim == 0 else values
+
+
+def sup_norm(g):
+    """Max |entry| of a matrix, or of each matrix in a (..., m, m) stack."""
     a = _as_array(g)
-    return float(np.abs(a).max())
+    return _per_matrix(np.abs(a).max(axis=(-2, -1)))
 
 
 def _minor_tables(m):
@@ -63,14 +69,14 @@ def _minor_tables(m):
     return I, J
 
 
-def rho_norm(g) -> float:
-    """Max |det| over all 2x2 submatrices."""
+def rho_norm(g):
+    """Max |det| over all 2x2 submatrices, per matrix of a (..., m, m) stack."""
     a = _as_array(g)
-    m = a.shape[0]
-    I, J = _minor_tables(m)
-    # minors[p, q] = a[i_p, k_q] a[j_p, l_q] - a[i_p, l_q] a[j_p, k_q]
-    minors = a[I][:, I] * a[J][:, J] - a[I][:, J] * a[J][:, I]
-    return float(np.abs(minors).max())
+    I, J = _minor_tables(a.shape[-1])
+    # minors[..., p, q] = a[i_p, k_q] a[j_p, l_q] - a[i_p, l_q] a[j_p, k_q]
+    rows_i, rows_j = a[..., I, :], a[..., J, :]
+    minors = rows_i[..., I] * rows_j[..., J] - rows_i[..., J] * rows_j[..., I]
+    return _per_matrix(np.abs(minors).max(axis=(-2, -1)))
 
 
 def rho_wedge_matrix(g) -> np.ndarray:

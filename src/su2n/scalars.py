@@ -4,13 +4,16 @@ Every container in the library is uniformly exact (Fraction / GaussianRational
 entries) or uniformly floating (float / complex entries).  The classification
 path runs entirely in exact mode; sampling and Cartan-projection numerics run
 in floating mode.  The helpers here (`conj`, `re`, `im`, `abs2`, ...) work on
-either backend so formula code can be written once.
+either backend, and on numpy arrays of floating values (one entry per grid
+point), so formula code can be written once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from numbers import Integral
+
+import numpy as np
 
 
 class GaussianRational:
@@ -154,7 +157,7 @@ def as_exact_complex(v) -> GaussianRational:
 def conj(v):
     if isinstance(v, GaussianRational):
         return v.conjugate()
-    if isinstance(v, complex):
+    if isinstance(v, (complex, np.ndarray)):
         return v.conjugate()
     return v  # real types are self-conjugate
 
@@ -162,7 +165,7 @@ def conj(v):
 def re(v):
     if isinstance(v, GaussianRational):
         return v.re
-    if isinstance(v, complex):
+    if isinstance(v, (complex, np.ndarray)):
         return v.real
     return v
 
@@ -170,7 +173,7 @@ def re(v):
 def im(v):
     if isinstance(v, GaussianRational):
         return v.im
-    if isinstance(v, complex):
+    if isinstance(v, (complex, np.ndarray)):
         return v.imag
     if isinstance(v, (Fraction, Integral)):
         return Fraction(0)
@@ -180,7 +183,7 @@ def im(v):
 def abs2(v):
     if isinstance(v, GaussianRational):
         return v.abs2()
-    if isinstance(v, complex):
+    if isinstance(v, (complex, np.ndarray)):
         return v.real * v.real + v.imag * v.imag
     return v * v
 

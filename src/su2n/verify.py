@@ -18,6 +18,7 @@ from .corpus import random_corpus, random_element
 from .elements import (
     AlgebraElement,
     GroupElement,
+    NotInAN,
     bracket,
     delta,
     delta_formula,
@@ -40,7 +41,7 @@ from .metrics import (
     sup_norm,
 )
 from .nilclassify import InconsistentClassification, classify
-from .subalgebra import Subalgebra
+from .subalgebra import Subalgebra, SubalgebraError
 from .weyl import conjugate
 
 
@@ -256,7 +257,7 @@ def conjugation_suite(pairs=100, seed=0, ns=(3, 4)):
         try:
             basis2 = [conjugate(g, b) for b in h.basis]
             h2 = Subalgebra(basis2)
-        except Exception:
+        except (NotInAN, SubalgebraError):
             continue
         tried += 1
         r1 = classify(h, seed=0)
