@@ -1,11 +1,11 @@
 """Explicit SU(2,n) computations and the CDS decision procedure for AN.
 
 The package realizes su(2,n) in coordinates adapted to an Iwasawa
-decomposition, provides exact (Gaussian-rational) and floating backends,
-computes Cartan projections numerically, and decides exactly whether a
-closed connected subgroup of AN is a Cartan-decomposition subgroup —
-reporting the asymptotic shape of its Cartan projection and verifying the
-shape by sampling.
+decomposition with exact (Gaussian-rational) algebra elements, decides
+exactly whether a closed connected subgroup of AN is a Cartan-decomposition
+subgroup — reporting the asymptotic shape of its Cartan projection — and
+verifies the shape by sampling group elements in floating point and
+computing their Cartan projections numerically.
 """
 
 from . import corpus, gallery, lab, linalg, serialize, verify
@@ -41,6 +41,7 @@ from .elements import (
     delta_formula,
     element_from_matrix,
     exp_closed,
+    exp_float,
     exp_series,
     form_value,
     gram_matrix,
@@ -89,7 +90,6 @@ from .nilclassify import (
 from .scalars import QQi
 from .shapes import MuShape
 from .subalgebra import (
-    MixedModes,
     NotClosed,
     NotIndependent,
     Subalgebra,

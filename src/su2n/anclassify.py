@@ -68,8 +68,8 @@ class TorusLine:
     p: int
     q: int
 
-    def element(self, n, mode="exact"):
-        return AlgebraElement(n, t1=self.p, t2=self.q, mode=mode)
+    def element(self, n):
+        return AlgebraElement(n, t1=self.p, t2=self.q)
 
     def root_name(self) -> Optional[str]:
         from .elements import EXTENDED_FUNCTIONALS, root_functional
@@ -513,7 +513,7 @@ def _psi_in_2beta(spec: Graph) -> bool:
 def _reflect_graph_simple(spec: Graph, root: str) -> Graph:
     from .elements import NotInAN
 
-    w = weyl_matrix(spec.n, root, mode="exact")
+    w = weyl_matrix(spec.n, root)
     try:
         psi = conjugate(w, spec.psi_value)
         basis = [conjugate(w, b) for b in spec.u.basis]
@@ -560,10 +560,6 @@ def normalize_to_compatible(basis, max_iter: int = 64):
 
     if not basis:
         raise NormalizationFailed("empty basis")
-    if any(b.mode != "exact" for b in basis):
-        # the sweep cancels components exactly; noisy floats leave residues
-        # in every slot and cannot certify the compatible form
-        raise NormalizationFailed("normalization needs an exact basis")
     n = basis[0].n
     a_rows = [[b.t1, b.t2] for b in basis]
     red, piv = linalg.rref(a_rows)

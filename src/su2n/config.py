@@ -1,8 +1,8 @@
 """Central tolerance/configuration record.
 
 All floating-point tolerances used anywhere in the library live here, so that
-classification answers never depend on scattered epsilons.  Exact-mode code
-paths use no tolerances at all.
+classification answers never depend on scattered epsilons.  Exact code paths
+use no tolerances at all.
 """
 
 from dataclasses import dataclass
@@ -10,12 +10,9 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    # Relative tolerance for algebraic identities checked in floating mode
-    # (group relations, unitarity residuals, closed form vs series).
+    # Relative tolerance for algebraic identities checked in floating point
+    # (the self-checks of the float closed-form exponential).
     identity_rtol: float = 1e-10
-    # Relative tolerance for derived quantities (Cartan projections of
-    # products, K-invariance, reciprocal eigenvalue pairing).
-    derived_rtol: float = 1e-8
     # Greedy reciprocal-pairing tolerance for the singular spectrum in mu().
     mu_pair_rtol: float = 1e-6
     # Envelope-exponent tolerance.  The closest predicted exponents are 5/4

@@ -27,6 +27,7 @@ alpha(a) = a1/a2 and beta(a) = a2 on a = diag(a1, a2, 1, ..., 1/a2, 1/a1).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import eq, truediv
 
 import numpy as np
 
@@ -102,18 +103,23 @@ def kernel_line(root: str) -> tuple:
 
 
 class AlgebraElement:
-    """Immutable element of a+n for SU(2,n) in the coordinates above."""
+    """Immutable element of a+n for SU(2,n) in the coordinates above.
 
-    __slots__ = ("n", "mode", "t1", "t2", "phi", "x", "y", "eta", "xx", "yy")
+    Entries are exact: Fractions and Gaussian rationals.  Floating-point
+    sampling works on the coordinate vector np.array(u.coords(), dtype=float)
+    instead (see exp_float).
+    """
 
-    def __init__(self, n, *, t1=0, t2=0, phi=0, x=None, y=None, eta=0, xx=0, yy=0,
-                 mode="exact"):
+    __slots__ = ("n", "t1", "t2", "phi", "x", "y", "eta", "xx", "yy")
+
+    # Always "exact"; kept because bench/tracing.py names the exp_closed and
+    # exp_series spans after the mode of their first argument.
+    mode = "exact"
+
+    def __init__(self, n, *, t1=0, t2=0, phi=0, x=None, y=None, eta=0, xx=0, yy=0):
         if n < 3:
             raise ValueError("n must be >= 3")
-        if mode not in ("exact", "float"):
-            raise ValueError(f"bad mode {mode!r}")
         self.n = n
-        self.mode = mode
         d = n - 2
         if x is None:
             x = [0] * d
@@ -121,24 +127,14 @@ class AlgebraElement:
             y = [0] * d
         if len(x) != d or len(y) != d:
             raise ValueError(f"x, y must have length n-2 = {d}")
-        if mode == "exact":
-            self.t1 = as_exact_real(t1)
-            self.t2 = as_exact_real(t2)
-            self.phi = as_exact_complex(phi)
-            self.eta = as_exact_complex(eta)
-            self.x = tuple(as_exact_complex(v) for v in x)
-            self.y = tuple(as_exact_complex(v) for v in y)
-            self.xx = as_exact_real(xx)
-            self.yy = as_exact_real(yy)
-        else:
-            self.t1 = float(t1)
-            self.t2 = float(t2)
-            self.phi = complex(phi)
-            self.eta = complex(eta)
-            self.x = tuple(complex(v) for v in x)
-            self.y = tuple(complex(v) for v in y)
-            self.xx = float(xx)
-            self.yy = float(yy)
+        self.t1 = as_exact_real(t1)
+        self.t2 = as_exact_real(t2)
+        self.phi = as_exact_complex(phi)
+        self.eta = as_exact_complex(eta)
+        self.x = tuple(as_exact_complex(v) for v in x)
+        self.y = tuple(as_exact_complex(v) for v in y)
+        self.xx = as_exact_real(xx)
+        self.yy = as_exact_real(yy)
 
     # -- vector-space structure ----------------------------------------------
 
@@ -146,7 +142,7 @@ class AlgebraElement:
         base = dict(t1=self.t1, t2=self.t2, phi=self.phi, x=self.x, y=self.y,
                     eta=self.eta, xx=self.xx, yy=self.yy)
         base.update(kw)
-        return AlgebraElement(self.n, mode=self.mode, **base)
+        return AlgebraElement(self.n, **base)
 
     def __add__(self, other):
         self._check_compatible(other)
@@ -164,11 +160,8 @@ class AlgebraElement:
         return self.scale(-1)
 
     def scale(self, c):
-        """Multiply by a real scalar (Fraction/int in exact mode)."""
-        if self.mode == "exact":
-            c = as_exact_real(c)
-        else:
-            c = float(c)
+        """Multiply by a real scalar (a float is read as its exact binary value)."""
+        c = as_exact_real(c)
         return self._like(
             t1=c * self.t1, t2=c * self.t2, phi=self.phi * c,
             x=[v * c for v in self.x], y=[v * c for v in self.y],
@@ -180,19 +173,16 @@ class AlgebraElement:
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return (self.n == other.n and self.mode == other.mode
-                and self.coords() == other.coords())
+        return self.n == other.n and self.coords() == other.coords()
 
     def __hash__(self):
-        return hash((self.n, self.mode, tuple(self.coords())))
+        return hash((self.n, tuple(self.coords())))
 
     def _check_compatible(self, other):
         if not isinstance(other, AlgebraElement):
             raise TypeError("expected AlgebraElement")
         if other.n != self.n:
             raise ValueError(f"size mismatch: n={self.n} vs n={other.n}")
-        if other.mode != self.mode:
-            raise ValueError("mixed exact/floating modes")
 
     # -- structure -------------------------------------------------------------
 
@@ -203,13 +193,13 @@ class AlgebraElement:
         return not any(self.coords())
 
     def a_part(self):
-        return AlgebraElement(self.n, t1=self.t1, t2=self.t2, mode=self.mode)
+        return AlgebraElement(self.n, t1=self.t1, t2=self.t2)
 
     def nilpotent_part(self):
         return self._like(t1=0, t2=0)
 
     def coords(self):
-        """Real coordinate vector; exact mode gives Fractions.
+        """Real coordinate vector of Fractions.
 
         The layout is the one `slot_columns` describes.
         """
@@ -241,20 +231,19 @@ class AlgebraElement:
         return AlgebraElement.slot_columns(n)["yy"].stop
 
     @staticmethod
-    def from_coords(n, vec, mode="exact"):
+    def from_coords(n, vec):
         """The element whose coords() is the list `vec`."""
         cols = AlgebraElement.slot_columns(n)
-        cplx = QQi if mode == "exact" else complex
 
         def pairs(name):
             v = vec[cols[name]]
-            return [cplx(a, b) for a, b in zip(v[0::2], v[1::2])]
+            return [QQi(a, b) for a, b in zip(v[0::2], v[1::2])]
 
         t1, t2 = vec[cols["t"]]
         (phi,), (eta,) = pairs("phi"), pairs("eta")
         (xx,), (yy,) = vec[cols["xx"]], vec[cols["yy"]]
         return AlgebraElement(n, t1=t1, t2=t2, phi=phi, x=pairs("x"), y=pairs("y"),
-                              eta=eta, xx=xx, yy=yy, mode=mode)
+                              eta=eta, xx=xx, yy=yy)
 
     def root_component(self, root: str):
         """The root-space component as a new element (a-part dropped)."""
@@ -262,17 +251,7 @@ class AlgebraElement:
         zeroed = dict(t1=0, t2=0, phi=0, x=[0] * (self.n - 2),
                       y=[0] * (self.n - 2), eta=0, xx=0, yy=0)
         zeroed[slot] = getattr(self, slot)
-        return AlgebraElement(self.n, mode=self.mode, **zeroed)
-
-    def to_float(self):
-        if self.mode == "float":
-            return self
-        return AlgebraElement(
-            self.n, mode="float",
-            t1=float(self.t1), t2=float(self.t2),
-            phi=complex(self.phi), eta=complex(self.eta),
-            x=[complex(v) for v in self.x], y=[complex(v) for v in self.y],
-            xx=float(self.xx), yy=float(self.yy))
+        return AlgebraElement(self.n, **zeroed)
 
     def __repr__(self):
         parts = []
@@ -293,27 +272,17 @@ def root_project(u: AlgebraElement, root: str) -> AlgebraElement:
 
 
 def matrix_of(u: AlgebraElement):
-    """The (n+2)x(n+2) matrix of an algebra element.
-
-    Exact mode returns nested lists of GaussianRationals; floating mode a
-    complex numpy array.
+    """The (n+2)x(n+2) matrix of an algebra element: nested lists of
+    GaussianRationals.
     """
     n, m = u.n, u.n + 2
-    if u.mode == "exact":
-        i_ = QQi(0, 1)
-        z = QQi(0)
-        M = [[z for _ in range(m)] for _ in range(m)]
-        M[0][0] = QQi(u.t1)
-        M[1][1] = QQi(u.t2)
-        M[n][n] = QQi(-u.t2)
-        M[m - 1][m - 1] = QQi(-u.t1)
-    else:
-        i_ = 1j
-        M = np.zeros((m, m), dtype=complex)
-        M[0][0] = u.t1
-        M[1][1] = u.t2
-        M[n][n] = -u.t2
-        M[m - 1][m - 1] = -u.t1
+    i_ = QQi(0, 1)
+    z = QQi(0)
+    M = [[z for _ in range(m)] for _ in range(m)]
+    M[0][0] = QQi(u.t1)
+    M[1][1] = QQi(u.t2)
+    M[n][n] = QQi(-u.t2)
+    M[m - 1][m - 1] = QQi(-u.t1)
     M[0][1] = u.phi
     for j in range(n - 2):
         M[0][2 + j] = u.x[j]
@@ -328,36 +297,22 @@ def matrix_of(u: AlgebraElement):
     return M
 
 
-def element_from_matrix(M, n, mode="exact", check=True) -> AlgebraElement:
-    """Read coordinates from a matrix; raises NotInAN on pattern mismatch."""
+def element_from_matrix(M, n, check=True) -> AlgebraElement:
+    """Read coordinates from an exact matrix; raises NotInAN on pattern mismatch."""
     m = n + 2
-    i_xx = M[0][m - 1]
-    i_yy = M[1][n]
-    if mode == "exact":
-        if im(M[0][0]) != 0 or im(M[1][1]) != 0:
-            raise NotInAN("complex diagonal")
-        u = AlgebraElement(
-            n, t1=re(M[0][0]), t2=re(M[1][1]), phi=M[0][1],
-            x=[M[0][2 + j] for j in range(n - 2)],
-            y=[M[1][2 + j] for j in range(n - 2)],
-            eta=M[0][n], xx=im(i_xx), yy=im(i_yy), mode="exact")
-        if check:
-            expected = matrix_of(u)
-            for i in range(m):
-                for j in range(m):
-                    if expected[i][j] != M[i][j]:
-                        raise NotInAN(f"entry ({i},{j}) breaks the a+n pattern")
-        return u
+    if im(M[0][0]) != 0 or im(M[1][1]) != 0:
+        raise NotInAN("complex diagonal")
     u = AlgebraElement(
-        n, t1=M[0][0].real, t2=M[1][1].real, phi=M[0][1],
+        n, t1=re(M[0][0]), t2=re(M[1][1]), phi=M[0][1],
         x=[M[0][2 + j] for j in range(n - 2)],
         y=[M[1][2 + j] for j in range(n - 2)],
-        eta=M[0][n], xx=i_xx.imag, yy=i_yy.imag, mode="float")
+        eta=M[0][n], xx=im(M[0][m - 1]), yy=im(M[1][n]))
     if check:
         expected = matrix_of(u)
-        scale = max(1.0, float(np.abs(np.asarray(M)).max()))
-        if float(np.abs(np.asarray(M) - expected).max()) > DEFAULT.derived_rtol * scale:
-            raise NotInAN("matrix breaks the a+n pattern")
+        for i in range(m):
+            for j in range(m):
+                if expected[i][j] != M[i][j]:
+                    raise NotInAN(f"entry ({i},{j}) breaks the a+n pattern")
     return u
 
 
@@ -372,13 +327,13 @@ def bracket(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     two = 2
     # nilpotent x nilpotent part
     x_slot = [u.phi * yv - v.phi * yu for yu, yv in zip(u.y, v.y)]
-    i_ = QQi(0, 1) if u.mode == "exact" else 1j
+    i_ = QQi(0, 1)
     eta_slot = (-herm(u.x, v.y) + herm(v.x, u.y)
                 + i_ * (u.phi * v.yy) - i_ * (v.phi * u.yy))
     yy_slot = -two * im(herm(u.y, v.y))
     xx_slot = -two * im(herm(u.x, v.x) + u.phi * conj(v.eta) - v.phi * conj(u.eta))
     out = AlgebraElement(u.n, phi=0, x=x_slot, y=[0] * (u.n - 2), eta=eta_slot,
-                         xx=xx_slot, yy=yy_slot, mode=u.mode)
+                         xx=xx_slot, yy=yy_slot)
     # a-part action
     if u.t1 or u.t2 or v.t1 or v.t2:
         def ad_a(t1, t2, w):
@@ -388,8 +343,7 @@ def bracket(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
                 x=[root_value("alpha+beta", t1, t2) * c for c in w.x],
                 yy=root_value("2beta", t1, t2) * w.yy,
                 eta=w.eta * root_value("alpha+2beta", t1, t2),
-                xx=root_value("2alpha+2beta", t1, t2) * w.xx,
-                mode=w.mode)
+                xx=root_value("2alpha+2beta", t1, t2) * w.xx)
         out = out + ad_a(u.t1, u.t2, v.nilpotent_part()) - ad_a(v.t1, v.t2, u.nilpotent_part())
     return out
 
@@ -417,52 +371,42 @@ def _mat_mul(A, B, m):
 
 
 def exp_series(u: AlgebraElement) -> "GroupElement":
-    """Matrix exponential by series; the oracle for exp_closed.
+    """Exact matrix exponential by series; the oracle for exp_closed.
 
     n is nilpotent of step <= 4, so the series terminates at the fourth
-    power.  Elements with an a-part are only supported in floating mode
-    (their exponentials are transcendental), via scipy's expm.
+    power.  Elements with an a-part have transcendental exponentials and are
+    rejected.
     """
-    m = u.n + 2
-    if u.is_nilpotent():
-        if u.mode == "exact":
-            M = matrix_of(u)
-            acc = [[QQi(1 if i == j else 0) for j in range(m)] for i in range(m)]
-            P = [[QQi(1 if i == j else 0) for j in range(m)] for i in range(m)]
-            fact = 1
-            for k in range(1, 5):
-                P = _mat_mul(P, M, m)
-                fact *= k
-                inv = Fraction(1, fact)
-                acc = [[acc[i][j] + P[i][j] * inv for j in range(m)] for i in range(m)]
-            return GroupElement(u.n, acc, mode="exact")
-        M = matrix_of(u)
-        acc = np.eye(m, dtype=complex)
-        P = np.eye(m, dtype=complex)
-        fact = 1.0
-        for k in range(1, 5):
-            P = P @ M
-            fact *= k
-            acc = acc + P / fact
-        return GroupElement(u.n, acc, mode="float")
-    if u.mode == "exact":
+    if not u.is_nilpotent():
         raise ValueError("exact exponentials need a nilpotent element")
-    from scipy.linalg import expm
+    m = u.n + 2
+    M = matrix_of(u)
+    acc = [[QQi(1 if i == j else 0) for j in range(m)] for i in range(m)]
+    P = [[QQi(1 if i == j else 0) for j in range(m)] for i in range(m)]
+    fact = 1
+    for k in range(1, 5):
+        P = _mat_mul(P, M, m)
+        fact *= k
+        inv = Fraction(1, fact)
+        acc = [[acc[i][j] + P[i][j] * inv for j in range(m)] for i in range(m)]
+    return GroupElement(u.n, acc, mode="exact")
 
-    return GroupElement(u.n, expm(matrix_of(u)), mode="float")
+
+def _field(u):
+    """(i, p/q, equality) for the slots of u: exact for an AlgebraElement,
+    floating for _FloatSlots (equality to identity_rtol there)."""
+    if isinstance(u, AlgebraElement):
+        return QQi(0, 1), Fraction, eq
+    return 1j, truediv, _close
 
 
 def _exp_rows_general(u):
     """First two rows (and derived data) of exp(u) per the general display."""
-    mode = u.mode
-    half = Fraction(1, 2) if mode == "exact" else 0.5
-    sixth = Fraction(1, 6) if mode == "exact" else 1 / 6
-    i_ = QQi(0, 1) if mode == "exact" else 1j
-    c24 = Fraction(1, 24) if mode == "exact" else 1 / 24
-    third = Fraction(1, 3) if mode == "exact" else 1 / 3
+    i_, q, _ = _field(u)
+    half, sixth, third, c24 = q(1, 2), q(1, 6), q(1, 3), q(1, 24)
     xyd = herm(u.x, u.y)
-    ax2 = sum((abs2(v) for v in u.x), Fraction(0) if mode == "exact" else 0.0)
-    ay2 = sum((abs2(v) for v in u.y), Fraction(0) if mode == "exact" else 0.0)
+    ax2 = sum((abs2(v) for v in u.x), q(0, 1))
+    ay2 = sum((abs2(v) for v in u.y), q(0, 1))
     aphi2 = abs2(u.phi)
     x_row = [xv + half * (u.phi * yv) for xv, yv in zip(u.x, u.y)]
     e1n = u.eta - half * xyd + half * (i_ * (u.phi * u.yy)) - sixth * (u.phi * ay2)
@@ -478,7 +422,7 @@ def _exp_rows_general(u):
 
 
 def exp_closed(u: AlgebraElement) -> "GroupElement":
-    """Closed-form exp for nilpotent elements, exact in exact mode.
+    """Exact closed-form exp for nilpotent elements.
 
     Implements the general display; the phi = 0 and y = 0 specializations are
     recomputed and compared against it whenever they apply, as a structural
@@ -486,46 +430,60 @@ def exp_closed(u: AlgebraElement) -> "GroupElement":
     """
     if not u.is_nilpotent():
         raise ValueError("exp_closed needs a nilpotent element (t1 = t2 = 0)")
-    m, mode = u.n + 2, u.mode
-    if mode == "exact":
-        M = [[QQi(1 if i == j else 0) for j in range(m)] for i in range(m)]
-        phi_zero, y_zero = not u.phi, not any(u.y)
-    else:
-        M = np.eye(m, dtype=complex)
-        phi_zero, y_zero = u.phi == 0, all(v == 0 for v in u.y)
-    _fill_closed(M, u, phi_zero, y_zero)
-    return GroupElement(u.n, M, mode=mode)
-
-
-class _GridSlots:
-    """The nilpotent slots of s*u for a float array s: one array per scalar."""
-
-    mode = "float"
-
-    def __init__(self, u: AlgebraElement, s):
-        self.n = u.n
-        self.phi, self.eta = u.phi * s, u.eta * s
-        self.x = tuple(v * s for v in u.x)
-        self.y = tuple(v * s for v in u.y)
-        self.xx, self.yy = s * u.xx, s * u.yy
-
-
-def exp_closed_grid(u: AlgebraElement, s) -> np.ndarray:
-    """exp(s_k u) for every entry of the float array s, as a (T, m, m) stack.
-
-    The same general display as exp_closed, evaluated on arrays of slot
-    values; the phi = 0 and y = 0 self-checks run once for the whole grid.
-    """
-    u = u.to_float()
-    if not u.is_nilpotent():
-        raise ValueError("exp_closed needs a nilpotent element (t1 = t2 = 0)")
-    s = np.asarray(s, dtype=float)
     m = u.n + 2
-    out = np.zeros((len(s), m, m), dtype=complex)
-    out[:, range(m), range(m)] = 1
-    # M[i][j] is the grid column out[:, i, j]
-    M = out.transpose(1, 2, 0)
-    _fill_closed(M, _GridSlots(u, s), u.phi == 0, all(v == 0 for v in u.y))
+    M = [[QQi(1 if i == j else 0) for j in range(m)] for i in range(m)]
+    _fill_closed(M, u, not u.phi, not any(u.y))
+    return GroupElement(u.n, M, mode="exact")
+
+
+class _FloatSlots:
+    """The nilpotent slots of s*c for a float coordinate vector c, given as the
+    list v = c.tolist() with its slot columns.
+
+    Python complex numbers (floats for xx, yy) for a float s; for an array s,
+    one array per scalar with an entry per grid point.
+    """
+
+    def __init__(self, v, cols, s):
+        def pairs(name):
+            w = v[cols[name]]
+            return tuple([complex(a, b) * s for a, b in zip(w[0::2], w[1::2])])
+
+        self.n = len(v) // 4
+        (self.phi,), (self.eta,) = pairs("phi"), pairs("eta")
+        self.x, self.y = pairs("x"), pairs("y")
+        (xx,), (yy,) = v[cols["xx"]], v[cols["yy"]]
+        self.xx, self.yy = s * xx, s * yy
+
+
+def exp_float(c, s=1.0):
+    """exp(s c) in floating point for a nilpotent coordinate vector c.
+
+    c is a real array in the coords() layout, e.g. np.array(u.coords(),
+    dtype=float).  A float s gives the (m, m) complex matrix; an array s
+    gives the (T, m, m) stack of exp(s_k c).  The same general display as
+    exp_closed; the phi = 0 and y = 0 self-checks run once per call.
+    """
+    c = np.asarray(c, dtype=float)
+    n = len(c) // 4
+    cols = AlgebraElement.slot_columns(n)
+    if c.ndim != 1 or n < 3 or len(c) != cols["yy"].stop:
+        raise ValueError(f"not a coordinate vector: shape {c.shape}")
+    v = c.tolist()
+    if any(v[cols["t"]]):
+        raise ValueError("exp_float needs a nilpotent element (t1 = t2 = 0)")
+    m = n + 2
+    if np.ndim(s) == 0:
+        s = float(s)
+        out = M = np.eye(m, dtype=complex)
+    else:
+        s = np.asarray(s, dtype=float)
+        out = np.zeros((len(s), m, m), dtype=complex)
+        out[:, range(m), range(m)] = 1
+        # M[i][j] is the grid column out[:, i, j]
+        M = out.transpose(1, 2, 0)
+    _fill_closed(M, _FloatSlots(v, cols, s), not any(v[cols["phi"]]),
+                 not any(v[cols["y"]]))
     return out
 
 
@@ -550,55 +508,44 @@ def _fill_closed(M, u, phi_zero, y_zero):
     M[n][m - 1] = -conj(u.phi)
 
 
-def _eq_scalar(a, b, mode):
-    """a == b; in floating mode to identity_rtol, at every entry of arrays."""
-    if mode == "exact":
-        return a == b
+def _close(a, b):
+    """a == b to identity_rtol, at every entry when a and b are arrays."""
     ok = abs(a - b) <= DEFAULT.identity_rtol * (1 + abs(a))
     return bool(ok.all()) if isinstance(ok, np.ndarray) else ok
 
 
 def _check_phi0_form(u, x_row, e1n, e1m, e2n, e2m):
-    mode = u.mode
-    half = Fraction(1, 2) if mode == "exact" else 0.5
-    i_ = QQi(0, 1) if mode == "exact" else 1j
+    i_, q, same = _field(u)
+    half = q(1, 2)
     xyd = herm(u.x, u.y)
-    ax2 = sum((abs2(v) for v in u.x), Fraction(0) if mode == "exact" else 0.0)
-    ok = all(_eq_scalar(xr, xv, mode) for xr, xv in zip(x_row, u.x))
-    ok = ok and _eq_scalar(e1n, u.eta - half * xyd, mode)
-    ok = ok and _eq_scalar(e1m, i_ * u.xx - half * ax2, mode)
-    ok = ok and _eq_scalar(e2m, -conj(u.eta) - half * herm(u.y, u.x), mode)
+    ax2 = sum((abs2(v) for v in u.x), q(0, 1))
+    ok = all(same(xr, xv) for xr, xv in zip(x_row, u.x))
+    ok = ok and same(e1n, u.eta - half * xyd)
+    ok = ok and same(e1m, i_ * u.xx - half * ax2)
+    ok = ok and same(e2m, -conj(u.eta) - half * herm(u.y, u.x))
     if not ok:
         raise AssertionError("phi=0 exponential display disagrees with general form")
 
 
 def _check_y0_form(u, x_row, e1n, e1m, e2n, e2m):
-    mode = u.mode
-    half = Fraction(1, 2) if mode == "exact" else 0.5
-    sixth = Fraction(1, 6) if mode == "exact" else 1 / 6
-    i_ = QQi(0, 1) if mode == "exact" else 1j
-    ax2 = sum((abs2(v) for v in u.x), Fraction(0) if mode == "exact" else 0.0)
+    i_, q, same = _field(u)
+    half, sixth = q(1, 2), q(1, 6)
+    ax2 = sum((abs2(v) for v in u.x), q(0, 1))
     aphi2 = abs2(u.phi)
-    ok = all(_eq_scalar(xr, xv, mode) for xr, xv in zip(x_row, u.x))
-    ok = ok and _eq_scalar(e1n, u.eta + half * (i_ * (u.phi * u.yy)), mode)
-    ok = ok and _eq_scalar(
-        e1m, -half * ax2 - re(u.phi * conj(u.eta)) + i_ * (u.xx - sixth * aphi2 * u.yy),
-        mode)
-    ok = ok and _eq_scalar(e2n, i_ * u.yy, mode)
-    ok = ok and _eq_scalar(e2m, -conj(u.eta) - half * (i_ * (conj(u.phi) * u.yy)), mode)
+    ok = all(same(xr, xv) for xr, xv in zip(x_row, u.x))
+    ok = ok and same(e1n, u.eta + half * (i_ * (u.phi * u.yy)))
+    ok = ok and same(
+        e1m, -half * ax2 - re(u.phi * conj(u.eta)) + i_ * (u.xx - sixth * aphi2 * u.yy))
+    ok = ok and same(e2n, i_ * u.yy)
+    ok = ok and same(e2m, -conj(u.eta) - half * (i_ * (conj(u.phi) * u.yy)))
     if not ok:
         raise AssertionError("y=0 exponential display disagrees with general form")
 
 
 def delta_formula(u: AlgebraElement):
-    """Delta(exp u) from the fully expanded coordinate formula."""
-    mode = u.mode
-    if mode == "exact":
-        q = Fraction
-        zero = Fraction(0)
-    else:
-        q = lambda a, b: a / b  # noqa: E731
-        zero = 0.0
+    """Delta(exp u), exactly, from the fully expanded coordinate formula."""
+    q = Fraction
+    zero = Fraction(0)
     xyd = herm(u.x, u.y)
     ax2 = sum((abs2(v) for v in u.x), zero)
     ay2 = sum((abs2(v) for v in u.y), zero)
@@ -610,8 +557,7 @@ def delta_formula(u: AlgebraElement):
                - q(1, 144) * ay2 * ay2 * aphi2)
     im_part = (q(1, 24) * u.yy * aphi2 * ay2 + im(xyd * conj(u.eta))
                + q(1, 2) * u.xx * ay2 + q(1, 2) * u.yy * ax2)
-    i_ = QQi(0, 1) if mode == "exact" else 1j
-    return re_part + i_ * im_part
+    return re_part + QQi(0, 1) * im_part
 
 
 def gram_matrix(n, mode="exact"):

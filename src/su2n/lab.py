@@ -22,7 +22,9 @@ import numpy as np
 
 from .anclassify import Graph, OneParam, Semidirect, classify_an
 from .config import DEFAULT, Tolerances
-from .elements import exp_closed, exp_closed_grid, matrix_of
+# exp_closed is unused here; bench/test_bench.py checks that tracing rebinds
+# this alias together with elements.exp_closed.
+from .elements import exp_closed, exp_float, matrix_of  # noqa: F401
 from .gallery import GalleryEntry, get as gallery_get
 from .gallery import maximal_band_family, mixing_pair_family
 from .metrics import (
@@ -73,14 +75,17 @@ class VerificationReport:
 
 
 # A curve maps a float array of parameters t to the (T, m, m) stack of its
-# group elements (a _PerPoint wraps the curves that solve per t).  Rungs of
-# the doubling ladder are evaluated this many at a time.
+# group elements (a _PerPoint wraps the curves that solve per t); directions
+# in the algebra are float coordinate vectors, the rows of
+# np.array(h.coord_rows(), dtype=float).  Rungs of the doubling ladder are
+# evaluated this many at a time.
 LADDER_CHUNK = 16
 
 
 class _PerPoint:
     """A curve that solves for each t on its own (root brackets, best-of-k
-    choices), stacked over a grid.  A failed solve leaves a NaN slice."""
+    choices), stacked over a grid.  fn maps a float t to an (m, m) matrix.
+    A failed solve leaves a NaN slice."""
 
     def __init__(self, fn, n):
         self.fn, self.m = fn, n + 2
@@ -91,7 +96,7 @@ class _PerPoint:
         failed = {}
         for k, t in enumerate(ts):
             try:
-                out[k] = self.fn(float(t)).mat
+                out[k] = self.fn(float(t))
             except (ArithmeticError, ImplicitSolveFailed) as e:
                 failed[k] = type(e).__name__
         return out, failed
@@ -186,7 +191,7 @@ def _random_combo(rng, basis, scale=1.0):
     nrm = math.sqrt(sum(c * c for c in coeffs)) or 1.0
     out = None
     for c, b in zip(coeffs, basis):
-        term = b.scale(scale * c / nrm)
+        term = (scale * c / nrm) * b
         out = term if out is None else out + term
     return out
 
@@ -200,14 +205,14 @@ def _product_curve(rng, basis, depth):
     def curve(ts):
         g = None
         for v, e in zip(dirs, exps):
-            f = exp_closed_grid(v, ts ** e)
+            f = exp_float(v, ts ** e)
             g = f if g is None else g @ f
         return g
     return curve
 
 
 def _nil_curves(h: Subalgebra, plan, result=None):
-    hf = h.to_float()
+    B = np.array(h.coord_rows(), dtype=float)
     rng = random.Random(plan.seed)
     curves = []
     if plan.include_witness_curves and result is not None:
@@ -219,11 +224,11 @@ def _nil_curves(h: Subalgebra, plan, result=None):
                            _PerPoint(witness_curve(result.linear, h), h.n)))
     if result is not None and result.template is not None:
         curves += _template_extremal_curves(result.template)
-    for i, b in enumerate(hf.basis):
-        curves.append((f"ray{i}", lambda ts, b=b: exp_closed_grid(b, ts)))
-        curves.append((f"ray{i}-", lambda ts, b=b: exp_closed_grid(b, -ts)))
+    for i, b in enumerate(B):
+        curves.append((f"ray{i}", lambda ts, b=b: exp_float(b, ts)))
+        curves.append((f"ray{i}-", lambda ts, b=b: exp_float(b, -ts)))
     for i in range(plan.n_product_curves):
-        curves.append((f"prod{i}", _product_curve(rng, hf.basis, plan.depth)))
+        curves.append((f"prod{i}", _product_curve(rng, B, plan.depth)))
     return curves
 
 
@@ -231,26 +236,28 @@ def _template_extremal_curves(tm):
     """Proof-recipe curves pinning thin band envelopes of matched templates."""
     curves = []
     if tm.type_id == 11:
-        u, z = tm.evidence["u"].to_float(), tm.evidence["z"].to_float()
-        eta2 = abs2(z.eta)
-        ys = sum(abs2(v) for v in u.y)
-        r0 = (u.phi * z.eta.conjugate()).real
-        ru = (u.eta * z.eta.conjugate()).real
+        u, z = tm.evidence["u"], tm.evidence["z"]
+        eta_z = complex(z.eta)
+        eta2 = abs2(eta_z)
+        ys = sum(abs2(complex(v)) for v in u.y)
+        r0 = (complex(u.phi) * eta_z.conjugate()).real
+        ru = (complex(u.eta) * eta_z.conjugate()).real
+        uf, zf = np.array(u.coords(), dtype=float), np.array(z.coords(), dtype=float)
 
         def lower(t):
             # track eta_h = -|y_h|^2 phi_h / 12 along exp(t u + p z)
             p0 = -(t ** 3 * ys * r0 / 12.0 + t * ru) / eta2
             best, best_ratio = None, None
             for fac in (1.0, 0.97, 1.03, 0.9, 1.1):
-                g = exp_closed(u.scale(t) + z.scale(p0 * fac))
+                g = exp_float(uf * t + zf * (p0 * fac))
                 ratio = rho_norm(g) / max(sup_norm(g), 1.0)
                 if best_ratio is None or ratio < best_ratio:
                     best, best_ratio = g, ratio
             return best
         curves.append(("extremal-54", _PerPoint(lower, u.n)))
     if tm.type_id == 7 and "rank_one" in tm.evidence:
-        v = tm.evidence["rank_one"].to_float()
-        curves.append(("extremal-32", lambda ts: exp_closed_grid(v, ts)))
+        v = np.array(tm.evidence["rank_one"].coords(), dtype=float)
+        curves.append(("extremal-32", lambda ts: exp_float(v, ts)))
     return curves
 
 
@@ -291,50 +298,54 @@ def sample_subgroup(spec, plan: SamplingPlan = None, result=None) -> SampleCloud
     raise TypeError(f"cannot sample {type(spec).__name__}")
 
 
-def _expm_line(X, c):
-    """exp(c_k X) for every entry of the float array c: one stacked expm."""
+def _float_matrix(u) -> np.ndarray:
+    """The complex matrix of an exact algebra element."""
+    return np.array(matrix_of(u), dtype=complex)
+
+
+def _expm_line(M, c):
+    """exp(c_k M) for every entry of the float array c: one stacked expm."""
     from scipy.linalg import expm
 
-    return expm(np.multiply.outer(c, matrix_of(X)))
+    return expm(np.multiply.outer(c, M))
 
 
 def _semidirect_curves(spec: Semidirect, plan):
     rng = random.Random(plan.seed + 1)
-    tf = spec.torus.element(spec.n, mode="float")
-    uf = spec.u.to_float()
+    T = _float_matrix(spec.torus.element(spec.n))
+    B = np.array(spec.u.coord_rows(), dtype=float)
     scale = max(abs(spec.torus.p), abs(spec.torus.q))
-    t_unit = tf.scale(1.0 / scale)
+    t_unit = T * (1.0 / scale)
     curves = [("torus", lambda ts: _expm_line(t_unit, np.log(ts))),
               ("torus-", lambda ts: _expm_line(-t_unit, np.log(ts)))]
-    for i, b in enumerate(uf.basis):
-        curves.append((f"u-ray{i}", lambda ts, b=b: exp_closed_grid(b, ts)))
+    for i, b in enumerate(B):
+        curves.append((f"u-ray{i}", lambda ts, b=b: exp_float(b, ts)))
     for i in range(plan.n_product_curves):
         s = rng.uniform(-2, 2)
-        udirs = _product_curve(rng, uf.basis, plan.depth)
+        udirs = _product_curve(rng, B, plan.depth)
 
         def curve(ts, s=s, udirs=udirs):
-            return _expm_line(tf, s * np.log(ts) / scale) @ udirs(ts)
+            return _expm_line(T, s * np.log(ts) / scale) @ udirs(ts)
         curves.append((f"mix{i}", curve))
     return curves
 
 
-def _graph_x_element(spec: Graph, mode="float"):
-    t = spec.torus().element(spec.n, mode=mode)
-    return t + (spec.psi_value if mode == "exact" else spec.psi_value.to_float())
+def _graph_x_matrix(spec: Graph) -> np.ndarray:
+    return _float_matrix(spec.torus().element(spec.n) + spec.psi_value)
 
 
 def _graph_curves(spec: Graph, plan):
     rng = random.Random(plan.seed + 2)
-    X = _graph_x_element(spec)
-    uf = spec.u.to_float()
+    X = _graph_x_matrix(spec)
+    B = np.array(spec.u.coord_rows(), dtype=float)
     scale = max(abs(spec.torus().p), abs(spec.torus().q))
     curves = [("graph-line", lambda ts: _expm_line(X, np.log(ts) / scale)),
               ("graph-line-", lambda ts: _expm_line(X, -np.log(ts) / scale))]
-    for i, b in enumerate(uf.basis):
-        curves.append((f"u-ray{i}", lambda ts, b=b: exp_closed_grid(b, ts)))
+    for i, b in enumerate(B):
+        curves.append((f"u-ray{i}", lambda ts, b=b: exp_float(b, ts)))
     for i in range(plan.n_product_curves):
         s = rng.uniform(-2, 2)
-        udirs = _product_curve(rng, uf.basis, plan.depth)
+        udirs = _product_curve(rng, B, plan.depth)
 
         def curve(ts, s=s, udirs=udirs):
             return _expm_line(X, s * np.log(ts) / scale) @ udirs(ts)
@@ -345,21 +356,18 @@ def _graph_curves(spec: Graph, plan):
 
 def extremal_graph_curves(spec: Graph, result=None):
     """The proof-recipe curves pinning the log-corrected envelopes."""
-    X = _graph_x_element(spec)
-    uf = spec.u.to_float()
+    X = _graph_x_matrix(spec)
+    B = np.array(spec.u.coord_rows(), dtype=float)
     scale = max(abs(spec.torus().p), abs(spec.torus().q))
-    u0 = uf.basis[0]
-    nrm0 = math.sqrt(sum(abs2(v) for v in u0.x)
-                     + sum(abs2(v) for v in u0.y)
-                     + abs2(u0.eta) + abs2(u0.phi) + u0.xx ** 2 + u0.yy ** 2)
-    u0 = u0.scale(1.0 / (nrm0 or 1.0))
+    nrm0 = np.linalg.norm(B[0])
+    u0 = B[0] * (1.0 / (nrm0 or 1.0))
     case = _graph_case(spec)
     curves = []
-    inter = [b for b in uf.basis
-             if not (b.root_component(spec.omega).is_zero()
-                     and (spec.omega != "beta" or b.root_component("2beta").is_zero())
+    inter = [b for b, e in zip(B, spec.u.basis)
+             if not (e.root_component(spec.omega).is_zero()
+                     and (spec.omega != "beta" or e.root_component("2beta").is_zero())
                      and (spec.omega != "alpha+beta"
-                          or b.root_component("2alpha+2beta").is_zero()))]
+                          or e.root_component("2alpha+2beta").is_zero()))]
     if inter:
         # U meets the omega root spaces: the chamber fills; pin the square
         # direction with the torus outpacing the unipotent factor
@@ -367,17 +375,17 @@ def extremal_graph_curves(spec: Graph, result=None):
 
         def square_curve(ts, u0i=u0i):
             return (_expm_line(X, 2.0 * np.log(ts) / scale)
-                    @ exp_closed_grid(u0i, ts))
+                    @ exp_float(u0i, ts))
         curves.append(("extremal-square", square_curve))
     if case == ("alpha", "alpha+beta"):
         # upper extremal: |x_u|^2 ~ log a1
         def upper(ts):
             tau = np.log(ts)
             return (_expm_line(X, tau / scale)
-                    @ exp_closed_grid(u0, np.sqrt(np.maximum(tau, 1e-9))))
+                    @ exp_float(u0, np.sqrt(np.maximum(tau, 1e-9))))
         curves.append(("extremal-upper", upper))
     elif case == ("alpha", "alpha+2beta"):
-        g0 = exp_closed(u0).mat
+        g0 = exp_float(u0)
 
         def lower(ts):
             return _expm_line(X, np.log(ts) / scale) @ g0
@@ -388,7 +396,7 @@ def extremal_graph_curves(spec: Graph, result=None):
         def lower(ts, r=r):
             tau = np.log(ts)
             return (_expm_line(X, tau / scale)
-                    @ exp_closed_grid(u0, np.maximum(tau, 1e-9) ** (r / 2.0)))
+                    @ exp_float(u0, np.maximum(tau, 1e-9) ** (r / 2.0)))
         curves.append(("extremal-lower", lower))
     elif case == ("beta", "alpha+beta"):
         curves.append(("extremal-upper",
@@ -403,8 +411,8 @@ def _graph_case(spec: Graph):
 
 
 def _oneparam_curves(spec: OneParam, plan):
-    X = spec.x.to_float()
-    scale = max(abs(X.t1), abs(X.t2))
+    X = _float_matrix(spec.x)
+    scale = float(max(abs(spec.x.t1), abs(spec.x.t2)))
     return [("line", lambda ts: _expm_line(X, np.log(ts) / scale)),
             ("line-", lambda ts: _expm_line(X, -np.log(ts) / scale))]
 

@@ -23,9 +23,10 @@ Universal statements (forms vanishing identically, anisotropy) are decided
 deterministically: polarization Gram matrices for quadratic forms, exact
 LDL-style signatures for definiteness.  Existential equalities on quadrics
 use the exact signature to decide and produce rational witnesses when the
-zero cone has rational points (falling back to floating witnesses with the
-decision still exact).  Only the rank-one element searches keep a randomized
-component, and those are the ones covered by the double-entry check.
+zero cone has rational points (falling back to approximate witnesses,
+reported with exact=False, with the decision still exact).  Only the
+rank-one element searches keep a randomized component, and those are the
+ones covered by the double-entry check.
 """
 
 from __future__ import annotations
@@ -36,10 +37,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from . import linalg
 from .config import DEFAULT
-from .elements import (AlgebraElement, EXTENDED_FUNCTIONALS, ROOTS,
-                        kernel_line, root_functional, root_value)
+from .elements import (AlgebraElement, EXTENDED_FUNCTIONALS, ROOTS, _FloatSlots,
+                        exp_closed, exp_float, kernel_line, root_functional,
+                        root_value)
 from .scalars import QQi, abs2, conj, herm, im, re
 from .shapes import MuShape
 from .subalgebra import Subalgebra
@@ -54,10 +58,6 @@ class InconsistentClassification(ClassificationError):
 
 
 class NotInN(ValueError):
-    pass
-
-
-class FloatingModeUnsupported(ValueError):
     pass
 
 
@@ -137,8 +137,6 @@ class _Frame:
     """
 
     def __init__(self, h: Subalgebra, rng: random.Random):
-        if h.mode != "exact":
-            raise FloatingModeUnsupported("classification requires exact mode")
         if not h.is_nilpotent():
             raise NotInN("subalgebra has a nonzero a-part")
         self.h = h
@@ -936,9 +934,10 @@ def _li2_line_case(frame, W, v0):
     codim = len(line) - len(ky)
     if codim >= 2:
         # an odd cubic vanishes somewhere on any 2-plane missing ker y
-        u = _odd_cubic_zero_on_plane(frame, line, ky)
-        if u is not None:
-            return {"u": u}, [], "odd-cubic zero on a 2-plane", u.mode == "exact"
+        found = _odd_cubic_zero_on_plane(frame, line, ky)
+        if found is not None:
+            u, exact = found
+            return {"u": u}, [], "odd-cubic zero on a 2-plane", exact
     if codim == 1:
         for _ in range(DEFAULT.pit_rounds):
             c = frame.random_coeff(line, size=25)
@@ -949,7 +948,11 @@ def _li2_line_case(frame, W, v0):
 
 
 def _odd_cubic_zero_on_plane(frame, line, ky):
-    """Bisection zero of C on a circle inside a 2-plane transverse to ker y."""
+    """Bisection zero of C on a circle inside a 2-plane transverse to ker y.
+
+    Returns (u, exact): exact is False for the bisection's approximate zero,
+    an element with rational coefficients at which C is only nearly zero.
+    """
     import math
     comp = [c for c in line if not linalg.span_contains(ky, c)]
     if len(comp) < 2:
@@ -970,21 +973,21 @@ def _odd_cubic_zero_on_plane(frame, line, ky):
 
     v0, c0 = val(0.0)
     if v0 == 0:
-        return frame.element(c0)
+        return frame.element(c0), True
     lo, hi = 0.0, math.pi  # odd: C(pi) = -C(0)
     flo, _ = val(lo)
     for _ in range(200):
         mid = (lo + hi) / 2
         fm, cm = val(mid)
         if fm == 0 or hi - lo < 1e-15:
-            return frame.element(cm).to_float()
+            return frame.element(cm), False
         if (fm > 0) == (flo > 0):
             lo = mid
             flo = fm
         else:
             hi = mid
     _, cm = val((lo + hi) / 2)
-    return frame.element(cm).to_float()
+    return frame.element(cm), False
 
 
 def _li3(frame):
@@ -1487,8 +1490,7 @@ def _ad_diag(b: AlgebraElement, t1, t2) -> AlgebraElement:
         x=[root_value("alpha+beta", t1, t2) * v for v in b.x],
         yy=root_value("2beta", t1, t2) * b.yy,
         eta=b.eta * root_value("alpha+2beta", t1, t2),
-        xx=root_value("2alpha+2beta", t1, t2) * b.xx,
-        mode=b.mode)
+        xx=root_value("2alpha+2beta", t1, t2) * b.xx)
 
 
 def expected_normalizer(frame, match: NotCdsMatch) -> Optional[NormalizerResult]:
@@ -1585,8 +1587,6 @@ def classify(h: Subalgebra, seed: int = 0, check_normalizer: bool = True
     (a randomized search may produce a false negative) and then raised as
     InconsistentClassification.
     """
-    if h.mode != "exact":
-        raise FloatingModeUnsupported("classification requires exact mode")
     if all(b.is_zero() for b in h.basis):
         raise ValueError("theorem applies to nontrivial subgroups only")
     last = None
@@ -1630,26 +1630,26 @@ class ImplicitSolveFailed(RuntimeError):
     pass
 
 
-def _exp_float(e: AlgebraElement):
-    from .elements import exp_closed
-    return exp_closed(e.to_float())
+def _vec(e: AlgebraElement) -> np.ndarray:
+    """The float coordinate vector of an exact element, for exp_float."""
+    return np.array(e.coords(), dtype=float)
 
 
 def _conj_u_alpha(u: AlgebraElement, c):
     """Ad(exp(w)) u for w the alpha-root element with phi = c (exact)."""
-    from .elements import exp_closed
     from .weyl import conjugate
-    w = AlgebraElement(u.n, phi=c, mode=u.mode)
+    w = AlgebraElement(u.n, phi=c)
     return conjugate(exp_closed(w), u)
 
 
 def witness_curve(witness, h: Subalgebra):
     """The proof's one-parameter curve t -> h(t) for a witness.
 
-    Returns a callable t -> GroupElement (floating mode).  Square curves have
-    |rho(h(t))| ~ |h(t)|^2, linear ones ~ |h(t)|; preliminary conjugations
-    from the proofs are applied exactly, so the curve may live in a conjugate
-    copy of H (which moves mu by a bounded amount only).
+    Returns a callable from a float t to the (m, m) complex matrix of h(t).
+    Square curves have |rho(h(t))| ~ |h(t)|^2, linear ones ~ |h(t)|;
+    preliminary conjugations from the proofs are applied exactly, so the
+    curve may live in a conjugate copy of H (which moves mu by a bounded
+    amount only).
     """
     if isinstance(witness, SquareWitness):
         return _square_curve(witness, h)
@@ -1665,51 +1665,49 @@ def _square_curve(w: SquareWitness, h: Subalgebra):
         u = els["u"]
         ys = sum((abs2(v) for v in u.y), Fraction(0))
         u1 = _conj_u_alpha(u, -(herm(u.x, u.y) / QQi(ys))) if ys else u
-        uf = u1.to_float()
-        return lambda t: _exp_float(uf.scale(t))
+        uf = _vec(u1)
+        return lambda t: exp_float(uf, t)
     if cid == 2:
-        z = els["z"].to_float()
-        return lambda t: _exp_float(z.scale(t))
+        z = _vec(els["z"])
+        return lambda t: exp_float(z, t)
     if cid == 3:
-        u, z = els["u"].to_float(), els["z"].to_float()
-        return lambda t: _exp_float(u.scale(t) + z.scale(t * t))
+        u, z = _vec(els["u"]), _vec(els["z"])
+        return lambda t: exp_float(u * t + z * (t * t))
     if cid == 4:
-        u = els["u"].to_float()
-        return lambda t: _exp_float(u.scale(t))
+        u = _vec(els["u"])
+        return lambda t: exp_float(u, t)
     if cid == 5:
         u, z = els["u"], els["z"]
-        u1 = (u - z.scale(u.xx)).to_float()  # clear the xx slot
-        aphi2 = abs2(u1.phi)
-        yy = u1.yy
-        zf = z.to_float()
+        u1 = u - z.scale(u.xx)  # clear the xx slot
+        aphi2 = abs2(complex(u1.phi))
+        yy = float(u1.yy)
+        u1f, zf = _vec(u1), _vec(z)
 
         def curve(t):
             c = (t ** 3) * aphi2 * yy / 6.0
-            return _exp_float(u1.scale(t) + zf.scale(c))
+            return exp_float(u1f * t + zf * c)
         return curve
     if cid in (6, 7):
-        u, v = els["u"].to_float(), els["v"].to_float()
-        axis = AlgebraElement(h.n, xx=1, mode="float")
+        u, v = _vec(els["u"]), _vec(els["v"])
+        axis = _vec(AlgebraElement(h.n, xx=1))
 
         def curve(t, cid=cid):
             s = _solve_re_corner(u, v, t)
-            e = u.scale(t) + v.scale(s)
+            e = u * t + v * s
+            g = exp_float(e)
             if cid == 6:
-                return _exp_float(e)
-            g = _exp_float(e)
-            c = -g.mat[0][h.n + 1].imag
-            return _exp_float(e + axis.scale(c))
+                return g
+            return exp_float(e + axis * -g[0, -1].imag)
         return curve
     if cid == 8:
-        u, v = els["u"].to_float(), els["v"].to_float()
-        axis = AlgebraElement(h.n, xx=1, mode="float")
+        u, v = _vec(els["u"]), _vec(els["v"])
+        axis = _vec(AlgebraElement(h.n, xx=1))
 
         def curve(t):
             s = _solve_re_corner(v, u, t)  # h in exp(s u + t v + z): s = O(1)
-            e = v.scale(t) + u.scale(s)
-            g = _exp_float(e)
-            c = -g.mat[0][h.n + 1].imag
-            return _exp_float(e + axis.scale(c))
+            e = v * t + u * s
+            g = exp_float(e)
+            return exp_float(e + axis * -g[0, -1].imag)
         return curve
     raise ImplicitSolveFailed(f"no curve recipe for square condition {cid}")
 
@@ -1719,8 +1717,7 @@ def _solve_re_corner(u, v, t):
     from scipy.optimize import brentq
 
     def f(s):
-        g = _exp_float(u.scale(t) + v.scale(s))
-        return g.mat[0][u.n + 1].real
+        return exp_float(u * t + v * s)[0, -1].real
 
     f0 = f(0.0)
     if f0 == 0.0:
@@ -1739,50 +1736,41 @@ def _linear_curve(w: LinearWitness, h: Subalgebra):
     cid = w.condition_id
     els = w.elements
     if cid == 1:
-        z = els["z"].to_float()
-        return lambda t: _exp_float(z.scale(t))
+        z = _vec(els["z"])
+        return lambda t: exp_float(z, t)
     if cid == 2:
         u = els["u"]
         if any(u.y):
-            lam = _lambda_of(u) if u.mode == "exact" else None
-            if lam is None:
-                uf = u.to_float()
-                lamf = herm(uf.x, uf.y) / sum(abs2(v) for v in uf.y)
-                u = uf
-                u1 = _conj_u_alpha(u, -lamf)
-            else:
-                u1 = _conj_u_alpha(u, -lam)
             from .weyl import weyl_reflect
-            u2 = weyl_reflect(u1, "alpha")
-        else:
-            u2 = u
-        uf = u2.to_float()
-        return lambda t: _exp_float(uf.scale(t))
+            u = weyl_reflect(_conj_u_alpha(u, -_lambda_of(u)), "alpha")
+        uf = _vec(u)
+        return lambda t: exp_float(uf, t)
     if cid == 3:
-        u = els["u"].to_float()
-        return lambda t: _exp_float(u.scale(t))
+        u = _vec(els["u"])
+        return lambda t: exp_float(u, t)
     if cid == 4:
-        u, z = els["u"].to_float(), els["z"].to_float()
+        u, z = _vec(els["u"]), _vec(els["z"])
+        cols = AlgebraElement.slot_columns(h.n)
 
         def curve(t):
             from scipy.optimize import brentq
 
             def redelta(p):
-                e = u.scale(t) + z.scale(p)
+                e = _FloatSlots((u * t + z * p).tolist(), cols, 1.0)
                 yy = e.yy
                 return (e.xx * yy + abs2(e.phi) * yy * yy / 12.0 - abs2(e.eta))
 
             p0, p1 = 0.0, 1.0
             f0 = redelta(p0)
             if f0 == 0:
-                return _exp_float(u.scale(t))
+                return exp_float(u, t)
             for _ in range(200):
                 if redelta(p1) * f0 < 0:
                     p = brentq(redelta, min(p0, p1), max(p0, p1))
-                    return _exp_float(u.scale(t) + z.scale(p))
+                    return exp_float(u * t + z * p)
                 if redelta(-p1) * f0 < 0:
                     p = brentq(redelta, -p1, 0.0)
-                    return _exp_float(u.scale(t) + z.scale(p))
+                    return exp_float(u * t + z * p)
                 p1 *= 1.7
             raise ImplicitSolveFailed("linear condition 4: no root in p")
         return curve
@@ -1799,55 +1787,52 @@ def _linear5_curve(w: LinearWitness, h: Subalgebra):
     real; along exp(s u + p z) the corner determinant has a double root in p,
     and scanning p near it tracks the linear-growth direction.
     """
-    from .elements import exp_closed
     from .weyl import conjugate
 
     u, z = w.elements["u"], w.elements["z"]
     n = u.n
-    mode = u.mode
 
     def conj_pair(welt, u, z):
         g = exp_closed(welt)
         return conjugate(g, u), conjugate(g, z)
 
-    if mode == "exact":
-        # (i) clear yy_u by a beta conjugation along y_u
-        ys = sum((abs2(v) for v in u.y), Fraction(0))
-        if u.yy != 0 and ys != 0:
-            s = Fraction(u.yy, 2) / ys
-            welt = AlgebraElement(n, y=[QQi(0, 1) * (s * v) for v in u.y])
-            u, z = conj_pair(welt, u, z)
-        # (ii) make x_u orthogonal to y_u (alpha conjugation)
-        if ys != 0:
-            c = -(herm(u.x, u.y) / QQi(ys))
-            welt = AlgebraElement(n, phi=c)
-            u, z = conj_pair(welt, u, z)
-        # (iii) clear x_u by a beta element centralizing y_u
-        if any(u.x) and u.phi:
-            welt = AlgebraElement(n, y=[v / u.phi for v in u.x])
-            u, z = conj_pair(welt, u, z)
-        # (iv) clear eta_u
-        if u.eta and ys != 0:
-            welt = AlgebraElement(n, x=[(u.eta / QQi(ys)) * v for v in u.y])
-            u, z = conj_pair(welt, u, z)
-        # (v) clear xx_u
-        if u.xx != 0 and u.phi:
-            t = Fraction(u.xx, 2) / abs2(u.phi)
-            welt = AlgebraElement(n, eta=QQi(0, 1) * (t * u.phi))
-            u, z = conj_pair(welt, u, z)
-    uf, zf = u.to_float(), z.to_float()
-    eta2 = abs2(zf.eta)
-    ys = sum(abs2(v) for v in uf.y)
-    r0 = re(zf.eta * conj(uf.phi))
+    # (i) clear yy_u by a beta conjugation along y_u
+    ys = sum((abs2(v) for v in u.y), Fraction(0))
+    if u.yy != 0 and ys != 0:
+        s = Fraction(u.yy, 2) / ys
+        welt = AlgebraElement(n, y=[QQi(0, 1) * (s * v) for v in u.y])
+        u, z = conj_pair(welt, u, z)
+    # (ii) make x_u orthogonal to y_u (alpha conjugation)
+    if ys != 0:
+        c = -(herm(u.x, u.y) / QQi(ys))
+        welt = AlgebraElement(n, phi=c)
+        u, z = conj_pair(welt, u, z)
+    # (iii) clear x_u by a beta element centralizing y_u
+    if any(u.x) and u.phi:
+        welt = AlgebraElement(n, y=[v / u.phi for v in u.x])
+        u, z = conj_pair(welt, u, z)
+    # (iv) clear eta_u
+    if u.eta and ys != 0:
+        welt = AlgebraElement(n, x=[(u.eta / QQi(ys)) * v for v in u.y])
+        u, z = conj_pair(welt, u, z)
+    # (v) clear xx_u
+    if u.xx != 0 and u.phi:
+        t = Fraction(u.xx, 2) / abs2(u.phi)
+        welt = AlgebraElement(n, eta=QQi(0, 1) * (t * u.phi))
+        u, z = conj_pair(welt, u, z)
+    uf, zf = _vec(u), _vec(z)
+    eta2 = abs2(complex(z.eta))
+    ys = sum(abs2(complex(v)) for v in u.y)
+    r0 = re(complex(z.eta) * conj(complex(u.phi)))
 
     def curve(s):
         if eta2 == 0:
-            return _exp_float(uf.scale(s))
+            return exp_float(uf, s)
         p_star = -(s ** 3) * ys * r0 / (12.0 * eta2)
         best, best_ratio = None, None
         from .metrics import rho_norm, sup_norm
         for fac in (1.0, 0.98, 1.02, 0.9, 1.1, 0.0):
-            g = _exp_float(uf.scale(s) + zf.scale(p_star * fac))
+            g = exp_float(uf * s + zf * (p_star * fac))
             ratio = rho_norm(g) / max(sup_norm(g), 1.0)
             if best_ratio is None or ratio < best_ratio:
                 best, best_ratio = g, ratio

@@ -1,11 +1,12 @@
-"""Dual scalar backends: exact Gaussian rationals and machine complexes.
+"""Scalars: exact Gaussian rationals, and helpers shared with floating point.
 
-Every container in the library is uniformly exact (Fraction / GaussianRational
-entries) or uniformly floating (float / complex entries).  The classification
-path runs entirely in exact mode; sampling and Cartan-projection numerics run
-in floating mode.  The helpers here (`conj`, `re`, `im`, `abs2`, ...) work on
-either backend, and on numpy arrays of floating values (one entry per grid
-point), so formula code can be written once.
+Algebra elements and the classification path hold Fraction and
+GaussianRational entries.  Floating point appears only where group elements
+are sampled: the float form of the closed exponential and the
+Cartan-projection numerics.  The helpers here (`conj`, `re`, `im`, `abs2`,
+...) work on exact scalars, on Python floats and complexes, and on numpy
+arrays of floating values (one entry per grid point), so formula code such as
+the exponential display can be written once.
 """
 
 from __future__ import annotations
@@ -197,14 +198,6 @@ def herm(x, y):
         term = a * conj(b)
         total = term if total is None else total + term
     return 0 if total is None else total
-
-
-def imag_unit(mode: str):
-    return GaussianRational(0, 1) if mode == "exact" else 1j
-
-
-def zero(mode: str):
-    return GaussianRational(0) if mode == "exact" else 0j
 
 
 def to_float_scalar(v):

@@ -1,79 +1,69 @@
 """JSON and CSV persistence.
 
 Element encoding: {"t1": s, "t2": s, "phi": [s, s], "x": [[s, s], ...],
-"y": [[s, s], ...], "eta": [s, s], "xx": s, "yy": s} where each s is either a
-double or an exact "p/q" string.  A subalgebra file wraps a basis with its n
-and mode; AN-subgroup specs carry a "kind" of semidirect / graph / oneparam.
+"y": [[s, s], ...], "eta": [s, s], "xx": s, "yy": s} where each s is an exact
+"p/q" string, an integer, or a double read as its exact binary value.  A
+subalgebra file wraps a basis with its n and mode; AN-subgroup specs carry a
+"kind" of semidirect / graph / oneparam.  The writer always emits "p/q"
+strings and "mode": "exact"; files marked "mode": "float" are read the same
+way, then validated like any spec.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .anclassify import Graph, OneParam, Semidirect, TorusLine
 from .elements import AlgebraElement
-from .scalars import QQi, format_rational, im, re
+from .scalars import QQi, format_rational, im, parse_rational, re
 from .subalgebra import Subalgebra
 
-
-def _scalar_out(v, mode):
-    if mode == "float":
-        return float(v)
-    return format_rational(v if isinstance(v, Fraction) else Fraction(v))
+def _cx_out(v):
+    return [format_rational(re(v)), format_rational(im(v))]
 
 
-def _scalar_in(s, mode):
-    if mode == "float":
-        return float(s)
-    if isinstance(s, str):
-        return Fraction(s)
-    if isinstance(s, float):
-        return Fraction(s)
-    return Fraction(s)
-
-
-def _cx_out(v, mode):
-    return [_scalar_out(re(v), mode), _scalar_out(im(v), mode)]
-
-
-def _cx_in(pair, mode):
-    a, b = _scalar_in(pair[0], mode), _scalar_in(pair[1], mode)
-    return complex(a, b) if mode == "float" else QQi(a, b)
+def _cx_in(pair):
+    return QQi(parse_rational(pair[0]), parse_rational(pair[1]))
 
 
 def element_to_json(e: AlgebraElement) -> dict:
-    m = e.mode
     return {
-        "t1": _scalar_out(e.t1, m), "t2": _scalar_out(e.t2, m),
-        "phi": _cx_out(e.phi, m),
-        "x": [_cx_out(v, m) for v in e.x],
-        "y": [_cx_out(v, m) for v in e.y],
-        "eta": _cx_out(e.eta, m),
-        "xx": _scalar_out(e.xx, m), "yy": _scalar_out(e.yy, m),
+        "t1": format_rational(e.t1), "t2": format_rational(e.t2),
+        "phi": _cx_out(e.phi),
+        "x": [_cx_out(v) for v in e.x],
+        "y": [_cx_out(v) for v in e.y],
+        "eta": _cx_out(e.eta),
+        "xx": format_rational(e.xx), "yy": format_rational(e.yy),
     }
 
 
-def element_from_json(d: dict, n: int, mode: str) -> AlgebraElement:
+def element_from_json(d: dict, n: int) -> AlgebraElement:
     return AlgebraElement(
         n,
-        t1=_scalar_in(d.get("t1", 0), mode), t2=_scalar_in(d.get("t2", 0), mode),
-        phi=_cx_in(d.get("phi", [0, 0]), mode),
-        x=[_cx_in(p, mode) for p in d.get("x", [[0, 0]] * (n - 2))],
-        y=[_cx_in(p, mode) for p in d.get("y", [[0, 0]] * (n - 2))],
-        eta=_cx_in(d.get("eta", [0, 0]), mode),
-        xx=_scalar_in(d.get("xx", 0), mode), yy=_scalar_in(d.get("yy", 0), mode),
-        mode=mode)
+        t1=parse_rational(d.get("t1", 0)), t2=parse_rational(d.get("t2", 0)),
+        phi=_cx_in(d.get("phi", [0, 0])),
+        x=[_cx_in(p) for p in d.get("x", [[0, 0]] * (n - 2))],
+        y=[_cx_in(p) for p in d.get("y", [[0, 0]] * (n - 2))],
+        eta=_cx_in(d.get("eta", [0, 0])),
+        xx=parse_rational(d.get("xx", 0)), yy=parse_rational(d.get("yy", 0)))
+
+
+def _n_of(d: dict) -> int:
+    """The spec's n, after checking its "mode" key."""
+    mode = d.get("mode", "exact")
+    if mode not in ("exact", "float"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return int(d["n"])
 
 
 def subalgebra_to_json(h: Subalgebra) -> dict:
-    return {"n": h.n, "mode": "float" if h.mode == "float" else "exact",
+    return {"n": h.n, "mode": "exact",
             "basis": [element_to_json(b) for b in h.basis]}
 
 
 def subalgebra_from_json(d: dict) -> Subalgebra:
-    n, mode = int(d["n"]), d.get("mode", "exact")
-    return Subalgebra([element_from_json(e, n, mode) for e in d["basis"]])
+    n = _n_of(d)
+    return Subalgebra([element_from_json(e, n) for e in d["basis"]])
 
 
 def spec_to_json(spec) -> dict:
@@ -92,7 +82,7 @@ def spec_to_json(spec) -> dict:
         return out
     if isinstance(spec, OneParam):
         return {"kind": "oneparam", "n": spec.n,
-                "mode": spec.x.mode, "x": element_to_json(spec.x)}
+                "mode": "exact", "x": element_to_json(spec.x)}
     raise TypeError(f"cannot serialize {type(spec).__name__}")
 
 
@@ -106,11 +96,10 @@ def spec_from_json(d: dict):
         return Semidirect(TorusLine(int(p), int(q)), u)
     if kind == "graph":
         u = subalgebra_from_json(d)
-        psi = element_from_json(d["psi"], int(d["n"]), d.get("mode", "exact"))
+        psi = element_from_json(d["psi"], _n_of(d))
         return Graph(d["omega"], psi, u)
     if kind == "oneparam":
-        mode = d.get("mode", "exact")
-        return OneParam(element_from_json(d["x"], int(d["n"]), mode))
+        return OneParam(element_from_json(d["x"], _n_of(d)))
     raise ValueError(f"unknown spec kind {kind!r}")
 
 

@@ -5,7 +5,8 @@ and caches the coordinate matrix and the central slot part
 
     z = { u in h : phi_u = 0 and x_u = y_u = 0 }  (intersected with n).
 
-Classifiers require exact mode; floating bases are only used for sampling.
+Bases are exact; sampling reads them as the float matrix
+np.array(h.coord_rows(), dtype=float).
 """
 
 from __future__ import annotations
@@ -31,36 +32,22 @@ class NotIndependent(SubalgebraError):
     pass
 
 
-class MixedModes(SubalgebraError):
-    pass
-
-
 class Subalgebra:
-    def __init__(self, basis, check=True):
+    def __init__(self, basis):
         if not basis:
             raise SubalgebraError("empty basis")
         n = basis[0].n
-        modes = {b.mode for b in basis}
-        if len(modes) > 1:
-            raise MixedModes("basis mixes exact and floating elements")
         if any(b.n != n for b in basis):
             raise SubalgebraError("inconsistent n across basis")
         self.n = n
-        self.mode = modes.pop()
         self.basis = list(basis)
         self._coord_rows = [b.coords() for b in basis]
-        self._structure = None
-        if check:
-            self._validate()
+        self._validate()
         self._z_basis = None
 
     # -- validation ------------------------------------------------------------
 
     def _validate(self):
-        if self.mode != "exact":
-            # floating bases are sampling artifacts; only exact ones are
-            # validated and classified
-            return
         if linalg.rank(self._coord_rows) != len(self.basis):
             raise NotIndependent("basis is linearly dependent over R")
         struct = {}
@@ -84,11 +71,10 @@ class Subalgebra:
 
     def coords_of(self, coeffs) -> list:
         """coords() of the linear combination of the basis with real coefficients."""
-        exact = self.mode == "exact"
-        out = [Fraction(0) if exact else 0.0] * len(self._coord_rows[0])
+        out = [Fraction(0)] * len(self._coord_rows[0])
         for c, row in zip(coeffs, self._coord_rows):
             if c:
-                c = as_exact_real(c) if exact else c
+                c = as_exact_real(c)
                 for k, v in enumerate(row):
                     if v:
                         out[k] += c * v
@@ -96,7 +82,7 @@ class Subalgebra:
 
     def element(self, coeffs) -> AlgebraElement:
         """Linear combination of the basis with real coefficients."""
-        return AlgebraElement.from_coords(self.n, self.coords_of(coeffs), mode=self.mode)
+        return AlgebraElement.from_coords(self.n, self.coords_of(coeffs))
 
     def contains(self, u: AlgebraElement) -> bool:
         return linalg.span_contains(self._coord_rows, u.coords())
@@ -105,8 +91,6 @@ class Subalgebra:
         return [row[:] for row in self._coord_rows]
 
     def structure_constants(self):
-        if self._structure is None:
-            self._validate()
         return dict(self._structure)
 
     def z_part(self) -> list:
@@ -117,8 +101,6 @@ class Subalgebra:
         """
         if self._z_basis is not None:
             return list(self._z_basis)
-        if self.mode != "exact":
-            raise SubalgebraError("z_part requires exact mode")
         slots = AlgebraElement.slot_columns(self.n)
         head = [slots[name] for name in ("t", "phi", "x", "y")]
         rows = [[v for s in head for v in row[s]] for row in self._coord_rows]
@@ -129,17 +111,14 @@ class Subalgebra:
         self._z_basis = [self.element(k) for k in kern]
         return list(self._z_basis)
 
-    def to_float(self) -> "Subalgebra":
-        return Subalgebra([b.to_float() for b in self.basis], check=False)
-
     def __repr__(self):
-        return f"Subalgebra(n={self.n}, dim={self.dim}, mode={self.mode})"
+        return f"Subalgebra(n={self.n}, dim={self.dim})"
 
 
 def close_under_bracket(seed, max_dim=None):
     """Grow a generating set to a bracket-closed independent basis.
 
-    Used by the corpus generator; returns a Subalgebra (exact mode).
+    Used by the corpus generator; returns a Subalgebra.
     """
     if not seed:
         raise SubalgebraError("empty seed")

@@ -13,12 +13,9 @@ caller gets NotInAN otherwise.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .elements import (
     AlgebraElement,
     GroupElement,
-    NotInAN,
     element_from_matrix,
     matrix_of,
     _mat_mul,
@@ -26,53 +23,43 @@ from .elements import (
 from .scalars import QQi
 
 
-def weyl_matrix(n: int, root: str, mode="exact") -> GroupElement:
+def weyl_matrix(n: int, root: str) -> GroupElement:
     m = n + 2
-    if mode == "exact":
-        M = [[QQi(0) for _ in range(m)] for _ in range(m)]
-        one, i_ = QQi(1), QQi(0, 1)
-    else:
-        M = np.zeros((m, m), dtype=complex)
-        one, i_ = 1.0, 1j
+    zero, one, i_ = QQi(0), QQi(1), QQi(0, 1)
+    M = [[zero for _ in range(m)] for _ in range(m)]
     for k in range(m):
         M[k][k] = one
     if root == "alpha":
-        M[0][0] = M[1][1] = M[n][n] = M[m - 1][m - 1] = (QQi(0) if mode == "exact" else 0.0)
+        M[0][0] = M[1][1] = M[n][n] = M[m - 1][m - 1] = zero
         M[0][1] = M[1][0] = one
         M[n][m - 1] = M[m - 1][n] = one
     elif root == "beta":
-        M[1][1] = M[n][n] = (QQi(0) if mode == "exact" else 0.0)
+        M[1][1] = M[n][n] = zero
         M[1][n] = i_
         M[n][1] = i_
     else:
         raise ValueError("reflection implemented for the simple roots only")
-    return GroupElement(n, M, mode=mode)
+    return GroupElement(n, M, mode="exact")
 
 
 def conjugate(g: GroupElement, u: AlgebraElement) -> AlgebraElement:
     """Ad(g) u = g (matrix of u) g^{-1}, read back into coordinates.
 
-    Raises NotInAN when the result leaves a+n; classifier call sites only use
-    normalizing g for which closure holds.
+    g is exact.  Raises NotInAN when the result leaves a+n; classifier call
+    sites only use normalizing g for which closure holds.
     """
-    if g.mode != u.mode:
-        raise ValueError("mixed exact/floating modes")
-    M = matrix_of(u)
-    gi = g.inverse()
-    if u.mode == "float":
-        res = g.mat @ np.asarray(M) @ gi.mat
-        return element_from_matrix(res, u.n, mode="float")
+    if g.mode != "exact":
+        raise ValueError("conjugation needs an exact group element")
     m = u.n + 2
-    res = _mat_mul(_mat_mul(g.mat, M, m), gi.mat, m)
-    return element_from_matrix(res, u.n, mode="exact")
+    res = _mat_mul(_mat_mul(g.mat, matrix_of(u), m), g.inverse().mat, m)
+    return element_from_matrix(res, u.n)
 
 
 def weyl_reflect(u: AlgebraElement, root: str) -> AlgebraElement:
     """Ad of the fixed reflection matrix for a simple root."""
     if root not in ("alpha", "beta"):
         raise ValueError("reflection implemented for alpha and beta only")
-    w = weyl_matrix(u.n, root, mode=u.mode)
-    return conjugate(w, u)
+    return conjugate(weyl_matrix(u.n, root), u)
 
 
 def conjugate_basis(g: GroupElement, basis) -> list:

@@ -175,8 +175,3 @@ def test_graph_shape_invariant_under_reflection(alg):
                                      Subalgebra([alg(3, phi=1)])))
     assert direct.shape == reflected.shape and direct.case == reflected.case
 
-
-def test_normalize_rejects_float_basis(alg):
-    from su2n.anclassify import NormalizationFailed
-    with pytest.raises(NormalizationFailed):
-        normalize_to_compatible([alg(3, t1=1.0, t2=1.0, phi=1.0, mode="float")])

@@ -11,7 +11,7 @@ from su2n import (
     MuShape,
     SampleCloud,
     SymbolicShape,
-    exp_closed,
+    exp_float,
     fit_exponents,
     mu,
     rho_norm,
@@ -28,7 +28,7 @@ def test_sup_norm():
     assert sup_norm(GroupElement.identity(3, "float")) == 1.0
     a = GroupElement.diagonal(3, 4.0, 2.0, mode="float")
     assert sup_norm(a) == 4.0
-    g = exp_closed(AlgebraElement(3, xx=7, mode="float"))
+    g = exp_float(np.array(AlgebraElement(3, xx=7).coords(), dtype=float))
     assert sup_norm(g) == pytest.approx(7.0)
 
 
@@ -39,13 +39,14 @@ def test_rho_norm_chamber_and_oracle():
     rng = np.random.default_rng(1)
     for _ in range(25):
         n = int(rng.integers(3, 6))
-        u = AlgebraElement(n, mode="float",
-                           phi=complex(rng.normal(), rng.normal()),
-                           x=[complex(rng.normal()) for _ in range(n - 2)],
-                           y=[complex(0, rng.normal()) for _ in range(n - 2)],
-                           eta=complex(rng.normal(), rng.normal()),
-                           xx=float(rng.normal()), yy=float(rng.normal()))
-        g = exp_closed(u)
+        cols = AlgebraElement.slot_columns(n)
+        c = np.zeros(AlgebraElement.coord_dim(n))
+        c[cols["phi"]] = rng.normal(size=2)
+        c[cols["x"]][0::2] = rng.normal(size=n - 2)  # real x
+        c[cols["y"]][1::2] = rng.normal(size=n - 2)  # imaginary y
+        c[cols["eta"]] = rng.normal(size=2)
+        c[cols["xx"]], c[cols["yy"]] = rng.normal(size=2)
+        g = exp_float(c)
         assert rho_norm(g) == pytest.approx(rho_norm_oracle(g), rel=1e-9)
 
 
@@ -156,7 +157,7 @@ def test_z_cloud_shapes(alg):
     # a doubled-beta line grows linearly; checking the wrong curve fails
     pts = []
     for t in np.geomspace(2, 1e7, 80):
-        g = exp_closed(alg(3, yy=1, mode="float").scale(float(t)))
+        g = exp_float(np.array(alg(3, yy=1).coords(), dtype=float), t)
         pts.append((sup_norm(g), rho_norm(g), "z"))
     cloud = SampleCloud.collect(pts)
     assert shape_check(cloud, MuShape.curve(1)).verdict

@@ -4,10 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from su2n import AlgebraElement, Subalgebra
 from su2n.metrics import rho_norm, sup_norm
 from su2n.nilclassify import (
-    FloatingModeUnsupported,
     _Frame,
     NotInN,
     check_linear,
@@ -22,6 +20,7 @@ from su2n.nilclassify import (
     witness_curve,
 )
 from su2n.scalars import QQi, im, re
+from su2n.serialize import classification_report
 from su2n.shapes import MuShape
 
 
@@ -77,9 +76,9 @@ def test_linear_conditions_four_five(alg, sub):
 
 
 def test_mode_and_membership_guards(alg, sub):
-    hf = Subalgebra([alg(3, phi=1, mode="float")])
-    with pytest.raises(FloatingModeUnsupported):
-        check_square(hf)
+    # algebra elements are exact; there is no floating mode to classify
+    with pytest.raises(TypeError):
+        alg(3, phi=1, mode="float")
     with pytest.raises(NotInN):
         check_square(sub(alg(3, t1=1)))
     with pytest.raises(ValueError):
@@ -201,13 +200,13 @@ def test_type6_ratio_bounded_along_random_sequences(alg, sub):
     h = sub(alg(4, x=[1, 0], y=[0, 1]))
     r = classify(h)
     assert r.template.type_id == 6
-    hf = h.to_float()
+    u = np.array(h.basis[0].coords(), dtype=float)
     rng = _random.Random(3)
-    from su2n.elements import exp_closed
+    from su2n.elements import exp_float
     C = (4 + 2) ** 4
     for _ in range(20):
         t = 10 ** rng.uniform(0.5, 4)
-        g = exp_closed(hf.basis[0].scale(t))
+        g = exp_float(u, t)
         ratio = rho_norm(g) / sup_norm(g) ** 2
         assert 1 / C <= ratio <= C
 
@@ -235,6 +234,26 @@ def test_irrational_isotropic_plane(alg, sub):
     assert r.linear.condition_id == 1 and not r.linear.exact
     slope = _curve_slope(witness_curve(r.linear, h), tmax=3e4)
     assert abs(slope - 1.0) < 0.08
+
+
+def test_odd_cubic_linear_witness_is_approximate(alg, sub):
+    # phi = 0 throughout and the y-image of the complex-line subspace is two
+    # real dimensions, so linear condition 2 finds its witness by bisecting
+    # the odd cubic C on a circle: an element where C is only nearly zero
+    h = sub(alg(3, eta=QQi(3), xx=-3, x=[QQi(1, -1)], y=[QQi(1, -2)]),
+            alg(3, eta=QQi(-3, -1), xx=-3, yy=2, x=[QQi(-1, 2)], y=[QQi(-2, -2)]),
+            alg(3, eta=QQi(-5, -4), xx=2, yy=-12))
+    r = classify(h, seed=0)
+    assert r.linear.condition_id == 2
+    assert r.linear.note == "odd-cubic zero on a 2-plane"
+    c = cubic_c(r.linear.elements["u"])
+    assert c != 0 and abs(c) < 1e-9
+    assert classification_report(r)["witnesses"]["linear"] == {
+        "condition": 2, "exact": False}
+    curve = witness_curve(r.linear, h)
+    mats = np.array([curve(float(t)) for t in np.geomspace(1.0, 3e4, 40)])
+    assert np.isfinite(mats).all()
+    assert abs(_curve_slope(curve, tmax=3e4) - 1.0) < 0.08
 
 
 def test_linear_five_with_xx_component(alg, sub):

@@ -2,7 +2,8 @@
 
 Curves map an array of parameters t to a (T, m, m) stack; these tests check
 each batched piece -- the grid exponential, the stacked metrics, the doubling
-ladder and the product curves -- against the one-matrix-at-a-time version.
+ladder and the product curves -- against the one-matrix-at-a-time version,
+and the float exponential against the exact one.
 """
 
 import inspect
@@ -16,7 +17,7 @@ from su2n import gallery
 from su2n import elements, lab
 from su2n.config import DEFAULT
 from su2n.corpus import random_element
-from su2n.elements import AlgebraElement, exp_closed, exp_closed_grid
+from su2n.elements import AlgebraElement, exp_closed, exp_float
 from su2n.metrics import rho_norm, rho_norm_oracle, sup_norm
 from su2n.nilclassify import ImplicitSolveFailed, classify
 
@@ -29,22 +30,31 @@ def _assert_slices_match(stack, mats, rtol=1e-12):
         assert np.abs(got - want).max() <= rtol * max(1.0, np.abs(want).max())
 
 
+def _vec(u):
+    return np.array(u.coords(), dtype=float)
+
+
 def _directions(n, rng):
-    """Random nilpotent directions, plus ones with phi = 0 and with y = 0."""
-    u = random_element(n, rng, max_slots=6).to_float()
+    """Random exact nilpotent directions, plus ones with phi = 0 and with y = 0."""
+    u = random_element(n, rng, max_slots=6)
     phi0 = AlgebraElement(n, x=[1 + 2j] * (n - 2), y=[0.5j] * (n - 2), eta=1 - 1j,
-                          xx=2.0, yy=-1.0, mode="float")
-    y0 = AlgebraElement(n, phi=0.75 - 1j, x=[1j] * (n - 2), eta=2.0, xx=-1.0,
-                        yy=3.0, mode="float")
+                          xx=2, yy=-1)
+    y0 = AlgebraElement(n, phi=0.75 - 1j, x=[1j] * (n - 2), eta=2, xx=-1, yy=3)
     return [u, phi0, y0]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_exp_closed_grid_equals_scalar_exp_closed(n):
+    # the float exponential on a grid against the exact one at each point,
+    # and against itself at one float s at a time
     rng = random.Random(n)
     for u in _directions(n, rng):
-        stack = exp_closed_grid(u, GRID)
-        _assert_slices_match(stack, [exp_closed(u.scale(s)).mat for s in GRID])
+        stack = exp_float(_vec(u), GRID)
+        _assert_slices_match(stack, [exp_closed(u.scale(s)).to_float().mat for s in GRID])
+        for s, got in zip(GRID, stack):
+            one = exp_float(_vec(u), s)
+            assert one.shape == (n + 2, n + 2)
+            assert np.array_equal(one, got)
 
 
 def test_exp_closed_grid_runs_the_self_checks_on_arrays(monkeypatch):
@@ -57,10 +67,13 @@ def test_exp_closed_grid_runs_the_self_checks_on_arrays(monkeypatch):
             return orig(u, *rows)
         monkeypatch.setattr(elements, name, spy)
     _, phi0, y0 = _directions(4, random.Random(0))
-    exp_closed_grid(phi0, GRID)
-    exp_closed_grid(y0, GRID)
+    exp_float(_vec(phi0), GRID)
+    exp_float(_vec(y0), GRID)
     # once per grid, on the arrays of slot values
     assert calls == [("_check_phi0_form", GRID.shape), ("_check_y0_form", GRID.shape)]
+    # and on scalars for one float s
+    exp_float(_vec(phi0), 2.0)
+    assert calls[-1] == ("_check_phi0_form", ())
 
 
 def test_exp_closed_grid_self_check_catches_a_broken_display(monkeypatch):
@@ -73,13 +86,19 @@ def test_exp_closed_grid_self_check_catches_a_broken_display(monkeypatch):
     monkeypatch.setattr(elements, "_exp_rows_general", broken)
     _, phi0, y0 = _directions(3, random.Random(0))
     for u in (phi0, y0):
-        with pytest.raises(AssertionError):
-            exp_closed_grid(u, GRID)
+        for s in (GRID, 3.0):
+            with pytest.raises(AssertionError):
+                exp_float(_vec(u), s)
 
 
 def test_exp_closed_grid_rejects_an_a_part():
-    with pytest.raises(ValueError):
-        exp_closed_grid(AlgebraElement(3, t1=1.0, mode="float"), GRID)
+    for s in (GRID, 1.0):
+        with pytest.raises(ValueError):
+            exp_float(_vec(AlgebraElement(3, t1=1)), s)
+    # and anything that is not a coordinate vector
+    for bad in (np.zeros(8), np.zeros(13), np.zeros((2, 12))):
+        with pytest.raises(ValueError):
+            exp_float(bad)
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
@@ -87,7 +106,7 @@ def test_stacked_norms_equal_per_matrix_norms(n):
     rng = random.Random(10 + n)
     mats = []
     for u in _directions(n, rng):
-        mats += list(exp_closed_grid(u, GRID))
+        mats += list(exp_float(_vec(u), GRID))
     stack = np.array(mats)
     rho, sup = rho_norm(stack), sup_norm(stack)
     assert rho.shape == sup.shape == (len(mats),)
@@ -122,7 +141,7 @@ def _serial_grid(curve, per, ceiling, t_lo=1.0, t_cap=None):
 
 
 def _nil_basis(eid):
-    return gallery.get(eid).spec().to_float().basis
+    return np.array(gallery.get(eid).spec().coord_rows(), dtype=float)
 
 
 def _product(seed, basis, depth):
@@ -136,11 +155,11 @@ def _product(seed, basis, depth):
 
 def test_adaptive_grid_equals_the_serial_ladder():
     basis = _nil_basis("cds-fulln-n3")
-    ray = lambda ts: exp_closed_grid(basis[0], ts)  # noqa: E731
-    still = lambda ts: exp_closed_grid(AlgebraElement(3, mode="float"), ts)  # noqa: E731
+    ray = lambda ts: exp_float(basis[0], ts)  # noqa: E731
+    still = lambda ts: exp_float(np.zeros(12), ts)  # noqa: E731
     # a depth-3 product of huge directions overflows (slots^4 pass 1e308)
     # before an infinite ceiling is reached
-    big = [b.scale(1e60) for b in basis]
+    big = [b * 1e60 for b in basis]
     prod = _product(3, big, 3)
     cases = [(ray, 1e8, None), (ray, 10.0, None), (ray, 1e8, 50.0),
              (ray, 1e8, 8.0), (ray, 1e8, 1.5), (still, 1e8, None),
@@ -167,9 +186,9 @@ def test_product_curve_stack_equals_serial_product():
         for t in ts:
             g = None
             for v, e in zip(closure["dirs"], closure["exps"]):
-                f = exp_closed(v.scale(t ** e))
+                f = exp_float(v, t ** e)
                 g = f if g is None else g @ f
-            mats.append(g.mat)
+            mats.append(g)
         _assert_slices_match(curve(ts), mats)
 
 
@@ -201,9 +220,9 @@ def test_failed_solves_are_counted_by_error():
     def flaky(t):
         if fails(t):
             raise ImplicitSolveFailed("no root")
-        return exp_closed(basis[0].scale(t))
+        return exp_float(basis[0], t)
     curve = lab._PerPoint(flaky, 3)
-    ray = lambda ts: exp_closed_grid(basis[1], ts)  # noqa: E731
+    ray = lambda ts: exp_float(basis[1], ts)  # noqa: E731
     cloud = lab._collect([("w", curve), ("ray0", ray)], lab.SamplingPlan())
     grid = lab._adaptive_grid(curve, 48, DEFAULT.norm_ceiling)
     failing = sum(fails(t) for t in grid)

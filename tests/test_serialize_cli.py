@@ -25,15 +25,35 @@ def test_element_roundtrip_exact(alg):
             yy=-2)
     d = element_to_json(u)
     assert d["phi"] == ["1", "-2/5"]
-    back = element_from_json(d, 4, "exact")
+    back = element_from_json(d, 4)
     assert back == u
 
 
-def test_element_roundtrip_float(alg):
-    u = alg(3, phi=1.5 + 2j, x=[0.25j], y=[1.0], eta=-3.0, xx=0.5, yy=0.0,
-            mode="float")
-    back = element_from_json(element_to_json(u), 3, "float")
-    assert back == u
+def _float_and_exact_twin():
+    """A float-mode spec with dyadic doubles, and the same spec in "p/q"."""
+    floats = {"kind": "nil", "n": 3, "mode": "float", "basis": [
+        {"phi": [1.5, 2.0], "x": [[0.0, 0.25]], "y": [[1.0, 0.0]],
+         "eta": [-3.0, 0.0], "xx": 0.5, "yy": 0.0},
+        {"xx": 0.25}]}
+    exact = {"kind": "nil", "n": 3, "mode": "exact", "basis": [
+        {"phi": ["3/2", "2"], "x": [["0", "1/4"]], "y": [["1", "0"]],
+         "eta": ["-3", "0"], "xx": "1/2", "yy": "0"},
+        {"xx": "1/4"}]}
+    return floats, exact
+
+
+def test_float_mode_file_loads_equal_to_its_exact_twin():
+    floats, exact = _float_and_exact_twin()
+    a, b = spec_from_json(floats), spec_from_json(exact)
+    assert a.basis == b.basis
+    # the writer emits the exact form whatever the input mode was
+    assert spec_to_json(a) == spec_to_json(b)
+    assert spec_to_json(a)["mode"] == "exact"
+    assert spec_to_json(a)["basis"][0]["phi"] == ["3/2", "2"]
+    # a double is read as its exact binary value, not as a nearby decimal
+    assert element_from_json({"xx": 0.1}, 3).xx == Fraction(0.1) != Fraction(1, 10)
+    with pytest.raises(ValueError):
+        spec_from_json(dict(exact, mode="binary"))
 
 
 def test_all_gallery_specs_roundtrip():
@@ -110,6 +130,16 @@ def test_cli_rejects_bad_input(tmp_path):
     p = _cli("classify", str(notclosed))
     assert p.returncode == 1
     assert "span" in p.stderr or "NotClosed" in p.stderr or "error" in p.stderr
+
+
+def test_cli_rejects_a_non_closed_float_mode_file(tmp_path):
+    # float-mode files are validated like exact ones
+    path = tmp_path / "notclosed-float.json"
+    path.write_text(json.dumps({"kind": "nil", "n": 4, "mode": "float", "basis": [
+        {"phi": [1.0, 0.0]}, {"y": [[1.0, 0.0], [0.0, 0.0]]}]}))
+    p = _cli("classify", str(path))
+    assert p.returncode == 1
+    assert "[b0, b1] is not in the span of the basis" in p.stderr
 
 
 def test_cli_mu_scan(tmp_path):

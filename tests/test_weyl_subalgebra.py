@@ -17,7 +17,7 @@ from su2n import (
 )
 from su2n.corpus import random_element
 from su2n.scalars import QQi
-from su2n.subalgebra import MixedModes, NotIndependent
+from su2n.subalgebra import NotIndependent
 
 
 def test_weyl_matrices_are_group_elements():
@@ -87,8 +87,6 @@ def test_subalgebra_validation(alg):
     assert exc.value.pair == (0, 1)
     with pytest.raises(NotIndependent):
         Subalgebra([alg(3, phi=1), alg(3, phi=2)])
-    with pytest.raises(MixedModes):
-        Subalgebra([alg(3, phi=1), alg(3, yy=1, mode="float")])
 
 
 def test_close_under_bracket(alg):
