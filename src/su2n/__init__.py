@@ -26,6 +26,7 @@ from .anclassify import (
     classify_semidirect,
     is_compatible,
     is_compatible_basis,
+    line_compatible,
     normalize_to_compatible,
     one_param_shape,
 )
@@ -42,6 +43,7 @@ from .elements import (
     element_from_matrix,
     exp_closed,
     exp_float,
+    exp_line,
     exp_series,
     form_value,
     gram_matrix,

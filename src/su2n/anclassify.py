@@ -22,6 +22,7 @@ from .elements import (
     ROOTS,
     ROOT_SLOT,
     REDUCED_ROOTS,
+    bracket,
     exp_closed,
     kernel_line,
     root_value,
@@ -160,7 +161,6 @@ def _normalizes(torus: TorusLine, u: Subalgebra) -> bool:
 
 
 def _normalized_by_element(w: AlgebraElement, u: Subalgebra) -> bool:
-    from .elements import bracket
     rows = u.coord_rows()
     return all(linalg.span_contains(rows, bracket(w, b).coords())
                for b in u.basis)
@@ -545,6 +545,49 @@ def one_param_shape(spec: OneParam) -> AnResult:
 # normalization to compatible form
 
 
+def _sweep(X, U_basis, max_iter=64):
+    """Conjugate X, and U_basis with it, by exponentials of root vectors in
+    height order, cancelling every component of X whose root does not kill
+    the a-part of X.  Returns the conjugated (X, U_basis); afterwards the
+    a-part and the nilpotent part of X commute."""
+    for _ in range(max_iter):
+        done = True
+        for nm in ("alpha", "beta", "alpha+beta", "2beta", "alpha+2beta",
+                   "2alpha+2beta"):
+            rv = root_value(nm, X.t1, X.t2)
+            comp = X.nilpotent_part().root_component(nm)
+            if rv != 0 and not comp.is_zero():
+                g = exp_closed(comp.scale(Fraction(1, 1) / rv))
+                X = conjugate(g, X)
+                U_basis = [conjugate(g, b) for b in U_basis]
+                done = False
+        if done:
+            return X, U_basis
+    raise NormalizationFailed("conjugation sweep did not stabilize")
+
+
+def line_compatible(spec):
+    """spec, or an exact conjugate of it whose line commutes with its a-part.
+
+    The line is the torus element of a Semidirect, torus + psi of a Graph and
+    x of a OneParam; sampling exponentiates it as diagonal x nilpotent, which
+    needs [a-part, nilpotent part] = 0.  A Graph whose line fails that is
+    rebuilt by normalize_to_compatible; a OneParam is swept, and may end as a
+    bare torus line.
+    """
+    if isinstance(spec, Graph):
+        X = spec.torus().element(spec.n) + spec.psi_value
+    elif isinstance(spec, OneParam):
+        X = spec.x
+    else:
+        return spec
+    if bracket(X.a_part(), X.nilpotent_part()).is_zero():
+        return spec
+    if isinstance(spec, Graph):
+        return normalize_to_compatible([X] + list(spec.u.basis))
+    return OneParam(_sweep(X, [])[0])
+
+
 def normalize_to_compatible(basis, max_iter: int = 64):
     """Conjugate a subalgebra of a+n (with nonzero a-part) into the
     compatible T * U * C_N(T) presentation.
@@ -556,8 +599,6 @@ def normalize_to_compatible(basis, max_iter: int = 64):
     Raises NormalizationFailed when the sweep does not terminate (the
     existence result is nonconstructive; this search is best effort).
     """
-    from .elements import bracket
-
     if not basis:
         raise NormalizationFailed("empty basis")
     n = basis[0].n
@@ -582,23 +623,7 @@ def normalize_to_compatible(basis, max_iter: int = 64):
             b = b - X.scale(c)
         if not b.is_zero():
             U_basis.append(b)
-    height_order = ["alpha", "beta", "alpha+beta", "2beta", "alpha+2beta",
-                    "2alpha+2beta"]
-    for _ in range(max_iter):
-        done = True
-        for nm in height_order:
-            rv = root_value(nm, X.t1, X.t2)
-            comp = X.nilpotent_part().root_component(nm)
-            if rv != 0 and not comp.is_zero():
-                w = comp.scale(Fraction(1, 1) / rv)
-                g = exp_closed(w)
-                X = conjugate(g, X)
-                U_basis = [conjugate(g, b) for b in U_basis]
-                done = False
-        if done:
-            break
-    else:
-        raise NormalizationFailed("conjugation sweep did not stabilize")
+    X, U_basis = _sweep(X, U_basis, max_iter)
     psi = X.nilpotent_part()
     torus = TorusLine(p, q)
     u_sub = Subalgebra(U_basis) if U_basis else None

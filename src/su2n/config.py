@@ -10,9 +10,6 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    # Relative tolerance for algebraic identities checked in floating point
-    # (the self-checks of the float closed-form exponential).
-    identity_rtol: float = 1e-10
     # Greedy reciprocal-pairing tolerance for the singular spectrum in mu().
     mu_pair_rtol: float = 1e-6
     # Envelope-exponent tolerance.  The closest predicted exponents are 5/4

@@ -27,11 +27,10 @@ alpha(a) = a1/a2 and beta(a) = a2 on a = diag(a1, a2, 1, ..., 1/a2, 1/a1).
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import eq, truediv
+from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT
 from .scalars import (
     QQi,
     abs2,
@@ -392,21 +391,13 @@ def exp_series(u: AlgebraElement) -> "GroupElement":
     return GroupElement(u.n, acc, mode="exact")
 
 
-def _field(u):
-    """(i, p/q, equality) for the slots of u: exact for an AlgebraElement,
-    floating for _FloatSlots (equality to identity_rtol there)."""
-    if isinstance(u, AlgebraElement):
-        return QQi(0, 1), Fraction, eq
-    return 1j, truediv, _close
-
-
 def _exp_rows_general(u):
     """First two rows (and derived data) of exp(u) per the general display."""
-    i_, q, _ = _field(u)
-    half, sixth, third, c24 = q(1, 2), q(1, 6), q(1, 3), q(1, 24)
+    i_ = QQi(0, 1)
+    half, sixth, third, c24 = (Fraction(1, k) for k in (2, 6, 3, 24))
     xyd = herm(u.x, u.y)
-    ax2 = sum((abs2(v) for v in u.x), q(0, 1))
-    ay2 = sum((abs2(v) for v in u.y), q(0, 1))
+    ax2 = sum((abs2(v) for v in u.x), Fraction(0))
+    ay2 = sum((abs2(v) for v in u.y), Fraction(0))
     aphi2 = abs2(u.phi)
     x_row = [xv + half * (u.phi * yv) for xv, yv in zip(u.x, u.y)]
     e1n = u.eta - half * xyd + half * (i_ * (u.phi * u.yy)) - sixth * (u.phi * ay2)
@@ -430,71 +421,13 @@ def exp_closed(u: AlgebraElement) -> "GroupElement":
     """
     if not u.is_nilpotent():
         raise ValueError("exp_closed needs a nilpotent element (t1 = t2 = 0)")
-    m = u.n + 2
-    M = [[QQi(1 if i == j else 0) for j in range(m)] for i in range(m)]
-    _fill_closed(M, u, not u.phi, not any(u.y))
-    return GroupElement(u.n, M, mode="exact")
-
-
-class _FloatSlots:
-    """The nilpotent slots of s*c for a float coordinate vector c, given as the
-    list v = c.tolist() with its slot columns.
-
-    Python complex numbers (floats for xx, yy) for a float s; for an array s,
-    one array per scalar with an entry per grid point.
-    """
-
-    def __init__(self, v, cols, s):
-        def pairs(name):
-            w = v[cols[name]]
-            return tuple([complex(a, b) * s for a, b in zip(w[0::2], w[1::2])])
-
-        self.n = len(v) // 4
-        (self.phi,), (self.eta,) = pairs("phi"), pairs("eta")
-        self.x, self.y = pairs("x"), pairs("y")
-        (xx,), (yy,) = v[cols["xx"]], v[cols["yy"]]
-        self.xx, self.yy = s * xx, s * yy
-
-
-def exp_float(c, s=1.0):
-    """exp(s c) in floating point for a nilpotent coordinate vector c.
-
-    c is a real array in the coords() layout, e.g. np.array(u.coords(),
-    dtype=float).  A float s gives the (m, m) complex matrix; an array s
-    gives the (T, m, m) stack of exp(s_k c).  The same general display as
-    exp_closed; the phi = 0 and y = 0 self-checks run once per call.
-    """
-    c = np.asarray(c, dtype=float)
-    n = len(c) // 4
-    cols = AlgebraElement.slot_columns(n)
-    if c.ndim != 1 or n < 3 or len(c) != cols["yy"].stop:
-        raise ValueError(f"not a coordinate vector: shape {c.shape}")
-    v = c.tolist()
-    if any(v[cols["t"]]):
-        raise ValueError("exp_float needs a nilpotent element (t1 = t2 = 0)")
-    m = n + 2
-    if np.ndim(s) == 0:
-        s = float(s)
-        out = M = np.eye(m, dtype=complex)
-    else:
-        s = np.asarray(s, dtype=float)
-        out = np.zeros((len(s), m, m), dtype=complex)
-        out[:, range(m), range(m)] = 1
-        # M[i][j] is the grid column out[:, i, j]
-        M = out.transpose(1, 2, 0)
-    _fill_closed(M, _FloatSlots(v, cols, s), not any(v[cols["phi"]]),
-                 not any(v[cols["y"]]))
-    return out
-
-
-def _fill_closed(M, u, phi_zero, y_zero):
-    """Write exp(u) per the general display into the identity matrix M."""
     n, m = u.n, u.n + 2
     x_row, e1n, e1m, e2n, e2m, mid_n, mid_m = _exp_rows_general(u)
-    if phi_zero:
+    if not u.phi:
         _check_phi0_form(u, x_row, e1n, e1m, e2n, e2m)
-    if y_zero:
+    if not any(u.y):
         _check_y0_form(u, x_row, e1n, e1m, e2n, e2m)
+    M = [[QQi(1 if i == j else 0) for j in range(m)] for i in range(m)]
     M[0][1] = u.phi
     for j in range(n - 2):
         M[0][2 + j] = x_row[j]
@@ -506,40 +439,110 @@ def _fill_closed(M, u, phi_zero, y_zero):
     M[1][n] = e2n
     M[1][m - 1] = e2m
     M[n][m - 1] = -conj(u.phi)
-
-
-def _close(a, b):
-    """a == b to identity_rtol, at every entry when a and b are arrays."""
-    ok = abs(a - b) <= DEFAULT.identity_rtol * (1 + abs(a))
-    return bool(ok.all()) if isinstance(ok, np.ndarray) else ok
+    return GroupElement(u.n, M, mode="exact")
 
 
 def _check_phi0_form(u, x_row, e1n, e1m, e2n, e2m):
-    i_, q, same = _field(u)
-    half = q(1, 2)
+    half = Fraction(1, 2)
     xyd = herm(u.x, u.y)
-    ax2 = sum((abs2(v) for v in u.x), q(0, 1))
-    ok = all(same(xr, xv) for xr, xv in zip(x_row, u.x))
-    ok = ok and same(e1n, u.eta - half * xyd)
-    ok = ok and same(e1m, i_ * u.xx - half * ax2)
-    ok = ok and same(e2m, -conj(u.eta) - half * herm(u.y, u.x))
+    ax2 = sum((abs2(v) for v in u.x), Fraction(0))
+    ok = list(x_row) == list(u.x)
+    ok = ok and e1n == u.eta - half * xyd
+    ok = ok and e1m == QQi(0, 1) * u.xx - half * ax2
+    ok = ok and e2m == -conj(u.eta) - half * herm(u.y, u.x)
     if not ok:
         raise AssertionError("phi=0 exponential display disagrees with general form")
 
 
 def _check_y0_form(u, x_row, e1n, e1m, e2n, e2m):
-    i_, q, same = _field(u)
-    half, sixth = q(1, 2), q(1, 6)
-    ax2 = sum((abs2(v) for v in u.x), q(0, 1))
+    i_, half, sixth = QQi(0, 1), Fraction(1, 2), Fraction(1, 6)
+    ax2 = sum((abs2(v) for v in u.x), Fraction(0))
     aphi2 = abs2(u.phi)
-    ok = all(same(xr, xv) for xr, xv in zip(x_row, u.x))
-    ok = ok and same(e1n, u.eta + half * (i_ * (u.phi * u.yy)))
-    ok = ok and same(
-        e1m, -half * ax2 - re(u.phi * conj(u.eta)) + i_ * (u.xx - sixth * aphi2 * u.yy))
-    ok = ok and same(e2n, i_ * u.yy)
-    ok = ok and same(e2m, -conj(u.eta) - half * (i_ * (conj(u.phi) * u.yy)))
+    ok = list(x_row) == list(u.x)
+    ok = ok and e1n == u.eta + half * (i_ * (u.phi * u.yy))
+    ok = ok and e1m == (-half * ax2 - re(u.phi * conj(u.eta))
+                        + i_ * (u.xx - sixth * aphi2 * u.yy))
+    ok = ok and e2n == i_ * u.yy
+    ok = ok and e2m == -conj(u.eta) - half * (i_ * (conj(u.phi) * u.yy))
     if not ok:
         raise AssertionError("y=0 exponential display disagrees with general form")
+
+
+@lru_cache(maxsize=None)
+def _coord_basis(n):
+    """(4n, m*m) complex: row i is matrix_of the i-th coordinate unit vector,
+    flattened, so that c @ _coord_basis(n) is the matrix of a float c."""
+    d = AlgebraElement.coord_dim(n)
+    rows = []
+    for i in range(d):
+        unit = [0] * d
+        unit[i] = 1
+        u = AlgebraElement.from_coords(n, unit)
+        rows.append(np.array(matrix_of(u), dtype=complex).ravel())
+    B = np.array(rows)
+    B.setflags(write=False)
+    return B
+
+
+def _nil_series(X, s):
+    """sum_{k <= 4} s^k X^k / k! for a square matrix X with X^5 = 0.
+
+    A float s gives one matrix, an array s the stack over its entries.  The
+    weights multiply the powers entry by entry (no matrix product over the
+    grid), so a float s gives bitwise the slice of a grid holding it.
+    Raises ValueError unless X^4 X is exactly 0, which makes the truncated
+    series the exponential; structural zeros keep that product exact in
+    float.  A non-finite X gives a non-finite result, unchecked.
+    """
+    X2 = X @ X
+    X3 = X2 @ X
+    X4 = X2 @ X2
+    if (X4 @ X).any() and np.isfinite(X4).all():
+        raise ValueError("X^5 != 0: the exponential series does not end at X^4")
+    t = np.reshape(np.asarray(s, dtype=float), (-1, 1, 1))
+    t2 = t * t
+    out = np.eye(len(X)) + t * X
+    out += (t2 / 2) * X2
+    out += (t2 * t / 6) * X3
+    out += (t2 * t2 / 24) * X4
+    return out if np.ndim(s) else out[0]
+
+
+def exp_float(c, s=1.0):
+    """exp(s c) in floating point for a nilpotent coordinate vector c.
+
+    c is a real array in the coords() layout, e.g. np.array(u.coords(),
+    dtype=float).  A float s gives the (m, m) complex matrix; an array s
+    gives the (T, m, m) stack of exp(s_k c).  The matrix X of c satisfies
+    X^5 = 0, so the Taylor series ends at X^4 / 4! and is exact ("Taylor
+    series" in Moler and Van Loan, Nineteen Dubious Ways to Compute the
+    Exponential of a Matrix, Twenty-Five Years Later, SIAM Review 45, 2003);
+    X^5 = 0 is checked on every call.
+    """
+    c = np.asarray(c, dtype=float)
+    n = len(c) // 4
+    if c.ndim != 1 or n < 3 or len(c) != 4 * n:
+        raise ValueError(f"not a coordinate vector: shape {c.shape}")
+    if c[0] or c[1]:
+        raise ValueError("exp_float needs a nilpotent element (t1 = t2 = 0)")
+    m = n + 2
+    return _nil_series((c @ _coord_basis(n)).reshape(m, m), s)
+
+
+def exp_line(M, c):
+    """exp(c M) for a float matrix M = D + N, D diagonal and N nilpotent with
+    N D = D N: the matrix of a torus, graph or compatible one-parameter line.
+
+    A float c gives the (m, m) matrix, an array c the (T, m, m) stack of
+    exp(c_k M) = diag(exp(c_k D)) exp(c_k N), the second factor by the
+    series of exp_float.  Raises ValueError unless N D - D N is exactly 0.
+    """
+    M = np.asarray(M, dtype=complex)
+    d = M.diagonal()
+    N = M - np.diag(d)
+    if (N * d - d[:, None] * N).any():
+        raise ValueError("the diagonal and nilpotent parts of M do not commute")
+    return np.exp(np.multiply.outer(c, d))[..., None] * _nil_series(N, c)
 
 
 def delta_formula(u: AlgebraElement):

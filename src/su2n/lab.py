@@ -20,11 +20,12 @@ from typing import Optional
 
 import numpy as np
 
-from .anclassify import Graph, OneParam, Semidirect, classify_an
+from .anclassify import (Graph, OneParam, Semidirect, classify_an,
+                         line_compatible)
 from .config import DEFAULT, Tolerances
 # exp_closed is unused here; bench/test_bench.py checks that tracing rebinds
 # this alias together with elements.exp_closed.
-from .elements import exp_closed, exp_float, matrix_of  # noqa: F401
+from .elements import exp_closed, exp_float, exp_line, matrix_of  # noqa: F401
 from .gallery import GalleryEntry, get as gallery_get
 from .gallery import maximal_band_family, mixing_pair_family
 from .metrics import (
@@ -285,10 +286,16 @@ def designed_subcloud(cloud: SampleCloud) -> SampleCloud:
 
 
 def sample_subgroup(spec, plan: SamplingPlan = None, result=None) -> SampleCloud:
-    """Cloud of (log|h|, log|rho(h)|) samples from a subgroup spec."""
+    """Cloud of (log|h|, log|rho(h)|) samples from a subgroup spec.
+
+    A Graph or OneParam whose line does not commute with its a-part (a spec
+    read from JSON need not be compatible) is sampled on its exact conjugate
+    from line_compatible; conjugation moves mu by a bounded amount only.
+    """
     plan = plan or SamplingPlan()
     if isinstance(spec, Subalgebra):
         return _collect(_nil_curves(spec, plan, result), plan)
+    spec = line_compatible(spec)
     if isinstance(spec, Semidirect):
         return _collect(_semidirect_curves(spec, plan), plan)
     if isinstance(spec, Graph):
@@ -303,21 +310,14 @@ def _float_matrix(u) -> np.ndarray:
     return np.array(matrix_of(u), dtype=complex)
 
 
-def _expm_line(M, c):
-    """exp(c_k M) for every entry of the float array c: one stacked expm."""
-    from scipy.linalg import expm
-
-    return expm(np.multiply.outer(c, M))
-
-
 def _semidirect_curves(spec: Semidirect, plan):
     rng = random.Random(plan.seed + 1)
     T = _float_matrix(spec.torus.element(spec.n))
     B = np.array(spec.u.coord_rows(), dtype=float)
     scale = max(abs(spec.torus.p), abs(spec.torus.q))
     t_unit = T * (1.0 / scale)
-    curves = [("torus", lambda ts: _expm_line(t_unit, np.log(ts))),
-              ("torus-", lambda ts: _expm_line(-t_unit, np.log(ts)))]
+    curves = [("torus", lambda ts: exp_line(t_unit, np.log(ts))),
+              ("torus-", lambda ts: exp_line(-t_unit, np.log(ts)))]
     for i, b in enumerate(B):
         curves.append((f"u-ray{i}", lambda ts, b=b: exp_float(b, ts)))
     for i in range(plan.n_product_curves):
@@ -325,7 +325,7 @@ def _semidirect_curves(spec: Semidirect, plan):
         udirs = _product_curve(rng, B, plan.depth)
 
         def curve(ts, s=s, udirs=udirs):
-            return _expm_line(T, s * np.log(ts) / scale) @ udirs(ts)
+            return exp_line(T, s * np.log(ts) / scale) @ udirs(ts)
         curves.append((f"mix{i}", curve))
     return curves
 
@@ -339,8 +339,8 @@ def _graph_curves(spec: Graph, plan):
     X = _graph_x_matrix(spec)
     B = np.array(spec.u.coord_rows(), dtype=float)
     scale = max(abs(spec.torus().p), abs(spec.torus().q))
-    curves = [("graph-line", lambda ts: _expm_line(X, np.log(ts) / scale)),
-              ("graph-line-", lambda ts: _expm_line(X, -np.log(ts) / scale))]
+    curves = [("graph-line", lambda ts: exp_line(X, np.log(ts) / scale)),
+              ("graph-line-", lambda ts: exp_line(X, -np.log(ts) / scale))]
     for i, b in enumerate(B):
         curves.append((f"u-ray{i}", lambda ts, b=b: exp_float(b, ts)))
     for i in range(plan.n_product_curves):
@@ -348,7 +348,7 @@ def _graph_curves(spec: Graph, plan):
         udirs = _product_curve(rng, B, plan.depth)
 
         def curve(ts, s=s, udirs=udirs):
-            return _expm_line(X, s * np.log(ts) / scale) @ udirs(ts)
+            return exp_line(X, s * np.log(ts) / scale) @ udirs(ts)
         curves.append((f"mix{i}", curve))
     curves += extremal_graph_curves(spec)
     return curves
@@ -374,33 +374,33 @@ def extremal_graph_curves(spec: Graph, result=None):
         u0i = inter[0]
 
         def square_curve(ts, u0i=u0i):
-            return (_expm_line(X, 2.0 * np.log(ts) / scale)
+            return (exp_line(X, 2.0 * np.log(ts) / scale)
                     @ exp_float(u0i, ts))
         curves.append(("extremal-square", square_curve))
     if case == ("alpha", "alpha+beta"):
         # upper extremal: |x_u|^2 ~ log a1
         def upper(ts):
             tau = np.log(ts)
-            return (_expm_line(X, tau / scale)
+            return (exp_line(X, tau / scale)
                     @ exp_float(u0, np.sqrt(np.maximum(tau, 1e-9))))
         curves.append(("extremal-upper", upper))
     elif case == ("alpha", "alpha+2beta"):
         g0 = exp_float(u0)
 
         def lower(ts):
-            return _expm_line(X, np.log(ts) / scale) @ g0
+            return exp_line(X, np.log(ts) / scale) @ g0
         curves.append(("extremal-lower", lower))
     elif case == ("beta", "alpha+2beta"):
         r = 1 if (spec.psi_value.root_component("beta").is_zero()
                   and not spec.psi_value.root_component("2beta").is_zero()) else 2
         def lower(ts, r=r):
             tau = np.log(ts)
-            return (_expm_line(X, tau / scale)
+            return (exp_line(X, tau / scale)
                     @ exp_float(u0, np.maximum(tau, 1e-9) ** (r / 2.0)))
         curves.append(("extremal-lower", lower))
     elif case == ("beta", "alpha+beta"):
         curves.append(("extremal-upper",
-                       lambda ts: _expm_line(X, np.log(ts) / scale)))
+                       lambda ts: exp_line(X, np.log(ts) / scale)))
     return curves
 
 
@@ -413,8 +413,8 @@ def _graph_case(spec: Graph):
 def _oneparam_curves(spec: OneParam, plan):
     X = _float_matrix(spec.x)
     scale = float(max(abs(spec.x.t1), abs(spec.x.t2)))
-    return [("line", lambda ts: _expm_line(X, np.log(ts) / scale)),
-            ("line-", lambda ts: _expm_line(X, -np.log(ts) / scale))]
+    return [("line", lambda ts: exp_line(X, np.log(ts) / scale)),
+            ("line-", lambda ts: exp_line(X, -np.log(ts) / scale))]
 
 
 def fit_ray_drift(spec: OneParam, plan: SamplingPlan = None) -> float:

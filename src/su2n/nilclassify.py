@@ -41,9 +41,8 @@ import numpy as np
 
 from . import linalg
 from .config import DEFAULT
-from .elements import (AlgebraElement, EXTENDED_FUNCTIONALS, ROOTS, _FloatSlots,
-                        exp_closed, exp_float, kernel_line, root_functional,
-                        root_value)
+from .elements import (AlgebraElement, EXTENDED_FUNCTIONALS, ROOTS, exp_closed,
+                       exp_float, kernel_line, root_functional, root_value)
 from .scalars import QQi, abs2, conj, herm, im, re
 from .shapes import MuShape
 from .subalgebra import Subalgebra
@@ -1756,9 +1755,11 @@ def _linear_curve(w: LinearWitness, h: Subalgebra):
             from scipy.optimize import brentq
 
             def redelta(p):
-                e = _FloatSlots((u * t + z * p).tolist(), cols, 1.0)
-                yy = e.yy
-                return (e.xx * yy + abs2(e.phi) * yy * yy / 12.0 - abs2(e.eta))
+                e = (u * t + z * p).tolist()
+                (xx,), (yy,) = e[cols["xx"]], e[cols["yy"]]
+                phi2 = sum(v * v for v in e[cols["phi"]])
+                eta2 = sum(v * v for v in e[cols["eta"]])
+                return xx * yy + phi2 * yy * yy / 12.0 - eta2
 
             p0, p1 = 0.0, 1.0
             f0 = redelta(p0)

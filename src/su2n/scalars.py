@@ -1,20 +1,16 @@
-"""Scalars: exact Gaussian rationals, and helpers shared with floating point.
+"""Scalars: exact Gaussian rationals and the helpers that read them.
 
 Algebra elements and the classification path hold Fraction and
 GaussianRational entries.  Floating point appears only where group elements
-are sampled: the float form of the closed exponential and the
-Cartan-projection numerics.  The helpers here (`conj`, `re`, `im`, `abs2`,
-...) work on exact scalars, on Python floats and complexes, and on numpy
-arrays of floating values (one entry per grid point), so formula code such as
-the exponential display can be written once.
+are sampled, as numpy arrays (see elements.exp_float).  The helpers here
+(`conj`, `re`, `im`, `abs2`, ...) work on exact scalars and on Python
+integers, floats and complexes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from numbers import Integral
-
-import numpy as np
 
 
 class GaussianRational:
@@ -124,7 +120,7 @@ def _coerce(v):
     return NotImplemented
 
 
-# -- backend-agnostic helpers ------------------------------------------------
+# -- helpers on exact and Python scalars -------------------------------------
 
 def as_exact_real(v) -> Fraction:
     """Coerce to an exact Fraction, rejecting anything with imaginary part."""
@@ -156,9 +152,7 @@ def as_exact_complex(v) -> GaussianRational:
 
 
 def conj(v):
-    if isinstance(v, GaussianRational):
-        return v.conjugate()
-    if isinstance(v, (complex, np.ndarray)):
+    if isinstance(v, (GaussianRational, complex)):
         return v.conjugate()
     return v  # real types are self-conjugate
 
@@ -166,7 +160,7 @@ def conj(v):
 def re(v):
     if isinstance(v, GaussianRational):
         return v.re
-    if isinstance(v, (complex, np.ndarray)):
+    if isinstance(v, complex):
         return v.real
     return v
 
@@ -174,7 +168,7 @@ def re(v):
 def im(v):
     if isinstance(v, GaussianRational):
         return v.im
-    if isinstance(v, (complex, np.ndarray)):
+    if isinstance(v, complex):
         return v.imag
     if isinstance(v, (Fraction, Integral)):
         return Fraction(0)
@@ -184,7 +178,7 @@ def im(v):
 def abs2(v):
     if isinstance(v, GaussianRational):
         return v.abs2()
-    if isinstance(v, (complex, np.ndarray)):
+    if isinstance(v, complex):
         return v.real * v.real + v.imag * v.imag
     return v * v
 

@@ -17,6 +17,7 @@ from su2n.anclassify import (
     classify_semidirect,
     is_compatible,
     is_compatible_basis,
+    line_compatible,
     normalize_to_compatible,
     one_param_shape,
 )
@@ -156,6 +157,16 @@ def test_normalize_semidirect_and_oneparam(alg):
     assert isinstance(spec, OneParam)
     assert spec.x.nilpotent_part().root_component("alpha").phi == QQi(2)
     assert normalize_to_compatible([alg(3, t1=1), alg(3, t2=1)]) == "full-torus"
+
+
+def test_line_compatible_conjugates_only_non_commuting_lines(alg):
+    spec = OneParam(alg(3, t1=1, t2=1, phi=1))
+    assert line_compatible(spec) is spec
+    # phi is not killed by the torus line (1, 0): it conjugates away
+    assert line_compatible(OneParam(alg(3, t1=1, phi=1))) == OneParam(alg(3, t1=1))
+    spec = Graph("alpha", alg(4, y=[1, 0]), Subalgebra([alg(4, x=[1, 0])]))
+    out = line_compatible(spec)
+    assert isinstance(out, Semidirect) and out.torus == TorusLine(1, 1)
 
 
 def test_classify_an_dispatch(alg):

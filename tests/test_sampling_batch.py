@@ -1,9 +1,10 @@
 """Batched sampling against per-point references written here.
 
 Curves map an array of parameters t to a (T, m, m) stack; these tests check
-each batched piece -- the grid exponential, the stacked metrics, the doubling
-ladder and the product curves -- against the one-matrix-at-a-time version,
-and the float exponential against the exact one.
+each batched piece -- the grid exponentials, the stacked metrics, the
+doubling ladder and the product curves -- against the one-matrix-at-a-time
+version, the float exponential against the exact one, and the line
+exponential against scipy's expm.
 """
 
 import inspect
@@ -15,9 +16,11 @@ import pytest
 
 from su2n import gallery
 from su2n import elements, lab
+from su2n.anclassify import Graph, OneParam, Semidirect
 from su2n.config import DEFAULT
 from su2n.corpus import random_element
-from su2n.elements import AlgebraElement, exp_closed, exp_float
+from su2n.elements import (AlgebraElement, exp_closed, exp_float, exp_line,
+                           matrix_of)
 from su2n.metrics import rho_norm, rho_norm_oracle, sup_norm
 from su2n.nilclassify import ImplicitSolveFailed, classify
 
@@ -57,38 +60,56 @@ def test_exp_closed_grid_equals_scalar_exp_closed(n):
             assert np.array_equal(one, got)
 
 
-def test_exp_closed_grid_runs_the_self_checks_on_arrays(monkeypatch):
-    calls = []
-    for name in ("_check_phi0_form", "_check_y0_form"):
-        orig = getattr(elements, name)
+def _gallery_lines():
+    """The torus, graph and line matrices of the AN gallery entries."""
+    out = []
+    for e in gallery.entries():
+        spec = e.spec()
+        if isinstance(spec, Semidirect):
+            lines = [spec.torus.element(spec.n)]
+        elif isinstance(spec, Graph):
+            torus = spec.torus().element(spec.n)
+            lines = [torus, torus + spec.psi_value]
+        elif isinstance(spec, OneParam):
+            lines = [spec.x]
+        else:
+            continue
+        out += [np.array(matrix_of(x), dtype=complex) for x in lines]
+    return out
 
-        def spy(u, *rows, orig=orig, name=name):
-            calls.append((name, np.shape(u.phi)))
-            return orig(u, *rows)
-        monkeypatch.setattr(elements, name, spy)
-    _, phi0, y0 = _directions(4, random.Random(0))
-    exp_float(_vec(phi0), GRID)
-    exp_float(_vec(y0), GRID)
-    # once per grid, on the arrays of slot values
-    assert calls == [("_check_phi0_form", GRID.shape), ("_check_y0_form", GRID.shape)]
-    # and on scalars for one float s
-    exp_float(_vec(phi0), 2.0)
-    assert calls[-1] == ("_check_phi0_form", ())
+
+def test_exp_line_equals_expm_on_the_gallery_lines():
+    from scipy.linalg import expm
+
+    cs = np.geomspace(1e-3, 30, 12)
+    cs = np.concatenate([-cs[::-1], cs])
+    lines = _gallery_lines()
+    assert len(lines) == 21  # 6 tori, 7 graphs with their tori, 1 line
+    for M in lines:
+        _assert_slices_match(exp_line(M, cs), [expm(c * M) for c in cs])
 
 
-def test_exp_closed_grid_self_check_catches_a_broken_display(monkeypatch):
-    orig = elements._exp_rows_general
+def test_exp_line_rejects_a_non_commuting_line(alg):
+    ok = np.array(matrix_of(alg(3, t1=1, t2=1, phi=1)), dtype=complex)
+    exp_line(ok, GRID[:3])
+    bad = np.array(matrix_of(alg(3, t1=1, phi=1)), dtype=complex)
+    for c in (GRID[:3], 0.5):
+        with pytest.raises(ValueError, match="do not commute"):
+            exp_line(bad, c)
 
-    def broken(u):
-        rows = list(orig(u))
-        rows[1] = rows[1] + 1e-6 * (1 + abs(rows[1]))  # perturb e1n
-        return tuple(rows)
-    monkeypatch.setattr(elements, "_exp_rows_general", broken)
-    _, phi0, y0 = _directions(3, random.Random(0))
-    for u in (phi0, y0):
-        for s in (GRID, 3.0):
-            with pytest.raises(AssertionError):
-                exp_float(_vec(u), s)
+
+def test_exp_float_rejects_a_series_that_does_not_end(monkeypatch):
+    n = 4
+    u = AlgebraElement(n, phi=1, x=[1, 2j], xx=3)
+    exp_float(_vec(u), GRID)
+    # the xx coordinate also writes the identity: X = N + 3 I, X^5 != 0
+    m = n + 2
+    patched = elements._coord_basis(n).copy()
+    patched[AlgebraElement.slot_columns(n)["xx"].start] += np.eye(m).ravel()
+    monkeypatch.setattr(elements, "_coord_basis", lambda n: patched)
+    for s in (GRID, 2.0):
+        with pytest.raises(ValueError, match="X\\^5"):
+            exp_float(_vec(u), s)
 
 
 def test_exp_closed_grid_rejects_an_a_part():

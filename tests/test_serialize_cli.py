@@ -155,6 +155,23 @@ def test_cli_mu_scan(tmp_path):
     assert abs(summary["s_hi"] - 4 / 3) < 0.08
 
 
+@pytest.mark.parametrize("spec, s_lo, s_hi", [
+    # psi in the beta slot, which the alpha-kernel torus does not centralize
+    (Graph("alpha", AlgebraElement(4, y=[1, 0]),
+           Subalgebra([AlgebraElement(4, x=[1, 0])])), 1, 2),
+    # phi on the torus line (1, 0): conjugates to the bare torus line
+    (OneParam(AlgebraElement(3, t1=1, t2=0, phi=1)), 1, 1),
+])
+def test_cli_mu_scan_conjugates_a_non_compatible_spec(tmp_path, spec, s_lo, s_hi):
+    spec_path = tmp_path / "spec.json"
+    dump_spec(spec, spec_path)
+    p = _cli("mu-scan", str(spec_path), "--out", str(tmp_path / "cloud.csv"))
+    assert p.returncode == 0, p.stderr
+    summary = json.loads(p.stderr.strip().splitlines()[-1])
+    assert abs(summary["s_lo"] - s_lo) < 0.05
+    assert abs(summary["s_hi"] - s_hi) < 0.05
+
+
 def test_cli_seed_env(tmp_path, monkeypatch):
     spec_path = tmp_path / "p.json"
     _cli("gallery", "--emit", "notcds09-n3", "--out", str(spec_path))
