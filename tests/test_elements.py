@@ -17,7 +17,6 @@ from su2n import (
     matrix_of,
     root_project,
 )
-from su2n import elements
 from su2n.corpus import random_element
 from su2n.elements import NotInAN, ROOTS
 from su2n.scalars import QQi
@@ -161,48 +160,6 @@ def test_exp_closed_equals_series_exact():
         g1, g2 = exp_closed(u), exp_series(u)
         m = n + 2
         assert all(g1.mat[i][j] == g2.mat[i][j] for i in range(m) for j in range(m))
-
-
-def _phi0_y0_elements(n):
-    """An element with phi = 0 (y != 0) and one with y = 0 (phi != 0)."""
-    d = n - 2
-    phi0 = AlgebraElement(n, x=[QQi(1, 2)] * d, y=[QQi(0, Fraction(1, 2))] * d,
-                          eta=QQi(1, -1), xx=2, yy=-1)
-    y0 = AlgebraElement(n, phi=QQi(Fraction(3, 4), -1), x=[QQi(0, 1)] * d, eta=2,
-                        xx=-1, yy=3)
-    return phi0, y0
-
-
-def test_exp_closed_runs_the_self_checks(monkeypatch):
-    calls = []
-    for name in ("_check_phi0_form", "_check_y0_form"):
-        orig = getattr(elements, name)
-
-        def spy(u, *rows, orig=orig, name=name):
-            calls.append(name)
-            return orig(u, *rows)
-        monkeypatch.setattr(elements, name, spy)
-    phi0, y0 = _phi0_y0_elements(4)
-    exp_closed(phi0)
-    exp_closed(y0)
-    assert calls == ["_check_phi0_form", "_check_y0_form"]
-    # both for phi = y = 0, neither for a general element
-    exp_closed(AlgebraElement(4, eta=1, xx=1))
-    exp_closed(AlgebraElement(4, phi=1, y=[1, 0]))
-    assert calls[2:] == ["_check_phi0_form", "_check_y0_form"]
-
-
-def test_exp_closed_self_check_catches_a_broken_display(monkeypatch):
-    orig = elements._exp_rows_general
-
-    def broken(u):
-        rows = list(orig(u))
-        rows[1] = rows[1] + Fraction(1, 10 ** 6)  # perturb e1n
-        return tuple(rows)
-    monkeypatch.setattr(elements, "_exp_rows_general", broken)
-    for u in _phi0_y0_elements(3):
-        with pytest.raises(AssertionError):
-            exp_closed(u)
 
 
 def test_exp_closed_rejects_a_part(alg):
