@@ -40,7 +40,6 @@ from .scalars import (
     herm,
     im,
     re,
-    to_float_scalar,
 )
 
 
@@ -388,7 +387,7 @@ def exp_series(u: AlgebraElement) -> "GroupElement":
         fact *= k
         inv = Fraction(1, fact)
         acc = [[acc[i][j] + P[i][j] * inv for j in range(m)] for i in range(m)]
-    return GroupElement(u.n, acc, mode="exact")
+    return GroupElement(u.n, acc)
 
 
 def _exp_rows_general(u):
@@ -439,7 +438,7 @@ def exp_closed(u: AlgebraElement) -> "GroupElement":
     M[1][n] = e2n
     M[1][m - 1] = e2m
     M[n][m - 1] = -conj(u.phi)
-    return GroupElement(u.n, M, mode="exact")
+    return GroupElement(u.n, M)
 
 
 def _check_phi0_form(u, x_row, e1n, e1m, e2n, e2m):
@@ -563,15 +562,11 @@ def delta_formula(u: AlgebraElement):
     return re_part + QQi(0, 1) * im_part
 
 
-def gram_matrix(n, mode="exact"):
+def gram_matrix(n):
     """Gram matrix J of the Hermitian form (J^2 = identity)."""
     m = n + 2
-    if mode == "exact":
-        J = [[QQi(0) for _ in range(m)] for _ in range(m)]
-        one = QQi(1)
-    else:
-        J = np.zeros((m, m), dtype=complex)
-        one = 1.0
+    J = [[QQi(0) for _ in range(m)] for _ in range(m)]
+    one = QQi(1)
     J[0][m - 1] = one
     J[1][n] = one
     for i in range(2, n):
@@ -597,78 +592,63 @@ def form_value(v, w, n=None):
 
 
 class GroupElement:
-    """An (n+2)x(n+2) matrix preserving the Hermitian form, det 1."""
+    """An exact (n+2)x(n+2) matrix preserving the Hermitian form, det 1.
 
-    __slots__ = ("n", "mode", "mat")
+    Floating-point group elements are plain (m, m) complex arrays (see
+    exp_float and metrics).
+    """
 
-    def __init__(self, n, mat, mode="exact", check=False):
+    __slots__ = ("n", "mat")
+
+    # Always "exact"; kept because bench/tracing.py names the matmul span
+    # after the mode of its first argument.
+    mode = "exact"
+
+    def __init__(self, n, mat):
         self.n = n
-        self.mode = mode
-        if mode == "float":
-            self.mat = np.asarray(mat, dtype=complex)
-        else:
-            self.mat = [list(row) for row in mat]
-        if check:
-            ok, why = self.check_invariants()
-            if not ok:
-                raise ValueError(f"not a group element: {why}")
+        self.mat = [list(row) for row in mat]
 
     @staticmethod
-    def identity(n, mode="exact"):
+    def identity(n):
         m = n + 2
-        if mode == "exact":
-            return GroupElement(n, [[QQi(1 if i == j else 0) for j in range(m)]
-                                    for i in range(m)], mode="exact")
-        return GroupElement(n, np.eye(m, dtype=complex), mode="float")
+        return GroupElement(n, [[QQi(1 if i == j else 0) for j in range(m)]
+                                for i in range(m)])
 
     @staticmethod
-    def diagonal(n, a1, a2, mode="float"):
-        """diag(a1, a2, 1, ..., 1, 1/a2, 1/a1); a point of A when a1,a2 > 0."""
+    def diagonal(n, a1, a2, mode="exact"):
+        """diag(a1, a2, 1, ..., 1, 1/a2, 1/a1); a point of A when a1,a2 > 0.
+
+        mode accepts only "exact"; the keyword stays because bench/workloads.py
+        passes it.  The float chamber point is metrics.CartanPoint.matrix.
+        """
+        if mode != "exact":
+            raise ValueError(f"group elements are exact, not {mode!r}")
         m = n + 2
-        if mode == "exact":
-            a1, a2 = as_exact_real(a1), as_exact_real(a2)
-            M = [[QQi(0) for _ in range(m)] for _ in range(m)]
-            M[0][0] = QQi(a1)
-            M[1][1] = QQi(a2)
-            for i in range(2, n):
-                M[i][i] = QQi(1)
-            M[n][n] = QQi(1 / a2)
-            M[m - 1][m - 1] = QQi(1 / a1)
-            return GroupElement(n, M, mode="exact")
-        d = np.ones(m, dtype=complex)
-        d[0], d[1], d[n], d[m - 1] = a1, a2, 1 / a2, 1 / a1
-        return GroupElement(n, np.diag(d), mode="float")
+        a1, a2 = as_exact_real(a1), as_exact_real(a2)
+        M = [[QQi(0) for _ in range(m)] for _ in range(m)]
+        M[0][0] = QQi(a1)
+        M[1][1] = QQi(a2)
+        for i in range(2, n):
+            M[i][i] = QQi(1)
+        M[n][n] = QQi(1 / a2)
+        M[m - 1][m - 1] = QQi(1 / a1)
+        return GroupElement(n, M)
 
     def __matmul__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
-        if other.n != self.n or other.mode != self.mode:
+        if other.n != self.n:
             raise ValueError("incompatible group elements")
-        if self.mode == "float":
-            return GroupElement(self.n, self.mat @ other.mat, mode="float")
-        m = self.n + 2
-        return GroupElement(self.n, _mat_mul(self.mat, other.mat, m), mode="exact")
+        return GroupElement(self.n, _mat_mul(self.mat, other.mat, self.n + 2))
 
     def inverse(self):
         """g^{-1} = J g^dagger J, using g^dagger J g = J."""
         m = self.n + 2
-        if self.mode == "float":
-            J = gram_matrix(self.n, "float")
-            return GroupElement(self.n, J @ self.mat.conj().T @ J, mode="float")
-        J = gram_matrix(self.n, "exact")
+        J = gram_matrix(self.n)
         gd = [[conj(self.mat[j][i]) for j in range(m)] for i in range(m)]
-        return GroupElement(self.n, _mat_mul(_mat_mul(J, gd, m), J, m), mode="exact")
-
-    def dagger(self):
-        m = self.n + 2
-        if self.mode == "float":
-            return GroupElement(self.n, self.mat.conj().T, mode="float")
-        return GroupElement(self.n, [[conj(self.mat[j][i]) for j in range(m)]
-                                     for i in range(m)], mode="exact")
+        return GroupElement(self.n, _mat_mul(_mat_mul(J, gd, m), J, m))
 
     def det(self):
-        if self.mode == "float":
-            return complex(np.linalg.det(self.mat))
         # fraction-free enough: plain elimination over the Gaussian rationals
         m = self.n + 2
         a = [row[:] for row in self.mat]
@@ -689,18 +669,9 @@ class GroupElement:
         return det
 
     def check_invariants(self):
-        """(g^dagger J g == J, det == 1) — exact or within tolerance."""
+        """(g^dagger J g == J, det == 1), exactly."""
         m = self.n + 2
-        if self.mode == "float":
-            J = gram_matrix(self.n, "float")
-            res = self.mat.conj().T @ J @ self.mat - J
-            scale = max(1.0, float(np.abs(self.mat).max()) ** 2)
-            if float(np.abs(res).max()) > 1e-10 * scale:
-                return False, "form residual too large"
-            if abs(self.det() - 1) > 1e-8 * scale:
-                return False, "determinant != 1"
-            return True, ""
-        J = gram_matrix(self.n, "exact")
+        J = gram_matrix(self.n)
         lhs = _mat_mul(_mat_mul([[conj(self.mat[j][i]) for j in range(m)]
                                  for i in range(m)], J, m), self.mat, m)
         for i in range(m):
@@ -711,19 +682,8 @@ class GroupElement:
             return False, "determinant != 1"
         return True, ""
 
-    def to_float(self):
-        if self.mode == "float":
-            return self
-        m = self.n + 2
-        arr = np.array([[to_float_scalar(v) for v in row] for row in self.mat],
-                       dtype=complex)
-        return GroupElement(self.n, arr, mode="float")
-
-    def entry(self, i, j):
-        return self.mat[i][j]
-
     def __repr__(self):
-        return f"GroupElement(n={self.n}, mode={self.mode})"
+        return f"GroupElement(n={self.n})"
 
 
 def delta(g: GroupElement):

@@ -310,24 +310,28 @@ def _float_matrix(u) -> np.ndarray:
     return np.array(matrix_of(u), dtype=complex)
 
 
-def _semidirect_curves(spec: Semidirect, plan):
-    rng = random.Random(plan.seed + 1)
-    T = _float_matrix(spec.torus.element(spec.n))
-    B = np.array(spec.u.coord_rows(), dtype=float)
-    scale = max(abs(spec.torus.p), abs(spec.torus.q))
-    t_unit = T * (1.0 / scale)
-    curves = [("torus", lambda ts: exp_line(t_unit, np.log(ts))),
-              ("torus-", lambda ts: exp_line(-t_unit, np.log(ts)))]
-    for i, b in enumerate(B):
-        curves.append((f"u-ray{i}", lambda ts, b=b: exp_float(b, ts)))
+def _ray_and_mix_curves(L, scale, u, rng, plan):
+    """A ray per basis row of u, then exp((s log t / scale) L) times a random product."""
+    B = np.array(u.coord_rows(), dtype=float)
+    curves = [(f"u-ray{i}", lambda ts, b=b: exp_float(b, ts)) for i, b in enumerate(B)]
     for i in range(plan.n_product_curves):
         s = rng.uniform(-2, 2)
         udirs = _product_curve(rng, B, plan.depth)
 
         def curve(ts, s=s, udirs=udirs):
-            return exp_line(T, s * np.log(ts) / scale) @ udirs(ts)
+            return exp_line(L, s * np.log(ts) / scale) @ udirs(ts)
         curves.append((f"mix{i}", curve))
     return curves
+
+
+def _semidirect_curves(spec: Semidirect, plan):
+    rng = random.Random(plan.seed + 1)
+    T = _float_matrix(spec.torus.element(spec.n))
+    scale = max(abs(spec.torus.p), abs(spec.torus.q))
+    t_unit = T * (1.0 / scale)
+    return ([("torus", lambda ts: exp_line(t_unit, np.log(ts))),
+             ("torus-", lambda ts: exp_line(-t_unit, np.log(ts)))]
+            + _ray_and_mix_curves(T, scale, spec.u, rng, plan))
 
 
 def _graph_x_matrix(spec: Graph) -> np.ndarray:
@@ -337,21 +341,11 @@ def _graph_x_matrix(spec: Graph) -> np.ndarray:
 def _graph_curves(spec: Graph, plan):
     rng = random.Random(plan.seed + 2)
     X = _graph_x_matrix(spec)
-    B = np.array(spec.u.coord_rows(), dtype=float)
     scale = max(abs(spec.torus().p), abs(spec.torus().q))
-    curves = [("graph-line", lambda ts: exp_line(X, np.log(ts) / scale)),
-              ("graph-line-", lambda ts: exp_line(X, -np.log(ts) / scale))]
-    for i, b in enumerate(B):
-        curves.append((f"u-ray{i}", lambda ts, b=b: exp_float(b, ts)))
-    for i in range(plan.n_product_curves):
-        s = rng.uniform(-2, 2)
-        udirs = _product_curve(rng, B, plan.depth)
-
-        def curve(ts, s=s, udirs=udirs):
-            return exp_line(X, s * np.log(ts) / scale) @ udirs(ts)
-        curves.append((f"mix{i}", curve))
-    curves += extremal_graph_curves(spec)
-    return curves
+    return ([("graph-line", lambda ts: exp_line(X, np.log(ts) / scale)),
+             ("graph-line-", lambda ts: exp_line(X, -np.log(ts) / scale))]
+            + _ray_and_mix_curves(X, scale, spec.u, rng, plan)
+            + extremal_graph_curves(spec))
 
 
 def extremal_graph_curves(spec: Graph, result=None):

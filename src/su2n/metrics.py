@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT
-from .elements import GroupElement
 from .shapes import MuShape
 
 
@@ -44,11 +43,11 @@ class CartanPoint:
     def as_tuple(self):
         return (self.a1, self.a2)
 
-
-def _as_array(g) -> np.ndarray:
-    if isinstance(g, GroupElement):
-        return np.asarray(g.to_float().mat, dtype=complex)
-    return np.asarray(g, dtype=complex)
+    def matrix(self, n) -> np.ndarray:
+        """The chamber point as the complex matrix diag(a1, a2, 1, ..., 1, 1/a2, 1/a1)."""
+        d = np.ones(n + 2, dtype=complex)
+        d[0], d[1], d[n], d[n + 1] = self.a1, self.a2, 1 / self.a2, 1 / self.a1
+        return np.diag(d)
 
 
 def _per_matrix(values):
@@ -58,7 +57,7 @@ def _per_matrix(values):
 
 def sup_norm(g):
     """Max |entry| of a matrix, or of each matrix in a (..., m, m) stack."""
-    a = _as_array(g)
+    a = np.asarray(g, dtype=complex)
     return _per_matrix(np.abs(a).max(axis=(-2, -1)))
 
 
@@ -71,7 +70,7 @@ def _minor_tables(m):
 
 def rho_norm(g):
     """Max |det| over all 2x2 submatrices, per matrix of a (..., m, m) stack."""
-    a = _as_array(g)
+    a = np.asarray(g, dtype=complex)
     I, J = _minor_tables(a.shape[-1])
     # minors[..., p, q] = a[i_p, k_q] a[j_p, l_q] - a[i_p, l_q] a[j_p, k_q]
     rows_i, rows_j = a[..., I, :], a[..., J, :]
@@ -86,7 +85,7 @@ def rho_wedge_matrix(g) -> np.ndarray:
     the 2x2 minors, but assembled through the Kronecker square so it is an
     independent construction from rho_norm's direct minor sweep.
     """
-    a = _as_array(g)
+    a = np.asarray(g, dtype=complex)
     m = a.shape[0]
     big = np.kron(a, a)
     idx = [(i, j) for i in range(m) for j in range(i + 1, m)]
@@ -127,7 +126,7 @@ def mu(g, tol=None) -> CartanPoint:
     under inversion.
     """
     tol = tol or DEFAULT
-    a = _as_array(g)
+    a = np.asarray(g, dtype=complex)
     if not np.all(np.isfinite(a)):
         raise NonFinite("non-finite matrix entries")
     m = a.shape[0]
@@ -153,7 +152,7 @@ def mu(g, tol=None) -> CartanPoint:
     return CartanPoint(a1, a2)
 
 
-def sample_compact_pair(n: int, rng) -> GroupElement:
+def sample_compact_pair(n: int, rng) -> np.ndarray:
     """A random element of K: block-unitary in the S-basis."""
     m = n + 2
     S = basis_change(n)
@@ -166,7 +165,7 @@ def sample_compact_pair(n: int, rng) -> GroupElement:
     block = np.zeros((m, m), dtype=complex)
     block[:n, :n] = haar(n)
     block[n:, n:] = haar(2)
-    return GroupElement(n, S @ block @ S.T, mode="float")
+    return S @ block @ S.T
 
 
 # -- sample clouds and envelope fitting ---------------------------------------

@@ -194,14 +194,6 @@ def herm(x, y):
     return 0 if total is None else total
 
 
-def to_float_scalar(v):
-    if isinstance(v, GaussianRational):
-        return complex(v)
-    if isinstance(v, Fraction):
-        return float(v)
-    return v
-
-
 def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 

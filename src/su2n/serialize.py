@@ -4,19 +4,20 @@ Element encoding: {"t1": s, "t2": s, "phi": [s, s], "x": [[s, s], ...],
 "y": [[s, s], ...], "eta": [s, s], "xx": s, "yy": s} where each s is an exact
 "p/q" string, an integer, or a double read as its exact binary value.  A
 subalgebra file wraps a basis with its n and mode; AN-subgroup specs carry a
-"kind" of semidirect / graph / oneparam.  The writer always emits "p/q"
-strings and "mode": "exact"; files marked "mode": "float" are read the same
-way, then validated like any spec.
+"kind" of semidirect / graph / oneparam; the line of a semidirect or graph
+spec must normalize its U.  The writer always emits "p/q" strings and
+"mode": "exact"; files marked "mode": "float" are read the same way, then
+validated like any spec.
 """
 
 from __future__ import annotations
 
 import json
 
-from .anclassify import Graph, OneParam, Semidirect, TorusLine
+from .anclassify import Graph, OneParam, Semidirect, TorusLine, _normalized_by_element
 from .elements import AlgebraElement
 from .scalars import QQi, format_rational, im, parse_rational, re
-from .subalgebra import Subalgebra
+from .subalgebra import Subalgebra, SubalgebraError
 
 def _cx_out(v):
     return [format_rational(re(v)), format_rational(im(v))]
@@ -86,6 +87,14 @@ def spec_to_json(spec) -> dict:
     raise TypeError(f"cannot serialize {type(spec).__name__}")
 
 
+def _line_normalizes(spec, line):
+    """spec, once [line, U] lies in U, so that line + U is a subalgebra."""
+    if not _normalized_by_element(line, spec.u):
+        raise SubalgebraError(f"the {spec.kind} line does not normalize U: "
+                              "line + U is not a subalgebra")
+    return spec
+
+
 def spec_from_json(d: dict):
     kind = d.get("kind", "nil")
     if kind == "nil":
@@ -93,11 +102,13 @@ def spec_from_json(d: dict):
     if kind == "semidirect":
         u = subalgebra_from_json(d)
         p, q = d["torus"]
-        return Semidirect(TorusLine(int(p), int(q)), u)
+        torus = TorusLine(int(p), int(q))
+        return _line_normalizes(Semidirect(torus, u), torus.element(u.n))
     if kind == "graph":
         u = subalgebra_from_json(d)
         psi = element_from_json(d["psi"], _n_of(d))
-        return Graph(d["omega"], psi, u)
+        spec = Graph(d["omega"], psi, u)
+        return _line_normalizes(spec, spec.torus().element(u.n) + psi)
     if kind == "oneparam":
         return OneParam(element_from_json(d["x"], _n_of(d)))
     raise ValueError(f"unknown spec kind {kind!r}")

@@ -39,17 +39,15 @@ def weyl_matrix(n: int, root: str) -> GroupElement:
         M[n][1] = i_
     else:
         raise ValueError("reflection implemented for the simple roots only")
-    return GroupElement(n, M, mode="exact")
+    return GroupElement(n, M)
 
 
 def conjugate(g: GroupElement, u: AlgebraElement) -> AlgebraElement:
     """Ad(g) u = g (matrix of u) g^{-1}, read back into coordinates.
 
-    g is exact.  Raises NotInAN when the result leaves a+n; classifier call
-    sites only use normalizing g for which closure holds.
+    Raises NotInAN when the result leaves a+n; classifier call sites only
+    use normalizing g for which closure holds.
     """
-    if g.mode != "exact":
-        raise ValueError("conjugation needs an exact group element")
     m = u.n + 2
     res = _mat_mul(_mat_mul(g.mat, matrix_of(u), m), g.inverse().mat, m)
     return element_from_matrix(res, u.n)
@@ -60,7 +58,3 @@ def weyl_reflect(u: AlgebraElement, root: str) -> AlgebraElement:
     if root not in ("alpha", "beta"):
         raise ValueError("reflection implemented for alpha and beta only")
     return conjugate(weyl_matrix(u.n, root), u)
-
-
-def conjugate_basis(g: GroupElement, basis) -> list:
-    return [conjugate(g, b) for b in basis]

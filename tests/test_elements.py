@@ -184,6 +184,19 @@ def test_group_invariants_and_inverse():
                    for i in range(m) for j in range(m))
 
 
+def test_group_elements_are_exact_only():
+    # a float group element is a plain complex array; there is no float mode
+    with pytest.raises(TypeError):
+        GroupElement(3, GroupElement.identity(3).mat, mode="float")
+    with pytest.raises(ValueError):
+        GroupElement.diagonal(3, 4.0, 2.0, mode="float")
+    a = GroupElement.diagonal(3, 4, Fraction(1, 3), mode="exact")
+    assert a.mat == GroupElement.diagonal(3, 4, Fraction(1, 3)).mat
+    assert a.mat[3][3] == QQi(3) and a.mat[4][4] == QQi(Fraction(1, 4))
+    ok, why = a.check_invariants()
+    assert ok, why
+
+
 def test_delta_identity_and_central(alg):
     assert delta(GroupElement.identity(3)) == QQi(0)
     g = exp_closed(alg(3, eta=1, xx=1, yy=1))

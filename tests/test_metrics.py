@@ -6,6 +6,7 @@ import pytest
 
 from su2n import (
     AlgebraElement,
+    CartanPoint,
     GroupElement,
     InsufficientRange,
     MuShape,
@@ -25,17 +26,17 @@ from su2n.elements import gram_matrix
 
 
 def test_sup_norm():
-    assert sup_norm(GroupElement.identity(3, "float")) == 1.0
-    a = GroupElement.diagonal(3, 4.0, 2.0, mode="float")
+    assert sup_norm(np.eye(5, dtype=complex)) == 1.0
+    a = CartanPoint(4.0, 2.0).matrix(3)
     assert sup_norm(a) == 4.0
     g = exp_float(np.array(AlgebraElement(3, xx=7).coords(), dtype=float))
     assert sup_norm(g) == pytest.approx(7.0)
 
 
 def test_rho_norm_chamber_and_oracle():
-    a = GroupElement.diagonal(4, 4.0, 2.0, mode="float")
+    a = CartanPoint(4.0, 2.0).matrix(4)
     assert rho_norm(a) == 8.0
-    assert rho_norm(GroupElement.identity(4, "float")) == 1.0
+    assert rho_norm(np.eye(6, dtype=complex)) == 1.0
     rng = np.random.default_rng(1)
     for _ in range(25):
         n = int(rng.integers(3, 6))
@@ -53,29 +54,41 @@ def test_rho_norm_chamber_and_oracle():
 def test_basis_change_diagonalizes_form():
     for n in (3, 5):
         S = basis_change(n)
-        J = np.asarray(gram_matrix(n, "float"), dtype=complex)
+        J = np.array(gram_matrix(n), dtype=complex)
         D = S.T @ J @ S
         want = np.ones(n + 2)
         want[-2:] = -1
         assert np.allclose(D, np.diag(want), atol=1e-12)
 
 
+def test_chamber_matrix_is_the_exact_diagonal_in_floats():
+    # the exact chamber point converted entrywise gives the same bits
+    rng = np.random.default_rng(5)
+    cases = [(3, 4.0, 2.0), (4, 3.0, 3.0), (5, 1e8, 1.0)]
+    for _ in range(50):
+        a1 = math.exp(rng.uniform(0, 6 * math.log(10)))
+        cases.append((int(rng.integers(3, 7)), a1, math.exp(rng.uniform(0, math.log(a1)))))
+    for n, a1, a2 in cases:
+        want = np.array(GroupElement.diagonal(n, a1, a2).mat, dtype=complex)
+        assert CartanPoint(a1, a2).matrix(n).tobytes() == want.tobytes()
+
+
 def test_mu_fixes_chamber_points():
-    a = GroupElement.diagonal(3, 4.0, 2.0, mode="float")
+    a = CartanPoint(4.0, 2.0).matrix(3)
     pt = mu(a)
     assert pt.as_tuple() == pytest.approx((4.0, 2.0))
-    assert mu(GroupElement.identity(3, "float")).as_tuple() == pytest.approx((1.0, 1.0))
+    assert mu(np.eye(5, dtype=complex)).as_tuple() == pytest.approx((1.0, 1.0))
 
 
 def test_mu_bi_invariance_and_inversion():
     rng = np.random.default_rng(2)
-    a = GroupElement.diagonal(4, 50.0, 7.0, mode="float")
+    a = CartanPoint(50.0, 7.0).matrix(4)
     for _ in range(10):
         k1 = sample_compact_pair(4, rng)
         k2 = sample_compact_pair(4, rng)
         g = k1 @ a @ k2
         assert mu(g).as_tuple() == pytest.approx((50.0, 7.0), rel=1e-8)
-        assert mu(g.inverse()).as_tuple() == pytest.approx((50.0, 7.0), rel=1e-8)
+        assert mu(np.linalg.inv(g)).as_tuple() == pytest.approx((50.0, 7.0), rel=1e-8)
 
 
 def test_mu_rejects_non_finite():
@@ -86,10 +99,10 @@ def test_mu_rejects_non_finite():
 
 def test_compact_samples_preserve_form():
     rng = np.random.default_rng(3)
-    J = np.asarray(gram_matrix(4, "float"), dtype=complex)
+    J = np.array(gram_matrix(4), dtype=complex)
     for _ in range(5):
         k = sample_compact_pair(4, rng)
-        assert np.allclose(k.mat.conj().T @ J @ k.mat, J, atol=1e-10)
+        assert np.allclose(k.conj().T @ J @ k, J, atol=1e-10)
 
 
 def _chamber_ray_cloud(slope_a2, npts=200):
@@ -97,7 +110,7 @@ def _chamber_ray_cloud(slope_a2, npts=200):
     for lam in np.linspace(0.1, 8, npts):
         a1 = 10.0 ** lam
         a2 = a1 ** slope_a2
-        a = GroupElement.diagonal(3, a1, a2, mode="float")
+        a = CartanPoint(a1, a2).matrix(3)
         pts.append((sup_norm(a), rho_norm(a), "ray"))
     return SampleCloud.collect(pts)
 
@@ -116,7 +129,7 @@ def test_fit_exponents_band():
         lam = rng.uniform(0.2, 8)
         a1 = 10.0 ** lam
         a2 = a1 ** rng.uniform(0, 1)
-        a = GroupElement.diagonal(3, a1, a2, mode="float")
+        a = CartanPoint(a1, a2).matrix(3)
         pts.append((sup_norm(a), rho_norm(a), "grid"))
     cloud = SampleCloud.collect(pts)
     s_lo, s_hi, _ = fit_exponents(cloud)

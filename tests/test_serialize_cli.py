@@ -155,10 +155,26 @@ def test_cli_mu_scan(tmp_path):
     assert abs(summary["s_hi"] - 4 / 3) < 0.08
 
 
+@pytest.mark.parametrize("spec", [
+    # [T + y, x] = x + eta, outside the span of x
+    Graph("alpha", AlgebraElement(4, y=[1, 0]), Subalgebra([AlgebraElement(4, x=[1, 0])])),
+    # the (1, 1) torus scales x and eta by different weights
+    Semidirect(TorusLine(1, 1), Subalgebra([AlgebraElement(4, x=[1, 0], eta=1)])),
+], ids=["graph", "semidirect"])
+def test_cli_rejects_a_line_that_does_not_normalize_u(tmp_path, spec):
+    spec_path = tmp_path / "spec.json"
+    dump_spec(spec, spec_path)
+    for command in ("classify", "mu-scan"):
+        p = _cli(command, str(spec_path))
+        assert p.returncode == 1, p.stderr
+        assert f"the {spec.kind} line does not normalize U" in p.stderr
+
+
 @pytest.mark.parametrize("spec, s_lo, s_hi", [
-    # psi in the beta slot, which the alpha-kernel torus does not centralize
+    # psi in the beta slot, which the alpha-kernel torus does not centralize;
+    # U = <x, eta> is normalized by T + y ([T + y, x] = x + eta, [T + y, eta] = 2 eta)
     (Graph("alpha", AlgebraElement(4, y=[1, 0]),
-           Subalgebra([AlgebraElement(4, x=[1, 0])])), 1, 2),
+           Subalgebra([AlgebraElement(4, x=[1, 0]), AlgebraElement(4, eta=1)])), 1, 2),
     # phi on the torus line (1, 0): conjugates to the bare torus line
     (OneParam(AlgebraElement(3, t1=1, t2=0, phi=1)), 1, 1),
 ])
