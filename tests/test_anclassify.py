@@ -82,6 +82,11 @@ def test_semidirect_errors(alg):
     with pytest.raises(UNotNormalized):
         classify_semidirect(TorusLine.of_kernel("alpha+beta"),
                             Subalgebra([alg(3, eta=1, xx=1, yy=1)]))
+    # (2, 2) normalizes U but is not the primitive generator (1, 1) of
+    # ker(alpha) that the type-1 case names
+    with pytest.raises(NoCaseMatched):
+        classify_semidirect(TorusLine(2, 2),
+                            Subalgebra([alg(3, eta=1, xx=1, yy=1)]))
     with pytest.raises(SpecViolation):
         classify_semidirect(TorusLine.of_kernel("alpha"),
                             Subalgebra([alg(3, t1=1)]))
