@@ -22,18 +22,20 @@ from .elements import (
     ROOTS,
     ROOT_SLOT,
     REDUCED_ROOTS,
+    ad_a,
     bracket,
     exp_closed,
     kernel_line,
+    kernel_root,
+    primitive_line,
     root_value,
 )
 from .nilclassify import (
     _Frame,
-    _h_decomposes,
     _slot_subspace,
     _span_in_slots,
-    _ad_diag,
     classify,
+    semidirect_case,
 )
 from .shapes import MuShape
 from .subalgebra import Subalgebra
@@ -73,12 +75,7 @@ class TorusLine:
         return AlgebraElement(n, t1=self.p, t2=self.q)
 
     def root_name(self) -> Optional[str]:
-        from .elements import EXTENDED_FUNCTIONALS, root_functional
-        for nm in list(ROOTS) + list(EXTENDED_FUNCTIONALS):
-            c1, c2 = root_functional(nm)
-            if c1 * self.p + c2 * self.q == 0:
-                return nm
-        return None
+        return kernel_root(self.p, self.q)
 
     @staticmethod
     def of_kernel(root: str) -> "TorusLine":
@@ -155,8 +152,7 @@ def _centralizer_slots(torus: TorusLine):
 
 def _normalizes(torus: TorusLine, u: Subalgebra) -> bool:
     rows = u.coord_rows()
-    t = torus
-    return all(linalg.span_contains(rows, _ad_diag(b, t.p, t.q).coords())
+    return all(linalg.span_contains(rows, ad_a(torus.p, torus.q, b).coords())
                for b in u.basis)
 
 
@@ -210,8 +206,7 @@ def is_compatible_basis(basis) -> bool:
     if len(red) == 2:
         return True  # full torus
     t1, t2 = red[0]
-    tl = _primitive(t1, t2)
-    cslots = set(_centralizer_slots(TorusLine(*tl)))
+    cslots = set(_centralizer_slots(TorusLine(*primitive_line(t1, t2))))
     u_rows = [b.coords() for b in basis if not (b.t1 or b.t2)]
     for b in basis:
         nil = b.nilpotent_part()
@@ -227,29 +222,20 @@ def is_compatible_basis(basis) -> bool:
     return True
 
 
-def _primitive(t1: Fraction, t2: Fraction):
-    from math import gcd
-    den = t1.denominator * t2.denominator
-    p, q = int(t1 * den), int(t2 * den)
-    g = gcd(abs(p), abs(q)) or 1
-    p, q = p // g, q // g
-    if p < 0 or (p == 0 and q < 0):
-        p, q = -p, -q
-    return p, q
+def _pair_slots(root: str) -> list:
+    """Slots of U_root U_2root: the root's own, and its double's when the
+    double is a root (beta adds yy, alpha+beta adds xx)."""
+    c1, c2 = ROOTS[root]
+    return [ROOT_SLOT[nm] for nm, v in ROOTS.items()
+            if v in ((c1, c2), (2 * c1, 2 * c2))]
 
 
 def _psi_supported(omega: str, psi: AlgebraElement) -> bool:
     if psi.is_zero() or not psi.is_nilpotent():
         return False
-    allowed = {omega}
-    if omega == "beta":
-        allowed.add("2beta")
-    if omega == "alpha+beta":
-        allowed.add("2alpha+2beta")
-    for nm in ROOTS:
-        if nm not in allowed and not psi.root_component(nm).is_zero():
-            return False
-    return True
+    allowed = _pair_slots(omega)
+    return all(ROOT_SLOT[nm] in allowed or psi.root_component(nm).is_zero()
+               for nm in ROOTS)
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +245,10 @@ def _psi_supported(omega: str, psi: AlgebraElement) -> bool:
 def classify_semidirect(torus: TorusLine, u: Subalgebra, seed: int = 0) -> AnResult:
     """Match T x| U against the semidirect case list.
 
-    U must be a nontrivial non-CDS subgroup of N normalized by the line T;
-    the case is located from U's template type and slot structure, and T is
-    checked against the kernel the case requires.
+    U must be a nontrivial non-CDS subgroup of N normalized by the line T.
+    The case is the first row of `nilclassify.SEMIDIRECT_CASES` that U's
+    template and slot structure satisfy, and T must be that row's kernel line
+    (any torus line when the row is normalized by all of A).
     """
     if u.dim == 0 or all(b.is_zero() for b in u.basis):
         raise SpecViolation("U must be nontrivial")
@@ -272,137 +259,16 @@ def classify_semidirect(torus: TorusLine, u: Subalgebra, seed: int = 0) -> AnRes
     nil = classify(u, seed=seed)
     if nil.is_cds:
         raise UIsCds("U is itself a Cartan-decomposition subgroup")
-    tm = nil.template
-    frame = _Frame(u, random.Random(seed + 17))
-    dim_h = 1 + u.dim
-
-    def need(root):
-        if torus != TorusLine.of_kernel(root):
-            raise NoCaseMatched(
-                f"template {tm.type_id} requires T = ker({root}), got {torus}")
-
-    def band_or_curve(s_hi, case):
-        if dim_h == 2:
-            return AnResult("NotCDS", MuShape.curve(s_hi, provenance=case),
-                            case, nil_result=nil)
-        return AnResult("NotCDS", MuShape.band(1, s_hi, provenance=case),
-                        case, nil_result=nil)
-
-    t = tm.type_id
-    if t == 1:
-        if _span_in_slots(frame, frame.full, ["yy"]) \
-                or _span_in_slots(frame, frame.full, ["xx"]):
-            shape = MuShape.band(1, None, provenance="semidirect-1a")
-            return AnResult("NotCDS", shape, "semidirect-1a",
-                            notes="exponent quoted for SO(2,n); s symbolic",
-                            nil_result=nil)
-        need("alpha")
-        return AnResult("CDS", MuShape.full_chamber("semidirect-1b"),
-                        "semidirect-1b", nil_result=nil)
-    if t == 2:
-        if not _h_decomposes(frame, [["x", "yy"], ["xx"]]):
-            raise NoCaseMatched("type-2 U without the x/yy + xx split")
-        need("alpha-beta")
-        return band_or_curve(Fraction(3, 2), "semidirect-2")
-    if t == 3 and tm.evidence.get("lambda"):
-        if not _h_decomposes(frame, [["y", "x"], ["yy", "eta", "xx"]]):
-            raise NoCaseMatched("type-3 U without the y/x + z split")
-        need("alpha")
-        return AnResult("CDS", MuShape.full_chamber("semidirect-3"),
-                        "semidirect-3", nil_result=nil)
-    if t == 3:
-        # lambda = 0: U inside the y, yy slots plus possible eta/xx pieces
-        if _h_decomposes(frame, [["y"], ["yy"]]):
-            shape = MuShape.band(1, None, provenance="semidirect-4a")
-            return AnResult("NotCDS", shape, "semidirect-4a",
-                            notes="exponent quoted for SO(2,n); s symbolic",
-                            nil_result=nil)
-        if _h_decomposes(frame, [["y", "eta"], ["yy"]]):
-            need("alpha+beta")
-            return AnResult("NotCDS", MuShape.curve(1, provenance="semidirect-4bi"),
-                            "semidirect-4bi", nil_result=nil)
-        if _h_decomposes(frame, [["y", "xx"], ["yy"]]):
-            need("2alpha+beta")
-            return band_or_curve(Fraction(3, 2), "semidirect-4bii")
-        if not frame.z_coeffs and _span_in_slots(frame, frame.full, ["y", "yy"]):
-            need("beta")
-            return AnResult("CDS", MuShape.full_chamber("semidirect-4biii"),
-                            "semidirect-4biii", nil_result=nil)
-        raise NoCaseMatched("type-3 (lambda = 0) U fits no semidirect subcase")
-    if t == 4:
-        if _h_decomposes(frame, [["x"], ["xx", "eta", "yy"]]):
-            shape = MuShape.band(1, None, provenance="semidirect-5a")
-            return AnResult("NotCDS", shape, "semidirect-5a",
-                            notes="exponent quoted for SO(2,n); s symbolic",
-                            nil_result=nil)
-        if _span_in_slots(frame, frame.full, ["x", "xx"]):
-            need("alpha+beta")
-            return AnResult("CDS", MuShape.full_chamber("semidirect-5b"),
-                            "semidirect-5b", nil_result=nil)
-        if _h_decomposes(frame, [["phi", "x", "eta"], ["xx"]]):
-            need("beta")
-            return AnResult("NotCDS", MuShape.curve(1, provenance="semidirect-5c"),
-                            "semidirect-5c", nil_result=nil)
-        raise NoCaseMatched("type-4 U fits no semidirect subcase")
-    if t == 5:
-        if not _h_decomposes(frame, [["phi", "yy"], ["x"]]):
-            raise NoCaseMatched("type-5 U without the phi/yy + x split")
-        need("alpha-2beta")
-        return band_or_curve(Fraction(4, 3), "semidirect-6")
-    if t == 6:
-        if _span_in_slots(frame, frame.full, ["eta"]):
-            shape = MuShape.band(None, 2, provenance="semidirect-7a")
-            return AnResult("NotCDS", shape, "semidirect-7a",
-                            notes="exponent quoted for SO(2,n); s symbolic",
-                            nil_result=nil)
-        if _h_decomposes(frame, [["y", "x"], ["yy", "eta", "xx"]]):
-            need("alpha")
-            return AnResult("NotCDS", MuShape.curve(2, provenance="semidirect-7b"),
-                            "semidirect-7b", nil_result=nil)
-        raise NoCaseMatched("type-6 U fits no semidirect subcase")
-    if t == 7:
-        if _h_decomposes(frame, [["x", "yy"], ["eta"]]):
-            need("alpha-beta")
-            return AnResult("NotCDS",
-                            MuShape.band(Fraction(3, 2), 2, provenance="semidirect-8x"),
-                            "semidirect-8x", nil_result=nil)
-        if _h_decomposes(frame, [["y", "xx"], ["eta"]]):
-            need("2alpha+beta")
-            return AnResult("NotCDS",
-                            MuShape.band(Fraction(3, 2), 2, provenance="semidirect-8y"),
-                            "semidirect-8y", nil_result=nil)
-        raise NoCaseMatched("type-7 U fits no semidirect subcase")
-    if t == 8:
-        if not (_h_decomposes(frame, [["phi", "y"], ["x", "yy"]])
-                and _slot_subspace(frame, ["phi", "y"])):
-            raise NoCaseMatched("type-8 U without the phi/y + x/yy split")
-        need("alpha-beta")
-        return AnResult("NotCDS", MuShape.curve(Fraction(3, 2),
-                                                provenance="semidirect-9"),
-                        "semidirect-9", nil_result=nil)
-    if t == 9:
-        if not _h_decomposes(frame, [["phi", "y"], ["xx"]]):
-            raise NoCaseMatched("type-9 U without the phi/y + xx split")
-        need("alpha-beta")
-        return AnResult("NotCDS", MuShape.band(1, Fraction(3, 2),
-                                               provenance="semidirect-10"),
-                        "semidirect-10", nil_result=nil)
-    if t == 10:
-        if _span_in_slots(frame, frame.full, ["phi"]):
-            shape = MuShape.band(None, 2, provenance="semidirect-11a")
-            return AnResult("NotCDS", shape, "semidirect-11a",
-                            notes="exponent quoted for SO(2,n); s symbolic",
-                            nil_result=nil)
-        if _span_in_slots(frame, frame.full, ["phi", "x", "eta"]):
-            need("beta")
-            return AnResult("CDS", MuShape.full_chamber("semidirect-11b"),
-                            "semidirect-11b", nil_result=nil)
-        if _span_in_slots(frame, frame.full, ["phi", "xx"]):
-            need("alpha+2beta")
-            return AnResult("NotCDS", MuShape.curve(2, provenance="semidirect-11c"),
-                            "semidirect-11c", nil_result=nil)
-        raise NoCaseMatched("type-10 U fits no semidirect subcase")
-    raise NoCaseMatched(f"type-{t} U admits no normalizing torus line")
+    t = nil.template.type_id
+    row = semidirect_case(u, nil.template)
+    if row is None:
+        raise NoCaseMatched(f"type-{t} U fits no semidirect case")
+    if row.root is not None and torus != TorusLine.of_kernel(row.root):
+        raise NoCaseMatched(
+            f"template {t} requires T = ker({row.root}), got {torus}")
+    shape = row.shape_of(1 + u.dim)
+    notes = "exponent quoted for SO(2,n); s symbolic" if shape.symbolic else ""
+    return AnResult(row.verdict, shape, row.case, notes=notes, nil_result=nil)
 
 
 # ---------------------------------------------------------------------------
@@ -423,15 +289,8 @@ _GRAPH_SHAPES = {
 
 def _sigma_of(u: Subalgebra) -> Optional[str]:
     frame = _Frame(u, random.Random(3))
-    for sigma in REDUCED_ROOTS:
-        slots = [ROOT_SLOT[sigma]]
-        if sigma == "beta":
-            slots.append("yy")
-        if sigma == "alpha+beta":
-            slots.append("xx")
-        if _span_in_slots(frame, frame.full, slots):
-            return sigma
-    return None
+    return next((sigma for sigma in REDUCED_ROOTS
+                 if _span_in_slots(frame, frame.full, _pair_slots(sigma))), None)
 
 
 def _reflected_root(name: str, simple: str) -> str:
@@ -455,13 +314,8 @@ def classify_graph(spec: Graph, seed: int = 0) -> AnResult:
     if spec.u.dim == 0:
         raise SpecViolation("graph classification needs dim H > 1")
     # any intersection of U with the omega root spaces forces CDS
-    omega_slots = [ROOT_SLOT[spec.omega]]
-    if spec.omega == "beta":
-        omega_slots.append("yy")
-    if spec.omega == "alpha+beta":
-        omega_slots.append("xx")
     frame = _Frame(spec.u, random.Random(seed + 5))
-    inter = _slot_subspace(frame, omega_slots)
+    inter = _slot_subspace(frame, _pair_slots(spec.omega))
     if inter:
         return AnResult("CDS", MuShape.full_chamber("graph-omega-intersect"),
                         "graph-cds",
@@ -491,10 +345,6 @@ def classify_graph(spec: Graph, seed: int = 0) -> AnResult:
     if sigma == work.omega:
         return AnResult("CDS", MuShape.full_chamber("graph-omega-intersect"),
                         "graph-cds", notes="U meets the omega root spaces")
-    if work.omega == "beta" and sigma == "alpha+beta":
-        # conjugate sigma into alpha+2beta via the alpha reflection? the
-        # listed pair (beta, alpha+beta) is case 4 directly
-        pass
     r = 1 if _psi_in_2beta(work) else 2
     key = (work.omega, sigma)
     if key not in _GRAPH_SHAPES:
@@ -608,7 +458,7 @@ def normalize_to_compatible(basis, max_iter: int = 64):
         raise SpecViolation("subalgebra lies in n; use the nil classifier")
     if len(red) == 2:
         return "full-torus"
-    p, q = _primitive(red[0][0], red[0][1])
+    p, q = primitive_line(red[0][0], red[0][1])
     basis = [b for b in basis]
     # pick X with a-part exactly (p, q)
     xi = next(i for i, b in enumerate(basis) if (b.t1 or b.t2))

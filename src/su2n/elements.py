@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
+from typing import Optional
 
 import numpy as np
 
@@ -88,16 +90,29 @@ def root_value(root: str, t1, t2):
     return c1 * t1 + c2 * t2
 
 
-def kernel_line(root: str) -> tuple:
-    """Primitive integer generator of ker(root) in (t1, t2) coordinates."""
-    c1, c2 = root_functional(root)
-    from math import gcd
-
-    g = gcd(abs(c1), abs(c2))
-    p, q = -c2 // g, c1 // g
+def primitive_line(t1, t2) -> tuple:
+    """Primitive integer generator (p, q) of the line through (t1, t2) != 0,
+    signed so that p > 0, or p = 0 < q."""
+    t1, t2 = Fraction(t1), Fraction(t2)
+    den = t1.denominator * t2.denominator
+    p, q = int(t1 * den), int(t2 * den)
+    g = gcd(p, q)
+    p, q = p // g, q // g
     if p < 0 or (p == 0 and q < 0):
         p, q = -p, -q
     return (p, q)
+
+
+def kernel_line(root: str) -> tuple:
+    """Primitive integer generator of ker(root) in (t1, t2) coordinates."""
+    c1, c2 = root_functional(root)
+    return primitive_line(-c2, c1)
+
+
+def kernel_root(p, q) -> Optional[str]:
+    """The first root, then extended functional, that kills (p, q); or None."""
+    return next((nm for nm in (*ROOTS, *EXTENDED_FUNCTIONALS)
+                 if root_value(nm, p, q) == 0), None)
 
 
 class AlgebraElement:
@@ -314,6 +329,17 @@ def element_from_matrix(M, n, check=True) -> AlgebraElement:
     return u
 
 
+def ad_a(t1, t2, w: AlgebraElement) -> AlgebraElement:
+    """[diag(t1, t2), w] for nilpotent w: each root slot scaled by its root."""
+    return AlgebraElement(
+        w.n, phi=w.phi * root_value("alpha", t1, t2),
+        y=[root_value("beta", t1, t2) * c for c in w.y],
+        x=[root_value("alpha+beta", t1, t2) * c for c in w.x],
+        yy=root_value("2beta", t1, t2) * w.yy,
+        eta=w.eta * root_value("alpha+2beta", t1, t2),
+        xx=root_value("2alpha+2beta", t1, t2) * w.xx)
+
+
 def bracket(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     """Lie bracket [u, v] in coordinates.
 
@@ -334,14 +360,6 @@ def bracket(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
                          xx=xx_slot, yy=yy_slot)
     # a-part action
     if u.t1 or u.t2 or v.t1 or v.t2:
-        def ad_a(t1, t2, w):
-            return AlgebraElement(
-                w.n, phi=w.phi * root_value("alpha", t1, t2),
-                y=[root_value("beta", t1, t2) * c for c in w.y],
-                x=[root_value("alpha+beta", t1, t2) * c for c in w.x],
-                yy=root_value("2beta", t1, t2) * w.yy,
-                eta=w.eta * root_value("alpha+2beta", t1, t2),
-                xx=root_value("2alpha+2beta", t1, t2) * w.xx)
         out = out + ad_a(u.t1, u.t2, v.nilpotent_part()) - ad_a(v.t1, v.t2, u.nilpotent_part())
     return out
 

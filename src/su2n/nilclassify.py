@@ -33,16 +33,16 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import linalg
 from .config import DEFAULT
-from .elements import (AlgebraElement, EXTENDED_FUNCTIONALS, ROOTS, exp_closed,
-                       exp_float, kernel_line, root_functional, root_value)
+from .elements import (AlgebraElement, ad_a, exp_closed, exp_float, kernel_line,
+                       kernel_root, primitive_line)
 from .scalars import QQi, abs2, conj, herm, im, re
 from .shapes import MuShape
 from .subalgebra import Subalgebra
@@ -184,15 +184,6 @@ class _Frame:
 
     def vanishes_on(self, name, within) -> bool:
         return all(all(v == 0 for v in self.func_on(name, c)) for c in within)
-
-    def contains_coeff(self, within, coeff) -> bool:
-        return linalg.span_contains(within, coeff)
-
-    def subspace_leq(self, a, b) -> bool:
-        return all(linalg.span_contains(b, v) for v in a)
-
-    def subspace_eq(self, a, b) -> bool:
-        return self.subspace_leq(a, b) and self.subspace_leq(b, a)
 
     def nonzero_with(self, names, within) -> Optional:
         """A coefficient vector in `within` where every named functional is
@@ -404,14 +395,10 @@ def _globally_dependent(frame, within):
 
 def _find_rank2(frame, within):
     """An element with C-independent x, y, or None (deterministic)."""
-    for q, g in _minor_grams(frame, within):
+    for _, g in _minor_grams(frame, within):
         w = frame.gram_witness(g, within)
         if w is not None:
-            e = frame.element(w)
-            if _rank_xy(e) == 2:
-                return w
-            # the witnessed minor is nonzero, so independence holds
-            return w
+            return w  # the witnessed minor is nonzero, so x, y are independent
     return None
 
 
@@ -529,7 +516,7 @@ def _pencil_rank1_roots(ei, ej):
     return good
 
 
-def find_rank_one(frame, within, want_y_nonzero=False):
+def find_rank_one(frame, within):
     """An element of `within` with dim_C <x, y> = 1, or None.
 
     Exact in the layered cases (kernel sides, globally dependent, complex-line
@@ -539,7 +526,7 @@ def find_rank_one(frame, within, want_y_nonzero=False):
     # y = 0, x != 0 side
     ky = frame.kernel(["y"], within)
     w = frame.nonzero_with(["x"], ky)
-    if w is not None and not want_y_nonzero:
+    if w is not None:
         return w
     kx = frame.kernel(["x"], within)
     w = frame.nonzero_with(["y"], kx)
@@ -549,9 +536,7 @@ def find_rank_one(frame, within, want_y_nonzero=False):
         w = frame.nonzero_with(["y"], within)
         if w is not None:
             return w
-        if not want_y_nonzero:
-            return frame.nonzero_with(["x"], within)
-        return None
+        return frame.nonzero_with(["x"], within)
     for name in ("y", "x"):
         v0 = _image_complex_line(frame, name, within)
         if v0 is not None and v0 != "zero":
@@ -559,22 +544,19 @@ def find_rank_one(frame, within, want_y_nonzero=False):
             w = frame.nonzero_with(["y"], line)
             if w is not None:
                 return w
-            if not want_y_nonzero:
-                w = frame.nonzero_with(["x"], line)
-                if w is not None and _rank_xy(frame.element(w)) == 1:
-                    return w
+            w = frame.nonzero_with(["x"], line)
+            if w is not None and _rank_xy(frame.element(w)) == 1:
+                return w
     # pencils through basis pairs
     for ci, cj in itertools.combinations(within, 2):
         ei, ej = frame.element(ci), frame.element(cj)
         for t in _pencil_rank1_roots(ei, ej):
             cand = [a + t * b for a, b in zip(ci, cj)]
-            e = frame.element(cand)
-            if _rank_xy(e) == 1 and (any(e.y) or not want_y_nonzero):
+            if _rank_xy(frame.element(cand)) == 1:
                 return cand
     for _ in range(DEFAULT.pit_rounds // 4):
         c = frame.random_coeff(within, size=30)
-        e = frame.element(c)
-        if _rank_xy(e) == 1 and (any(e.y) or not want_y_nonzero):
+        if _rank_xy(frame.element(c)) == 1:
             return c
     return None
 
@@ -758,10 +740,10 @@ def _sq8(frame):
     axis = _xx_axis_element(frame)
     if axis is None:
         return None
-    if not frame.subspace_eq(frame.z_coeffs, [axis]):
+    if not linalg.subspace_eq(frame.z_coeffs, [axis]):
         return None
     kphi = frame.kernel(["phi"])
-    if not frame.subspace_eq(kphi, frame.z_coeffs):
+    if not linalg.subspace_eq(kphi, frame.z_coeffs):
         return None
     u = frame.nonzero_with(["y"], frame.full)
     if u is None:
@@ -1054,7 +1036,8 @@ def _li5_fixed_z(frame, z):
             if im(u.phi * conj(z.eta)) == 0 and (u.phi * conj(z.eta)):
                 return {"u": u, "z": z}, [], "E vanishes identically", True
         return None
-    if p > 0 and q > 0 and p + q >= 3:
+    if p > 0 and q > 0:
+        # indefinite: try rational points of the zero cone
         res = _rational_zero(frame, sig, K, avoid_kernels=[["phi"], ["y"]])
         if res is not None:
             coeffs, exact = res
@@ -1062,21 +1045,13 @@ def _li5_fixed_z(frame, z):
             if any(u.y) and u.phi and (u.phi * conj(z.eta)):
                 return {"u": u, "z": z}, [], "", exact
         return None
-    if p == 0 or q == 0:
-        rad = [frame._combine(K, v) for v in cert["radical"]]
-        w = frame.nonzero_with(["phi", "y"], rad)
-        if w is not None:
-            u = frame.element(w)
-            if u.phi * conj(z.eta):
-                return {"u": u, "z": z}, [], "", True
-        return None
-    # signature (1,1): zero cone is two hyperplanes; try rational points
-    res = _rational_zero(frame, sig, K, avoid_kernels=[["phi"], ["y"]])
-    if res is not None:
-        coeffs, exact = res
-        u = frame.element(coeffs)
-        if any(u.y) and u.phi and (u.phi * conj(z.eta)):
-            return {"u": u, "z": z}, [], "", exact
+    # semidefinite: the zero set is the radical
+    rad = [frame._combine(K, v) for v in cert["radical"]]
+    w = frame.nonzero_with(["phi", "y"], rad)
+    if w is not None:
+        u = frame.element(w)
+        if u.phi * conj(z.eta):
+            return {"u": u, "z": z}, [], "", True
     return None
 
 
@@ -1110,7 +1085,7 @@ def _h_decomposes(frame, slot_groups):
     parts = []
     for slots in slot_groups:
         parts.extend(_slot_subspace(frame, slots))
-    return frame.subspace_eq(parts if parts else [], frame.full)
+    return linalg.subspace_eq(parts, frame.full)
 
 
 def _z_in_slots(frame, slots):
@@ -1140,7 +1115,7 @@ def _tm1(frame):
     """dim 1 central line with |eta|^2 = xx*yy identically: rho ~ |h|."""
     if frame.d != 1:
         return None
-    if not frame.subspace_eq(frame.z_coeffs, frame.full):
+    if not linalg.subspace_eq(frame.z_coeffs, frame.full):
         return None
     g = frame.gram(q_center, frame.full)
     if not linalg.gram_is_zero(g):
@@ -1354,7 +1329,7 @@ def _tm8(frame):
         return None
     kphi = frame.kernel(["phi"])
     ky = frame.kernel(["y"])
-    if not frame.subspace_eq(kphi, ky):
+    if not linalg.subspace_eq(kphi, ky):
         return None
     if frame.kernel(["phi", "yy"]):
         return None  # (phi, yy) must be injective
@@ -1369,12 +1344,12 @@ def _tm9(frame):
     axis = _xx_axis_element(frame)
     if axis is None:
         return None
-    if not frame.subspace_eq(frame.z_coeffs, [axis]):
+    if not linalg.subspace_eq(frame.z_coeffs, [axis]):
         return None
     kphi = frame.kernel(["phi"])
     ky = frame.kernel(["y"])
-    if not (frame.subspace_eq(kphi, frame.z_coeffs)
-            and frame.subspace_eq(ky, frame.z_coeffs)):
+    if not (linalg.subspace_eq(kphi, frame.z_coeffs)
+            and linalg.subspace_eq(ky, frame.z_coeffs)):
         return None
     return NotCdsMatch(9, MuShape.band(1, Fraction(3, 2), provenance="notcds-9"),
                        {}, frame.d)
@@ -1409,7 +1384,7 @@ def _tm11(frame):
     # u ranges over h \ z; the conditions only depend on u modulo z and
     # rescaling, so one representative decides
     rep = next((c for c in frame.full
-                if not frame.contains_coeff(frame.z_coeffs, c)), None)
+                if not linalg.span_contains(frame.z_coeffs, c)), None)
     if rep is None:
         return None
     u = frame.element(rep)
@@ -1428,6 +1403,110 @@ _TEMPLATES = [_tm1, _tm2, _tm3, _tm4, _tm5, _tm6, _tm7, _tm8, _tm9, _tm10, _tm11
 
 
 # ---------------------------------------------------------------------------
+# the semidirect case list
+
+
+@dataclass(frozen=True)
+class SemidirectCase:
+    """One row of the case list for U of template `type_id`.
+
+    When U's slot structure satisfies `holds(frame, match)`, N_A(U) is
+    ker(root), or all of A when root is None; T x| U is semidirect case
+    `case`, of shape `shape` for any such torus line T.  Rows are tried in
+    order, and a U that matches no row of its template has trivial N_A(U).
+    """
+    type_id: int
+    holds: Callable
+    root: Optional[str]
+    case: str
+    shape: MuShape
+
+    def normalizer(self) -> NormalizerResult:
+        if self.root is None:
+            return NormalizerResult("full")
+        return NormalizerResult("line", kernel_line(self.root), self.root)
+
+    @property
+    def verdict(self) -> str:
+        return "CDS" if self.shape.kind == "full_chamber" else "NotCDS"
+
+    def shape_of(self, dim_h: int) -> MuShape:
+        """The shape of T x| U; a band 1..s with numeric s is the curve
+        |h|^s when dim H = 2, as for the dim-1 templates."""
+        sh = self.shape
+        if dim_h == 2 and sh.kind == "band" and sh.s_lo == 1 and not sh.symbolic:
+            return MuShape.curve(sh.s_hi, provenance=self.case)
+        return replace(sh, provenance=self.case)
+
+
+def _has_lambda(match):
+    """Type 3 with x = lambda y for a lambda != 0."""
+    return bool(match.evidence.get("lambda"))
+
+
+_CDS = MuShape.full_chamber()
+SEMIDIRECT_CASES = [
+    SemidirectCase(1, lambda f, m: (_span_in_slots(f, f.full, ["yy"])
+                                    or _span_in_slots(f, f.full, ["xx"])),
+                   None, "semidirect-1a", MuShape.band(1, None)),
+    SemidirectCase(1, lambda f, m: True, "alpha", "semidirect-1b", _CDS),
+    SemidirectCase(2, lambda f, m: _h_decomposes(f, [["x", "yy"], ["xx"]]),
+                   "alpha-beta", "semidirect-2", MuShape.band(1, Fraction(3, 2))),
+    SemidirectCase(3, lambda f, m: (_has_lambda(m)
+                                    and not linalg.subspace_eq(f.z_coeffs, f.full)
+                                    and _h_decomposes(f, [["y", "x"],
+                                                          ["yy", "eta", "xx"]])),
+                   "alpha", "semidirect-3", _CDS),
+    SemidirectCase(3, lambda f, m: (not _has_lambda(m)
+                                    and _h_decomposes(f, [["y"], ["yy"]])),
+                   None, "semidirect-4a", MuShape.band(1, None)),
+    SemidirectCase(3, lambda f, m: (not _has_lambda(m)
+                                    and _h_decomposes(f, [["y", "eta"], ["yy"]])),
+                   "alpha+beta", "semidirect-4bi", MuShape.curve(1)),
+    SemidirectCase(3, lambda f, m: (not _has_lambda(m)
+                                    and _h_decomposes(f, [["y", "xx"], ["yy"]])),
+                   "2alpha+beta", "semidirect-4bii", MuShape.band(1, Fraction(3, 2))),
+    SemidirectCase(3, lambda f, m: (not _has_lambda(m) and not f.z_coeffs
+                                    and _span_in_slots(f, f.full, ["y", "yy"])),
+                   "beta", "semidirect-4biii", _CDS),
+    SemidirectCase(4, lambda f, m: _h_decomposes(f, [["x"], ["xx", "eta", "yy"]]),
+                   None, "semidirect-5a", MuShape.band(1, None)),
+    SemidirectCase(4, lambda f, m: _span_in_slots(f, f.full, ["x", "xx"]),
+                   "alpha+beta", "semidirect-5b", _CDS),
+    SemidirectCase(4, lambda f, m: _h_decomposes(f, [["phi", "x", "eta"], ["xx"]]),
+                   "beta", "semidirect-5c", MuShape.curve(1)),
+    SemidirectCase(5, lambda f, m: _h_decomposes(f, [["phi", "yy"], ["x"]]),
+                   "alpha-2beta", "semidirect-6", MuShape.band(1, Fraction(4, 3))),
+    SemidirectCase(6, lambda f, m: _span_in_slots(f, f.full, ["eta"]),
+                   None, "semidirect-7a", MuShape.band(None, 2)),
+    SemidirectCase(6, lambda f, m: _h_decomposes(f, [["y", "x"], ["yy", "eta", "xx"]]),
+                   "alpha", "semidirect-7b", MuShape.curve(2)),
+    SemidirectCase(7, lambda f, m: _h_decomposes(f, [["x", "yy"], ["eta"]]),
+                   "alpha-beta", "semidirect-8x", MuShape.band(Fraction(3, 2), 2)),
+    SemidirectCase(7, lambda f, m: _h_decomposes(f, [["y", "xx"], ["eta"]]),
+                   "2alpha+beta", "semidirect-8y", MuShape.band(Fraction(3, 2), 2)),
+    SemidirectCase(8, lambda f, m: (_h_decomposes(f, [["phi", "y"], ["x", "yy"]])
+                                    and bool(_slot_subspace(f, ["phi", "y"]))),
+                   "alpha-beta", "semidirect-9", MuShape.curve(Fraction(3, 2))),
+    SemidirectCase(9, lambda f, m: _h_decomposes(f, [["phi", "y"], ["xx"]]),
+                   "alpha-beta", "semidirect-10", MuShape.band(1, Fraction(3, 2))),
+    SemidirectCase(10, lambda f, m: _span_in_slots(f, f.full, ["phi"]),
+                   None, "semidirect-11a", MuShape.band(None, 2)),
+    SemidirectCase(10, lambda f, m: _span_in_slots(f, f.full, ["phi", "x", "eta"]),
+                   "beta", "semidirect-11b", _CDS),
+    SemidirectCase(10, lambda f, m: _span_in_slots(f, f.full, ["phi", "xx"]),
+                   "alpha+2beta", "semidirect-11c", MuShape.curve(2)),
+]
+
+
+def semidirect_case(h: Subalgebra, match: NotCdsMatch) -> Optional[SemidirectCase]:
+    """The first row of the case list that h, of template match, satisfies."""
+    frame = _Frame(h, random.Random(0))  # the rows read exact kernels only
+    return next((row for row in SEMIDIRECT_CASES
+                 if row.type_id == match.type_id and row.holds(frame, match)), None)
+
+
+# ---------------------------------------------------------------------------
 # normalizer in A and the classification driver
 
 
@@ -1436,7 +1515,7 @@ def normalizer_in_A(h: Subalgebra) -> NormalizerResult:
     if not h.is_nilpotent():
         raise NotInN("subalgebra has a nonzero a-part")
     rows = h.coord_rows()
-    constraints = [( _ad_diag(b, 1, 0).coords(), _ad_diag(b, 0, 1).coords())
+    constraints = [(ad_a(1, 0, b).coords(), ad_a(0, 1, b).coords())
                    for b in h.basis]
     # [t1 d1 + t2 d2] must lie in span(h) for every basis element: reduce the
     # action vectors modulo span(h) and collect the residual constraints.
@@ -1464,118 +1543,18 @@ def normalizer_in_A(h: Subalgebra) -> NormalizerResult:
         return NormalizerResult("trivial")
     if len(kern) == 2:
         return NormalizerResult("full")
-    t1, t2 = kern[0]
-    # primitive integer generator
-    from math import gcd
-    den = t1.denominator * t2.denominator // gcd(t1.denominator, t2.denominator)
-    p, q = int(t1 * den), int(t2 * den)
-    g = gcd(abs(p), abs(q))
-    p, q = p // g, q // g
-    if p < 0 or (p == 0 and q < 0):
-        p, q = -p, -q
-    names = list(ROOTS) + list(EXTENDED_FUNCTIONALS)
-    root = next((nm for nm in names
-                 if root_functional(nm)[0] * p + root_functional(nm)[1] * q == 0),
-                None)
-    return NormalizerResult("line", (p, q), root)
+    p, q = primitive_line(*kern[0])
+    return NormalizerResult("line", (p, q), kernel_root(p, q))
 
 
-def _ad_diag(b: AlgebraElement, t1, t2) -> AlgebraElement:
-    """[diag(t1,t2), b] via the root scalings."""
-    return AlgebraElement(
-        b.n,
-        phi=b.phi * root_value("alpha", t1, t2),
-        y=[root_value("beta", t1, t2) * v for v in b.y],
-        x=[root_value("alpha+beta", t1, t2) * v for v in b.x],
-        yy=root_value("2beta", t1, t2) * b.yy,
-        eta=b.eta * root_value("alpha+2beta", t1, t2),
-        xx=root_value("2alpha+2beta", t1, t2) * b.xx)
+def expected_normalizer(h: Subalgebra, match: NotCdsMatch) -> NormalizerResult:
+    """Predicted N_A(h) for a matched template: that of the first case-list
+    row h satisfies, else trivial."""
+    row = semidirect_case(h, match)
+    return row.normalizer() if row else NormalizerResult("trivial")
 
 
-def expected_normalizer(frame, match: NotCdsMatch) -> Optional[NormalizerResult]:
-    """Predicted N_A(H) for a matched template, from the case list; None when
-    the prediction is 'trivial unless one of the listed structures holds'."""
-    t = match.type_id
-    f = frame
-
-    def line(root):
-        return NormalizerResult("line", kernel_line(root), root)
-
-    if t == 1:
-        if _span_in_slots(f, f.full, ["yy"]) or _span_in_slots(f, f.full, ["xx"]):
-            return NormalizerResult("full")
-        return line("alpha")
-    if t == 2:
-        if _h_decomposes(f, [["x", "yy"], ["xx"]]):
-            return line("alpha-beta")
-        return NormalizerResult("trivial")
-    if t == 3:
-        lam = match.evidence.get("lambda")
-        if lam:
-            if _h_decomposes(f, [["y", "x"], ["yy", "eta", "xx"]]) \
-                    and not f.subspace_eq(f.z_coeffs, f.full):
-                return line("alpha")
-            return NormalizerResult("trivial")
-        # lambda = 0: the phi=0&x=0 cases
-        if _h_decomposes(f, [["y"], ["yy"]]):
-            return NormalizerResult("full")
-        if _h_decomposes(f, [["y", "eta"], ["yy"]]):
-            return line("alpha+beta")
-        if _h_decomposes(f, [["y", "xx"], ["yy"]]):
-            return line("2alpha+beta")
-        if not f.z_coeffs and _span_in_slots(f, f.full, ["y", "yy"]):
-            return line("beta")
-        return NormalizerResult("trivial")
-    if t == 4:
-        if _h_decomposes(f, [["x"], ["xx", "eta", "yy"]]):
-            return NormalizerResult("full")
-        if _span_in_slots(f, f.full, ["x", "xx"]):
-            return line("alpha+beta")
-        if _h_decomposes(f, [["phi", "x", "eta"], ["xx"]]) \
-                and not _span_in_slots(f, f.full, ["x", "xx"]):
-            return line("beta")
-        return NormalizerResult("trivial")
-    if t == 5:
-        if _h_decomposes(f, [["phi", "yy"], ["x"]]):
-            return line("alpha-2beta")
-        return NormalizerResult("trivial")
-    if t == 6:
-        if _span_in_slots(f, f.full, ["eta"]):
-            return NormalizerResult("full")
-        if _h_decomposes(f, [["y", "x"], ["yy", "eta", "xx"]]):
-            return line("alpha")
-        return NormalizerResult("trivial")
-    if t == 7:
-        if _h_decomposes(f, [["x", "yy"], ["eta"]]):
-            return line("alpha-beta")
-        if _h_decomposes(f, [["y", "xx"], ["eta"]]):
-            return line("2alpha+beta")
-        return NormalizerResult("trivial")
-    if t == 8:
-        if _h_decomposes(f, [["phi", "y"], ["x", "yy"]]) \
-                and _slot_subspace(f, ["phi", "y"]):
-            return line("alpha-beta")
-        return NormalizerResult("trivial")
-    if t == 9:
-        if _h_decomposes(f, [["phi", "y"], ["xx"]]):
-            return line("alpha-beta")
-        return NormalizerResult("trivial")
-    if t == 10:
-        if _span_in_slots(f, f.full, ["phi"]):
-            return NormalizerResult("full")
-        if _span_in_slots(f, f.full, ["phi", "x", "eta"]):
-            return line("beta")
-        if _span_in_slots(f, f.full, ["phi", "xx"]):
-            return line("alpha+2beta")
-        return NormalizerResult("trivial")
-    if t == 11:
-        return NormalizerResult("trivial")
-    return None
-
-
-
-def classify(h: Subalgebra, seed: int = 0, check_normalizer: bool = True
-             ) -> ClassificationResult:
+def classify(h: Subalgebra, seed: int = 0) -> ClassificationResult:
     """Full double-entry classification of a nontrivial subalgebra of n.
 
     CDS iff a square and a linear witness both exist.  The template match is
@@ -1597,9 +1576,9 @@ def classify(h: Subalgebra, seed: int = 0, check_normalizer: bool = True
         ok = _double_entry_ok(sq, li, tm)
         if ok:
             norm = normalizer_in_A(h)
-            if tm is not None and check_normalizer:
-                exp = expected_normalizer(_Frame(h, random.Random(salt + 3)), tm)
-                if exp is not None and exp != norm:
+            if tm is not None:
+                exp = expected_normalizer(h, tm)
+                if exp != norm:
                     last = (f"normalizer {norm} disagrees with the case list "
                             f"prediction {exp} for template {tm.type_id}")
                     continue

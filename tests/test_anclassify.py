@@ -77,8 +77,9 @@ def test_semidirect_errors(alg):
                             Subalgebra([alg(4, x=[1, 0], y=[0, 1]),
                                         alg(4, eta=1, xx=1, yy=1)]))
     # a torus that fails to normalize is rejected before any case matching
-    # (for normalizing tori the required kernel is the full normalizer, so
-    # NoCaseMatched only flags internal disagreement)
+    # (for a normalizing torus the required kernel is the full normalizer,
+    # so NoCaseMatched flags only another generator of that line, below, or
+    # an internal disagreement)
     with pytest.raises(UNotNormalized):
         classify_semidirect(TorusLine.of_kernel("alpha+beta"),
                             Subalgebra([alg(3, eta=1, xx=1, yy=1)]))
