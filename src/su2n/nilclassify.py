@@ -122,12 +122,6 @@ class ClassificationResult:
 # coefficient-space frame
 
 
-def _horizontal(values):
-    """Stack functional values (lists of Fractions) into constraint rows."""
-    width = len(values[0])
-    return [[values[i][c] for i in range(len(values))] for c in range(width)]
-
-
 class _Frame:
     """Precomputed exact data for one subalgebra.
 
@@ -166,14 +160,21 @@ class _Frame:
 
     # subspace machinery ---------------------------------------------------
 
+    def kernel_of(self, values, within):
+        """Coefficient basis of {u in within : values(u) = 0}, where `values`
+        maps a coefficient vector to a list of real-linear functionals."""
+        if not within:
+            return []
+        rows = [values(c) for c in within]
+        if not rows[0]:
+            return within
+        kern = linalg.kernel_basis([list(col) for col in zip(*rows)])
+        return [self._combine(within, k) for k in kern]
+
     def kernel(self, names, within=None):
         """Coefficient basis of {u in within : all named functionals vanish}."""
         within = self.full if within is None else within
-        if not within:
-            return []
-        mat = _horizontal([self.funcs_on(names, c) for c in within])
-        kern = linalg.kernel_basis(mat)
-        return [self._combine(within, k) for k in kern]
+        return self.kernel_of(lambda c: self.funcs_on(names, c), within)
 
     def _combine(self, within, coeffs):
         out = [Fraction(0)] * self.d
@@ -283,18 +284,18 @@ def d_lambda(e: AlgebraElement, lam) -> Fraction:
     return e.xx + abs2(lam) * e.yy + 2 * im(lam * conj(e.eta))
 
 
-def _xy_minors(e: AlgebraElement):
-    """Complex 2x2 minors of the stacked (x; y) matrix (empty for n = 3)."""
-    d = len(e.x)
-    return [e.x[i] * e.y[j] - e.x[j] * e.y[i]
-            for i in range(d) for j in range(i + 1, d)]
+def _wedge(a, b):
+    """Complex 2x2 minors a_i b_j - a_j b_i, i < j, of the stacked (a; b)
+    matrix (empty for vectors of length 1, that is n = 3)."""
+    return [a[i] * b[j] - a[j] * b[i]
+            for i, j in itertools.combinations(range(len(a)), 2)]
 
 
 def _rank_xy(e: AlgebraElement) -> int:
     has_vec = any(e.x) or any(e.y)
     if not has_vec:
         return 0
-    if any(m != 0 for m in _xy_minors(e)):
+    if any(m != 0 for m in _wedge(e.x, e.y)):
         return 2
     return 1
 
@@ -375,27 +376,22 @@ def _isqrt_exact(k: int):
 
 
 def _minor_grams(frame, within):
-    """Polarization Grams of the real/imaginary parts of all (x;y) minors."""
-    grams = []
-    d = frame.n - 2
-    for i in range(d):
-        for j in range(i + 1, d):
-            for part in (re, im):
-                def q(e, i=i, j=j, part=part):
-                    return part(e.x[i] * e.y[j] - e.x[j] * e.y[i])
-                grams.append((q, frame.gram(q, within)))
-    return grams
+    """Polarization Grams of the real/imaginary parts of all (x;y) minors,
+    built one at a time so that callers can stop at the first they need."""
+    for m in range((frame.n - 2) * (frame.n - 3) // 2):
+        for part in (re, im):
+            yield frame.gram(lambda e, m=m, part=part: part(_wedge(e.x, e.y)[m]), within)
 
 
 def _globally_dependent(frame, within):
     """True iff every element of `within` has x, y C-dependent (all minors
     vanish identically).  Deterministic via the polarization Grams."""
-    return all(linalg.gram_is_zero(g) for _, g in _minor_grams(frame, within))
+    return all(linalg.gram_is_zero(g) for g in _minor_grams(frame, within))
 
 
 def _find_rank2(frame, within):
     """An element with C-independent x, y, or None (deterministic)."""
-    for _, g in _minor_grams(frame, within):
+    for g in _minor_grams(frame, within):
         w = frame.gram_witness(g, within)
         if w is not None:
             return w  # the witnessed minor is nonzero, so x, y are independent
@@ -403,45 +399,23 @@ def _find_rank2(frame, within):
 
 
 def _image_complex_line(frame, name, within):
-    """If the `name` vector image lies in a complex line C*v0, return v0."""
-    v0 = None
-    for c in within:
-        e = frame.element(c)
-        vec = e.x if name == "x" else e.y
-        if any(vec):
-            v0 = vec
-            break
-    if v0 is None:
-        return "zero"
-    for c in within:
-        e = frame.element(c)
-        vec = e.x if name == "x" else e.y
-        minors = [v0[i] * vec[j] - v0[j] * vec[i]
-                  for i in range(len(v0)) for j in range(i + 1, len(v0))]
-        if any(m != 0 for m in minors):
-            return None
-        # also need C-colinearity, not just wedge: wedge==0 is exactly that
+    """v0 when the `name` vector of every element of `within` lies in the
+    complex line C*v0 (a zero wedge with v0 is exactly C-colinearity); None
+    when it does not, or when that vector vanishes on `within`."""
+    vecs = [getattr(frame.element(c), name) for c in within]
+    v0 = next((vec for vec in vecs if any(vec)), None)
+    if v0 is None or any(any(m != 0 for m in _wedge(v0, vec)) for vec in vecs):
+        return None
     return v0
 
 
 def _line_subspace(frame, v0, within):
     """{u in within : x_u and y_u both lie in the complex line C*v0}."""
-    d = len(v0)
-
-    def funcs(e):
-        vals = []
-        for vec in (e.x, e.y):
-            for i in range(d):
-                for j in range(i + 1, d):
-                    mij = v0[i] * vec[j] - v0[j] * vec[i]
-                    vals += [re(mij), im(mij)]
-        return vals
-
-    rows = [funcs(frame.element(c)) for c in within]
-    if not rows or not rows[0]:
-        return within
-    kern = linalg.kernel_basis(_horizontal(rows))
-    return [frame._combine(within, k) for k in kern]
+    def values(c):
+        e = frame.element(c)
+        return [part(m) for vec in (e.x, e.y) for m in _wedge(v0, vec)
+                for part in (re, im)]
+    return frame.kernel_of(values, within)
 
 
 def _lambda_of(e: AlgebraElement):
@@ -481,18 +455,13 @@ def _candidate_lambdas(frame, within, rounds=24):
 
 def _pencil_rank1_roots(ei, ej):
     """Rational t where every (x;y)-minor of ei + t*ej vanishes."""
-    d = len(ei.x)
     polys = []  # (a, b, c) real quadratics a t^2 + b t + c from each minor part
-    for i in range(d):
-        for j in range(i + 1, d):
-            m0 = ei.x[i] * ei.y[j] - ei.x[j] * ei.y[i]
-            m2 = ej.x[i] * ej.y[j] - ej.x[j] * ej.y[i]
-            m1 = (ei.x[i] * ej.y[j] - ei.x[j] * ej.y[i]
-                  + ej.x[i] * ei.y[j] - ej.x[j] * ei.y[i])
-            for part in (re, im):
-                a, b, c = part(m2), part(m1), part(m0)
-                if a or b or c:
-                    polys.append((a, b, c))
+    for m0, m2, m1a, m1b in zip(_wedge(ei.x, ei.y), _wedge(ej.x, ej.y),
+                                _wedge(ei.x, ej.y), _wedge(ej.x, ei.y)):
+        for part in (re, im):
+            a, b, c = part(m2), part(m1a + m1b), part(m0)
+            if a or b or c:
+                polys.append((a, b, c))
     if not polys:
         return []
     roots = set()
@@ -520,33 +489,25 @@ def find_rank_one(frame, within):
     """An element of `within` with dim_C <x, y> = 1, or None.
 
     Exact in the layered cases (kernel sides, globally dependent, complex-line
-    images); randomized pencil/point search otherwise, so a None may be a
-    false negative — the classify() double entry covers that.
+    images), where a None means that no rank-one element exists; a randomized
+    pencil/point search otherwise, so a None may be a false negative — the
+    classify() double entry covers that.
     """
-    # y = 0, x != 0 side
-    ky = frame.kernel(["y"], within)
-    w = frame.nonzero_with(["x"], ky)
+    # y = 0, x != 0 side, then x = 0, y != 0
+    w = frame.nonzero_with(["x"], frame.kernel(["y"], within))
     if w is not None:
         return w
-    kx = frame.kernel(["x"], within)
-    w = frame.nonzero_with(["y"], kx)
+    w = frame.nonzero_with(["y"], frame.kernel(["x"], within))
     if w is not None:
         return w
+    # both sides empty: x = 0 iff y = 0, so rank one means x != 0 and y != 0
     if _globally_dependent(frame, within):
-        w = frame.nonzero_with(["y"], within)
-        if w is not None:
-            return w
-        return frame.nonzero_with(["x"], within)
+        return frame.nonzero_with(["y"], within)
     for name in ("y", "x"):
         v0 = _image_complex_line(frame, name, within)
-        if v0 is not None and v0 != "zero":
-            line = _line_subspace(frame, v0, within)
-            w = frame.nonzero_with(["y"], line)
-            if w is not None:
-                return w
-            w = frame.nonzero_with(["x"], line)
-            if w is not None and _rank_xy(frame.element(w)) == 1:
-                return w
+        if v0 is not None:
+            # rank-one elements have x, y in C*v0, and there rank one is name != 0
+            return frame.nonzero_with([name], _line_subspace(frame, v0, within))
     # pencils through basis pairs
     for ci, cj in itertools.combinations(within, 2):
         ei, ej = frame.element(ci), frame.element(cj)
@@ -561,40 +522,6 @@ def find_rank_one(frame, within):
     return None
 
 
-def no_rank_one(frame, within):
-    """(True, None) if no element has dim_C <x,y> = 1; else (False, witness).
-
-    Exact whenever the kernel sides differ, everything is globally dependent,
-    or a vector image is a complex line; the leftover mixed case is a
-    randomized search whose None side is certified by the double entry.
-    """
-    ky = frame.kernel(["y"], within)
-    w = frame.nonzero_with(["x"], ky)
-    if w is not None:
-        return False, w
-    kx = frame.kernel(["x"], within)
-    w = frame.nonzero_with(["y"], kx)
-    if w is not None:
-        return False, w
-    if _globally_dependent(frame, within):
-        w = frame.nonzero_with(["y"], within)
-        if w is not None:
-            return False, w
-        return True, None  # x and y vanish identically
-    for name in ("y", "x"):
-        v0 = _image_complex_line(frame, name, within)
-        if v0 is not None and v0 != "zero":
-            line = _line_subspace(frame, v0, within)
-            w = frame.nonzero_with(["y" if name == "y" else "x"], line)
-            if w is not None and _rank_xy(frame.element(w)) == 1:
-                return False, w
-            return True, None
-    w = find_rank_one(frame, within)
-    if w is not None:
-        return False, w
-    return True, None
-
-
 # ---------------------------------------------------------------------------
 # the eight square conditions
 
@@ -607,13 +534,17 @@ def check_square(h: Subalgebra, rng=None) -> Optional[SquareWitness]:
     automatically satisfies the original restriction (its bracket lies in the
     central part, where |eta|^2 = xx*yy forces the missing equation).
     """
-    rng = rng or random.Random(0)
+    return _first_witness(h, rng or random.Random(0), _SQUARE_CHECKS, SquareWitness)
+
+
+def _first_witness(h, rng, checks, witness):
+    """The lowest-numbered of `checks` that h satisfies, as a `witness`."""
     frame = _Frame(h, rng)
-    for cid, checker in enumerate(_SQUARE_CHECKS, start=1):
+    for cid, checker in enumerate(checks, start=1):
         res = checker(frame)
         if res is not None:
             elements, conjs, note, exact = res
-            return SquareWitness(cid, elements, conjs, note, exact)
+            return witness(cid, elements, conjs, note, exact)
     return None
 
 
@@ -625,10 +556,7 @@ def _sq1(frame):
     w = _find_rank2(frame, W)
     if w is None:
         return None
-    e = frame.element(w)
-    if _rank_xy(e) != 2:
-        return None
-    return {"u": e}, [], "", True
+    return {"u": frame.element(w)}, [], "", True
 
 
 def _sq2(frame):
@@ -766,14 +694,7 @@ _SQUARE_CHECKS = [_sq1, _sq2, _sq3, _sq4, _sq5, _sq6, _sq7, _sq8]
 
 
 def check_linear(h: Subalgebra, rng=None) -> Optional[LinearWitness]:
-    rng = rng or random.Random(1)
-    frame = _Frame(h, rng)
-    for cid, checker in enumerate(_LINEAR_CHECKS, start=1):
-        res = checker(frame)
-        if res is not None:
-            elements, conjs, note, exact = res
-            return LinearWitness(cid, elements, conjs, note, exact)
-    return None
+    return _first_witness(h, rng or random.Random(1), _LINEAR_CHECKS, LinearWitness)
 
 
 def _li1(frame):
@@ -799,7 +720,8 @@ def _li2(frame):
     Layered decision: the two kernel sides are linear; a global or pointwise
     lambda reduces C to |y|^2 * D_lambda with D_lambda linear; the complex-line
     case expands C exactly and uses oddness of cubics on two-planes; the rest
-    is randomized and covered by the double entry.
+    is randomized and covered by the double entry.  Template 7 reads the same
+    search: for phi = 0 it says whether some rank-one element has C = 0.
     """
     W = frame.kernel(["phi"])
     if not W:
@@ -834,7 +756,7 @@ def _li2(frame):
             return {"u": frame.element(w)}, [], "pointwise lambda branch", True
     # (e) complex-line case: exact cubic expansion on the line subspace
     v0 = _image_complex_line(frame, "y", W)
-    if v0 is not None and v0 != "zero":
+    if v0 is not None:
         res = _li2_line_case(frame, W, v0)
         if res is not None:
             return res
@@ -842,24 +764,17 @@ def _li2(frame):
     for _ in range(DEFAULT.pit_rounds // 2):
         c = frame.random_coeff(W, size=40)
         e = frame.element(c)
-        if _rank_xy(e) == 1 and cubic_c(e) == 0 and (any(e.x) or any(e.y)):
+        if _rank_xy(e) == 1 and cubic_c(e) == 0:
             return {"u": e}, [], "randomized", True
     return None
 
 
 def _w_lambda(frame, W, lam):
     """{u in W : x_u = lam * y_u} as coefficient vectors."""
-    def funcs(e):
-        vals = []
-        for xv, yv in zip(e.x, e.y):
-            dvv = xv - lam * yv
-            vals += [re(dvv), im(dvv)]
-        return vals
-    rows = [funcs(frame.element(c)) for c in W]
-    if not rows or not rows[0]:
-        return W
-    kern = linalg.kernel_basis(_horizontal(rows))
-    return [frame._combine(W, k) for k in kern]
+    def values(c):
+        e = frame.element(c)
+        return [part(xv - lam * yv) for xv, yv in zip(e.x, e.y) for part in (re, im)]
+    return frame.kernel_of(values, W)
 
 
 def _lambda_global(frame, W, lam):
@@ -870,13 +785,7 @@ def _lambda_global(frame, W, lam):
 
 
 def _kernel_d_lambda(frame, W, lam):
-    def func(e):
-        return [d_lambda(e, lam)]
-    rows = [func(frame.element(c)) for c in W]
-    if not rows:
-        return []
-    kern = linalg.kernel_basis(_horizontal(rows))
-    return [frame._combine(W, k) for k in kern]
+    return frame.kernel_of(lambda c: [d_lambda(frame.element(c), lam)], W)
 
 
 def _cubic_coeffs(frame, within):
@@ -912,19 +821,12 @@ def _li2_line_case(frame, W, v0):
             return {"u": frame.element(w)}, [], "cubic vanishes on line subspace", True
         return None
     ky = frame.kernel(["y"], line)
-    codim = len(line) - len(ky)
-    if codim >= 2:
+    if len(line) - len(ky) >= 2:
         # an odd cubic vanishes somewhere on any 2-plane missing ker y
         found = _odd_cubic_zero_on_plane(frame, line, ky)
         if found is not None:
             u, exact = found
             return {"u": u}, [], "odd-cubic zero on a 2-plane", exact
-    if codim == 1:
-        for _ in range(DEFAULT.pit_rounds):
-            c = frame.random_coeff(line, size=25)
-            e = frame.element(c)
-            if _rank_xy(e) == 1 and cubic_c(e) == 0 and any(e.y):
-                return {"u": e}, [], "randomized on line subspace", True
     return None
 
 
@@ -1014,12 +916,8 @@ def _li5(frame):
 
 def _li5_fixed_z(frame, z):
     # K = {u : Im(phi_u conj(eta_z)) = 0}
-    def reality(e):
-        return [im(e.phi * conj(z.eta))]
-
-    rows = [reality(frame.element(c)) for c in frame.full]
-    kern = linalg.kernel_basis(_horizontal(rows))
-    K = [frame._combine(frame.full, k) for k in kern]
+    K = frame.kernel_of(lambda c: [im(frame.element(c).phi * conj(z.eta))],
+                        frame.full)
     if not K:
         return None
 
@@ -1237,8 +1135,7 @@ def _tm6(frame):
     """phi = 0, no rank-one (x,y) pair, central form anisotropic: rho ~ |h|^2."""
     if not frame.vanishes_on("phi", frame.full):
         return None
-    ok, _w = no_rank_one(frame, frame.full)
-    if not ok:
+    if find_rank_one(frame, frame.full) is not None:
         return None
     if frame.z_coeffs:
         g = frame.gram(q_center, frame.z_coeffs)
@@ -1262,63 +1159,10 @@ def _tm7(frame):
     v = find_rank_one(frame, frame.full)
     if v is None:
         return None
-    ok, bad = _all_rank_one_cubic_nonzero(frame, frame.full)
-    if not ok:
-        return None
+    if _li2(frame) is not None:
+        return None  # linear condition 2: some rank-one element has C = 0
     return NotCdsMatch(7, MuShape.band(Fraction(3, 2), 2, provenance="notcds-7"),
                        {"rank_one": frame.element(v)}, frame.d)
-
-
-def _all_rank_one_cubic_nonzero(frame, W):
-    """Universal check: every rank-one element has cubic_c != 0.
-
-    Exact on the kernel sides and for candidate lambdas; randomized sweep for
-    the mixed stratum.  Returns (holds, counterexample_or_None).
-    """
-    # y = 0 side: need yy != 0 whenever x != 0, i.e. ker y ∩ ker yy ⊆ ker x
-    kyyy = frame.kernel(["y", "yy"], W)
-    w = frame.nonzero_with(["x"], kyyy)
-    if w is not None:
-        return False, w
-    kxxx = frame.kernel(["x", "xx"], W)
-    w = frame.nonzero_with(["y"], kxxx)
-    if w is not None:
-        return False, w
-    if _globally_dependent(frame, W):
-        wy = frame.nonzero_with(["y"], W)
-        if wy is not None:
-            lam = _lambda_of(frame.element(wy))
-            if lam is not None and _lambda_global(frame, W, lam):
-                K = _kernel_d_lambda(frame, W, lam)
-                w = frame.nonzero_with(["y"], K)
-                if w is not None:
-                    return False, w
-    for lam in _candidate_lambdas(frame, W):
-        Wl = _w_lambda(frame, W, lam)
-        K = _kernel_d_lambda(frame, Wl, lam)
-        w = frame.nonzero_with(["y"], K)
-        if w is not None and _rank_xy(frame.element(w)) == 1:
-            return False, w
-    v0 = _image_complex_line(frame, "y", W)
-    if v0 is not None and v0 != "zero":
-        line = _line_subspace(frame, v0, W)
-        coeffs = _cubic_coeffs(frame, line)
-        if all(v == 0 for v in coeffs.values()):
-            w = frame.nonzero_with(["y"], line)
-            if w is not None:
-                return False, w
-        else:
-            ky = frame.kernel(["y"], line)
-            if len(line) - len(ky) >= 2:
-                u = _odd_cubic_zero_on_plane(frame, line, ky)
-                if u is not None:
-                    return False, None
-    for _ in range(DEFAULT.pit_rounds // 2):
-        c = frame.random_coeff(W, size=40)
-        e = frame.element(c)
-        if _rank_xy(e) == 1 and cubic_c(e) == 0:
-            return False, c
-    return True, None
 
 
 def _tm8(frame):

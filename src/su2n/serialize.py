@@ -5,9 +5,10 @@ Element encoding: {"t1": s, "t2": s, "phi": [s, s], "x": [[s, s], ...],
 "p/q" string, an integer, or a double read as its exact binary value.  A
 subalgebra file wraps a basis with its n and mode; AN-subgroup specs carry a
 "kind" of semidirect / graph / oneparam; the line of a semidirect or graph
-spec must normalize its U.  The writer always emits "p/q" strings and
-"mode": "exact"; files marked "mode": "float" are read the same way, then
-validated like any spec.
+spec must normalize its U.  A semidirect "torus" [p, q] is read as the line
+it spans, so [2, 2] and [-1, -1] load as [1, 1]; [0, 0] is an error.  The
+writer always emits "p/q" strings and "mode": "exact"; files marked
+"mode": "float" are read the same way, then validated like any spec.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import json
 
 from .anclassify import Graph, OneParam, Semidirect, TorusLine, _normalized_by_element
-from .elements import AlgebraElement
+from .elements import AlgebraElement, primitive_line
 from .scalars import QQi, format_rational, im, parse_rational, re
 from .subalgebra import Subalgebra, SubalgebraError
 
@@ -101,8 +102,10 @@ def spec_from_json(d: dict):
         return subalgebra_from_json(d)
     if kind == "semidirect":
         u = subalgebra_from_json(d)
-        p, q = d["torus"]
-        torus = TorusLine(int(p), int(q))
+        p, q = (int(v) for v in d["torus"])
+        if p == 0 and q == 0:
+            raise ValueError("the semidirect torus [0, 0] spans no line")
+        torus = TorusLine(*primitive_line(p, q))
         return _line_normalizes(Semidirect(torus, u), torus.element(u.n))
     if kind == "graph":
         u = subalgebra_from_json(d)

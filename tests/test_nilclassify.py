@@ -7,11 +7,14 @@ import pytest
 from su2n.metrics import rho_norm, sup_norm
 from su2n.nilclassify import (
     _Frame,
+    _pencil_rank1_roots,
+    _rank_xy,
     NotInN,
     check_linear,
     check_square,
     classify,
     cubic_c,
+    find_rank_one,
     match_notcds,
     normalizer_in_A,
     pair_e,
@@ -290,3 +293,35 @@ def test_func_on_reads_the_slot_of_the_element():
             e = frame.element(c)
             for name in ("t", "phi", "x", "y", "eta", "xx", "yy"):
                 assert frame.func_on(name, c) == _slot_values(e, name), (entry.id, name)
+
+
+class _NoDraws(random.Random):
+    """A generator that fails the test as soon as a search draws from it."""
+
+    def randint(self, a, b):
+        raise AssertionError("an exact layer drew a random number")
+
+
+@pytest.mark.parametrize("basis_kw, has_rank_one", [
+    # the y image is the complex line C*(1, 0), which no x reaches
+    ({"x": [0, 1], "y": [1, 0]}, False),
+    # the y = 0 side
+    ({"x": [1, 0]}, True),
+    # x = y on all of h: globally dependent
+    ({"x": [1, 0], "y": [1, 0]}, True),
+], ids=["complex-line-miss", "y-zero-side", "globally-dependent"])
+def test_exact_rank_one_layers_draw_no_random_numbers(alg, sub, basis_kw, has_rank_one):
+    frame = _Frame(sub(alg(4, **basis_kw)), _NoDraws())
+    w = find_rank_one(frame, frame.full)
+    if has_rank_one:
+        assert _rank_xy(frame.element(w)) == 1
+    else:
+        assert w is None
+
+
+def test_pencil_roots_are_the_rank_one_points_of_the_pencil(alg):
+    ei, ej = alg(4, x=[1, 0], y=[1, 1]), alg(4, x=[0, 1])
+    # ei + t ej has x = (1, t), y = (1, 1): its one minor is 1 - t
+    assert _pencil_rank1_roots(ei, ej) == [1]
+    # ej + t ei has x = (t, 1), y = (t, t): its one minor is t^2 - t
+    assert sorted(_pencil_rank1_roots(ej, ei)) == [0, 1]

@@ -188,6 +188,35 @@ def test_cli_mu_scan_conjugates_a_non_compatible_spec(tmp_path, spec, s_lo, s_hi
     assert abs(summary["s_hi"] - s_hi) < 0.05
 
 
+def _semidirect_file(tmp_path, torus, u):
+    """A semidirect spec file whose "torus" entry is written as given."""
+    d = spec_to_json(Semidirect(TorusLine(1, 1), u))
+    d["torus"] = torus
+    path = tmp_path / f"semidirect{torus[0]}_{torus[1]}.json"
+    path.write_text(json.dumps(d))
+    return path
+
+
+@pytest.mark.parametrize("torus", [[2, 2], [-1, -1]])
+def test_cli_reads_a_semidirect_torus_as_its_line(tmp_path, torus):
+    u = Subalgebra([AlgebraElement(3, eta=1, xx=1, yy=1)])
+    reports = []
+    for t in ([1, 1], torus):
+        p = _cli("classify", str(_semidirect_file(tmp_path, t, u)))
+        assert p.returncode == 0, p.stderr
+        reports.append(json.loads(p.stdout))
+    assert reports[0]["case"] == "semidirect-1b"
+    assert reports[1] == reports[0]
+
+
+def test_cli_rejects_a_zero_semidirect_torus(tmp_path):
+    path = _semidirect_file(tmp_path, [0, 0], Subalgebra([AlgebraElement(3, yy=1)]))
+    for command in ("classify", "mu-scan"):
+        p = _cli(command, str(path))
+        assert p.returncode == 1, p.stderr
+        assert "the semidirect torus [0, 0] spans no line" in p.stderr
+
+
 def test_cli_seed_env(tmp_path, monkeypatch):
     spec_path = tmp_path / "p.json"
     _cli("gallery", "--emit", "notcds09-n3", "--out", str(spec_path))
