@@ -24,12 +24,5 @@ class Tolerances:
     # Minimum sample count / decade span for exponent fitting.
     min_samples: int = 32
     min_decades: float = 3.0
-    # Rounds of randomized polynomial identity testing on the exact
-    # classification path.  Each round is an exact rational evaluation on a
-    # large integer grid, so false negatives are astronomically unlikely.
-    pit_rounds: int = 80
-    # Integer grid half-width for PIT evaluation points.
-    pit_grid: int = 10**6
-
 
 DEFAULT = Tolerances()

@@ -48,13 +48,16 @@ class OverflowCeiling(ArithmeticError):
     pass
 
 
+# Random product curves per sampled spec, each a product of 1..PRODUCT_DEPTH
+# exponentials of random directions in the algebra.
+N_PRODUCT_CURVES = 20
+PRODUCT_DEPTH = 3
+
+
 @dataclass
 class SamplingPlan:
     seed: int = 0
     per_curve: int = 48
-    n_product_curves: int = 20
-    depth: int = 3
-    include_witness_curves: bool = True
     collect_mu: bool = False
     t_cap: Optional[float] = None
     tol: Tolerances = DEFAULT
@@ -216,7 +219,7 @@ def _nil_curves(h: Subalgebra, plan, result=None):
     B = np.array(h.coord_rows(), dtype=float)
     rng = random.Random(plan.seed)
     curves = []
-    if plan.include_witness_curves and result is not None:
+    if result is not None:
         if result.square is not None:
             curves.append(("square-witness",
                            _PerPoint(witness_curve(result.square, h), h.n)))
@@ -228,8 +231,8 @@ def _nil_curves(h: Subalgebra, plan, result=None):
     for i, b in enumerate(B):
         curves.append((f"ray{i}", lambda ts, b=b: exp_float(b, ts)))
         curves.append((f"ray{i}-", lambda ts, b=b: exp_float(b, -ts)))
-    for i in range(plan.n_product_curves):
-        curves.append((f"prod{i}", _product_curve(rng, B, plan.depth)))
+    for i in range(N_PRODUCT_CURVES):
+        curves.append((f"prod{i}", _product_curve(rng, B, PRODUCT_DEPTH)))
     return curves
 
 
@@ -314,9 +317,9 @@ def _ray_and_mix_curves(L, scale, u, rng, plan):
     """A ray per basis row of u, then exp((s log t / scale) L) times a random product."""
     B = np.array(u.coord_rows(), dtype=float)
     curves = [(f"u-ray{i}", lambda ts, b=b: exp_float(b, ts)) for i, b in enumerate(B)]
-    for i in range(plan.n_product_curves):
+    for i in range(N_PRODUCT_CURVES):
         s = rng.uniform(-2, 2)
-        udirs = _product_curve(rng, B, plan.depth)
+        udirs = _product_curve(rng, B, PRODUCT_DEPTH)
 
         def curve(ts, s=s, udirs=udirs):
             return exp_line(L, s * np.log(ts) / scale) @ udirs(ts)

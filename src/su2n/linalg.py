@@ -98,27 +98,6 @@ def subspace_eq(rows_a, rows_b) -> bool:
     return subspace_leq(rows_a, rows_b) and subspace_leq(rows_b, rows_a)
 
 
-def intersect(rows_a, rows_b) -> list:
-    """Basis of span(rows_a) ∩ span(rows_b), as ambient vectors."""
-    if not rows_a or not rows_b:
-        return []
-    ncols = len(rows_a[0])
-    # Kernel of [A^T | -B^T] gives coefficient pairs.
-    stacked = [[Fraction(rows_a[i][j]) for i in range(len(rows_a))]
-               + [-Fraction(rows_b[i][j]) for i in range(len(rows_b))]
-               for j in range(ncols)]
-    out = []
-    for coeff in kernel_basis(stacked):
-        v = [Fraction(0)] * ncols
-        for i, c in enumerate(coeff[: len(rows_a)]):
-            if c:
-                v = [a + c * b for a, b in zip(v, rows_a[i])]
-        if any(v):
-            out.append(v)
-    red, _ = rref(out)
-    return red
-
-
 def solve_linear(rows, rhs) -> Optional[list]:
     """One solution x of rows @ x = rhs, or None if inconsistent."""
     if not rows:
@@ -136,29 +115,27 @@ def solve_linear(rows, rhs) -> Optional[list]:
 
 # -- quadratic forms ----------------------------------------------------------
 
-def gram_from_quadratic(q: Callable, basis: Sequence) -> Mat:
-    """Gram matrix of a quadratic form by polarization on a basis.
+def gram_from_quadratic(q: Callable, vectors: Sequence) -> list:
+    """Gram matrices of quadratic forms by polarization on `vectors`.
 
-    `q` maps a basis-coefficient linear combination (built by the caller via
-    the supplied element-combiner) to a Fraction.  Here `basis` is abstract:
-    q takes coefficient vectors.
+    `q` maps a vector to a list of Fractions, the values of one or more
+    quadratic forms there; one Gram per entry of that list is returned, each
+    evaluating q once at every vector and every pairwise sum.  With no
+    vectors there is nothing to evaluate and the list is empty.
     """
-    d = len(basis)
-    def ei(i):
-        v = [Fraction(0)] * d
-        v[i] = Fraction(1)
-        return v
-    diag = [q(ei(i)) for i in range(d)]
-    g = [[Fraction(0)] * d for _ in range(d)]
+    d = len(vectors)
+    if not d:
+        return []
+    diag = [q(v) for v in vectors]
+    grams = [[[Fraction(0)] * d for _ in range(d)] for _ in diag[0]]
     for i in range(d):
-        g[i][i] = diag[i]
+        for g, val in zip(grams, diag[i]):
+            g[i][i] = val
         for j in range(i + 1, d):
-            vij = ei(i)
-            vij[j] = Fraction(1)
-            b = (q(vij) - diag[i] - diag[j]) / 2
-            g[i][j] = b
-            g[j][i] = b
-    return g
+            vals = q([a + b for a, b in zip(vectors[i], vectors[j])])
+            for g, val, vi, vj in zip(grams, vals, diag[i], diag[j]):
+                g[i][j] = g[j][i] = (val - vi - vj) / 2
+    return grams
 
 
 def signature(gram) -> tuple:

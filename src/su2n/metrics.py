@@ -192,11 +192,6 @@ class SampleCloud:
             tg.append(tag)
         return SampleCloud(np.array(ln), np.array(lr), tg)
 
-    def merged(self, other: "SampleCloud") -> "SampleCloud":
-        return SampleCloud(np.concatenate([self.log_norm, other.log_norm]),
-                           np.concatenate([self.log_rho, other.log_rho]),
-                           self.tags + other.tags, dict(self.meta))
-
     def to_rows(self):
         t = self.meta.get("t_values", [None] * len(self))
         return [(t[i], float(self.log_norm[i]), float(self.log_rho[i]), self.tags[i])

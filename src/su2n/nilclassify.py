@@ -40,7 +40,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg
-from .config import DEFAULT
 from .elements import (AlgebraElement, ad_a, exp_closed, exp_float, kernel_line,
                        kernel_root, primitive_line)
 from .scalars import QQi, abs2, conj, herm, im, re
@@ -119,50 +118,45 @@ class ClassificationResult:
 
 
 # ---------------------------------------------------------------------------
-# coefficient-space frame
+# the coordinate-row frame
 
 
 class _Frame:
     """Precomputed exact data for one subalgebra.
 
-    All subspaces are represented by coefficient vectors over h.basis, so
-    kernels, intersections and containments are small rational systems.
+    A vector of h is its coordinate row (the coords() of the element, a
+    combination of h.coord_rows()), so a slot functional is a column slice,
+    an element is AlgebraElement.from_coords, and kernels, intersections and
+    containments are small rational systems on rows.
     """
 
     def __init__(self, h: Subalgebra, rng: random.Random):
         if not h.is_nilpotent():
             raise NotInN("subalgebra has a nonzero a-part")
-        self.h = h
         self.n = h.n
         self.d = h.dim
         self.rng = rng
         self.cols = AlgebraElement.slot_columns(self.n)
-        self.full = [self._unit(i) for i in range(self.d)]
-        self.z_coeffs = self.kernel(["phi", "x", "y"])
+        self.full = h.coord_rows()
+        self.z_rows = self.kernel(["phi", "x", "y"])
 
-    def _unit(self, i):
-        v = [Fraction(0)] * self.d
-        v[i] = Fraction(1)
-        return v
+    # functional values, read as column slices of the row --------------------
 
-    # functional values, read as column slices of coeffs . C ----------------
+    def element(self, row) -> AlgebraElement:
+        return AlgebraElement.from_coords(self.n, row)
 
-    def element(self, coeffs) -> AlgebraElement:
-        return self.h.element(coeffs)
+    def funcs_on(self, names, row):
+        """Values of the named slot functionals (concatenated) at row."""
+        return [x for nm in names for x in row[self.cols[nm]]]
 
-    def funcs_on(self, names, coeffs):
-        """Values of the named slot functionals (concatenated) at coeffs."""
-        v = self.h.coords_of(coeffs)
-        return [x for nm in names for x in v[self.cols[nm]]]
-
-    def func_on(self, name, coeffs):
-        return self.h.coords_of(coeffs)[self.cols[name]]
+    def func_on(self, name, row):
+        return row[self.cols[name]]
 
     # subspace machinery ---------------------------------------------------
 
     def kernel_of(self, values, within):
-        """Coefficient basis of {u in within : values(u) = 0}, where `values`
-        maps a coefficient vector to a list of real-linear functionals."""
+        """Row basis of {u in within : values(u) = 0}, where `values` maps a
+        row to a list of real-linear functionals."""
         if not within:
             return []
         rows = [values(c) for c in within]
@@ -172,23 +166,27 @@ class _Frame:
         return [self._combine(within, k) for k in kern]
 
     def kernel(self, names, within=None):
-        """Coefficient basis of {u in within : all named functionals vanish}."""
+        """Row basis of {u in within : all named functionals vanish}."""
         within = self.full if within is None else within
         return self.kernel_of(lambda c: self.funcs_on(names, c), within)
 
-    def _combine(self, within, coeffs):
-        out = [Fraction(0)] * self.d
+    @staticmethod
+    def _combine(within, coeffs):
+        """The combination sum_i coeffs[i] within[i] of rows."""
+        out = [Fraction(0)] * len(within[0])
         for c, vec in zip(coeffs, within):
             if c:
-                out = [a + c * b for a, b in zip(out, vec)]
+                for k, v in enumerate(vec):
+                    if v:
+                        out[k] += c * v
         return out
 
     def vanishes_on(self, name, within) -> bool:
         return all(all(v == 0 for v in self.func_on(name, c)) for c in within)
 
     def nonzero_with(self, names, within) -> Optional:
-        """A coefficient vector in `within` where every named functional is
-        nonzero; None iff some functional vanishes identically on `within`.
+        """A row in `within` where every named functional is nonzero; None
+        iff some functional vanishes identically on `within`.
 
         A real vector space is not a finite union of proper subspaces, so a
         witness exists exactly when each functional is individually nonzero
@@ -221,15 +219,12 @@ class _Frame:
 
     def gram(self, q, within):
         """Polarization Gram of the quadratic form q(element) on `within`."""
-        k = len(within)
-
-        def qc(coeffs):
-            return q(self.element(self._combine(within, coeffs)))
-
-        return linalg.gram_from_quadratic(qc, list(range(k))) if k else []
+        if not within:
+            return []
+        return linalg.gram_from_quadratic(lambda v: [q(self.element(v))], within)[0]
 
     def gram_witness(self, gram, within):
-        """Coefficient vector where the form with this Gram is nonzero."""
+        """A row where the form with this Gram is nonzero."""
         k = len(gram)
         for i in range(k):
             if gram[i][i] != 0:
@@ -240,8 +235,7 @@ class _Frame:
                     return [a + b for a, b in zip(within[i], within[j])]
         return None
 
-    def random_coeff(self, within, size=None):
-        size = size or DEFAULT.pit_grid
+    def random_row(self, within, size):
         c = [Fraction(self.rng.randint(-size, size)) for _ in within]
         return self._combine(within, c)
 
@@ -308,7 +302,7 @@ def _rational_zero(frame, gram_data, within, avoid_kernels=()):
     gram_data is the signature() certificate.  Uses the radical first, then
     zero-diagonal congruence directions, then small rational combinations of
     one positive and one negative congruence vector (rational when the
-    discriminant is a perfect square).  Returns (coeffs, exact_flag) or None
+    discriminant is a perfect square).  Returns (row, exact_flag) or None
     when the real zero cone is degenerate enough to force a nonexistence
     (caller decides that via the signature).
     """
@@ -317,10 +311,10 @@ def _rational_zero(frame, gram_data, within, avoid_kernels=()):
     def lift(v):
         return frame._combine(within, v)
 
-    def ok(coeffs):
-        if all(c == 0 for c in coeffs):
+    def ok(row):
+        if all(c == 0 for c in row):
             return False
-        return all(any(frame.funcs_on(names, coeffs)) for names in avoid_kernels)
+        return all(any(frame.funcs_on(names, row)) for names in avoid_kernels)
 
     candidates = [lift(v) for v in cert["radical"]]
     # combinations inside the radical
@@ -328,9 +322,9 @@ def _rational_zero(frame, gram_data, within, avoid_kernels=()):
         for j in range(i + 1, len(cert["radical"])):
             candidates.append(lift([a + b for a, b in
                                     zip(cert["radical"][i], cert["radical"][j])]))
-    for coeffs in candidates:
-        if ok(coeffs):
-            return coeffs, True
+    for row in candidates:
+        if ok(row):
+            return row, True
     # rational points mixing a positive and a negative direction
     for (dp, vp) in cert["positive"]:
         for (dn, vn) in cert["negative"]:
@@ -342,12 +336,12 @@ def _rational_zero(frame, gram_data, within, avoid_kernels=()):
             t = Fraction(rn, rd)
             base = [t * a + b for a, b in zip(vp, vn)]
             for extra in [[Fraction(0)] * len(vp)] + cert["radical"]:
-                coeffs = lift([a + b for a, b in zip(base, extra)])
-                if ok(coeffs):
-                    return coeffs, True
-            coeffs = lift([-t * a + b for a, b in zip(vp, vn)])
-            if ok(coeffs):
-                return coeffs, True
+                row = lift([a + b for a, b in zip(base, extra)])
+                if ok(row):
+                    return row, True
+            row = lift([-t * a + b for a, b in zip(vp, vn)])
+            if ok(row):
+                return row, True
     # floating fallback: exact decision, approximate witness
     import math
     for (dp, vp) in cert["positive"]:
@@ -374,13 +368,21 @@ def _isqrt_exact(k: int):
 # ---------------------------------------------------------------------------
 # rank-one machinery (shared structure, independent random draws per caller)
 
+# Rounds of the randomized rank-one searches (find_rank_one, linear condition
+# 2).  Each round is an exact evaluation at a random integer point; a miss is
+# covered by the double entry in classify().
+_RANK_ONE_ROUNDS = 20
+_LI2_ROUNDS = 40
+
 
 def _minor_grams(frame, within):
-    """Polarization Grams of the real/imaginary parts of all (x;y) minors,
-    built one at a time so that callers can stop at the first they need."""
-    for m in range((frame.n - 2) * (frame.n - 3) // 2):
-        for part in (re, im):
-            yield frame.gram(lambda e, m=m, part=part: part(_wedge(e.x, e.y)[m]), within)
+    """Polarization Grams of the real and imaginary parts of every (x;y)
+    minor, in the order (minor 0 Re, minor 0 Im, minor 1 Re, ...); each
+    polarization point's element is built once for all of them."""
+    def parts(v):
+        e = frame.element(v)
+        return [part(m) for m in _wedge(e.x, e.y) for part in (re, im)]
+    return linalg.gram_from_quadratic(parts, within)
 
 
 def _globally_dependent(frame, within):
@@ -446,7 +448,7 @@ def _candidate_lambdas(frame, within, rounds=24):
             if _rank_xy(e) == 1 and any(e.y):
                 push(_lambda_of(e))
     for _ in range(rounds):
-        c = frame.random_coeff(within, size=50)
+        c = frame.random_row(within, size=50)
         e = frame.element(c)
         if _rank_xy(e) == 1 and any(e.y):
             push(_lambda_of(e))
@@ -515,8 +517,8 @@ def find_rank_one(frame, within):
             cand = [a + t * b for a, b in zip(ci, cj)]
             if _rank_xy(frame.element(cand)) == 1:
                 return cand
-    for _ in range(DEFAULT.pit_rounds // 4):
-        c = frame.random_coeff(within, size=30)
+    for _ in range(_RANK_ONE_ROUNDS):
+        c = frame.random_row(within, size=30)
         if _rank_xy(frame.element(c)) == 1:
             return c
     return None
@@ -561,7 +563,7 @@ def _sq1(frame):
 
 def _sq2(frame):
     """z central with |eta_z|^2 != xx_z yy_z."""
-    Z = frame.z_coeffs
+    Z = frame.z_rows
     if not Z:
         return None
     g = frame.gram(q_center, Z)
@@ -576,7 +578,7 @@ def _sq3(frame):
     W = frame.kernel(["phi"])
     if not W:
         return None
-    for zc in frame.z_coeffs:
+    for zc in frame.z_rows:
         z = frame.element(zc)
 
         def q(e, z=z):
@@ -603,8 +605,8 @@ def _sq4(frame):
         res = _rational_zero(frame, sig, V, avoid_kernels=[["phi"]])
         if res is None:
             return None
-        coeffs, exact = res
-        return {"u": frame.element(coeffs)}, [], "", exact
+        row, exact = res
+        return {"u": frame.element(row)}, [], "", exact
     # semidefinite: zero set is exactly the radical
     rad = [frame._combine(V, v) for v in cert["radical"]]
     w = frame.nonzero_with(["phi"], rad)
@@ -614,9 +616,9 @@ def _sq4(frame):
 
 
 def _xx_axis_element(frame):
-    coeff = linalg.in_span(frame.h.coord_rows(),
-                           AlgebraElement(frame.n, xx=1).coords())
-    return coeff
+    """The xx-axis row when the axis lies in h, else None."""
+    axis = AlgebraElement(frame.n, xx=1).coords()
+    return axis if linalg.span_contains(frame.full, axis) else None
 
 
 def _sq5(frame):
@@ -668,10 +670,10 @@ def _sq8(frame):
     axis = _xx_axis_element(frame)
     if axis is None:
         return None
-    if not linalg.subspace_eq(frame.z_coeffs, [axis]):
+    if not linalg.subspace_eq(frame.z_rows, [axis]):
         return None
     kphi = frame.kernel(["phi"])
-    if not linalg.subspace_eq(kphi, frame.z_coeffs):
+    if not linalg.subspace_eq(kphi, frame.z_rows):
         return None
     u = frame.nonzero_with(["y"], frame.full)
     if u is None:
@@ -699,7 +701,7 @@ def check_linear(h: Subalgebra, rng=None) -> Optional[LinearWitness]:
 
 def _li1(frame):
     """nonzero central z with |eta_z|^2 = xx_z yy_z."""
-    Z = frame.z_coeffs
+    Z = frame.z_rows
     if not Z:
         return None
     g = frame.gram(q_center, Z)
@@ -710,8 +712,8 @@ def _li1(frame):
     res = _rational_zero(frame, sig, Z)
     if res is None:
         return None
-    coeffs, exact = res
-    return {"z": frame.element(coeffs)}, [], "", exact
+    row, exact = res
+    return {"z": frame.element(row)}, [], "", exact
 
 
 def _li2(frame):
@@ -761,8 +763,8 @@ def _li2(frame):
         if res is not None:
             return res
     # (f) randomized sweep
-    for _ in range(DEFAULT.pit_rounds // 2):
-        c = frame.random_coeff(W, size=40)
+    for _ in range(_LI2_ROUNDS):
+        c = frame.random_row(W, size=40)
         e = frame.element(c)
         if _rank_xy(e) == 1 and cubic_c(e) == 0:
             return {"u": e}, [], "randomized", True
@@ -770,7 +772,7 @@ def _li2(frame):
 
 
 def _w_lambda(frame, W, lam):
-    """{u in W : x_u = lam * y_u} as coefficient vectors."""
+    """{u in W : x_u = lam * y_u} as rows."""
     def values(c):
         e = frame.element(c)
         return [part(xv - lam * yv) for xv, yv in zip(e.x, e.y) for part in (re, im)]
@@ -778,10 +780,12 @@ def _w_lambda(frame, W, lam):
 
 
 def _lambda_global(frame, W, lam):
-    return all(all(v == 0 for v in
-                   [x for xv, yv in zip(frame.element(c).x, frame.element(c).y)
-                    for x in (re(xv - lam * yv), im(xv - lam * yv))])
-               for c in W)
+    """x_u = lam * y_u for every u in W."""
+    for c in W:
+        e = frame.element(c)
+        if any(part(xv - lam * yv) for xv, yv in zip(e.x, e.y) for part in (re, im)):
+            return False
+    return True
 
 
 def _kernel_d_lambda(frame, W, lam):
@@ -789,25 +793,14 @@ def _kernel_d_lambda(frame, W, lam):
 
 
 def _cubic_coeffs(frame, within):
-    """Exact symmetric-trilinear coefficients of C on `within`."""
-    k = len(within)
+    """Exact symmetric-trilinear coefficients of C on `within`, keyed by
+    index triples i <= j <= l, by 7-term polarization on row sums."""
+    def cval(*idx):
+        return cubic_c(frame.element([sum(col) for col in zip(*(within[i] for i in idx))]))
 
-    def cval(coeffs):
-        return cubic_c(frame.element(frame._combine(within, coeffs)))
-
-    coeffs = {}
-    for i in range(k):
-        for j in range(i, k):
-            for l in range(j, k):
-                ei = [Fraction(0)] * k
-                ej = [Fraction(0)] * k
-                el = [Fraction(0)] * k
-                ei[i] = ej[j] = el[l] = Fraction(1)
-                s = lambda *vs: [sum(col) for col in zip(*vs)]
-                val = (cval(s(ei, ej, el)) - cval(s(ei, ej)) - cval(s(ei, el))
-                       - cval(s(ej, el)) + cval(ei) + cval(ej) + cval(el))
-                coeffs[(i, j, l)] = val
-    return coeffs
+    return {(i, j, l): (cval(i, j, l) - cval(i, j) - cval(i, l) - cval(j, l)
+                        + cval(i) + cval(j) + cval(l))
+            for i, j, l in itertools.combinations_with_replacement(range(len(within)), 3)}
 
 
 def _li2_line_case(frame, W, v0):
@@ -891,7 +884,7 @@ def _li4(frame):
     u = frame.nonzero_with(["phi", "yy"], V)
     if u is None:
         return None
-    Z0 = frame.kernel(["yy"], frame.z_coeffs)
+    Z0 = frame.kernel(["yy"], frame.z_rows)
     z = frame.nonzero_with(["eta"], Z0)
     if z is None:
         return None
@@ -900,7 +893,7 @@ def _li4(frame):
 
 def _li5(frame):
     """u: phi,y != 0; central z: yy_z = 0, phi_u conj(eta_z) real, E(u,z) = 0."""
-    Z0 = frame.kernel(["yy"], frame.z_coeffs)
+    Z0 = frame.kernel(["yy"], frame.z_rows)
     if not Z0:
         return None
     for zc in Z0 + [_z for _z in
@@ -938,8 +931,8 @@ def _li5_fixed_z(frame, z):
         # indefinite: try rational points of the zero cone
         res = _rational_zero(frame, sig, K, avoid_kernels=[["phi"], ["y"]])
         if res is not None:
-            coeffs, exact = res
-            u = frame.element(coeffs)
+            row, exact = res
+            u = frame.element(row)
             if any(u.y) and u.phi and (u.phi * conj(z.eta)):
                 return {"u": u, "z": z}, [], "", exact
         return None
@@ -966,14 +959,14 @@ _SLOT_FUNCS = {
 _ALL_SLOTS = ["phi", "y", "x", "yy", "eta", "xx"]
 
 
-def _span_in_slots(frame, coeffs_list, slots):
-    """Every element of the coefficient span supported inside `slots`."""
+def _span_in_slots(frame, rows, slots):
+    """Every element of the span of `rows` supported inside `slots`."""
     others = [s for s in _ALL_SLOTS if s not in slots]
-    return not any(any(frame.funcs_on(others, c)) for c in coeffs_list)
+    return not any(any(frame.funcs_on(others, c)) for c in rows)
 
 
 def _slot_subspace(frame, slots, within=None):
-    """{u : all slots outside `slots` vanish} as coefficient vectors."""
+    """{u : all slots outside `slots` vanish} as rows."""
     others = [s for s in _ALL_SLOTS if s not in slots]
     return frame.kernel(others, within)
 
@@ -987,7 +980,7 @@ def _h_decomposes(frame, slot_groups):
 
 
 def _z_in_slots(frame, slots):
-    return _span_in_slots(frame, frame.z_coeffs, slots)
+    return _span_in_slots(frame, frame.z_rows, slots)
 
 
 def match_notcds(h: Subalgebra, rng=None) -> Optional[NotCdsMatch]:
@@ -1013,7 +1006,7 @@ def _tm1(frame):
     """dim 1 central line with |eta|^2 = xx*yy identically: rho ~ |h|."""
     if frame.d != 1:
         return None
-    if not linalg.subspace_eq(frame.z_coeffs, frame.full):
+    if not linalg.subspace_eq(frame.z_rows, frame.full):
         return None
     g = frame.gram(q_center, frame.full)
     if not linalg.gram_is_zero(g):
@@ -1057,13 +1050,13 @@ def _tm3(frame):
         # y identically zero: x must vanish too, and lambda is pinned by z
         if frame.nonzero_with(["x"], frame.full) is not None:
             return None
-        wz = frame.nonzero_with(["yy"], frame.z_coeffs)
+        wz = frame.nonzero_with(["yy"], frame.z_rows)
         if wz is None:
             return None
         z0 = frame.element(wz)
         lam = z0.eta / QQi(0, 1) / QQi(z0.yy)
     i_ = QQi(0, 1)
-    for zc in frame.z_coeffs:
+    for zc in frame.z_rows:
         z = frame.element(zc)
         if z.eta != i_ * lam * QQi(z.yy):
             return None
@@ -1103,7 +1096,7 @@ def _tm4(frame):
 
 def _tm5(frame):
     """trivial central part, y = 0, phi = phi0 * yy with phi0 != 0."""
-    if frame.z_coeffs:
+    if frame.z_rows:
         return None
     if not frame.vanishes_on("y", frame.full):
         return None
@@ -1137,8 +1130,8 @@ def _tm6(frame):
         return None
     if find_rank_one(frame, frame.full) is not None:
         return None
-    if frame.z_coeffs:
-        g = frame.gram(q_center, frame.z_coeffs)
+    if frame.z_rows:
+        g = frame.gram(q_center, frame.z_rows)
         if not linalg.is_definite(g):
             return None
     return NotCdsMatch(6, MuShape.curve(2, provenance="notcds-6"), {}, frame.d)
@@ -1149,11 +1142,11 @@ def _tm7(frame):
     element having a nonzero cubic, central form anisotropic: the 3/2..2 band."""
     if not frame.vanishes_on("phi", frame.full):
         return None
-    if frame.z_coeffs:
-        g = frame.gram(q_center, frame.z_coeffs)
+    if frame.z_rows:
+        g = frame.gram(q_center, frame.z_rows)
         if not linalg.is_definite(g):
             return None
-    has_not1 = bool(frame.z_coeffs) or (_find_rank2(frame, frame.full) is not None)
+    has_not1 = bool(frame.z_rows) or (_find_rank2(frame, frame.full) is not None)
     if not has_not1:
         return None
     v = find_rank_one(frame, frame.full)
@@ -1167,7 +1160,7 @@ def _tm7(frame):
 
 def _tm8(frame):
     """dim <= 3, trivial central part, ker phi = ker y, (phi, yy) injective."""
-    if frame.d > 3 or frame.z_coeffs:
+    if frame.d > 3 or frame.z_rows:
         return None
     if frame.nonzero_with(["phi"], frame.full) is None:
         return None
@@ -1188,12 +1181,12 @@ def _tm9(frame):
     axis = _xx_axis_element(frame)
     if axis is None:
         return None
-    if not linalg.subspace_eq(frame.z_coeffs, [axis]):
+    if not linalg.subspace_eq(frame.z_rows, [axis]):
         return None
     kphi = frame.kernel(["phi"])
     ky = frame.kernel(["y"])
-    if not (linalg.subspace_eq(kphi, frame.z_coeffs)
-            and linalg.subspace_eq(ky, frame.z_coeffs)):
+    if not (linalg.subspace_eq(kphi, frame.z_rows)
+            and linalg.subspace_eq(ky, frame.z_rows)):
         return None
     return NotCdsMatch(9, MuShape.band(1, Fraction(3, 2), provenance="notcds-9"),
                        {}, frame.d)
@@ -1219,7 +1212,7 @@ def _tm11(frame):
     phi_u conj(eta_z) real nonzero, E(u,z) != 0): the 5/4..2 band."""
     if frame.d != 2:
         return None
-    Z0 = frame.kernel(["yy"], frame.z_coeffs)
+    Z0 = frame.kernel(["yy"], frame.z_rows)
     if len(Z0) != 1:
         return None
     z = frame.element(Z0[0])
@@ -1228,7 +1221,7 @@ def _tm11(frame):
     # u ranges over h \ z; the conditions only depend on u modulo z and
     # rescaling, so one representative decides
     rep = next((c for c in frame.full
-                if not linalg.span_contains(frame.z_coeffs, c)), None)
+                if not linalg.span_contains(frame.z_rows, c)), None)
     if rep is None:
         return None
     u = frame.element(rep)
@@ -1297,7 +1290,7 @@ SEMIDIRECT_CASES = [
     SemidirectCase(2, lambda f, m: _h_decomposes(f, [["x", "yy"], ["xx"]]),
                    "alpha-beta", "semidirect-2", MuShape.band(1, Fraction(3, 2))),
     SemidirectCase(3, lambda f, m: (_has_lambda(m)
-                                    and not linalg.subspace_eq(f.z_coeffs, f.full)
+                                    and not linalg.subspace_eq(f.z_rows, f.full)
                                     and _h_decomposes(f, [["y", "x"],
                                                           ["yy", "eta", "xx"]])),
                    "alpha", "semidirect-3", _CDS),
@@ -1310,7 +1303,7 @@ SEMIDIRECT_CASES = [
     SemidirectCase(3, lambda f, m: (not _has_lambda(m)
                                     and _h_decomposes(f, [["y", "xx"], ["yy"]])),
                    "2alpha+beta", "semidirect-4bii", MuShape.band(1, Fraction(3, 2))),
-    SemidirectCase(3, lambda f, m: (not _has_lambda(m) and not f.z_coeffs
+    SemidirectCase(3, lambda f, m: (not _has_lambda(m) and not f.z_rows
                                     and _span_in_slots(f, f.full, ["y", "yy"])),
                    "beta", "semidirect-4biii", _CDS),
     SemidirectCase(4, lambda f, m: _h_decomposes(f, [["x"], ["xx", "eta", "yy"]]),

@@ -5,8 +5,9 @@ Element encoding: {"t1": s, "t2": s, "phi": [s, s], "x": [[s, s], ...],
 "p/q" string, an integer, or a double read as its exact binary value.  A
 subalgebra file wraps a basis with its n and mode; AN-subgroup specs carry a
 "kind" of semidirect / graph / oneparam; the line of a semidirect or graph
-spec must normalize its U.  A semidirect "torus" [p, q] is read as the line
-it spans, so [2, 2] and [-1, -1] load as [1, 1]; [0, 0] is an error.  The
+spec must normalize its U.  A semidirect "torus" [p, q] of exact scalars is
+read as the line it spans, so [2, 2], [-1, -1] and ["1/2", "1/2"] load as
+[1, 1], and [1.5, 1] as [3, 2]; [0, 0] is an error.  The
 writer always emits "p/q" strings and "mode": "exact"; files marked
 "mode": "float" are read the same way, then validated like any spec.
 """
@@ -102,7 +103,7 @@ def spec_from_json(d: dict):
         return subalgebra_from_json(d)
     if kind == "semidirect":
         u = subalgebra_from_json(d)
-        p, q = (int(v) for v in d["torus"])
+        p, q = (parse_rational(v) for v in d["torus"])
         if p == 0 and q == 0:
             raise ValueError("the semidirect torus [0, 0] spans no line")
         torus = TorusLine(*primitive_line(p, q))

@@ -1,12 +1,10 @@
 """Basis-presented subalgebras of a+n with exact validation.
 
 A Subalgebra stores an independent basis, verifies bracket closure exactly,
-and caches the coordinate matrix and the central slot part
-
-    z = { u in h : phi_u = 0 and x_u = y_u = 0 }  (intersected with n).
-
-Bases are exact; sampling reads them as the float matrix
-np.array(h.coord_rows(), dtype=float).
+and caches the coordinate matrix: one coords() row per basis element.  The
+exact classifiers work on combinations of those rows (nilclassify._Frame),
+and sampling reads them as the float matrix np.array(h.coord_rows(),
+dtype=float).
 """
 
 from __future__ import annotations
@@ -43,22 +41,16 @@ class Subalgebra:
         self.basis = list(basis)
         self._coord_rows = [b.coords() for b in basis]
         self._validate()
-        self._z_basis = None
 
     # -- validation ------------------------------------------------------------
 
     def _validate(self):
         if linalg.rank(self._coord_rows) != len(self.basis):
             raise NotIndependent("basis is linearly dependent over R")
-        struct = {}
         for i, bi in enumerate(self.basis):
             for j in range(i + 1, len(self.basis)):
-                w = bracket(bi, self.basis[j])
-                coeffs = linalg.in_span(self._coord_rows, w.coords())
-                if coeffs is None:
+                if not self.contains(bracket(bi, self.basis[j])):
                     raise NotClosed(i, j)
-                struct[(i, j)] = coeffs
-        self._structure = struct
 
     # -- structure ---------------------------------------------------------------
 
@@ -69,8 +61,8 @@ class Subalgebra:
     def is_nilpotent(self):
         return all(b.is_nilpotent() for b in self.basis)
 
-    def coords_of(self, coeffs) -> list:
-        """coords() of the linear combination of the basis with real coefficients."""
+    def element(self, coeffs) -> AlgebraElement:
+        """Linear combination of the basis with real coefficients."""
         out = [Fraction(0)] * len(self._coord_rows[0])
         for c, row in zip(coeffs, self._coord_rows):
             if c:
@@ -78,38 +70,13 @@ class Subalgebra:
                 for k, v in enumerate(row):
                     if v:
                         out[k] += c * v
-        return out
-
-    def element(self, coeffs) -> AlgebraElement:
-        """Linear combination of the basis with real coefficients."""
-        return AlgebraElement.from_coords(self.n, self.coords_of(coeffs))
+        return AlgebraElement.from_coords(self.n, out)
 
     def contains(self, u: AlgebraElement) -> bool:
         return linalg.span_contains(self._coord_rows, u.coords())
 
     def coord_rows(self):
         return [row[:] for row in self._coord_rows]
-
-    def structure_constants(self):
-        return dict(self._structure)
-
-    def z_part(self) -> list:
-        """Basis (as AlgebraElements) of the central-slot part z.
-
-        Exact kernel of the linear map u -> (phi_u, x_u, y_u) restricted to
-        the nilpotent part of the span.
-        """
-        if self._z_basis is not None:
-            return list(self._z_basis)
-        slots = AlgebraElement.slot_columns(self.n)
-        head = [slots[name] for name in ("t", "phi", "x", "y")]
-        rows = [[v for s in head for v in row[s]] for row in self._coord_rows]
-        # kernel over coefficients: t parts must vanish too (z lives in n)
-        cols = len(rows[0])
-        mat = [[rows[i][c] for i in range(len(rows))] for c in range(cols)]
-        kern = linalg.kernel_basis(mat)
-        self._z_basis = [self.element(k) for k in kern]
-        return list(self._z_basis)
 
     def __repr__(self):
         return f"Subalgebra(n={self.n}, dim={self.dim})"

@@ -1,14 +1,19 @@
+import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from su2n import linalg
 from su2n.metrics import rho_norm, sup_norm
 from su2n.nilclassify import (
     _Frame,
+    _cubic_coeffs,
+    _minor_grams,
     _pencil_rank1_roots,
     _rank_xy,
+    _wedge,
     NotInN,
     check_linear,
     check_square,
@@ -285,14 +290,62 @@ def test_func_on_reads_the_slot_of_the_element():
     for entry in gallery.entries():
         if entry.kind != "nil":
             continue
-        frame = _Frame(entry.spec(), random.Random(0))
-        coeffs = [frame.full[0]]
+        h = entry.spec()
+        frame = _Frame(h, random.Random(0))
+        coeffs = [[Fraction(1)] + [Fraction(0)] * (frame.d - 1)]
         coeffs += [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(frame.d)]
                    for _ in range(3)]
         for c in coeffs:
-            e = frame.element(c)
+            row = frame._combine(frame.full, c)
+            e = h.element(c)
+            assert frame.element(row) == e, entry.id
             for name in ("t", "phi", "x", "y", "eta", "xx", "yy"):
-                assert frame.func_on(name, c) == _slot_values(e, name), (entry.id, name)
+                assert frame.func_on(name, row) == _slot_values(e, name), (entry.id, name)
+
+
+def _n5_d3(alg, sub):
+    """A 3-dimensional h at n = 5 whose x, y minors are not all zero."""
+    return sub(alg(5, x=[1, 0, 0], y=[0, 1, 0], yy=1),
+               alg(5, x=[0, 0, 1], y=[0, QQi(2, 1), 0], yy=2), alg(5, yy=1))
+
+
+def test_minor_grams_build_each_polarization_element_once(alg, sub):
+    frame = _Frame(_n5_d3(alg, sub), random.Random(0))
+    built = []
+    element = frame.element
+    frame.element = lambda row: built.append(row) or element(row)
+    grams = _minor_grams(frame, frame.full)
+    # 3 minors x (Re, Im) Grams from d(d+1)/2 = 6 points, each built once
+    assert len(grams) == 6
+    assert len(built) == 6
+    assert sum(not linalg.gram_is_zero(g) for g in grams) == 4
+
+
+def test_minor_grams_are_the_single_part_polarizations_in_order(alg, sub):
+    from su2n import gallery
+
+    subs = [_n5_d3(alg, sub)] + [e.spec() for e in gallery.entries()
+                                 if e.kind == "nil" and e.spec().n >= 4]
+    for h in subs:
+        frame = _Frame(h, random.Random(0))
+        grams = _minor_grams(frame, frame.full)
+        expected = [frame.gram(lambda e, m=m, part=part: part(_wedge(e.x, e.y)[m]),
+                               frame.full)
+                    for m in range((h.n - 2) * (h.n - 3) // 2) for part in (re, im)]
+        assert grams == expected, h
+
+
+def test_cubic_coeffs_expand_the_cubic(alg, sub):
+    frame = _Frame(_n5_d3(alg, sub), random.Random(0))
+    coeffs = _cubic_coeffs(frame, frame.full)
+    assert any(coeffs.values())
+    rng = random.Random(4)
+    for _ in range(5):
+        t = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in frame.full]
+        # each key i <= j <= l holds 6 T(w_i, w_j, w_l), T the polar form of C
+        expansion = sum(len(set(itertools.permutations(k))) * c * t[k[0]] * t[k[1]] * t[k[2]]
+                        for k, c in coeffs.items()) / 6
+        assert cubic_c(frame.element(frame._combine(frame.full, t))) == expansion
 
 
 class _NoDraws(random.Random):

@@ -60,14 +60,6 @@ def test_in_span_and_solve():
     assert [sum(r[j] * x[j] for j in range(3)) for r in rows] == [2, 3]
 
 
-def test_intersection():
-    a = [[Fraction(1), Fraction(0), Fraction(0)], [Fraction(0), Fraction(1), Fraction(0)]]
-    b = [[Fraction(0), Fraction(1), Fraction(0)], [Fraction(0), Fraction(0), Fraction(1)]]
-    inter = linalg.intersect(a, b)
-    assert len(inter) == 1
-    assert inter[0][0] == 0 and inter[0][2] == 0
-
-
 @pytest.mark.parametrize("gram,sig", [
     ([[Fraction(2)]], (1, 0, 0)),
     ([[Fraction(-3)]], (0, 1, 0)),
@@ -94,11 +86,22 @@ def test_signature(gram, sig):
 
 
 def test_gram_from_quadratic_polarization():
-    def q(c):
-        return c[0] * c[0] + 3 * c[0] * c[1] - 2 * c[1] * c[1]
-    g = linalg.gram_from_quadratic(q, [0, 1])
+    def q(v):
+        return [v[0] * v[0] + 3 * v[0] * v[1] - 2 * v[1] * v[1]]
+    units = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    (g,) = linalg.gram_from_quadratic(q, units)
     assert g[0][0] == 1 and g[1][1] == -2
     assert g[0][1] == Fraction(3, 2) == g[1][0]
+    # a non-unit basis: the Gram is B G B^T, the form's values on the rows
+    basis = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(-1, 2)]]
+    (gb,) = linalg.gram_from_quadratic(q, basis)
+    assert gb == [[sum(a[k] * g[k][m] * b[m] for k in range(2) for m in range(2))
+                   for b in basis] for a in basis]
+    assert gb[0][0] == q(basis[0])[0] == 2
+    # a two-valued q gives one Gram per value, in order
+    g2 = linalg.gram_from_quadratic(lambda v: [q(v)[0], v[0] * v[1]], units)
+    assert g2 == [g, [[0, Fraction(1, 2)], [Fraction(1, 2), 0]]]
+    assert linalg.gram_from_quadratic(q, []) == []
 
 
 def test_is_definite():

@@ -192,12 +192,13 @@ def _semidirect_file(tmp_path, torus, u):
     """A semidirect spec file whose "torus" entry is written as given."""
     d = spec_to_json(Semidirect(TorusLine(1, 1), u))
     d["torus"] = torus
-    path = tmp_path / f"semidirect{torus[0]}_{torus[1]}.json"
+    path = tmp_path / ("semidirect_%s_%s.json" % tuple(str(v).replace("/", "over")
+                                                       for v in torus))
     path.write_text(json.dumps(d))
     return path
 
 
-@pytest.mark.parametrize("torus", [[2, 2], [-1, -1]])
+@pytest.mark.parametrize("torus", [[2, 2], [-1, -1], ["1/2", "1/2"]])
 def test_cli_reads_a_semidirect_torus_as_its_line(tmp_path, torus):
     u = Subalgebra([AlgebraElement(3, eta=1, xx=1, yy=1)])
     reports = []
@@ -207,6 +208,15 @@ def test_cli_reads_a_semidirect_torus_as_its_line(tmp_path, torus):
         reports.append(json.loads(p.stdout))
     assert reports[0]["case"] == "semidirect-1b"
     assert reports[1] == reports[0]
+
+
+def test_cli_reads_a_fractional_semidirect_torus_exactly(tmp_path):
+    # [1.5, 1] is the line [3, 2], which does not normalize U; truncating the
+    # entries would give [1, 1], which does
+    u = Subalgebra([AlgebraElement(3, eta=1, xx=1, yy=1)])
+    p = _cli("classify", str(_semidirect_file(tmp_path, [1.5, 1], u)))
+    assert p.returncode == 1, p.stdout
+    assert "does not normalize U" in p.stderr
 
 
 def test_cli_rejects_a_zero_semidirect_torus(tmp_path):
