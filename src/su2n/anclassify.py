@@ -11,7 +11,6 @@ unverifiable.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -288,7 +287,7 @@ _GRAPH_SHAPES = {
 
 
 def _sigma_of(u: Subalgebra) -> Optional[str]:
-    frame = _Frame(u, random.Random(3))
+    frame = _Frame(u)
     return next((sigma for sigma in REDUCED_ROOTS
                  if _span_in_slots(frame, frame.full, _pair_slots(sigma))), None)
 
@@ -314,7 +313,7 @@ def classify_graph(spec: Graph, seed: int = 0) -> AnResult:
     if spec.u.dim == 0:
         raise SpecViolation("graph classification needs dim H > 1")
     # any intersection of U with the omega root spaces forces CDS
-    frame = _Frame(spec.u, random.Random(seed + 5))
+    frame = _Frame(spec.u)
     inter = _slot_subspace(frame, _pair_slots(spec.omega))
     if inter:
         return AnResult("CDS", MuShape.full_chamber("graph-omega-intersect"),

@@ -7,7 +7,8 @@
     su2n gallery (--list | --emit ID [--out FILE])
 
 Exit codes: 0 success, 1 input/parse error, 2 internal inconsistency.
-SU2N_SEED overrides the default seed.
+SU2N_SEED overrides the default seed.  Classification draws no random
+numbers: classify --seed is only recorded in the report.
 """
 
 from __future__ import annotations

@@ -15,24 +15,26 @@ H is a CDS iff a square and a linear witness both exist; the template list is
 complete for the complement.  classify() enforces this double entry: the
 witness pattern must agree with the envelope exponents of the matched shape
 (square side present iff the upper envelope is |h|^2, linear side present iff
-the lower envelope is |h|).  Disagreement means an implementation bug or a
-randomized false negative in one of the searches, and is retried with fresh
-randomness before raising InconsistentClassification.
+the lower envelope is |h|), and a matched template's case-list normalizer
+must equal N_A(h).  Each route runs once and is deterministic, so a
+disagreement is an implementation bug and raises InconsistentClassification.
 
 Universal statements (forms vanishing identically, anisotropy) are decided
 deterministically: polarization Gram matrices for quadratic forms, exact
 LDL-style signatures for definiteness.  Existential equalities on quadrics
 use the exact signature to decide and produce rational witnesses when the
 zero cone has rational points (falling back to approximate witnesses,
-reported with exact=False, with the decision still exact).  Only the
-rank-one element searches keep a randomized component, and those are the
-ones covered by the double-entry check.
+reported with exact=False, with the decision still exact).  The rank-one
+searches are exact in their layered cases (kernel sides, globally dependent,
+complex-line images); outside them they walk the pencils through pairs of
+basis rows, and a miss there is no proof that no rank-one element exists —
+only the double entry stands behind it.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
@@ -52,7 +54,8 @@ class ClassificationError(Exception):
 
 
 class InconsistentClassification(ClassificationError):
-    """Witness pattern and template match disagree after retries."""
+    """The witness pattern and the template match, or N_A(h) and the
+    case-list prediction, disagree: a bug, since every route is deterministic."""
 
 
 class NotInN(ValueError):
@@ -130,12 +133,11 @@ class _Frame:
     containments are small rational systems on rows.
     """
 
-    def __init__(self, h: Subalgebra, rng: random.Random):
+    def __init__(self, h: Subalgebra):
         if not h.is_nilpotent():
             raise NotInN("subalgebra has a nonzero a-part")
         self.n = h.n
         self.d = h.dim
-        self.rng = rng
         self.cols = AlgebraElement.slot_columns(self.n)
         self.full = h.coord_rows()
         self.z_rows = self.kernel(["phi", "x", "y"])
@@ -190,7 +192,9 @@ class _Frame:
 
         A real vector space is not a finite union of proper subspaces, so a
         witness exists exactly when each functional is individually nonzero
-        somewhere; it is built by perturbing along basis directions.
+        somewhere; it is built by perturbing along basis directions.  With
+        two names (the most any caller passes) the first stays nonzero at all
+        trial values of t but one at most, so running out of them is a bug.
         """
         if not within:
             return None
@@ -212,7 +216,7 @@ class _Frame:
                     u = cand
                     break
             else:
-                return None  # should not happen over R
+                raise AssertionError(f"no trial value keeps {names} nonzero")
         return u
 
     # quadratic forms -------------------------------------------------------
@@ -234,10 +238,6 @@ class _Frame:
                 if gram[i][j] != 0:
                     return [a + b for a, b in zip(within[i], within[j])]
         return None
-
-    def random_row(self, within, size):
-        c = [Fraction(self.rng.randint(-size, size)) for _ in within]
-        return self._combine(within, c)
 
 
 # quadratic/cubic form values -------------------------------------------------
@@ -343,7 +343,6 @@ def _rational_zero(frame, gram_data, within, avoid_kernels=()):
             if ok(row):
                 return row, True
     # floating fallback: exact decision, approximate witness
-    import math
     for (dp, vp) in cert["positive"]:
         for (dn, vn) in cert["negative"]:
             t = math.sqrt(float(-dn / dp))
@@ -356,23 +355,15 @@ def _rational_zero(frame, gram_data, within, avoid_kernels=()):
 
 
 def _isqrt_exact(k: int):
+    """The square root of the integer k when k is a perfect square, else None."""
     if k < 0:
         return None
-    r = int(k ** 0.5)
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand * cand == k:
-            return cand
-    return None
+    r = math.isqrt(k)
+    return r if r * r == k else None
 
 
 # ---------------------------------------------------------------------------
-# rank-one machinery (shared structure, independent random draws per caller)
-
-# Rounds of the randomized rank-one searches (find_rank_one, linear condition
-# 2).  Each round is an exact evaluation at a random integer point; a miss is
-# covered by the double entry in classify().
-_RANK_ONE_ROUNDS = 20
-_LI2_ROUNDS = 40
+# rank-one machinery
 
 
 def _minor_grams(frame, within):
@@ -428,31 +419,33 @@ def _lambda_of(e: AlgebraElement):
     return herm(e.x, e.y) / QQi(ys)
 
 
-def _candidate_lambdas(frame, within, rounds=24):
-    """Rational lambda candidates from structured rank-one hunting."""
+def _candidate_lambdas(frame, within):
+    """The distinct lambdas of the rank-one rows with y != 0 among the basis
+    rows of `within` and then its pencil walk, in that order."""
     cands = []
-
-    def push(lam):
-        if lam is not None and lam not in cands:
-            cands.append(lam)
-
-    for c in within:
-        e = frame.element(c)
+    for row in itertools.chain(within, _pencil_rank_one_rows(frame, within)):
+        e = frame.element(row)
         if _rank_xy(e) == 1 and any(e.y):
-            push(_lambda_of(e))
-    # pairwise pencils: roots of the first nonvanishing minor quadratic
+            lam = _lambda_of(e)
+            if lam not in cands:
+                cands.append(lam)
+    return cands
+
+
+def _pencil_rank_one_rows(frame, within):
+    """The rank-one rows u + t v on the pencils through pairs u, v of basis
+    rows of `within`, pair by pair, at the rational roots t of each pencil's
+    first nonvanishing minor part.
+
+    A rank-one element off these pencils, or at an irrational t, is not
+    found: an exhausted walk is no proof that none exists.
+    """
     for ci, cj in itertools.combinations(within, 2):
         ei, ej = frame.element(ci), frame.element(cj)
         for t in _pencil_rank1_roots(ei, ej):
-            e = frame.element([a + t * b for a, b in zip(ci, cj)])
-            if _rank_xy(e) == 1 and any(e.y):
-                push(_lambda_of(e))
-    for _ in range(rounds):
-        c = frame.random_row(within, size=50)
-        e = frame.element(c)
-        if _rank_xy(e) == 1 and any(e.y):
-            push(_lambda_of(e))
-    return cands
+            row = [a + t * b for a, b in zip(ci, cj)]
+            if _rank_xy(frame.element(row)) == 1:
+                yield row
 
 
 def _pencil_rank1_roots(ei, ej):
@@ -491,9 +484,9 @@ def find_rank_one(frame, within):
     """An element of `within` with dim_C <x, y> = 1, or None.
 
     Exact in the layered cases (kernel sides, globally dependent, complex-line
-    images), where a None means that no rank-one element exists; a randomized
-    pencil/point search otherwise, so a None may be a false negative — the
-    classify() double entry covers that.
+    images), where a None means that no rank-one element exists.  Otherwise
+    it returns the first row of the pencil walk (_pencil_rank_one_rows), and
+    a None there is not a proof: only the classify() double entry checks it.
     """
     # y = 0, x != 0 side, then x = 0, y != 0
     w = frame.nonzero_with(["x"], frame.kernel(["y"], within))
@@ -510,25 +503,14 @@ def find_rank_one(frame, within):
         if v0 is not None:
             # rank-one elements have x, y in C*v0, and there rank one is name != 0
             return frame.nonzero_with([name], _line_subspace(frame, v0, within))
-    # pencils through basis pairs
-    for ci, cj in itertools.combinations(within, 2):
-        ei, ej = frame.element(ci), frame.element(cj)
-        for t in _pencil_rank1_roots(ei, ej):
-            cand = [a + t * b for a, b in zip(ci, cj)]
-            if _rank_xy(frame.element(cand)) == 1:
-                return cand
-    for _ in range(_RANK_ONE_ROUNDS):
-        c = frame.random_row(within, size=30)
-        if _rank_xy(frame.element(c)) == 1:
-            return c
-    return None
+    return next(_pencil_rank_one_rows(frame, within), None)
 
 
 # ---------------------------------------------------------------------------
 # the eight square conditions
 
 
-def check_square(h: Subalgebra, rng=None) -> Optional[SquareWitness]:
+def check_square(h: Subalgebra) -> Optional[SquareWitness]:
     """Lowest-numbered satisfied square condition, with verifying elements.
 
     Conditions 6 and 7 are checked in the simplified forms that drop the
@@ -536,12 +518,12 @@ def check_square(h: Subalgebra, rng=None) -> Optional[SquareWitness]:
     automatically satisfies the original restriction (its bracket lies in the
     central part, where |eta|^2 = xx*yy forces the missing equation).
     """
-    return _first_witness(h, rng or random.Random(0), _SQUARE_CHECKS, SquareWitness)
+    return _first_witness(h, _SQUARE_CHECKS, SquareWitness)
 
 
-def _first_witness(h, rng, checks, witness):
+def _first_witness(h, checks, witness):
     """The lowest-numbered of `checks` that h satisfies, as a `witness`."""
-    frame = _Frame(h, rng)
+    frame = _Frame(h)
     for cid, checker in enumerate(checks, start=1):
         res = checker(frame)
         if res is not None:
@@ -695,8 +677,8 @@ _SQUARE_CHECKS = [_sq1, _sq2, _sq3, _sq4, _sq5, _sq6, _sq7, _sq8]
 # the five linear conditions
 
 
-def check_linear(h: Subalgebra, rng=None) -> Optional[LinearWitness]:
-    return _first_witness(h, rng or random.Random(1), _LINEAR_CHECKS, LinearWitness)
+def check_linear(h: Subalgebra) -> Optional[LinearWitness]:
+    return _first_witness(h, _LINEAR_CHECKS, LinearWitness)
 
 
 def _li1(frame):
@@ -721,9 +703,11 @@ def _li2(frame):
 
     Layered decision: the two kernel sides are linear; a global or pointwise
     lambda reduces C to |y|^2 * D_lambda with D_lambda linear; the complex-line
-    case expands C exactly and uses oddness of cubics on two-planes; the rest
-    is randomized and covered by the double entry.  Template 7 reads the same
-    search: for phi = 0 it says whether some rank-one element has C = 0.
+    case expands C exactly and uses oddness of cubics on two-planes.  The
+    pointwise lambdas come from basis rows and the pencil walk, so outside
+    the exact layers a None is not a proof; only the double entry checks it.
+    Template 7 reads the same search: for phi = 0 it says whether some
+    rank-one element has C = 0.
     """
     W = frame.kernel(["phi"])
     if not W:
@@ -749,7 +733,7 @@ def _li2(frame):
                 if w is not None:
                     return ({"u": frame.element(w)}, [],
                             f"global lambda branch", True)
-    # (d) candidate lambdas from structured search
+    # (d) candidate lambdas from basis rows and the pencil walk
     for lam in _candidate_lambdas(frame, W):
         Wl = _w_lambda(frame, W, lam)
         K = _kernel_d_lambda(frame, Wl, lam)
@@ -759,15 +743,7 @@ def _li2(frame):
     # (e) complex-line case: exact cubic expansion on the line subspace
     v0 = _image_complex_line(frame, "y", W)
     if v0 is not None:
-        res = _li2_line_case(frame, W, v0)
-        if res is not None:
-            return res
-    # (f) randomized sweep
-    for _ in range(_LI2_ROUNDS):
-        c = frame.random_row(W, size=40)
-        e = frame.element(c)
-        if _rank_xy(e) == 1 and cubic_c(e) == 0:
-            return {"u": e}, [], "randomized", True
+        return _li2_line_case(frame, W, v0)
     return None
 
 
@@ -829,7 +805,6 @@ def _odd_cubic_zero_on_plane(frame, line, ky):
     Returns (u, exact): exact is False for the bisection's approximate zero,
     an element with rational coefficients at which C is only nearly zero.
     """
-    import math
     comp = [c for c in line if not linalg.span_contains(ky, c)]
     if len(comp) < 2:
         return None
@@ -983,7 +958,7 @@ def _z_in_slots(frame, slots):
     return _span_in_slots(frame, frame.z_rows, slots)
 
 
-def match_notcds(h: Subalgebra, rng=None) -> Optional[NotCdsMatch]:
+def match_notcds(h: Subalgebra) -> Optional[NotCdsMatch]:
     """First matching template of the eleven, with its mu-shape.
 
     Templates are tried in order; the order resolves the stated special-case
@@ -991,8 +966,7 @@ def match_notcds(h: Subalgebra, rng=None) -> Optional[NotCdsMatch]:
     an anisotropic one falls through to type 6, and the dim-1 specializations
     of types 3 and 5 carry curve shapes instead of bands).
     """
-    rng = rng or random.Random(2)
-    frame = _Frame(h, rng)
+    frame = _Frame(h)
     if all(frame.element(c).is_zero() for c in frame.full):
         raise ValueError("trivial subalgebra")
     for matcher in _TEMPLATES:
@@ -1338,7 +1312,7 @@ SEMIDIRECT_CASES = [
 
 def semidirect_case(h: Subalgebra, match: NotCdsMatch) -> Optional[SemidirectCase]:
     """The first row of the case list that h, of template match, satisfies."""
-    frame = _Frame(h, random.Random(0))  # the rows read exact kernels only
+    frame = _Frame(h)
     return next((row for row in SEMIDIRECT_CASES
                  if row.type_id == match.type_id and row.holds(frame, match)), None)
 
@@ -1397,36 +1371,29 @@ def classify(h: Subalgebra, seed: int = 0) -> ClassificationResult:
     CDS iff a square and a linear witness both exist.  The template match is
     computed independently; the witness pattern must equal the envelope
     pattern of the matched shape (square witness iff the upper envelope is
-    |h|^2, linear witness iff the lower envelope is |h|), and no template may
-    match in the CDS case.  A disagreement is retried with fresh randomness
-    (a randomized search may produce a false negative) and then raised as
-    InconsistentClassification.
+    |h|^2, linear witness iff the lower envelope is |h|), no template may
+    match in the CDS case, and a matched template's case-list normalizer must
+    equal N_A(h).  Every route runs once and deterministically, so a
+    disagreement is a bug and raises InconsistentClassification.  `seed` is
+    only echoed into the result.
     """
     if all(b.is_zero() for b in h.basis):
         raise ValueError("theorem applies to nontrivial subgroups only")
-    last = None
-    for attempt in range(3):
-        salt = seed + attempt * 1000003
-        sq = check_square(h, random.Random(salt))
-        li = check_linear(h, random.Random(salt + 1))
-        tm = match_notcds(h, random.Random(salt + 2))
-        ok = _double_entry_ok(sq, li, tm)
-        if ok:
-            norm = normalizer_in_A(h)
-            if tm is not None:
-                exp = expected_normalizer(h, tm)
-                if exp != norm:
-                    last = (f"normalizer {norm} disagrees with the case list "
-                            f"prediction {exp} for template {tm.type_id}")
-                    continue
-            if tm is None:
-                shape = MuShape.full_chamber(provenance="square+linear witnesses")
-                return ClassificationResult("CDS", shape, sq, li, None, norm, seed)
-            return ClassificationResult("NotCDS", tm.shape, sq, li, tm, norm, seed)
-        last = (f"witnesses (square={sq and sq.condition_id}, "
-                f"linear={li and li.condition_id}) vs template "
-                f"{tm and tm.type_id}")
-    raise InconsistentClassification(last)
+    sq, li, tm = check_square(h), check_linear(h), match_notcds(h)
+    if not _double_entry_ok(sq, li, tm):
+        raise InconsistentClassification(
+            f"witnesses (square={sq and sq.condition_id}, "
+            f"linear={li and li.condition_id}) vs template {tm and tm.type_id}")
+    norm = normalizer_in_A(h)
+    if tm is None:
+        shape = MuShape.full_chamber(provenance="square+linear witnesses")
+        return ClassificationResult("CDS", shape, sq, li, None, norm, seed)
+    exp = expected_normalizer(h, tm)
+    if exp != norm:
+        raise InconsistentClassification(
+            f"normalizer {norm} disagrees with the case list prediction {exp} "
+            f"for template {tm.type_id}")
+    return ClassificationResult("NotCDS", tm.shape, sq, li, tm, norm, seed)
 
 
 def _double_entry_ok(sq, li, tm):

@@ -10,10 +10,13 @@ from su2n.metrics import rho_norm, sup_norm
 from su2n.nilclassify import (
     _Frame,
     _cubic_coeffs,
+    _isqrt_exact,
     _minor_grams,
     _pencil_rank1_roots,
     _rank_xy,
     _wedge,
+    InconsistentClassification,
+    NormalizerResult,
     NotInN,
     check_linear,
     check_square,
@@ -291,7 +294,7 @@ def test_func_on_reads_the_slot_of_the_element():
         if entry.kind != "nil":
             continue
         h = entry.spec()
-        frame = _Frame(h, random.Random(0))
+        frame = _Frame(h)
         coeffs = [[Fraction(1)] + [Fraction(0)] * (frame.d - 1)]
         coeffs += [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(frame.d)]
                    for _ in range(3)]
@@ -310,7 +313,7 @@ def _n5_d3(alg, sub):
 
 
 def test_minor_grams_build_each_polarization_element_once(alg, sub):
-    frame = _Frame(_n5_d3(alg, sub), random.Random(0))
+    frame = _Frame(_n5_d3(alg, sub))
     built = []
     element = frame.element
     frame.element = lambda row: built.append(row) or element(row)
@@ -327,7 +330,7 @@ def test_minor_grams_are_the_single_part_polarizations_in_order(alg, sub):
     subs = [_n5_d3(alg, sub)] + [e.spec() for e in gallery.entries()
                                  if e.kind == "nil" and e.spec().n >= 4]
     for h in subs:
-        frame = _Frame(h, random.Random(0))
+        frame = _Frame(h)
         grams = _minor_grams(frame, frame.full)
         expected = [frame.gram(lambda e, m=m, part=part: part(_wedge(e.x, e.y)[m]),
                                frame.full)
@@ -336,7 +339,7 @@ def test_minor_grams_are_the_single_part_polarizations_in_order(alg, sub):
 
 
 def test_cubic_coeffs_expand_the_cubic(alg, sub):
-    frame = _Frame(_n5_d3(alg, sub), random.Random(0))
+    frame = _Frame(_n5_d3(alg, sub))
     coeffs = _cubic_coeffs(frame, frame.full)
     assert any(coeffs.values())
     rng = random.Random(4)
@@ -348,13 +351,6 @@ def test_cubic_coeffs_expand_the_cubic(alg, sub):
         assert cubic_c(frame.element(frame._combine(frame.full, t))) == expansion
 
 
-class _NoDraws(random.Random):
-    """A generator that fails the test as soon as a search draws from it."""
-
-    def randint(self, a, b):
-        raise AssertionError("an exact layer drew a random number")
-
-
 @pytest.mark.parametrize("basis_kw, has_rank_one", [
     # the y image is the complex line C*(1, 0), which no x reaches
     ({"x": [0, 1], "y": [1, 0]}, False),
@@ -363,13 +359,65 @@ class _NoDraws(random.Random):
     # x = y on all of h: globally dependent
     ({"x": [1, 0], "y": [1, 0]}, True),
 ], ids=["complex-line-miss", "y-zero-side", "globally-dependent"])
-def test_exact_rank_one_layers_draw_no_random_numbers(alg, sub, basis_kw, has_rank_one):
-    frame = _Frame(sub(alg(4, **basis_kw)), _NoDraws())
+def test_find_rank_one_decides_the_layered_cases(alg, sub, basis_kw, has_rank_one):
+    frame = _Frame(sub(alg(4, **basis_kw)))
     w = find_rank_one(frame, frame.full)
     if has_rank_one:
         assert _rank_xy(frame.element(w)) == 1
     else:
         assert w is None
+
+
+def test_classify_draws_no_random_numbers(monkeypatch):
+    from su2n import corpus, gallery
+    from su2n.anclassify import classify_an
+
+    specs = [("nil", h) for _, h in corpus.random_corpus(count=120, seed=0)]
+    specs += [(e.kind, e.spec()) for e in gallery.entries()]
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("classification built a random generator")
+
+    monkeypatch.setattr(random, "Random", no_generator)
+    for kind, spec in specs:
+        if kind == "nil":
+            classify(spec, seed=0)
+        else:
+            classify_an(spec, seed=0)
+
+
+@pytest.mark.parametrize("route, fake", [
+    ("match_notcds", lambda *args: None),
+    ("expected_normalizer", lambda *args: NormalizerResult("line", (7, 13))),
+], ids=["double-entry", "normalizer"])
+def test_a_disagreement_raises_on_the_single_pass(monkeypatch, route, fake):
+    from su2n import gallery, nilclassify
+
+    h = gallery.get("notcds11-n3").spec()
+    runs = []
+    square = nilclassify.check_square
+    monkeypatch.setattr(nilclassify, "check_square",
+                        lambda *args: runs.append(args) or square(*args))
+    monkeypatch.setattr(nilclassify, route, fake)
+    with pytest.raises(InconsistentClassification):
+        classify(h)
+    assert len(runs) == 1
+
+
+def test_isqrt_exact_on_large_perfect_squares():
+    assert _isqrt_exact((2 ** 80 + 3) ** 2) == 2 ** 80 + 3
+    assert _isqrt_exact((10 ** 200 + 1) ** 2) == 10 ** 200 + 1
+    assert _isqrt_exact((10 ** 200 + 1) ** 2 + 1) is None
+    assert _isqrt_exact(-4) is None
+
+
+def test_nonzero_with_raises_when_no_trial_value_works(alg, sub):
+    # yy vanishes on both the start row (phi) and the y helper, so no trial
+    # value of the perturbation keeps all three names nonzero
+    frame = _Frame(sub(alg(3, phi=1)))
+    within = [alg(3, phi=1).coords(), alg(3, y=[1]).coords(), alg(3, yy=1).coords()]
+    with pytest.raises(AssertionError):
+        frame.nonzero_with(["phi", "y", "yy"], within)
 
 
 def test_pencil_roots_are_the_rank_one_points_of_the_pencil(alg):

@@ -100,10 +100,10 @@ def test_close_under_bracket(alg):
 
 def test_z_part(alg):
     h = Subalgebra([alg(4, x=[1, 0], y=[0, 1]), alg(4, eta=1, xx=1, yy=1)])
-    (z,) = _Frame(h, random.Random(0)).z_rows
+    (z,) = _Frame(h).z_rows
     assert z == alg(4, eta=1, xx=1, yy=1).coords()
     h2 = Subalgebra([alg(3, phi=1)])
-    assert _Frame(h2, random.Random(0)).z_rows == []
+    assert _Frame(h2).z_rows == []
 
 
 def test_element_and_contains(alg):
