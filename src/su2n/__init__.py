@@ -19,16 +19,11 @@ from .anclassify import (
     Semidirect,
     SpecViolation,
     TorusLine,
-    UIsCds,
     UNotNormalized,
     classify_an,
-    classify_graph,
     classify_semidirect,
-    is_compatible,
-    is_compatible_basis,
     line_compatible,
     normalize_to_compatible,
-    one_param_shape,
 )
 from .config import DEFAULT, Tolerances
 from .elements import (

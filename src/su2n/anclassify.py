@@ -1,6 +1,8 @@
 """Subgroups of AN not contained in N.
 
-Such a subgroup (once compatible with A) is either a semidirect product
+Being a Cartan-decomposition subgroup does not change under conjugation, so
+`classify_an` first conjugates a spec to its compatible form (`line_compatible`)
+and classifies that.  A compatible subgroup is either a semidirect product
 T x| U of a torus line with a unipotent part, the graph of a homomorphism
 psi : ker(omega) -> U_omega U_{2omega} over a unipotent part, or a
 one-parameter group.  Each case is matched against the corresponding list and
@@ -46,10 +48,6 @@ class AnError(ValueError):
 
 
 class UNotNormalized(AnError):
-    pass
-
-
-class UIsCds(AnError):
     pass
 
 
@@ -144,11 +142,6 @@ class AnResult:
 # compatibility
 
 
-def _centralizer_slots(torus: TorusLine):
-    return [ROOT_SLOT[nm] for nm in ROOTS
-            if root_value(nm, torus.p, torus.q) == 0]
-
-
 def _normalizes(torus: TorusLine, u: Subalgebra) -> bool:
     rows = u.coord_rows()
     return all(linalg.span_contains(rows, ad_a(torus.p, torus.q, b).coords())
@@ -161,64 +154,11 @@ def _normalized_by_element(w: AlgebraElement, u: Subalgebra) -> bool:
                for b in u.basis)
 
 
-def is_compatible(spec) -> bool:
-    """H inside T * U * C_N(T) with T = A ∩ (HN) and U = H ∩ N.
-
-    For a Semidirect this is the normalization of U by T; a Graph needs its
-    psi value inside the root spaces killed by ker(omega) (automatic) plus
-    the normalization clauses; a OneParam needs its unipotent part
-    centralized by its torus part.
-    """
-    if isinstance(spec, Semidirect):
-        return _normalizes(spec.torus, spec.u)
-    if isinstance(spec, Graph):
-        t = spec.torus()
-        psi = spec.psi_value
-        ok = _psi_supported(spec.omega, psi)
-        ok = ok and _normalizes(t, spec.u)
-        ok = ok and _normalized_by_element(psi, spec.u)
-        ok = ok and not linalg.span_contains(spec.u.coord_rows(), psi.coords())
-        return ok
-    if isinstance(spec, OneParam):
-        x = spec.x
-        if not (x.t1 or x.t2):
-            return False
-        nil = x.nilpotent_part()
-        for nm in ROOTS:
-            if root_value(nm, x.t1, x.t2) != 0:
-                comp = nil.root_component(nm)
-                if not comp.is_zero():
-                    return False
-        return True
-    raise TypeError("expected Semidirect, Graph, or OneParam")
-
-
-def is_compatible_basis(basis) -> bool:
-    """Raw check of h <= t + u + C_n(t) for a basis of a subalgebra of a+n."""
-    if not basis:
-        return False
-    n = basis[0].n
-    a_rows = [[b.t1, b.t2] for b in basis]
-    red, piv = linalg.rref(a_rows)
-    if len(red) == 0:
-        return True  # inside n already
-    if len(red) == 2:
-        return True  # full torus
-    t1, t2 = red[0]
-    cslots = set(_centralizer_slots(TorusLine(*primitive_line(t1, t2))))
-    u_rows = [b.coords() for b in basis if not (b.t1 or b.t2)]
-    for b in basis:
-        nil = b.nilpotent_part()
-        for nm in ROOTS:
-            comp = nil.root_component(nm)
-            if comp.is_zero() or ROOT_SLOT[nm] in cslots:
-                continue
-            # the non-centralized part must come from U = h ∩ n
-            if not linalg.span_contains(u_rows, comp.coords()) and (b.t1 or b.t2):
-                # allowed only if the whole nilpotent tail lies in U
-                if not linalg.span_contains(u_rows, nil.coords()):
-                    return False
-    return True
+def _commutes(X: AlgebraElement) -> bool:
+    """[a-part, nilpotent part] = 0 for X: every root component of X sits on
+    a root that the a-part of X kills."""
+    return all(root_value(nm, X.t1, X.t2) == 0 or X.root_component(nm).is_zero()
+               for nm in ROOTS)
 
 
 def _pair_slots(root: str) -> list:
@@ -229,14 +169,6 @@ def _pair_slots(root: str) -> list:
             if v in ((c1, c2), (2 * c1, 2 * c2))]
 
 
-def _psi_supported(omega: str, psi: AlgebraElement) -> bool:
-    if psi.is_zero() or not psi.is_nilpotent():
-        return False
-    allowed = _pair_slots(omega)
-    return all(ROOT_SLOT[nm] in allowed or psi.root_component(nm).is_zero()
-               for nm in ROOTS)
-
-
 # ---------------------------------------------------------------------------
 # semidirect products T x| U
 
@@ -244,10 +176,11 @@ def _psi_supported(omega: str, psi: AlgebraElement) -> bool:
 def classify_semidirect(torus: TorusLine, u: Subalgebra, seed: int = 0) -> AnResult:
     """Match T x| U against the semidirect case list.
 
-    U must be a nontrivial non-CDS subgroup of N normalized by the line T.
-    The case is the first row of `nilclassify.SEMIDIRECT_CASES` that U's
-    template and slot structure satisfy, and T must be that row's kernel line
-    (any torus line when the row is normalized by all of A).
+    U must be a nontrivial subgroup of N normalized by the line T.  When U is
+    a CDS so is H, which contains it.  Otherwise the case is the first row of
+    `nilclassify.SEMIDIRECT_CASES` that U's template and slot structure
+    satisfy, and T must be that row's kernel line (any torus line when the
+    row is normalized by all of A).
     """
     if u.dim == 0 or all(b.is_zero() for b in u.basis):
         raise SpecViolation("U must be nontrivial")
@@ -257,7 +190,9 @@ def classify_semidirect(torus: TorusLine, u: Subalgebra, seed: int = 0) -> AnRes
         raise UNotNormalized(f"T = {torus} does not normalize U")
     nil = classify(u, seed=seed)
     if nil.is_cds:
-        raise UIsCds("U is itself a Cartan-decomposition subgroup")
+        return AnResult("CDS", MuShape.full_chamber("semidirect-cds"),
+                        "semidirect-cds", notes="H contains the CDS U",
+                        nil_result=nil)
     t = nil.template.type_id
     row = semidirect_case(u, nil.template)
     if row is None:
@@ -306,12 +241,11 @@ def _reflected_root(name: str, simple: str) -> str:
     return new_name
 
 
-def classify_graph(spec: Graph, seed: int = 0) -> AnResult:
-    """Match a graph subgroup against the non-semidirect case list."""
-    if not is_compatible(spec):
-        raise SpecViolation("graph spec violates the compatibility clauses")
-    if spec.u.dim == 0:
-        raise SpecViolation("graph classification needs dim H > 1")
+def _classify_graph(spec: Graph, seed: int = 0) -> AnResult:
+    """Match a compatible graph subgroup against the non-semidirect case list."""
+    if not _normalized_by_element(spec.torus().element(spec.n) + spec.psi_value,
+                                  spec.u):
+        raise UNotNormalized("the graph line does not normalize U")
     # any intersection of U with the omega root spaces forces CDS
     frame = _Frame(spec.u)
     inter = _slot_subspace(frame, _pair_slots(spec.omega))
@@ -375,7 +309,7 @@ def _reflect_graph_simple(spec: Graph, root: str) -> Graph:
 # one-parameter subgroups
 
 
-def one_param_shape(spec: OneParam) -> AnResult:
+def _one_param_shape(spec: OneParam) -> AnResult:
     """The ray-with-logarithmic-drift shape for a compatible one-parameter
     subgroup not of product form; the drift power k has no closed form and
     is left symbolic (the empirical lab fits it)."""
@@ -384,8 +318,6 @@ def one_param_shape(spec: OneParam) -> AnResult:
         raise SpecViolation("X lies in n; use the nil classifier")
     if x.nilpotent_part().is_zero():
         raise SpecViolation("X lies in a; H = H ∩ A")
-    if not is_compatible(spec):
-        raise SpecViolation("X is not compatible with A (conjugate it first)")
     return AnResult("NotCDS", MuShape.ray(None, provenance="oneparam"),
                     "oneparam", notes="drift power k fitted empirically")
 
@@ -394,24 +326,21 @@ def one_param_shape(spec: OneParam) -> AnResult:
 # normalization to compatible form
 
 
-def _sweep(X, U_basis, max_iter=64):
+def _sweep(X, U_basis):
     """Conjugate X, and U_basis with it, by exponentials of root vectors in
     height order, cancelling every component of X whose root does not kill
     the a-part of X.  Returns the conjugated (X, U_basis); afterwards the
     a-part and the nilpotent part of X commute."""
-    for _ in range(max_iter):
-        done = True
-        for nm in ("alpha", "beta", "alpha+beta", "2beta", "alpha+2beta",
-                   "2alpha+2beta"):
+    for _ in range(64):
+        if _commutes(X):
+            return X, U_basis
+        for nm in ROOTS:
             rv = root_value(nm, X.t1, X.t2)
-            comp = X.nilpotent_part().root_component(nm)
+            comp = X.root_component(nm)
             if rv != 0 and not comp.is_zero():
                 g = exp_closed(comp.scale(Fraction(1, 1) / rv))
                 X = conjugate(g, X)
                 U_basis = [conjugate(g, b) for b in U_basis]
-                done = False
-        if done:
-            return X, U_basis
     raise NormalizationFailed("conjugation sweep did not stabilize")
 
 
@@ -419,25 +348,26 @@ def line_compatible(spec):
     """spec, or an exact conjugate of it whose line commutes with its a-part.
 
     The line is the torus element of a Semidirect, torus + psi of a Graph and
-    x of a OneParam; sampling exponentiates it as diagonal x nilpotent, which
-    needs [a-part, nilpotent part] = 0.  A Graph whose line fails that is
-    rebuilt by normalize_to_compatible; a OneParam is swept, and may end as a
-    bare torus line.
+    x of a OneParam; a compatible line has [a-part, nilpotent part] = 0, which
+    is also what sampling needs to exponentiate it as diagonal x nilpotent.
+    A Graph whose line fails that, or whose psi is not a nilpotent element
+    outside U (so that H is no graph over U), is rebuilt by
+    normalize_to_compatible; a OneParam is swept, and may end as a bare torus
+    line.
     """
     if isinstance(spec, Graph):
-        X = spec.torus().element(spec.n) + spec.psi_value
-    elif isinstance(spec, OneParam):
-        X = spec.x
-    else:
-        return spec
-    if bracket(X.a_part(), X.nilpotent_part()).is_zero():
-        return spec
-    if isinstance(spec, Graph):
+        psi = spec.psi_value
+        X = spec.torus().element(spec.n) + psi
+        if (_commutes(X) and psi.is_nilpotent()
+                and not linalg.span_contains(spec.u.coord_rows(), psi.coords())):
+            return spec
         return normalize_to_compatible([X] + list(spec.u.basis))
-    return OneParam(_sweep(X, [])[0])
+    if isinstance(spec, OneParam) and not _commutes(spec.x):
+        return OneParam(_sweep(spec.x, [])[0])
+    return spec
 
 
-def normalize_to_compatible(basis, max_iter: int = 64):
+def normalize_to_compatible(basis):
     """Conjugate a subalgebra of a+n (with nonzero a-part) into the
     compatible T * U * C_N(T) presentation.
 
@@ -472,7 +402,7 @@ def normalize_to_compatible(basis, max_iter: int = 64):
             b = b - X.scale(c)
         if not b.is_zero():
             U_basis.append(b)
-    X, U_basis = _sweep(X, U_basis, max_iter)
+    X, U_basis = _sweep(X, U_basis)
     psi = X.nilpotent_part()
     torus = TorusLine(p, q)
     u_sub = Subalgebra(U_basis) if U_basis else None
@@ -494,10 +424,26 @@ def normalize_to_compatible(basis, max_iter: int = 64):
 
 
 def classify_an(spec, seed: int = 0) -> AnResult:
-    if isinstance(spec, Semidirect):
-        return classify_semidirect(spec.torus, spec.u, seed=seed)
-    if isinstance(spec, Graph):
-        return classify_graph(spec, seed=seed)
-    if isinstance(spec, OneParam):
-        return one_param_shape(spec)
-    raise TypeError("expected Semidirect, Graph, or OneParam")
+    """Classify an AN spec on its compatible conjugate from line_compatible.
+
+    Being a CDS, and the Cartan-projection shape, do not change under
+    conjugation.  When the spec was conjugated, the notes name the kind and
+    torus line of the subgroup that was classified.
+    """
+    work = line_compatible(spec)
+    if isinstance(work, Semidirect):
+        result = classify_semidirect(work.torus, work.u, seed=seed)
+        line = work.torus
+    elif isinstance(work, Graph):
+        result = _classify_graph(work, seed=seed)
+        line = work.torus()
+    elif isinstance(work, OneParam):
+        result = _one_param_shape(work)
+        line = TorusLine(*primitive_line(work.x.t1, work.x.t2))
+    else:
+        raise TypeError("expected Semidirect, Graph, or OneParam")
+    if work is not spec:
+        conj = (f"classified the compatible conjugate: {work.kind} on the "
+                f"torus line ({line.p}, {line.q})")
+        result.notes = f"{result.notes}; {conj}" if result.notes else conj
+    return result

@@ -7,6 +7,10 @@
     su2n gallery (--list | --emit ID [--out FILE])
 
 Exit codes: 0 success, 1 input/parse error, 2 internal inconsistency.
+classify and mu-scan read a graph or one-parameter spec that is not in
+compatible form on its exact compatible conjugate; classify's notes then name
+the conjugate's kind and torus line, and a conjugate that is a bare torus line
+exits 1.
 SU2N_SEED overrides the default seed.  Classification draws no random
 numbers: classify --seed is only recorded in the report.
 """

@@ -291,9 +291,9 @@ def designed_subcloud(cloud: SampleCloud) -> SampleCloud:
 def sample_subgroup(spec, plan: SamplingPlan = None, result=None) -> SampleCloud:
     """Cloud of (log|h|, log|rho(h)|) samples from a subgroup spec.
 
-    A Graph or OneParam whose line does not commute with its a-part (a spec
-    read from JSON need not be compatible) is sampled on its exact conjugate
-    from line_compatible; conjugation moves mu by a bounded amount only.
+    An AN spec is sampled on its compatible conjugate from line_compatible,
+    the subgroup that classify_an classifies (a spec read from JSON need not
+    be compatible); conjugation moves mu by a bounded amount only.
     """
     plan = plan or SamplingPlan()
     if isinstance(spec, Subalgebra):

@@ -129,7 +129,7 @@ def dump_spec(spec, path):
         f.write("\n")
 
 
-def classification_report(result, spec=None) -> dict:
+def classification_report(result) -> dict:
     """Report dict for either a ClassificationResult or an AnResult."""
     from .anclassify import AnResult
     from .nilclassify import ClassificationResult

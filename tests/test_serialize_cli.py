@@ -7,6 +7,7 @@ import pytest
 
 from su2n import AlgebraElement, Subalgebra, gallery
 from su2n.anclassify import Graph, OneParam, Semidirect, TorusLine
+from su2n.config import DEFAULT
 from su2n.scalars import QQi
 from su2n.serialize import (
     dump_spec,
@@ -186,6 +187,20 @@ def test_cli_mu_scan_conjugates_a_non_compatible_spec(tmp_path, spec, s_lo, s_hi
     summary = json.loads(p.stderr.strip().splitlines()[-1])
     assert abs(summary["s_lo"] - s_lo) < 0.05
     assert abs(summary["s_hi"] - s_hi) < 0.05
+    # classify reads the same conjugate
+    p = _cli("classify", str(spec_path))
+    if isinstance(spec, OneParam):
+        # the conjugate is a bare torus line, which is not classified
+        assert p.returncode == 1, p.stdout
+        assert "H = H ∩ A" in p.stderr
+        return
+    assert p.returncode == 0, p.stderr
+    report = json.loads(p.stdout)
+    assert report["verdict"] == "CDS"
+    assert "compatible conjugate: semidirect on the torus line (1, 1)" in report["notes"]
+    shape = MuShape.from_json(report["shape"])
+    tol = DEFAULT.envelope_tol
+    assert shape.s_lo - tol <= summary["s_lo"] <= summary["s_hi"] <= shape.s_hi + tol
 
 
 def _semidirect_file(tmp_path, torus, u):
