@@ -38,7 +38,6 @@ from .elements import (
     element_from_matrix,
     exp_closed,
     exp_float,
-    exp_line,
     exp_series,
     form_value,
     gram_matrix,
@@ -53,6 +52,7 @@ from .lab import (
     check_dimension_table,
     sample_subgroup,
     verify_shape,
+    witness_curve,
 )
 from .metrics import (
     CartanPoint,
@@ -82,7 +82,6 @@ from .nilclassify import (
     classify,
     match_notcds,
     normalizer_in_A,
-    witness_curve,
 )
 from .scalars import QQi
 from .shapes import MuShape

@@ -23,7 +23,6 @@ from .elements import (
     ROOTS,
     ROOT_SLOT,
     REDUCED_ROOTS,
-    ad_a,
     bracket,
     exp_closed,
     kernel_line,
@@ -142,12 +141,6 @@ class AnResult:
 # compatibility
 
 
-def _normalizes(torus: TorusLine, u: Subalgebra) -> bool:
-    rows = u.coord_rows()
-    return all(linalg.span_contains(rows, ad_a(torus.p, torus.q, b).coords())
-               for b in u.basis)
-
-
 def _normalized_by_element(w: AlgebraElement, u: Subalgebra) -> bool:
     rows = u.coord_rows()
     return all(linalg.span_contains(rows, bracket(w, b).coords())
@@ -186,7 +179,7 @@ def classify_semidirect(torus: TorusLine, u: Subalgebra, seed: int = 0) -> AnRes
         raise SpecViolation("U must be nontrivial")
     if not u.is_nilpotent():
         raise SpecViolation("U must lie inside N")
-    if not _normalizes(torus, u):
+    if not _normalized_by_element(torus.element(u.n), u):
         raise UNotNormalized(f"T = {torus} does not normalize U")
     nil = classify(u, seed=seed)
     if nil.is_cds:

@@ -7,6 +7,7 @@
     su2n gallery (--list | --emit ID [--out FILE])
 
 Exit codes: 0 success, 1 input/parse error, 2 internal inconsistency.
+A reader that closes the output pipe early ends the command quietly with 0.
 classify and mu-scan read a graph or one-parameter spec that is not in
 compatible form on its exact compatible conjugate; classify's notes then name
 the conjugate's kind and torus line, and a conjugate that is a bare torus line
@@ -172,7 +173,17 @@ def main(argv=None):
     p.set_defaults(fn=_cmd_gallery)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe (su2n classify g.json | head -1): stop
+        # quietly, with stdout on devnull so the flush at exit cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
 
 
 if __name__ == "__main__":

@@ -310,7 +310,7 @@ def matrix_of(u: AlgebraElement):
     return M
 
 
-def element_from_matrix(M, n, check=True) -> AlgebraElement:
+def element_from_matrix(M, n) -> AlgebraElement:
     """Read coordinates from an exact matrix; raises NotInAN on pattern mismatch."""
     m = n + 2
     if im(M[0][0]) != 0 or im(M[1][1]) != 0:
@@ -320,12 +320,11 @@ def element_from_matrix(M, n, check=True) -> AlgebraElement:
         x=[M[0][2 + j] for j in range(n - 2)],
         y=[M[1][2 + j] for j in range(n - 2)],
         eta=M[0][n], xx=im(M[0][m - 1]), yy=im(M[1][n]))
-    if check:
-        expected = matrix_of(u)
-        for i in range(m):
-            for j in range(m):
-                if expected[i][j] != M[i][j]:
-                    raise NotInAN(f"entry ({i},{j}) breaks the a+n pattern")
+    expected = matrix_of(u)
+    for i in range(m):
+        for j in range(m):
+            if expected[i][j] != M[i][j]:
+                raise NotInAN(f"entry ({i},{j}) breaks the a+n pattern")
     return u
 
 
@@ -526,40 +525,33 @@ def _nil_series(X, s):
 
 
 def exp_float(c, s=1.0):
-    """exp(s c) in floating point for a nilpotent coordinate vector c.
+    """exp(s X) in floating point for an a+n coordinate vector c.
 
     c is a real array in the coords() layout, e.g. np.array(u.coords(),
-    dtype=float).  A float s gives the (m, m) complex matrix; an array s
-    gives the (T, m, m) stack of exp(s_k c).  The matrix X of c satisfies
-    X^5 = 0, so the Taylor series ends at X^4 / 4! and is exact ("Taylor
-    series" in Moler and Van Loan, Nineteen Dubious Ways to Compute the
-    Exponential of a Matrix, Twenty-Five Years Later, SIAM Review 45, 2003);
-    X^5 = 0 is checked on every call.
+    dtype=float).  X = D + N splits into its a-part D = diag(t1, t2, 0, ...,
+    0, -t2, -t1) and its nilpotent part N, which must commute (a nilpotent
+    direction, or a torus, graph or compatible one-parameter line).  A float s
+    gives the (m, m) complex matrix; an array s gives the (T, m, m) stack of
+    exp(s_k X) = diag(exp(s_k D)) sum_{j <= 4} (s_k N)^j / j!.  N^5 = 0, so
+    the Taylor series ends at N^4 / 4! and is exact ("Taylor series" in Moler
+    and Van Loan, Nineteen Dubious Ways to Compute the Exponential of a
+    Matrix, Twenty-Five Years Later, SIAM Review 45, 2003); N D = D N and
+    N^5 = 0 are checked on every call.  A nilpotent c (t1 = t2 = 0) skips the
+    diagonal factor, which would multiply by exactly 1.
     """
     c = np.asarray(c, dtype=float)
     n = len(c) // 4
     if c.ndim != 1 or n < 3 or len(c) != 4 * n:
         raise ValueError(f"not a coordinate vector: shape {c.shape}")
-    if c[0] or c[1]:
-        raise ValueError("exp_float needs a nilpotent element (t1 = t2 = 0)")
     m = n + 2
-    return _nil_series((c @ _coord_basis(n)).reshape(m, m), s)
-
-
-def exp_line(M, c):
-    """exp(c M) for a float matrix M = D + N, D diagonal and N nilpotent with
-    N D = D N: the matrix of a torus, graph or compatible one-parameter line.
-
-    A float c gives the (m, m) matrix, an array c the (T, m, m) stack of
-    exp(c_k M) = diag(exp(c_k D)) exp(c_k N), the second factor by the
-    series of exp_float.  Raises ValueError unless N D - D N is exactly 0.
-    """
-    M = np.asarray(M, dtype=complex)
-    d = M.diagonal()
-    N = M - np.diag(d)
+    X = (c @ _coord_basis(n)).reshape(m, m)
+    if not (c[0] or c[1]):
+        return _nil_series(X, s)
+    d = X.diagonal()
+    N = X - np.diag(d)
     if (N * d - d[:, None] * N).any():
-        raise ValueError("the diagonal and nilpotent parts of M do not commute")
-    return np.exp(np.multiply.outer(c, d))[..., None] * _nil_series(N, c)
+        raise ValueError("the a-part and the nilpotent part do not commute")
+    return np.exp(np.multiply.outer(s, d))[..., None] * _nil_series(N, s)
 
 
 def delta_formula(u: AlgebraElement):

@@ -1,9 +1,12 @@
 """Sampling harness tying the classifiers to the Cartan-projection numerics.
 
-Element clouds are generated from subgroup specs as products of exponentials
-(depth up to 3, so the cloud probes the full band of mu(H), not a single
-curve), clipped at the norm ceiling where doubles stay trustworthy.  A curve
-is evaluated on a whole parameter grid at once, as a (T, m, m) numpy stack.
+Every sampling curve lives here: the witness curves of the square and linear
+conditions, the extremal curves of the templates and graph cases, rays, torus
+and graph lines, and products of exponentials (depth up to 3, so the cloud
+probes the full band of mu(H), not a single curve), clipped at the norm
+ceiling where doubles stay trustworthy.  A direction in the algebra is its
+float coordinate vector and exp_float its only exponential; a curve is
+evaluated on a whole parameter grid at once, as a (T, m, m) numpy stack.
 Fitted envelope exponents and log-power regressions are then compared against
 the classifier's predicted shape.
 """
@@ -14,18 +17,16 @@ import math
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .anclassify import (Graph, OneParam, Semidirect, classify_an,
+from .anclassify import (Graph, OneParam, Semidirect, _sigma_of, classify_an,
                          line_compatible)
 from .config import DEFAULT, Tolerances
-# exp_closed is unused here; bench/test_bench.py checks that tracing rebinds
-# this alias together with elements.exp_closed.
-from .elements import exp_closed, exp_float, exp_line, matrix_of  # noqa: F401
+from .elements import AlgebraElement, exp_closed, exp_float
 from .gallery import GalleryEntry, get as gallery_get
 from .gallery import maximal_band_family, mixing_pair_family
 from .metrics import (
@@ -38,14 +39,19 @@ from .metrics import (
     shape_check,
     sup_norm,
 )
-from .nilclassify import ImplicitSolveFailed, classify, witness_curve
-from .scalars import QQi, abs2
+from .nilclassify import LinearWitness, SquareWitness, _lambda_of, classify
+from .scalars import QQi, abs2, conj, herm, re
 from .shapes import MuShape
 from .subalgebra import Subalgebra
+from .weyl import conjugate, weyl_reflect
 
 
 class OverflowCeiling(ArithmeticError):
     pass
+
+
+class ImplicitSolveFailed(RuntimeError):
+    """A per-point solve of a witness curve found no root."""
 
 
 # Random product curves per sampled spec, each a product of 1..PRODUCT_DEPTH
@@ -58,7 +64,6 @@ PRODUCT_DEPTH = 3
 class SamplingPlan:
     seed: int = 0
     per_curve: int = 48
-    collect_mu: bool = False
     t_cap: Optional[float] = None
     tol: Tolerances = DEFAULT
 
@@ -140,12 +145,13 @@ def _adaptive_grid(curve, per, ceiling, t_lo=1.0, t_cap=None):
     return np.geomspace(t_lo, t_hi, per)
 
 
-def _collect(curves, plan) -> SampleCloud:
+def _collect(curves, plan, with_mu=False) -> SampleCloud:
     """Evaluate labeled curves on adaptive grids; discard above the ceiling.
 
     meta["discards"] counts the dropped points by cause: non_finite,
     over_ceiling, at_most_one (|h| <= 1) and the name of each error a
-    per-point solve raised.
+    per-point solve raised.  with_mu adds the Cartan projection of every
+    kept sample as meta["mu_points"].
     """
     ceiling = plan.tol.norm_ceiling
     pts = []
@@ -176,7 +182,7 @@ def _collect(curves, plan) -> SampleCloud:
         pts += zip(norms[keep].tolist(), rho_norm(good).tolist(),
                    [tag] * len(good))
         t_vals += grid[keep].tolist()
-        if plan.collect_mu:
+        if with_mu:
             mu_points += [mu(g).as_tuple() for g in good]
     if kept < plan.tol.min_samples:
         raise OverflowCeiling(
@@ -185,7 +191,7 @@ def _collect(curves, plan) -> SampleCloud:
     cloud.meta["t_values"] = t_vals
     cloud.meta["discard_fraction"] = 1.0 - kept / max(total, 1)
     cloud.meta["discards"] = dict(discards)
-    if plan.collect_mu:
+    if with_mu:
         cloud.meta["mu_points"] = mu_points
     return cloud
 
@@ -213,6 +219,25 @@ def _product_curve(rng, basis, depth):
             g = f if g is None else g @ f
         return g
     return curve
+
+
+def _vec(e: AlgebraElement) -> np.ndarray:
+    """The float coordinate vector of an exact element, for exp_float."""
+    return np.array(e.coords(), dtype=float)
+
+
+def _ray(e: AlgebraElement):
+    """The curve t -> exp(t e), for a float t or an array of them."""
+    v = _vec(e)
+    return lambda t: exp_float(v, t)
+
+
+def _least_rho_ratio(base, direction, p, factors):
+    """Of exp(base + (p f) direction) over the factors f, the sample with the
+    least rho/|h| (the first on a tie): a best-of-k scan around the root p of
+    a corner determinant, which tracks the lower envelope."""
+    return min((exp_float(base + direction * (p * f)) for f in factors),
+               key=lambda g: rho_norm(g) / max(sup_norm(g), 1.0))
 
 
 def _nil_curves(h: Subalgebra, plan, result=None):
@@ -246,23 +271,209 @@ def _template_extremal_curves(tm):
         ys = sum(abs2(complex(v)) for v in u.y)
         r0 = (complex(u.phi) * eta_z.conjugate()).real
         ru = (complex(u.eta) * eta_z.conjugate()).real
-        uf, zf = np.array(u.coords(), dtype=float), np.array(z.coords(), dtype=float)
+        uf, zf = _vec(u), _vec(z)
 
         def lower(t):
             # track eta_h = -|y_h|^2 phi_h / 12 along exp(t u + p z)
             p0 = -(t ** 3 * ys * r0 / 12.0 + t * ru) / eta2
-            best, best_ratio = None, None
-            for fac in (1.0, 0.97, 1.03, 0.9, 1.1):
-                g = exp_float(uf * t + zf * (p0 * fac))
-                ratio = rho_norm(g) / max(sup_norm(g), 1.0)
-                if best_ratio is None or ratio < best_ratio:
-                    best, best_ratio = g, ratio
-            return best
+            return _least_rho_ratio(uf * t, zf, p0, (1.0, 0.97, 1.03, 0.9, 1.1))
         curves.append(("extremal-54", _PerPoint(lower, u.n)))
     if tm.type_id == 7 and "rank_one" in tm.evidence:
-        v = np.array(tm.evidence["rank_one"].coords(), dtype=float)
-        curves.append(("extremal-32", lambda ts: exp_float(v, ts)))
+        curves.append(("extremal-32", _ray(tm.evidence["rank_one"])))
     return curves
+
+
+# ---------------------------------------------------------------------------
+# witness curves
+
+
+def witness_curve(witness, h: Subalgebra):
+    """The proof's one-parameter curve t -> h(t) for a witness.
+
+    Returns a callable from a float t to the (m, m) complex matrix of h(t).
+    Square curves have |rho(h(t))| ~ |h(t)|^2, linear ones ~ |h(t)|;
+    preliminary conjugations from the proofs are applied exactly, so the
+    curve may live in a conjugate copy of H (which moves mu by a bounded
+    amount only).
+    """
+    if isinstance(witness, SquareWitness):
+        kind, recipes = "square", _SQUARE_RECIPES
+    elif isinstance(witness, LinearWitness):
+        kind, recipes = "linear", _LINEAR_RECIPES
+    else:
+        raise TypeError("expected a SquareWitness or LinearWitness")
+    recipe = recipes.get(witness.condition_id)
+    if recipe is None:
+        raise ImplicitSolveFailed(
+            f"no curve recipe for {kind} condition {witness.condition_id}")
+    return recipe(witness.elements, h.n)
+
+
+def _conj_u_alpha(u: AlgebraElement, c):
+    """Ad(exp(w)) u for w the alpha-root element with phi = c (exact)."""
+    return conjugate(exp_closed(AlgebraElement(u.n, phi=c)), u)
+
+
+def _ray_recipe(name):
+    """The recipe whose curve is the ray exp(t e), e = elements[name]."""
+    return lambda els, n: _ray(els[name])
+
+
+def _square_1(els, n):
+    u = els["u"]
+    ys = sum((abs2(v) for v in u.y), Fraction(0))
+    return _ray(_conj_u_alpha(u, -(herm(u.x, u.y) / QQi(ys))) if ys else u)
+
+
+def _square_3(els, n):
+    u, z = _vec(els["u"]), _vec(els["z"])
+    return lambda t: exp_float(u * t + z * (t * t))
+
+
+def _square_5(els, n):
+    u, z = els["u"], els["z"]
+    u1 = u - z.scale(u.xx)  # clear the xx slot
+    aphi2 = abs2(complex(u1.phi))
+    yy = float(u1.yy)
+    u1f, zf = _vec(u1), _vec(z)
+    return lambda t: exp_float(u1f * t + zf * ((t ** 3) * aphi2 * yy / 6.0))
+
+
+def _corner_recipe(a, b, clear_im):
+    """Square conditions 6-8: t -> exp(t a + s b) with s solving
+    Re(corner) = 0; with clear_im, exp(e + c xx) clears the imaginary corner
+    of g = exp(e) too, with c = -Im g[0, n+1]."""
+    def recipe(els, n):
+        af, bf = _vec(els[a]), _vec(els[b])
+        axis = _vec(AlgebraElement(n, xx=1))
+
+        def curve(t):
+            e = af * t + bf * _solve_re_corner(af, bf, t)
+            g = exp_float(e)
+            return exp_float(e + axis * -g[0, -1].imag) if clear_im else g
+        return curve
+    return recipe
+
+
+def _solve_re_corner(u, v, t):
+    """s with Re(exp(t u + s v)[0, n+1]) = 0, by bracketing + bisection."""
+    from scipy.optimize import brentq
+
+    def f(s):
+        return exp_float(u * t + v * s)[0, -1].real
+
+    f0 = f(0.0)
+    if f0 == 0.0:
+        return 0.0
+    hi = 1.0
+    for _ in range(200):
+        if f(hi) * f0 < 0:
+            return brentq(f, 0.0, hi) if hi > 0 else brentq(f, hi, 0.0)
+        if f(-hi) * f0 < 0:
+            return brentq(f, -hi, 0.0)
+        hi *= 1.6
+    raise ImplicitSolveFailed("no sign change for the corner-entry solve")
+
+
+def _linear_2(els, n):
+    u = els["u"]
+    if any(u.y):
+        u = weyl_reflect(_conj_u_alpha(u, -_lambda_of(u)), "alpha")
+    return _ray(u)
+
+
+def _linear_4(els, n):
+    u, z = _vec(els["u"]), _vec(els["z"])
+    cols = AlgebraElement.slot_columns(n)
+
+    def curve(t):
+        from scipy.optimize import brentq
+
+        def redelta(p):
+            e = (u * t + z * p).tolist()
+            (xx,), (yy,) = e[cols["xx"]], e[cols["yy"]]
+            phi2 = sum(v * v for v in e[cols["phi"]])
+            eta2 = sum(v * v for v in e[cols["eta"]])
+            return xx * yy + phi2 * yy * yy / 12.0 - eta2
+
+        p0, p1 = 0.0, 1.0
+        f0 = redelta(p0)
+        if f0 == 0:
+            return exp_float(u, t)
+        for _ in range(200):
+            if redelta(p1) * f0 < 0:
+                p = brentq(redelta, min(p0, p1), max(p0, p1))
+                return exp_float(u * t + z * p)
+            if redelta(-p1) * f0 < 0:
+                p = brentq(redelta, -p1, 0.0)
+                return exp_float(u * t + z * p)
+            p1 *= 1.7
+        raise ImplicitSolveFailed("linear condition 4: no root in p")
+    return curve
+
+
+def _linear_5(els, n):
+    """Curve for the mixed phi/y + central-eta condition.
+
+    The pair (u, z) is conjugated exactly so that u lives in the phi and y
+    slots only and z is a pure central eta element with phi_u conj(eta_z)
+    real; along exp(s u + p z) the corner determinant has a double root in p,
+    and scanning p near it tracks the linear-growth direction.
+    """
+    u, z = els["u"], els["z"]
+
+    def conj_pair(welt, u, z):
+        g = exp_closed(welt)
+        return conjugate(g, u), conjugate(g, z)
+
+    # (i) clear yy_u by a beta conjugation along y_u
+    ys = sum((abs2(v) for v in u.y), Fraction(0))
+    if u.yy != 0 and ys != 0:
+        s = Fraction(u.yy, 2) / ys
+        welt = AlgebraElement(n, y=[QQi(0, 1) * (s * v) for v in u.y])
+        u, z = conj_pair(welt, u, z)
+    # (ii) make x_u orthogonal to y_u (alpha conjugation)
+    if ys != 0:
+        c = -(herm(u.x, u.y) / QQi(ys))
+        welt = AlgebraElement(n, phi=c)
+        u, z = conj_pair(welt, u, z)
+    # (iii) clear x_u by a beta element centralizing y_u
+    if any(u.x) and u.phi:
+        welt = AlgebraElement(n, y=[v / u.phi for v in u.x])
+        u, z = conj_pair(welt, u, z)
+    # (iv) clear eta_u
+    if u.eta and ys != 0:
+        welt = AlgebraElement(n, x=[(u.eta / QQi(ys)) * v for v in u.y])
+        u, z = conj_pair(welt, u, z)
+    # (v) clear xx_u
+    if u.xx != 0 and u.phi:
+        t = Fraction(u.xx, 2) / abs2(u.phi)
+        welt = AlgebraElement(n, eta=QQi(0, 1) * (t * u.phi))
+        u, z = conj_pair(welt, u, z)
+    uf, zf = _vec(u), _vec(z)
+    eta2 = abs2(complex(z.eta))
+    ys = sum(abs2(complex(v)) for v in u.y)
+    r0 = re(complex(z.eta) * conj(complex(u.phi)))
+
+    def curve(s):
+        if eta2 == 0:
+            return exp_float(uf, s)
+        p_star = -(s ** 3) * ys * r0 / (12.0 * eta2)
+        return _least_rho_ratio(uf * s, zf, p_star,
+                                (1.0, 0.98, 1.02, 0.9, 1.1, 0.0))
+    return curve
+
+
+_SQUARE_RECIPES = {
+    1: _square_1, 2: _ray_recipe("z"), 3: _square_3, 4: _ray_recipe("u"),
+    5: _square_5, 6: _corner_recipe("u", "v", False),
+    7: _corner_recipe("u", "v", True),
+    8: _corner_recipe("v", "u", True),  # h in exp(s u + t v + z): s = O(1)
+}
+_LINEAR_RECIPES = {
+    1: _ray_recipe("z"), 2: _linear_2, 3: _ray_recipe("u"), 4: _linear_4,
+    5: _linear_5,
+}
 
 
 DESIGNED_PREFIXES = ("square-witness", "linear-witness", "extremal", "ray",
@@ -293,7 +504,10 @@ def sample_subgroup(spec, plan: SamplingPlan = None, result=None) -> SampleCloud
 
     An AN spec is sampled on its compatible conjugate from line_compatible,
     the subgroup that classify_an classifies (a spec read from JSON need not
-    be compatible); conjugation moves mu by a bounded amount only.
+    be compatible); conjugation moves mu by a bounded amount only.  A
+    one-parameter cloud also carries the Cartan projection of every sample
+    (meta["mu_points"]) and the a-part of its line (meta["ray_direction"]),
+    which fit_ray_power reads.
     """
     plan = plan or SamplingPlan()
     if isinstance(spec, Subalgebra):
@@ -304,17 +518,36 @@ def sample_subgroup(spec, plan: SamplingPlan = None, result=None) -> SampleCloud
     if isinstance(spec, Graph):
         return _collect(_graph_curves(spec, plan), plan)
     if isinstance(spec, OneParam):
-        return _collect(_oneparam_curves(spec, plan), plan)
+        v, scale = _line(spec)
+        cloud = _collect(_line_curves("line", v, scale), plan, with_mu=True)
+        cloud.meta["ray_direction"] = tuple(v[:2])
+        return cloud
     raise TypeError(f"cannot sample {type(spec).__name__}")
 
 
-def _float_matrix(u) -> np.ndarray:
-    """The complex matrix of an exact algebra element."""
-    return np.array(matrix_of(u), dtype=complex)
+def _line(spec):
+    """(v, scale) for a Semidirect, Graph or OneParam spec: v the float
+    coordinates of its line (the torus, T + psi, or x) and scale the largest
+    |t_i| of v, so that exp((log t / scale) v) has a-part entries in
+    [1/t, t]."""
+    if isinstance(spec, Semidirect):
+        x = spec.torus.element(spec.n)
+    elif isinstance(spec, Graph):
+        x = spec.torus().element(spec.n) + spec.psi_value
+    else:
+        x = spec.x
+    v = _vec(x)
+    return v, float(np.abs(v[:2]).max())
 
 
-def _ray_and_mix_curves(L, scale, u, rng, plan):
-    """A ray per basis row of u, then exp((s log t / scale) L) times a random product."""
+def _line_curves(tag, v, scale):
+    """The line both ways: t -> exp((+-log t / scale) v), tagged tag and tag-."""
+    return [(tag, lambda ts: exp_float(v, np.log(ts) / scale)),
+            (tag + "-", lambda ts: exp_float(v, -np.log(ts) / scale))]
+
+
+def _ray_and_mix_curves(v, scale, u, rng):
+    """A ray per basis row of u, then exp((s log t / scale) v) times a random product."""
     B = np.array(u.coord_rows(), dtype=float)
     curves = [(f"u-ray{i}", lambda ts, b=b: exp_float(b, ts)) for i, b in enumerate(B)]
     for i in range(N_PRODUCT_CURVES):
@@ -322,40 +555,30 @@ def _ray_and_mix_curves(L, scale, u, rng, plan):
         udirs = _product_curve(rng, B, PRODUCT_DEPTH)
 
         def curve(ts, s=s, udirs=udirs):
-            return exp_line(L, s * np.log(ts) / scale) @ udirs(ts)
+            return exp_float(v, s * np.log(ts) / scale) @ udirs(ts)
         curves.append((f"mix{i}", curve))
     return curves
 
 
 def _semidirect_curves(spec: Semidirect, plan):
     rng = random.Random(plan.seed + 1)
-    T = _float_matrix(spec.torus.element(spec.n))
-    scale = max(abs(spec.torus.p), abs(spec.torus.q))
-    t_unit = T * (1.0 / scale)
-    return ([("torus", lambda ts: exp_line(t_unit, np.log(ts))),
-             ("torus-", lambda ts: exp_line(-t_unit, np.log(ts)))]
-            + _ray_and_mix_curves(T, scale, spec.u, rng, plan))
-
-
-def _graph_x_matrix(spec: Graph) -> np.ndarray:
-    return _float_matrix(spec.torus().element(spec.n) + spec.psi_value)
+    v, scale = _line(spec)
+    return (_line_curves("torus", v, scale)
+            + _ray_and_mix_curves(v, scale, spec.u, rng))
 
 
 def _graph_curves(spec: Graph, plan):
     rng = random.Random(plan.seed + 2)
-    X = _graph_x_matrix(spec)
-    scale = max(abs(spec.torus().p), abs(spec.torus().q))
-    return ([("graph-line", lambda ts: exp_line(X, np.log(ts) / scale)),
-             ("graph-line-", lambda ts: exp_line(X, -np.log(ts) / scale))]
-            + _ray_and_mix_curves(X, scale, spec.u, rng, plan)
+    v, scale = _line(spec)
+    return (_line_curves("graph-line", v, scale)
+            + _ray_and_mix_curves(v, scale, spec.u, rng)
             + extremal_graph_curves(spec))
 
 
-def extremal_graph_curves(spec: Graph, result=None):
+def extremal_graph_curves(spec: Graph):
     """The proof-recipe curves pinning the log-corrected envelopes."""
-    X = _graph_x_matrix(spec)
+    v, scale = _line(spec)
     B = np.array(spec.u.coord_rows(), dtype=float)
-    scale = max(abs(spec.torus().p), abs(spec.torus().q))
     nrm0 = np.linalg.norm(B[0])
     u0 = B[0] * (1.0 / (nrm0 or 1.0))
     case = _graph_case(spec)
@@ -371,55 +594,43 @@ def extremal_graph_curves(spec: Graph, result=None):
         u0i = inter[0]
 
         def square_curve(ts, u0i=u0i):
-            return (exp_line(X, 2.0 * np.log(ts) / scale)
+            return (exp_float(v, 2.0 * np.log(ts) / scale)
                     @ exp_float(u0i, ts))
         curves.append(("extremal-square", square_curve))
     if case == ("alpha", "alpha+beta"):
         # upper extremal: |x_u|^2 ~ log a1
         def upper(ts):
             tau = np.log(ts)
-            return (exp_line(X, tau / scale)
+            return (exp_float(v, tau / scale)
                     @ exp_float(u0, np.sqrt(np.maximum(tau, 1e-9))))
         curves.append(("extremal-upper", upper))
     elif case == ("alpha", "alpha+2beta"):
         g0 = exp_float(u0)
 
         def lower(ts):
-            return exp_line(X, np.log(ts) / scale) @ g0
+            return exp_float(v, np.log(ts) / scale) @ g0
         curves.append(("extremal-lower", lower))
     elif case == ("beta", "alpha+2beta"):
         r = 1 if (spec.psi_value.root_component("beta").is_zero()
                   and not spec.psi_value.root_component("2beta").is_zero()) else 2
         def lower(ts, r=r):
             tau = np.log(ts)
-            return (exp_line(X, tau / scale)
+            return (exp_float(v, tau / scale)
                     @ exp_float(u0, np.maximum(tau, 1e-9) ** (r / 2.0)))
         curves.append(("extremal-lower", lower))
     elif case == ("beta", "alpha+beta"):
         curves.append(("extremal-upper",
-                       lambda ts: exp_line(X, np.log(ts) / scale)))
+                       lambda ts: exp_float(v, np.log(ts) / scale)))
     return curves
 
 
 def _graph_case(spec: Graph):
-    from .anclassify import _sigma_of
-    sigma = _sigma_of(spec.u)
-    return (spec.omega, sigma)
-
-
-def _oneparam_curves(spec: OneParam, plan):
-    X = _float_matrix(spec.x)
-    scale = float(max(abs(spec.x.t1), abs(spec.x.t2)))
-    return [("line", lambda ts: exp_line(X, np.log(ts) / scale)),
-            ("line-", lambda ts: exp_line(X, -np.log(ts) / scale))]
+    return (spec.omega, _sigma_of(spec.u))
 
 
 def fit_ray_drift(spec: OneParam, plan: SamplingPlan = None) -> float:
     """Empirical drift power k for a one-parameter subgroup."""
-    plan = replace(plan or SamplingPlan(), collect_mu=True)
-    cloud = sample_subgroup(spec, plan)
-    cloud.meta["ray_direction"] = (abs(spec.x.t1), abs(spec.x.t2))
-    return fit_ray_power(cloud)
+    return fit_ray_power(sample_subgroup(spec, plan))
 
 
 def fit_graph_log_power(spec: Graph, plan: SamplingPlan = None):
@@ -457,9 +668,7 @@ def verify_shape(spec, plan: SamplingPlan = None, seed: int = 0,
         shape = result.shape
     if shape.symbolic:
         if shape.kind == "ray":
-            cloud = sample_subgroup(spec, replace(plan, collect_mu=True))
-            if isinstance(spec, OneParam):
-                cloud.meta["ray_direction"] = (abs(spec.x.t1), abs(spec.x.t2))
+            cloud = sample_subgroup(spec, plan)
             try:
                 k = fit_ray_power(cloud)
                 note = f"ray drift power fitted as k = {k:.3f}"

@@ -29,21 +29,23 @@ searches are exact in their layered cases (kernel sides, globally dependent,
 complex-line images); outside them they walk the pencils through pairs of
 basis rows, and a miss there is no proof that no rank-one element exists —
 only the double entry stands behind it.
+
+The module is exact only and imports no numpy or scipy: the float curves
+that realize a witness (`lab.witness_curve`) live with the other sampling
+curves in `lab`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import linalg
-from .elements import (AlgebraElement, ad_a, exp_closed, exp_float, kernel_line,
-                       kernel_root, primitive_line)
+from .elements import (AlgebraElement, ad_a, kernel_line, kernel_root,
+                       primitive_line)
 from .scalars import QQi, abs2, conj, herm, im, re
 from .shapes import MuShape
 from .subalgebra import Subalgebra
@@ -66,7 +68,6 @@ class NotInN(ValueError):
 class SquareWitness:
     condition_id: int
     elements: dict
-    conjugations: list = field(default_factory=list)
     note: str = ""
     exact: bool = True
 
@@ -75,7 +76,6 @@ class SquareWitness:
 class LinearWitness:
     condition_id: int
     elements: dict
-    conjugations: list = field(default_factory=list)
     note: str = ""
     exact: bool = True
 
@@ -527,8 +527,8 @@ def _first_witness(h, checks, witness):
     for cid, checker in enumerate(checks, start=1):
         res = checker(frame)
         if res is not None:
-            elements, conjs, note, exact = res
-            return witness(cid, elements, conjs, note, exact)
+            elements, note, exact = res
+            return witness(cid, elements, note, exact)
     return None
 
 
@@ -540,7 +540,7 @@ def _sq1(frame):
     w = _find_rank2(frame, W)
     if w is None:
         return None
-    return {"u": frame.element(w)}, [], "", True
+    return {"u": frame.element(w)}, "", True
 
 
 def _sq2(frame):
@@ -552,7 +552,7 @@ def _sq2(frame):
     w = frame.gram_witness(g, Z)
     if w is None:
         return None
-    return {"z": frame.element(w)}, [], "", True
+    return {"z": frame.element(w)}, "", True
 
 
 def _sq3(frame):
@@ -569,7 +569,7 @@ def _sq3(frame):
         g = frame.gram(q, W)
         w = frame.gram_witness(g, W)
         if w is not None:
-            return {"u": frame.element(w), "z": z}, [], "", True
+            return {"u": frame.element(w), "z": z}, "", True
     return None
 
 
@@ -588,13 +588,13 @@ def _sq4(frame):
         if res is None:
             return None
         row, exact = res
-        return {"u": frame.element(row)}, [], "", exact
+        return {"u": frame.element(row)}, "", exact
     # semidefinite: zero set is exactly the radical
     rad = [frame._combine(V, v) for v in cert["radical"]]
     w = frame.nonzero_with(["phi"], rad)
     if w is None:
         return None
-    return {"u": frame.element(w)}, [], "", True
+    return {"u": frame.element(w)}, "", True
 
 
 def _xx_axis_element(frame):
@@ -612,7 +612,7 @@ def _sq5(frame):
     w = frame.nonzero_with(["phi", "yy"], V)
     if w is None:
         return None
-    return {"u": frame.element(w), "z": AlgebraElement(frame.n, xx=1)}, [], "", True
+    return {"u": frame.element(w), "z": AlgebraElement(frame.n, xx=1)}, "", True
 
 
 def _sq6(frame):
@@ -624,7 +624,7 @@ def _sq6(frame):
     v = frame.nonzero_with(["x"], V)
     if v is None:
         return None
-    return ({"u": frame.element(u), "v": frame.element(v)}, [],
+    return ({"u": frame.element(u), "v": frame.element(v)},
             "simplified form; x_v y_u+ = 0 holds given not-2", True)
 
 
@@ -641,7 +641,7 @@ def _sq7(frame):
     v = frame.nonzero_with(["x"], V)
     if v is None:
         return None
-    return ({"u": frame.element(u), "v": frame.element(v)}, [],
+    return ({"u": frame.element(u), "v": frame.element(v)},
             "simplified form", True)
 
 
@@ -667,7 +667,7 @@ def _sq8(frame):
         return None
     dval, vec = cert["positive"][0]
     v = frame._combine(V, vec)
-    return {"u": frame.element(u), "v": frame.element(v)}, [], "", True
+    return {"u": frame.element(u), "v": frame.element(v)}, "", True
 
 
 _SQUARE_CHECKS = [_sq1, _sq2, _sq3, _sq4, _sq5, _sq6, _sq7, _sq8]
@@ -695,7 +695,7 @@ def _li1(frame):
     if res is None:
         return None
     row, exact = res
-    return {"z": frame.element(row)}, [], "", exact
+    return {"z": frame.element(row)}, "", exact
 
 
 def _li2(frame):
@@ -716,12 +716,12 @@ def _li2(frame):
     V = frame.kernel(["y", "yy"], W)
     w = frame.nonzero_with(["x"], V)
     if w is not None:
-        return {"u": frame.element(w)}, [], "y_u = 0 branch", True
+        return {"u": frame.element(w)}, "y_u = 0 branch", True
     # (b) x = 0, xx = 0, y != 0
     V = frame.kernel(["x", "xx"], W)
     w = frame.nonzero_with(["y"], V)
     if w is not None:
-        return {"u": frame.element(w)}, [], "x_u = 0 branch", True
+        return {"u": frame.element(w)}, "x_u = 0 branch", True
     # (c) global dependence: a single lambda works for all of W
     if _globally_dependent(frame, W):
         wy = frame.nonzero_with(["y"], W)
@@ -731,7 +731,7 @@ def _li2(frame):
                 K = _kernel_d_lambda(frame, W, lam)
                 w = frame.nonzero_with(["y"], K)
                 if w is not None:
-                    return ({"u": frame.element(w)}, [],
+                    return ({"u": frame.element(w)},
                             f"global lambda branch", True)
     # (d) candidate lambdas from basis rows and the pencil walk
     for lam in _candidate_lambdas(frame, W):
@@ -739,7 +739,7 @@ def _li2(frame):
         K = _kernel_d_lambda(frame, Wl, lam)
         w = frame.nonzero_with(["y"], K)
         if w is not None and _rank_xy(frame.element(w)) == 1:
-            return {"u": frame.element(w)}, [], "pointwise lambda branch", True
+            return {"u": frame.element(w)}, "pointwise lambda branch", True
     # (e) complex-line case: exact cubic expansion on the line subspace
     v0 = _image_complex_line(frame, "y", W)
     if v0 is not None:
@@ -787,7 +787,7 @@ def _li2_line_case(frame, W, v0):
     if all(v == 0 for v in coeffs.values()):
         w = frame.nonzero_with(["y"], line)
         if w is not None:
-            return {"u": frame.element(w)}, [], "cubic vanishes on line subspace", True
+            return {"u": frame.element(w)}, "cubic vanishes on line subspace", True
         return None
     ky = frame.kernel(["y"], line)
     if len(line) - len(ky) >= 2:
@@ -795,7 +795,7 @@ def _li2_line_case(frame, W, v0):
         found = _odd_cubic_zero_on_plane(frame, line, ky)
         if found is not None:
             u, exact = found
-            return {"u": u}, [], "odd-cubic zero on a 2-plane", exact
+            return {"u": u}, "odd-cubic zero on a 2-plane", exact
     return None
 
 
@@ -850,7 +850,7 @@ def _li3(frame):
     w = frame.gram_witness(g, V)
     if w is None:
         return None
-    return {"u": frame.element(w)}, [], "", True
+    return {"u": frame.element(w)}, "", True
 
 
 def _li4(frame):
@@ -863,7 +863,7 @@ def _li4(frame):
     z = frame.nonzero_with(["eta"], Z0)
     if z is None:
         return None
-    return {"u": frame.element(u), "z": frame.element(z)}, [], "", True
+    return {"u": frame.element(u), "z": frame.element(z)}, "", True
 
 
 def _li5(frame):
@@ -900,7 +900,7 @@ def _li5_fixed_z(frame, z):
         if w is not None and (z.eta or z.xx):
             u = frame.element(w)
             if im(u.phi * conj(z.eta)) == 0 and (u.phi * conj(z.eta)):
-                return {"u": u, "z": z}, [], "E vanishes identically", True
+                return {"u": u, "z": z}, "E vanishes identically", True
         return None
     if p > 0 and q > 0:
         # indefinite: try rational points of the zero cone
@@ -909,7 +909,7 @@ def _li5_fixed_z(frame, z):
             row, exact = res
             u = frame.element(row)
             if any(u.y) and u.phi and (u.phi * conj(z.eta)):
-                return {"u": u, "z": z}, [], "", exact
+                return {"u": u, "z": z}, "", exact
         return None
     # semidefinite: the zero set is the radical
     rad = [frame._combine(K, v) for v in cert["radical"]]
@@ -917,7 +917,7 @@ def _li5_fixed_z(frame, z):
     if w is not None:
         u = frame.element(w)
         if u.phi * conj(z.eta):
-            return {"u": u, "z": z}, [], "", True
+            return {"u": u, "z": z}, "", True
     return None
 
 
@@ -927,10 +927,6 @@ _LINEAR_CHECKS = [_li1, _li2, _li3, _li4, _li5]
 # ---------------------------------------------------------------------------
 # the eleven non-CDS templates
 
-_SLOT_FUNCS = {
-    "alpha": "phi", "beta": "y", "alpha+beta": "x",
-    "2beta": "yy", "alpha+2beta": "eta", "2alpha+2beta": "xx",
-}
 _ALL_SLOTS = ["phi", "y", "x", "yy", "eta", "xx"]
 
 
@@ -1402,223 +1398,3 @@ def _double_entry_ok(sq, li, tm):
     want_sq = tm.shape.upper_touches_square()
     want_li = tm.shape.lower_touches_linear()
     return (sq is not None) == want_sq and (li is not None) == want_li
-
-
-# ---------------------------------------------------------------------------
-# witness curves
-
-
-class ImplicitSolveFailed(RuntimeError):
-    pass
-
-
-def _vec(e: AlgebraElement) -> np.ndarray:
-    """The float coordinate vector of an exact element, for exp_float."""
-    return np.array(e.coords(), dtype=float)
-
-
-def _conj_u_alpha(u: AlgebraElement, c):
-    """Ad(exp(w)) u for w the alpha-root element with phi = c (exact)."""
-    from .weyl import conjugate
-    w = AlgebraElement(u.n, phi=c)
-    return conjugate(exp_closed(w), u)
-
-
-def witness_curve(witness, h: Subalgebra):
-    """The proof's one-parameter curve t -> h(t) for a witness.
-
-    Returns a callable from a float t to the (m, m) complex matrix of h(t).
-    Square curves have |rho(h(t))| ~ |h(t)|^2, linear ones ~ |h(t)|;
-    preliminary conjugations from the proofs are applied exactly, so the
-    curve may live in a conjugate copy of H (which moves mu by a bounded
-    amount only).
-    """
-    if isinstance(witness, SquareWitness):
-        return _square_curve(witness, h)
-    if isinstance(witness, LinearWitness):
-        return _linear_curve(witness, h)
-    raise TypeError("expected a SquareWitness or LinearWitness")
-
-
-def _square_curve(w: SquareWitness, h: Subalgebra):
-    cid = w.condition_id
-    els = w.elements
-    if cid == 1:
-        u = els["u"]
-        ys = sum((abs2(v) for v in u.y), Fraction(0))
-        u1 = _conj_u_alpha(u, -(herm(u.x, u.y) / QQi(ys))) if ys else u
-        uf = _vec(u1)
-        return lambda t: exp_float(uf, t)
-    if cid == 2:
-        z = _vec(els["z"])
-        return lambda t: exp_float(z, t)
-    if cid == 3:
-        u, z = _vec(els["u"]), _vec(els["z"])
-        return lambda t: exp_float(u * t + z * (t * t))
-    if cid == 4:
-        u = _vec(els["u"])
-        return lambda t: exp_float(u, t)
-    if cid == 5:
-        u, z = els["u"], els["z"]
-        u1 = u - z.scale(u.xx)  # clear the xx slot
-        aphi2 = abs2(complex(u1.phi))
-        yy = float(u1.yy)
-        u1f, zf = _vec(u1), _vec(z)
-
-        def curve(t):
-            c = (t ** 3) * aphi2 * yy / 6.0
-            return exp_float(u1f * t + zf * c)
-        return curve
-    if cid in (6, 7):
-        u, v = _vec(els["u"]), _vec(els["v"])
-        axis = _vec(AlgebraElement(h.n, xx=1))
-
-        def curve(t, cid=cid):
-            s = _solve_re_corner(u, v, t)
-            e = u * t + v * s
-            g = exp_float(e)
-            if cid == 6:
-                return g
-            return exp_float(e + axis * -g[0, -1].imag)
-        return curve
-    if cid == 8:
-        u, v = _vec(els["u"]), _vec(els["v"])
-        axis = _vec(AlgebraElement(h.n, xx=1))
-
-        def curve(t):
-            s = _solve_re_corner(v, u, t)  # h in exp(s u + t v + z): s = O(1)
-            e = v * t + u * s
-            g = exp_float(e)
-            return exp_float(e + axis * -g[0, -1].imag)
-        return curve
-    raise ImplicitSolveFailed(f"no curve recipe for square condition {cid}")
-
-
-def _solve_re_corner(u, v, t):
-    """s with Re(exp(t u + s v)[0, n+1]) = 0, by bracketing + bisection."""
-    from scipy.optimize import brentq
-
-    def f(s):
-        return exp_float(u * t + v * s)[0, -1].real
-
-    f0 = f(0.0)
-    if f0 == 0.0:
-        return 0.0
-    hi = 1.0
-    for _ in range(200):
-        if f(hi) * f0 < 0:
-            return brentq(f, 0.0, hi) if hi > 0 else brentq(f, hi, 0.0)
-        if f(-hi) * f0 < 0:
-            return brentq(f, -hi, 0.0)
-        hi *= 1.6
-    raise ImplicitSolveFailed("no sign change for the corner-entry solve")
-
-
-def _linear_curve(w: LinearWitness, h: Subalgebra):
-    cid = w.condition_id
-    els = w.elements
-    if cid == 1:
-        z = _vec(els["z"])
-        return lambda t: exp_float(z, t)
-    if cid == 2:
-        u = els["u"]
-        if any(u.y):
-            from .weyl import weyl_reflect
-            u = weyl_reflect(_conj_u_alpha(u, -_lambda_of(u)), "alpha")
-        uf = _vec(u)
-        return lambda t: exp_float(uf, t)
-    if cid == 3:
-        u = _vec(els["u"])
-        return lambda t: exp_float(u, t)
-    if cid == 4:
-        u, z = _vec(els["u"]), _vec(els["z"])
-        cols = AlgebraElement.slot_columns(h.n)
-
-        def curve(t):
-            from scipy.optimize import brentq
-
-            def redelta(p):
-                e = (u * t + z * p).tolist()
-                (xx,), (yy,) = e[cols["xx"]], e[cols["yy"]]
-                phi2 = sum(v * v for v in e[cols["phi"]])
-                eta2 = sum(v * v for v in e[cols["eta"]])
-                return xx * yy + phi2 * yy * yy / 12.0 - eta2
-
-            p0, p1 = 0.0, 1.0
-            f0 = redelta(p0)
-            if f0 == 0:
-                return exp_float(u, t)
-            for _ in range(200):
-                if redelta(p1) * f0 < 0:
-                    p = brentq(redelta, min(p0, p1), max(p0, p1))
-                    return exp_float(u * t + z * p)
-                if redelta(-p1) * f0 < 0:
-                    p = brentq(redelta, -p1, 0.0)
-                    return exp_float(u * t + z * p)
-                p1 *= 1.7
-            raise ImplicitSolveFailed("linear condition 4: no root in p")
-        return curve
-    if cid == 5:
-        return _linear5_curve(w, h)
-    raise ImplicitSolveFailed(f"no curve recipe for linear condition {cid}")
-
-
-def _linear5_curve(w: LinearWitness, h: Subalgebra):
-    """Curve for the mixed phi/y + central-eta condition.
-
-    The pair (u, z) is conjugated exactly so that u lives in the phi and y
-    slots only and z is a pure central eta element with phi_u conj(eta_z)
-    real; along exp(s u + p z) the corner determinant has a double root in p,
-    and scanning p near it tracks the linear-growth direction.
-    """
-    from .weyl import conjugate
-
-    u, z = w.elements["u"], w.elements["z"]
-    n = u.n
-
-    def conj_pair(welt, u, z):
-        g = exp_closed(welt)
-        return conjugate(g, u), conjugate(g, z)
-
-    # (i) clear yy_u by a beta conjugation along y_u
-    ys = sum((abs2(v) for v in u.y), Fraction(0))
-    if u.yy != 0 and ys != 0:
-        s = Fraction(u.yy, 2) / ys
-        welt = AlgebraElement(n, y=[QQi(0, 1) * (s * v) for v in u.y])
-        u, z = conj_pair(welt, u, z)
-    # (ii) make x_u orthogonal to y_u (alpha conjugation)
-    if ys != 0:
-        c = -(herm(u.x, u.y) / QQi(ys))
-        welt = AlgebraElement(n, phi=c)
-        u, z = conj_pair(welt, u, z)
-    # (iii) clear x_u by a beta element centralizing y_u
-    if any(u.x) and u.phi:
-        welt = AlgebraElement(n, y=[v / u.phi for v in u.x])
-        u, z = conj_pair(welt, u, z)
-    # (iv) clear eta_u
-    if u.eta and ys != 0:
-        welt = AlgebraElement(n, x=[(u.eta / QQi(ys)) * v for v in u.y])
-        u, z = conj_pair(welt, u, z)
-    # (v) clear xx_u
-    if u.xx != 0 and u.phi:
-        t = Fraction(u.xx, 2) / abs2(u.phi)
-        welt = AlgebraElement(n, eta=QQi(0, 1) * (t * u.phi))
-        u, z = conj_pair(welt, u, z)
-    uf, zf = _vec(u), _vec(z)
-    eta2 = abs2(complex(z.eta))
-    ys = sum(abs2(complex(v)) for v in u.y)
-    r0 = re(complex(z.eta) * conj(complex(u.phi)))
-
-    def curve(s):
-        if eta2 == 0:
-            return exp_float(uf, s)
-        p_star = -(s ** 3) * ys * r0 / (12.0 * eta2)
-        best, best_ratio = None, None
-        from .metrics import rho_norm, sup_norm
-        for fac in (1.0, 0.98, 1.02, 0.9, 1.1, 0.0):
-            g = exp_float(uf * s + zf * (p_star * fac))
-            ratio = rho_norm(g) / max(sup_norm(g), 1.0)
-            if best_ratio is None or ratio < best_ratio:
-                best, best_ratio = g, ratio
-        return best
-    return curve

@@ -17,7 +17,6 @@ from .config import DEFAULT
 from .corpus import random_corpus, random_element
 from .elements import (
     GroupElement,
-    NotInAN,
     bracket,
     delta,
     delta_formula,
@@ -42,7 +41,7 @@ from .metrics import (
     sup_norm,
 )
 from .nilclassify import InconsistentClassification, classify
-from .subalgebra import Subalgebra, SubalgebraError
+from .subalgebra import Subalgebra
 from .weyl import conjugate
 
 
@@ -244,25 +243,21 @@ def conjugation_suite(pairs=100, seed=0, ns=(3, 4)):
     """Classification shapes are unchanged by exact conjugations."""
     rng = random.Random(seed)
     corpus = random_corpus(count=pairs, ns=ns, seed=seed + 13,
-                           include_gallery=False)
+                           include_gallery=False)[:pairs]
     t0 = time.perf_counter()
     bad = []
-    tried = 0
-    for cid, h in corpus[:pairs]:
+    for cid, h in corpus:
+        # an AN conjugate of a subalgebra of n is one: NotInAN or
+        # SubalgebraError here is a bug and propagates
         g = _random_conjugator(h.n, rng)
-        try:
-            basis2 = [conjugate(g, b) for b in h.basis]
-            h2 = Subalgebra(basis2)
-        except (NotInAN, SubalgebraError):
-            continue
-        tried += 1
+        h2 = Subalgebra([conjugate(g, b) for b in h.basis])
         r1 = classify(h, seed=0)
         r2 = classify(h2, seed=0)
         same = (r1.verdict == r2.verdict and r1.shape == r2.shape)
         if not same:
             bad.append(cid)
     rows = [
-        _row(f"shape equality under conjugation on {tried} pairs", not bad,
+        _row(f"shape equality under conjugation on {len(corpus)} pairs", not bad,
              "; ".join(bad[:4])),
         _budget_row("conjugation suite runtime under budget", t0, 120),
     ]
@@ -278,12 +273,3 @@ SUITES = {
     "log-corrections": log_corrections_suite,
     "conjugation": conjugation_suite,
 }
-
-
-def run_suite(name, **kw):
-    if name == "all":
-        rows = []
-        for nm, fn in SUITES.items():
-            rows += fn(**kw) if kw else fn()
-        return rows
-    return SUITES[name](**kw)

@@ -8,8 +8,10 @@ import time
 
 import pytest
 
-from su2n import gallery
+from su2n import gallery, verify
 from su2n.config import DEFAULT
+from su2n.elements import NotInAN
+from su2n.subalgebra import SubalgebraError
 from su2n.verify import (
     cartan_suite,
     classifier_suite,
@@ -97,3 +99,14 @@ def test_criterion_7_conjugation_invariance():
     rows = conjugation_suite(pairs=100, seed=0)
     _report("criterion 7: shape invariance on 100 conjugation pairs",
             rows, t0, 120.0)
+
+
+@pytest.mark.parametrize("error", [NotInAN, SubalgebraError])
+def test_criterion_7_a_failed_conjugate_raises(monkeypatch, error):
+    # a conjugate that leaves a+n or fails as a subalgebra is a bug, never a
+    # skipped pair
+    def broken(g, u):
+        raise error("conjugate failed")
+    monkeypatch.setattr(verify, "conjugate", broken)
+    with pytest.raises(error):
+        conjugation_suite(pairs=3, seed=0)

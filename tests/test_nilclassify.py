@@ -1,11 +1,14 @@
+import ast
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from su2n import linalg
+from su2n.lab import witness_curve
 from su2n.metrics import rho_norm, sup_norm
 from su2n.nilclassify import (
     _Frame,
@@ -28,7 +31,6 @@ from su2n.nilclassify import (
     pair_e,
     q_center,
     r_alpha,
-    witness_curve,
 )
 from su2n.scalars import QQi, im, re
 from su2n.serialize import classification_report
@@ -426,3 +428,39 @@ def test_pencil_roots_are_the_rank_one_points_of_the_pencil(alg):
     assert _pencil_rank1_roots(ei, ej) == [1]
     # ej + t ei has x = (t, 1), y = (t, t): its one minor is t^2 - t
     assert sorted(_pencil_rank1_roots(ej, ei)) == [0, 1]
+
+
+def _float_imports(source):
+    """Line numbers of the imports of numpy, scipy, su2n.metrics or su2n.lab
+    in a module source of the su2n package, function bodies included."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            mods = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import inside the package names su2n.<module>
+            base = ".".join(filter(None, ["su2n" * bool(node.level), node.module]))
+            mods = [base] + [f"{base}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(m.split(".")[0] in ("numpy", "scipy")
+               or m.split(".")[:2] in (["su2n", "metrics"], ["su2n", "lab"])
+               for m in mods):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_nilclassify_imports_no_float_code():
+    # the exact decider stays exact: sampling and float numerics live in lab
+    bad = """
+import numpy as np
+def f():
+    from scipy.optimize import brentq
+    from .metrics import rho_norm
+    from . import lab
+    import su2n.metrics
+"""
+    assert _float_imports(bad) == [2, 4, 5, 6, 7]
+    assert _float_imports("from . import linalg\nfrom .elements import ad_a") == []
+    path = Path(__file__).parents[1] / "src" / "su2n" / "nilclassify.py"
+    assert _float_imports(path.read_text()) == []

@@ -3,8 +3,8 @@
 Curves map an array of parameters t to a (T, m, m) stack; these tests check
 each batched piece -- the grid exponentials, the stacked metrics, the
 doubling ladder and the product curves -- against the one-matrix-at-a-time
-version, the float exponential against the exact one, and the line
-exponential against scipy's expm.
+version, the float exponential against the exact one, and on the torus,
+graph and one-parameter lines against scipy's expm.
 """
 
 import inspect
@@ -20,10 +20,10 @@ from su2n import elements, lab
 from su2n.anclassify import Graph, OneParam, Semidirect
 from su2n.config import DEFAULT
 from su2n.corpus import random_element
-from su2n.elements import (AlgebraElement, exp_closed, exp_float, exp_line,
-                           matrix_of)
+from su2n.elements import AlgebraElement, exp_closed, exp_float, matrix_of
+from su2n.lab import ImplicitSolveFailed
 from su2n.metrics import rho_norm, rho_norm_oracle, sup_norm
-from su2n.nilclassify import ImplicitSolveFailed, classify
+from su2n.nilclassify import classify
 
 GRID = np.array([-40.0, -3.0, -0.25, 0.0, 0.5, 1.0, 7.0, 1e3, 2.0 ** 40])
 
@@ -102,7 +102,7 @@ def test_exp_closed_grid_self_check_catches_a_broken_display(monkeypatch):
 
 
 def _gallery_lines():
-    """The torus, graph and line matrices of the AN gallery entries."""
+    """The torus, graph and line elements of the AN gallery entries."""
     out = []
     for e in gallery.entries():
         spec = e.spec()
@@ -115,28 +115,28 @@ def _gallery_lines():
             lines = [spec.x]
         else:
             continue
-        out += [np.array(matrix_of(x), dtype=complex) for x in lines]
+        out += lines
     return out
 
 
-def test_exp_line_equals_expm_on_the_gallery_lines():
+def test_exp_float_equals_expm_on_the_gallery_lines():
     from scipy.linalg import expm
 
     cs = np.geomspace(1e-3, 30, 12)
     cs = np.concatenate([-cs[::-1], cs])
     lines = _gallery_lines()
     assert len(lines) == 21  # 6 tori, 7 graphs with their tori, 1 line
-    for M in lines:
-        _assert_slices_match(exp_line(M, cs), [expm(c * M) for c in cs])
+    for x in lines:
+        M = np.array(matrix_of(x), dtype=complex)
+        _assert_slices_match(exp_float(_vec(x), cs), [expm(c * M) for c in cs])
 
 
-def test_exp_line_rejects_a_non_commuting_line(alg):
-    ok = np.array(matrix_of(alg(3, t1=1, t2=1, phi=1)), dtype=complex)
-    exp_line(ok, GRID[:3])
-    bad = np.array(matrix_of(alg(3, t1=1, phi=1)), dtype=complex)
+def test_exp_float_rejects_a_non_commuting_line(alg):
+    exp_float(_vec(alg(3, t1=1, t2=1, phi=1)), GRID[:3])
+    bad = _vec(alg(3, t1=1, phi=1))
     for c in (GRID[:3], 0.5):
         with pytest.raises(ValueError, match="do not commute"):
-            exp_line(bad, c)
+            exp_float(bad, c)
 
 
 def test_exp_float_rejects_a_series_that_does_not_end(monkeypatch):
@@ -156,7 +156,7 @@ def test_exp_float_rejects_a_series_that_does_not_end(monkeypatch):
 def test_exp_closed_grid_rejects_an_a_part():
     for s in (GRID, 1.0):
         with pytest.raises(ValueError):
-            exp_float(_vec(AlgebraElement(3, t1=1)), s)
+            exp_float(_vec(AlgebraElement(3, t1=1, phi=1)), s)
     # and anything that is not a coordinate vector
     for bad in (np.zeros(8), np.zeros(13), np.zeros((2, 12))):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -86,6 +87,23 @@ def test_shape_json_roundtrip():
 def _cli(*args):
     return subprocess.run([sys.executable, "-m", "su2n", *args],
                           capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("command", ["classify", "mu-scan"])
+def test_cli_ends_quietly_on_a_closed_pipe(tmp_path, command):
+    # su2n classify g.json | head -1: the reader is gone before the first
+    # write, which fails at once; no traceback and exit status 0
+    spec_path = tmp_path / "g.json"
+    _cli("gallery", "--emit", "notcds01-2beta-n3", "--out", str(spec_path))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        p = subprocess.run([sys.executable, "-m", "su2n", command, str(spec_path)],
+                           stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert p.returncode == 0
+    assert p.stderr == ""
 
 
 def test_cli_gallery_list():
