@@ -142,9 +142,8 @@ class AnResult:
 
 
 def _normalized_by_element(w: AlgebraElement, u: Subalgebra) -> bool:
-    rows = u.coord_rows()
-    return all(linalg.span_contains(rows, bracket(w, b).coords())
-               for b in u.basis)
+    return linalg.subspace_leq((bracket(w, b).coords() for b in u.basis),
+                               u.coord_rows())
 
 
 def _commutes(X: AlgebraElement) -> bool:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .elements import AlgebraElement
 from .gallery import entries as gallery_entries
 from .scalars import QQi
-from .subalgebra import Subalgebra, SubalgebraError, close_under_bracket
+from .subalgebra import SubalgebraError, close_under_bracket
 
 _SLOTS = ["phi", "x", "y", "eta", "xx", "yy"]
 

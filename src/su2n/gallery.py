@@ -16,7 +16,7 @@ from typing import Callable, Optional
 from . import linalg
 from .anclassify import Graph, OneParam, Semidirect, TorusLine
 from .elements import AlgebraElement, bracket
-from .scalars import QQi, abs2, herm, im
+from .scalars import QQi, abs2, herm
 from .shapes import MuShape
 from .subalgebra import Subalgebra
 

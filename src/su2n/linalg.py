@@ -4,6 +4,11 @@ Everything the classifiers decide (kernels, ranks, memberships, quadratic-form
 signatures) is computed here with Fraction arithmetic, so classification
 answers are independent of any floating tolerance.  Vectors are plain lists of
 Fractions, matrices lists of rows.
+
+A span test row-reduces the spanning rows once (rref) and reduces each vector
+against that echelon form (residual): the vector is in the span iff nothing
+is left.  A caller with many vectors to test against one basis keeps the
+echelon form and calls residual directly.
 """
 
 from __future__ import annotations
@@ -67,31 +72,28 @@ def kernel_basis(rows) -> list:
     return basis
 
 
-def in_span(rows, v) -> Optional[list]:
-    """Coefficients c with sum_i c_i rows[i] = v, or None if v not in span."""
-    if not rows:
-        return [] if all(x == 0 for x in v) else None
-    nrows = len(rows)
-    ncols = len(rows[0])
-    # Solve rows^T c = v by eliminating the augmented (ncols x (nrows+1)) system.
-    aug = [[Fraction(rows[i][j]) for i in range(nrows)] + [Fraction(v[j])]
-           for j in range(ncols)]
-    red, pivots = rref(aug)
-    if nrows in pivots:
-        return None
-    coeffs = [Fraction(0)] * nrows
-    for r, pc in enumerate(pivots):
-        coeffs[pc] = red[r][nrows]
-    return coeffs
+def residual(echelon, v) -> list:
+    """v minus its combination of the rows of `echelon`, a pair (rows,
+    pivots) from rref: zero iff v lies in their span.  Each rref row is 1 at
+    its own pivot and 0 at the others, so one pass over the pivots clears
+    them all."""
+    red, pivots = echelon
+    v = list(v)
+    for row, pc in zip(red, pivots):
+        f = v[pc]
+        if f != 0:
+            v = [a - f * b if b else a for a, b in zip(v, row)]
+    return v
 
 
 def span_contains(rows, v) -> bool:
-    return in_span(rows, v) is not None
+    return not any(residual(rref(rows), v))
 
 
 def subspace_leq(rows_a, rows_b) -> bool:
-    """span(rows_a) <= span(rows_b)."""
-    return all(span_contains(rows_b, v) for v in rows_a)
+    """span(rows_a) <= span(rows_b), with rows_b row-reduced once."""
+    echelon = rref(rows_b)
+    return not any(any(residual(echelon, v)) for v in rows_a)
 
 
 def subspace_eq(rows_a, rows_b) -> bool:

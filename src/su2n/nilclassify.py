@@ -1321,25 +1321,15 @@ def normalizer_in_A(h: Subalgebra) -> NormalizerResult:
     """{t in a : [t, h] <= h}, solved exactly as a 2-variable linear system."""
     if not h.is_nilpotent():
         raise NotInN("subalgebra has a nonzero a-part")
-    rows = h.coord_rows()
     constraints = [(ad_a(1, 0, b).coords(), ad_a(0, 1, b).coords())
                    for b in h.basis]
     # [t1 d1 + t2 d2] must lie in span(h) for every basis element: reduce the
     # action vectors modulo span(h) and collect the residual constraints.
-    red, pivots = linalg.rref(rows)
-
-    def reduce_mod(vec):
-        v = list(vec)
-        for r, pc in enumerate(pivots):
-            if v[pc] != 0:
-                f = v[pc]
-                v = [a - f * b for a, b in zip(v, red[r])]
-        return v
-
+    echelon = linalg.rref(h.coord_rows())
     sys_rows = []
     for d1, d2 in constraints:
-        r1 = reduce_mod(d1)
-        r2 = reduce_mod(d2)
+        r1 = linalg.residual(echelon, d1)
+        r2 = linalg.residual(echelon, d2)
         for comp in range(len(r1)):
             if r1[comp] != 0 or r2[comp] != 0:
                 sys_rows.append([r1[comp], r2[comp]])

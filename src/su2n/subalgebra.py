@@ -45,11 +45,12 @@ class Subalgebra:
     # -- validation ------------------------------------------------------------
 
     def _validate(self):
-        if linalg.rank(self._coord_rows) != len(self.basis):
+        echelon = linalg.rref(self._coord_rows)
+        if len(echelon[0]) != len(self.basis):
             raise NotIndependent("basis is linearly dependent over R")
         for i, bi in enumerate(self.basis):
             for j in range(i + 1, len(self.basis)):
-                if not self.contains(bracket(bi, self.basis[j])):
+                if any(linalg.residual(echelon, bracket(bi, self.basis[j]).coords())):
                     raise NotClosed(i, j)
 
     # -- structure ---------------------------------------------------------------
@@ -93,13 +94,16 @@ def close_under_bracket(seed, max_dim=None):
     max_dim = max_dim or AlgebraElement.coord_dim(n)
     basis = []
     rows = []
+    echelon = linalg.rref(rows)
 
     def try_add(u):
+        nonlocal echelon
         c = u.coords()
-        if linalg.span_contains(rows, c):
+        if not any(linalg.residual(echelon, c)):
             return False
         basis.append(u)
         rows.append(c)
+        echelon = linalg.rref(rows)
         return True
 
     for s in seed:

@@ -1,16 +1,10 @@
-import math
-from fractions import Fraction
-
 import pytest
 
-from su2n import MuShape, Subalgebra
 from su2n import gallery
-from su2n.anclassify import Graph, OneParam, classify_an
+from su2n.anclassify import classify_an
 from su2n.corpus import random_corpus
-from su2n.elements import AlgebraElement
 from su2n.gallery import maximal_band_family, mixing_pair_family
 from su2n.lab import (
-    OverflowCeiling,
     SamplingPlan,
     check_dimension_table,
     designed_subcloud,
@@ -20,7 +14,6 @@ from su2n.lab import (
     verify_gallery_entry,
     verify_shape,
 )
-from su2n.metrics import fit_exponents
 from su2n.nilclassify import classify
 from su2n.scalars import QQi
 

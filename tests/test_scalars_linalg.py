@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from su2n import linalg
 from su2n.scalars import QQi, abs2, conj, herm, im, re
@@ -54,10 +55,51 @@ def test_rref_rank_kernel():
 def test_in_span_and_solve():
     rows = [[1, 0, 1], [0, 1, 1]]
     rows = [[Fraction(v) for v in r] for r in rows]
-    assert linalg.in_span(rows, [Fraction(2), Fraction(3), Fraction(5)]) == [2, 3]
-    assert linalg.in_span(rows, [Fraction(0), Fraction(0), Fraction(1)]) is None
+    cols = [list(c) for c in zip(*rows)]
+    assert linalg.solve_linear(cols, [Fraction(2), Fraction(3), Fraction(5)]) == [2, 3]
+    assert not linalg.span_contains(rows, [Fraction(0), Fraction(0), Fraction(1)])
     x = linalg.solve_linear(rows, [Fraction(2), Fraction(3)])
     assert [sum(r[j] * x[j] for j in range(3)) for r in rows] == [2, 3]
+
+
+_entries = st.integers(-2, 2)
+
+
+@st.composite
+def _combination(draw, rows, ncols):
+    """An integer combination of rows (the zero vector when rows is empty)."""
+    coeffs = draw(st.lists(_entries, min_size=len(rows), max_size=len(rows)))
+    return [sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(ncols)]
+
+
+@st.composite
+def _span_cases(draw):
+    """rows: up to four drawn rows (zero rows and the empty list included)
+    plus up to two combinations of them, shuffled; other and v: drawn afresh
+    or combinations of rows."""
+    ncols = draw(st.integers(1, 4))
+    vec = st.lists(_entries, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(vec, max_size=4))
+    rows = draw(st.permutations(
+        rows + draw(st.lists(_combination(rows, ncols), max_size=2))))
+    other = draw(st.one_of(st.lists(vec, max_size=4),
+                           st.lists(_combination(rows, ncols), max_size=3)))
+    v = draw(st.one_of(vec, _combination(rows, ncols)))
+    return rows, other, v
+
+
+def _rank(rows):
+    return len(linalg.rref(rows)[0])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_span_cases())
+def test_span_tests_agree_with_rank(case):
+    rows, other, v = case
+    assert linalg.span_contains(rows, v) == (_rank(rows + [v]) == _rank(rows))
+    assert linalg.subspace_leq(other, rows) == (_rank(rows + other) == _rank(rows))
+    assert linalg.subspace_eq(rows, other) == (
+        linalg.rref(rows)[0] == linalg.rref(other)[0])
 
 
 @pytest.mark.parametrize("gram,sig", [

@@ -1,0 +1,42 @@
+"""Every name a module of the package imports is used in that module.
+
+The package's `__init__.py` is exempt for its relative imports: those are
+re-exports, listed in `__all__`.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "su2n"
+
+
+def unused_imports(path: Path) -> list:
+    """(line, name) for each name bound by an import and never referenced."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reexports = path.name == "__init__.py"
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "__future__" or (reexports and node.level):
+                continue
+            bound += [(node.lineno, a.asname or a.name) for a in node.names]
+    used = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    return [(line, name) for line, name in bound if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
+
+
+def test_unused_import_is_reported(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("from __future__ import annotations\n"
+                   "import os.path\nimport re\nfrom math import pi, tau as t\n"
+                   "print(os.path.sep, t)\n")
+    assert unused_imports(mod) == [(3, "re"), (4, "pi")]

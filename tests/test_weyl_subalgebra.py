@@ -90,6 +90,20 @@ def test_subalgebra_validation(alg):
         Subalgebra([alg(3, phi=1), alg(3, phi=2)])
 
 
+def test_subalgebra_validation_names_first_open_pair(alg):
+    # eta and xx commute with everything here; [phi, y] leaves the span
+    eta, xx, phi, y = alg(4, eta=1), alg(4, xx=1), alg(4, phi=1), alg(4, y=[1, 0])
+    with pytest.raises(NotClosed) as exc:
+        Subalgebra([eta, xx, phi, y])
+    assert exc.value.pair == (2, 3)
+    with pytest.raises(NotClosed) as exc:
+        Subalgebra([phi, eta, y])
+    assert exc.value.pair == (0, 2)
+    # dependence is reported before closure
+    with pytest.raises(NotIndependent):
+        Subalgebra([eta, phi, y, alg(4, eta=2, phi=-1)])
+
+
 def test_close_under_bracket(alg):
     h = close_under_bracket([alg(4, phi=1), alg(4, y=[1, 0])])
     # needs x and eta directions: phi.y -> x, then [x-ish, y] -> eta
