@@ -344,23 +344,32 @@ def bracket(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
 
     For nilpotent parts this is the closed-form slot computation; a-parts act
     diagonally on the root slots (alpha+beta scales x by t1, etc.).  The
-    result is always nilpotent since a is abelian and normalizes n.
+    result is always nilpotent since a is abelian and normalizes n.  A
+    product with phi is skipped when phi is an exact zero, as `_mat_mul`
+    skips its zero terms; every slot keeps the exact value of the formula.
     """
     u._check_compatible(v)
     two = 2
     # nilpotent x nilpotent part
-    x_slot = [u.phi * yv - v.phi * yu for yu, yv in zip(u.y, v.y)]
+    x_slot = [_phi_times(u.phi, yv) - _phi_times(v.phi, yu)
+              for yu, yv in zip(u.y, v.y)]
     i_ = QQi(0, 1)
     eta_slot = (-herm(u.x, v.y) + herm(v.x, u.y)
-                + i_ * (u.phi * v.yy) - i_ * (v.phi * u.yy))
+                + i_ * (_phi_times(u.phi, v.yy) - _phi_times(v.phi, u.yy)))
     yy_slot = -two * im(herm(u.y, v.y))
-    xx_slot = -two * im(herm(u.x, v.x) + u.phi * conj(v.eta) - v.phi * conj(u.eta))
+    xx_slot = -two * im(herm(u.x, v.x) + _phi_times(u.phi, conj(v.eta))
+                        - _phi_times(v.phi, conj(u.eta)))
     out = AlgebraElement(u.n, phi=0, x=x_slot, y=[0] * (u.n - 2), eta=eta_slot,
                          xx=xx_slot, yy=yy_slot)
     # a-part action
     if u.t1 or u.t2 or v.t1 or v.t2:
         out = out + ad_a(u.t1, u.t2, v.nilpotent_part()) - ad_a(v.t1, v.t2, u.nilpotent_part())
     return out
+
+
+def _phi_times(phi, c):
+    """phi * c for the Gaussian rational phi; QQi(0) with no product if phi is 0."""
+    return phi * c if phi else QQi(0)
 
 
 def _mat_mul(A, B, m):
@@ -390,20 +399,23 @@ def exp_series(u: AlgebraElement) -> "GroupElement":
 
     n is nilpotent of step <= 4, so the series terminates at the fourth
     power.  Elements with an a-part have transcendental exponentials and are
-    rejected.
+    rejected.  Only the nonzero entries of each power M^k are scaled and
+    added: every entry equals the dense sum I + sum_k M^k / k! over QQi.
     """
     if not u.is_nilpotent():
         raise ValueError("exact exponentials need a nilpotent element")
     m = u.n + 2
     M = matrix_of(u)
     acc = [[QQi(1 if i == j else 0) for j in range(m)] for i in range(m)]
-    P = [[QQi(1 if i == j else 0) for j in range(m)] for i in range(m)]
     fact = 1
     for k in range(1, 5):
-        P = _mat_mul(P, M, m)
+        P = M if k == 1 else _mat_mul(P, M, m)
         fact *= k
         inv = Fraction(1, fact)
-        acc = [[acc[i][j] + P[i][j] * inv for j in range(m)] for i in range(m)]
+        for acc_row, row in zip(acc, P):
+            for j, p in enumerate(row):
+                if p:
+                    acc_row[j] = acc_row[j] + p * inv
     return GroupElement(u.n, acc)
 
 

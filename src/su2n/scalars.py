@@ -5,6 +5,11 @@ GaussianRational entries.  Floating point appears only where group elements
 are sampled, as numpy arrays (see elements.exp_float).  The helpers here
 (`conj`, `re`, `im`, `abs2`, ...) work on exact scalars and on Python
 integers, floats and complexes.
+
+The exact kernels skip work that cannot change an exact value: a product
+with an `int` or `Fraction` scales the real and imaginary parts directly,
+and `herm` skips the pairs with an exact-zero factor, as `elements._mat_mul`
+skips its zero terms.  Each result is the exact value of the dense formula.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ class GaussianRational:
         return other - self
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re * other, self.im * other)
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -184,14 +191,23 @@ def abs2(v):
 
 
 def herm(x, y):
-    """Hermitian pairing of row vectors: x y^dagger = sum_i x_i conj(y_i)."""
+    """Hermitian pairing of row vectors: x y^dagger = sum_i x_i conj(y_i).
+
+    Pairs with an exact-zero factor are skipped: the x and y slots of an
+    algebra element are mostly zero.  On vectors of one scalar type the
+    result equals the dense sum of the terms, in value and type: with no
+    nonzero pair it is the first term, and 0 for empty vectors.
+    """
     if len(x) != len(y):
         raise ValueError("vector length mismatch")
     total = None
     for a, b in zip(x, y):
-        term = a * conj(b)
-        total = term if total is None else total + term
-    return 0 if total is None else total
+        if a and b:
+            term = a * conj(b)
+            total = term if total is None else total + term
+    if total is None:
+        return x[0] * conj(y[0]) if x else 0
+    return total
 
 
 def format_rational(q: Fraction) -> str:

@@ -108,15 +108,17 @@ def close_under_bracket(seed, max_dim=None):
 
     for s in seed:
         try_add(s)
-    changed = True
-    while changed:
-        changed = False
+    # Each pass brackets, in order, the pairs i < j of the basis it starts
+    # with, except those an earlier pass bracketed (j < done).  A bracket
+    # once in the span stays there, so skipping them leaves the basis and
+    # its order unchanged.
+    done = 0
+    while done < len(basis):
         k = len(basis)
         for i in range(k):
-            for j in range(i + 1, k):
+            for j in range(max(i + 1, done), k):
                 w = bracket(basis[i], basis[j])
-                if not w.is_zero() and try_add(w):
-                    changed = True
-                    if len(basis) > max_dim:
-                        raise SubalgebraError("closure exceeded the ambient dimension")
+                if not w.is_zero() and try_add(w) and len(basis) > max_dim:
+                    raise SubalgebraError("closure exceeded the ambient dimension")
+        done = k
     return Subalgebra(basis)

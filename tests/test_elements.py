@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -143,6 +144,54 @@ def test_mat_mul_equals_dense_sum():
     # an all-zero factor gives the exact zero matrix
     Z = [[QQi(0)] * 5 for _ in range(5)]
     assert _mat_mul(Z, _random_sparse_matrix(5, rng), 5) == Z
+
+
+def _dense_exp(M, m):
+    """I + sum_{k=1..4} M^k / k! over QQi, every product and sum taken."""
+    eye = [[QQi(1 if i == j else 0) for j in range(m)] for i in range(m)]
+    acc, P = eye, eye
+    for k in range(1, 5):
+        P = [[sum((P[i][l] * M[l][j] for l in range(m)), QQi(0)) for j in range(m)]
+             for i in range(m)]
+        acc = [[acc[i][j] + P[i][j] * QQi(Fraction(1, math.factorial(k)))
+                for j in range(m)] for i in range(m)]
+    return acc
+
+
+def _random_nilpotent(n, rng):
+    """A nilpotent element whose slots are zero, imaginary-only or full."""
+    def entry():
+        q = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        kind = rng.choice(["zero", "imag", "full"])
+        return QQi(0) if kind == "zero" else QQi(0 if kind == "imag" else q(), q())
+    kw = {}
+    for slot in rng.sample(["phi", "x", "y", "eta", "xx", "yy"], rng.randint(1, 6)):
+        if slot in ("x", "y"):
+            kw[slot] = [entry() for _ in range(n - 2)]
+        elif slot in ("xx", "yy"):
+            kw[slot] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        else:
+            kw[slot] = entry()
+    return AlgebraElement(n, **kw)
+
+
+def test_exp_series_equals_dense_sum():
+    rng = random.Random(12)
+    for n in (3, 4, 6):
+        m = n + 2
+        for _ in range(15):
+            u = _random_nilpotent(n, rng)
+            g = exp_series(u)
+            dense = _dense_exp(matrix_of(u), m)
+            for i in range(m):
+                for j in range(m):
+                    assert isinstance(g.mat[i][j], QQi)
+                    assert g.mat[i][j] == dense[i][j]
+    # imaginary-only entries, zero rows 2, 3 and 5 where x = y = 0, and zero
+    for u in (AlgebraElement(4, phi=QQi(0, 2), yy=Fraction(1, 3)),
+              AlgebraElement(4, x=[QQi(0, 1), QQi(0, -2)], xx=2),
+              AlgebraElement(6)):
+        assert exp_series(u).mat == _dense_exp(matrix_of(u), u.n + 2)
 
 
 def test_exp_closed_identity_and_y0_display(alg):

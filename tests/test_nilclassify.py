@@ -30,7 +30,6 @@ from su2n.nilclassify import (
     normalizer_in_A,
     pair_e,
     q_center,
-    r_alpha,
 )
 from su2n.scalars import QQi, im, re
 from su2n.serialize import classification_report

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from su2n import linalg
-from su2n.scalars import QQi, abs2, conj, herm, im, re
+from su2n.scalars import GaussianRational, QQi, abs2, conj, herm, im, re
 
 
 def test_gaussian_rational_arithmetic():
@@ -32,6 +32,54 @@ def test_herm_is_sesquilinear():
     y = [QQi(2, 0), QQi(1, -1)]
     assert herm(x, y) == QQi(1, 1) * conj(QQi(2)) + QQi(0, 2) * conj(QQi(1, -1))
     assert conj(herm(x, y)) == herm(y, x)
+
+
+_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+_gaussian = st.builds(QQi, _rationals, _rationals)
+# zero, imaginary-only and full entries, as in the slots of an algebra element
+_slot_entry = st.one_of(st.just(QQi(0)), st.builds(QQi, st.just(0), _rationals), _gaussian)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_gaussian, st.one_of(st.integers(-10**6, 10**6), _rationals))
+def test_real_scalar_product_is_the_gaussian_product(z, v):
+    dense = z * QQi(v)
+    for p in (z * v, v * z):
+        assert isinstance(p, QQi) and isinstance(p.re, Fraction) and isinstance(p.im, Fraction)
+        assert (p.re, p.im) == (dense.re, dense.im)
+
+
+@st.composite
+def _vector_pair(draw):
+    k = draw(st.integers(0, 4))
+    return [draw(st.lists(_slot_entry, min_size=k, max_size=k)) for _ in "xy"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_vector_pair())
+def test_herm_equals_dense_sum(xy):
+    x, y = xy
+    got = herm(x, y)
+    if not x:
+        assert got == 0 and type(got) is int
+        return
+    dense = x[0] * conj(y[0])
+    for a, b in zip(x[1:], y[1:]):
+        dense = dense + a * conj(b)
+    assert type(got) is type(dense) and got == dense
+
+
+def test_herm_skips_pairs_with_a_zero_factor(monkeypatch):
+    calls = []
+    mul = GaussianRational.__mul__
+    monkeypatch.setattr(GaussianRational, "__mul__",
+                        lambda a, b: calls.append(1) or mul(a, b))
+    x = [QQi(0), QQi(1, 1), QQi(0, 2), QQi(0)]
+    y = [QQi(3, 1), QQi(0), QQi(1, -1), QQi(0)]
+    assert herm(x, y) == QQi(-2, 2) and len(calls) == 1
+    zero = herm([QQi(0)] * 3, y[:3])  # no nonzero pair: the first term
+    assert type(zero) is QQi and zero == 0
+    assert type(herm([Fraction(0)], [Fraction(2)])) is Fraction
 
 
 def test_re_im_abs2_on_both_backends():

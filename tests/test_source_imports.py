@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package or of its tests imports is used in
+that module.
 
 The package's `__init__.py` is exempt for its relative imports: those are
 re-exports, listed in `__all__`.
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "su2n"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "su2n"
 
 
 def unused_imports(path: Path) -> list:
@@ -31,6 +33,11 @@ def unused_imports(path: Path) -> list:
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
+    assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports_in_tests(path):
     assert unused_imports(path) == []
 
 
