@@ -120,7 +120,7 @@ class AlgebraElement:
 
     Entries are exact: Fractions and Gaussian rationals.  Floating-point
     sampling works on the coordinate vector np.array(u.coords(), dtype=float)
-    instead (see exp_float).
+    instead (float_line checks N D = D N and N^5 = 0 once per line, at build).
     """
 
     __slots__ = ("n", "t1", "t2", "phi", "x", "y", "eta", "xx", "yy")
@@ -512,43 +512,22 @@ def _coord_basis(n):
     return B
 
 
-def _nil_series(X, s):
-    """sum_{k <= 4} s^k X^k / k! for a square matrix X with X^5 = 0.
-
-    A float s gives one matrix, an array s the stack over its entries.  The
-    weights multiply the powers entry by entry (no matrix product over the
-    grid), so a float s gives bitwise the slice of a grid holding it.
-    Raises ValueError unless X^4 X is exactly 0, which makes the truncated
-    series the exponential; structural zeros keep that product exact in
-    float.  A non-finite X gives a non-finite result, unchecked.
-    """
-    X2 = X @ X
-    X3 = X2 @ X
-    X4 = X2 @ X2
-    if (X4 @ X).any() and np.isfinite(X4).all():
-        raise ValueError("X^5 != 0: the exponential series does not end at X^4")
-    t = np.reshape(np.asarray(s, dtype=float), (-1, 1, 1))
-    t2 = t * t
-    out = np.eye(len(X)) + t * X
-    out += (t2 / 2) * X2
-    out += (t2 * t / 6) * X3
-    out += (t2 * t2 / 24) * X4
-    return out if np.ndim(s) else out[0]
-
-
-def exp_float(c, s=1.0):
-    """exp(s X) in floating point for an a+n coordinate vector c.
+def float_line(c):
+    """The line s -> exp(s X) in floating point, for an a+n coordinate vector c.
 
     c is a real array in the coords() layout, e.g. np.array(u.coords(),
     dtype=float).  X = D + N splits into its a-part D = diag(t1, t2, 0, ...,
     0, -t2, -t1) and its nilpotent part N, which must commute (a nilpotent
-    direction, or a torus, graph or compatible one-parameter line).  A float s
-    gives the (m, m) complex matrix; an array s gives the (T, m, m) stack of
-    exp(s_k X) = diag(exp(s_k D)) sum_{j <= 4} (s_k N)^j / j!.  N^5 = 0, so
-    the Taylor series ends at N^4 / 4! and is exact ("Taylor series" in Moler
-    and Van Loan, Nineteen Dubious Ways to Compute the Exponential of a
-    Matrix, Twenty-Five Years Later, SIAM Review 45, 2003); N D = D N and
-    N^5 = 0 are checked on every call.  A nilpotent c (t1 = t2 = 0) skips the
+    direction, or a torus, graph or compatible one-parameter line).  N^5 = 0,
+    so the Taylor series ends at N^4 / 4! and is exact ("Taylor series" in
+    Moler and Van Loan, Nineteen Dubious Ways to Compute the Exponential of a
+    Matrix, Twenty-Five Years Later, SIAM Review 45, 2003).  The (5, m*m)
+    stack of I, N, N^2/2, N^3/6 and N^4/24 is built, and N D = D N and
+    N^5 = 0 are checked (ValueError; a non-finite X is not checked for
+    N^5 = 0), once, here.  The line maps a float s to the (m, m) complex
+    matrix and an array s to the (T, m, m) stack of exp(s_k X) =
+    diag(exp(s_k D)) [1, s_k, ..., s_k^4] @ stack; a float s gives bitwise
+    the slice of a grid holding it.  A nilpotent c (t1 = t2 = 0) skips the
     diagonal factor, which would multiply by exactly 1.
     """
     c = np.asarray(c, dtype=float)
@@ -556,14 +535,33 @@ def exp_float(c, s=1.0):
     if c.ndim != 1 or n < 3 or len(c) != 4 * n:
         raise ValueError(f"not a coordinate vector: shape {c.shape}")
     m = n + 2
-    X = (c @ _coord_basis(n)).reshape(m, m)
-    if not (c[0] or c[1]):
-        return _nil_series(X, s)
-    d = X.diagonal()
-    N = X - np.diag(d)
-    if (N * d - d[:, None] * N).any():
-        raise ValueError("the a-part and the nilpotent part do not commute")
-    return np.exp(np.multiply.outer(s, d))[..., None] * _nil_series(N, s)
+    N = (c @ _coord_basis(n)).reshape(m, m)
+    d = None
+    if c[0] or c[1]:
+        d = N.diagonal()
+        N = N - np.diag(d)
+        if (N * d - d[:, None] * N).any():
+            raise ValueError("the a-part and the nilpotent part do not commute")
+    N2 = N @ N
+    N3 = N2 @ N
+    N4 = N2 @ N2
+    if (N4 @ N).any() and np.isfinite(N4).all():
+        raise ValueError("X^5 != 0: the exponential series does not end at X^4")
+    # viewed as (5, 2 m^2) reals, so one real product evaluates a grid
+    stack = np.array([np.eye(m), N, N2 / 2, N3 / 6, N4 / 24]).reshape(5, -1).view(float)
+
+    def line(s):
+        t = np.reshape(np.asarray(s, dtype=float), (-1, 1))
+        g = ((t ** np.arange(5)) @ stack).view(complex).reshape(-1, m, m)
+        if d is not None:
+            g = np.exp(t * d)[..., None] * g
+        return g if np.ndim(s) else g[0]
+    return line
+
+
+def exp_float(c, s=1.0):
+    """exp(s X) in floating point: float_line(c)(s), the one float exponential."""
+    return float_line(c)(s)
 
 
 def delta_formula(u: AlgebraElement):
@@ -617,7 +615,7 @@ class GroupElement:
     """An exact (n+2)x(n+2) matrix preserving the Hermitian form, det 1.
 
     Floating-point group elements are plain (m, m) complex arrays (see
-    exp_float and metrics).
+    float_line, exp_float and metrics).
     """
 
     __slots__ = ("n", "mat")

@@ -5,8 +5,10 @@ conditions, the extremal curves of the templates and graph cases, rays, torus
 and graph lines, and products of exponentials (depth up to 3, so the cloud
 probes the full band of mu(H), not a single curve), clipped at the norm
 ceiling where doubles stay trustworthy.  A direction in the algebra is its
-float coordinate vector and exp_float its only exponential; a curve is
-evaluated on a whole parameter grid at once, as a (T, m, m) numpy stack.
+float coordinate vector.  A curve along fixed directions builds each of its
+lines once (float_line checks N D = D N and N^5 = 0 at build); one whose
+direction moves with t calls exp_float per point.  A curve is evaluated on a
+whole parameter grid at once, as a (T, m, m) numpy stack.
 Fitted envelope exponents and log-power regressions are then compared against
 the classifier's predicted shape.
 """
@@ -19,6 +21,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -26,7 +29,7 @@ import numpy as np
 from .anclassify import (Graph, OneParam, Semidirect, _sigma_of, classify_an,
                          line_compatible)
 from .config import DEFAULT, Tolerances
-from .elements import AlgebraElement, exp_closed, exp_float
+from .elements import AlgebraElement, exp_closed, exp_float, float_line
 from .gallery import GalleryEntry, get as gallery_get
 from .gallery import maximal_band_family, mixing_pair_family
 from .metrics import (
@@ -154,7 +157,7 @@ def _collect(curves, plan, with_mu=False) -> SampleCloud:
     kept sample as meta["mu_points"].
     """
     ceiling = plan.tol.norm_ceiling
-    pts = []
+    norm_parts, rho_parts, tags = [np.empty(0)], [np.empty(0)], []
     mu_points = []
     t_vals = []
     discards = Counter(non_finite=0, over_ceiling=0, at_most_one=0)
@@ -179,15 +182,17 @@ def _collect(curves, plan, with_mu=False) -> SampleCloud:
             continue
         kept += int(keep.sum())
         good = stack[keep]
-        pts += zip(norms[keep].tolist(), rho_norm(good).tolist(),
-                   [tag] * len(good))
+        norm_parts.append(norms[keep])
+        rho_parts.append(rho_norm(good))
+        tags += [tag] * len(good)
         t_vals += grid[keep].tolist()
         if with_mu:
             mu_points += [mu(g).as_tuple() for g in good]
     if kept < plan.tol.min_samples:
         raise OverflowCeiling(
             f"only {kept} of {total} samples survived the ceiling")
-    cloud = SampleCloud.collect(pts)
+    cloud = SampleCloud.collect(np.concatenate(norm_parts),
+                                np.concatenate(rho_parts), tags)
     cloud.meta["t_values"] = t_vals
     cloud.meta["discard_fraction"] = 1.0 - kept / max(total, 1)
     cloud.meta["discards"] = dict(discards)
@@ -206,30 +211,30 @@ def _random_combo(rng, basis, scale=1.0):
     return out
 
 
-def _product_curve(rng, basis, depth):
-    k = rng.randint(1, depth)
-    dirs = [_random_combo(rng, basis) for _ in range(k)]
-    exps = [rng.uniform(0.35, 1.0) for _ in range(k)]
-    exps[rng.randrange(k)] = 1.0
+class _ProductCurve:
+    """A random curve t -> exp(t^e_1 v_1) ... exp(t^e_k v_k), k in 1..depth,
+    over directions dirs = [v_1, ...] in the span of basis and exponents
+    exps = [e_1, ...] in [0.35, 1], one of them 1."""
 
-    def curve(ts):
-        g = None
-        for v, e in zip(dirs, exps):
-            f = exp_float(v, ts ** e)
-            g = f if g is None else g @ f
-        return g
-    return curve
+    def __init__(self, rng, basis, depth):
+        k = rng.randint(1, depth)
+        self.dirs = [_random_combo(rng, basis) for _ in range(k)]
+        self.exps = [rng.uniform(0.35, 1.0) for _ in range(k)]
+        self.exps[rng.randrange(k)] = 1.0
+        self.lines = [float_line(v) for v in self.dirs]
+
+    def __call__(self, ts):
+        return reduce(np.matmul, (line(ts ** e) for line, e in zip(self.lines, self.exps)))
 
 
 def _vec(e: AlgebraElement) -> np.ndarray:
-    """The float coordinate vector of an exact element, for exp_float."""
+    """The float coordinate vector of an exact element."""
     return np.array(e.coords(), dtype=float)
 
 
 def _ray(e: AlgebraElement):
     """The curve t -> exp(t e), for a float t or an array of them."""
-    v = _vec(e)
-    return lambda t: exp_float(v, t)
+    return float_line(_vec(e))
 
 
 def _least_rho_ratio(base, direction, p, factors):
@@ -245,19 +250,18 @@ def _nil_curves(h: Subalgebra, plan, result=None):
     rng = random.Random(plan.seed)
     curves = []
     if result is not None:
-        if result.square is not None:
-            curves.append(("square-witness",
-                           _PerPoint(witness_curve(result.square, h), h.n)))
-        if result.linear is not None:
-            curves.append(("linear-witness",
-                           _PerPoint(witness_curve(result.linear, h), h.n)))
-    if result is not None and result.template is not None:
-        curves += _template_extremal_curves(result.template)
+        for tag, w in (("square-witness", result.square),
+                       ("linear-witness", result.linear)):
+            if w is not None:
+                curves.append((tag, _PerPoint(witness_curve(w, h), h.n)))
+        if result.template is not None:
+            curves += _template_extremal_curves(result.template)
     for i, b in enumerate(B):
-        curves.append((f"ray{i}", lambda ts, b=b: exp_float(b, ts)))
-        curves.append((f"ray{i}-", lambda ts, b=b: exp_float(b, -ts)))
+        line = float_line(b)
+        curves.append((f"ray{i}", line))
+        curves.append((f"ray{i}-", lambda ts, line=line: line(-ts)))
     for i in range(N_PRODUCT_CURVES):
-        curves.append((f"prod{i}", _product_curve(rng, B, PRODUCT_DEPTH)))
+        curves.append((f"prod{i}", _ProductCurve(rng, B, PRODUCT_DEPTH)))
     return curves
 
 
@@ -518,18 +522,18 @@ def sample_subgroup(spec, plan: SamplingPlan = None, result=None) -> SampleCloud
     if isinstance(spec, Graph):
         return _collect(_graph_curves(spec, plan), plan)
     if isinstance(spec, OneParam):
-        v, scale = _line(spec)
-        cloud = _collect(_line_curves("line", v, scale), plan, with_mu=True)
-        cloud.meta["ray_direction"] = tuple(v[:2])
+        line, scale = _line(spec)
+        cloud = _collect(_line_curves("line", line, scale), plan, with_mu=True)
+        cloud.meta["ray_direction"] = tuple(_vec(spec.x)[:2])
         return cloud
     raise TypeError(f"cannot sample {type(spec).__name__}")
 
 
 def _line(spec):
-    """(v, scale) for a Semidirect, Graph or OneParam spec: v the float
-    coordinates of its line (the torus, T + psi, or x) and scale the largest
-    |t_i| of v, so that exp((log t / scale) v) has a-part entries in
-    [1/t, t]."""
+    """(line, scale) for a Semidirect, Graph or OneParam spec: the float_line
+    of v, the float coordinates of its line (the torus, T + psi, or x), and
+    scale the largest |t_i| of v, so that line(log t / scale) has a-part
+    entries in [1/t, t]."""
     if isinstance(spec, Semidirect):
         x = spec.torus.element(spec.n)
     elif isinstance(spec, Graph):
@@ -537,50 +541,50 @@ def _line(spec):
     else:
         x = spec.x
     v = _vec(x)
-    return v, float(np.abs(v[:2]).max())
+    return float_line(v), float(np.abs(v[:2]).max())
 
 
-def _line_curves(tag, v, scale):
-    """The line both ways: t -> exp((+-log t / scale) v), tagged tag and tag-."""
-    return [(tag, lambda ts: exp_float(v, np.log(ts) / scale)),
-            (tag + "-", lambda ts: exp_float(v, -np.log(ts) / scale))]
+def _line_curves(tag, line, scale):
+    """The line both ways: t -> line(+-log t / scale), tagged tag and tag-."""
+    return [(tag, lambda ts: line(np.log(ts) / scale)),
+            (tag + "-", lambda ts: line(-np.log(ts) / scale))]
 
 
-def _ray_and_mix_curves(v, scale, u, rng):
-    """A ray per basis row of u, then exp((s log t / scale) v) times a random product."""
+def _ray_and_mix_curves(line, scale, u, rng):
+    """A ray per basis row of u, then line(s log t / scale) times a random product."""
     B = np.array(u.coord_rows(), dtype=float)
-    curves = [(f"u-ray{i}", lambda ts, b=b: exp_float(b, ts)) for i, b in enumerate(B)]
+    curves = [(f"u-ray{i}", float_line(b)) for i, b in enumerate(B)]
     for i in range(N_PRODUCT_CURVES):
         s = rng.uniform(-2, 2)
-        udirs = _product_curve(rng, B, PRODUCT_DEPTH)
+        udirs = _ProductCurve(rng, B, PRODUCT_DEPTH)
 
         def curve(ts, s=s, udirs=udirs):
-            return exp_float(v, s * np.log(ts) / scale) @ udirs(ts)
+            return line(s * np.log(ts) / scale) @ udirs(ts)
         curves.append((f"mix{i}", curve))
     return curves
 
 
 def _semidirect_curves(spec: Semidirect, plan):
     rng = random.Random(plan.seed + 1)
-    v, scale = _line(spec)
-    return (_line_curves("torus", v, scale)
-            + _ray_and_mix_curves(v, scale, spec.u, rng))
+    line, scale = _line(spec)
+    return (_line_curves("torus", line, scale)
+            + _ray_and_mix_curves(line, scale, spec.u, rng))
 
 
 def _graph_curves(spec: Graph, plan):
     rng = random.Random(plan.seed + 2)
-    v, scale = _line(spec)
-    return (_line_curves("graph-line", v, scale)
-            + _ray_and_mix_curves(v, scale, spec.u, rng)
+    line, scale = _line(spec)
+    return (_line_curves("graph-line", line, scale)
+            + _ray_and_mix_curves(line, scale, spec.u, rng)
             + extremal_graph_curves(spec))
 
 
 def extremal_graph_curves(spec: Graph):
     """The proof-recipe curves pinning the log-corrected envelopes."""
-    v, scale = _line(spec)
+    line, scale = _line(spec)
     B = np.array(spec.u.coord_rows(), dtype=float)
     nrm0 = np.linalg.norm(B[0])
-    u0 = B[0] * (1.0 / (nrm0 or 1.0))
+    ray0 = float_line(B[0] * (1.0 / (nrm0 or 1.0)))
     case = _graph_case(spec)
     curves = []
     inter = [b for b, e in zip(B, spec.u.basis)
@@ -591,36 +595,34 @@ def extremal_graph_curves(spec: Graph):
     if inter:
         # U meets the omega root spaces: the chamber fills; pin the square
         # direction with the torus outpacing the unipotent factor
-        u0i = inter[0]
+        ray = float_line(inter[0])
 
-        def square_curve(ts, u0i=u0i):
-            return (exp_float(v, 2.0 * np.log(ts) / scale)
-                    @ exp_float(u0i, ts))
+        def square_curve(ts):
+            return line(2.0 * np.log(ts) / scale) @ ray(ts)
         curves.append(("extremal-square", square_curve))
     if case == ("alpha", "alpha+beta"):
         # upper extremal: |x_u|^2 ~ log a1
         def upper(ts):
             tau = np.log(ts)
-            return (exp_float(v, tau / scale)
-                    @ exp_float(u0, np.sqrt(np.maximum(tau, 1e-9))))
+            return line(tau / scale) @ ray0(np.sqrt(np.maximum(tau, 1e-9)))
         curves.append(("extremal-upper", upper))
     elif case == ("alpha", "alpha+2beta"):
-        g0 = exp_float(u0)
+        g0 = ray0(1.0)
 
         def lower(ts):
-            return exp_float(v, np.log(ts) / scale) @ g0
+            return line(np.log(ts) / scale) @ g0
         curves.append(("extremal-lower", lower))
     elif case == ("beta", "alpha+2beta"):
         r = 1 if (spec.psi_value.root_component("beta").is_zero()
                   and not spec.psi_value.root_component("2beta").is_zero()) else 2
-        def lower(ts, r=r):
+
+        def lower(ts):
             tau = np.log(ts)
-            return (exp_float(v, tau / scale)
-                    @ exp_float(u0, np.maximum(tau, 1e-9) ** (r / 2.0)))
+            return line(tau / scale) @ ray0(np.maximum(tau, 1e-9) ** (r / 2.0))
         curves.append(("extremal-lower", lower))
     elif case == ("beta", "alpha+beta"):
         curves.append(("extremal-upper",
-                       lambda ts: exp_float(v, np.log(ts) / scale)))
+                       lambda ts: line(np.log(ts) / scale)))
     return curves
 
 
@@ -706,8 +708,7 @@ def verify_shape(spec, plan: SamplingPlan = None, seed: int = 0,
 
 def verify_gallery_entry(entry: GalleryEntry, seed: int = 0,
                          plan: SamplingPlan = None) -> VerificationReport:
-    rep = verify_shape(entry.spec(), plan=plan, seed=seed, spec_id=entry.id)
-    return rep
+    return verify_shape(entry.spec(), plan=plan, seed=seed, spec_id=entry.id)
 
 
 # ---------------------------------------------------------------------------

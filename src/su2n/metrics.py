@@ -182,15 +182,14 @@ class SampleCloud:
         return len(self.log_norm)
 
     @staticmethod
-    def collect(points):
-        ln, lr, tg = [], [], []
-        for (norm, rho, tag) in points:
-            if norm <= 1.0:
-                continue
-            ln.append(math.log10(norm))
-            lr.append(math.log10(max(rho, 1e-300)))
-            tg.append(tag)
-        return SampleCloud(np.array(ln), np.array(lr), tg)
+    def collect(norms, rhos, tags):
+        """The cloud of the samples with norm |h| > 1 (rho floored at 1e-300)."""
+        norms = np.asarray(norms, dtype=float)
+        keep = norms > 1.0
+        return SampleCloud(
+            np.log10(norms[keep]),
+            np.log10(np.maximum(np.asarray(rhos, dtype=float)[keep], 1e-300)),
+            [tag for tag, k in zip(tags, keep) if k])
 
     def to_rows(self):
         t = self.meta.get("t_values", [None] * len(self))

@@ -111,7 +111,7 @@ def _chamber_ray_cloud(slope_a2, npts=200):
         a2 = a1 ** slope_a2
         a = CartanPoint(a1, a2).matrix(3)
         pts.append((sup_norm(a), rho_norm(a), "ray"))
-    return SampleCloud.collect(pts)
+    return SampleCloud.collect(*zip(*pts))
 
 
 def test_fit_exponents_on_chamber_rays():
@@ -130,7 +130,7 @@ def test_fit_exponents_band():
         a2 = a1 ** rng.uniform(0, 1)
         a = CartanPoint(a1, a2).matrix(3)
         pts.append((sup_norm(a), rho_norm(a), "grid"))
-    cloud = SampleCloud.collect(pts)
+    cloud = SampleCloud.collect(*zip(*pts))
     s_lo, s_hi, _ = fit_exponents(cloud)
     assert abs(s_lo - 1) < 0.08 and abs(s_hi - 2) < 0.08
     rep = shape_check(cloud, MuShape.full_chamber())
@@ -139,13 +139,34 @@ def test_fit_exponents_band():
     assert not rep.verdict
 
 
+def test_collect_equals_the_per_sample_loop():
+    # the array form against the loop it replaced: |h| <= 1 dropped, rho
+    # floored at 1e-300, math.log10 per sample; np.log10 may differ in the
+    # last place only
+    rng = np.random.default_rng(0)
+    norms = np.concatenate([[0.5, 1.0, np.nextafter(1.0, 2.0), 1e8, 1e300],
+                            10.0 ** rng.uniform(-2, 12, 200)])
+    rhos = np.concatenate([[3.0, 2.0, 0.0, 1e-320, 1e16],
+                           10.0 ** rng.uniform(-310, 20, 200)])
+    tags = [f"c{k % 7}" for k in range(len(norms))]
+    want = [(math.log10(nrm), math.log10(max(rho, 1e-300)), tag)
+            for nrm, rho, tag in zip(norms.tolist(), rhos.tolist(), tags)
+            if nrm > 1.0]
+    cloud = SampleCloud.collect(norms, rhos, tags)
+    assert cloud.tags == [w[2] for w in want]
+    for got, col in ((cloud.log_norm, 0), (cloud.log_rho, 1)):
+        ref = np.array([w[col] for w in want])
+        assert np.all(np.abs(got - ref) <= 2 * np.spacing(np.abs(ref)))
+    assert cloud.log_rho.min() == -300.0
+
+
 def test_insufficient_range():
     pts = [(10.0 ** 0.5, 3.0, "x")] * 40
-    cloud = SampleCloud.collect(pts)
+    cloud = SampleCloud.collect(*zip(*pts))
     with pytest.raises(InsufficientRange):
         fit_exponents(cloud)
     with pytest.raises(InsufficientRange):
-        fit_exponents(SampleCloud.collect([(100.0, 10.0, "x")] * 8))
+        fit_exponents(SampleCloud.collect([100.0] * 8, [10.0] * 8, ["x"] * 8))
 
 
 def test_shape_check_rejects_symbolic():
@@ -161,7 +182,7 @@ def test_fit_log_power_recovers_powers():
             nrm = 10.0 ** lam
             rho = nrm ** 1.5 * math.log(nrm) ** p
             pts.append((nrm, rho, "c"))
-        cloud = SampleCloud.collect(pts)
+        cloud = SampleCloud.collect(*zip(*pts))
         assert fit_log_power(cloud, 1.5) == pytest.approx(p, abs=0.1)
 
 
@@ -171,6 +192,6 @@ def test_z_cloud_shapes(alg):
     for t in np.geomspace(2, 1e7, 80):
         g = exp_float(np.array(alg(3, yy=1).coords(), dtype=float), t)
         pts.append((sup_norm(g), rho_norm(g), "z"))
-    cloud = SampleCloud.collect(pts)
+    cloud = SampleCloud.collect(*zip(*pts))
     assert shape_check(cloud, MuShape.curve(1)).verdict
     assert not shape_check(cloud, MuShape.curve(2)).verdict

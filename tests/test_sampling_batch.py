@@ -4,10 +4,11 @@ Curves map an array of parameters t to a (T, m, m) stack; these tests check
 each batched piece -- the grid exponentials, the stacked metrics, the
 doubling ladder and the product curves -- against the one-matrix-at-a-time
 version, the float exponential against the exact one, and on the torus,
-graph and one-parameter lines against scipy's expm.
+graph and one-parameter lines against scipy's expm.  A float line
+(float_line) runs its checks once, when it is built, and sampling builds each
+line once per curve.
 """
 
-import inspect
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -17,10 +18,11 @@ import pytest
 
 from su2n import gallery
 from su2n import elements, lab
-from su2n.anclassify import Graph, OneParam, Semidirect
+from su2n.anclassify import Graph, OneParam, Semidirect, line_compatible
 from su2n.config import DEFAULT
 from su2n.corpus import random_element
-from su2n.elements import AlgebraElement, exp_closed, exp_float, matrix_of
+from su2n.elements import (AlgebraElement, exp_closed, exp_float, float_line,
+                           matrix_of)
 from su2n.lab import ImplicitSolveFailed
 from su2n.metrics import rho_norm, rho_norm_oracle, sup_norm
 from su2n.nilclassify import classify
@@ -134,6 +136,9 @@ def test_exp_float_equals_expm_on_the_gallery_lines():
 def test_exp_float_rejects_a_non_commuting_line(alg):
     exp_float(_vec(alg(3, t1=1, t2=1, phi=1)), GRID[:3])
     bad = _vec(alg(3, t1=1, phi=1))
+    # the line itself refuses, before any parameter is given
+    with pytest.raises(ValueError, match="do not commute"):
+        float_line(bad)
     for c in (GRID[:3], 0.5):
         with pytest.raises(ValueError, match="do not commute"):
             exp_float(bad, c)
@@ -148,9 +153,30 @@ def test_exp_float_rejects_a_series_that_does_not_end(monkeypatch):
     patched = elements._coord_basis(n).copy()
     patched[AlgebraElement.slot_columns(n)["xx"].start] += np.eye(m).ravel()
     monkeypatch.setattr(elements, "_coord_basis", lambda n: patched)
+    with pytest.raises(ValueError, match="X\\^5"):
+        float_line(_vec(u))
     for s in (GRID, 2.0):
         with pytest.raises(ValueError, match="X\\^5"):
             exp_float(_vec(u), s)
+
+
+def test_exp_float_is_the_float_line_bitwise():
+    # nilpotent directions on GRID, and the gallery lines (a-part and
+    # nilpotent part together) on a grid whose exponentials stay finite
+    cs = np.concatenate([-np.geomspace(30, 1e-3, 12), [0.0], np.geomspace(1e-3, 30, 12)])
+    cases = [(_vec(u), GRID) for n in (3, 4, 6)
+             for u in _directions(n, random.Random(20 + n))]
+    cases += [(_vec(x), cs) for x in _gallery_lines()]
+    for c, grid in cases:
+        line = float_line(c)
+        stack = line(grid)
+        m = len(c) // 4 + 2
+        assert stack.shape == (len(grid), m, m)
+        assert np.array_equal(exp_float(c, grid), stack)
+        for s, got in zip(grid, stack):
+            one = line(s)
+            assert np.array_equal(one, got)
+            assert np.array_equal(exp_float(c, s), one)
 
 
 def test_exp_closed_grid_rejects_an_a_part():
@@ -209,8 +235,8 @@ def _nil_basis(eid):
 def _product(seed, basis, depth):
     rng = random.Random(seed)
     for _ in range(50):
-        curve = lab._product_curve(rng, basis, depth)
-        if len(inspect.getclosurevars(curve).nonlocals["dirs"]) == depth:
+        curve = lab._ProductCurve(rng, basis, depth)
+        if len(curve.dirs) == depth:
             return curve
     raise AssertionError("no product curve of full depth")
 
@@ -242,12 +268,11 @@ def test_adaptive_grid_equals_the_serial_ladder():
 def test_product_curve_stack_equals_serial_product():
     for eid, depth in (("cds-fulln-n3", 3), ("notcds07-max-n4", 2)):
         curve = _product(7, _nil_basis(eid), depth)
-        closure = inspect.getclosurevars(curve).nonlocals
         ts = np.geomspace(1.0, 1e3, 12)
         mats = []
         for t in ts:
             g = None
-            for v, e in zip(closure["dirs"], closure["exps"]):
+            for v, e in zip(curve.dirs, curve.exps):
                 f = exp_float(v, t ** e)
                 g = f if g is None else g @ f
             mats.append(g)
@@ -313,3 +338,40 @@ def test_plan_tolerances_set_the_ceiling():
         cloud = _sampled(eid, low)
         assert len(cloud) >= DEFAULT.min_samples
         assert cloud.log_norm.max() <= 6.0
+
+
+def test_sampling_builds_each_line_once(monkeypatch):
+    # a ray, a product factor or a torus line is built once per curve, when
+    # the curve is made, and never again for a ladder chunk or a grid
+    built = []
+
+    def counted(c):
+        built.append(c)
+        return float_line(c)
+    monkeypatch.setattr(lab, "float_line", counted)
+    plan = lab.SamplingPlan(seed=0)
+
+    h = gallery.get("cds-fulln-n3").spec()
+    result = classify(h)
+    # square condition 2 and linear condition 1 both sample the ray exp(t z)
+    assert (result.square.condition_id, result.linear.condition_id) == (2, 1)
+    curves = lab._nil_curves(h, plan, result)
+    factors = sum(len(c.dirs) for tag, c in curves if tag.startswith("prod"))
+    assert len(built) == 2 + len(h.coord_rows()) + factors
+    made = len(built)
+    built.clear()
+    lab.sample_subgroup(h, plan, result=result)
+    assert len(built) == made
+
+    spec = line_compatible(gallery.get("semi02-n4").spec())
+    assert isinstance(spec, Semidirect)
+    built.clear()
+    lab._semidirect_curves(spec, plan)
+    made = len(built)
+    # the torus line, a ray per basis row of u, 1..PRODUCT_DEPTH factors a mix
+    rays = 1 + len(spec.u.coord_rows())
+    assert (rays + lab.N_PRODUCT_CURVES <= made
+            <= rays + lab.PRODUCT_DEPTH * lab.N_PRODUCT_CURVES)
+    built.clear()
+    lab.sample_subgroup(spec, plan)
+    assert len(built) == made
