@@ -163,21 +163,20 @@ def _curve_slope(curve, tmax=1e4, npts=40):
     return np.polyfit(a[:, 0], a[:, 1], 1)[0]
 
 
-@pytest.mark.parametrize("basis_kw,expect", [
-    ([dict(x=[1, 0], y=[0, 1], eta=(2, 1), xx=3)], 2.0),
-    ([dict(eta=1, xx=1)], 2.0),
-    ([dict(phi=1, x=[2, 0], eta=-2)], 2.0),
+@pytest.mark.parametrize("make,cond,expect", [
+    (lambda alg: [alg(4, x=[1, 0], y=[0, 1], eta=QQi(2, 1), xx=3)], 1, 2.0),
+    (lambda alg: [alg(4, eta=1, xx=1)], 2, 2.0),
+    (lambda alg: [alg(4, x=[1, 0], y=[QQi(0, 2), 0], xx=1), alg(4, yy=1)], 3, 2.0),
+    (lambda alg: [alg(4, phi=1, x=[2, 0], eta=-2)], 4, 2.0),
+    (lambda alg: [alg(3, phi=1, yy=1), alg(3, xx=1)], 5, 2.0),
+    (lambda alg: [alg(4, phi=1, y=[1, 0]), alg(4, x=[0, 1])], 6, 2.0),
+    (lambda alg: [alg(4, phi=1, y=[1, 0]), alg(4, x=[QQi(0, -1), 0], yy=1),
+                  alg(4, xx=1)], 7, 2.0),
 ])
-def test_square_witness_curves(alg, sub, basis_kw, expect):
-    els = []
-    for kw in basis_kw:
-        kw = dict(kw)
-        if "eta" in kw and isinstance(kw["eta"], tuple):
-            kw["eta"] = QQi(*kw["eta"])
-        els.append(alg(4, **kw))
-    h = sub(*els)
+def test_square_witness_curves(alg, sub, make, cond, expect):
+    h = sub(*make(alg))
     w = check_square(h)
-    assert w is not None
+    assert w is not None and w.condition_id == cond
     slope = _curve_slope(witness_curve(w, h))
     assert abs(slope - expect) < 0.08
 
