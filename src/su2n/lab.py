@@ -7,8 +7,9 @@ probes the full band of mu(H), not a single curve), clipped at the norm
 ceiling where doubles stay trustworthy.  A direction in the algebra is its
 float coordinate vector.  A curve along fixed directions builds each of its
 lines once (float_line checks N D = D N and N^5 = 0 at build); one whose
-direction moves with t calls exp_float per point.  A curve is evaluated on a
-whole parameter grid at once, as a (T, m, m) numpy stack.
+direction moves with t calls exp_float per point, an implicit one at the real
+root nearest 0 of a quartic (np.roots).  A curve is evaluated on a whole
+parameter grid at once, as a (T, m, m) numpy stack.
 Fitted envelope exponents and log-power regressions are then compared against
 the classifier's predicted shape.
 """
@@ -87,20 +88,21 @@ class VerificationReport:
 
 
 # A curve maps a float array of parameters t to the (T, m, m) stack of its
-# group elements (a _PerPoint wraps the curves that solve per t); directions
-# in the algebra are float coordinate vectors, the rows of
-# np.array(h.coord_rows(), dtype=float).  Rungs of the doubling ladder are
-# evaluated this many at a time.
+# group elements (a _PerPoint solves per t).  Rungs of the doubling ladder
+# are evaluated this many at a time.
 LADDER_CHUNK = 16
 
 
 class _PerPoint:
-    """A curve that solves for each t on its own (root brackets, best-of-k
-    choices), stacked over a grid.  fn maps a float t to an (m, m) matrix.
-    A failed solve leaves a NaN slice."""
+    """A curve that solves for each t on its own (polynomial roots, best-of-k
+    choices), stacked over a grid.  fn maps a float t to an (m, m) matrix,
+    and so does calling the curve.  A failed solve leaves a NaN slice."""
 
     def __init__(self, fn, n):
         self.fn, self.m = fn, n + 2
+
+    def __call__(self, t):
+        return self.fn(t)
 
     def evaluate(self, ts):
         """(stack, {index: error name}) for the points whose solve failed."""
@@ -253,7 +255,7 @@ def _nil_curves(h: Subalgebra, plan, result=None):
         for tag, w in (("square-witness", result.square),
                        ("linear-witness", result.linear)):
             if w is not None:
-                curves.append((tag, _PerPoint(witness_curve(w, h), h.n)))
+                curves.append((tag, witness_curve(w, h)))
         if result.template is not None:
             curves += _template_extremal_curves(result.template)
     for i, b in enumerate(B):
@@ -294,7 +296,7 @@ def _template_extremal_curves(tm):
 def witness_curve(witness, h: Subalgebra):
     """The proof's one-parameter curve t -> h(t) for a witness.
 
-    Returns a callable from a float t to the (m, m) complex matrix of h(t).
+    Returns a curve (a float line or a _PerPoint) from a float t to h(t).
     Square curves have |rho(h(t))| ~ |h(t)|^2, linear ones ~ |h(t)|;
     preliminary conjugations from the proofs are applied exactly, so the
     curve may live in a conjugate copy of H (which moves mu by a bounded
@@ -331,7 +333,7 @@ def _square_1(els, n):
 
 def _square_3(els, n):
     u, z = _vec(els["u"]), _vec(els["z"])
-    return lambda t: exp_float(u * t + z * (t * t))
+    return _PerPoint(lambda t: exp_float(u * t + z * (t * t)), n)
 
 
 def _square_5(els, n):
@@ -340,43 +342,58 @@ def _square_5(els, n):
     aphi2 = abs2(complex(u1.phi))
     yy = float(u1.yy)
     u1f, zf = _vec(u1), _vec(z)
-    return lambda t: exp_float(u1f * t + zf * ((t ** 3) * aphi2 * yy / 6.0))
+    return _PerPoint(
+        lambda t: exp_float(u1f * t + zf * ((t ** 3) * aphi2 * yy / 6.0)), n)
+
+
+def _slot_dot(base, direction, n):
+    """dot(a, b): the real inner product of slots a and b of base + p
+    direction, as a np.poly1d in p (every slot is affine in p)."""
+    cols = AlgebraElement.slot_columns(n)
+
+    def dot(a, b):
+        a0, a1 = base[cols[a]], direction[cols[a]]
+        b0, b1 = base[cols[b]], direction[cols[b]]
+        return np.poly1d([a1 @ b1, a0 @ b1 + a1 @ b0, a0 @ b0])
+    return dot
+
+
+def _root_nearest_zero(poly):
+    """The real root of a real np.poly1d nearest 0, the first on a tie: of the
+    companion-matrix eigenvalues (np.roots), those with imaginary part exactly
+    0, as LAPACK returns a real matrix's real eigenvalues.  The zero
+    polynomial gives 0; no real root raises ImplicitSolveFailed."""
+    if not poly.coeffs.any():
+        return 0.0
+    roots = np.roots(poly.coeffs)
+    real = roots.real[roots.imag == 0]
+    if not len(real):
+        raise ImplicitSolveFailed(f"no real root of {poly.coeffs}")
+    return float(real[np.argmin(np.abs(real))])
+
+
+def _re_corner(dot):
+    """Re exp(X)[0, n+1] of a nilpotent X from its slot products dot
+    (corner_re in elements._exp_rows_general)."""
+    return (dot("phi", "phi") * dot("y", "y") / 24
+            - dot("x", "x") / 2 - dot("phi", "eta"))
 
 
 def _corner_recipe(a, b, clear_im):
-    """Square conditions 6-8: t -> exp(t a + s b) with s solving
-    Re(corner) = 0; with clear_im, exp(e + c xx) clears the imaginary corner
-    of g = exp(e) too, with c = -Im g[0, n+1]."""
+    """Square conditions 6-8: t -> exp(t a + s b), s the root nearest 0 of the
+    quartic Re exp(t a + s b)[0, n+1]; clear_im also clears Im g[0, n+1] of
+    g = exp(e) by exp(e - Im g[0, n+1] xx)."""
     def recipe(els, n):
         af, bf = _vec(els[a]), _vec(els[b])
         axis = _vec(AlgebraElement(n, xx=1))
 
         def curve(t):
-            e = af * t + bf * _solve_re_corner(af, bf, t)
+            s = _root_nearest_zero(_re_corner(_slot_dot(af * t, bf, n)))
+            e = af * t + bf * s
             g = exp_float(e)
             return exp_float(e + axis * -g[0, -1].imag) if clear_im else g
-        return curve
+        return _PerPoint(curve, n)
     return recipe
-
-
-def _solve_re_corner(u, v, t):
-    """s with Re(exp(t u + s v)[0, n+1]) = 0, by bracketing + bisection."""
-    from scipy.optimize import brentq
-
-    def f(s):
-        return exp_float(u * t + v * s)[0, -1].real
-
-    f0 = f(0.0)
-    if f0 == 0.0:
-        return 0.0
-    hi = 1.0
-    for _ in range(200):
-        if f(hi) * f0 < 0:
-            return brentq(f, 0.0, hi) if hi > 0 else brentq(f, hi, 0.0)
-        if f(-hi) * f0 < 0:
-            return brentq(f, -hi, 0.0)
-        hi *= 1.6
-    raise ImplicitSolveFailed("no sign change for the corner-entry solve")
 
 
 def _linear_2(els, n):
@@ -387,33 +404,15 @@ def _linear_2(els, n):
 
 
 def _linear_4(els, n):
+    """t -> exp(t u + p z), p the root nearest 0 of the quartic Re(delta)."""
     u, z = _vec(els["u"]), _vec(els["z"])
-    cols = AlgebraElement.slot_columns(n)
 
     def curve(t):
-        from scipy.optimize import brentq
-
-        def redelta(p):
-            e = (u * t + z * p).tolist()
-            (xx,), (yy,) = e[cols["xx"]], e[cols["yy"]]
-            phi2 = sum(v * v for v in e[cols["phi"]])
-            eta2 = sum(v * v for v in e[cols["eta"]])
-            return xx * yy + phi2 * yy * yy / 12.0 - eta2
-
-        p0, p1 = 0.0, 1.0
-        f0 = redelta(p0)
-        if f0 == 0:
-            return exp_float(u, t)
-        for _ in range(200):
-            if redelta(p1) * f0 < 0:
-                p = brentq(redelta, min(p0, p1), max(p0, p1))
-                return exp_float(u * t + z * p)
-            if redelta(-p1) * f0 < 0:
-                p = brentq(redelta, -p1, 0.0)
-                return exp_float(u * t + z * p)
-            p1 *= 1.7
-        raise ImplicitSolveFailed("linear condition 4: no root in p")
-    return curve
+        dot = _slot_dot(u * t, z, n)
+        redelta = (dot("xx", "yy") + dot("phi", "phi") * dot("yy", "yy") / 12
+                   - dot("eta", "eta"))
+        return exp_float(u * t + z * _root_nearest_zero(redelta))
+    return _PerPoint(curve, n)
 
 
 def _linear_5(els, n):
@@ -465,7 +464,7 @@ def _linear_5(els, n):
         p_star = -(s ** 3) * ys * r0 / (12.0 * eta2)
         return _least_rho_ratio(uf * s, zf, p_star,
                                 (1.0, 0.98, 1.02, 0.9, 1.1, 0.0))
-    return curve
+    return _PerPoint(curve, n)
 
 
 _SQUARE_RECIPES = {

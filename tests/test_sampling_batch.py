@@ -6,10 +6,12 @@ doubling ladder and the product curves -- against the one-matrix-at-a-time
 version, the float exponential against the exact one, and on the torus,
 graph and one-parameter lines against scipy's expm.  A float line
 (float_line) runs its checks once, when it is built, and sampling builds each
-line once per curve.
+line once per curve.  The implicit witness curves solve a quartic per point
+by its real root nearest 0, with numpy alone.
 """
 
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -25,7 +27,8 @@ from su2n.elements import (AlgebraElement, exp_closed, exp_float, float_line,
                            matrix_of)
 from su2n.lab import ImplicitSolveFailed
 from su2n.metrics import rho_norm, rho_norm_oracle, sup_norm
-from su2n.nilclassify import classify
+from su2n.nilclassify import check_linear, check_square, classify
+from su2n.scalars import QQi
 
 GRID = np.array([-40.0, -3.0, -0.25, 0.0, 0.5, 1.0, 7.0, 1e3, 2.0 ** 40])
 
@@ -356,6 +359,9 @@ def test_sampling_builds_each_line_once(monkeypatch):
     # square condition 2 and linear condition 1 both sample the ray exp(t z)
     assert (result.square.condition_id, result.linear.condition_id) == (2, 1)
     curves = lab._nil_curves(h, plan, result)
+    witnesses = [c for tag, c in curves if tag.endswith("-witness")]
+    assert len(witnesses) == 2
+    assert not any(isinstance(c, lab._PerPoint) for c in witnesses)
     factors = sum(len(c.dirs) for tag, c in curves if tag.startswith("prod"))
     assert len(built) == 2 + len(h.coord_rows()) + factors
     made = len(built)
@@ -375,3 +381,52 @@ def test_sampling_builds_each_line_once(monkeypatch):
     built.clear()
     lab.sample_subgroup(spec, plan)
     assert len(built) == made
+
+
+def test_root_nearest_zero():
+    p = np.poly1d
+    assert lab._root_nearest_zero(p([1, -3]) * p([1, 1]) * p([1, 0, 1])) \
+        == pytest.approx(-1.0, rel=1e-12)
+    tie = p([1, 0, -1])
+    roots = np.roots(tie.coeffs)
+    assert abs(roots[0]) == abs(roots[1]) and roots[0] != roots[1]
+    assert lab._root_nearest_zero(tie) == roots[0]
+    assert lab._root_nearest_zero(p([0.0, 0.0, 0.0])) == 0.0
+    with pytest.raises(ImplicitSolveFailed):
+        lab._root_nearest_zero(p([1, 0, 1]))
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_closed_form_corner_equals_the_float_exponential(n):
+    # Re exp(a + p b)[0, n+1] as the quartic in p that the corner witness
+    # curves solve, against the float exponential, for nilpotent a and b
+    rng = np.random.default_rng(n)
+    t = AlgebraElement.slot_columns(n)["t"]
+    for _ in range(200):
+        a, b = rng.normal(size=(2, 4 * n)) * rng.choice([0.1, 1.0, 10.0], (2, 1))
+        a[t] = b[t] = 0.0
+        corner = lab._re_corner(lab._slot_dot(a, b, n))
+        for p in (-2.5, 0.0, 0.75, 4.0):
+            g = exp_float(a + p * b)
+            assert abs(corner(p) - g[0, -1].real) <= 1e-12 * max(1.0, np.abs(g).max())
+
+
+def test_witness_curves_run_without_scipy(monkeypatch, alg, sub):
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+    cases = [
+        (check_square, [alg(4, phi=1, y=[1, 0]), alg(4, x=[0, 1])], 6),
+        (check_square, [alg(4, phi=1, y=[1, 0]), alg(4, x=[QQi(0, -1), 0], yy=1),
+                        alg(4, xx=1)], 7),
+        (check_linear, [alg(3, phi=1, yy=1), alg(3, eta=1)], 4),
+    ]
+    grid = np.geomspace(1.0, 1e3, 12)
+    for check, els, cond in cases:
+        h = sub(*els)
+        w = check(h)
+        assert w.condition_id == cond
+        curve = lab.witness_curve(w, h)
+        mats = [curve(float(t)) for t in grid]
+        stack, failed = lab._evaluate(curve, grid)
+        assert failed == {} and np.isfinite(stack).all()
+        assert np.array_equal(stack, mats)

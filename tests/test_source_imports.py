@@ -1,5 +1,5 @@
 """Every name a module of the package or of its tests imports is used in
-that module.
+that module, and no module of the package imports scipy (a test oracle only).
 
 The package's `__init__.py` is exempt for its relative imports: those are
 re-exports, listed in `__all__`.
@@ -47,3 +47,18 @@ def test_unused_import_is_reported(tmp_path):
                    "import os.path\nimport re\nfrom math import pi, tau as t\n"
                    "print(os.path.sep, t)\n")
     assert unused_imports(mod) == [(3, "re"), (4, "pi")]
+
+
+def test_the_package_does_not_import_scipy():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, node.lineno) for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
