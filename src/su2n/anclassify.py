@@ -23,7 +23,7 @@ from .elements import (
     ROOTS,
     ROOT_SLOT,
     REDUCED_ROOTS,
-    bracket,
+    bracket_rows,
     exp_closed,
     kernel_line,
     kernel_root,
@@ -142,8 +142,8 @@ class AnResult:
 
 
 def _normalized_by_element(w: AlgebraElement, u: Subalgebra) -> bool:
-    return linalg.subspace_leq((bracket(w, b).coords() for b in u.basis),
-                               u.coord_rows())
+    rows, cw = u.coord_rows(), w.coords()
+    return linalg.subspace_leq((bracket_rows(u.n, cw, r) for r in rows), rows)
 
 
 def _commutes(X: AlgebraElement) -> bool:

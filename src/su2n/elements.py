@@ -22,13 +22,20 @@ rows determine the whole matrix.
 The six coordinate slots phi, y, x, yy, eta, xx are the root spaces for
 alpha, beta, alpha+beta, 2*beta, alpha+2*beta, 2*alpha+2*beta where
 alpha(a) = a1/a2 and beta(a) = a2 on a = diag(a1, a2, 1, ..., 1/a2, 1/a1).
+
+The exact bilinear kernels are fraction-free (the idea of Bareiss, Math.
+Comp. 22, 1968): `bracket_rows` on coordinate rows, `_mat_mul` and
+`exp_series` clear each input's common denominator once, compute on Python
+ints (Gaussian-integer pairs for matrices) and divide once at the output.
+`exp_closed` stays on Gaussian rationals and shares no code with
+`exp_series`, which is its oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import factorial, gcd, lcm
 from typing import Optional
 
 import numpy as np
@@ -340,58 +347,116 @@ def ad_a(t1, t2, w: AlgebraElement) -> AlgebraElement:
 
 
 def bracket(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
-    """Lie bracket [u, v] in coordinates.
-
-    For nilpotent parts this is the closed-form slot computation; a-parts act
-    diagonally on the root slots (alpha+beta scales x by t1, etc.).  The
-    result is always nilpotent since a is abelian and normalizes n.  A
-    product with phi is skipped when phi is an exact zero, as `_mat_mul`
-    skips its zero terms; every slot keeps the exact value of the formula.
-    """
+    """Lie bracket [u, v] in coordinates: `bracket_rows` on their coords()."""
     u._check_compatible(v)
-    two = 2
-    # nilpotent x nilpotent part
-    x_slot = [_phi_times(u.phi, yv) - _phi_times(v.phi, yu)
-              for yu, yv in zip(u.y, v.y)]
-    i_ = QQi(0, 1)
-    eta_slot = (-herm(u.x, v.y) + herm(v.x, u.y)
-                + i_ * (_phi_times(u.phi, v.yy) - _phi_times(v.phi, u.yy)))
-    yy_slot = -two * im(herm(u.y, v.y))
-    xx_slot = -two * im(herm(u.x, v.x) + _phi_times(u.phi, conj(v.eta))
-                        - _phi_times(v.phi, conj(u.eta)))
-    out = AlgebraElement(u.n, phi=0, x=x_slot, y=[0] * (u.n - 2), eta=eta_slot,
-                         xx=xx_slot, yy=yy_slot)
-    # a-part action
-    if u.t1 or u.t2 or v.t1 or v.t2:
-        out = out + ad_a(u.t1, u.t2, v.nilpotent_part()) - ad_a(v.t1, v.t2, u.nilpotent_part())
+    return AlgebraElement.from_coords(u.n, bracket_rows(u.n, u.coords(), v.coords()))
+
+
+def bracket_rows(n, cu, cv) -> list:
+    """The coords() row of [u, v], from the coords() rows cu of u and cv of v.
+
+    For nilpotent parts this is the closed-form slot computation
+
+        x  = phi_u y_v - phi_v y_u
+        eta = -<x_u, y_v> + <x_v, y_u> + i (phi_u yy_v - phi_v yy_u)
+        yy = -2 Im <y_u, y_v>
+        xx = -2 Im (<x_u, x_v> + phi_u conj(eta_v) - phi_v conj(eta_u))
+
+    with <a, b> = sum_k a_k conj(b_k); a-parts act diagonally on the root
+    slots (alpha+beta scales x by t1, etc.).  The result is always nilpotent
+    since a is abelian and normalizes n.  It is evaluated fraction-free: each
+    row is scaled to integers by the lcm of its denominators, every product is
+    a Python int, and a nonzero coordinate is one Fraction over du * dv.
+    """
+    U, du = _int_row(cu)
+    V, dv = _int_row(cv)
+    d = 2 * (n - 2)
+    X, Y, E = 4, 4 + d, 4 + 2 * d  # first columns of x, y and eta
+    out = [0] * (4 * n)
+    pr_u, pi_u, pr_v, pi_v = U[2], U[3], V[2], V[3]
+    yy_u, yy_v = U[E + 3], V[E + 3]
+    eta_re = -(pi_u * yy_v - pi_v * yy_u)
+    eta_im = pr_u * yy_v - pr_v * yy_u
+    yy = xx = 0
+    for k in range(0, d, 2):
+        xr_u, xi_u, yr_u, yi_u = U[X + k], U[X + k + 1], U[Y + k], U[Y + k + 1]
+        xr_v, xi_v, yr_v, yi_v = V[X + k], V[X + k + 1], V[Y + k], V[Y + k + 1]
+        out[X + k] = pr_u * yr_v - pi_u * yi_v - pr_v * yr_u + pi_v * yi_u
+        out[X + k + 1] = pr_u * yi_v + pi_u * yr_v - pr_v * yi_u - pi_v * yr_u
+        eta_re += xr_v * yr_u + xi_v * yi_u - xr_u * yr_v - xi_u * yi_v
+        eta_im += xi_v * yr_u - xr_v * yi_u - xi_u * yr_v + xr_u * yi_v
+        yy += yi_u * yr_v - yr_u * yi_v
+        xx += xi_u * xr_v - xr_u * xi_v
+    xx += (pi_u * V[E] - pr_u * V[E + 1]) - (pi_v * U[E] - pr_v * U[E + 1])
+    out[E], out[E + 1], out[E + 2], out[E + 3] = eta_re, eta_im, -2 * xx, -2 * yy
+    # a-part action: [t_u, v] - [t_v, u], each root slot scaled by its root
+    t1_u, t2_u, t1_v, t2_v = U[0], U[1], V[0], V[1]
+    if t1_u or t2_u or t1_v or t2_v:
+        cols = AlgebraElement.slot_columns(n)
+        for root, (c1, c2) in ROOTS.items():
+            r_u, r_v = c1 * t1_u + c2 * t2_u, c1 * t1_v + c2 * t2_v
+            sl = cols[ROOT_SLOT[root]]
+            for c in range(sl.start, sl.stop):
+                out[c] += r_u * V[c] - r_v * U[c]
+    den, zero = du * dv, Fraction(0)
+    return [Fraction(s, den) if s else zero for s in out]
+
+
+def _int_row(row):
+    """(ints, den): row == [a / den for a in ints], den the lcm of the
+    denominators of the rationals in `row`."""
+    den = lcm(*{c.denominator for c in row})
+    return [c.numerator * (den // c.denominator) for c in row], den
+
+
+def _gaussian_ints(M, m):
+    """(rows, den) for an m x m matrix M of Gaussian rationals: M[i][j] is
+    (re + i im) / den for the (j, re, im) in rows[i], with re, im integers,
+    and 0 where rows[i] has no entry j.  den is the lcm of the denominators."""
+    nonzero = [[(j, z) for j, z in enumerate(row[:m]) if z] for row in M[:m]]
+    den = lcm(*{p.denominator for row in nonzero for _, z in row for p in (z.re, z.im)})
+    return [[(j, z.re.numerator * (den // z.re.denominator),
+              z.im.numerator * (den // z.im.denominator)) for j, z in row]
+            for row in nonzero], den
+
+
+def _gaussian_product(A, B, m):
+    """A B for m x m Gaussian-integer matrices in the sparse rows of
+    `_gaussian_ints`; only products of two nonzero entries are taken."""
+    out = []
+    for a_row in A:
+        re_, im_ = [0] * m, [0] * m
+        for k, ar, ai in a_row:
+            for j, br, bi in B[k]:
+                re_[j] += ar * br - ai * bi
+                im_[j] += ar * bi + ai * br
+        out.append([(j, r, i) for j, (r, i) in enumerate(zip(re_, im_)) if r or i])
     return out
 
 
-def _phi_times(phi, c):
-    """phi * c for the Gaussian rational phi; QQi(0) with no product if phi is 0."""
-    return phi * c if phi else QQi(0)
+def _gaussian_matrix(rows, den, m):
+    """The m x m matrix of Gaussian rationals that (rows, den) stands for."""
+    zero = QQi(0)
+    out = []
+    for row in rows:
+        out_row = [zero] * m
+        for j, r, i in row:
+            out_row[j] = QQi(Fraction(r, den), Fraction(i, den))
+        out.append(out_row)
+    return out
 
 
 def _mat_mul(A, B, m):
     """Exact product of two m x m matrices of Gaussian rationals.
 
-    Terms with an exact-zero factor are skipped: a+n matrices are upper
-    triangular and mostly zero.  Every entry equals the dense sum
+    Each factor's common denominator is cleared once and the product is
+    taken over the Gaussian integers, skipping zero entries: a+n matrices are
+    upper triangular and mostly zero.  Every entry equals the dense sum
     `sum(A[i][k] * B[k][j] for k in range(m))` started at QQi(0).
     """
-    out = []
-    for i in range(m):
-        row = [(k, a) for k, a in enumerate(A[i][:m]) if a]
-        out_row = []
-        for j in range(m):
-            acc = QQi(0)
-            for k, a in row:
-                b = B[k][j]
-                if b:
-                    acc = acc + a * b
-            out_row.append(acc)
-        out.append(out_row)
-    return out
+    IA, da = _gaussian_ints(A, m)
+    IB, db = _gaussian_ints(B, m)
+    return _gaussian_matrix(_gaussian_product(IA, IB, m), da * db, m)
 
 
 def exp_series(u: AlgebraElement) -> "GroupElement":
@@ -399,24 +464,31 @@ def exp_series(u: AlgebraElement) -> "GroupElement":
 
     n is nilpotent of step <= 4, so the series terminates at the fourth
     power.  Elements with an a-part have transcendental exponentials and are
-    rejected.  Only the nonzero entries of each power M^k are scaled and
-    added: every entry equals the dense sum I + sum_k M^k / k! over QQi.
+    rejected.  With N = den M for the common denominator den of M, the sum
+    I + sum_k M^k / k! is sum_k N^k den^(4-k) (24 / k!) over 24 den^4: the
+    powers and the sum are taken over the Gaussian integers and divided once.
+    Every entry equals the dense sum over QQi.
     """
     if not u.is_nilpotent():
         raise ValueError("exact exponentials need a nilpotent element")
     m = u.n + 2
-    M = matrix_of(u)
-    acc = [[QQi(1 if i == j else 0) for j in range(m)] for i in range(m)]
-    fact = 1
+    N, den = _gaussian_ints(matrix_of(u), m)
+    acc_re = [[0] * m for _ in range(m)]
+    acc_im = [[0] * m for _ in range(m)]
+    for i in range(m):
+        acc_re[i][i] = 24 * den ** 4
+    P = N
     for k in range(1, 5):
-        P = M if k == 1 else _mat_mul(P, M, m)
-        fact *= k
-        inv = Fraction(1, fact)
-        for acc_row, row in zip(acc, P):
-            for j, p in enumerate(row):
-                if p:
-                    acc_row[j] = acc_row[j] + p * inv
-    return GroupElement(u.n, acc)
+        if k > 1:
+            P = _gaussian_product(P, N, m)
+        w = den ** (4 - k) * (24 // factorial(k))
+        for row_re, row_im, row in zip(acc_re, acc_im, P):
+            for j, r, i in row:
+                row_re[j] += w * r
+                row_im[j] += w * i
+    rows = [[(j, r, i) for j, (r, i) in enumerate(zip(row_re, row_im)) if r or i]
+            for row_re, row_im in zip(acc_re, acc_im)]
+    return GroupElement(u.n, _gaussian_matrix(rows, 24 * den ** 4, m))
 
 
 def _exp_rows_general(u):

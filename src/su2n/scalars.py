@@ -8,9 +8,15 @@ N^5 = 0 once per line, at build).  The helpers here
 integers, floats and complexes.
 
 The exact kernels skip work that cannot change an exact value: a product
-with an `int` or `Fraction` scales the real and imaginary parts directly,
-and `herm` skips the pairs with an exact-zero factor, as `elements._mat_mul`
-skips its zero terms.  Each result is the exact value of the dense formula.
+with an `int` or `Fraction` scales the real and imaginary parts directly, a
+`QQi x QQi` product leaves out the multiplies of a zero real or imaginary
+part, `QQi +- QQi` and `QQi == QQi` skip the coercion of the other operand,
+results are built without re-checking that their parts are Fractions, and
+`herm` skips the pairs with an exact-zero factor, as `elements._mat_mul`
+skips its zero terms.  Each result is the exact value, and type, of the
+dense formula.  The bilinear kernels of `elements` (bracket, matrix product,
+series exponential) run on integers and build a GaussianRational only for
+their nonzero outputs.
 """
 
 from __future__ import annotations
@@ -31,18 +37,20 @@ class GaussianRational:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _make(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _make(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -51,15 +59,23 @@ class GaussianRational:
         return other - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re * other, self.im * other)
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            if isinstance(other, (int, Fraction)):
+                return _make(self.re * other, self.im * other)
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        # (a + bi)(c + di), without the products of a zero part
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not b:
+            return _make(a * c, a * d)
+        if not d:
+            return _make(a * c, b * c)
+        if not a:
+            return _make(-(b * d), b * c)
+        if not c:
+            return _make(-(b * d), a * d)
+        return _make(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -82,7 +98,7 @@ class GaussianRational:
         return other / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self.re, -self.im)
 
     def __pos__(self):
         return self
@@ -90,16 +106,17 @@ class GaussianRational:
     # -- structure ----------------------------------------------------------
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _make(self.re, -self.im)
 
     def abs2(self):
         """|z|^2 as an exact Fraction."""
         return self.re * self.re + self.im * self.im
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
@@ -118,6 +135,15 @@ class GaussianRational:
 
 
 QQi = GaussianRational
+
+
+def _make(re, im):
+    """The GaussianRational re + i im from two Fractions, without the type
+    checks of `__init__`: for results whose parts are Fractions already."""
+    z = object.__new__(GaussianRational)
+    z.re = re
+    z.im = im
+    return z
 
 
 def _coerce(v):

@@ -1,7 +1,8 @@
 """Basis-presented subalgebras of a+n with exact validation.
 
-A Subalgebra stores an independent basis, verifies bracket closure exactly,
-and caches the coordinate matrix: one coords() row per basis element.  The
+A Subalgebra stores an independent basis, verifies bracket closure exactly
+(elements.bracket_rows on pairs of coordinate rows), and caches the
+coordinate matrix: one coords() row per basis element.  The
 exact classifiers work on combinations of those rows (nilclassify._Frame),
 and sampling reads them as the float matrix np.array(h.coord_rows(),
 dtype=float).
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .elements import AlgebraElement, bracket
+from .elements import AlgebraElement, bracket, bracket_rows
 from .scalars import as_exact_real
 
 
@@ -48,9 +49,10 @@ class Subalgebra:
         echelon = linalg.rref(self._coord_rows)
         if len(echelon[0]) != len(self.basis):
             raise NotIndependent("basis is linearly dependent over R")
-        for i, bi in enumerate(self.basis):
-            for j in range(i + 1, len(self.basis)):
-                if any(linalg.residual(echelon, bracket(bi, self.basis[j]).coords())):
+        rows = self._coord_rows
+        for i, ri in enumerate(rows):
+            for j in range(i + 1, len(rows)):
+                if any(linalg.residual(echelon, bracket_rows(self.n, ri, rows[j]))):
                     raise NotClosed(i, j)
 
     # -- structure ---------------------------------------------------------------

@@ -17,6 +17,7 @@ from .config import DEFAULT
 from .corpus import random_corpus, random_element
 from .elements import (
     GroupElement,
+    _mat_mul,
     bracket,
     delta,
     delta_formula,
@@ -58,7 +59,6 @@ def _budget_row(name, t0, budget):
 def _commutator_matches(u, v):
     m = u.n + 2
     Mu, Mv = matrix_of(u), matrix_of(v)
-    from .elements import _mat_mul
     comm = [[a - b for a, b in zip(r1, r2)]
             for r1, r2 in zip(_mat_mul(Mu, Mv, m), _mat_mul(Mv, Mu, m))]
     Mb = matrix_of(bracket(u, v))
@@ -66,35 +66,38 @@ def _commutator_matches(u, v):
 
 
 def formulas_suite(seed=0, trials_per_n=334, ns=(3, 4, 6)):
-    """Closed-form exponential, corner determinant, bracket, Jacobi."""
+    """Closed-form exponential, corner determinant, bracket, Jacobi.
+
+    A failing row's detail names the first n it failed at.
+    """
     rng = random.Random(seed)
     rows = []
     t0 = time.perf_counter()
-    exp_ok = delta_ok = comm_ok = jac_ok = True
-    detail = ""
+    failed_at = {}  # check -> first n where it failed
     for n in ns:
         for _ in range(trials_per_n):
             u = random_element(n, rng, max_slots=6)
             g1, g2 = exp_closed(u), exp_series(u)
             m = n + 2
             if any(g1.mat[i][j] != g2.mat[i][j] for i in range(m) for j in range(m)):
-                exp_ok = False
-                detail = f"exp mismatch at n={n}"
+                failed_at.setdefault("exp", n)
             if delta(g1) != delta_formula(u):
-                delta_ok = False
+                failed_at.setdefault("delta", n)
             v = random_element(n, rng, max_slots=6)
             if not _commutator_matches(u, v):
-                comm_ok = False
+                failed_at.setdefault("commutator", n)
             w = random_element(n, rng, max_slots=4)
             jac = (bracket(bracket(u, v), w) + bracket(bracket(v, w), u)
                    + bracket(bracket(w, u), v))
             if not jac.is_zero():
-                jac_ok = False
-    rows.append(_row("exp_closed equals the terminating series exactly",
-                     exp_ok, detail))
-    rows.append(_row("corner determinant matches its expanded formula", delta_ok))
-    rows.append(_row("bracket slots match the matrix commutator", comm_ok))
-    rows.append(_row("Jacobi identity holds exactly", jac_ok))
+                failed_at.setdefault("jacobi", n)
+    for check, name in (("exp", "exp_closed equals the terminating series exactly"),
+                        ("delta", "corner determinant matches its expanded formula"),
+                        ("commutator", "bracket slots match the matrix commutator"),
+                        ("jacobi", "Jacobi identity holds exactly")):
+        n = failed_at.get(check)
+        rows.append(_row(name, n is None,
+                         "" if n is None else f"{check} mismatch at n={n}"))
     # group invariants of closed-form exponentials
     ginv = True
     for _ in range(50):

@@ -42,6 +42,16 @@ def test_criterion_1_formula_suite():
             rows, t0, 30.0)
 
 
+def test_criterion_1_a_wrong_bracket_fails_the_commutator_row_at_its_n(monkeypatch):
+    real = verify.bracket
+    monkeypatch.setattr(verify, "bracket", lambda u, v: real(u, v).scale(2))
+    rows = {r["name"]: r for r in formulas_suite(seed=0, trials_per_n=3, ns=(4, 3))}
+    row = rows["bracket slots match the matrix commutator"]
+    assert not row["ok"] and row["detail"] == "commutator mismatch at n=4"
+    # twice the bracket still satisfies Jacobi
+    assert rows["Jacobi identity holds exactly"]["ok"]
+
+
 def test_criterion_2_cartan_suite():
     t0 = time.perf_counter()
     rows = cartan_suite(seed=0, cases=1000)

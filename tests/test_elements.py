@@ -19,8 +19,8 @@ from su2n import (
     root_project,
 )
 from su2n.corpus import random_element
-from su2n.elements import NotInAN, ROOTS
-from su2n.scalars import QQi
+from su2n.elements import NotInAN, ROOTS, ad_a, bracket_rows
+from su2n.scalars import QQi, conj, herm, im
 
 
 def test_matrix_of_zero_is_zero(alg):
@@ -100,10 +100,64 @@ def test_bracket_matches_commutator_with_a_parts(alg):
         assert all(comm[i][j] == Mb[i][j] for i in range(m) for j in range(m))
 
 
-def _random_sparse_matrix(m, rng):
-    """Gaussian rationals with zero rows and columns, imaginary and dense rows."""
+def _slot_bracket(u, v):
+    """[u, v] by the slot formula over QQi: the reference for `bracket`."""
+    def phi_times(phi, c):
+        return phi * c if phi else QQi(0)
+    x_slot = [phi_times(u.phi, yv) - phi_times(v.phi, yu) for yu, yv in zip(u.y, v.y)]
+    eta_slot = (-herm(u.x, v.y) + herm(v.x, u.y)
+                + QQi(0, 1) * (phi_times(u.phi, v.yy) - phi_times(v.phi, u.yy)))
+    yy_slot = -2 * im(herm(u.y, v.y))
+    xx_slot = -2 * im(herm(u.x, v.x) + phi_times(u.phi, conj(v.eta))
+                      - phi_times(v.phi, conj(u.eta)))
+    out = AlgebraElement(u.n, x=x_slot, eta=eta_slot, xx=xx_slot, yy=yy_slot)
+    return out + ad_a(u.t1, u.t2, v.nilpotent_part()) - ad_a(v.t1, v.t2, u.nilpotent_part())
+
+
+def _random_pair(rng):
+    """Two elements for n in 3..8: an a-part on either side or none, a
+    factor scaled by p/q, or the zero element."""
+    n = rng.randint(3, 8)
+    u = random_element(n, rng, max_slots=6)
+    v = random_element(n, rng, max_slots=6)
+    a_part = lambda: Fraction(rng.randint(-6, 6), rng.choice([1, 2, 7, 89]))
+    kind = rng.choice(["plain", "a_u", "a_v", "a_both", "scaled", "zero"])
+    if kind in ("a_u", "a_both"):
+        u = u._like(t1=a_part(), t2=a_part())
+    if kind in ("a_v", "a_both"):
+        v = v._like(t1=a_part(), t2=a_part())
+    if kind == "scaled":
+        u = u.scale(Fraction(rng.randint(-20, 20), rng.choice([3, 97])))
+        v = v.scale(Fraction(rng.randint(1, 20), rng.choice([5, 89])))
+    if kind == "zero":
+        u = AlgebraElement(n)
+    return (v, u) if rng.random() < 0.5 else (u, v)
+
+
+def test_bracket_equals_the_slot_formula():
+    rng = random.Random(13)
+    seen = set()
+    for _ in range(300):
+        u, v = _random_pair(rng)
+        seen.add(u.n)
+        w = bracket(u, v)
+        assert w == _slot_bracket(u, v)
+        assert all(type(c) is Fraction for c in w.coords())
+    assert seen == set(range(3, 9))
+
+
+def test_bracket_rows_is_bracket_on_coordinate_rows():
+    rng = random.Random(14)
+    for _ in range(100):
+        u, v = _random_pair(rng)
+        assert bracket_rows(u.n, u.coords(), v.coords()) == bracket(u, v).coords()
+
+
+def _random_sparse_matrix(m, rng, dens=range(1, 8)):
+    """Gaussian rationals with zero rows and columns, imaginary and dense
+    rows; denominators drawn from `dens`."""
     def entry(kind):
-        q = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        q = lambda: Fraction(rng.randint(-9, 9), rng.choice(dens))
         if kind == "zero":
             return QQi(0)
         if kind == "imag":
@@ -130,9 +184,11 @@ def _random_sparse_matrix(m, rng):
 def test_mat_mul_equals_dense_sum():
     from su2n.elements import _mat_mul
     rng = random.Random(11)
-    for m in (5, 6, 8):
+    # coprime denominators 89 and 97 in different entries, up to n = 8
+    for m, dens in ((5, range(1, 8)), (6, range(1, 8)), (8, range(1, 8)),
+                    (6, (1, 89, 97)), (10, range(1, 8)), (10, (1, 2, 89, 97))):
         for _ in range(20):
-            A, B = _random_sparse_matrix(m, rng), _random_sparse_matrix(m, rng)
+            A, B = _random_sparse_matrix(m, rng, dens), _random_sparse_matrix(m, rng, dens)
             P = _mat_mul(A, B, m)
             for i in range(m):
                 for j in range(m):
@@ -158,10 +214,11 @@ def _dense_exp(M, m):
     return acc
 
 
-def _random_nilpotent(n, rng):
-    """A nilpotent element whose slots are zero, imaginary-only or full."""
+def _random_nilpotent(n, rng, dens=range(1, 6)):
+    """A nilpotent element whose slots are zero, imaginary-only or full;
+    the complex slots draw their denominators from `dens`."""
     def entry():
-        q = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        q = lambda: Fraction(rng.randint(-9, 9), rng.choice(dens))
         kind = rng.choice(["zero", "imag", "full"])
         return QQi(0) if kind == "zero" else QQi(0 if kind == "imag" else q(), q())
     kw = {}
@@ -177,10 +234,12 @@ def _random_nilpotent(n, rng):
 
 def test_exp_series_equals_dense_sum():
     rng = random.Random(12)
-    for n in (3, 4, 6):
+    # coprime denominators 89 and 97 in different entries, up to n = 8
+    for n, dens in ((3, range(1, 6)), (4, range(1, 6)), (6, range(1, 6)),
+                    (4, (1, 89, 97)), (8, range(1, 6)), (8, (1, 3, 89, 97))):
         m = n + 2
         for _ in range(15):
-            u = _random_nilpotent(n, rng)
+            u = _random_nilpotent(n, rng, dens)
             g = exp_series(u)
             dense = _dense_exp(matrix_of(u), m)
             for i in range(m):

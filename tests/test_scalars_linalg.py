@@ -49,6 +49,21 @@ def test_real_scalar_product_is_the_gaussian_product(z, v):
         assert (p.re, p.im) == (dense.re, dense.im)
 
 
+# zero, real-only, imaginary-only and full Gaussian rationals
+_any_parts = st.one_of(_slot_entry, st.builds(QQi, _rationals, st.just(0)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_any_parts, _any_parts)
+def test_gaussian_operations_equal_their_part_formulas(z, w):
+    a, b, c, d = z.re, z.im, w.re, w.im
+    for got, want in ((z * w, (a * c - b * d, a * d + b * c)),
+                      (z + w, (a + c, b + d)), (z - w, (a - c, b - d))):
+        assert type(got) is QQi and type(got.re) is Fraction and type(got.im) is Fraction
+        assert (got.re, got.im) == want
+    assert (z == w) is (a == c and b == d)
+
+
 @st.composite
 def _vector_pair(draw):
     k = draw(st.integers(0, 4))

@@ -1,5 +1,6 @@
-"""Every name a module of the package or of its tests imports is used in
-that module, and no module of the package imports scipy (a test oracle only).
+"""Every name a module of the package, of its tests or of its demos imports
+is used in that module, and no module of the package imports scipy (a test
+oracle only).
 
 The package's `__init__.py` is exempt for its relative imports: those are
 re-exports, listed in `__all__`.
@@ -12,6 +13,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "su2n"
+DEMOS = TESTS.parent / "demos"
 
 
 def unused_imports(path: Path) -> list:
@@ -38,6 +40,11 @@ def test_no_unused_imports(path):
 
 @pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports_in_tests(path):
+    assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", sorted(DEMOS.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports_in_demos(path):
     assert unused_imports(path) == []
 
 
