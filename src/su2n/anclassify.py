@@ -23,6 +23,7 @@ from .elements import (
     ROOTS,
     ROOT_SLOT,
     REDUCED_ROOTS,
+    ad_a,
     bracket_rows,
     exp_closed,
     kernel_line,
@@ -149,8 +150,7 @@ def _normalized_by_element(w: AlgebraElement, u: Subalgebra) -> bool:
 def _commutes(X: AlgebraElement) -> bool:
     """[a-part, nilpotent part] = 0 for X: every root component of X sits on
     a root that the a-part of X kills."""
-    return all(root_value(nm, X.t1, X.t2) == 0 or X.root_component(nm).is_zero()
-               for nm in ROOTS)
+    return ad_a(X.t1, X.t2, X).is_zero()
 
 
 def _pair_slots(root: str) -> list:

@@ -42,6 +42,7 @@ import numpy as np
 
 from .scalars import (
     QQi,
+    _make,
     abs2,
     as_exact_complex,
     as_exact_real,
@@ -125,12 +126,15 @@ def kernel_root(p, q) -> Optional[str]:
 class AlgebraElement:
     """Immutable element of a+n for SU(2,n) in the coordinates above.
 
-    Entries are exact: Fractions and Gaussian rationals.  Floating-point
-    sampling works on the coordinate vector np.array(u.coords(), dtype=float)
-    instead (float_line checks N D = D N and N^5 = 0 once per line, at build).
+    It is its coordinate row: `n` and one tuple of 4n exact Fractions in the
+    `slot_columns` layout, which coords() copies and from_coords stores, and
+    on which sums, scalings and parts are computed.  The slot names are
+    read-only views of the row: phi, eta and the entries of x and y as
+    Gaussian rationals, t1, t2, xx and yy as Fractions.  Float sampling works
+    on np.array(u.coords(), dtype=float) instead (see float_line).
     """
 
-    __slots__ = ("n", "t1", "t2", "phi", "x", "y", "eta", "xx", "yy")
+    __slots__ = ("n", "_row")
 
     # Always "exact"; kept because bench/tracing.py names the exp_closed and
     # exp_series spans after the mode of their first argument.
@@ -139,7 +143,6 @@ class AlgebraElement:
     def __init__(self, n, *, t1=0, t2=0, phi=0, x=None, y=None, eta=0, xx=0, yy=0):
         if n < 3:
             raise ValueError("n must be >= 3")
-        self.n = n
         d = n - 2
         if x is None:
             x = [0] * d
@@ -147,31 +150,43 @@ class AlgebraElement:
             y = [0] * d
         if len(x) != d or len(y) != d:
             raise ValueError(f"x, y must have length n-2 = {d}")
-        self.t1 = as_exact_real(t1)
-        self.t2 = as_exact_real(t2)
-        self.phi = as_exact_complex(phi)
-        self.eta = as_exact_complex(eta)
-        self.x = tuple(as_exact_complex(v) for v in x)
-        self.y = tuple(as_exact_complex(v) for v in y)
-        self.xx = as_exact_real(xx)
-        self.yy = as_exact_real(yy)
+        row = [as_exact_real(t1), as_exact_real(t2)]
+        for z in (phi, *x, *y, eta):
+            z = as_exact_complex(z)
+            row += (z.re, z.im)
+        row += (as_exact_real(xx), as_exact_real(yy))
+        self.n = n
+        self._row = tuple(row)
+
+    @staticmethod
+    def _of(n, row):
+        """The element of the tuple `row` of Fractions, taken as it is."""
+        e = object.__new__(AlgebraElement)
+        e.n = n
+        e._row = row
+        return e
+
+    # -- slot views ------------------------------------------------------------
+
+    t1 = property(lambda self: self._row[0])
+    t2 = property(lambda self: self._row[1])
+    phi = property(lambda self: _make(self._row[2], self._row[3]))
+    x = property(lambda self: self._pairs(4, 2 * self.n))
+    y = property(lambda self: self._pairs(2 * self.n, 4 * self.n - 4))
+    eta = property(lambda self: _make(self._row[-4], self._row[-3]))
+    xx = property(lambda self: self._row[-2])
+    yy = property(lambda self: self._row[-1])
+
+    def _pairs(self, start, stop):
+        r = self._row
+        return tuple(_make(r[k], r[k + 1]) for k in range(start, stop, 2))
 
     # -- vector-space structure ----------------------------------------------
 
-    def _like(self, **kw):
-        base = dict(t1=self.t1, t2=self.t2, phi=self.phi, x=self.x, y=self.y,
-                    eta=self.eta, xx=self.xx, yy=self.yy)
-        base.update(kw)
-        return AlgebraElement(self.n, **base)
-
     def __add__(self, other):
         self._check_compatible(other)
-        return self._like(
-            t1=self.t1 + other.t1, t2=self.t2 + other.t2,
-            phi=self.phi + other.phi,
-            x=[a + b for a, b in zip(self.x, other.x)],
-            y=[a + b for a, b in zip(self.y, other.y)],
-            eta=self.eta + other.eta, xx=self.xx + other.xx, yy=self.yy + other.yy)
+        return AlgebraElement._of(self.n, tuple(
+            a + b if a and b else a or b for a, b in zip(self._row, other._row)))
 
     def __sub__(self, other):
         return self + (-other)
@@ -182,10 +197,7 @@ class AlgebraElement:
     def scale(self, c):
         """Multiply by a real scalar (a float is read as its exact binary value)."""
         c = as_exact_real(c)
-        return self._like(
-            t1=c * self.t1, t2=c * self.t2, phi=self.phi * c,
-            x=[v * c for v in self.x], y=[v * c for v in self.y],
-            eta=self.eta * c, xx=c * self.xx, yy=c * self.yy)
+        return AlgebraElement._of(self.n, tuple(c * v if v else v for v in self._row))
 
     __rmul__ = scale
     __mul__ = scale
@@ -193,10 +205,10 @@ class AlgebraElement:
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.n == other.n and self.coords() == other.coords()
+        return self.n == other.n and self._row == other._row
 
     def __hash__(self):
-        return hash((self.n, tuple(self.coords())))
+        return hash((self.n, self._row))
 
     def _check_compatible(self, other):
         if not isinstance(other, AlgebraElement):
@@ -207,29 +219,23 @@ class AlgebraElement:
     # -- structure -------------------------------------------------------------
 
     def is_nilpotent(self):
-        return not self.t1 and not self.t2
+        return not self._row[0] and not self._row[1]
 
     def is_zero(self):
-        return not any(self.coords())
+        return not any(self._row)
 
     def a_part(self):
-        return AlgebraElement(self.n, t1=self.t1, t2=self.t2)
+        return AlgebraElement._of(self.n, self._row[:2] + (Fraction(0),) * (4 * self.n - 2))
 
     def nilpotent_part(self):
-        return self._like(t1=0, t2=0)
+        return AlgebraElement._of(self.n, (Fraction(0),) * 2 + self._row[2:])
 
     def coords(self):
-        """Real coordinate vector of Fractions.
+        """Real coordinate vector of Fractions: a copy of the row.
 
         The layout is the one `slot_columns` describes.
         """
-        out = [self.t1, self.t2, re(self.phi), im(self.phi)]
-        for v in self.x:
-            out += [re(v), im(v)]
-        for v in self.y:
-            out += [re(v), im(v)]
-        out += [re(self.eta), im(self.eta), self.xx, self.yy]
-        return out
+        return list(self._row)
 
     @staticmethod
     def slot_columns(n) -> dict:
@@ -252,26 +258,19 @@ class AlgebraElement:
 
     @staticmethod
     def from_coords(n, vec):
-        """The element whose coords() is the list `vec`."""
-        cols = AlgebraElement.slot_columns(n)
-
-        def pairs(name):
-            v = vec[cols[name]]
-            return [QQi(a, b) for a, b in zip(v[0::2], v[1::2])]
-
-        t1, t2 = vec[cols["t"]]
-        (phi,), (eta,) = pairs("phi"), pairs("eta")
-        (xx,), (yy,) = vec[cols["xx"]], vec[cols["yy"]]
-        return AlgebraElement(n, t1=t1, t2=t2, phi=phi, x=pairs("x"), y=pairs("y"),
-                              eta=eta, xx=xx, yy=yy)
+        """The element whose coords() is `vec`, a sequence of 4n exact reals
+        (read as Fractions; ValueError for any other length)."""
+        if n < 3 or len(vec) != 4 * n:
+            raise ValueError(f"not a coordinate row for n = {n}: {len(vec)} entries")
+        return AlgebraElement._of(n, tuple(
+            v if type(v) is Fraction else as_exact_real(v) for v in vec))
 
     def root_component(self, root: str):
         """The root-space component as a new element (a-part dropped)."""
-        slot = ROOT_SLOT[root]
-        zeroed = dict(t1=0, t2=0, phi=0, x=[0] * (self.n - 2),
-                      y=[0] * (self.n - 2), eta=0, xx=0, yy=0)
-        zeroed[slot] = getattr(self, slot)
-        return AlgebraElement(self.n, **zeroed)
+        sl = self.slot_columns(self.n)[ROOT_SLOT[root]]
+        row = [Fraction(0)] * (4 * self.n)
+        row[sl] = self._row[sl]
+        return AlgebraElement._of(self.n, tuple(row))
 
     def __repr__(self):
         parts = []
@@ -304,11 +303,11 @@ def matrix_of(u: AlgebraElement):
     M[n][n] = QQi(-u.t2)
     M[m - 1][m - 1] = QQi(-u.t1)
     M[0][1] = u.phi
-    for j in range(n - 2):
-        M[0][2 + j] = u.x[j]
-        M[1][2 + j] = u.y[j]
-        M[2 + j][n] = -conj(u.y[j])
-        M[2 + j][m - 1] = -conj(u.x[j])
+    for j, (xj, yj) in enumerate(zip(u.x, u.y)):
+        M[0][2 + j] = xj
+        M[1][2 + j] = yj
+        M[2 + j][n] = -conj(yj)
+        M[2 + j][m - 1] = -conj(xj)
     M[0][n] = u.eta
     M[0][m - 1] = i_ * u.xx
     M[1][n] = i_ * u.yy
@@ -335,21 +334,31 @@ def element_from_matrix(M, n) -> AlgebraElement:
     return u
 
 
+@lru_cache(maxsize=None)
+def column_roots(n) -> tuple:
+    """The root of each coords() column: the root whose space holds the
+    column's slot (ROOT_SLOT), None for the a-part columns t1 and t2."""
+    slot_root = {slot: root for root, slot in ROOT_SLOT.items()}
+    return tuple(slot_root.get(slot) for slot, sl in AlgebraElement.slot_columns(n).items()
+                 for _ in range(sl.start, sl.stop))
+
+
 def ad_a(t1, t2, w: AlgebraElement) -> AlgebraElement:
-    """[diag(t1, t2), w] for nilpotent w: each root slot scaled by its root."""
-    return AlgebraElement(
-        w.n, phi=w.phi * root_value("alpha", t1, t2),
-        y=[root_value("beta", t1, t2) * c for c in w.y],
-        x=[root_value("alpha+beta", t1, t2) * c for c in w.x],
-        yy=root_value("2beta", t1, t2) * w.yy,
-        eta=w.eta * root_value("alpha+2beta", t1, t2),
-        xx=root_value("2alpha+2beta", t1, t2) * w.xx)
+    """[diag(t1, t2), w]: each root column of w scaled by the value of its
+    root at (t1, t2), zero entries skipped; a is abelian, so the a-part of w
+    drops out."""
+    t1, t2 = as_exact_real(t1), as_exact_real(t2)
+    value = {root: c1 * t1 + c2 * t2 for root, (c1, c2) in ROOTS.items()}
+    zero = Fraction(0)
+    return AlgebraElement._of(w.n, tuple(
+        value[root] * v if v and root else zero
+        for v, root in zip(w._row, column_roots(w.n))))
 
 
 def bracket(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     """Lie bracket [u, v] in coordinates: `bracket_rows` on their coords()."""
     u._check_compatible(v)
-    return AlgebraElement.from_coords(u.n, bracket_rows(u.n, u.coords(), v.coords()))
+    return AlgebraElement._of(u.n, tuple(bracket_rows(u.n, u._row, v._row)))
 
 
 def bracket_rows(n, cu, cv) -> list:
@@ -392,11 +401,11 @@ def bracket_rows(n, cu, cv) -> list:
     # a-part action: [t_u, v] - [t_v, u], each root slot scaled by its root
     t1_u, t2_u, t1_v, t2_v = U[0], U[1], V[0], V[1]
     if t1_u or t2_u or t1_v or t2_v:
-        cols = AlgebraElement.slot_columns(n)
-        for root, (c1, c2) in ROOTS.items():
-            r_u, r_v = c1 * t1_u + c2 * t2_u, c1 * t1_v + c2 * t2_v
-            sl = cols[ROOT_SLOT[root]]
-            for c in range(sl.start, sl.stop):
+        value = {root: (c1 * t1_u + c2 * t2_u, c1 * t1_v + c2 * t2_v)
+                 for root, (c1, c2) in ROOTS.items()}
+        for c, root in enumerate(column_roots(n)):
+            if root:
+                r_u, r_v = value[root]
                 out[c] += r_u * V[c] - r_v * U[c]
     den, zero = du * dv, Fraction(0)
     return [Fraction(s, den) if s else zero for s in out]
@@ -529,9 +538,9 @@ def exp_closed(u: AlgebraElement) -> "GroupElement":
         _check_y0_form(u, x_row, e1n, e1m, e2n, e2m)
     M = [[QQi(1 if i == j else 0) for j in range(m)] for i in range(m)]
     M[0][1] = u.phi
-    for j in range(n - 2):
+    for j, yj in enumerate(u.y):
         M[0][2 + j] = x_row[j]
-        M[1][2 + j] = u.y[j]
+        M[1][2 + j] = yj
         M[2 + j][n] = mid_n[j]
         M[2 + j][m - 1] = mid_m[j]
     M[0][n] = e1n

@@ -30,7 +30,7 @@ import numpy as np
 from .anclassify import (Graph, OneParam, Semidirect, _sigma_of, classify_an,
                          line_compatible)
 from .config import DEFAULT, Tolerances
-from .elements import AlgebraElement, exp_closed, exp_float, float_line
+from .elements import AlgebraElement, bracket, exp_closed, exp_float, float_line
 from .gallery import GalleryEntry, get as gallery_get
 from .gallery import maximal_band_family, mixing_pair_family
 from .metrics import (
@@ -239,11 +239,19 @@ def _ray(e: AlgebraElement):
     return float_line(_vec(e))
 
 
-def _least_rho_ratio(base, direction, p, factors):
-    """Of exp(base + (p f) direction) over the factors f, the sample with the
-    least rho/|h| (the first on a tie): a best-of-k scan around the root p of
-    a corner determinant, which tracks the lower envelope."""
-    return min((exp_float(base + direction * (p * f)) for f in factors),
+def _commuting_lines(u: AlgebraElement, z: AlgebraElement):
+    """The float lines of u and of z, which must commute (ValueError if not,
+    decided exactly): then exp(t u + p z) = exp(t u) exp(p z)."""
+    if not bracket(u, z).is_zero():
+        raise ValueError("[u, z] != 0: exp(t u + p z) is not exp(t u) exp(p z)")
+    return _ray(u), _ray(z)
+
+
+def _least_rho_ratio(g_u, z_line, p, factors):
+    """Of g_u exp((p f) z) = exp(t u + (p f) z) over the factors f, the sample
+    with the least rho/|h| (the first on a tie): a best-of-k scan around the
+    root p of a corner determinant, which tracks the lower envelope."""
+    return min((g_u @ z_line(p * f) for f in factors),
                key=lambda g: rho_norm(g) / max(sup_norm(g), 1.0))
 
 
@@ -277,12 +285,12 @@ def _template_extremal_curves(tm):
         ys = sum(abs2(complex(v)) for v in u.y)
         r0 = (complex(u.phi) * eta_z.conjugate()).real
         ru = (complex(u.eta) * eta_z.conjugate()).real
-        uf, zf = _vec(u), _vec(z)
+        u_line, z_line = _commuting_lines(u, z)
 
         def lower(t):
             # track eta_h = -|y_h|^2 phi_h / 12 along exp(t u + p z)
             p0 = -(t ** 3 * ys * r0 / 12.0 + t * ru) / eta2
-            return _least_rho_ratio(uf * t, zf, p0, (1.0, 0.97, 1.03, 0.9, 1.1))
+            return _least_rho_ratio(u_line(t), z_line, p0, (1.0, 0.97, 1.03, 0.9, 1.1))
         curves.append(("extremal-54", _PerPoint(lower, u.n)))
     if tm.type_id == 7 and "rank_one" in tm.evidence:
         curves.append(("extremal-32", _ray(tm.evidence["rank_one"])))
@@ -453,16 +461,16 @@ def _linear_5(els, n):
         t = Fraction(u.xx, 2) / abs2(u.phi)
         welt = AlgebraElement(n, eta=QQi(0, 1) * (t * u.phi))
         u, z = conj_pair(welt, u, z)
-    uf, zf = _vec(u), _vec(z)
+    u_line, z_line = _commuting_lines(u, z)
     eta2 = abs2(complex(z.eta))
     ys = sum(abs2(complex(v)) for v in u.y)
     r0 = re(complex(z.eta) * conj(complex(u.phi)))
 
     def curve(s):
         if eta2 == 0:
-            return exp_float(uf, s)
+            return u_line(s)
         p_star = -(s ** 3) * ys * r0 / (12.0 * eta2)
-        return _least_rho_ratio(uf * s, zf, p_star,
+        return _least_rho_ratio(u_line(s), z_line, p_star,
                                 (1.0, 0.98, 1.02, 0.9, 1.1, 0.0))
     return _PerPoint(curve, n)
 

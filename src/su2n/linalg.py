@@ -51,6 +51,18 @@ def rref(rows: Sequence[Sequence[Fraction]]):
     return m[:r], pivots
 
 
+def combine(rows, coeffs) -> Vec:
+    """The combination sum_i coeffs[i] rows[i], skipping zero coefficients
+    and zero entries."""
+    out = [Fraction(0)] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            for k, v in enumerate(row):
+                if v:
+                    out[k] += c * v
+    return out
+
+
 def rank(rows) -> int:
     return len(rref(rows)[0])
 

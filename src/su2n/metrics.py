@@ -198,16 +198,16 @@ class SampleCloud:
 
 
 def _envelope_points(x, y, take_max: bool):
+    """The arrays (x, y) of the largest (or least) y in each decade of x."""
     lo, hi = math.floor(x.min()), math.ceil(x.max())
-    pts = []
+    ks = []
     for b in range(lo, hi):
         mask = (x >= b) & (x < b + 1)
         if not mask.any():
             continue
         sub = np.where(mask)[0]
-        k = sub[np.argmax(y[sub])] if take_max else sub[np.argmin(y[sub])]
-        pts.append((x[k], y[k]))
-    return pts
+        ks.append(sub[np.argmax(y[sub])] if take_max else sub[np.argmin(y[sub])])
+    return x[ks], y[ks]
 
 
 def fit_exponents(cloud: SampleCloud, tol=None):
@@ -240,15 +240,13 @@ def fit_exponents(cloud: SampleCloud, tol=None):
         keep = x >= cut
         x, y = x[keep], y[keep]
 
-    def fit(points):
-        px = np.array([p[0] for p in points])
-        py = np.array([p[1] for p in points])
+    def fit(px, py):
         slope, icept = np.polyfit(px, py, 1)
         resid = float(np.abs(py - (slope * px + icept)).max())
         return float(slope), resid
 
-    s_hi, r_hi = fit(_envelope_points(x, y, True))
-    s_lo, r_lo = fit(_envelope_points(x, y, False))
+    s_hi, r_hi = fit(*_envelope_points(x, y, True))
+    s_lo, r_lo = fit(*_envelope_points(x, y, False))
     return s_lo, s_hi, max(r_lo, r_hi)
 
 
@@ -314,26 +312,20 @@ def shape_check(cloud: SampleCloud, shape: MuShape, tol=None) -> ShapeReport:
     ok = (abs(s_lo_f - float(shape.s_lo)) <= tol.envelope_tol
           and abs(s_hi_f - float(shape.s_hi)) <= tol.envelope_tol)
     if ok and shape.log_lo != 0:
-        p = fit_log_power(_cloud_min_envelope(cloud), float(shape.s_lo))
+        p = fit_log_power(_envelope_cloud(cloud, False), float(shape.s_lo))
         details["log_lo_fitted"] = p
         ok = abs(p - float(shape.log_lo)) <= tol.log_power_tol
     if ok and shape.log_hi != 0:
-        p = fit_log_power(_cloud_max_envelope(cloud), float(shape.s_hi))
+        p = fit_log_power(_envelope_cloud(cloud, True), float(shape.s_hi))
         details["log_hi_fitted"] = p
         ok = abs(p - float(shape.log_hi)) <= tol.log_power_tol
     return ShapeReport(ok, (s_lo_f, s_hi_f), shape, details)
 
 
-def _cloud_min_envelope(cloud):
-    pts = _envelope_points(cloud.log_norm, cloud.log_rho, False)
-    return SampleCloud(np.array([p[0] for p in pts]), np.array([p[1] for p in pts]),
-                       ["min"] * len(pts))
-
-
-def _cloud_max_envelope(cloud):
-    pts = _envelope_points(cloud.log_norm, cloud.log_rho, True)
-    return SampleCloud(np.array([p[0] for p in pts]), np.array([p[1] for p in pts]),
-                       ["max"] * len(pts))
+def _envelope_cloud(cloud, take_max: bool):
+    """The per-decade maxima (or minima) of a cloud, tagged "max" (or "min")."""
+    px, py = _envelope_points(cloud.log_norm, cloud.log_rho, take_max)
+    return SampleCloud(px, py, ["max" if take_max else "min"] * len(px))
 
 
 def fit_ray_power(cloud: SampleCloud) -> float:

@@ -41,6 +41,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Optional
 
 from . import linalg
@@ -165,23 +166,12 @@ class _Frame:
         if not rows[0]:
             return within
         kern = linalg.kernel_basis([list(col) for col in zip(*rows)])
-        return [self._combine(within, k) for k in kern]
+        return [linalg.combine(within, k) for k in kern]
 
     def kernel(self, names, within=None):
         """Row basis of {u in within : all named functionals vanish}."""
         within = self.full if within is None else within
         return self.kernel_of(lambda c: self.funcs_on(names, c), within)
-
-    @staticmethod
-    def _combine(within, coeffs):
-        """The combination sum_i coeffs[i] within[i] of rows."""
-        out = [Fraction(0)] * len(within[0])
-        for c, vec in zip(coeffs, within):
-            if c:
-                for k, v in enumerate(vec):
-                    if v:
-                        out[k] += c * v
-        return out
 
     def vanishes_on(self, name, within) -> bool:
         return all(all(v == 0 for v in self.func_on(name, c)) for c in within)
@@ -309,7 +299,7 @@ def _rational_zero(frame, gram_data, within, avoid_kernels=()):
     p, nneg, z, cert = gram_data
 
     def lift(v):
-        return frame._combine(within, v)
+        return linalg.combine(within, v)
 
     def ok(row):
         if all(c == 0 for c in row):
@@ -590,7 +580,7 @@ def _sq4(frame):
         row, exact = res
         return {"u": frame.element(row)}, "", exact
     # semidefinite: zero set is exactly the radical
-    rad = [frame._combine(V, v) for v in cert["radical"]]
+    rad = [linalg.combine(V, v) for v in cert["radical"]]
     w = frame.nonzero_with(["phi"], rad)
     if w is None:
         return None
@@ -666,7 +656,7 @@ def _sq8(frame):
     if p == 0:
         return None
     dval, vec = cert["positive"][0]
-    v = frame._combine(V, vec)
+    v = linalg.combine(V, vec)
     return {"u": frame.element(u), "v": frame.element(v)}, "", True
 
 
@@ -770,7 +760,9 @@ def _kernel_d_lambda(frame, W, lam):
 
 def _cubic_coeffs(frame, within):
     """Exact symmetric-trilinear coefficients of C on `within`, keyed by
-    index triples i <= j <= l, by 7-term polarization on row sums."""
+    index triples i <= j <= l, by 7-term polarization on row sums, with C
+    evaluated once per index multiset (19 times, not 70, on three rows)."""
+    @cache
     def cval(*idx):
         return cubic_c(frame.element([sum(col) for col in zip(*(within[i] for i in idx))]))
 
@@ -912,7 +904,7 @@ def _li5_fixed_z(frame, z):
                 return {"u": u, "z": z}, "", exact
         return None
     # semidefinite: the zero set is the radical
-    rad = [frame._combine(K, v) for v in cert["radical"]]
+    rad = [linalg.combine(K, v) for v in cert["radical"]]
     w = frame.nonzero_with(["phi", "y"], rad)
     if w is not None:
         u = frame.element(w)
@@ -1059,7 +1051,7 @@ def _tm4(frame):
     if not (p == 0 or q == 0):
         return None
     for v in cert["radical"]:
-        if not _span_in_slots(frame, [frame._combine(frame.full, v)], ["xx"]):
+        if not _span_in_slots(frame, [linalg.combine(frame.full, v)], ["xx"]):
             return None
     return NotCdsMatch(4, MuShape.curve(1, provenance="notcds-4"), {}, frame.d)
 
@@ -1321,18 +1313,14 @@ def normalizer_in_A(h: Subalgebra) -> NormalizerResult:
     """{t in a : [t, h] <= h}, solved exactly as a 2-variable linear system."""
     if not h.is_nilpotent():
         raise NotInN("subalgebra has a nonzero a-part")
-    constraints = [(ad_a(1, 0, b).coords(), ad_a(0, 1, b).coords())
-                   for b in h.basis]
-    # [t1 d1 + t2 d2] must lie in span(h) for every basis element: reduce the
-    # action vectors modulo span(h) and collect the residual constraints.
+    # [t, b] = t1 [(1, 0), b] + t2 [(0, 1), b] must lie in span(h) for every
+    # basis element b: each column of a nonzero residual is one constraint.
     echelon = linalg.rref(h.coord_rows())
     sys_rows = []
-    for d1, d2 in constraints:
-        r1 = linalg.residual(echelon, d1)
-        r2 = linalg.residual(echelon, d2)
-        for comp in range(len(r1)):
-            if r1[comp] != 0 or r2[comp] != 0:
-                sys_rows.append([r1[comp], r2[comp]])
+    for b in h.basis:
+        r1 = linalg.residual(echelon, ad_a(1, 0, b).coords())
+        r2 = linalg.residual(echelon, ad_a(0, 1, b).coords())
+        sys_rows += [[c1, c2] for c1, c2 in zip(r1, r2) if c1 != 0 or c2 != 0]
     if not sys_rows:
         return NormalizerResult("full")
     kern = linalg.kernel_basis(sys_rows)

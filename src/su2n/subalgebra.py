@@ -1,16 +1,15 @@
 """Basis-presented subalgebras of a+n with exact validation.
 
-A Subalgebra stores an independent basis, verifies bracket closure exactly
-(elements.bracket_rows on pairs of coordinate rows), and caches the
-coordinate matrix: one coords() row per basis element.  The
-exact classifiers work on combinations of those rows (nilclassify._Frame),
-and sampling reads them as the float matrix np.array(h.coord_rows(),
+A Subalgebra stores an independent basis and verifies bracket closure
+exactly (elements.bracket_rows on pairs of coordinate rows).  An element is
+its coords() row, so the coordinate matrix, one row per basis element, is
+read from the basis and not kept beside it.  The exact classifiers work on
+combinations of those rows (linalg.combine, nilclassify._Frame), and
+sampling reads them as the float matrix np.array(h.coord_rows(),
 dtype=float).
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from . import linalg
 from .elements import AlgebraElement, bracket, bracket_rows
@@ -40,16 +39,15 @@ class Subalgebra:
             raise SubalgebraError("inconsistent n across basis")
         self.n = n
         self.basis = list(basis)
-        self._coord_rows = [b.coords() for b in basis]
         self._validate()
 
     # -- validation ------------------------------------------------------------
 
     def _validate(self):
-        echelon = linalg.rref(self._coord_rows)
+        rows = self.coord_rows()
+        echelon = linalg.rref(rows)
         if len(echelon[0]) != len(self.basis):
             raise NotIndependent("basis is linearly dependent over R")
-        rows = self._coord_rows
         for i, ri in enumerate(rows):
             for j in range(i + 1, len(rows)):
                 if any(linalg.residual(echelon, bracket_rows(self.n, ri, rows[j]))):
@@ -66,20 +64,15 @@ class Subalgebra:
 
     def element(self, coeffs) -> AlgebraElement:
         """Linear combination of the basis with real coefficients."""
-        out = [Fraction(0)] * len(self._coord_rows[0])
-        for c, row in zip(coeffs, self._coord_rows):
-            if c:
-                c = as_exact_real(c)
-                for k, v in enumerate(row):
-                    if v:
-                        out[k] += c * v
-        return AlgebraElement.from_coords(self.n, out)
+        coeffs = [c and as_exact_real(c) for c in coeffs]
+        return AlgebraElement.from_coords(self.n, linalg.combine(self.coord_rows(), coeffs))
 
     def contains(self, u: AlgebraElement) -> bool:
-        return linalg.span_contains(self._coord_rows, u.coords())
+        return linalg.span_contains(self.coord_rows(), u.coords())
 
     def coord_rows(self):
-        return [row[:] for row in self._coord_rows]
+        """The coords() row of each basis element, as new lists."""
+        return [b.coords() for b in self.basis]
 
     def __repr__(self):
         return f"Subalgebra(n={self.n}, dim={self.dim})"
@@ -95,17 +88,14 @@ def close_under_bracket(seed, max_dim=None):
     n = seed[0].n
     max_dim = max_dim or AlgebraElement.coord_dim(n)
     basis = []
-    rows = []
-    echelon = linalg.rref(rows)
+    echelon = linalg.rref([])
 
     def try_add(u):
         nonlocal echelon
-        c = u.coords()
-        if not any(linalg.residual(echelon, c)):
+        if not any(linalg.residual(echelon, u.coords())):
             return False
         basis.append(u)
-        rows.append(c)
-        echelon = linalg.rref(rows)
+        echelon = linalg.rref([b.coords() for b in basis])
         return True
 
     for s in seed:

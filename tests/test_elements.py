@@ -19,7 +19,7 @@ from su2n import (
     root_project,
 )
 from su2n.corpus import random_element
-from su2n.elements import NotInAN, ROOTS, ad_a, bracket_rows
+from su2n.elements import NotInAN, ROOT_SLOT, ROOTS, ad_a, bracket_rows, root_value
 from su2n.scalars import QQi, conj, herm, im
 
 
@@ -89,9 +89,9 @@ def test_bracket_matches_commutator_with_a_parts(alg):
     from su2n.elements import _mat_mul
     for _ in range(30):
         n = rng.choice([3, 4, 5])
-        u = random_element(n, rng)._like(t1=Fraction(rng.randint(-2, 2)),
-                                         t2=Fraction(rng.randint(-2, 2)))
-        v = random_element(n, rng)._like(t1=Fraction(rng.randint(-2, 2)))
+        u = random_element(n, rng) + AlgebraElement(n, t1=Fraction(rng.randint(-2, 2)),
+                                                    t2=Fraction(rng.randint(-2, 2)))
+        v = random_element(n, rng) + AlgebraElement(n, t1=Fraction(rng.randint(-2, 2)))
         m = n + 2
         Mu, Mv = matrix_of(u), matrix_of(v)
         comm = [[a - b for a, b in zip(r1, r2)]
@@ -123,9 +123,9 @@ def _random_pair(rng):
     a_part = lambda: Fraction(rng.randint(-6, 6), rng.choice([1, 2, 7, 89]))
     kind = rng.choice(["plain", "a_u", "a_v", "a_both", "scaled", "zero"])
     if kind in ("a_u", "a_both"):
-        u = u._like(t1=a_part(), t2=a_part())
+        u = u + AlgebraElement(n, t1=a_part(), t2=a_part())
     if kind in ("a_v", "a_both"):
-        v = v._like(t1=a_part(), t2=a_part())
+        v = v + AlgebraElement(n, t1=a_part(), t2=a_part())
     if kind == "scaled":
         u = u.scale(Fraction(rng.randint(-20, 20), rng.choice([3, 97])))
         v = v.scale(Fraction(rng.randint(1, 20), rng.choice([5, 89])))
@@ -151,6 +151,121 @@ def test_bracket_rows_is_bracket_on_coordinate_rows():
     for _ in range(100):
         u, v = _random_pair(rng)
         assert bracket_rows(u.n, u.coords(), v.coords()) == bracket(u, v).coords()
+
+
+SLOTS = ("t1", "t2", "phi", "x", "y", "eta", "xx", "yy")
+SLOT_ROOT = {slot: root for root, slot in ROOT_SLOT.items()}
+
+
+def _exact(v, real):
+    """What the constructor makes of one entry: a Fraction for a real slot,
+    else a QQi; floats and complexes are read as their exact binary values."""
+    if isinstance(v, QQi):
+        return v
+    if isinstance(v, complex):
+        return QQi(Fraction(v.real), Fraction(v.imag))
+    return Fraction(v) if real else QQi(Fraction(v))
+
+
+def _keywords(n, rng):
+    """Constructor keywords at n: ints, p/q values, QQi, floats and complexes,
+    an a-part or none; no keywords (the zero element) one time in ten."""
+    if rng.random() < 0.1:
+        return {}
+    q = lambda: Fraction(rng.randint(-9, 9), rng.choice([1, 3, 89, 97]))
+    real = lambda: rng.choice([0, rng.randint(-3, 3), q(), rng.uniform(-2, 2)])
+    cx = lambda: rng.choice([0, real(), QQi(q(), q()), QQi(0, q()),
+                             complex(rng.uniform(-2, 2), rng.uniform(-2, 2))])
+    kw = {}
+    for slot in rng.sample(SLOTS[2:], rng.randint(1, 6)):
+        if slot in ("x", "y"):
+            kw[slot] = [cx() for _ in range(n - 2)]
+        else:
+            kw[slot] = real() if slot in ("xx", "yy") else cx()
+    if rng.random() < 0.5:
+        kw["t1"], kw["t2"] = real(), real()
+    return kw
+
+
+def _slots(kw, n):
+    """The slot values of AlgebraElement(n, **kw), by the slot, over QQi."""
+    out = {}
+    for slot in SLOTS:
+        default = [0] * (n - 2) if slot in ("x", "y") else 0
+        v = kw.get(slot, default)
+        if slot in ("x", "y"):
+            out[slot] = tuple(_exact(c, False) for c in v)
+        else:
+            out[slot] = _exact(v, slot in ("t1", "t2", "xx", "yy"))
+    return out
+
+
+def _each(f, a):
+    """f(slot, value) on every entry of the slot values a."""
+    return {s: tuple(f(s, v) for v in a[s]) if s in ("x", "y") else f(s, a[s])
+            for s in SLOTS}
+
+
+def _views(u):
+    """The slot views of u, with their types checked."""
+    out = {s: getattr(u, s) for s in SLOTS}
+    assert all(type(out[s]) is Fraction for s in ("t1", "t2", "xx", "yy"))
+    assert type(out["x"]) is tuple and type(out["y"]) is tuple
+    assert all(type(z) is QQi for z in (out["phi"], out["eta"], *out["x"], *out["y"]))
+    return out
+
+
+def _assert_is(u, slots):
+    """u has exactly the slot values `slots`, in its views and its row."""
+    assert _views(u) == slots
+    assert u == AlgebraElement(u.n, **slots)
+    assert all(type(c) is Fraction for c in u.coords())
+
+
+def test_element_operations_equal_the_slot_formulas():
+    rng = random.Random(15)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(3, 8)
+        seen.add(n)
+        ku, kv = _keywords(n, rng), _keywords(n, rng)
+        u, v = AlgebraElement(n, **ku), AlgebraElement(n, **kv)
+        U, V = _slots(ku, n), _slots(kv, n)
+        _assert_is(u, U)
+        _assert_is(u + v, {s: tuple(a + b for a, b in zip(U[s], V[s]))
+                           if s in ("x", "y") else U[s] + V[s] for s in SLOTS})
+        _assert_is(u - v, {s: tuple(a - b for a, b in zip(U[s], V[s]))
+                           if s in ("x", "y") else U[s] - V[s] for s in SLOTS})
+        c = rng.choice([0, -1, rng.randint(-5, 5), Fraction(rng.randint(-20, 20), 97),
+                        rng.uniform(-3, 3)])
+        _assert_is(u.scale(c), _each(lambda s, z: z * Fraction(c), U))
+        _assert_is(c * u, _each(lambda s, z: z * Fraction(c), U))
+        _assert_is(-u, _each(lambda s, z: -z, U))
+        a_slot = ("t1", "t2")
+        _assert_is(u.nilpotent_part(), _each(lambda s, z: z * 0 if s in a_slot else z, U))
+        _assert_is(u.a_part(), _each(lambda s, z: z if s in a_slot else z * 0, U))
+        for root, slot in ROOT_SLOT.items():
+            _assert_is(u.root_component(root),
+                       _each(lambda s, z: z if s == slot else z * 0, U))
+        t1, t2 = Fraction(rng.randint(-4, 4), rng.choice([1, 3])), rng.randint(-4, 4)
+        _assert_is(ad_a(t1, t2, u), _each(
+            lambda s, z: z * 0 if s in a_slot else z * root_value(SLOT_ROOT[s], t1, t2), U))
+        assert u.is_zero() == (not any(u.coords()))
+        assert u.is_nilpotent() == (not U["t1"] and not U["t2"])
+        back = AlgebraElement.from_coords(n, u.coords())
+        assert back == u and hash(back) == hash(u) == hash((n, tuple(u.coords())))
+    assert seen == set(range(3, 9))
+
+
+def test_from_coords_reads_an_int_row_and_checks_its_length():
+    u = AlgebraElement.from_coords(3, [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12])
+    assert all(type(c) is Fraction for c in u.coords())
+    assert u == AlgebraElement(3, t1=1, t2=2, phi=QQi(3, 4), x=[QQi(5, 6)],
+                               y=[QQi(7, 8)], eta=QQi(9, 10), xx=11, yy=12)
+    assert u.coords() is not u.coords()
+    for length in (11, 13, 16):
+        with pytest.raises(ValueError):
+            AlgebraElement.from_coords(3, [0] * length)
 
 
 def _random_sparse_matrix(m, rng, dens=range(1, 8)):

@@ -299,7 +299,7 @@ def test_func_on_reads_the_slot_of_the_element():
         coeffs += [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(frame.d)]
                    for _ in range(3)]
         for c in coeffs:
-            row = frame._combine(frame.full, c)
+            row = linalg.combine(frame.full, c)
             e = h.element(c)
             assert frame.element(row) == e, entry.id
             for name in ("t", "phi", "x", "y", "eta", "xx", "yy"):
@@ -322,6 +322,19 @@ def test_minor_grams_build_each_polarization_element_once(alg, sub):
     assert len(grams) == 6
     assert len(built) == 6
     assert sum(not linalg.gram_is_zero(g) for g in grams) == 4
+
+
+def test_cubic_coeffs_build_each_index_multiset_element_once(alg, sub):
+    frame = _Frame(_n5_d3(alg, sub))
+    built = []
+    element = frame.element
+    frame.element = lambda row: built.append(row) or element(row)
+    coeffs = _cubic_coeffs(frame, frame.full)
+    # 10 triples i <= j <= l of 3 rows read C at the 3 + 6 + 10 multisets
+    # of at most three indices, not at 7 row sums per triple
+    assert len(coeffs) == 10
+    assert len(built) == 19
+    assert len({tuple(row) for row in built}) == 19
 
 
 def test_minor_grams_are_the_single_part_polarizations_in_order(alg, sub):
@@ -348,7 +361,7 @@ def test_cubic_coeffs_expand_the_cubic(alg, sub):
         # each key i <= j <= l holds 6 T(w_i, w_j, w_l), T the polar form of C
         expansion = sum(len(set(itertools.permutations(k))) * c * t[k[0]] * t[k[1]] * t[k[2]]
                         for k, c in coeffs.items()) / 6
-        assert cubic_c(frame.element(frame._combine(frame.full, t))) == expansion
+        assert cubic_c(frame.element(linalg.combine(frame.full, t))) == expansion
 
 
 @pytest.mark.parametrize("basis_kw, has_rank_one", [

@@ -383,6 +383,47 @@ def test_sampling_builds_each_line_once(monkeypatch):
     assert len(built) == made
 
 
+def test_least_rho_curves_build_their_two_lines_once(monkeypatch):
+    # the type-11 extremal curve and the linear condition 5 witness curve
+    # sample exp(t u + p z) for a commuting pair u, z as exp(t u) exp(p z),
+    # from two lines built with the curve and none built per point
+    built, exps, pairs = [], [], []
+    real = lab._commuting_lines
+
+    def counted(c):
+        built.append(c)
+        return float_line(c)
+    monkeypatch.setattr(lab, "float_line", counted)
+    monkeypatch.setattr(lab, "exp_float", lambda *a: exps.append(a) or exp_float(*a))
+    monkeypatch.setattr(lab, "_commuting_lines",
+                        lambda u, z: pairs.append((u, z)) or real(u, z))
+    grid = np.geomspace(1.0, 1e3, 12)
+    for eid, tag in (("notcds11-n3", "extremal-54"),
+                     ("cds-real-pair-n3", "linear-witness")):
+        h = gallery.get(eid).spec()
+        curves = dict(lab._nil_curves(h, lab.SamplingPlan(seed=0), classify(h)))
+        assert isinstance(curves[tag], lab._PerPoint)
+        made = len(built)
+        stack, failed = lab._evaluate(curves[tag], grid)
+        assert failed == {} and np.isfinite(stack).all()
+        assert len(built) == made and exps == []
+    assert len(pairs) == 2
+    for u, z in pairs:
+        u_line, z_line = real(u, z)
+        for t in grid:
+            for p in (-3.0, 0.0, 0.5, 40.0, -t ** 3):
+                want = exp_float(_vec(u) * t + _vec(z) * p)
+                got = u_line(t) @ z_line(p)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_a_non_commuting_pair_has_no_split_lines(alg):
+    with pytest.raises(ValueError):
+        lab._commuting_lines(alg(3, phi=1), alg(3, y=[1]))
+    with pytest.raises(ValueError):
+        lab._commuting_lines(alg(3, phi=1), alg(3, eta=QQi(0, 1)))
+
+
 def test_root_nearest_zero():
     p = np.poly1d
     assert lab._root_nearest_zero(p([1, -3]) * p([1, 1]) * p([1, 0, 1])) \

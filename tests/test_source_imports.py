@@ -1,6 +1,8 @@
 """Every name a module of the package, of its tests or of its demos imports
-is used in that module, and no module of the package imports scipy (a test
-oracle only).
+is used in that module, no module of the package imports scipy (a test
+oracle only), and no module of the package but `elements.py` reads an
+algebra element's private coordinate row: the rest go through coords() or
+the slot views.
 
 The package's `__init__.py` is exempt for its relative imports: those are
 re-exports, listed in `__all__`.
@@ -69,3 +71,24 @@ def test_the_package_does_not_import_scipy():
             found += [(path.name, node.lineno) for name in names
                       if name.split(".")[0] == "scipy"]
     assert found == []
+
+
+def private_row_reads(path: Path) -> list:
+    """Lines that read the attribute `_row`, directly or by its name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if (isinstance(node, ast.Attribute) and node.attr == "_row")
+                   or (isinstance(node, ast.Constant) and node.value == "_row")})
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "elements.py"], ids=lambda p: p.name)
+def test_only_elements_reads_the_private_row(path):
+    assert private_row_reads(path) == []
+
+
+def test_private_row_read_is_reported(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def f(u):\n    return u.coords(), u._row[0], getattr(u, '_row')\n")
+    assert private_row_reads(mod) == [2]
+    assert private_row_reads(SRC / "elements.py") != []
