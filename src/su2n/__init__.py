@@ -43,7 +43,6 @@ from .elements import (
     gram_matrix,
     kernel_line,
     matrix_of,
-    root_project,
 )
 from .lab import (
     OverflowCeiling,

@@ -40,6 +40,7 @@ from typing import Optional
 
 import numpy as np
 
+from .linalg import int_row
 from .scalars import (
     QQi,
     _make,
@@ -285,11 +286,6 @@ class AlgebraElement:
         return f"AlgebraElement(n={self.n}, {', '.join(parts) or '0'})"
 
 
-def root_project(u: AlgebraElement, root: str) -> AlgebraElement:
-    """Project onto a single root space (nilpotent part only)."""
-    return u.root_component(root)
-
-
 def matrix_of(u: AlgebraElement):
     """The (n+2)x(n+2) matrix of an algebra element: nested lists of
     GaussianRationals.
@@ -377,8 +373,8 @@ def bracket_rows(n, cu, cv) -> list:
     row is scaled to integers by the lcm of its denominators, every product is
     a Python int, and a nonzero coordinate is one Fraction over du * dv.
     """
-    U, du = _int_row(cu)
-    V, dv = _int_row(cv)
+    U, du = int_row(cu)
+    V, dv = int_row(cv)
     d = 2 * (n - 2)
     X, Y, E = 4, 4 + d, 4 + 2 * d  # first columns of x, y and eta
     out = [0] * (4 * n)
@@ -409,13 +405,6 @@ def bracket_rows(n, cu, cv) -> list:
                 out[c] += r_u * V[c] - r_v * U[c]
     den, zero = du * dv, Fraction(0)
     return [Fraction(s, den) if s else zero for s in out]
-
-
-def _int_row(row):
-    """(ints, den): row == [a / den for a in ints], den the lcm of the
-    denominators of the rationals in `row`."""
-    den = lcm(*{c.denominator for c in row})
-    return [c.numerator * (den // c.denominator) for c in row], den
 
 
 def _gaussian_ints(M, m):
@@ -504,20 +493,22 @@ def _exp_rows_general(u):
     """First two rows (and derived data) of exp(u) per the general display."""
     i_ = QQi(0, 1)
     half, sixth, third, c24 = (Fraction(1, k) for k in (2, 6, 3, 24))
-    xyd = herm(u.x, u.y)
-    ax2 = sum((abs2(v) for v in u.x), Fraction(0))
-    ay2 = sum((abs2(v) for v in u.y), Fraction(0))
-    aphi2 = abs2(u.phi)
-    x_row = [xv + half * (u.phi * yv) for xv, yv in zip(u.x, u.y)]
-    e1n = u.eta - half * xyd + half * (i_ * (u.phi * u.yy)) - sixth * (u.phi * ay2)
-    corner_re = -half * ax2 - re(u.phi * conj(u.eta)) + c24 * aphi2 * ay2
-    corner_im = u.xx - sixth * aphi2 * u.yy + third * im(conj(u.phi) * xyd)
+    phi, x, y, eta, xx, yy = u.phi, u.x, u.y, u.eta, u.xx, u.yy
+    phi_c = conj(phi)
+    xyd = herm(x, y)
+    ax2 = sum((abs2(v) for v in x), Fraction(0))
+    ay2 = sum((abs2(v) for v in y), Fraction(0))
+    aphi2 = abs2(phi)
+    x_row = [xv + half * (phi * yv) for xv, yv in zip(x, y)]
+    e1n = eta - half * xyd + half * (i_ * (phi * yy)) - sixth * (phi * ay2)
+    corner_re = -half * ax2 - re(phi * conj(eta)) + c24 * aphi2 * ay2
+    corner_im = xx - sixth * aphi2 * yy + third * im(phi_c * xyd)
     e1m = corner_re + i_ * corner_im
-    e2n = i_ * u.yy - half * ay2
-    e2m = (-conj(u.eta) - half * herm(u.y, u.x)
-           - half * (i_ * (conj(u.phi) * u.yy)) + sixth * (conj(u.phi) * ay2))
-    mid_n = [-conj(yv) for yv in u.y]
-    mid_m = [-conj(xv) + half * (conj(u.phi) * conj(yv)) for xv, yv in zip(u.x, u.y)]
+    e2n = i_ * yy - half * ay2
+    e2m = (-conj(eta) - half * herm(y, x)
+           - half * (i_ * (phi_c * yy)) + sixth * (phi_c * ay2))
+    mid_n = [-conj(yv) for yv in y]
+    mid_m = [-conj(xv) + half * (phi_c * conj(yv)) for xv, yv in zip(x, y)]
     return x_row, e1n, e1m, e2n, e2m, mid_n, mid_m
 
 
@@ -531,14 +522,15 @@ def exp_closed(u: AlgebraElement) -> "GroupElement":
     if not u.is_nilpotent():
         raise ValueError("exp_closed needs a nilpotent element (t1 = t2 = 0)")
     n, m = u.n, u.n + 2
+    phi, y = u.phi, u.y
     x_row, e1n, e1m, e2n, e2m, mid_n, mid_m = _exp_rows_general(u)
-    if not u.phi:
+    if not phi:
         _check_phi0_form(u, x_row, e1n, e1m, e2n, e2m)
-    if not any(u.y):
+    if not any(y):
         _check_y0_form(u, x_row, e1n, e1m, e2n, e2m)
     M = [[QQi(1 if i == j else 0) for j in range(m)] for i in range(m)]
-    M[0][1] = u.phi
-    for j, yj in enumerate(u.y):
+    M[0][1] = phi
+    for j, yj in enumerate(y):
         M[0][2 + j] = x_row[j]
         M[1][2 + j] = yj
         M[2 + j][n] = mid_n[j]
@@ -547,32 +539,34 @@ def exp_closed(u: AlgebraElement) -> "GroupElement":
     M[0][m - 1] = e1m
     M[1][n] = e2n
     M[1][m - 1] = e2m
-    M[n][m - 1] = -conj(u.phi)
+    M[n][m - 1] = -conj(phi)
     return GroupElement(u.n, M)
 
 
 def _check_phi0_form(u, x_row, e1n, e1m, e2n, e2m):
     half = Fraction(1, 2)
-    xyd = herm(u.x, u.y)
-    ax2 = sum((abs2(v) for v in u.x), Fraction(0))
-    ok = list(x_row) == list(u.x)
-    ok = ok and e1n == u.eta - half * xyd
+    x, y, eta = u.x, u.y, u.eta
+    xyd = herm(x, y)
+    ax2 = sum((abs2(v) for v in x), Fraction(0))
+    ok = list(x_row) == list(x)
+    ok = ok and e1n == eta - half * xyd
     ok = ok and e1m == QQi(0, 1) * u.xx - half * ax2
-    ok = ok and e2m == -conj(u.eta) - half * herm(u.y, u.x)
+    ok = ok and e2m == -conj(eta) - half * herm(y, x)
     if not ok:
         raise AssertionError("phi=0 exponential display disagrees with general form")
 
 
 def _check_y0_form(u, x_row, e1n, e1m, e2n, e2m):
     i_, half, sixth = QQi(0, 1), Fraction(1, 2), Fraction(1, 6)
-    ax2 = sum((abs2(v) for v in u.x), Fraction(0))
-    aphi2 = abs2(u.phi)
-    ok = list(x_row) == list(u.x)
-    ok = ok and e1n == u.eta + half * (i_ * (u.phi * u.yy))
-    ok = ok and e1m == (-half * ax2 - re(u.phi * conj(u.eta))
-                        + i_ * (u.xx - sixth * aphi2 * u.yy))
-    ok = ok and e2n == i_ * u.yy
-    ok = ok and e2m == -conj(u.eta) - half * (i_ * (conj(u.phi) * u.yy))
+    phi, x, eta, yy = u.phi, u.x, u.eta, u.yy
+    ax2 = sum((abs2(v) for v in x), Fraction(0))
+    aphi2 = abs2(phi)
+    ok = list(x_row) == list(x)
+    ok = ok and e1n == eta + half * (i_ * (phi * yy))
+    ok = ok and e1m == (-half * ax2 - re(phi * conj(eta))
+                        + i_ * (u.xx - sixth * aphi2 * yy))
+    ok = ok and e2n == i_ * yy
+    ok = ok and e2m == -conj(eta) - half * (i_ * (conj(phi) * yy))
     if not ok:
         raise AssertionError("y=0 exponential display disagrees with general form")
 
@@ -649,17 +643,19 @@ def delta_formula(u: AlgebraElement):
     """Delta(exp u), exactly, from the fully expanded coordinate formula."""
     q = Fraction
     zero = Fraction(0)
-    xyd = herm(u.x, u.y)
-    ax2 = sum((abs2(v) for v in u.x), zero)
-    ay2 = sum((abs2(v) for v in u.y), zero)
-    aphi2 = abs2(u.phi)
-    re_part = (-abs2(u.eta) + u.xx * u.yy - q(1, 4) * ax2 * ay2
-               + q(1, 4) * abs2(xyd) - q(1, 6) * ay2 * re(u.eta * conj(u.phi))
-               - q(1, 6) * u.yy * im(xyd * conj(u.phi))
-               + q(1, 12) * u.yy * u.yy * aphi2
+    phi, x, y, eta, xx, yy = u.phi, u.x, u.y, u.eta, u.xx, u.yy
+    phi_c = conj(phi)
+    xyd = herm(x, y)
+    ax2 = sum((abs2(v) for v in x), zero)
+    ay2 = sum((abs2(v) for v in y), zero)
+    aphi2 = abs2(phi)
+    re_part = (-abs2(eta) + xx * yy - q(1, 4) * ax2 * ay2
+               + q(1, 4) * abs2(xyd) - q(1, 6) * ay2 * re(eta * phi_c)
+               - q(1, 6) * yy * im(xyd * phi_c)
+               + q(1, 12) * yy * yy * aphi2
                - q(1, 144) * ay2 * ay2 * aphi2)
-    im_part = (q(1, 24) * u.yy * aphi2 * ay2 + im(xyd * conj(u.eta))
-               + q(1, 2) * u.xx * ay2 + q(1, 2) * u.yy * ax2)
+    im_part = (q(1, 24) * yy * aphi2 * ay2 + im(xyd * conj(eta))
+               + q(1, 2) * xx * ay2 + q(1, 2) * yy * ax2)
     return re_part + QQi(0, 1) * im_part
 
 

@@ -1,9 +1,15 @@
 """Exact linear algebra over the rationals.
 
 Everything the classifiers decide (kernels, ranks, memberships, quadratic-form
-signatures) is computed here with Fraction arithmetic, so classification
-answers are independent of any floating tolerance.  Vectors are plain lists of
-Fractions, matrices lists of rows.
+signatures) is computed here exactly, so classification answers are
+independent of any floating tolerance.  Vectors are plain lists of Fractions,
+matrices lists of rows.
+
+The row reduction and the Gram matrices of fixed forms are fraction-free (the
+idea of Bareiss, Math. Comp. 22, 1968): each row is scaled to Python ints by
+the lcm of its denominators (int_row), the arithmetic runs on ints, and
+Fractions are built only in the results.  The reduced row echelon form of a
+matrix is unique, so it is the same value as Fraction elimination gives.
 
 A span test row-reduces the spanning rows once (rref) and reduces each vector
 against that echelon form (residual): the vector is in the span iff nothing
@@ -14,6 +20,7 @@ echelon form and calls residual directly.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
 
@@ -25,30 +32,64 @@ def _frac_rows(rows) -> Mat:
     return [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
 
 
-def rref(rows: Sequence[Sequence[Fraction]]):
-    """Reduced row echelon form.  Returns (rref_rows, pivot_columns)."""
-    m = _frac_rows(rows)
+def int_row(row):
+    """(ints, den): row == [a / den for a in ints], den the lcm of the
+    denominators of the entries of `row`, which are ints, Fractions or floats
+    (a float read as its exact binary value)."""
+    pairs = [x.as_integer_ratio() for x in row]
+    den = lcm(*{d for _, d in pairs})
+    return [a * (den // d) for a, d in pairs], den
+
+
+def _primitive(row):
+    """The int row divided by the gcd of its entries (a zero row as it is)."""
+    g = gcd(*row)
+    return [a // g for a in row] if g > 1 else row
+
+
+def echelon_ints(rows):
+    """(ints, pivots): the reduced echelon form of `rows` as primitive int
+    rows, row k having its nonzero pivot entry at pivots[k] and zeros at the
+    other pivots; rref divides row k by that entry.
+
+    Fraction-free Gauss-Jordan: the rows are scaled to ints (int_row), and
+    clearing column c of row i takes p * row_i - f * pivot_row with p the
+    pivot and f the entry of row i, then divides by the gcd of the result.
+    """
+    m = [_primitive(int_row(row)[0]) for row in rows]
     if not m:
         return [], []
     nrows, ncols = len(m), len(m[0])
     pivots = []
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
+        prow = m[r]
+        p = prow[c]
         for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                m[i] = _primitive([p * a - f * b for a, b in zip(m[i], prow)])
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     return m[:r], pivots
+
+
+def rref(rows: Sequence[Sequence[Fraction]]):
+    """Reduced row echelon form.  Returns (rref_rows, pivot_columns).
+
+    The entries of `rows` are exact rationals (ints, Fractions, floats read
+    exactly); the rows returned are lists of Fractions.
+    """
+    ints, pivots = echelon_ints(rows)
+    zero = Fraction(0)
+    return [[Fraction(a, row[c]) if a else zero for a in row]
+            for row, c in zip(ints, pivots)], pivots
 
 
 def combine(rows, coeffs) -> Vec:
@@ -117,7 +158,7 @@ def solve_linear(rows, rhs) -> Optional[list]:
     if not rows:
         return None
     ncols = len(rows[0])
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
     red, pivots = rref(aug)
     if ncols in pivots:
         return None
@@ -150,6 +191,45 @@ def gram_from_quadratic(q: Callable, vectors: Sequence) -> list:
             for g, val, vi, vj in zip(grams, vals, diag[i], diag[j]):
                 g[i][j] = g[j][i] = (val - vi - vj) / 2
     return grams
+
+
+def sparse_form(gram) -> tuple:
+    """A symmetric rational matrix Q as form_gram reads it: (cols, entries,
+    den), with cols the support of Q (the indices of its nonzero rows) and
+    Q[cols[a]][cols[b]] == v / den for each (a, b, v) in entries, v a nonzero
+    int and den the lcm of the denominators of Q."""
+    cols = tuple(a for a, row in enumerate(gram) if any(row))
+    k = len(cols)
+    flat, den = int_row([gram[a][b] for a in cols for b in cols])
+    return cols, tuple((i // k, i % k, v) for i, v in enumerate(flat) if v), den
+
+
+def form_gram(rows, form) -> list:
+    """The Gram matrix W Q W^T of a fixed quadratic form on the rows W of
+    `rows`, Q given as sparse_form(Q).
+
+    Each row is read on the support columns only and scaled to ints
+    (int_row), so every product is an int and each nonzero entry is one
+    Fraction over den times the two rows' denominators.
+    """
+    cols, entries, den = form
+    ints, dens = [], []
+    for row in rows:
+        w, dw = int_row([row[c] for c in cols])
+        ints.append(w)
+        dens.append(dw)
+    d, zero = len(rows), Fraction(0)
+    gram = [[zero] * d for _ in range(d)]
+    for i, w in enumerate(ints):
+        qw = [0] * len(cols)
+        for a, b, v in entries:
+            if w[b]:
+                qw[a] += v * w[b]
+        for j in range(i, d):
+            s = sum(a * b for a, b in zip(qw, ints[j]) if a)
+            if s:
+                gram[i][j] = gram[j][i] = Fraction(s, den * dens[i] * dens[j])
+    return gram
 
 
 def signature(gram) -> tuple:

@@ -20,7 +20,9 @@ must equal N_A(h).  Each route runs once and is deterministic, so a
 disagreement is an implementation bug and raises InconsistentClassification.
 
 Universal statements (forms vanishing identically, anisotropy) are decided
-deterministically: polarization Gram matrices for quadratic forms, exact
+deterministically: Gram matrices W Q W^T of quadratic forms on the coordinate
+rows W, with the fixed symmetric matrix Q of each form found once per n
+(polarization at each point only for the forms with a parameter), and exact
 LDL-style signatures for definiteness.  Existential equalities on quadrics
 use the exact signature to decide and produce rational witnesses when the
 zero cone has rational points (falling back to approximate witnesses,
@@ -29,6 +31,10 @@ searches are exact in their layered cases (kernel sides, globally dependent,
 complex-line images); outside them they walk the pencils through pairs of
 basis rows, and a miss there is no proof that no rank-one element exists —
 only the double entry stands behind it.
+
+classify() builds one _Frame for h and hands it to every route; check_square,
+check_linear, match_notcds, semidirect_case, expected_normalizer and
+normalizer_in_A also take a bare Subalgebra and then build their own.
 
 The module is exact only and imports no numpy or scipy: the float curves
 that realize a witness (`lab.witness_curve`) live with the other sampling
@@ -41,12 +47,12 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from typing import Callable, Optional
 
 from . import linalg
-from .elements import (AlgebraElement, ad_a, kernel_line, kernel_root,
-                       primitive_line)
+from .elements import (ROOTS, AlgebraElement, column_roots, kernel_line,
+                       kernel_root, primitive_line)
 from .scalars import QQi, abs2, conj, herm, im, re
 from .shapes import MuShape
 from .subalgebra import Subalgebra
@@ -131,7 +137,8 @@ class _Frame:
     A vector of h is its coordinate row (the coords() of the element, a
     combination of h.coord_rows()), so a slot functional is a column slice,
     an element is AlgebraElement.from_coords, and kernels, intersections and
-    containments are small rational systems on rows.
+    containments are small rational systems on rows.  A frame belongs to the
+    one h it was built from and is built once per classification.
     """
 
     def __init__(self, h: Subalgebra):
@@ -141,7 +148,14 @@ class _Frame:
         self.d = h.dim
         self.cols = AlgebraElement.slot_columns(self.n)
         self.full = h.coord_rows()
+        self._kernels = {}
         self.z_rows = self.kernel(["phi", "x", "y"])
+
+    @cached_property
+    def li2(self):
+        """Linear condition 2 on h (_li2), searched once and read by both
+        check_linear and template 7."""
+        return _li2(self)
 
     # functional values, read as column slices of the row --------------------
 
@@ -169,9 +183,15 @@ class _Frame:
         return [linalg.combine(within, k) for k in kern]
 
     def kernel(self, names, within=None):
-        """Row basis of {u in within : all named functionals vanish}."""
-        within = self.full if within is None else within
-        return self.kernel_of(lambda c: self.funcs_on(names, c), within)
+        """Row basis of {u in within : all named functionals vanish}; on all
+        of h (within None) each is solved once per frame."""
+        if within is not None:
+            return self.kernel_of(lambda c: self.funcs_on(names, c), within)
+        key = tuple(names)
+        if key not in self._kernels:
+            self._kernels[key] = self.kernel_of(lambda c: self.funcs_on(names, c),
+                                                self.full)
+        return self._kernels[key]
 
     def vanishes_on(self, name, within) -> bool:
         return all(all(v == 0 for v in self.func_on(name, c)) for c in within)
@@ -212,10 +232,15 @@ class _Frame:
     # quadratic forms -------------------------------------------------------
 
     def gram(self, q, within):
-        """Polarization Gram of the quadratic form q(element) on `within`."""
+        """Polarization Gram of the quadratic form q(element) on `within`,
+        for the forms with a parameter (t_pair, pair_e at a fixed z)."""
         if not within:
             return []
         return linalg.gram_from_quadratic(lambda v: [q(self.element(v))], within)[0]
+
+    def fixed_gram(self, q, within):
+        """Gram W Q W^T of q_center or r_alpha on the rows W of `within`."""
+        return linalg.form_gram(within, _fixed_form(q, self.n))
 
     def gram_witness(self, gram, within):
         """A row where the form with this Gram is nonzero."""
@@ -266,6 +291,28 @@ def t_pair(u: AlgebraElement, z: AlgebraElement) -> Fraction:
 def d_lambda(e: AlgebraElement, lam) -> Fraction:
     """xx + |lambda|^2 yy + 2 Im(lambda conj(eta))."""
     return e.xx + abs2(lam) * e.yy + 2 * im(lam * conj(e.eta))
+
+
+def _fixed_forms(values, n):
+    """The fixed symmetric matrices Q of the quadratic forms values(e), a
+    list, on coordinate rows at this n, as linalg.sparse_form gives them:
+    the polarization Grams on the 4n coordinate unit rows."""
+    d = AlgebraElement.coord_dim(n)
+    units = [[int(i == j) for j in range(d)] for i in range(d)]
+    return tuple(linalg.sparse_form(g) for g in linalg.gram_from_quadratic(
+        lambda v: values(AlgebraElement.from_coords(n, v)), units))
+
+
+@cache
+def _fixed_form(q, n):
+    """Q of the form q (q_center or r_alpha) at this n, found once."""
+    return _fixed_forms(lambda e: [q(e)], n)[0]
+
+
+@cache
+def _minor_forms(n):
+    """Q of the Re and Im parts of every (x; y) minor at this n, found once."""
+    return _fixed_forms(_minor_parts, n)
 
 
 def _wedge(a, b):
@@ -356,14 +403,18 @@ def _isqrt_exact(k: int):
 # rank-one machinery
 
 
+def _minor_parts(e):
+    """The real and imaginary parts of every (x;y) minor of e, in the order
+    (minor 0 Re, minor 0 Im, minor 1 Re, ...)."""
+    return [part(m) for m in _wedge(e.x, e.y) for part in (re, im)]
+
+
 def _minor_grams(frame, within):
-    """Polarization Grams of the real and imaginary parts of every (x;y)
-    minor, in the order (minor 0 Re, minor 0 Im, minor 1 Re, ...); each
-    polarization point's element is built once for all of them."""
-    def parts(v):
-        e = frame.element(v)
-        return [part(m) for m in _wedge(e.x, e.y) for part in (re, im)]
-    return linalg.gram_from_quadratic(parts, within)
+    """Grams of the parts of every (x;y) minor (_minor_parts) on `within`,
+    in their order; none when `within` is empty."""
+    if not within:
+        return []
+    return [linalg.form_gram(within, form) for form in _minor_forms(frame.n)]
 
 
 def _globally_dependent(frame, within):
@@ -500,7 +551,12 @@ def find_rank_one(frame, within):
 # the eight square conditions
 
 
-def check_square(h: Subalgebra) -> Optional[SquareWitness]:
+def _frame_of(h) -> _Frame:
+    """h when it is a frame already, else a new frame of the Subalgebra h."""
+    return h if isinstance(h, _Frame) else _Frame(h)
+
+
+def check_square(h) -> Optional[SquareWitness]:
     """Lowest-numbered satisfied square condition, with verifying elements.
 
     Conditions 6 and 7 are checked in the simplified forms that drop the
@@ -513,7 +569,7 @@ def check_square(h: Subalgebra) -> Optional[SquareWitness]:
 
 def _first_witness(h, checks, witness):
     """The lowest-numbered of `checks` that h satisfies, as a `witness`."""
-    frame = _Frame(h)
+    frame = _frame_of(h)
     for cid, checker in enumerate(checks, start=1):
         res = checker(frame)
         if res is not None:
@@ -538,7 +594,7 @@ def _sq2(frame):
     Z = frame.z_rows
     if not Z:
         return None
-    g = frame.gram(q_center, Z)
+    g = frame.fixed_gram(q_center, Z)
     w = frame.gram_witness(g, Z)
     if w is None:
         return None
@@ -570,7 +626,7 @@ def _sq4(frame):
         return None
     if frame.vanishes_on("phi", V):
         return None
-    g = frame.gram(r_alpha, V)
+    g = frame.fixed_gram(r_alpha, V)
     sig = linalg.signature(g)
     p, q, z, cert = sig
     if p > 0 and q > 0:
@@ -651,7 +707,7 @@ def _sq8(frame):
     if u is None:
         return None
     V = frame.kernel(["y", "yy"])
-    g = frame.gram(r_alpha, V)
+    g = frame.fixed_gram(r_alpha, V)
     p, q, z, cert = linalg.signature(g)
     if p == 0:
         return None
@@ -667,7 +723,8 @@ _SQUARE_CHECKS = [_sq1, _sq2, _sq3, _sq4, _sq5, _sq6, _sq7, _sq8]
 # the five linear conditions
 
 
-def check_linear(h: Subalgebra) -> Optional[LinearWitness]:
+def check_linear(h) -> Optional[LinearWitness]:
+    """Lowest-numbered satisfied linear condition, with verifying elements."""
     return _first_witness(h, _LINEAR_CHECKS, LinearWitness)
 
 
@@ -676,7 +733,7 @@ def _li1(frame):
     Z = frame.z_rows
     if not Z:
         return None
-    g = frame.gram(q_center, Z)
+    g = frame.fixed_gram(q_center, Z)
     sig = linalg.signature(g)
     p, q, z, cert = sig
     if z == 0 and (p == 0 or q == 0):
@@ -838,7 +895,7 @@ def _li3(frame):
     V = frame.kernel(["y", "yy"])
     if not V:
         return None
-    g = frame.gram(r_alpha, V)
+    g = frame.fixed_gram(r_alpha, V)
     w = frame.gram_witness(g, V)
     if w is None:
         return None
@@ -913,7 +970,8 @@ def _li5_fixed_z(frame, z):
     return None
 
 
-_LINEAR_CHECKS = [_li1, _li2, _li3, _li4, _li5]
+# condition 2 is read from the frame, where template 7 reads it too
+_LINEAR_CHECKS = [_li1, lambda frame: frame.li2, _li3, _li4, _li5]
 
 
 # ---------------------------------------------------------------------------
@@ -946,7 +1004,7 @@ def _z_in_slots(frame, slots):
     return _span_in_slots(frame, frame.z_rows, slots)
 
 
-def match_notcds(h: Subalgebra) -> Optional[NotCdsMatch]:
+def match_notcds(h) -> Optional[NotCdsMatch]:
     """First matching template of the eleven, with its mu-shape.
 
     Templates are tried in order; the order resolves the stated special-case
@@ -954,7 +1012,7 @@ def match_notcds(h: Subalgebra) -> Optional[NotCdsMatch]:
     an anisotropic one falls through to type 6, and the dim-1 specializations
     of types 3 and 5 carry curve shapes instead of bands).
     """
-    frame = _Frame(h)
+    frame = _frame_of(h)
     if all(frame.element(c).is_zero() for c in frame.full):
         raise ValueError("trivial subalgebra")
     for matcher in _TEMPLATES:
@@ -970,7 +1028,7 @@ def _tm1(frame):
         return None
     if not linalg.subspace_eq(frame.z_rows, frame.full):
         return None
-    g = frame.gram(q_center, frame.full)
+    g = frame.fixed_gram(q_center, frame.full)
     if not linalg.gram_is_zero(g):
         return None
     return NotCdsMatch(1, MuShape.curve(1, provenance="notcds-1"), {}, frame.d)
@@ -1046,7 +1104,7 @@ def _tm4(frame):
         return None
     # R descends to h / (h ∩ xx-axis); anisotropy there means the form is
     # semidefinite with radical inside the xx-axis
-    g = frame.gram(r_alpha, frame.full)
+    g = frame.fixed_gram(r_alpha, frame.full)
     p, q, z, cert = linalg.signature(g)
     if not (p == 0 or q == 0):
         return None
@@ -1093,7 +1151,7 @@ def _tm6(frame):
     if find_rank_one(frame, frame.full) is not None:
         return None
     if frame.z_rows:
-        g = frame.gram(q_center, frame.z_rows)
+        g = frame.fixed_gram(q_center, frame.z_rows)
         if not linalg.is_definite(g):
             return None
     return NotCdsMatch(6, MuShape.curve(2, provenance="notcds-6"), {}, frame.d)
@@ -1105,7 +1163,7 @@ def _tm7(frame):
     if not frame.vanishes_on("phi", frame.full):
         return None
     if frame.z_rows:
-        g = frame.gram(q_center, frame.z_rows)
+        g = frame.fixed_gram(q_center, frame.z_rows)
         if not linalg.is_definite(g):
             return None
     has_not1 = bool(frame.z_rows) or (_find_rank2(frame, frame.full) is not None)
@@ -1114,7 +1172,7 @@ def _tm7(frame):
     v = find_rank_one(frame, frame.full)
     if v is None:
         return None
-    if _li2(frame) is not None:
+    if frame.li2 is not None:
         return None  # linear condition 2: some rank-one element has C = 0
     return NotCdsMatch(7, MuShape.band(Fraction(3, 2), 2, provenance="notcds-7"),
                        {"rank_one": frame.element(v)}, frame.d)
@@ -1163,7 +1221,7 @@ def _tm10(frame):
         return None
     if frame.kernel(["phi"]):
         return None  # phi_h = 0 for some nonzero h
-    g = frame.gram(r_alpha, frame.full)
+    g = frame.fixed_gram(r_alpha, frame.full)
     if not linalg.gram_is_zero(g):
         return None
     return NotCdsMatch(10, MuShape.curve(2, provenance="notcds-10"), {}, frame.d)
@@ -1298,9 +1356,9 @@ SEMIDIRECT_CASES = [
 ]
 
 
-def semidirect_case(h: Subalgebra, match: NotCdsMatch) -> Optional[SemidirectCase]:
+def semidirect_case(h, match: NotCdsMatch) -> Optional[SemidirectCase]:
     """The first row of the case list that h, of template match, satisfies."""
-    frame = _Frame(h)
+    frame = _frame_of(h)
     return next((row for row in SEMIDIRECT_CASES
                  if row.type_id == match.type_id and row.holds(frame, match)), None)
 
@@ -1309,17 +1367,21 @@ def semidirect_case(h: Subalgebra, match: NotCdsMatch) -> Optional[SemidirectCas
 # normalizer in A and the classification driver
 
 
-def normalizer_in_A(h: Subalgebra) -> NormalizerResult:
+def normalizer_in_A(h) -> NormalizerResult:
     """{t in a : [t, h] <= h}, solved exactly as a 2-variable linear system."""
-    if not h.is_nilpotent():
-        raise NotInN("subalgebra has a nonzero a-part")
+    frame = _frame_of(h)
     # [t, b] = t1 [(1, 0), b] + t2 [(0, 1), b] must lie in span(h) for every
-    # basis element b: each column of a nonzero residual is one constraint.
-    echelon = linalg.rref(h.coord_rows())
+    # basis row b, where [(1, 0), b] and [(0, 1), b] scale each root column
+    # of b by the root's t1 and t2 coefficients: each column of a nonzero
+    # residual is one constraint.
+    scales = list(zip(*(ROOTS[root] if root else (0, 0)
+                        for root in column_roots(frame.n))))
+    echelon = linalg.rref(frame.full)
     sys_rows = []
-    for b in h.basis:
-        r1 = linalg.residual(echelon, ad_a(1, 0, b).coords())
-        r2 = linalg.residual(echelon, ad_a(0, 1, b).coords())
+    for b in frame.full:
+        r1, r2 = (linalg.residual(echelon, [c * v if c and v else 0
+                                            for c, v in zip(cs, b)])
+                  for cs in scales)
         sys_rows += [[c1, c2] for c1, c2 in zip(r1, r2) if c1 != 0 or c2 != 0]
     if not sys_rows:
         return NormalizerResult("full")
@@ -1332,7 +1394,7 @@ def normalizer_in_A(h: Subalgebra) -> NormalizerResult:
     return NormalizerResult("line", (p, q), kernel_root(p, q))
 
 
-def expected_normalizer(h: Subalgebra, match: NotCdsMatch) -> NormalizerResult:
+def expected_normalizer(h, match: NotCdsMatch) -> NormalizerResult:
     """Predicted N_A(h) for a matched template: that of the first case-list
     row h satisfies, else trivial."""
     row = semidirect_case(h, match)
@@ -1353,16 +1415,17 @@ def classify(h: Subalgebra, seed: int = 0) -> ClassificationResult:
     """
     if all(b.is_zero() for b in h.basis):
         raise ValueError("theorem applies to nontrivial subgroups only")
-    sq, li, tm = check_square(h), check_linear(h), match_notcds(h)
+    frame = _Frame(h)
+    sq, li, tm = check_square(frame), check_linear(frame), match_notcds(frame)
     if not _double_entry_ok(sq, li, tm):
         raise InconsistentClassification(
             f"witnesses (square={sq and sq.condition_id}, "
             f"linear={li and li.condition_id}) vs template {tm and tm.type_id}")
-    norm = normalizer_in_A(h)
+    norm = normalizer_in_A(frame)
     if tm is None:
         shape = MuShape.full_chamber(provenance="square+linear witnesses")
         return ClassificationResult("CDS", shape, sq, li, None, norm, seed)
-    exp = expected_normalizer(h, tm)
+    exp = expected_normalizer(frame, tm)
     if exp != norm:
         raise InconsistentClassification(
             f"normalizer {norm} disagrees with the case list prediction {exp} "

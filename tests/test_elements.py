@@ -16,7 +16,6 @@ from su2n import (
     form_value,
     gram_matrix,
     matrix_of,
-    root_project,
 )
 from su2n.corpus import random_element
 from su2n.elements import NotInAN, ROOT_SLOT, ROOTS, ad_a, bracket_rows, root_value
@@ -460,14 +459,14 @@ def test_root_projections_sum_to_element(alg):
         u = random_element(4, rng, max_slots=6)
         total = None
         for r in ROOTS:
-            p = root_project(u, r)
+            p = u.root_component(r)
             total = p if total is None else total + p
         assert total + u.a_part() == u
 
 
 def test_root_projection_slots(alg):
     u = alg(4, phi=1, y=[1, 0])
-    p = root_project(u, "alpha")
+    p = u.root_component("alpha")
     assert p.phi == QQi(1) and not any(p.y)
     z = alg(4, eta=QQi(0, 3))
-    assert root_project(z, "alpha+2beta").eta == QQi(0, 3)
+    assert z.root_component("alpha+2beta").eta == QQi(0, 3)

@@ -3,18 +3,22 @@ import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from su2n import linalg
+from su2n import AlgebraElement, linalg
+from su2n.elements import ad_a, kernel_root, primitive_line
 from su2n.lab import witness_curve
 from su2n.metrics import rho_norm, sup_norm
 from su2n.nilclassify import (
     _Frame,
     _cubic_coeffs,
+    _fixed_form,
     _isqrt_exact,
     _minor_grams,
+    _minor_parts,
     _pencil_rank1_roots,
     _rank_xy,
     _wedge,
@@ -30,6 +34,7 @@ from su2n.nilclassify import (
     normalizer_in_A,
     pair_e,
     q_center,
+    r_alpha,
 )
 from su2n.scalars import QQi, im, re
 from su2n.serialize import classification_report
@@ -312,16 +317,40 @@ def _n5_d3(alg, sub):
                alg(5, x=[0, 0, 1], y=[0, QQi(2, 1), 0], yy=2), alg(5, yy=1))
 
 
-def test_minor_grams_build_each_polarization_element_once(alg, sub):
-    frame = _Frame(_n5_d3(alg, sub))
-    built = []
-    element = frame.element
-    frame.element = lambda row: built.append(row) or element(row)
-    grams = _minor_grams(frame, frame.full)
-    # 3 minors x (Re, Im) Grams from d(d+1)/2 = 6 points, each built once
-    assert len(grams) == 6
-    assert len(built) == 6
-    assert sum(not linalg.gram_is_zero(g) for g in grams) == 4
+def _random_rows(rng, n, count):
+    """Coordinate rows at n with mixed denominators, about half their
+    entries zero, and a zero row among them when count > 2."""
+    rows = [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7, 12)))
+             if rng.random() < 0.5 else Fraction(0) for _ in range(4 * n)]
+            for _ in range(count)]
+    if count > 2:
+        rows[rng.randrange(count)] = [Fraction(0)] * (4 * n)
+    return rows
+
+
+def _polarization_grams(values, n, rows):
+    return linalg.gram_from_quadratic(
+        lambda v: values(AlgebraElement.from_coords(n, v)), rows)
+
+
+def test_fixed_form_grams_equal_the_polarization_grams():
+    rng = random.Random(20)
+    for n in range(3, 9):
+        frame = SimpleNamespace(n=n)
+        for count in (1, 2, 3, 5):
+            rows = _random_rows(rng, n, count)
+            for q in (q_center, r_alpha):
+                assert linalg.form_gram(rows, _fixed_form(q, n)) == \
+                    _polarization_grams(lambda e: [q(e)], n, rows)[0], (n, q)
+            # one Gram per minor part (none at n = 3), in _minor_parts' order
+            grams = _minor_grams(frame, rows)
+            assert len(grams) == (n - 2) * (n - 3)
+            assert grams == _polarization_grams(_minor_parts, n, rows), n
+        # rows outside the support of every form give zero Grams
+        outside = [AlgebraElement(n, t1=2, t2=-1, phi=QQi(1, 3)).coords(),
+                   AlgebraElement(n, y=[1] * (n - 2)).coords()]
+        assert linalg.form_gram(outside, _fixed_form(q_center, n)) == [[0, 0], [0, 0]]
+        assert _fixed_form(q_center, n)[0] == tuple(range(4 * n - 4, 4 * n))
 
 
 def test_cubic_coeffs_build_each_index_multiset_element_once(alg, sub):
@@ -475,3 +504,69 @@ def f():
     assert _float_imports("from . import linalg\nfrom .elements import ad_a") == []
     path = Path(__file__).parents[1] / "src" / "su2n" / "nilclassify.py"
     assert _float_imports(path.read_text()) == []
+
+
+def test_classify_builds_one_frame_and_reads_linear_condition_2_once(monkeypatch):
+    from su2n import gallery, nilclassify
+
+    frames, li2_runs = [], []
+
+    class CountedFrame(nilclassify._Frame):
+        def __init__(self, h):
+            frames.append(h)
+            super().__init__(h)
+
+    li2 = nilclassify._li2
+    monkeypatch.setattr(nilclassify, "_Frame", CountedFrame)
+    monkeypatch.setattr(nilclassify, "_li2", lambda frame: li2_runs.append(frame) or li2(frame))
+    # template 7 reads linear condition 2 after check_linear has run it
+    h = gallery.get("notcds07-max-n4").spec()
+    result = classify(h)
+    assert result.template.type_id == 7 and result.linear is None
+    assert frames == [h]
+    assert len(li2_runs) == 1
+
+
+def test_routes_read_the_frame_of_their_own_h(alg, sub):
+    # two subalgebras of one n and dimension with different answers on
+    # every route, taken in turns: nothing of one may leak into the other
+    h1 = sub(alg(3, eta=1, xx=1))  # square 2, template 6
+    h2 = sub(alg(3, yy=1))         # linear 1, template 1
+    for _ in range(2):
+        assert check_square(h1).condition_id == 2 and check_square(h2) is None
+        assert check_linear(h1) is None and check_linear(h2).condition_id == 1
+        assert match_notcds(h1).type_id == 6 and match_notcds(h2).type_id == 1
+        assert str(normalizer_in_A(h1)) == "ker(alpha)"
+        assert str(normalizer_in_A(h2)) == "A"
+        assert classify(h1).template.type_id == 6
+        assert classify(h2).template.type_id == 1
+    # a frame is accepted wherever its subalgebra is
+    frame = _Frame(h2)
+    assert check_linear(frame).condition_id == 1 and match_notcds(frame).type_id == 1
+    assert str(normalizer_in_A(frame)) == "A"
+
+
+def _ad_a_normalizer(h):
+    """N_A(h) from the residuals of ad_a(1, 0, b) and ad_a(0, 1, b)."""
+    echelon = linalg.rref(h.coord_rows())
+    sys_rows = []
+    for b in h.basis:
+        r1 = linalg.residual(echelon, ad_a(1, 0, b).coords())
+        r2 = linalg.residual(echelon, ad_a(0, 1, b).coords())
+        sys_rows += [[c1, c2] for c1, c2 in zip(r1, r2) if c1 or c2]
+    kern = linalg.kernel_basis(sys_rows) if sys_rows else [[1, 0], [0, 1]]
+    if len(kern) != 1:
+        return NormalizerResult("full" if kern else "trivial")
+    p, q = primitive_line(*kern[0])
+    return NormalizerResult("line", (p, q), kernel_root(p, q))
+
+
+def test_normalizer_in_A_equals_the_ad_a_system():
+    from su2n import corpus
+
+    specs = [h for _, h in corpus.random_corpus(count=60, seed=3)]
+    kinds = set()
+    for h in specs:
+        assert normalizer_in_A(h) == _ad_a_normalizer(h), h
+        kinds.add(normalizer_in_A(h).kind)
+    assert kinds == {"trivial", "line", "full"}

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -165,6 +166,78 @@ def test_span_tests_agree_with_rank(case):
         linalg.rref(rows)[0] == linalg.rref(other)[0])
 
 
+def _fraction_rref(rows):
+    """Gauss-Jordan on Fractions, row by row: the reference for linalg.rref."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots, r = [], 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+_exact_entry = st.one_of(
+    st.just(0),
+    st.integers(-10**12, 10**12),
+    st.fractions(min_value=-100, max_value=100, max_denominator=97),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _matrices(draw):
+    """Up to six rows of up to eight entries (wide matrices included) mixing
+    ints, Fractions and floats, with zero rows and duplicate rows mixed in."""
+    ncols = draw(st.integers(1, 8))
+    row = st.lists(_exact_entry, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=6))
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.append([0] * ncols)
+    return draw(st.permutations(rows))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_matrices())
+def test_rref_equals_fraction_gauss_jordan(rows):
+    red, pivots = linalg.rref(rows)
+    assert (red, pivots) == _fraction_rref(rows)
+    assert all(type(x) is Fraction for row in red for x in row)
+    # the integer echelon behind it: primitive rows, nonzero at their pivots
+    ints, int_pivots = linalg.echelon_ints(rows)
+    assert int_pivots == pivots
+    for row, c in zip(ints, pivots):
+        assert row[c] != 0 and gcd(*row) == 1
+
+
+def test_rref_of_small_cases():
+    assert linalg.rref([]) == ([], [])
+    assert linalg.rref([[0, 0], [0, 0]]) == ([], [])
+    # a negative pivot is divided out, and duplicate rows collapse
+    assert linalg.rref([[-2, 4, 1], [-2, 4, 1]]) == (
+        [[1, -2, Fraction(-1, 2)]], [0])
+    # elimination leaves 2 * (1, 3) - (2, 1) = (0, 5): primitive as (0, 1)
+    assert linalg.echelon_ints([[2, 1], [1, 3]]) == ([[1, 0], [0, 1]], [0, 1])
+    assert linalg.rref([[0.5, 0.25], [1, Fraction(1, 3)]]) == (
+        [[1, 0], [0, 1]], [0, 1])
+
+
+def test_int_row_clears_denominators_exactly():
+    assert linalg.int_row([Fraction(1, 2), 3, 0.25, Fraction(-5, 6)]) == (
+        [6, 36, 3, -10], 12)
+    assert linalg.int_row([]) == ([], 1)
+    assert linalg.int_row([0, 0]) == ([0, 0], 1)
+
+
 @pytest.mark.parametrize("gram,sig", [
     ([[Fraction(2)]], (1, 0, 0)),
     ([[Fraction(-3)]], (0, 1, 0)),
@@ -207,6 +280,28 @@ def test_gram_from_quadratic_polarization():
     g2 = linalg.gram_from_quadratic(lambda v: [q(v)[0], v[0] * v[1]], units)
     assert g2 == [g, [[0, Fraction(1, 2)], [Fraction(1, 2), 0]]]
     assert linalg.gram_from_quadratic(q, []) == []
+
+
+def _dense_gram(rows, q):
+    return [[sum(a[k] * q[k][m] * b[m] for k in range(len(q)) for m in range(len(q)))
+             for b in rows] for a in rows]
+
+
+def test_form_gram_is_w_q_wt():
+    half = Fraction(1, 2)
+    q = [[0, 0, 0, 0], [0, 1, 0, half], [0, 0, 0, 0], [0, half, 0, -3]]
+    form = linalg.sparse_form(q)
+    assert form == ((1, 3), ((0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, -6)), 2)
+    rows = [[Fraction(1, 3), 2, 5, Fraction(-1, 4)], [0, 0, 7, 0], [0] * 4,
+            [1, Fraction(5, 6), 0, Fraction(2, 9)]]
+    gram = linalg.form_gram(rows, form)
+    assert gram == _dense_gram(rows, q)
+    assert all(type(x) is Fraction for row in gram for x in row)
+    assert linalg.form_gram([], form) == []
+    # a form with empty support has a zero Gram of the right size
+    zero = linalg.sparse_form([[0] * 4 for _ in range(4)])
+    assert zero == ((), (), 1)
+    assert linalg.form_gram(rows, zero) == [[0] * 4 for _ in range(4)]
 
 
 def test_is_definite():
