@@ -587,7 +587,31 @@ def _coord_basis(n):
     return B
 
 
-def float_line(c):
+class FloatLine:
+    """The line s -> exp(s X) of float_line: a float s gives the (m, m)
+    complex matrix, an array s the (T, m, m) stack of exp(s_k X) =
+    diag(exp(s_k D)) [1, s_k, ..., s_k^4] @ stack.
+
+    stack is the (5, 2 m^2) real view of I, N, N^2/2, N^3/6 and N^4/24, and
+    a_part the diagonal of D as a complex (m,) array, None for a nilpotent X
+    (whose diagonal factor would multiply by exactly 1).  Batched evaluation
+    (lab) reads both.
+    """
+
+    __slots__ = ("m", "stack", "a_part")
+
+    def __init__(self, m, stack, a_part):
+        self.m, self.stack, self.a_part = m, stack, a_part
+
+    def __call__(self, s):
+        t = np.reshape(np.asarray(s, dtype=float), (-1, 1))
+        g = ((t ** np.arange(5)) @ self.stack).view(complex).reshape(-1, self.m, self.m)
+        if self.a_part is not None:
+            g = np.exp(t * self.a_part)[..., None] * g
+        return g if np.ndim(s) else g[0]
+
+
+def float_line(c) -> FloatLine:
     """The line s -> exp(s X) in floating point, for an a+n coordinate vector c.
 
     c is a real array in the coords() layout, e.g. np.array(u.coords(),
@@ -599,11 +623,9 @@ def float_line(c):
     Matrix, Twenty-Five Years Later, SIAM Review 45, 2003).  The (5, m*m)
     stack of I, N, N^2/2, N^3/6 and N^4/24 is built, and N D = D N and
     N^5 = 0 are checked (ValueError; a non-finite X is not checked for
-    N^5 = 0), once, here.  The line maps a float s to the (m, m) complex
-    matrix and an array s to the (T, m, m) stack of exp(s_k X) =
-    diag(exp(s_k D)) [1, s_k, ..., s_k^4] @ stack; a float s gives bitwise
-    the slice of a grid holding it.  A nilpotent c (t1 = t2 = 0) skips the
-    diagonal factor, which would multiply by exactly 1.
+    N^5 = 0), once, here.  The FloatLine maps a float s to the (m, m)
+    complex matrix and an array s to the (T, m, m) stack; a float s gives
+    bitwise the slice of a grid holding it.
     """
     c = np.asarray(c, dtype=float)
     n = len(c) // 4
@@ -624,14 +646,7 @@ def float_line(c):
         raise ValueError("X^5 != 0: the exponential series does not end at X^4")
     # viewed as (5, 2 m^2) reals, so one real product evaluates a grid
     stack = np.array([np.eye(m), N, N2 / 2, N3 / 6, N4 / 24]).reshape(5, -1).view(float)
-
-    def line(s):
-        t = np.reshape(np.asarray(s, dtype=float), (-1, 1))
-        g = ((t ** np.arange(5)) @ stack).view(complex).reshape(-1, m, m)
-        if d is not None:
-            g = np.exp(t * d)[..., None] * g
-        return g if np.ndim(s) else g[0]
-    return line
+    return FloatLine(m, stack, d)
 
 
 def exp_float(c, s=1.0):

@@ -5,11 +5,16 @@ conditions, the extremal curves of the templates and graph cases, rays, torus
 and graph lines, and products of exponentials (depth up to 3, so the cloud
 probes the full band of mu(H), not a single curve), clipped at the norm
 ceiling where doubles stay trustworthy.  A direction in the algebra is its
-float coordinate vector.  A curve along fixed directions builds each of its
-lines once (float_line checks N D = D N and N^5 = 0 at build); one whose
-direction moves with t calls exp_float per point, an implicit one at the real
-root nearest 0 of a quartic (np.roots).  A curve is evaluated on a whole
-parameter grid at once, as a (T, m, m) numpy stack.
+float coordinate vector.  A curve along fixed directions is a _Curve, a
+product of float lines each read at its own parameter, with an optional head
+factor on the left; it builds each of its lines once (float_line checks
+N D = D N and N^5 = 0 at build).  A curve whose direction moves with t is a
+_PerPoint, solved per point: exp_float, or a line product at the real root
+nearest 0 of a quartic (np.roots).  The curves of one spec are sampled
+together (_collect): one doubling ladder gives each curve the top of its
+grid, evaluating all curves still climbing as one Vandermonde product per
+chunk of rungs; the grids are built at once and evaluated GRID_BLOCK curves
+at a time, and rho_norm runs per curve.
 Fitted envelope exponents and log-power regressions are then compared against
 the classifier's predicted shape.
 """
@@ -22,7 +27,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -87,10 +92,44 @@ class VerificationReport:
         return self.verdict == "pass"
 
 
-# A curve maps a float array of parameters t to the (T, m, m) stack of its
-# group elements (a _PerPoint solves per t).  Rungs of the doubling ladder
-# are evaluated this many at a time.
+# A curve along fixed directions is a _Curve: a product of float lines, each
+# read at its own parameter p(t), with an optional head factor on the left,
+# head(t) @ (f_1(t) @ f_2(t) @ ...).  A parameter is (kind, a, scale):
+#   LIN: a t                  POW: t^a
+#   LOG: a log(t) / scale     LOGPOW: max(log t, 1e-9)^a
+#   ONE: 1
+# A curve whose direction moves with t is a _PerPoint, solved per point.
+# All curves of a spec share one doubling ladder, whose rungs are evaluated
+# LADDER_CHUNK at a time; their grids are evaluated GRID_BLOCK curves at a
+# time, which bounds the working set.
+LIN, POW, LOG, LOGPOW, ONE = range(5)
+AT_T = (LIN, 1.0, 1.0)
 LADDER_CHUNK = 16
+GRID_BLOCK = 4
+
+
+class _Curve:
+    """t -> head(t) @ (f_1(t) @ f_2(t) @ ...), each factor a (FloatLine,
+    parameter) pair.  Calling it evaluates it alone: a float t gives the
+    (m, m) matrix, an array the (T, m, m) stack."""
+
+    __slots__ = ("factors", "head")
+
+    def __init__(self, factors, head=None):
+        self.factors, self.head = tuple(factors), head
+
+    @property
+    def m(self):
+        return self.factors[0][0].m
+
+    def __call__(self, ts):
+        stack = _Batch([self]).evaluate([0], np.atleast_1d(ts))[0][0]
+        return stack if np.ndim(ts) else stack[0]
+
+
+def _line_curve(line, param=AT_T, head=None):
+    """The curve t -> head(t) @ line(p(t)) of one line."""
+    return _Curve([(line, param)], head)
 
 
 class _PerPoint:
@@ -116,80 +155,197 @@ class _PerPoint:
         return out, failed
 
 
-def _evaluate(curve, ts):
-    """The curve's stack on ts, and the per-point errors behind NaN slices."""
-    if isinstance(curve, _PerPoint):
-        return curve.evaluate(ts)
-    return curve(ts), {}
+def _parameters(kind, a, scale, ts):
+    """p(t) of each factor at its row of ts, for (F,) parameter columns and
+    an (F, T) array ts.  Every formula runs on every row, which costs less
+    than selecting rows for tiny arrays; a LOGPOW row is redone with its
+    exponent as a Python float, so that numpy takes its fast path for 0.5
+    (np.sqrt), as an array exponent would not."""
+    col = a[:, None]
+    with np.errstate(all="ignore"):  # on rows of other kinds
+        logs = np.log(ts)
+        p = np.choose(kind[:, None], (col * ts, ts ** col, col * logs / scale[:, None],
+                                      0.0, 1.0))
+    for f in np.flatnonzero(kind == LOGPOW):
+        p[f] = np.maximum(logs[f], 1e-9) ** float(a[f])
+    return p
 
 
-def _adaptive_grid(curve, per, ceiling, t_lo=1.0, t_cap=None):
-    """Log-spaced parameter grid ending where the curve hits the ceiling.
+class _Batch:
+    """The curves of one spec, evaluated together.
 
-    The doubling ladder t_lo 2^k, k = 1..80, ends at the first rung at or
-    above t_cap (at t_cap), at the first rung with a non-finite entry (at
-    half that rung) or at the first rung above the ceiling (at that rung); a
-    curve that passes every rung ends at t_lo 2^81.
+    The factors of the _Curve curves sit in one table, curve after curve,
+    each curve's as [head, f_1, f_2, ...]: their coefficient stacks as one
+    (F, 5, 2 m^2) array, their a-parts as (F, m), their parameters as
+    columns.  evaluate reads the factors of the curves it is given as one
+    Vandermonde product (F, T, 5) @ (F, 5, 2 m^2), then multiplies the
+    factors of every curve of one depth at once, left to right, and the head
+    onto that product last: the matmuls of a curve evaluated alone, so the
+    stack is the same bit for bit.  A _PerPoint curve is solved per point.
     """
-    rungs = t_lo * 2.0 ** np.arange(1, 81)
-    t_hi = t_lo * 2.0 ** 81
+
+    def __init__(self, curves):
+        self.curves = curves
+        self.first, self.count, self.has_head = [], [], []
+        factors = []
+        for c in curves:
+            self.first.append(len(factors))
+            head = () if isinstance(c, _PerPoint) or c.head is None else (c.head,)
+            own = () if isinstance(c, _PerPoint) else head + c.factors
+            self.count.append(len(own))
+            self.has_head.append(len(head))
+            factors += own
+        self.m = curves[0].m if curves else 0
+        if factors:
+            lines = [line for line, _ in factors]
+            self.stack = np.stack([line.stack for line in lines])
+            self.with_a = np.array([line.a_part is not None for line in lines])
+            self.a_part = np.array([np.zeros(self.m) if line.a_part is None
+                                    else line.a_part for line in lines], dtype=complex)
+            kind, a, scale = zip(*(param for _, param in factors))
+            self.kind, self.a, self.scale = np.array(kind), np.array(a), np.array(scale)
+
+    def __len__(self):
+        return len(self.curves)
+
+    def evaluate(self, which, ts):
+        """(stack, failed) for the curves numbered `which` at ts, one (T,)
+        grid for all of them or a (len(which), T) row each: the
+        (len(which), T, m, m) stack and, per curve, the {index: error name}
+        of its failed per-point solves (their slices are NaN)."""
+        ts = np.asarray(ts, dtype=float)
+        rows = np.broadcast_to(ts, (len(which), ts.shape[-1]))
+        out = np.empty(rows.shape + (self.m, self.m), dtype=complex)
+        failed = [{} for _ in which]
+        fixed = []
+        for j, i in enumerate(which):
+            if self.count[i]:
+                fixed.append((j, i))
+            else:
+                out[j], failed[j] = self.curves[i].evaluate(rows[j])
+        if fixed:
+            self._products(fixed, rows, out)
+        return out, failed
+
+    def _products(self, fixed, rows, out):
+        # curves of one shape (factor count, head or not) side by side, their
+        # factors laid out position by position, so that the factors at one
+        # position form one (C, T, m, m) block
+        groups = {}
+        for j, i in fixed:
+            groups.setdefault((self.count[i], self.has_head[i]), []).append((j, i))
+        ids, owner = [], []
+        for (k, _), members in groups.items():
+            for f in range(k):
+                ids += [self.first[i] + f for _, i in members]
+                owner += [j for j, _ in members]
+        ids = np.array(ids)
+        p = _parameters(self.kind[ids], self.a[ids], self.scale[ids], rows[owner])
+        g = ((p[..., None] ** np.arange(5)) @ self.stack[ids]).view(complex)
+        g = g.reshape(p.shape + (self.m, self.m))
+        # the a-part rows, scaled in place run by run
+        with_a = np.concatenate(([False], self.with_a[ids], [False]))
+        for lo, hi in np.flatnonzero(np.diff(with_a)).reshape(-1, 2):
+            g[lo:hi] *= np.exp(p[lo:hi, :, None] * self.a_part[ids[lo:hi], None, :])[..., None]
+        at = 0
+        for (k, head), members in groups.items():
+            c = len(members)
+            block = g[at:at + k * c].reshape((k, c) + g.shape[1:])
+            at += k * c
+            acc = block[head]
+            for f in range(head + 1, k):
+                acc = acc @ block[f]
+            out[[j for j, _ in members]] = block[0] @ acc if head else acc
+
+
+def _ladder_tops(batch, ceiling, t_cap=None):
+    """The top of each curve's parameter grid, from one doubling ladder.
+
+    The rungs 2^k, k = 1..80, are evaluated LADDER_CHUNK at a time for every
+    curve still climbing.  A curve stops at its first rung at or above t_cap
+    (its top is t_cap), at its first rung with a non-finite entry (half that
+    rung) or at its first rung above the ceiling (that rung); one that passes
+    every rung tops at 2^81.  No top is below 4.
+    """
+    rungs = 2.0 ** np.arange(1, 81)
+    tops = np.full(len(batch), 2.0 ** 81)
     if t_cap is not None and rungs[-1] >= t_cap:
         cut = int(np.argmax(rungs >= t_cap))
-        rungs, t_hi = rungs[:cut], t_cap
+        rungs, tops[:] = rungs[:cut], t_cap
+    live = np.arange(len(batch))
     for start in range(0, len(rungs), LADDER_CHUNK):
+        if not len(live):
+            break
         chunk = rungs[start:start + LADDER_CHUNK]
         with np.errstate(all="ignore"):
-            norms = sup_norm(_evaluate(curve, chunk)[0])
+            norms = sup_norm(batch.evaluate(live, chunk)[0])
         finite = np.isfinite(norms)
         hit = ~finite | (norms > ceiling)
-        if hit.any():
-            k = int(np.argmax(hit))
-            t_hi = chunk[k] if finite[k] else chunk[k] / 2
-            break
-    t_hi = max(t_hi, t_lo * 4)
-    return np.geomspace(t_lo, t_hi, per)
+        stop = hit.any(axis=1)
+        k = np.argmax(hit[stop], axis=1)
+        tops[live[stop]] = np.where(finite[stop, k], chunk[k], chunk[k] / 2)
+        live = live[~stop]
+    return np.maximum(tops, 4.0)
+
+
+def _grids(tops, per):
+    """np.geomspace(1, top, per) for each top, bit for bit, all at once:
+    10^linspace(0, log10 top, per) with both ends pinned."""
+    logs = np.log10(tops)
+    y = np.arange(per, dtype=float) * (logs / max(per - 1, 1))[:, None]
+    y[:, -1] = logs
+    grids = 10.0 ** y
+    grids[:, 0] = 1.0
+    if per > 1:
+        grids[:, -1] = tops
+    return grids
 
 
 def _collect(curves, plan, with_mu=False) -> SampleCloud:
     """Evaluate labeled curves on adaptive grids; discard above the ceiling.
 
-    meta["discards"] counts the dropped points by cause: non_finite,
-    over_ceiling, at_most_one (|h| <= 1) and the name of each error a
-    per-point solve raised.  with_mu adds the Cartan projection of every
-    kept sample as meta["mu_points"].
+    One ladder gives every curve the top of its grid (_ladder_tops), the
+    grids are built at once (_grids) and evaluated GRID_BLOCK curves at a
+    time; rho_norm runs per curve, on its kept samples.  meta["discards"]
+    counts the dropped points by cause: non_finite, over_ceiling,
+    at_most_one (|h| <= 1) and the name of each error a per-point solve
+    raised.  with_mu adds the Cartan projection of every kept sample as
+    meta["mu_points"].
     """
     ceiling = plan.tol.norm_ceiling
+    batch = _Batch([c for _, c in curves])
+    grids = _grids(_ladder_tops(batch, ceiling, plan.t_cap), plan.per_curve)
     norm_parts, rho_parts, tags = [np.empty(0)], [np.empty(0)], []
     mu_points = []
     t_vals = []
     discards = Counter(non_finite=0, over_ceiling=0, at_most_one=0)
-    total = kept = 0
-    for tag, curve in curves:
-        grid = _adaptive_grid(curve, plan.per_curve, ceiling,
-                              t_cap=plan.t_cap)
+    for start in range(0, len(curves), GRID_BLOCK):
+        which = range(start, min(start + GRID_BLOCK, len(curves)))
+        ts = grids[start:which.stop]
         with np.errstate(all="ignore"):
-            stack, failed = _evaluate(curve, grid)
-            norms = sup_norm(stack)
+            stacks, failed = batch.evaluate(which, ts)
+            norms = sup_norm(stacks)
         # failed points are NaN slices, counted under their error alone
         finite = np.isfinite(norms)
         over = finite & (norms > ceiling)
         low = finite & (norms <= 1.0)
         keep = finite & ~over & ~low
-        discards.update(failed.values())
-        discards["non_finite"] += int((~finite).sum()) - len(failed)
+        for f in failed:
+            discards.update(f.values())
+        discards["non_finite"] += int((~finite).sum()) - sum(map(len, failed))
         discards["over_ceiling"] += int(over.sum())
         discards["at_most_one"] += int(low.sum())
-        total += len(grid)
-        if not keep.any():
-            continue
-        kept += int(keep.sum())
-        good = stack[keep]
+        counts = keep.sum(axis=1)
+        good = stacks[keep]
         norm_parts.append(norms[keep])
-        rho_parts.append(rho_norm(good))
-        tags += [tag] * len(good)
-        t_vals += grid[keep].tolist()
+        t_vals += ts[keep].tolist()
+        for i, k, part in zip(which, counts, np.split(good, np.cumsum(counts)[:-1])):
+            if k:
+                rho_parts.append(rho_norm(part))
+                tags += [curves[i][0]] * int(k)
         if with_mu:
             mu_points += [mu(g).as_tuple() for g in good]
+    kept, total = len(tags), grids.size
     if kept < plan.tol.min_samples:
         raise OverflowCeiling(
             f"only {kept} of {total} samples survived the ceiling")
@@ -213,20 +369,16 @@ def _random_combo(rng, basis, scale=1.0):
     return out
 
 
-class _ProductCurve:
-    """A random curve t -> exp(t^e_1 v_1) ... exp(t^e_k v_k), k in 1..depth,
-    over directions dirs = [v_1, ...] in the span of basis and exponents
-    exps = [e_1, ...] in [0.35, 1], one of them 1."""
-
-    def __init__(self, rng, basis, depth):
-        k = rng.randint(1, depth)
-        self.dirs = [_random_combo(rng, basis) for _ in range(k)]
-        self.exps = [rng.uniform(0.35, 1.0) for _ in range(k)]
-        self.exps[rng.randrange(k)] = 1.0
-        self.lines = [float_line(v) for v in self.dirs]
-
-    def __call__(self, ts):
-        return reduce(np.matmul, (line(ts ** e) for line, e in zip(self.lines, self.exps)))
+def _product_factors(rng, basis, depth):
+    """The factors of a random curve t -> exp(t^e_1 v_1) ... exp(t^e_k v_k),
+    k in 1..depth, over directions v_i in the span of basis and exponents e_i
+    in [0.35, 1], one of them 1."""
+    k = rng.randint(1, depth)
+    dirs = [_random_combo(rng, basis) for _ in range(k)]
+    exps = [rng.uniform(0.35, 1.0) for _ in range(k)]
+    exps[rng.randrange(k)] = 1.0
+    return [(float_line(v), AT_T if e == 1.0 else (POW, e, 1.0))
+            for v, e in zip(dirs, exps)]
 
 
 def _vec(e: AlgebraElement) -> np.ndarray:
@@ -234,9 +386,9 @@ def _vec(e: AlgebraElement) -> np.ndarray:
     return np.array(e.coords(), dtype=float)
 
 
-def _ray(e: AlgebraElement):
+def _ray(e: AlgebraElement) -> _Curve:
     """The curve t -> exp(t e), for a float t or an array of them."""
-    return float_line(_vec(e))
+    return _line_curve(float_line(_vec(e)))
 
 
 def _commuting_lines(u: AlgebraElement, z: AlgebraElement):
@@ -244,15 +396,18 @@ def _commuting_lines(u: AlgebraElement, z: AlgebraElement):
     decided exactly): then exp(t u + p z) = exp(t u) exp(p z)."""
     if not bracket(u, z).is_zero():
         raise ValueError("[u, z] != 0: exp(t u + p z) is not exp(t u) exp(p z)")
-    return _ray(u), _ray(z)
+    return float_line(_vec(u)), float_line(_vec(z))
 
 
 def _least_rho_ratio(g_u, z_line, p, factors):
     """Of g_u exp((p f) z) = exp(t u + (p f) z) over the factors f, the sample
-    with the least rho/|h| (the first on a tie): a best-of-k scan around the
-    root p of a corner determinant, which tracks the lower envelope."""
-    return min((g_u @ z_line(p * f) for f in factors),
-               key=lambda g: rho_norm(g) / max(sup_norm(g), 1.0))
+    with the least rho/|h|: a best-of-k scan around the root p of a corner
+    determinant, which tracks the lower envelope.  The candidates are one
+    (k, m, m) stack.  As min() over them would, it takes the first least
+    ratio, and a NaN ratio (an overflowed candidate) only in first place."""
+    cands = g_u @ z_line(p * np.array(factors))
+    ratio = rho_norm(cands) / np.maximum(sup_norm(cands), 1.0)
+    return cands[0 if np.isnan(ratio[0]) else int(np.nanargmin(ratio))]
 
 
 def _nil_curves(h: Subalgebra, plan, result=None):
@@ -268,10 +423,10 @@ def _nil_curves(h: Subalgebra, plan, result=None):
             curves += _template_extremal_curves(result.template)
     for i, b in enumerate(B):
         line = float_line(b)
-        curves.append((f"ray{i}", line))
-        curves.append((f"ray{i}-", lambda ts, line=line: line(-ts)))
+        curves.append((f"ray{i}", _line_curve(line)))
+        curves.append((f"ray{i}-", _line_curve(line, (LIN, -1.0, 1.0))))
     for i in range(N_PRODUCT_CURVES):
-        curves.append((f"prod{i}", _ProductCurve(rng, B, PRODUCT_DEPTH)))
+        curves.append((f"prod{i}", _Curve(_product_factors(rng, B, PRODUCT_DEPTH))))
     return curves
 
 
@@ -496,17 +651,15 @@ def designed_subcloud(cloud: SampleCloud) -> SampleCloud:
     single-parameter rays, torus and graph lines).  Product curves fill the
     interior of a band but converge slowly, so envelope slopes are read off
     the designed curves when they provide enough range."""
-    keep = [i for i, t in enumerate(cloud.tags)
-            if t.startswith(DESIGNED_PREFIXES)]
-    if not keep:
+    designed = {t: t.startswith(DESIGNED_PREFIXES) for t in dict.fromkeys(cloud.tags)}
+    keep = np.fromiter(map(designed.__getitem__, cloud.tags), bool, len(cloud.tags))
+    if not keep.any():
         return cloud
-    idx = np.array(keep)
-    sub = SampleCloud(cloud.log_norm[idx], cloud.log_rho[idx],
-                      [cloud.tags[i] for i in keep], dict(cloud.meta))
-    if "t_values" in cloud.meta:
-        sub.meta["t_values"] = [cloud.meta["t_values"][i] for i in keep]
-    if "mu_points" in cloud.meta:
-        sub.meta["mu_points"] = [cloud.meta["mu_points"][i] for i in keep]
+    sub = SampleCloud(cloud.log_norm[keep], cloud.log_rho[keep],
+                      list(compress(cloud.tags, keep)), dict(cloud.meta))
+    for name in ("t_values", "mu_points"):
+        if name in cloud.meta:
+            sub.meta[name] = list(compress(cloud.meta[name], keep))
     return sub
 
 
@@ -553,21 +706,18 @@ def _line(spec):
 
 def _line_curves(tag, line, scale):
     """The line both ways: t -> line(+-log t / scale), tagged tag and tag-."""
-    return [(tag, lambda ts: line(np.log(ts) / scale)),
-            (tag + "-", lambda ts: line(-np.log(ts) / scale))]
+    return [(tag, _line_curve(line, (LOG, 1.0, scale))),
+            (tag + "-", _line_curve(line, (LOG, -1.0, scale)))]
 
 
 def _ray_and_mix_curves(line, scale, u, rng):
     """A ray per basis row of u, then line(s log t / scale) times a random product."""
     B = np.array(u.coord_rows(), dtype=float)
-    curves = [(f"u-ray{i}", float_line(b)) for i, b in enumerate(B)]
+    curves = [(f"u-ray{i}", _line_curve(float_line(b))) for i, b in enumerate(B)]
     for i in range(N_PRODUCT_CURVES):
         s = rng.uniform(-2, 2)
-        udirs = _ProductCurve(rng, B, PRODUCT_DEPTH)
-
-        def curve(ts, s=s, udirs=udirs):
-            return line(s * np.log(ts) / scale) @ udirs(ts)
-        curves.append((f"mix{i}", curve))
+        factors = _product_factors(rng, B, PRODUCT_DEPTH)
+        curves.append((f"mix{i}", _Curve(factors, head=(line, (LOG, s, scale)))))
     return curves
 
 
@@ -602,34 +752,20 @@ def extremal_graph_curves(spec: Graph):
     if inter:
         # U meets the omega root spaces: the chamber fills; pin the square
         # direction with the torus outpacing the unipotent factor
-        ray = float_line(inter[0])
-
-        def square_curve(ts):
-            return line(2.0 * np.log(ts) / scale) @ ray(ts)
-        curves.append(("extremal-square", square_curve))
+        curves.append(("extremal-square", _line_curve(
+            float_line(inter[0]), head=(line, (LOG, 2.0, scale)))))
+    along = (line, (LOG, 1.0, scale))  # line(log t / scale)
     if case == ("alpha", "alpha+beta"):
         # upper extremal: |x_u|^2 ~ log a1
-        def upper(ts):
-            tau = np.log(ts)
-            return line(tau / scale) @ ray0(np.sqrt(np.maximum(tau, 1e-9)))
-        curves.append(("extremal-upper", upper))
+        curves.append(("extremal-upper", _line_curve(ray0, (LOGPOW, 0.5, 1.0), along)))
     elif case == ("alpha", "alpha+2beta"):
-        g0 = ray0(1.0)
-
-        def lower(ts):
-            return line(np.log(ts) / scale) @ g0
-        curves.append(("extremal-lower", lower))
+        curves.append(("extremal-lower", _line_curve(ray0, (ONE, 1.0, 1.0), along)))
     elif case == ("beta", "alpha+2beta"):
         r = 1 if (spec.psi_value.root_component("beta").is_zero()
                   and not spec.psi_value.root_component("2beta").is_zero()) else 2
-
-        def lower(ts):
-            tau = np.log(ts)
-            return line(tau / scale) @ ray0(np.maximum(tau, 1e-9) ** (r / 2.0))
-        curves.append(("extremal-lower", lower))
+        curves.append(("extremal-lower", _line_curve(ray0, (LOGPOW, r / 2.0, 1.0), along)))
     elif case == ("beta", "alpha+beta"):
-        curves.append(("extremal-upper",
-                       lambda ts: line(np.log(ts) / scale)))
+        curves.append(("extremal-upper", _Curve([along])))
     return curves
 
 

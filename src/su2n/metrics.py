@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 import numpy as np
 
 from .config import DEFAULT
@@ -61,10 +62,14 @@ def sup_norm(g):
     return _per_matrix(np.abs(a).max(axis=(-2, -1)))
 
 
+@lru_cache(maxsize=None)
 def _minor_tables(m):
+    """(I, J): the row pairs i < j of an m x m matrix, built once per m."""
     idx = [(i, j) for i in range(m) for j in range(i + 1, m)]
     I = np.array([p[0] for p in idx])
     J = np.array([p[1] for p in idx])
+    I.setflags(write=False)
+    J.setflags(write=False)
     return I, J
 
 

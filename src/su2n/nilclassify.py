@@ -157,6 +157,12 @@ class _Frame:
         check_linear and template 7."""
         return _li2(self)
 
+    @cached_property
+    def rank_one(self):
+        """find_rank_one on all of h, searched once and read by templates 6
+        and 7."""
+        return find_rank_one(self, self.full)
+
     # functional values, read as column slices of the row --------------------
 
     def element(self, row) -> AlgebraElement:
@@ -1148,7 +1154,7 @@ def _tm6(frame):
     """phi = 0, no rank-one (x,y) pair, central form anisotropic: rho ~ |h|^2."""
     if not frame.vanishes_on("phi", frame.full):
         return None
-    if find_rank_one(frame, frame.full) is not None:
+    if frame.rank_one is not None:
         return None
     if frame.z_rows:
         g = frame.fixed_gram(q_center, frame.z_rows)
@@ -1169,7 +1175,7 @@ def _tm7(frame):
     has_not1 = bool(frame.z_rows) or (_find_rank2(frame, frame.full) is not None)
     if not has_not1:
         return None
-    v = find_rank_one(frame, frame.full)
+    v = frame.rank_one
     if v is None:
         return None
     if frame.li2 is not None:

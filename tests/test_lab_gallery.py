@@ -97,6 +97,17 @@ def test_designed_subcloud_filters_products():
     assert all(not t.startswith("prod") for t in sub.tags)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "random-100 (n = 8, dim 2) is CDS with shape full_chamber 1..2, but its "
+    "lower slope fits 1.205 against 1 +- 0.08: product curves lie below the "
+    "linear witness ray up to |h| ~ 1e4-1e5, so the per-decade minima come "
+    "from products in the low decades and from the witness in the high ones"))
+def test_corpus_random_100_at_n8_shape_verifies():
+    specs = dict(random_corpus(count=200, ns=(8,), seed=1, include_gallery=False))
+    report = verify_shape(specs["random-100"], seed=0)
+    assert report.verdict == "pass", report.fitted
+
+
 def test_verify_shape_deterministic():
     e = gallery.get("notcds11-n3")
     r1 = verify_gallery_entry(e, seed=3)

@@ -1,17 +1,21 @@
 """Batched sampling against per-point references written here.
 
-Curves map an array of parameters t to a (T, m, m) stack; these tests check
-each batched piece -- the grid exponentials, the stacked metrics, the
-doubling ladder and the product curves -- against the one-matrix-at-a-time
-version, the float exponential against the exact one, and on the torus,
-graph and one-parameter lines against scipy's expm.  A float line
-(float_line) runs its checks once, when it is built, and sampling builds each
-line once per curve.  The implicit witness curves solve a quartic per point
-by its real root nearest 0, with numpy alone.
+A curve along fixed directions is a product of float lines, each read at its
+own parameter, and lab evaluates all the curves of a spec together: one
+doubling ladder, all grids at once, a Vandermonde product per ladder chunk
+and per grid block.  These tests check each batched piece -- the grid
+exponentials, the stacked metrics, the shared ladder, the grids and the
+batched curve products -- against the one-matrix-at-a-time version, the
+float exponential against the exact one, and on the torus, graph and
+one-parameter lines against scipy's expm.  A float line (float_line) runs
+its checks once, when it is built, and sampling builds each line once per
+curve.  The implicit witness curves solve a quartic per point by its real
+root nearest 0, with numpy alone.
 """
 
 import random
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -23,6 +27,7 @@ from su2n import elements, lab
 from su2n.anclassify import Graph, OneParam, Semidirect, line_compatible
 from su2n.config import DEFAULT
 from su2n.corpus import random_element
+from su2n.subalgebra import close_under_bracket
 from su2n.elements import (AlgebraElement, exp_closed, exp_float, float_line,
                            matrix_of)
 from su2n.lab import ImplicitSolveFailed
@@ -211,6 +216,40 @@ def test_stacked_norms_equal_per_matrix_norms(n):
     assert rho_norm(stack.reshape(3, -1, n + 2, n + 2)).shape == (3, len(GRID))
 
 
+def _param(param, ts):
+    """A factor's parameter p(t), one formula per kind (lab's table)."""
+    kind, a, scale = param
+    if kind == lab.LIN:
+        return a * ts
+    if kind == lab.POW:
+        return ts ** a
+    if kind == lab.LOG:
+        return a * np.log(ts) / scale
+    if kind == lab.LOGPOW:
+        return np.maximum(np.log(ts), 1e-9) ** a
+    assert kind == lab.ONE
+    return np.ones_like(ts)
+
+
+def _alone(curve, ts):
+    """A fixed-direction curve on ts one factor at a time: head(t) @
+    (f_1(t) @ f_2(t) @ ...), each line evaluated on its own."""
+    g = None
+    for line, param in curve.factors:
+        f = line(_param(param, ts))
+        g = f if g is None else g @ f
+    if curve.head is not None:
+        line, param = curve.head
+        g = line(_param(param, ts)) @ g
+    return g
+
+
+def _evaluate(curve, ts):
+    """One curve on the batched path, alone: (stack, failed solves)."""
+    stacks, failed = lab._Batch([curve]).evaluate([0], ts)
+    return stacks[0], failed[0]
+
+
 def _serial_grid(curve, per, ceiling, t_lo=1.0, t_cap=None):
     """The doubling ladder one point at a time; returns (grid, how it ended)."""
     t_hi, how = t_lo * 2, "never"
@@ -219,7 +258,7 @@ def _serial_grid(curve, per, ceiling, t_lo=1.0, t_cap=None):
             t_hi, how = t_cap, "cap"
             break
         with np.errstate(all="ignore"):
-            g = curve(np.array([t_hi]))[0]
+            g = _alone(curve, np.array([t_hi]))[0]
         if not np.all(np.isfinite(g)):
             t_hi, how = t_hi / 2, "non_finite"
             break
@@ -238,48 +277,137 @@ def _nil_basis(eid):
 def _product(seed, basis, depth):
     rng = random.Random(seed)
     for _ in range(50):
-        curve = lab._ProductCurve(rng, basis, depth)
-        if len(curve.dirs) == depth:
+        curve = lab._Curve(lab._product_factors(rng, basis, depth))
+        if len(curve.factors) == depth:
             return curve
     raise AssertionError("no product curve of full depth")
 
 
+def _grid(curve, ceiling=DEFAULT.norm_ceiling, t_cap=None, per=48):
+    """The grid lab samples one curve on."""
+    return lab._grids(lab._ladder_tops(lab._Batch([curve]), ceiling, t_cap), per)[0]
+
+
 def test_adaptive_grid_equals_the_serial_ladder():
+    # the shared ladder, run for all curves at once, gives each the top of
+    # the serial ladder: at a cap, at half a non-finite rung, at the first
+    # rung over the ceiling (in the first chunk of 16 rungs or a later one)
+    # or past every rung
     basis = _nil_basis("cds-fulln-n3")
-    ray = lambda ts: exp_float(basis[0], ts)  # noqa: E731
-    still = lambda ts: exp_float(np.zeros(12), ts)  # noqa: E731
+    ray = lab._line_curve(float_line(basis[0]))
+    still = lab._line_curve(float_line(np.zeros(12)))
     # a depth-3 product of huge directions overflows (slots^4 pass 1e308)
     # before an infinite ceiling is reached
     big = [b * 1e60 for b in basis]
     prod = _product(3, big, 3)
-    cases = [(ray, 1e8, None), (ray, 10.0, None), (ray, 1e8, 50.0),
-             (ray, 1e8, 8.0), (ray, 1e8, 1.5), (still, 1e8, None),
-             (still, 1e8, 1e20), (still, 1e8, 2.0 ** 40),
-             (prod, np.inf, None), (prod, 1e8, None), (prod, 1e200, None)]
+    slow = _product(5, basis * 1e-3, 2)
+    curves = [ray, still, prod, slow]
     # a cap on the first non-finite rung ends there, unevaluated
     overflow_rung = 2 * _serial_grid(prod, 48, np.inf)[0][-1]
-    cases.append((prod, np.inf, overflow_rung))
-    seen = set()
-    for curve, ceiling, t_cap in cases:
-        want, how = _serial_grid(curve, 48, ceiling, t_cap=t_cap)
-        seen.add(how)
-        got = lab._adaptive_grid(curve, 48, ceiling, t_cap=t_cap)
-        assert np.array_equal(got, want), (how, got[-1], want[-1])
+    cases = [(1e8, None), (10.0, None), (1e8, 50.0), (1e8, 8.0), (1e8, 1.5),
+             (1e8, 1e20), (1e8, 2.0 ** 40), (np.inf, None), (1e200, None),
+             (1e30, None), (np.inf, overflow_rung)]
+    seen, rungs = set(), set()
+    for ceiling, t_cap in cases:
+        tops = lab._ladder_tops(lab._Batch(curves), ceiling, t_cap)
+        got = lab._grids(tops, 48)
+        for curve, grid in zip(curves, got):
+            want, how = _serial_grid(curve, 48, ceiling, t_cap=t_cap)
+            seen.add(how)
+            if how in ("ceiling", "non_finite"):
+                rungs.add(int(np.log2(want[-1])) // lab.LADDER_CHUNK)
+            assert np.array_equal(grid, want), (how, grid[-1], want[-1])
+            assert np.array_equal(_grid(curve, ceiling, t_cap), want)
     assert seen == {"never", "cap", "non_finite", "ceiling"}
+    assert {0, 1} <= rungs  # curves stopped in the first chunk and later
 
 
-def test_product_curve_stack_equals_serial_product():
+def test_grids_equal_geomspace_bitwise():
+    rng = np.random.default_rng(0)
+    tops = np.concatenate([np.exp(rng.uniform(np.log(4.0), np.log(2.0 ** 81), 400)),
+                           2.0 ** np.arange(2, 82), [4.0, 2.0 ** 81, 1e8, 50.0]])
+    for per in (48, 12, 2):
+        got = lab._grids(tops, per)
+        assert got.shape == (len(tops), per)
+        for top, row in zip(tops, got):
+            assert np.array_equal(row, np.geomspace(1.0, top, per))
+
+
+def _spec_curves(n):
+    """Every kind of fixed-direction curve at n: rays both ways, products of
+    depth 1-3, mixes of a torus line and a product, torus lines both ways,
+    and at n = 3, 4 the graph, one-parameter and extremal graph curves of
+    the gallery."""
+    plan = lab.SamplingPlan(seed=n)
+    if n <= 4:
+        out = []
+        for e in gallery.entries():
+            spec = e.spec()
+            if spec.n != n:
+                continue
+            if e.kind == "nil":
+                out += lab._nil_curves(spec, plan, classify(spec))
+            elif e.kind == "semidirect":
+                out += lab._semidirect_curves(line_compatible(spec), plan)
+            elif e.kind == "graph":
+                out += lab._graph_curves(line_compatible(spec), plan)
+            else:
+                out += lab._line_curves("line", *lab._line(line_compatible(spec)))
+        return out
+    # a nilpotent spec of two random directions, and a torus line with a
+    # random a-part
+    rng = random.Random(n)
+    h = close_under_bracket([random_element(n, rng, max_slots=4) for _ in range(2)])
+    torus = np.zeros(4 * n)
+    torus[:2] = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
+    line, scale = float_line(torus), float(np.abs(torus[:2]).max())
+    return (lab._nil_curves(h, plan) + lab._line_curves("torus", line, scale)
+            + lab._ray_and_mix_curves(line, scale, h, rng))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_batched_curves_equal_each_curve_alone(n):
+    # the whole spec at once, on each curve's own grid, against each curve
+    # alone on the batched path and one factor at a time, bit for bit
+    curves = [c for _, c in _spec_curves(n) if not isinstance(c, lab._PerPoint)]
+    depths = {(len(c.factors), c.head is not None) for c in curves}
+    assert {(1, False), (2, False), (3, False), (1, True), (3, True)} <= depths
+    kinds = {param[0] for c in curves
+             for _, param in c.factors + ((c.head,) if c.head else ())}
+    assert {lab.LIN, lab.POW, lab.LOG} <= kinds
+    assert (lab.LOGPOW in kinds) == (n <= 4) and (lab.ONE in kinds) == (n == 3)
+    rng = np.random.default_rng(n)
+    grids = lab._grids(np.exp(rng.uniform(np.log(4.0), np.log(1e6), len(curves))), 48)
+    with np.errstate(all="ignore"):
+        stacks, failed = lab._Batch(curves).evaluate(range(len(curves)), grids)
+        assert failed == [{}] * len(curves)
+        for curve, grid, stack in zip(curves, grids, stacks):
+            assert np.array_equal(stack, _alone(curve, grid), equal_nan=True)
+            assert np.array_equal(stack, _evaluate(curve, grid)[0], equal_nan=True)
+    if n <= 4:
+        extremal = {tag for tag, c in _spec_curves(n)
+                    if tag.startswith("extremal") and not isinstance(c, lab._PerPoint)}
+        assert extremal == {3: {"extremal-lower", "extremal-square", "extremal-32"},
+                            4: {"extremal-upper", "extremal-32"}}[n]
+
+
+def test_product_curve_stack_equals_serial_product(monkeypatch):
+    dirs = []
+    monkeypatch.setattr(lab, "float_line", lambda c: dirs.append(c) or float_line(c))
     for eid, depth in (("cds-fulln-n3", 3), ("notcds07-max-n4", 2)):
+        dirs.clear()
         curve = _product(7, _nil_basis(eid), depth)
+        exps = [1.0 if kind == lab.LIN else e for _, (kind, e, _) in curve.factors]
+        assert 1.0 in exps
         ts = np.geomspace(1.0, 1e3, 12)
         mats = []
         for t in ts:
             g = None
-            for v, e in zip(curve.dirs, curve.exps):
+            for v, e in zip(dirs[-depth:], exps):
                 f = exp_float(v, t ** e)
                 g = f if g is None else g @ f
             mats.append(g)
-        _assert_slices_match(curve(ts), mats)
+        _assert_slices_match(_evaluate(curve, ts)[0], mats)
 
 
 def _sampled(eid, plan):
@@ -312,9 +440,9 @@ def test_failed_solves_are_counted_by_error():
             raise ImplicitSolveFailed("no root")
         return exp_float(basis[0], t)
     curve = lab._PerPoint(flaky, 3)
-    ray = lambda ts: exp_float(basis[1], ts)  # noqa: E731
+    ray = lab._line_curve(float_line(basis[1]))
     cloud = lab._collect([("w", curve), ("ray0", ray)], lab.SamplingPlan())
-    grid = lab._adaptive_grid(curve, 48, DEFAULT.norm_ceiling)
+    grid = _grid(curve)
     failing = sum(fails(t) for t in grid)
     assert failing > 0
     assert cloud.meta["discards"]["ImplicitSolveFailed"] == failing
@@ -323,9 +451,9 @@ def test_failed_solves_are_counted_by_error():
 
 def test_a_programming_error_in_a_curve_surfaces(monkeypatch):
     def broken_curve(witness, h):
-        def curve(t):
+        def solve(t):
             raise TypeError("a bug, not a numeric failure")
-        return curve
+        return lab._PerPoint(solve, h.n)
     monkeypatch.setattr(lab, "witness_curve", broken_curve)
     h = gallery.get("cds-fulln-n3").spec()
     result = classify(h)
@@ -362,7 +490,7 @@ def test_sampling_builds_each_line_once(monkeypatch):
     witnesses = [c for tag, c in curves if tag.endswith("-witness")]
     assert len(witnesses) == 2
     assert not any(isinstance(c, lab._PerPoint) for c in witnesses)
-    factors = sum(len(c.dirs) for tag, c in curves if tag.startswith("prod"))
+    factors = sum(len(c.factors) for tag, c in curves if tag.startswith("prod"))
     assert len(built) == 2 + len(h.coord_rows()) + factors
     made = len(built)
     built.clear()
@@ -404,7 +532,7 @@ def test_least_rho_curves_build_their_two_lines_once(monkeypatch):
         curves = dict(lab._nil_curves(h, lab.SamplingPlan(seed=0), classify(h)))
         assert isinstance(curves[tag], lab._PerPoint)
         made = len(built)
-        stack, failed = lab._evaluate(curves[tag], grid)
+        stack, failed = _evaluate(curves[tag], grid)
         assert failed == {} and np.isfinite(stack).all()
         assert len(built) == made and exps == []
     assert len(pairs) == 2
@@ -468,6 +596,25 @@ def test_witness_curves_run_without_scipy(monkeypatch, alg, sub):
         assert w.condition_id == cond
         curve = lab.witness_curve(w, h)
         mats = [curve(float(t)) for t in grid]
-        stack, failed = lab._evaluate(curve, grid)
+        stack, failed = _evaluate(curve, grid)
         assert failed == {} and np.isfinite(stack).all()
         assert np.array_equal(stack, mats)
+
+
+# The tracemalloc peak of one verify_gallery_entry at seed 0, after a warm-up
+# call, when each curve still ran its own ladder and grid (numpy 2.4.6,
+# Python 3.11).  Batching the curves may at most double it.
+PEAK_PER_CURVE = {"notcds04-max-n4": 1_200_305, "semi02-n4": 1_106_733}
+
+
+@pytest.mark.parametrize("eid", sorted(PEAK_PER_CURVE))
+def test_batched_sampling_memory_stays_bounded(eid):
+    entry = gallery.get(eid)
+    lab.verify_gallery_entry(entry, seed=0)
+    tracemalloc.start()
+    try:
+        lab.verify_gallery_entry(entry, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * PEAK_PER_CURVE[eid]
