@@ -359,14 +359,12 @@ def _collect(curves, plan, with_mu=False) -> SampleCloud:
     return cloud
 
 
-def _random_combo(rng, basis, scale=1.0):
+def _random_combo(rng, basis):
+    """A combination of the rows of basis with a random unit coefficient
+    vector (an axis-0 sum adds the rows in order)."""
     coeffs = [rng.uniform(-1, 1) for _ in basis]
     nrm = math.sqrt(sum(c * c for c in coeffs)) or 1.0
-    out = None
-    for c, b in zip(coeffs, basis):
-        term = (scale * c / nrm) * b
-        out = term if out is None else out + term
-    return out
+    return (np.array(coeffs)[:, None] / nrm * basis).sum(axis=0)
 
 
 def _product_factors(rng, basis, depth):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress
 import numpy as np
 
 from .config import DEFAULT
@@ -194,7 +195,7 @@ class SampleCloud:
         return SampleCloud(
             np.log10(norms[keep]),
             np.log10(np.maximum(np.asarray(rhos, dtype=float)[keep], 1e-300)),
-            [tag for tag, k in zip(tags, keep) if k])
+            list(compress(tags, keep)))
 
     def to_rows(self):
         t = self.meta.get("t_values", [None] * len(self))

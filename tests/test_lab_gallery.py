@@ -5,6 +5,7 @@ from su2n.anclassify import classify_an
 from su2n.corpus import random_corpus
 from su2n.gallery import maximal_band_family, mixing_pair_family
 from su2n.lab import (
+    DESIGNED_PREFIXES,
     SamplingPlan,
     check_dimension_table,
     designed_subcloud,
@@ -95,6 +96,12 @@ def test_designed_subcloud_filters_products():
     sub = designed_subcloud(cloud)
     assert 0 < len(sub) < len(cloud)
     assert all(not t.startswith("prod") for t in sub.tags)
+    # the samples whose own tag starts with a designed prefix, in order
+    keep = [i for i, t in enumerate(cloud.tags) if t.startswith(DESIGNED_PREFIXES)]
+    assert sub.tags == [cloud.tags[i] for i in keep]
+    assert sub.meta["t_values"] == [cloud.meta["t_values"][i] for i in keep]
+    assert (sub.log_norm == cloud.log_norm[keep]).all()
+    assert (sub.log_rho == cloud.log_rho[keep]).all()
 
 
 @pytest.mark.xfail(strict=True, reason=(

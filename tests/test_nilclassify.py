@@ -410,6 +410,19 @@ def test_find_rank_one_decides_the_layered_cases(alg, sub, basis_kw, has_rank_on
         assert w is None
 
 
+def test_templates_6_and_7_share_one_rank_one_search(monkeypatch):
+    # phi = 0 on h: template 6 asks for a rank-one element and finds one,
+    # then template 7 reads the same answer from the frame
+    from su2n import gallery, nilclassify
+    searched = []
+    real = nilclassify.find_rank_one
+    monkeypatch.setattr(nilclassify, "find_rank_one", lambda frame, within: (
+        searched.append(within is frame.full) or real(frame, within)))
+    r = classify(gallery.get("notcds07-n3").spec())
+    assert r.template.type_id == 7 and "rank_one" in r.template.evidence
+    assert searched.count(True) == 1
+
+
 def test_classify_draws_no_random_numbers(monkeypatch):
     from su2n import corpus, gallery
     from su2n.anclassify import classify_an

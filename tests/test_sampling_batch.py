@@ -13,6 +13,7 @@ curve.  The implicit witness curves solve a quartic per point by its real
 root nearest 0, with numpy alone.
 """
 
+import math
 import random
 import sys
 import tracemalloc
@@ -391,6 +392,21 @@ def test_batched_curves_equal_each_curve_alone(n):
                             4: {"extremal-upper", "extremal-32"}}[n]
 
 
+def test_random_combo_adds_the_rows_in_order():
+    # the random directions of product curves, against the row-by-row sum
+    rng = np.random.default_rng(1)
+    for d in (1, 3, 8, 12):
+        basis = rng.normal(size=(d, 16)) * 10.0 ** rng.integers(-4, 4, (d, 1))
+        draws = random.Random(d)
+        coeffs = [draws.uniform(-1, 1) for _ in basis]
+        nrm = math.sqrt(sum(c * c for c in coeffs)) or 1.0
+        want = None
+        for c, b in zip(coeffs, basis):
+            term = (c / nrm) * b
+            want = term if want is None else want + term
+        assert np.array_equal(lab._random_combo(random.Random(d), basis), want)
+
+
 def test_product_curve_stack_equals_serial_product(monkeypatch):
     dirs = []
     monkeypatch.setattr(lab, "float_line", lambda c: dirs.append(c) or float_line(c))
@@ -543,6 +559,20 @@ def test_least_rho_curves_build_their_two_lines_once(monkeypatch):
                 want = exp_float(_vec(u) * t + _vec(z) * p)
                 got = u_line(t) @ z_line(p)
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_least_rho_ratio_is_the_first_least_candidate():
+    # the candidates as one stack against min() over them one at a time
+    basis = _nil_basis("notcds11-n3")
+    u_line, z_line = float_line(basis[0]), float_line(basis[-1])
+    for t in (1.0, 7.0, 300.0):
+        g_u = u_line(t)
+        for p, factors in ((2.5, (1.0, 0.97, 1.03, 0.9, 1.1)),
+                           (-40.0 * t, (1.0, 0.98, 1.02, 0.9, 1.1, 0.0)),
+                           (3.0, (1.0, 1.0, 0.5, 0.5))):
+            want = min((g_u @ z_line(p * f) for f in factors),
+                       key=lambda g: rho_norm(g) / max(sup_norm(g), 1.0))
+            assert np.array_equal(lab._least_rho_ratio(g_u, z_line, p, factors), want)
 
 
 def test_a_non_commuting_pair_has_no_split_lines(alg):
