@@ -628,25 +628,45 @@ def float_line(c) -> FloatLine:
     bitwise the slice of a grid holding it.
     """
     c = np.asarray(c, dtype=float)
-    n = len(c) // 4
-    if c.ndim != 1 or n < 3 or len(c) != 4 * n:
+    if c.ndim != 1:
         raise ValueError(f"not a coordinate vector: shape {c.shape}")
+    return float_lines(c[None])[0]
+
+
+def float_lines(cs) -> list:
+    """float_line of each row of cs, an (L, 4n) array, built together.
+
+    Each matrix product runs once on the (L, m, m) stack, slice by slice as
+    it runs for one line, so every line is the one float_line builds, bit
+    for bit; a line that fails a check raises its ValueError.
+    """
+    cs = np.asarray(cs, dtype=float)
+    n = cs.shape[-1] // 4
+    if cs.ndim != 2 or n < 3 or cs.shape[1] != 4 * n:
+        raise ValueError(f"not a stack of coordinate vectors: shape {cs.shape}")
     m = n + 2
-    N = (c @ _coord_basis(n)).reshape(m, m)
-    d = None
-    if c[0] or c[1]:
-        d = N.diagonal()
-        N = N - np.diag(d)
-        if (N * d - d[:, None] * N).any():
+    # row by row, a vector-matrix product as for a single c
+    N = (cs[:, None, :] @ _coord_basis(n)).reshape(-1, m, m)
+    a_parts = [None] * len(cs)
+    for i in np.flatnonzero((cs[:, 0] != 0) | (cs[:, 1] != 0)):
+        d = a_parts[i] = N[i].diagonal().copy()
+        N[i] -= np.diag(d)
+        if (N[i] * d - d[:, None] * N[i]).any():
             raise ValueError("the a-part and the nilpotent part do not commute")
     N2 = N @ N
     N3 = N2 @ N
     N4 = N2 @ N2
-    if (N4 @ N).any() and np.isfinite(N4).all():
+    if ((N4 @ N).any(axis=(1, 2)) & np.isfinite(N4).all(axis=(1, 2))).any():
         raise ValueError("X^5 != 0: the exponential series does not end at X^4")
-    # viewed as (5, 2 m^2) reals, so one real product evaluates a grid
-    stack = np.array([np.eye(m), N, N2 / 2, N3 / 6, N4 / 24]).reshape(5, -1).view(float)
-    return FloatLine(m, stack, d)
+    stack = np.empty((len(cs), 5, m, m), dtype=complex)
+    stack[:, 0] = np.eye(m)
+    stack[:, 1] = N
+    stack[:, 2] = N2 / 2
+    stack[:, 3] = N3 / 6
+    stack[:, 4] = N4 / 24
+    # each line's viewed as (5, 2 m^2) reals, so one real product evaluates a grid
+    stack = stack.reshape(len(cs), 5, -1).view(float)
+    return [FloatLine(m, st, d) for st, d in zip(stack, a_parts)]
 
 
 def exp_float(c, s=1.0):

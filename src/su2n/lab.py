@@ -8,13 +8,14 @@ ceiling where doubles stay trustworthy.  A direction in the algebra is its
 float coordinate vector.  A curve along fixed directions is a _Curve, a
 product of float lines each read at its own parameter, with an optional head
 factor on the left; it builds each of its lines once (float_line checks
-N D = D N and N^5 = 0 at build).  A curve whose direction moves with t is a
-_PerPoint, solved per point: exp_float, or a line product at the real root
+N D = D N and N^5 = 0 at build), and the rays and random products of a spec
+are built by one float_lines call.  A curve whose direction moves with t is
+a _PerPoint, solved per point: exp_float, or a line product at the real root
 nearest 0 of a quartic (np.roots).  The curves of one spec are sampled
 together (_collect): one doubling ladder gives each curve the top of its
-grid, evaluating all curves still climbing as one Vandermonde product per
-chunk of rungs; the grids are built at once and evaluated GRID_BLOCK curves
-at a time, and rho_norm runs per curve.
+grid, and the grids are built at once; on both, the curves are evaluated in
+blocks of BLOCK_POINTS parameters, each block one Vandermonde product over
+the factors of its curves.  rho_norm runs per curve.
 Fitted envelope exponents and log-power regressions are then compared against
 the classifier's predicted shape.
 """
@@ -35,7 +36,8 @@ import numpy as np
 from .anclassify import (Graph, OneParam, Semidirect, _sigma_of, classify_an,
                          line_compatible)
 from .config import DEFAULT, Tolerances
-from .elements import AlgebraElement, bracket, exp_closed, exp_float, float_line
+from .elements import (AlgebraElement, bracket, exp_closed, exp_float, float_line,
+                       float_lines)
 from .gallery import GalleryEntry, get as gallery_get
 from .gallery import maximal_band_family, mixing_pair_family
 from .metrics import (
@@ -100,12 +102,14 @@ class VerificationReport:
 #   ONE: 1
 # A curve whose direction moves with t is a _PerPoint, solved per point.
 # All curves of a spec share one doubling ladder, whose rungs are evaluated
-# LADDER_CHUNK at a time; their grids are evaluated GRID_BLOCK curves at a
-# time, which bounds the working set.
+# LADDER_CHUNK at a time.  Curves are evaluated BLOCK_POINTS parameters at a
+# time (12 curves on a ladder chunk, 4 on grids of 48): larger blocks run
+# faster but leave a larger peak RSS (on gallery rounds, 384 points added
+# 2 MB where 192 add 0.5 MB).
 LIN, POW, LOG, LOGPOW, ONE = range(5)
 AT_T = (LIN, 1.0, 1.0)
 LADDER_CHUNK = 16
-GRID_BLOCK = 4
+BLOCK_POINTS = 192
 
 
 class _Curve:
@@ -157,17 +161,21 @@ class _PerPoint:
 
 def _parameters(kind, a, scale, ts):
     """p(t) of each factor at its row of ts, for (F,) parameter columns and
-    an (F, T) array ts.  Every formula runs on every row, which costs less
-    than selecting rows for tiny arrays; a LOGPOW row is redone with its
-    exponent as a Python float, so that numpy takes its fast path for 0.5
-    (np.sqrt), as an array exponent would not."""
-    col = a[:, None]
-    with np.errstate(all="ignore"):  # on rows of other kinds
-        logs = np.log(ts)
-        p = np.choose(kind[:, None], (col * ts, ts ** col, col * logs / scale[:, None],
-                                      0.0, 1.0))
-    for f in np.flatnonzero(kind == LOGPOW):
-        p[f] = np.maximum(logs[f], 1e-9) ** float(a[f])
+    an (F, T) array ts.  A LOGPOW exponent stays a Python float, so that
+    numpy takes its fast path for 0.5 (np.sqrt), as an array exponent would
+    not."""
+    p = a[:, None] * ts  # LIN
+    for k in set(kind.tolist()) - {LIN}:
+        sel = np.flatnonzero(kind == k)
+        if k == POW:
+            p[sel] = ts[sel] ** a[sel, None]
+        elif k == LOG:
+            p[sel] = a[sel, None] * np.log(ts[sel]) / scale[sel, None]
+        elif k == LOGPOW:
+            for f in sel:
+                p[f] = np.maximum(np.log(ts[f]), 1e-9) ** float(a[f])
+        elif k == ONE:
+            p[sel] = 1.0
     return p
 
 
@@ -243,10 +251,11 @@ class _Batch:
         p = _parameters(self.kind[ids], self.a[ids], self.scale[ids], rows[owner])
         g = ((p[..., None] ** np.arange(5)) @ self.stack[ids]).view(complex)
         g = g.reshape(p.shape + (self.m, self.m))
-        # the a-part rows, scaled in place run by run
-        with_a = np.concatenate(([False], self.with_a[ids], [False]))
-        for lo, hi in np.flatnonzero(np.diff(with_a)).reshape(-1, 2):
-            g[lo:hi] *= np.exp(p[lo:hi, :, None] * self.a_part[ids[lo:hi], None, :])[..., None]
+        with_a = self.with_a[ids]
+        if with_a.any():  # scale the a-part rows in place, run by run
+            edges = np.flatnonzero(np.diff(np.concatenate(([False], with_a, [False]))))
+            for lo, hi in edges.reshape(-1, 2):
+                g[lo:hi] *= np.exp(p[lo:hi, :, None] * self.a_part[ids[lo:hi], None, :])[..., None]
         at = 0
         for (k, head), members in groups.items():
             c = len(members)
@@ -261,11 +270,11 @@ class _Batch:
 def _ladder_tops(batch, ceiling, t_cap=None):
     """The top of each curve's parameter grid, from one doubling ladder.
 
-    The rungs 2^k, k = 1..80, are evaluated LADDER_CHUNK at a time for every
-    curve still climbing.  A curve stops at its first rung at or above t_cap
-    (its top is t_cap), at its first rung with a non-finite entry (half that
-    rung) or at its first rung above the ceiling (that rung); one that passes
-    every rung tops at 2^81.  No top is below 4.
+    The rungs 2^k, k = 1..80, are evaluated LADDER_CHUNK at a time for the
+    curves still climbing, in blocks (_blocks).  A curve stops at its first
+    rung at or above t_cap (its top is t_cap), at its first rung with a
+    non-finite entry (half that rung) or at its first rung above the ceiling
+    (that rung); one that passes every rung tops at 2^81.  No top is below 4.
     """
     rungs = 2.0 ** np.arange(1, 81)
     tops = np.full(len(batch), 2.0 ** 81)
@@ -278,7 +287,8 @@ def _ladder_tops(batch, ceiling, t_cap=None):
             break
         chunk = rungs[start:start + LADDER_CHUNK]
         with np.errstate(all="ignore"):
-            norms = sup_norm(batch.evaluate(live, chunk)[0])
+            norms = np.concatenate([sup_norm(batch.evaluate(live[b.start:b.stop], chunk)[0])
+                                    for b in _blocks(len(live), len(chunk))])
         finite = np.isfinite(norms)
         hit = ~finite | (norms > ceiling)
         stop = hit.any(axis=1)
@@ -286,6 +296,13 @@ def _ladder_tops(batch, ceiling, t_cap=None):
         tops[live[stop]] = np.where(finite[stop, k], chunk[k], chunk[k] / 2)
         live = live[~stop]
     return np.maximum(tops, 4.0)
+
+
+def _blocks(count, per):
+    """Ranges of consecutive curves, count in all, of at most BLOCK_POINTS
+    parameters at per parameters a curve (at least one curve each)."""
+    step = max(1, BLOCK_POINTS // max(per, 1))
+    return [range(s, min(s + step, count)) for s in range(0, count, step)]
 
 
 def _grids(tops, per):
@@ -305,8 +322,8 @@ def _collect(curves, plan, with_mu=False) -> SampleCloud:
     """Evaluate labeled curves on adaptive grids; discard above the ceiling.
 
     One ladder gives every curve the top of its grid (_ladder_tops), the
-    grids are built at once (_grids) and evaluated GRID_BLOCK curves at a
-    time; rho_norm runs per curve, on its kept samples.  meta["discards"]
+    grids are built at once (_grids) and evaluated in blocks (_blocks);
+    rho_norm runs per curve, on its kept samples.  meta["discards"]
     counts the dropped points by cause: non_finite, over_ceiling,
     at_most_one (|h| <= 1) and the name of each error a per-point solve
     raised.  with_mu adds the Cartan projection of every kept sample as
@@ -319,9 +336,8 @@ def _collect(curves, plan, with_mu=False) -> SampleCloud:
     mu_points = []
     t_vals = []
     discards = Counter(non_finite=0, over_ceiling=0, at_most_one=0)
-    for start in range(0, len(curves), GRID_BLOCK):
-        which = range(start, min(start + GRID_BLOCK, len(curves)))
-        ts = grids[start:which.stop]
+    for which in _blocks(len(curves), plan.per_curve):
+        ts = grids[which.start:which.stop]
         with np.errstate(all="ignore"):
             stacks, failed = batch.evaluate(which, ts)
             norms = sup_norm(stacks)
@@ -367,16 +383,26 @@ def _random_combo(rng, basis):
     return (np.array(coeffs)[:, None] / nrm * basis).sum(axis=0)
 
 
-def _product_factors(rng, basis, depth):
-    """The factors of a random curve t -> exp(t^e_1 v_1) ... exp(t^e_k v_k),
-    k in 1..depth, over directions v_i in the span of basis and exponents e_i
-    in [0.35, 1], one of them 1."""
+def _product_draw(rng, basis, depth):
+    """(directions, parameters) of a random curve t -> exp(t^e_1 v_1) ...
+    exp(t^e_k v_k), k in 1..depth, over directions v_i in the span of basis
+    and exponents e_i in [0.35, 1], one of them 1."""
     k = rng.randint(1, depth)
     dirs = [_random_combo(rng, basis) for _ in range(k)]
     exps = [rng.uniform(0.35, 1.0) for _ in range(k)]
     exps[rng.randrange(k)] = 1.0
-    return [(float_line(v), AT_T if e == 1.0 else (POW, e, 1.0))
-            for v, e in zip(dirs, exps)]
+    return dirs, [AT_T if e == 1.0 else (POW, e, 1.0) for e in exps]
+
+
+def _rays_and_products(basis, draws, heads=None):
+    """The line of each row of basis, and the product curve of each draw
+    (with its head, if heads are given), every line built by one float_lines
+    call."""
+    lines = iter(float_lines(np.vstack([basis] + [dirs for dirs, _ in draws])))
+    rays = [next(lines) for _ in basis]
+    heads = heads or [None] * len(draws)
+    return rays, [_Curve([(next(lines), param) for param in params], head)
+                  for (_, params), head in zip(draws, heads)]
 
 
 def _vec(e: AlgebraElement) -> np.ndarray:
@@ -419,13 +445,12 @@ def _nil_curves(h: Subalgebra, plan, result=None):
                 curves.append((tag, witness_curve(w, h)))
         if result.template is not None:
             curves += _template_extremal_curves(result.template)
-    for i, b in enumerate(B):
-        line = float_line(b)
+    draws = [_product_draw(rng, B, PRODUCT_DEPTH) for _ in range(N_PRODUCT_CURVES)]
+    rays, products = _rays_and_products(B, draws)
+    for i, line in enumerate(rays):
         curves.append((f"ray{i}", _line_curve(line)))
         curves.append((f"ray{i}-", _line_curve(line, (LIN, -1.0, 1.0))))
-    for i in range(N_PRODUCT_CURVES):
-        curves.append((f"prod{i}", _Curve(_product_factors(rng, B, PRODUCT_DEPTH))))
-    return curves
+    return curves + [(f"prod{i}", c) for i, c in enumerate(products)]
 
 
 def _template_extremal_curves(tm):
@@ -711,12 +736,13 @@ def _line_curves(tag, line, scale):
 def _ray_and_mix_curves(line, scale, u, rng):
     """A ray per basis row of u, then line(s log t / scale) times a random product."""
     B = np.array(u.coord_rows(), dtype=float)
-    curves = [(f"u-ray{i}", _line_curve(float_line(b))) for i, b in enumerate(B)]
-    for i in range(N_PRODUCT_CURVES):
-        s = rng.uniform(-2, 2)
-        factors = _product_factors(rng, B, PRODUCT_DEPTH)
-        curves.append((f"mix{i}", _Curve(factors, head=(line, (LOG, s, scale)))))
-    return curves
+    heads, draws = [], []
+    for _ in range(N_PRODUCT_CURVES):
+        heads.append((line, (LOG, rng.uniform(-2, 2), scale)))
+        draws.append(_product_draw(rng, B, PRODUCT_DEPTH))
+    rays, mixes = _rays_and_products(B, draws, heads)
+    return ([(f"u-ray{i}", _line_curve(ray)) for i, ray in enumerate(rays)]
+            + [(f"mix{i}", c) for i, c in enumerate(mixes)])
 
 
 def _semidirect_curves(spec: Semidirect, plan):

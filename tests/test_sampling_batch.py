@@ -29,7 +29,7 @@ from su2n.anclassify import Graph, OneParam, Semidirect, line_compatible
 from su2n.config import DEFAULT
 from su2n.corpus import random_element
 from su2n.subalgebra import close_under_bracket
-from su2n.elements import (AlgebraElement, exp_closed, exp_float, float_line,
+from su2n.elements import (AlgebraElement, exp_closed, exp_float, float_line, float_lines,
                            matrix_of)
 from su2n.lab import ImplicitSolveFailed
 from su2n.metrics import rho_norm, rho_norm_oracle, sup_norm
@@ -188,6 +188,43 @@ def test_exp_float_is_the_float_line_bitwise():
             assert np.array_equal(exp_float(c, s), one)
 
 
+def _one_line(c):
+    """(stack, a-part) of the line of c, built alone, one matrix at a time."""
+    n, m = len(c) // 4, len(c) // 4 + 2
+    N = (c @ elements._coord_basis(n)).reshape(m, m)
+    d = None
+    if c[0] or c[1]:
+        d = N.diagonal()
+        N = N - np.diag(d)
+    N2 = N @ N
+    N3 = N2 @ N
+    N4 = N2 @ N2
+    return np.array([np.eye(m), N, N2 / 2, N3 / 6, N4 / 24]).reshape(5, -1).view(float), d
+
+
+def test_float_lines_build_each_line_as_it_is_built_alone(alg):
+    # random nilpotent rows, the test directions and the gallery lines, each
+    # stack against the one built alone, bit for bit
+    rng = np.random.default_rng(5)
+    for n in (3, 4, 6):
+        rows = rng.normal(size=(12, 4 * n)) * 10.0 ** rng.integers(-6, 6, (12, 1))
+        rows[:, :2] = 0.0
+        dirs = [_vec(u) for u in _directions(n, random.Random(30 + n))]
+        lines = [x for x in _gallery_lines() if x.n == n]
+        cs = np.vstack([rows, dirs] + [[_vec(x) for x in lines]] * bool(lines))
+        for c, line in zip(cs, float_lines(cs)):
+            stack, d = _one_line(c)
+            assert np.array_equal(line.stack, stack)
+            assert (line.a_part is None) == (d is None)
+            assert d is None or np.array_equal(line.a_part, d)
+    # one failing row fails the whole build
+    bad = np.vstack([rows[:2], _vec(alg(6, t1=1, phi=1))])
+    with pytest.raises(ValueError, match="do not commute"):
+        float_lines(bad)
+    with pytest.raises(ValueError):
+        float_lines(rows[0])
+
+
 def test_exp_closed_grid_rejects_an_a_part():
     for s in (GRID, 1.0):
         with pytest.raises(ValueError):
@@ -278,9 +315,9 @@ def _nil_basis(eid):
 def _product(seed, basis, depth):
     rng = random.Random(seed)
     for _ in range(50):
-        curve = lab._Curve(lab._product_factors(rng, basis, depth))
-        if len(curve.factors) == depth:
-            return curve
+        dirs, params = lab._product_draw(rng, basis, depth)
+        if len(dirs) == depth:
+            return lab._Curve(zip(float_lines(dirs), params))
     raise AssertionError("no product curve of full depth")
 
 
@@ -407,19 +444,21 @@ def test_random_combo_adds_the_rows_in_order():
         assert np.array_equal(lab._random_combo(random.Random(d), basis), want)
 
 
-def test_product_curve_stack_equals_serial_product(monkeypatch):
-    dirs = []
-    monkeypatch.setattr(lab, "float_line", lambda c: dirs.append(c) or float_line(c))
+def test_product_curve_stack_equals_serial_product():
     for eid, depth in (("cds-fulln-n3", 3), ("notcds07-max-n4", 2)):
-        dirs.clear()
-        curve = _product(7, _nil_basis(eid), depth)
-        exps = [1.0 if kind == lab.LIN else e for _, (kind, e, _) in curve.factors]
+        basis = _nil_basis(eid)
+        rng = random.Random(7)
+        dirs, params = lab._product_draw(rng, basis, depth)
+        while len(dirs) < depth:
+            dirs, params = lab._product_draw(rng, basis, depth)
+        _, (curve,) = lab._rays_and_products(basis, [(dirs, params)])
+        exps = [1.0 if kind == lab.LIN else e for kind, e, _ in params]
         assert 1.0 in exps
         ts = np.geomspace(1.0, 1e3, 12)
         mats = []
         for t in ts:
             g = None
-            for v, e in zip(dirs[-depth:], exps):
+            for v, e in zip(dirs, exps):
                 f = exp_float(v, t ** e)
                 g = f if g is None else g @ f
             mats.append(g)
@@ -489,13 +528,20 @@ def test_plan_tolerances_set_the_ceiling():
 
 def test_sampling_builds_each_line_once(monkeypatch):
     # a ray, a product factor or a torus line is built once per curve, when
-    # the curve is made, and never again for a ladder chunk or a grid
-    built = []
+    # the curve is made, and never again for a ladder chunk or a grid; the
+    # rays and product factors of a spec are built by one float_lines call
+    built, calls = [], []
 
     def counted(c):
         built.append(c)
         return float_line(c)
+
+    def counted_rows(cs):
+        calls.append(len(cs))
+        built.extend(cs)
+        return float_lines(cs)
     monkeypatch.setattr(lab, "float_line", counted)
+    monkeypatch.setattr(lab, "float_lines", counted_rows)
     plan = lab.SamplingPlan(seed=0)
 
     h = gallery.get("cds-fulln-n3").spec()
@@ -508,6 +554,7 @@ def test_sampling_builds_each_line_once(monkeypatch):
     assert not any(isinstance(c, lab._PerPoint) for c in witnesses)
     factors = sum(len(c.factors) for tag, c in curves if tag.startswith("prod"))
     assert len(built) == 2 + len(h.coord_rows()) + factors
+    assert calls == [len(h.coord_rows()) + factors]
     made = len(built)
     built.clear()
     lab.sample_subgroup(h, plan, result=result)
