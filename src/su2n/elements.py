@@ -624,8 +624,11 @@ def float_line(c) -> FloatLine:
     stack of I, N, N^2/2, N^3/6 and N^4/24 is built, and N D = D N and
     N^5 = 0 are checked (ValueError; a non-finite X is not checked for
     N^5 = 0), once, here.  The FloatLine maps a float s to the (m, m)
-    complex matrix and an array s to the (T, m, m) stack; a float s gives
-    bitwise the slice of a grid holding it.
+    complex matrix and an array s to the (T, m, m) stack.  A float s takes
+    a one-row product, which may differ in the last bits from the slice of
+    a longer grid holding s (BLAS runs gemv for one row and gemm for many):
+    on a 48-point grid, 10 of the 48 slices of the line of one random
+    product direction of notcds08-n3 did.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 1:
