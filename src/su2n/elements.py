@@ -610,6 +610,15 @@ class FloatLine:
             g = np.exp(t * self.a_part)[..., None] * g
         return g if np.ndim(s) else g[0]
 
+    def points(self, s):
+        """The (k, m, m) stack of line(float(s_k)): each point its own
+        one-row product, bit for bit as a float gives it, in one call."""
+        t = np.reshape(np.asarray(s, dtype=float), (-1, 1, 1))
+        g = ((t ** np.arange(5)) @ self.stack).view(complex).reshape(-1, self.m, self.m)
+        if self.a_part is not None:
+            g = np.exp(t[:, 0] * self.a_part)[..., None] * g
+        return g
+
 
 def float_line(c) -> FloatLine:
     """The line s -> exp(s X) in floating point, for an a+n coordinate vector c.

@@ -426,12 +426,12 @@ def _commuting_lines(u: AlgebraElement, z: AlgebraElement):
 def _least_rho_ratio(g_u, z_line, p, factors):
     """Of g_u exp((p f) z) = exp(t u + (p f) z) over the factors f, the sample
     with the least rho/|h|: a best-of-k scan around the root p of a corner
-    determinant, which tracks the lower envelope.  The candidates, each
-    evaluated at its own float parameter (a one-row product, whose bits a
-    grid of k rows need not keep), are measured as one (k, m, m) stack.  As
-    min() over them would, it takes the first least ratio, and a NaN ratio
-    (an overflowed candidate) only in first place."""
-    cands = np.array([g_u @ z_line(p * f) for f in factors])
+    determinant, which tracks the lower envelope.  The candidates are one
+    (k, m, m) stack, each factor of z its own one-row product (z_line.points:
+    the bits of a float parameter, which a grid of k rows need not keep).
+    As min() over them would, it takes the first least ratio, and a NaN
+    ratio (an overflowed candidate) only in first place."""
+    cands = g_u @ z_line.points(p * np.array(factors))
     ratio = rho_norm(cands) / np.maximum(sup_norm(cands), 1.0)
     return cands[0 if np.isnan(ratio[0]) else int(np.nanargmin(ratio))]
 

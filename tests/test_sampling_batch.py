@@ -225,6 +225,19 @@ def test_float_lines_build_each_line_as_it_is_built_alone(alg):
         float_lines(rows[0])
 
 
+def test_line_points_are_the_float_evaluations_bit_for_bit():
+    # points(s) stacks line(float(s_k)); a grid of the same parameters may
+    # differ in the last bits (it does for this random product direction
+    # on a 48-point grid with OpenBLAS), so the least-rho scans use points
+    h = gallery.get("notcds08-n3").spec()
+    curves = dict(lab._nil_curves(h, lab.SamplingPlan(seed=0), classify(h)))
+    s = np.geomspace(1.0, 500.0, 48)
+    cs = np.linspace(-30.0, 30.0, 25)
+    for line, grid in [(curves["prod4"].factors[0][0], s)] + [
+            (float_line(_vec(x)), cs) for x in _gallery_lines()]:
+        assert np.array_equal(line.points(grid), [line(float(t)) for t in grid])
+
+
 def test_exp_closed_grid_rejects_an_a_part():
     for s in (GRID, 1.0):
         with pytest.raises(ValueError):
