@@ -33,6 +33,7 @@ from .elements import (
 )
 from .nilclassify import (
     _Frame,
+    _frame_of,
     _slot_subspace,
     _span_in_slots,
     classify,
@@ -180,13 +181,14 @@ def classify_semidirect(torus: TorusLine, u: Subalgebra, seed: int = 0) -> AnRes
         raise SpecViolation("U must lie inside N")
     if not _normalized_by_element(torus.element(u.n), u):
         raise UNotNormalized(f"T = {torus} does not normalize U")
-    nil = classify(u, seed=seed)
+    frame = _Frame(u)
+    nil = classify(frame, seed=seed)
     if nil.is_cds:
         return AnResult("CDS", MuShape.full_chamber("semidirect-cds"),
                         "semidirect-cds", notes="H contains the CDS U",
                         nil_result=nil)
     t = nil.template.type_id
-    row = semidirect_case(u, nil.template)
+    row = semidirect_case(frame, nil.template)
     if row is None:
         raise NoCaseMatched(f"type-{t} U fits no semidirect case")
     if row.root is not None and torus != TorusLine.of_kernel(row.root):
@@ -213,8 +215,10 @@ _GRAPH_SHAPES = {
 }
 
 
-def _sigma_of(u: Subalgebra) -> Optional[str]:
-    frame = _Frame(u)
+def _sigma_of(u) -> Optional[str]:
+    """The reduced root sigma whose pair U_sigma U_2sigma holds all of U, a
+    Subalgebra or its frame."""
+    frame = _frame_of(u)
     return next((sigma for sigma in REDUCED_ROOTS
                  if _span_in_slots(frame, frame.full, _pair_slots(sigma))), None)
 
@@ -245,7 +249,7 @@ def _classify_graph(spec: Graph, seed: int = 0) -> AnResult:
         return AnResult("CDS", MuShape.full_chamber("graph-omega-intersect"),
                         "graph-cds",
                         notes="U meets the omega root spaces")
-    nil = classify(spec.u, seed=seed)
+    nil = classify(frame, seed=seed)
     if nil.is_cds:
         return AnResult("CDS", MuShape.full_chamber("graph-u-cds"), "graph-cds",
                         notes="H contains the CDS U", nil_result=nil)
@@ -258,7 +262,8 @@ def _classify_graph(spec: Graph, seed: int = 0) -> AnResult:
             work = _reflect_graph_simple(work, "alpha")
         elif work.omega == "alpha+2beta":
             work = _reflect_graph_simple(work, "beta")
-    sigma = _sigma_of(work.u)
+    # a Weyl-reflected U is another subalgebra, with a frame of its own
+    sigma = _sigma_of(frame if work is spec else work.u)
     if sigma is None:
         raise NoCaseMatched("U is not supported in a single root pair")
     if work.omega == "alpha" and sigma == "beta":

@@ -17,7 +17,8 @@ and x, y row vectors in C^{n-2}; the matrix of such an element is
     [ 0    0    0    0     -t1   ]
 
 (~ conjugate, + conjugate transpose; middle block of size n-2).  The first two
-rows determine the whole matrix.
+rows determine the whole matrix.  `_coord_entries` holds this display as the
+one table from coordinate columns to matrix entries.
 
 The six coordinate slots phi, y, x, yy, eta, xx are the root spaces for
 alpha, beta, alpha+beta, 2*beta, alpha+2*beta, 2*alpha+2*beta where
@@ -286,42 +287,50 @@ class AlgebraElement:
         return f"AlgebraElement(n={self.n}, {', '.join(parts) or '0'})"
 
 
+@lru_cache(maxsize=None)
+def _coord_entries(n) -> tuple:
+    """For each coords() column c, the entries (i, j, re, im) of the matrix
+    of the c-th coordinate unit vector: M[i][j] = re + i*im, each +-1 or
+    +-i, read off the display above.  The matrix of a row is the sum of its
+    columns' entries scaled by the row's values."""
+    m = n + 2
+    # (i, j) of each complex entry z of the display, then of its -conj(z)
+    places = ([(0, 1, n, m - 1)] + [(0, 2 + k, 2 + k, m - 1) for k in range(n - 2)]
+              + [(1, 2 + k, 2 + k, n) for k in range(n - 2)] + [(0, n, 1, m - 1)])
+    table = [((0, 0, 1, 0), (m - 1, m - 1, -1, 0)), ((1, 1, 1, 0), (n, n, -1, 0))]
+    for i, j, ci, cj in places:
+        table += [((i, j, 1, 0), (ci, cj, -1, 0)), ((i, j, 0, 1), (ci, cj, 0, 1))]
+    return tuple(table + [((0, m - 1, 0, 1),), ((1, n, 0, 1),)])
+
+
+def _gaussian_of_row(n, ints):
+    """The matrix of the int coordinate row `ints`, in the sparse
+    Gaussian-integer rows of `_gaussian_ints`, read from _coord_entries."""
+    m = n + 2
+    re_, im_ = [[0] * m for _ in range(m)], [[0] * m for _ in range(m)]
+    for v, entries in zip(ints, _coord_entries(n)):
+        if v:
+            for i, j, a, b in entries:
+                re_[i][j] += a * v
+                im_[i][j] += b * v
+    return [[(j, r, s) for j, (r, s) in enumerate(zip(row_re, row_im)) if r or s]
+            for row_re, row_im in zip(re_, im_)]
+
+
 def matrix_of(u: AlgebraElement):
     """The (n+2)x(n+2) matrix of an algebra element: nested lists of
-    GaussianRationals.
+    GaussianRationals, read from the coordinate table _coord_entries.
     """
-    n, m = u.n, u.n + 2
-    i_ = QQi(0, 1)
-    z = QQi(0)
-    M = [[z for _ in range(m)] for _ in range(m)]
-    M[0][0] = QQi(u.t1)
-    M[1][1] = QQi(u.t2)
-    M[n][n] = QQi(-u.t2)
-    M[m - 1][m - 1] = QQi(-u.t1)
-    M[0][1] = u.phi
-    for j, (xj, yj) in enumerate(zip(u.x, u.y)):
-        M[0][2 + j] = xj
-        M[1][2 + j] = yj
-        M[2 + j][n] = -conj(yj)
-        M[2 + j][m - 1] = -conj(xj)
-    M[0][n] = u.eta
-    M[0][m - 1] = i_ * u.xx
-    M[1][n] = i_ * u.yy
-    M[1][m - 1] = -conj(u.eta)
-    M[n][m - 1] = -conj(u.phi)
-    return M
+    ints, den = int_row(u._row)
+    return _gaussian_matrix(_gaussian_of_row(u.n, ints), den, u.n + 2)
 
 
 def element_from_matrix(M, n) -> AlgebraElement:
-    """Read coordinates from an exact matrix; raises NotInAN on pattern mismatch."""
+    """Read coordinates from an exact matrix, each column's at its first
+    entry in _coord_entries; raises NotInAN on pattern mismatch."""
     m = n + 2
-    if im(M[0][0]) != 0 or im(M[1][1]) != 0:
-        raise NotInAN("complex diagonal")
-    u = AlgebraElement(
-        n, t1=re(M[0][0]), t2=re(M[1][1]), phi=M[0][1],
-        x=[M[0][2 + j] for j in range(n - 2)],
-        y=[M[1][2 + j] for j in range(n - 2)],
-        eta=M[0][n], xx=im(M[0][m - 1]), yy=im(M[1][n]))
+    u = AlgebraElement.from_coords(n, [a * re(M[i][j]) + b * im(M[i][j])
+                                       for (i, j, a, b), *_ in _coord_entries(n)])
     expected = matrix_of(u)
     for i in range(m):
         for j in range(m):
@@ -470,7 +479,8 @@ def exp_series(u: AlgebraElement) -> "GroupElement":
     if not u.is_nilpotent():
         raise ValueError("exact exponentials need a nilpotent element")
     m = u.n + 2
-    N, den = _gaussian_ints(matrix_of(u), m)
+    ints, den = int_row(u._row)
+    N = _gaussian_of_row(u.n, ints)
     acc_re = [[0] * m for _ in range(m)]
     acc_im = [[0] * m for _ in range(m)]
     for i in range(m):
@@ -573,16 +583,14 @@ def _check_y0_form(u, x_row, e1n, e1m, e2n, e2m):
 
 @lru_cache(maxsize=None)
 def _coord_basis(n):
-    """(4n, m*m) complex: row i is matrix_of the i-th coordinate unit vector,
-    flattened, so that c @ _coord_basis(n) is the matrix of a float c."""
-    d = AlgebraElement.coord_dim(n)
-    rows = []
-    for i in range(d):
-        unit = [0] * d
-        unit[i] = 1
-        u = AlgebraElement.from_coords(n, unit)
-        rows.append(np.array(matrix_of(u), dtype=complex).ravel())
-    B = np.array(rows)
+    """(4n, m*m) complex: row c is the matrix of the c-th coordinate unit
+    vector (_coord_entries), flattened, so that c @ _coord_basis(n) is the
+    matrix of a float c."""
+    m = n + 2
+    B = np.zeros((4 * n, m * m), dtype=complex)
+    for c, entries in enumerate(_coord_entries(n)):
+        for i, j, a, b in entries:
+            B[c, i * m + j] = complex(a, b)
     B.setflags(write=False)
     return B
 

@@ -33,8 +33,8 @@ from typing import Optional
 
 import numpy as np
 
-from .anclassify import (Graph, OneParam, Semidirect, _sigma_of, classify_an,
-                         line_compatible)
+from .anclassify import (Graph, OneParam, Semidirect, _psi_in_2beta, _sigma_of,
+                         classify_an, line_compatible)
 from .config import DEFAULT, Tolerances
 from .elements import (AlgebraElement, bracket, exp_closed, exp_float, float_line,
                        float_lines)
@@ -787,8 +787,7 @@ def extremal_graph_curves(spec: Graph):
     elif case == ("alpha", "alpha+2beta"):
         curves.append(("extremal-lower", _line_curve(ray0, (ONE, 1.0, 1.0), along)))
     elif case == ("beta", "alpha+2beta"):
-        r = 1 if (spec.psi_value.root_component("beta").is_zero()
-                  and not spec.psi_value.root_component("2beta").is_zero()) else 2
+        r = 1 if _psi_in_2beta(spec) else 2
         curves.append(("extremal-lower", _line_curve(ray0, (LOGPOW, r / 2.0, 1.0), along)))
     elif case == ("beta", "alpha+beta"):
         curves.append(("extremal-upper", _Curve([along])))

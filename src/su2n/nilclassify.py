@@ -21,9 +21,10 @@ disagreement is an implementation bug and raises InconsistentClassification.
 
 Universal statements (forms vanishing identically, anisotropy) are decided
 deterministically: Gram matrices W Q W^T of quadratic forms on the coordinate
-rows W, with the fixed symmetric matrix Q of each form found once per n
-(polarization at each point only for the forms with a parameter), and exact
-LDL-style signatures for definiteness.  Existential equalities on quadrics
+rows W, with the fixed symmetric matrix Q of each form polarized once per n
+(a form with a central parameter z, t_pair or pair_e, is linear in z, so its
+Q is sum_c z[c] Q_c over one fixed Q_c per column of z), and exact LDL-style
+signatures for definiteness.  Existential equalities on quadrics
 use the exact signature to decide and produce rational witnesses when the
 zero cone has rational points (falling back to approximate witnesses,
 reported with exact=False, with the decision still exact).  The rank-one
@@ -32,9 +33,10 @@ complex-line images); outside them they walk the pencils through pairs of
 basis rows, and a miss there is no proof that no rank-one element exists —
 only the double entry stands behind it.
 
-classify() builds one _Frame for h and hands it to every route; check_square,
-check_linear, match_notcds, semidirect_case, expected_normalizer and
-normalizer_in_A also take a bare Subalgebra and then build their own.
+Every public route (classify, check_square, check_linear, match_notcds,
+semidirect_case, expected_normalizer, normalizer_in_A) takes h as a _Frame
+or as a bare Subalgebra, and then builds its frame; classify hands its one
+frame to every other route.
 
 The module is exact only and imports no numpy or scipy: the float curves
 that realize a witness (`lab.witness_curve`) live with the other sampling
@@ -195,8 +197,7 @@ class _Frame:
             return self.kernel_of(lambda c: self.funcs_on(names, c), within)
         key = tuple(names)
         if key not in self._kernels:
-            self._kernels[key] = self.kernel_of(lambda c: self.funcs_on(names, c),
-                                                self.full)
+            self._kernels[key] = self.kernel(names, self.full)
         return self._kernels[key]
 
     def vanishes_on(self, name, within) -> bool:
@@ -237,16 +238,18 @@ class _Frame:
 
     # quadratic forms -------------------------------------------------------
 
-    def gram(self, q, within):
-        """Polarization Gram of the quadratic form q(element) on `within`,
-        for the forms with a parameter (t_pair, pair_e at a fixed z)."""
-        if not within:
-            return []
-        return linalg.gram_from_quadratic(lambda v: [q(self.element(v))], within)[0]
-
     def fixed_gram(self, q, within):
-        """Gram W Q W^T of q_center or r_alpha on the rows W of `within`."""
-        return linalg.form_gram(within, _fixed_form(q, self.n))
+        """Gram W Q W^T of q_center or r_alpha on the rows W of `within`;
+        empty, and Q not polarized, when `within` is."""
+        return linalg.form_gram(within, _fixed_form(q, self.n)) if within else []
+
+    def pair_gram(self, q, z, within):
+        """Gram of u -> q(u, z) on `within`, for q = t_pair or pair_e at the
+        central row z: sum_c z[c] W Q_c W^T over the forms of _pair_forms."""
+        terms = [(z[c], linalg.form_gram(within, form))
+                 for c, form in _pair_forms(q, self.n) if z[c]]
+        k = range(len(within))
+        return [[sum(v * g[i][j] for v, g in terms) for j in k] for i in k]
 
     def gram_witness(self, gram, within):
         """A row where the form with this Gram is nonzero."""
@@ -313,6 +316,17 @@ def _fixed_forms(values, n):
 def _fixed_form(q, n):
     """Q of the form q (q_center or r_alpha) at this n, found once."""
     return _fixed_forms(lambda e: [q(e)], n)[0]
+
+
+@cache
+def _pair_forms(q, n):
+    """(c, Q_c) for the columns c of eta, xx and yy at this n, found once:
+    q (t_pair or pair_e) reads only those columns of z and is linear in
+    them, so u -> q(u, z) has Q = sum_c z[c] Q_c."""
+    d = AlgebraElement.coord_dim(n)
+    zcols = range(AlgebraElement.slot_columns(n)["eta"].start, d)
+    units = [AlgebraElement.from_coords(n, [int(i == c) for i in range(d)]) for c in zcols]
+    return tuple(zip(zcols, _fixed_forms(lambda e: [q(e, z) for z in units], n)))
 
 
 @cache
@@ -598,10 +612,7 @@ def _sq1(frame):
 def _sq2(frame):
     """z central with |eta_z|^2 != xx_z yy_z."""
     Z = frame.z_rows
-    if not Z:
-        return None
-    g = frame.fixed_gram(q_center, Z)
-    w = frame.gram_witness(g, Z)
+    w = frame.gram_witness(frame.fixed_gram(q_center, Z), Z)
     if w is None:
         return None
     return {"z": frame.element(w)}, "", True
@@ -613,23 +624,15 @@ def _sq3(frame):
     if not W:
         return None
     for zc in frame.z_rows:
-        z = frame.element(zc)
-
-        def q(e, z=z):
-            return t_pair(e, z)
-
-        g = frame.gram(q, W)
-        w = frame.gram_witness(g, W)
+        w = frame.gram_witness(frame.pair_gram(t_pair, zc, W), W)
         if w is not None:
-            return {"u": frame.element(w), "z": z}, "", True
+            return {"u": frame.element(w), "z": frame.element(zc)}, "", True
     return None
 
 
 def _sq4(frame):
     """phi_u != 0, y_u = 0, yy_u = 0, |x_u|^2 + 2Re(phi_u conj(eta_u)) = 0."""
     V = frame.kernel(["y", "yy"])
-    if not V:
-        return None
     if frame.vanishes_on("phi", V):
         return None
     g = frame.fixed_gram(r_alpha, V)
@@ -737,13 +740,10 @@ def check_linear(h) -> Optional[LinearWitness]:
 def _li1(frame):
     """nonzero central z with |eta_z|^2 = xx_z yy_z."""
     Z = frame.z_rows
-    if not Z:
-        return None
-    g = frame.fixed_gram(q_center, Z)
-    sig = linalg.signature(g)
+    sig = linalg.signature(frame.fixed_gram(q_center, Z))
     p, q, z, cert = sig
     if z == 0 and (p == 0 or q == 0):
-        return None  # anisotropic
+        return None  # anisotropic, or no central part
     res = _rational_zero(frame, sig, Z)
     if res is None:
         return None
@@ -877,11 +877,10 @@ def _odd_cubic_zero_on_plane(frame, line, ky):
               + Fraction(cb).limit_denominator(10**9) * y for x, y in zip(a, b)]
         return float(cubic_c(frame.element(cf))), cf
 
-    v0, c0 = val(0.0)
-    if v0 == 0:
+    flo, c0 = val(0.0)
+    if flo == 0:
         return frame.element(c0), True
     lo, hi = 0.0, math.pi  # odd: C(pi) = -C(0)
-    flo, _ = val(lo)
     for _ in range(200):
         mid = (lo + hi) / 2
         fm, cm = val(mid)
@@ -899,10 +898,7 @@ def _odd_cubic_zero_on_plane(frame, line, ky):
 def _li3(frame):
     """y_h = 0, yy_h = 0, |x|^2 + 2 Re(phi conj(eta)) != 0."""
     V = frame.kernel(["y", "yy"])
-    if not V:
-        return None
-    g = frame.fixed_gram(r_alpha, V)
-    w = frame.gram_witness(g, V)
+    w = frame.gram_witness(frame.fixed_gram(r_alpha, V), V)
     if w is None:
         return None
     return {"u": frame.element(w)}, "", True
@@ -924,35 +920,28 @@ def _li4(frame):
 def _li5(frame):
     """u: phi,y != 0; central z: yy_z = 0, phi_u conj(eta_z) real, E(u,z) = 0."""
     Z0 = frame.kernel(["yy"], frame.z_rows)
-    if not Z0:
-        return None
-    for zc in Z0 + [_z for _z in
-                    ([ [a + b for a, b in zip(Z0[0], Z0[1])] ] if len(Z0) > 1 else [])]:
-        z = frame.element(zc)
-        if not z.eta and not z.xx:
+    for zc in Z0 + ([[a + b for a, b in zip(Z0[0], Z0[1])]] if len(Z0) > 1 else []):
+        if not any(frame.funcs_on(["eta", "xx"], zc)):
             continue
-        res = _li5_fixed_z(frame, z)
+        res = _li5_fixed_z(frame, zc)
         if res is not None:
             return res
     return None
 
 
-def _li5_fixed_z(frame, z):
+def _li5_fixed_z(frame, zc):
+    z = frame.element(zc)
     # K = {u : Im(phi_u conj(eta_z)) = 0}
     K = frame.kernel_of(lambda c: [im(frame.element(c).phi * conj(z.eta))],
                         frame.full)
     if not K:
         return None
-
-    def qe(e):
-        return pair_e(e, z)
-
-    g = frame.gram(qe, K)
+    g = frame.pair_gram(pair_e, zc, K)
     sig = linalg.signature(g)
     p, q, zr, cert = sig
     if linalg.gram_is_zero(g):
         w = frame.nonzero_with(["phi", "y"], K)
-        if w is not None and (z.eta or z.xx):
+        if w is not None:
             u = frame.element(w)
             if im(u.phi * conj(z.eta)) == 0 and (u.phi * conj(z.eta)):
                 return {"u": u, "z": z}, "E vanishes identically", True
@@ -1156,10 +1145,8 @@ def _tm6(frame):
         return None
     if frame.rank_one is not None:
         return None
-    if frame.z_rows:
-        g = frame.fixed_gram(q_center, frame.z_rows)
-        if not linalg.is_definite(g):
-            return None
+    if not linalg.is_definite(frame.fixed_gram(q_center, frame.z_rows)):
+        return None
     return NotCdsMatch(6, MuShape.curve(2, provenance="notcds-6"), {}, frame.d)
 
 
@@ -1168,10 +1155,8 @@ def _tm7(frame):
     element having a nonzero cubic, central form anisotropic: the 3/2..2 band."""
     if not frame.vanishes_on("phi", frame.full):
         return None
-    if frame.z_rows:
-        g = frame.fixed_gram(q_center, frame.z_rows)
-        if not linalg.is_definite(g):
-            return None
+    if not linalg.is_definite(frame.fixed_gram(q_center, frame.z_rows)):
+        return None
     has_not1 = bool(frame.z_rows) or (_find_rank2(frame, frame.full) is not None)
     if not has_not1:
         return None
@@ -1407,8 +1392,9 @@ def expected_normalizer(h, match: NotCdsMatch) -> NormalizerResult:
     return row.normalizer() if row else NormalizerResult("trivial")
 
 
-def classify(h: Subalgebra, seed: int = 0) -> ClassificationResult:
-    """Full double-entry classification of a nontrivial subalgebra of n.
+def classify(h, seed: int = 0) -> ClassificationResult:
+    """Full double-entry classification of a nontrivial subalgebra of n, a
+    Subalgebra or its frame.
 
     CDS iff a square and a linear witness both exist.  The template match is
     computed independently; the witness pattern must equal the envelope
@@ -1419,9 +1405,7 @@ def classify(h: Subalgebra, seed: int = 0) -> ClassificationResult:
     disagreement is a bug and raises InconsistentClassification.  `seed` is
     only echoed into the result.
     """
-    if all(b.is_zero() for b in h.basis):
-        raise ValueError("theorem applies to nontrivial subgroups only")
-    frame = _Frame(h)
+    frame = _frame_of(h)
     sq, li, tm = check_square(frame), check_linear(frame), match_notcds(frame)
     if not _double_entry_ok(sq, li, tm):
         raise InconsistentClassification(

@@ -98,6 +98,25 @@ def test_graph_cases(alg):
     assert r.case == "graph-4" and r.shape == MuShape.band(1, 1, log_hi=1)
 
 
+def test_classify_an_frames_each_subalgebra_once(alg, monkeypatch):
+    from su2n import nilclassify
+
+    framed = []
+    init = nilclassify._Frame.__init__
+    monkeypatch.setattr(nilclassify._Frame, "__init__",
+                        lambda frame, h: framed.append(h) or init(frame, h))
+    # a semidirect U and a graph U with a template: every route reads one frame
+    for entry_id in ("semi02-n4", "graph01-n4"):
+        spec = gallery.get(entry_id).spec()
+        framed.clear()
+        classify_an(spec)
+        assert len(framed) == 1 and framed[0] is spec.u, entry_id
+    # a Weyl-reflected U is another subalgebra and gets a frame of its own
+    framed.clear()
+    r = classify_an(Graph("alpha+2beta", alg(3, eta=1), Subalgebra([alg(3, phi=1)])))
+    assert len({id(h) for h in framed}) == len(framed), r
+
+
 def test_graph_cds_when_u_meets_omega(alg):
     r = classify_an(Graph("beta", alg(3, yy=1), Subalgebra([alg(3, y=[1])])))
     assert r.verdict == "CDS"

@@ -384,6 +384,27 @@ def test_exp_closed_equals_series_exact():
         assert all(g1.mat[i][j] == g2.mat[i][j] for i in range(m) for j in range(m))
 
 
+def test_matrix_of_is_in_su_2n_and_exp_series_is_exp_closed():
+    # checks of the coordinate table that do not read the table: M^H J + J M
+    # = 0 for every matrix it gives, and the series of that matrix is the
+    # closed form of the element
+    rng = random.Random(22)
+    for n in range(3, 9):
+        m, J = n + 2, gram_matrix(n)
+        for _ in range(6):
+            u = random_element(n, rng, max_slots=6)
+            a = AlgebraElement.from_coords(
+                n, [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2)]
+                + u.coords()[2:])
+            for v in (u, a):
+                M = matrix_of(v)
+                assert all(sum((conj(M[k][i]) * J[k][j] + J[i][k] * M[k][j]
+                                for k in range(m)), QQi(0)) == 0
+                           for i in range(m) for j in range(m)), v
+            g1, g2 = exp_closed(u), exp_series(u)
+            assert all(g1.mat[i][j] == g2.mat[i][j] for i in range(m) for j in range(m)), u
+
+
 def test_exp_closed_rejects_a_part(alg):
     with pytest.raises(ValueError):
         exp_closed(alg(3, t1=1))

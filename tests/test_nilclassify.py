@@ -35,6 +35,7 @@ from su2n.nilclassify import (
     pair_e,
     q_center,
     r_alpha,
+    t_pair,
 )
 from su2n.scalars import QQi, im, re
 from su2n.serialize import classification_report
@@ -54,7 +55,6 @@ def test_square_condition_three(alg, sub):
     assert w.condition_id == 3
     assert q_center(w.elements["z"]) == 0 or True  # z cited by the condition
     u, z = w.elements["u"], w.elements["z"]
-    from su2n.nilclassify import t_pair
     assert t_pair(u, z) != 0 and not u.phi
 
 
@@ -342,6 +342,13 @@ def test_fixed_form_grams_equal_the_polarization_grams():
             for q in (q_center, r_alpha):
                 assert linalg.form_gram(rows, _fixed_form(q, n)) == \
                     _polarization_grams(lambda e: [q(e)], n, rows)[0], (n, q)
+            # the forms with a central parameter z, at a random z
+            eta, xx, yy = (rng.choice((0, Fraction(rng.randint(-9, 9), rng.randint(1, 7))))
+                           for _ in range(3))
+            z = AlgebraElement(n, eta=QQi(eta, rng.randint(-3, 3)), xx=xx, yy=yy)
+            for q in (t_pair, pair_e):
+                assert _Frame.pair_gram(frame, q, z.coords(), rows) == \
+                    _polarization_grams(lambda e: [q(e, z)], n, rows)[0], (n, q, z)
             # one Gram per minor part (none at n = 3), in _minor_parts' order
             grams = _minor_grams(frame, rows)
             assert len(grams) == (n - 2) * (n - 3)
@@ -374,8 +381,8 @@ def test_minor_grams_are_the_single_part_polarizations_in_order(alg, sub):
     for h in subs:
         frame = _Frame(h)
         grams = _minor_grams(frame, frame.full)
-        expected = [frame.gram(lambda e, m=m, part=part: part(_wedge(e.x, e.y)[m]),
-                               frame.full)
+        expected = [_polarization_grams(lambda e, m=m, part=part: [part(_wedge(e.x, e.y)[m])],
+                                        h.n, frame.full)[0]
                     for m in range((h.n - 2) * (h.n - 3) // 2) for part in (re, im)]
         assert grams == expected, h
 
