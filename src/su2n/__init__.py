@@ -72,10 +72,9 @@ from .nilclassify import (
     ClassificationError,
     ClassificationResult,
     InconsistentClassification,
-    LinearWitness,
     NotCdsMatch,
     NotInN,
-    SquareWitness,
+    Witness,
     check_linear,
     check_square,
     classify,

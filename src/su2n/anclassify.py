@@ -31,14 +31,7 @@ from .elements import (
     primitive_line,
     root_value,
 )
-from .nilclassify import (
-    _Frame,
-    _frame_of,
-    _slot_subspace,
-    _span_in_slots,
-    classify,
-    semidirect_case,
-)
+from .nilclassify import _frame_of, _slot_subspace, _span_in_slots, classify
 from .shapes import MuShape
 from .subalgebra import Subalgebra
 from .weyl import conjugate, weyl_matrix
@@ -181,14 +174,12 @@ def classify_semidirect(torus: TorusLine, u: Subalgebra, seed: int = 0) -> AnRes
         raise SpecViolation("U must lie inside N")
     if not _normalized_by_element(torus.element(u.n), u):
         raise UNotNormalized(f"T = {torus} does not normalize U")
-    frame = _Frame(u)
-    nil = classify(frame, seed=seed)
+    nil = classify(u, seed=seed)
     if nil.is_cds:
         return AnResult("CDS", MuShape.full_chamber("semidirect-cds"),
                         "semidirect-cds", notes="H contains the CDS U",
                         nil_result=nil)
-    t = nil.template.type_id
-    row = semidirect_case(frame, nil.template)
+    t, row = nil.template.type_id, nil.semidirect
     if row is None:
         raise NoCaseMatched(f"type-{t} U fits no semidirect case")
     if row.root is not None and torus != TorusLine.of_kernel(row.root):
@@ -215,9 +206,8 @@ _GRAPH_SHAPES = {
 }
 
 
-def _sigma_of(u) -> Optional[str]:
-    """The reduced root sigma whose pair U_sigma U_2sigma holds all of U, a
-    Subalgebra or its frame."""
+def _sigma_of(u: Subalgebra) -> Optional[str]:
+    """The reduced root sigma whose pair U_sigma U_2sigma holds all of U."""
     frame = _frame_of(u)
     return next((sigma for sigma in REDUCED_ROOTS
                  if _span_in_slots(frame, frame.full, _pair_slots(sigma))), None)
@@ -243,13 +233,11 @@ def _classify_graph(spec: Graph, seed: int = 0) -> AnResult:
                                   spec.u):
         raise UNotNormalized("the graph line does not normalize U")
     # any intersection of U with the omega root spaces forces CDS
-    frame = _Frame(spec.u)
-    inter = _slot_subspace(frame, _pair_slots(spec.omega))
-    if inter:
+    if _slot_subspace(_frame_of(spec.u), _pair_slots(spec.omega)):
         return AnResult("CDS", MuShape.full_chamber("graph-omega-intersect"),
                         "graph-cds",
                         notes="U meets the omega root spaces")
-    nil = classify(frame, seed=seed)
+    nil = classify(spec.u, seed=seed)
     if nil.is_cds:
         return AnResult("CDS", MuShape.full_chamber("graph-u-cds"), "graph-cds",
                         notes="H contains the CDS U", nil_result=nil)
@@ -262,8 +250,7 @@ def _classify_graph(spec: Graph, seed: int = 0) -> AnResult:
             work = _reflect_graph_simple(work, "alpha")
         elif work.omega == "alpha+2beta":
             work = _reflect_graph_simple(work, "beta")
-    # a Weyl-reflected U is another subalgebra, with a frame of its own
-    sigma = _sigma_of(frame if work is spec else work.u)
+    sigma = _sigma_of(work.u)
     if sigma is None:
         raise NoCaseMatched("U is not supported in a single root pair")
     if work.omega == "alpha" and sigma == "beta":

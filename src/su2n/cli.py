@@ -35,6 +35,7 @@ from .serialize import (
     spec_to_json,
 )
 from .subalgebra import Subalgebra, SubalgebraError
+from .verify import SUITES
 
 
 def _default_seed():
@@ -98,12 +99,9 @@ def _cmd_verify(args):
               "formulas": {"trials_per_n": 60},
               "cartan": {"cases": 200},
               "conjugation": {"pairs": 25}}
-    names = ([args.suite] if args.suite != "all"
-             else ["formulas", "cartan", "classifier", "shapes", "dimensions",
-                   "log-corrections", "conjugation"])
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     failed = 0
     for name in names:
-        from .verify import SUITES
         rows = SUITES[name](**kw.get(name, {}))
         for r in rows:
             mark = "PASS" if r["ok"] else "FAIL"
@@ -157,10 +155,7 @@ def main(argv=None):
     p.set_defaults(fn=_cmd_mu_scan)
 
     p = sub.add_parser("verify", help="run an invariant suite")
-    p.add_argument("--suite", default="all",
-                   choices=["formulas", "cartan", "classifier", "shapes",
-                            "dimensions", "log-corrections", "conjugation",
-                            "all"])
+    p.add_argument("--suite", default="all", choices=[*SUITES, "all"])
     p.add_argument("--quick", action="store_true",
                    help="reduced sample counts for a fast pass")
     p.set_defaults(fn=_cmd_verify)

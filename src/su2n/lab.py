@@ -33,8 +33,8 @@ from typing import Optional
 
 import numpy as np
 
-from .anclassify import (Graph, OneParam, Semidirect, _psi_in_2beta, _sigma_of,
-                         classify_an, line_compatible)
+from .anclassify import (Graph, OneParam, Semidirect, _pair_slots, _psi_in_2beta,
+                         _sigma_of, classify_an, line_compatible)
 from .config import DEFAULT, Tolerances
 from .elements import (AlgebraElement, bracket, exp_closed, exp_float, float_line,
                        float_lines)
@@ -50,7 +50,7 @@ from .metrics import (
     shape_check,
     sup_norm,
 )
-from .nilclassify import LinearWitness, SquareWitness, _lambda_of, classify
+from .nilclassify import Witness, _lambda_of, classify
 from .scalars import QQi, abs2, conj, herm, re
 from .shapes import MuShape
 from .subalgebra import Subalgebra
@@ -481,7 +481,7 @@ def _template_extremal_curves(tm):
 # witness curves
 
 
-def witness_curve(witness, h: Subalgebra):
+def witness_curve(witness: Witness, h: Subalgebra):
     """The proof's one-parameter curve t -> h(t) for a witness.
 
     Returns a curve (a float line or a _PerPoint) from a float t to h(t).
@@ -490,16 +490,10 @@ def witness_curve(witness, h: Subalgebra):
     curve may live in a conjugate copy of H (which moves mu by a bounded
     amount only).
     """
-    if isinstance(witness, SquareWitness):
-        kind, recipes = "square", _SQUARE_RECIPES
-    elif isinstance(witness, LinearWitness):
-        kind, recipes = "linear", _LINEAR_RECIPES
-    else:
-        raise TypeError("expected a SquareWitness or LinearWitness")
-    recipe = recipes.get(witness.condition_id)
+    recipe = _WITNESS_RECIPES.get((witness.side, witness.condition_id))
     if recipe is None:
         raise ImplicitSolveFailed(
-            f"no curve recipe for {kind} condition {witness.condition_id}")
+            f"no curve recipe for {witness.side} condition {witness.condition_id}")
     return recipe(witness.elements, h.n)
 
 
@@ -655,15 +649,16 @@ def _linear_5(els, n):
     return _PerPoint(curve, n)
 
 
-_SQUARE_RECIPES = {
-    1: _square_1, 2: _ray_recipe("z"), 3: _square_3, 4: _ray_recipe("u"),
-    5: _square_5, 6: _corner_recipe("u", "v", False),
-    7: _corner_recipe("u", "v", True),
-    8: _corner_recipe("v", "u", True),  # h in exp(s u + t v + z): s = O(1)
-}
-_LINEAR_RECIPES = {
-    1: _ray_recipe("z"), 2: _linear_2, 3: _ray_recipe("u"), 4: _linear_4,
-    5: _linear_5,
+_WITNESS_RECIPES = {
+    ("square", 1): _square_1, ("square", 2): _ray_recipe("z"),
+    ("square", 3): _square_3, ("square", 4): _ray_recipe("u"),
+    ("square", 5): _square_5, ("square", 6): _corner_recipe("u", "v", False),
+    ("square", 7): _corner_recipe("u", "v", True),
+    # h in exp(s u + t v + z): s = O(1)
+    ("square", 8): _corner_recipe("v", "u", True),
+    ("linear", 1): _ray_recipe("z"), ("linear", 2): _linear_2,
+    ("linear", 3): _ray_recipe("u"), ("linear", 4): _linear_4,
+    ("linear", 5): _linear_5,
 }
 
 
@@ -770,11 +765,9 @@ def extremal_graph_curves(spec: Graph):
     ray0 = float_line(B[0] * (1.0 / (nrm0 or 1.0)))
     case = _graph_case(spec)
     curves = []
-    inter = [b for b, e in zip(B, spec.u.basis)
-             if not (e.root_component(spec.omega).is_zero()
-                     and (spec.omega != "beta" or e.root_component("2beta").is_zero())
-                     and (spec.omega != "alpha+beta"
-                          or e.root_component("2alpha+2beta").is_zero()))]
+    cols, slots = AlgebraElement.slot_columns(spec.n), _pair_slots(spec.omega)
+    inter = [b for b, row in zip(B, spec.u.coord_rows())
+             if any(any(row[cols[s]]) for s in slots)]
     if inter:
         # U meets the omega root spaces: the chamber fills; pin the square
         # direction with the torus outpacing the unipotent factor

@@ -104,10 +104,6 @@ def combine(rows, coeffs) -> Vec:
     return out
 
 
-def rank(rows) -> int:
-    return len(rref(rows)[0])
-
-
 def kernel_basis(rows) -> list:
     """Basis of the right kernel {v : rows @ v = 0}."""
     if not rows:

@@ -34,9 +34,10 @@ basis rows, and a miss there is no proof that no rank-one element exists —
 only the double entry stands behind it.
 
 Every public route (classify, check_square, check_linear, match_notcds,
-semidirect_case, expected_normalizer, normalizer_in_A) takes h as a _Frame
-or as a bare Subalgebra, and then builds its frame; classify hands its one
-frame to every other route.
+semidirect_case, normalizer_in_A) takes h as a Subalgebra and reads its
+frame, the exact row data of h, from _frame_of: one frame per subalgebra,
+built on the first query and freed with h.  classify keeps the case-list row
+it checks N_A(h) against in its result, so no caller looks it up again.
 
 The module is exact only and imports no numpy or scipy: the float curves
 that realize a witness (`lab.witness_curve`) live with the other sampling
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, cached_property
@@ -74,15 +76,8 @@ class NotInN(ValueError):
 
 
 @dataclass
-class SquareWitness:
-    condition_id: int
-    elements: dict
-    note: str = ""
-    exact: bool = True
-
-
-@dataclass
-class LinearWitness:
+class Witness:
+    side: str  # "square" | "linear"
     condition_id: int
     elements: dict
     note: str = ""
@@ -118,11 +113,12 @@ class NormalizerResult:
 class ClassificationResult:
     verdict: str  # "CDS" | "NotCDS"
     shape: MuShape
-    square: Optional[SquareWitness]
-    linear: Optional[LinearWitness]
+    square: Optional[Witness]
+    linear: Optional[Witness]
     template: Optional[NotCdsMatch]
     normalizer: NormalizerResult
     seed: int
+    semidirect: Optional[SemidirectCase] = None  # the template's case row
 
     @property
     def is_cds(self):
@@ -140,7 +136,7 @@ class _Frame:
     combination of h.coord_rows()), so a slot functional is a column slice,
     an element is AlgebraElement.from_coords, and kernels, intersections and
     containments are small rational systems on rows.  A frame belongs to the
-    one h it was built from and is built once per classification.
+    one h it was built from, and _frame_of builds it once per h.
     """
 
     def __init__(self, h: Subalgebra):
@@ -262,6 +258,18 @@ class _Frame:
                 if gram[i][j] != 0:
                     return [a + b for a, b in zip(within[i], within[j])]
         return None
+
+
+_FRAMES = weakref.WeakKeyDictionary()
+
+
+def _frame_of(h: Subalgebra) -> _Frame:
+    """The frame of h, built on the first query and kept until h is freed
+    (a frame holds no reference to its h)."""
+    frame = _FRAMES.get(h)
+    if frame is None:
+        frame = _FRAMES[h] = _Frame(h)
+    return frame
 
 
 # quadratic/cubic form values -------------------------------------------------
@@ -571,12 +579,7 @@ def find_rank_one(frame, within):
 # the eight square conditions
 
 
-def _frame_of(h) -> _Frame:
-    """h when it is a frame already, else a new frame of the Subalgebra h."""
-    return h if isinstance(h, _Frame) else _Frame(h)
-
-
-def check_square(h) -> Optional[SquareWitness]:
+def check_square(h) -> Optional[Witness]:
     """Lowest-numbered satisfied square condition, with verifying elements.
 
     Conditions 6 and 7 are checked in the simplified forms that drop the
@@ -584,17 +587,17 @@ def check_square(h) -> Optional[SquareWitness]:
     automatically satisfies the original restriction (its bracket lies in the
     central part, where |eta|^2 = xx*yy forces the missing equation).
     """
-    return _first_witness(h, _SQUARE_CHECKS, SquareWitness)
+    return _first_witness(h, "square", _SQUARE_CHECKS)
 
 
-def _first_witness(h, checks, witness):
-    """The lowest-numbered of `checks` that h satisfies, as a `witness`."""
+def _first_witness(h, side, checks):
+    """The lowest-numbered of `checks` that h satisfies, as a Witness."""
     frame = _frame_of(h)
     for cid, checker in enumerate(checks, start=1):
         res = checker(frame)
         if res is not None:
             elements, note, exact = res
-            return witness(cid, elements, note, exact)
+            return Witness(side, cid, elements, note, exact)
     return None
 
 
@@ -732,9 +735,9 @@ _SQUARE_CHECKS = [_sq1, _sq2, _sq3, _sq4, _sq5, _sq6, _sq7, _sq8]
 # the five linear conditions
 
 
-def check_linear(h) -> Optional[LinearWitness]:
+def check_linear(h) -> Optional[Witness]:
     """Lowest-numbered satisfied linear condition, with verifying elements."""
-    return _first_witness(h, _LINEAR_CHECKS, LinearWitness)
+    return _first_witness(h, "linear", _LINEAR_CHECKS)
 
 
 def _li1(frame):
@@ -1385,42 +1388,35 @@ def normalizer_in_A(h) -> NormalizerResult:
     return NormalizerResult("line", (p, q), kernel_root(p, q))
 
 
-def expected_normalizer(h, match: NotCdsMatch) -> NormalizerResult:
-    """Predicted N_A(h) for a matched template: that of the first case-list
-    row h satisfies, else trivial."""
-    row = semidirect_case(h, match)
-    return row.normalizer() if row else NormalizerResult("trivial")
-
-
 def classify(h, seed: int = 0) -> ClassificationResult:
-    """Full double-entry classification of a nontrivial subalgebra of n, a
-    Subalgebra or its frame.
+    """Full double-entry classification of a nontrivial subalgebra h of n.
 
     CDS iff a square and a linear witness both exist.  The template match is
     computed independently; the witness pattern must equal the envelope
     pattern of the matched shape (square witness iff the upper envelope is
     |h|^2, linear witness iff the lower envelope is |h|), no template may
-    match in the CDS case, and a matched template's case-list normalizer must
-    equal N_A(h).  Every route runs once and deterministically, so a
-    disagreement is a bug and raises InconsistentClassification.  `seed` is
-    only echoed into the result.
+    match in the CDS case, and a matched template's case-list normalizer
+    (that of the first row h satisfies, else trivial) must equal N_A(h).
+    Every route runs once and deterministically, so a disagreement is a bug
+    and raises InconsistentClassification.  `seed` is only echoed into the
+    result.
     """
-    frame = _frame_of(h)
-    sq, li, tm = check_square(frame), check_linear(frame), match_notcds(frame)
+    sq, li, tm = check_square(h), check_linear(h), match_notcds(h)
     if not _double_entry_ok(sq, li, tm):
         raise InconsistentClassification(
             f"witnesses (square={sq and sq.condition_id}, "
             f"linear={li and li.condition_id}) vs template {tm and tm.type_id}")
-    norm = normalizer_in_A(frame)
+    norm = normalizer_in_A(h)
     if tm is None:
         shape = MuShape.full_chamber(provenance="square+linear witnesses")
         return ClassificationResult("CDS", shape, sq, li, None, norm, seed)
-    exp = expected_normalizer(frame, tm)
+    row = semidirect_case(h, tm)
+    exp = row.normalizer() if row else NormalizerResult("trivial")
     if exp != norm:
         raise InconsistentClassification(
             f"normalizer {norm} disagrees with the case list prediction {exp} "
             f"for template {tm.type_id}")
-    return ClassificationResult("NotCDS", tm.shape, sq, li, tm, norm, seed)
+    return ClassificationResult("NotCDS", tm.shape, sq, li, tm, norm, seed, row)
 
 
 def _double_entry_ok(sq, li, tm):

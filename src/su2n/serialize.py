@@ -135,13 +135,8 @@ def classification_report(result) -> dict:
     from .nilclassify import ClassificationResult
 
     if isinstance(result, ClassificationResult):
-        wit = {}
-        if result.square:
-            wit["square"] = {"condition": result.square.condition_id,
-                             "exact": result.square.exact}
-        if result.linear:
-            wit["linear"] = {"condition": result.linear.condition_id,
-                             "exact": result.linear.exact}
+        wit = {w.side: {"condition": w.condition_id, "exact": w.exact}
+               for w in (result.square, result.linear) if w}
         return {
             "verdict": result.verdict,
             "type": result.template.type_id if result.template else None,

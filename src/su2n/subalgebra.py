@@ -4,9 +4,9 @@ A Subalgebra stores an independent basis and verifies bracket closure
 exactly (elements.bracket_rows on pairs of coordinate rows).  An element is
 its coords() row, so the coordinate matrix, one row per basis element, is
 read from the basis and not kept beside it.  The exact classifiers work on
-combinations of those rows (linalg.combine, nilclassify._Frame), and
-sampling reads them as the float matrix np.array(h.coord_rows(),
-dtype=float).
+combinations of those rows (linalg.combine, on the frame that nilclassify
+keeps for each subalgebra), and sampling reads them as the float matrix
+np.array(h.coord_rows(), dtype=float).
 """
 
 from __future__ import annotations

@@ -117,6 +117,27 @@ def test_classify_an_frames_each_subalgebra_once(alg, monkeypatch):
     assert len({id(h) for h in framed}) == len(framed), r
 
 
+def test_classify_an_reads_the_case_list_once(monkeypatch):
+    from su2n import nilclassify
+
+    scans = []
+
+    class CountedCases(list):
+        def __iter__(self):
+            scans.append(1)
+            return super().__iter__()
+
+    monkeypatch.setattr(nilclassify, "SEMIDIRECT_CASES",
+                        CountedCases(nilclassify.SEMIDIRECT_CASES))
+    semidirect = [e for e in gallery.entries() if e.kind == "semidirect"]
+    assert semidirect
+    for entry in semidirect:
+        scans.clear()
+        r = classify_an(entry.spec())
+        # the row classify found for N_A(U) is the row of T x| U
+        assert len(scans) == (0 if r.nil_result.is_cds else 1), entry.id
+
+
 def test_graph_cds_when_u_meets_omega(alg):
     r = classify_an(Graph("beta", alg(3, yy=1), Subalgebra([alg(3, y=[1])])))
     assert r.verdict == "CDS"

@@ -162,3 +162,20 @@ def test_ray_sampling_leaves_the_callers_plan_alone():
     assert plan == SamplingPlan(seed=0)
     fit_ray_drift(spec, plan)
     assert plan == SamplingPlan(seed=0)
+
+
+def test_verify_gallery_entry_frames_each_subalgebra_once(monkeypatch):
+    # classify_an and the graph curves read one frame of U; a Weyl-reflected
+    # U is another subalgebra with a frame of its own
+    from su2n import nilclassify
+
+    framed = []
+    init = nilclassify._Frame.__init__
+    monkeypatch.setattr(nilclassify._Frame, "__init__",
+                        lambda frame, h: framed.append(h) or init(frame, h))
+    graphs = [e for e in gallery.entries() if e.kind == "graph"]
+    assert graphs
+    for entry in graphs:
+        framed.clear()
+        verify_gallery_entry(entry, seed=0)
+        assert framed and len({id(h) for h in framed}) == len(framed), entry.id

@@ -1,6 +1,8 @@
 import ast
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -25,6 +27,7 @@ from su2n.nilclassify import (
     InconsistentClassification,
     NormalizerResult,
     NotInN,
+    SEMIDIRECT_CASES,
     check_linear,
     check_square,
     classify,
@@ -450,7 +453,8 @@ def test_classify_draws_no_random_numbers(monkeypatch):
 
 @pytest.mark.parametrize("route, fake", [
     ("match_notcds", lambda *args: None),
-    ("expected_normalizer", lambda *args: NormalizerResult("line", (7, 13))),
+    # a case row predicting ker(alpha) for a U whose N_A(U) is trivial
+    ("semidirect_case", lambda *args: SEMIDIRECT_CASES[1]),
 ], ids=["double-entry", "normalizer"])
 def test_a_disagreement_raises_on_the_single_pass(monkeypatch, route, fake):
     from su2n import gallery, nilclassify
@@ -560,10 +564,24 @@ def test_routes_read_the_frame_of_their_own_h(alg, sub):
         assert str(normalizer_in_A(h2)) == "A"
         assert classify(h1).template.type_id == 6
         assert classify(h2).template.type_id == 1
-    # a frame is accepted wherever its subalgebra is
-    frame = _Frame(h2)
-    assert check_linear(frame).condition_id == 1 and match_notcds(frame).type_id == 1
-    assert str(normalizer_in_A(frame)) == "A"
+
+
+def test_a_subalgebra_keeps_one_frame_while_it_lives(alg, sub, monkeypatch):
+    from su2n import nilclassify
+
+    framed = []
+    init = nilclassify._Frame.__init__
+    monkeypatch.setattr(nilclassify._Frame, "__init__",
+                        lambda frame, h: framed.append(id(h)) or init(frame, h))
+    monkeypatch.setattr(nilclassify, "_FRAMES", weakref.WeakKeyDictionary())
+    h = sub(alg(3, eta=1, xx=1))
+    first, second = classify(h), classify(h)
+    assert len(framed) == 1 and first == second
+    assert list(nilclassify._FRAMES.keys()) == [h]
+    # the frame holds no reference to h, so h and its frame go together
+    del h
+    gc.collect()
+    assert len(nilclassify._FRAMES) == 0
 
 
 def _ad_a_normalizer(h):

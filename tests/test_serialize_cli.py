@@ -287,3 +287,20 @@ def test_cli_verify_dimensions_suite():
     assert p.returncode == 0
     lines = [l for l in p.stdout.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert lines and all(l.startswith("PASS") for l in lines)
+
+
+def test_cli_verify_all_runs_the_registry_in_order(monkeypatch, capsys):
+    from su2n import cli
+
+    def suite(name):
+        return lambda: [{"name": f"{name}-check", "ok": True, "detail": ""}]
+
+    monkeypatch.setattr(cli, "SUITES", {"zeta": suite("zeta"), "alpha": suite("alpha")})
+    assert cli.main(["verify", "--suite", "all"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS  zeta: zeta-check", "PASS  alpha: alpha-check"]
+    # the choices are the registry's names too
+    assert cli.main(["verify", "--suite", "alpha"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["PASS  alpha: alpha-check"]
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--suite", "shapes"])

@@ -1,8 +1,9 @@
 """Every name a module of the package, of its tests or of its demos imports
 is used in that module, no module of the package imports scipy (a test
-oracle only), and no module of the package but `elements.py` reads an
-algebra element's private coordinate row: the rest go through coords() or
-the slot views.
+oracle only), no module of the package but `elements.py` reads an
+algebra element's private coordinate row (the rest go through coords() or
+the slot views), and no module of the package but `nilclassify.py` names
+the classifier's private frame `_Frame` (the rest ask `_frame_of`).
 
 The package's `__init__.py` is exempt for its relative imports: those are
 re-exports, listed in `__all__`.
@@ -92,3 +93,29 @@ def test_private_row_read_is_reported(tmp_path):
     mod.write_text("def f(u):\n    return u.coords(), u._row[0], getattr(u, '_row')\n")
     assert private_row_reads(mod) == [2]
     assert private_row_reads(SRC / "elements.py") != []
+
+
+def frame_names(path: Path) -> list:
+    """Lines that name `_Frame`: as a variable, an attribute, an imported
+    name or a string."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if (isinstance(node, ast.Name) and node.id == "_Frame")
+                   or (isinstance(node, ast.Attribute) and node.attr == "_Frame")
+                   or (isinstance(node, ast.alias) and node.name == "_Frame")
+                   or (isinstance(node, ast.Constant) and node.value == "_Frame")})
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "nilclassify.py"], ids=lambda p: p.name)
+def test_only_nilclassify_names_the_frame(path):
+    assert frame_names(path) == []
+
+
+def test_frame_name_is_reported(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("from .nilclassify import (\n    _Frame,\n)\n"
+                   "from . import nilclassify\n"
+                   "f = nilclassify._Frame(h)\ng = getattr(nilclassify, '_Frame')\n")
+    assert frame_names(mod) == [2, 5, 6]
+    assert frame_names(SRC / "nilclassify.py") != []
