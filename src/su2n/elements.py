@@ -24,12 +24,13 @@ The six coordinate slots phi, y, x, yy, eta, xx are the root spaces for
 alpha, beta, alpha+beta, 2*beta, alpha+2*beta, 2*alpha+2*beta where
 alpha(a) = a1/a2 and beta(a) = a2 on a = diag(a1, a2, 1, ..., 1/a2, 1/a1).
 
-The exact bilinear kernels are fraction-free (the idea of Bareiss, Math.
-Comp. 22, 1968): `bracket_rows` on coordinate rows, `_mat_mul` and
-`exp_series` clear each input's common denominator once, compute on Python
-ints (Gaussian-integer pairs for matrices) and divide once at the output.
-`exp_closed` stays on Gaussian rationals and shares no code with
-`exp_series`, which is its oracle.
+The exact kernels are fraction-free (the idea of Bareiss, Math. Comp. 22,
+1968): `bracket_rows` on coordinate rows, `_mat_mul`, `exp_series`,
+`exp_closed` and `delta_formula` clear each input's common denominator once
+(`linalg.int_row`), compute on Python ints (Gaussian-integer pairs for
+matrix entries) and divide once per nonzero output part.  `exp_closed`
+evaluates the closed display on the coordinate row and shares no code with
+`exp_series`, which is its oracle, but `int_row`.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -45,11 +47,9 @@ from .linalg import int_row
 from .scalars import (
     QQi,
     _make,
-    abs2,
     as_exact_complex,
     as_exact_real,
     conj,
-    herm,
     im,
     re,
 )
@@ -499,84 +499,127 @@ def exp_series(u: AlgebraElement) -> "GroupElement":
     return GroupElement(u.n, _gaussian_matrix(rows, 24 * den ** 4, m))
 
 
-def _exp_rows_general(u):
-    """First two rows (and derived data) of exp(u) per the general display."""
-    i_ = QQi(0, 1)
-    half, sixth, third, c24 = (Fraction(1, k) for k in (2, 6, 3, 24))
-    phi, x, y, eta, xx, yy = u.phi, u.x, u.y, u.eta, u.xx, u.yy
-    phi_c = conj(phi)
-    xyd = herm(x, y)
-    ax2 = sum((abs2(v) for v in x), Fraction(0))
-    ay2 = sum((abs2(v) for v in y), Fraction(0))
-    aphi2 = abs2(phi)
-    x_row = [xv + half * (phi * yv) for xv, yv in zip(x, y)]
-    e1n = eta - half * xyd + half * (i_ * (phi * yy)) - sixth * (phi * ay2)
-    corner_re = -half * ax2 - re(phi * conj(eta)) + c24 * aphi2 * ay2
-    corner_im = xx - sixth * aphi2 * yy + third * im(phi_c * xyd)
-    e1m = corner_re + i_ * corner_im
-    e2n = i_ * yy - half * ay2
-    e2m = (-conj(eta) - half * herm(y, x)
-           - half * (i_ * (phi_c * yy)) + sixth * (phi_c * ay2))
-    mid_n = [-conj(yv) for yv in y]
-    mid_m = [-conj(xv) + half * (phi_c * conj(yv)) for xv, yv in zip(x, y)]
-    return x_row, e1n, e1m, e2n, e2m, mid_n, mid_m
+def _slot_sums(n, U):
+    """(|x|^2, |y|^2, Re <x, y>, Im <x, y>) on the int coordinate row U,
+    with <x, y> = sum_k x_k conj(y_k)."""
+    d = 2 * (n - 2)
+    x, y = U[4:4 + d], U[4 + d:4 + 2 * d]
+    return (sum(map(mul, x, x)), sum(map(mul, y, y)), sum(map(mul, x, y)),
+            sum(map(mul, x[1::2], y[::2])) - sum(map(mul, x[::2], y[1::2])))
+
+
+def _exp_display(n, U, D):
+    """The entries of exp(u) that are not coordinates of u, per the general
+    display, from u's row U / D in ints (`int_row`):
+
+        x_row_k = x_k + phi y_k / 2
+        e1n = eta - <x, y> / 2 + i phi yy / 2 - phi |y|^2 / 6
+        e1m = -|x|^2 / 2 - Re(phi conj(eta)) + |phi|^2 |y|^2 / 24
+              + i (xx - |phi|^2 yy / 6 + Im(conj(phi) <x, y>) / 3)
+        e2n = i yy - |y|^2 / 2
+        e2m = -conj(eta) - <y, x> / 2 - i conj(phi) yy / 2 + conj(phi) |y|^2 / 6
+        mid_m_k = -conj(x_k) + conj(phi y_k) / 2
+
+    Each entry is a Gaussian-integer pair (re, im) over 24 D^4: a monomial of
+    degree k with coefficient c is weighted by 24 c D^(4-k).  Returns
+    (x_row, e1n, e1m, e2n, e2m, mid_m), x_row and mid_m lists over k.
+    """
+    Y, E = 2 * n, 4 * n - 4  # first columns of y and eta
+    pr, pi, er, ei, xx, yy = U[2], U[3], U[E], U[E + 1], U[E + 2], U[E + 3]
+    c1, h2, s3 = 24 * D ** 3, 12 * D * D, 4 * D  # weights of 1, 1/2 and 1/6
+    ax2, ay2, a, b = _slot_sums(n, U)
+    aphi2 = pr * pr + pi * pi
+    x_row, mid_m = [], []
+    for k in range(0, Y - 4, 2):
+        xr, xi, yr, yi = U[4 + k], U[5 + k], U[Y + k], U[Y + k + 1]
+        qr, qi = h2 * (pr * yr - pi * yi), h2 * (pr * yi + pi * yr)  # phi y_k / 2
+        x_row.append((c1 * xr + qr, c1 * xi + qi))
+        mid_m.append((qr - c1 * xr, c1 * xi - qi))
+    e1n = (c1 * er - h2 * (a + pi * yy) - s3 * pr * ay2,
+           c1 * ei - h2 * (b - pr * yy) - s3 * pi * ay2)
+    e1m = (aphi2 * ay2 - h2 * (ax2 + 2 * (pr * er + pi * ei)),
+           c1 * xx - s3 * (aphi2 * yy - 2 * (pr * b - pi * a)))
+    e2n = (-h2 * ay2, c1 * yy)
+    e2m = (s3 * pr * ay2 - c1 * er - h2 * (a + pi * yy),
+           c1 * ei + h2 * (b - pr * yy) - s3 * pi * ay2)
+    return x_row, e1n, e1m, e2n, e2m, mid_m
 
 
 def exp_closed(u: AlgebraElement) -> "GroupElement":
     """Exact closed-form exp for nilpotent elements.
 
-    Implements the general display; the phi = 0 and y = 0 specializations are
-    recomputed and compared against it whenever they apply, as a structural
-    self-check (they are distinct displayed formulas, not shortcuts).
+    Implements the general display (`_exp_display`) on the int row of u,
+    dividing once per nonzero output part; the entries phi, y and their
+    negated conjugates are u's own coordinates.  The phi = 0 and y = 0
+    specializations are recomputed on the same integer scale and compared
+    against it whenever they apply, as a structural self-check (they are
+    distinct displayed formulas, not shortcuts).
     """
     if not u.is_nilpotent():
         raise ValueError("exp_closed needs a nilpotent element (t1 = t2 = 0)")
-    n, m = u.n, u.n + 2
-    phi, y = u.phi, u.y
-    x_row, e1n, e1m, e2n, e2m, mid_n, mid_m = _exp_rows_general(u)
-    if not phi:
-        _check_phi0_form(u, x_row, e1n, e1m, e2n, e2m)
-    if not any(y):
-        _check_y0_form(u, x_row, e1n, e1m, e2n, e2m)
-    M = [[QQi(1 if i == j else 0) for j in range(m)] for i in range(m)]
-    M[0][1] = phi
-    for j, yj in enumerate(y):
-        M[0][2 + j] = x_row[j]
-        M[1][2 + j] = yj
-        M[2 + j][n] = mid_n[j]
-        M[2 + j][m - 1] = mid_m[j]
-    M[0][n] = e1n
-    M[0][m - 1] = e1m
-    M[1][n] = e2n
-    M[1][m - 1] = e2m
-    M[n][m - 1] = -conj(phi)
+    n, m, r = u.n, u.n + 2, u._row
+    U, D = int_row(r)
+    rows = _exp_display(n, U, D)
+    if not U[2] and not U[3]:
+        _check_phi0_form(n, U, D, rows)
+    if not any(U[2 * n:4 * n - 4]):
+        _check_y0_form(n, U, D, rows)
+    x_row, e1n, e1m, e2n, e2m, mid_m = rows
+    den, zero = 24 * D ** 4, Fraction(0)
+
+    def entry(pair):
+        return _make(Fraction(pair[0], den) if pair[0] else zero,
+                     Fraction(pair[1], den) if pair[1] else zero)
+
+    nil, one = _make(zero, zero), _make(Fraction(1), zero)
+    M = [[one if i == j else nil for j in range(m)] for i in range(m)]
+    M[0][1] = _make(r[2], r[3])
+    for j, k in enumerate(range(2 * n, 4 * n - 4, 2)):
+        M[0][2 + j] = entry(x_row[j])
+        M[1][2 + j] = _make(r[k], r[k + 1])
+        M[2 + j][n] = _make(-r[k], r[k + 1])
+        M[2 + j][m - 1] = entry(mid_m[j])
+    M[0][n] = entry(e1n)
+    M[0][m - 1] = entry(e1m)
+    M[1][n] = entry(e2n)
+    M[1][m - 1] = entry(e2m)
+    M[n][m - 1] = _make(-r[2], r[3])
     return GroupElement(u.n, M)
 
 
-def _check_phi0_form(u, x_row, e1n, e1m, e2n, e2m):
-    half = Fraction(1, 2)
-    x, y, eta = u.x, u.y, u.eta
-    xyd = herm(x, y)
-    ax2 = sum((abs2(v) for v in x), Fraction(0))
-    ok = list(x_row) == list(x)
-    ok = ok and e1n == eta - half * xyd
-    ok = ok and e1m == QQi(0, 1) * u.xx - half * ax2
-    ok = ok and e2m == -conj(eta) - half * herm(y, x)
+def _check_phi0_form(n, U, D, rows):
+    """The phi = 0 display on the scale of `_exp_display`: x_row_k = x_k,
+    e1n = eta - <x, y> / 2, e1m = i xx - |x|^2 / 2 and
+    e2m = -conj(eta) - <y, x> / 2."""
+    x_row, e1n, e1m, _, e2m, _ = rows
+    E = 4 * n - 4
+    er, ei, xx = U[E], U[E + 1], U[E + 2]
+    c1, h2 = 24 * D ** 3, 12 * D * D
+    ax2, _, a, b = _slot_sums(n, U)
+    ok = x_row == [(c1 * U[k], c1 * U[k + 1]) for k in range(4, 2 * n, 2)]
+    ok = ok and e1n == (c1 * er - h2 * a, c1 * ei - h2 * b)
+    ok = ok and e1m == (-h2 * ax2, c1 * xx)
+    ok = ok and e2m == (-c1 * er - h2 * a, c1 * ei + h2 * b)
     if not ok:
         raise AssertionError("phi=0 exponential display disagrees with general form")
 
 
-def _check_y0_form(u, x_row, e1n, e1m, e2n, e2m):
-    i_, half, sixth = QQi(0, 1), Fraction(1, 2), Fraction(1, 6)
-    phi, x, eta, yy = u.phi, u.x, u.eta, u.yy
-    ax2 = sum((abs2(v) for v in x), Fraction(0))
-    aphi2 = abs2(phi)
-    ok = list(x_row) == list(x)
-    ok = ok and e1n == eta + half * (i_ * (phi * yy))
-    ok = ok and e1m == (-half * ax2 - re(phi * conj(eta))
-                        + i_ * (u.xx - sixth * aphi2 * yy))
-    ok = ok and e2n == i_ * yy
-    ok = ok and e2m == -conj(eta) - half * (i_ * (conj(phi) * yy))
+def _check_y0_form(n, U, D, rows):
+    """The y = 0 display on the scale of `_exp_display`: x_row_k = x_k,
+    e1n = eta + i phi yy / 2, e1m = -|x|^2 / 2 - Re(phi conj(eta))
+    + i (xx - |phi|^2 yy / 6), e2n = i yy and
+    e2m = -conj(eta) - i conj(phi) yy / 2."""
+    x_row, e1n, e1m, e2n, e2m, _ = rows
+    E = 4 * n - 4
+    pr, pi, er, ei, xx, yy = U[2], U[3], U[E], U[E + 1], U[E + 2], U[E + 3]
+    c1, h2, s3 = 24 * D ** 3, 12 * D * D, 4 * D
+    ax2 = _slot_sums(n, U)[0]
+    ok = x_row == [(c1 * U[k], c1 * U[k + 1]) for k in range(4, 2 * n, 2)]
+    ok = ok and e1n == (c1 * er - h2 * pi * yy, c1 * ei + h2 * pr * yy)
+    ok = ok and e1m == (-h2 * (ax2 + 2 * (pr * er + pi * ei)),
+                        c1 * xx - s3 * (pr * pr + pi * pi) * yy)
+    ok = ok and e2n == (0, c1 * yy)
+    ok = ok and e2m == (-c1 * er - h2 * pi * yy, c1 * ei - h2 * pr * yy)
     if not ok:
         raise AssertionError("y=0 exponential display disagrees with general form")
 
@@ -695,23 +738,34 @@ def exp_float(c, s=1.0):
 
 
 def delta_formula(u: AlgebraElement):
-    """Delta(exp u), exactly, from the fully expanded coordinate formula."""
-    q = Fraction
+    """Delta(exp u), exactly, from the fully expanded coordinate formula
+
+        Re = -|eta|^2 + xx yy - |x|^2 |y|^2 / 4 + |<x, y>|^2 / 4
+             - |y|^2 Re(eta conj(phi)) / 6 - yy Im(<x, y> conj(phi)) / 6
+             + yy^2 |phi|^2 / 12 - |y|^4 |phi|^2 / 144
+        Im = yy |phi|^2 |y|^2 / 24 + Im(<x, y> conj(eta)) + xx |y|^2 / 2
+             + yy |x|^2 / 2
+
+    evaluated on u's int row U / D (`int_row`): Re over 144 D^6 and Im over
+    24 D^5, a monomial of degree k with coefficient c weighted by
+    144 c D^(6-k), resp. 24 c D^(5-k).
+    """
+    if not u.is_nilpotent():
+        raise ValueError("delta_formula needs a nilpotent element (t1 = t2 = 0)")
+    U, D = int_row(u._row)
+    E = 4 * u.n - 4
+    pr, pi, er, ei, xx, yy = U[2], U[3], U[E], U[E + 1], U[E + 2], U[E + 3]
+    ax2, ay2, a, b = _slot_sums(u.n, U)
+    aphi2 = pr * pr + pi * pi
+    D2 = D * D
+    re_part = (144 * D2 * D2 * (xx * yy - er * er - ei * ei)
+               + 36 * D2 * (a * a + b * b - ax2 * ay2)
+               - 24 * D2 * (ay2 * (er * pr + ei * pi) + yy * (b * pr - a * pi))
+               + 12 * D2 * yy * yy * aphi2 - ay2 * ay2 * aphi2)
+    im_part = yy * aphi2 * ay2 + 12 * D2 * (2 * (b * er - a * ei) + xx * ay2 + yy * ax2)
     zero = Fraction(0)
-    phi, x, y, eta, xx, yy = u.phi, u.x, u.y, u.eta, u.xx, u.yy
-    phi_c = conj(phi)
-    xyd = herm(x, y)
-    ax2 = sum((abs2(v) for v in x), zero)
-    ay2 = sum((abs2(v) for v in y), zero)
-    aphi2 = abs2(phi)
-    re_part = (-abs2(eta) + xx * yy - q(1, 4) * ax2 * ay2
-               + q(1, 4) * abs2(xyd) - q(1, 6) * ay2 * re(eta * phi_c)
-               - q(1, 6) * yy * im(xyd * phi_c)
-               + q(1, 12) * yy * yy * aphi2
-               - q(1, 144) * ay2 * ay2 * aphi2)
-    im_part = (q(1, 24) * yy * aphi2 * ay2 + im(xyd * conj(eta))
-               + q(1, 2) * xx * ay2 + q(1, 2) * yy * ax2)
-    return re_part + QQi(0, 1) * im_part
+    return _make(Fraction(re_part, 144 * D2 ** 3) if re_part else zero,
+                 Fraction(im_part, 24 * D2 * D2 * D) if im_part else zero)
 
 
 def gram_matrix(n):
@@ -801,7 +855,7 @@ class GroupElement:
         return GroupElement(self.n, _mat_mul(_mat_mul(J, gd, m), J, m))
 
     def det(self):
-        # fraction-free enough: plain elimination over the Gaussian rationals
+        # Gaussian elimination over the Gaussian rationals, one QQi per entry
         m = self.n + 2
         a = [row[:] for row in self.mat]
         det = QQi(1)

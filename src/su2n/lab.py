@@ -556,7 +556,7 @@ def _root_nearest_zero(poly):
 
 def _re_corner(dot):
     """Re exp(X)[0, n+1] of a nilpotent X from its slot products dot
-    (corner_re in elements._exp_rows_general)."""
+    (the real part of e1m in elements._exp_display)."""
     return (dot("phi", "phi") * dot("y", "y") / 24
             - dot("x", "x") / 2 - dot("phi", "eta"))
 

@@ -14,9 +14,9 @@ part, `QQi +- QQi` and `QQi == QQi` skip the coercion of the other operand,
 results are built without re-checking that their parts are Fractions, and
 `herm` skips the pairs with an exact-zero factor, as `elements._mat_mul`
 skips its zero terms.  Each result is the exact value, and type, of the
-dense formula.  The bilinear kernels of `elements` (bracket, matrix product,
-series exponential) run on integers and build a GaussianRational only for
-their nonzero outputs.
+dense formula.  The exact kernels of `elements` (bracket, matrix product,
+series and closed-form exponential, the Delta formula) run on integers and
+build Fractions only at the output, one per nonzero part.
 """
 
 from __future__ import annotations

@@ -2,8 +2,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from su2n import elements
 from su2n import (
     AlgebraElement,
     GroupElement,
@@ -18,8 +20,8 @@ from su2n import (
     matrix_of,
 )
 from su2n.corpus import random_element
-from su2n.elements import NotInAN, ROOT_SLOT, ROOTS, ad_a, bracket_rows, root_value
-from su2n.scalars import QQi, conj, herm, im
+from su2n.elements import NotInAN, ROOT_SLOT, ROOTS, ad_a, bracket_rows, exp_float, root_value
+from su2n.scalars import QQi, abs2, conj, herm, im, re
 
 
 def test_matrix_of_zero_is_zero(alg):
@@ -374,6 +376,155 @@ def test_exp_closed_identity_and_y0_display(alg):
     assert delta(g) == QQi(Fraction(1, 3))
 
 
+def _qqi_exp_closed(u):
+    """The matrix of exp(u) per the general display, over QQi: the
+    reference for `exp_closed`."""
+    i_ = QQi(0, 1)
+    half, sixth, third, c24 = (Fraction(1, k) for k in (2, 6, 3, 24))
+    phi, x, y, eta, xx, yy = u.phi, u.x, u.y, u.eta, u.xx, u.yy
+    phi_c = conj(phi)
+    xyd = herm(x, y)
+    ax2 = sum((abs2(v) for v in x), Fraction(0))
+    ay2 = sum((abs2(v) for v in y), Fraction(0))
+    aphi2 = abs2(phi)
+    x_row = [xv + half * (phi * yv) for xv, yv in zip(x, y)]
+    e1n = eta - half * xyd + half * (i_ * (phi * yy)) - sixth * (phi * ay2)
+    corner_re = -half * ax2 - re(phi * conj(eta)) + c24 * aphi2 * ay2
+    corner_im = xx - sixth * aphi2 * yy + third * im(phi_c * xyd)
+    e1m = corner_re + i_ * corner_im
+    e2n = i_ * yy - half * ay2
+    e2m = (-conj(eta) - half * herm(y, x)
+           - half * (i_ * (phi_c * yy)) + sixth * (phi_c * ay2))
+    mid_n = [-conj(yv) for yv in y]
+    mid_m = [-conj(xv) + half * (phi_c * conj(yv)) for xv, yv in zip(x, y)]
+    n, m = u.n, u.n + 2
+    M = [[QQi(1 if i == j else 0) for j in range(m)] for i in range(m)]
+    M[0][1] = phi
+    for j, yj in enumerate(y):
+        M[0][2 + j] = x_row[j]
+        M[1][2 + j] = yj
+        M[2 + j][n] = mid_n[j]
+        M[2 + j][m - 1] = mid_m[j]
+    M[0][n], M[0][m - 1], M[1][n], M[1][m - 1] = e1n, e1m, e2n, e2m
+    M[n][m - 1] = -conj(phi)
+    return M
+
+
+def _qqi_delta_formula(u):
+    """The expanded formula for Delta(exp u) over QQi: the reference for
+    `delta_formula`."""
+    q = Fraction
+    phi, x, y, eta, xx, yy = u.phi, u.x, u.y, u.eta, u.xx, u.yy
+    phi_c = conj(phi)
+    xyd = herm(x, y)
+    ax2 = sum((abs2(v) for v in x), Fraction(0))
+    ay2 = sum((abs2(v) for v in y), Fraction(0))
+    aphi2 = abs2(phi)
+    re_part = (-abs2(eta) + xx * yy - q(1, 4) * ax2 * ay2
+               + q(1, 4) * abs2(xyd) - q(1, 6) * ay2 * re(eta * phi_c)
+               - q(1, 6) * yy * im(xyd * phi_c)
+               + q(1, 12) * yy * yy * aphi2
+               - q(1, 144) * ay2 * ay2 * aphi2)
+    im_part = (q(1, 24) * yy * aphi2 * ay2 + im(xyd * conj(eta))
+               + q(1, 2) * xx * ay2 + q(1, 2) * yy * ax2)
+    return re_part + QQi(0, 1) * im_part
+
+
+def _random_exp_input(rng):
+    """A nilpotent element for n in 3..8: integer slots, a row scaled by one
+    p/q, each entry scaled by its own p/q (mixed denominators), phi = 0,
+    y = 0, both, or the zero element."""
+    n = rng.randint(3, 8)
+    row = random_element(n, rng, max_slots=6).coords()
+    p_q = lambda: Fraction(rng.randint(-30, 30), rng.choice([1, 2, 3, 7, 89, 97, 1024]))
+    kind = rng.choice(["int", "scaled", "mixed", "phi0", "y0", "phi0_y0", "zero"])
+    if kind == "scaled":
+        c = p_q()
+        row = [c * v for v in row]
+    if kind in ("mixed", "phi0", "y0", "phi0_y0"):
+        row = [p_q() * v if rng.random() < 0.7 else v for v in row]
+    if kind in ("phi0", "phi0_y0"):
+        row[2:4] = [0, 0]
+    if kind in ("y0", "phi0_y0"):
+        row[2 * n:4 * n - 4] = [0] * (2 * n - 4)
+    if kind == "zero":
+        row = [0] * (4 * n)
+    return AlgebraElement.from_coords(n, row)
+
+
+def _form(z):
+    """An exact scalar's repr and the types of it and its parts."""
+    return repr(z), type(z), type(z.re), type(z.im)
+
+
+def test_exp_closed_and_delta_formula_equal_their_qqi_references():
+    rng = random.Random(16)
+    seen_n, phi0, y0, zero = set(), 0, 0, 0
+    for _ in range(1000):
+        u = _random_exp_input(rng)
+        seen_n.add(u.n)
+        phi0 += not u.phi
+        y0 += not any(u.y)
+        zero += u.is_zero()
+        got, want = exp_closed(u).mat, _qqi_exp_closed(u)
+        assert [list(map(_form, row)) for row in got] == \
+            [list(map(_form, row)) for row in want], u
+        assert _form(delta_formula(u)) == _form(_qqi_delta_formula(u)), u
+    assert seen_n == set(range(3, 9))
+    assert min(phi0, y0, zero) >= 50
+
+
+def _phi0_and_y0(n):
+    """A nilpotent element with phi = 0 and one with y = 0, every other slot set."""
+    return (AlgebraElement(n, x=[1 + 2j] * (n - 2), y=[0.5j] * (n - 2), eta=1 - 1j,
+                           xx=2, yy=-1),
+            AlgebraElement(n, phi=0.75 - 1j, x=[1j] * (n - 2), eta=2, xx=-1, yy=3))
+
+
+def test_exp_closed_runs_each_self_check_exactly_when_it_applies(monkeypatch):
+    # the phi = 0 / y = 0 self-checks live on the exact path only: the float
+    # exponential is a truncated series checked by X^5 = 0 instead
+    calls = []
+    for name in ("_check_phi0_form", "_check_y0_form"):
+        orig = getattr(elements, name)
+
+        def spy(*args, orig=orig, name=name):
+            calls.append(name)
+            return orig(*args)
+        monkeypatch.setattr(elements, name, spy)
+    phi0, y0 = _phi0_and_y0(4)
+    exp_closed(phi0)
+    exp_closed(y0)
+    assert calls == ["_check_phi0_form", "_check_y0_form"]
+    # both for phi = y = 0, neither for a general element
+    exp_closed(AlgebraElement(4, eta=1, xx=1))
+    exp_closed(AlgebraElement(4, phi=1, y=[1, 0]))
+    assert calls[2:] == ["_check_phi0_form", "_check_y0_form"]
+    # the float exponential runs none of them
+    exp_float(np.array(phi0.coords(), dtype=float), np.array([-3.0, 0.5, 2.0]))
+    exp_float(np.array(y0.coords(), dtype=float), 2.0)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("k, part", [(1, 0), (1, 1), (2, 0), (2, 1), (4, 0), (4, 1)],
+                         ids=["e1n.re", "e1n.im", "e1m.re", "e1m.im", "e2m.re", "e2m.im"])
+def test_exp_closed_self_checks_catch_a_display_one_unit_off(monkeypatch, k, part):
+    # one unit on the integer scale of the display, in an entry that both
+    # the phi = 0 and the y = 0 form check
+    orig = elements._exp_display
+
+    def broken(*args):
+        rows = list(orig(*args))
+        pair = list(rows[k])
+        pair[part] += 1
+        rows[k] = tuple(pair)
+        return tuple(rows)
+    monkeypatch.setattr(elements, "_exp_display", broken)
+    for u in _phi0_and_y0(3):
+        with pytest.raises(AssertionError):
+            exp_closed(u)
+
+
 def test_exp_closed_equals_series_exact():
     rng = random.Random(7)
     for _ in range(60):
@@ -403,6 +554,13 @@ def test_matrix_of_is_in_su_2n_and_exp_series_is_exp_closed():
                            for i in range(m) for j in range(m)), v
             g1, g2 = exp_closed(u), exp_series(u)
             assert all(g1.mat[i][j] == g2.mat[i][j] for i in range(m) for j in range(m)), u
+
+
+def test_delta_formula_rejects_a_part(alg):
+    # as exp_closed and exp_series do: Delta of exp u is read off exp u
+    for u in (alg(3, t1=1, eta=1), alg(4, t2=Fraction(1, 3), phi=2, yy=1)):
+        with pytest.raises(ValueError):
+            delta_formula(u)
 
 
 def test_exp_closed_rejects_a_part(alg):

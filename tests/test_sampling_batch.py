@@ -18,7 +18,6 @@ import random
 import sys
 import tracemalloc
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -71,45 +70,6 @@ def test_exp_closed_grid_equals_scalar_exp_closed(n):
             one = exp_float(_vec(u), s)
             assert one.shape == (n + 2, n + 2)
             assert np.array_equal(one, got)
-
-
-def test_exp_closed_grid_runs_the_self_checks_on_arrays(monkeypatch):
-    # the phi = 0 / y = 0 self-checks live on the exact path only: the float
-    # exponential is a truncated series checked by X^5 = 0 instead
-    calls = []
-    for name in ("_check_phi0_form", "_check_y0_form"):
-        orig = getattr(elements, name)
-
-        def spy(u, *rows, orig=orig, name=name):
-            calls.append(name)
-            return orig(u, *rows)
-        monkeypatch.setattr(elements, name, spy)
-    _, phi0, y0 = _directions(4, random.Random(0))
-    exp_closed(phi0)
-    exp_closed(y0)
-    assert calls == ["_check_phi0_form", "_check_y0_form"]
-    # both for phi = y = 0, neither for a general element
-    exp_closed(AlgebraElement(4, eta=1, xx=1))
-    exp_closed(AlgebraElement(4, phi=1, y=[1, 0]))
-    assert calls[2:] == ["_check_phi0_form", "_check_y0_form"]
-    # the float exponential runs none of them
-    exp_float(_vec(phi0), GRID)
-    exp_float(_vec(y0), 2.0)
-    assert len(calls) == 4
-
-
-def test_exp_closed_grid_self_check_catches_a_broken_display(monkeypatch):
-    orig = elements._exp_rows_general
-
-    def broken(u):
-        rows = list(orig(u))
-        rows[1] = rows[1] + Fraction(1, 10 ** 6)  # perturb e1n
-        return tuple(rows)
-    monkeypatch.setattr(elements, "_exp_rows_general", broken)
-    _, phi0, y0 = _directions(3, random.Random(0))
-    for u in (phi0, y0):
-        with pytest.raises(AssertionError):
-            exp_closed(u)
 
 
 def _gallery_lines():

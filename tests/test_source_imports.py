@@ -3,7 +3,9 @@ is used in that module, no module of the package imports scipy (a test
 oracle only), no module of the package but `elements.py` reads an
 algebra element's private coordinate row (the rest go through coords() or
 the slot views), and no module of the package but `nilclassify.py` names
-the classifier's private frame `_Frame` (the rest ask `_frame_of`).
+the classifier's private frame `_Frame` (the rest ask `_frame_of`), and
+the closed forms `exp_closed` and `delta_formula` share no code with their
+oracle `exp_series` but `linalg.int_row`.
 
 The package's `__init__.py` is exempt for its relative imports: those are
 re-exports, listed in `__all__`.
@@ -119,3 +121,55 @@ def test_frame_name_is_reported(tmp_path):
                    "f = nilclassify._Frame(h)\ng = getattr(nilclassify, '_Frame')\n")
     assert frame_names(mod) == [2, 5, 6]
     assert frame_names(SRC / "nilclassify.py") != []
+
+
+# the series oracle and the matrix machinery it runs on
+ORACLE_NAMES = {"exp_series", "_gaussian_product", "_gaussian_of_row", "_coord_entries",
+                "_mat_mul"}
+
+
+def closed_form_reach(path: Path) -> tuple:
+    """(reached, found): the module-level functions that `exp_closed` and
+    `delta_formula` reach by name, themselves included, and the (function,
+    line, name) of each name in ORACLE_NAMES that one of them mentions, as
+    a variable, an attribute or a string."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    todo, reached, found = ["exp_closed", "delta_formula"], set(), set()
+    while todo:
+        name = todo.pop()
+        if name in reached or name not in funcs:
+            continue
+        reached.add(name)
+        for node in ast.walk(funcs[name]):
+            if isinstance(node, ast.Name):
+                ident = node.id
+            elif isinstance(node, ast.Attribute):
+                ident = node.attr
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                ident = node.value
+            else:
+                continue
+            if ident in ORACLE_NAMES:
+                found.add((name, node.lineno, ident))
+            elif ident in funcs:
+                todo.append(ident)
+    return sorted(reached), sorted(found)
+
+
+def test_the_closed_forms_share_no_code_with_the_series_oracle():
+    reached, found = closed_form_reach(SRC / "elements.py")
+    assert {"exp_closed", "_check_phi0_form", "_check_y0_form", "delta_formula"} <= set(reached)
+    assert found == []
+
+
+def test_an_oracle_name_in_a_closed_form_is_reported(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def exp_series(u):\n    return _gaussian_product(u)\n"
+                   "def _helper(u):\n    return elements._mat_mul(u)\n"
+                   "def exp_closed(u):\n    return _helper(u), GroupElement(u)\n"
+                   "def delta_formula(u):\n    return getattr(m, 'exp_series')(u)\n"
+                   "class GroupElement:\n    def f(self):\n        return _coord_entries\n")
+    reached, found = closed_form_reach(mod)
+    assert reached == ["_helper", "delta_formula", "exp_closed"]
+    assert found == [("_helper", 4, "_mat_mul"), ("delta_formula", 8, "exp_series")]
