@@ -768,18 +768,19 @@ def delta_formula(u: AlgebraElement):
                  Fraction(im_part, 24 * D2 * D2 * D) if im_part else zero)
 
 
-def gram_matrix(n):
-    """Gram matrix J of the Hermitian form (J^2 = identity)."""
+def _form_swap(n):
+    """The permutation J stands for: 0 <-> n+1 and 1 <-> n, the rest fixed."""
     m = n + 2
-    J = [[QQi(0) for _ in range(m)] for _ in range(m)]
-    one = QQi(1)
-    J[0][m - 1] = one
-    J[1][n] = one
-    for i in range(2, n):
-        J[i][i] = one
-    J[n][1] = one
-    J[m - 1][0] = one
-    return J
+    sigma = list(range(m))
+    sigma[0], sigma[m - 1], sigma[1], sigma[n] = m - 1, 0, n, 1
+    return sigma
+
+
+def gram_matrix(n):
+    """Gram matrix J of the Hermitian form (J^2 = identity), the permutation
+    matrix of _form_swap; one shared zero and one."""
+    zero, one = QQi(0), QQi(1)
+    return [[one if j == s else zero for j in range(n + 2)] for s in _form_swap(n)]
 
 
 def form_value(v, w, n=None):
@@ -816,8 +817,8 @@ class GroupElement:
 
     @staticmethod
     def identity(n):
-        m = n + 2
-        return GroupElement(n, [[QQi(1 if i == j else 0) for j in range(m)]
+        m, zero, one = n + 2, QQi(0), QQi(1)
+        return GroupElement(n, [[one if i == j else zero for j in range(m)]
                                 for i in range(m)])
 
     @staticmethod
@@ -829,13 +830,13 @@ class GroupElement:
         """
         if mode != "exact":
             raise ValueError(f"group elements are exact, not {mode!r}")
-        m = n + 2
+        m, zero, one = n + 2, QQi(0), QQi(1)
         a1, a2 = as_exact_real(a1), as_exact_real(a2)
-        M = [[QQi(0) for _ in range(m)] for _ in range(m)]
+        M = [[zero] * m for _ in range(m)]
         M[0][0] = QQi(a1)
         M[1][1] = QQi(a2)
         for i in range(2, n):
-            M[i][i] = QQi(1)
+            M[i][i] = one
         M[n][n] = QQi(1 / a2)
         M[m - 1][m - 1] = QQi(1 / a1)
         return GroupElement(n, M)
@@ -848,11 +849,12 @@ class GroupElement:
         return GroupElement(self.n, _mat_mul(self.mat, other.mat, self.n + 2))
 
     def inverse(self):
-        """g^{-1} = J g^dagger J, using g^dagger J g = J."""
-        m = self.n + 2
-        J = gram_matrix(self.n)
-        gd = [[conj(self.mat[j][i]) for j in range(m)] for i in range(m)]
-        return GroupElement(self.n, _mat_mul(_mat_mul(J, gd, m), J, m))
+        """g^{-1} = J g^dagger J, using g^dagger J g = J.  J is the
+        permutation matrix of sigma (_form_swap), so the product is the
+        entries of g conjugated and moved: (J g^dagger J)[i][j] =
+        conj(g[sigma(j)][sigma(i)])."""
+        sigma, g = _form_swap(self.n), self.mat
+        return GroupElement(self.n, [[conj(g[sj][si]) for sj in sigma] for si in sigma])
 
     def det(self):
         # Gaussian elimination over the Gaussian rationals, one QQi per entry

@@ -15,7 +15,8 @@ nearest 0 of a quartic (np.roots).  The curves of one spec are sampled
 together (_collect): one doubling ladder gives each curve the top of its
 grid, and the grids are built at once; on both, the curves are evaluated in
 blocks of BLOCK_POINTS parameters, each block one Vandermonde product over
-the factors of its curves.  rho_norm runs per curve.
+the factors of its curves, and rho_norm takes the block's kept samples in
+one call.
 Fitted envelope exponents and log-power regressions are then compared against
 the classifier's predicted shape.
 """
@@ -323,7 +324,7 @@ def _collect(curves, plan, with_mu=False) -> SampleCloud:
 
     One ladder gives every curve the top of its grid (_ladder_tops), the
     grids are built at once (_grids) and evaluated in blocks (_blocks);
-    rho_norm runs per curve, on its kept samples.  meta["discards"]
+    rho_norm runs once per block, on its kept samples.  meta["discards"]
     counts the dropped points by cause: non_finite, over_ceiling,
     at_most_one (|h| <= 1) and the name of each error a per-point solve
     raised.  with_mu adds the Cartan projection of every kept sample as
@@ -351,14 +352,13 @@ def _collect(curves, plan, with_mu=False) -> SampleCloud:
         discards["non_finite"] += int((~finite).sum()) - sum(map(len, failed))
         discards["over_ceiling"] += int(over.sum())
         discards["at_most_one"] += int(low.sum())
-        counts = keep.sum(axis=1)
         good = stacks[keep]
+        if len(good):
+            rho_parts.append(rho_norm(good))
         norm_parts.append(norms[keep])
         t_vals += ts[keep].tolist()
-        for i, k, part in zip(which, counts, np.split(good, np.cumsum(counts)[:-1])):
-            if k:
-                rho_parts.append(rho_norm(part))
-                tags += [curves[i][0]] * int(k)
+        for i, k in zip(which, keep.sum(axis=1)):
+            tags += [curves[i][0]] * int(k)
         if with_mu:
             mu_points += [mu(g).as_tuple() for g in good]
     kept, total = len(tags), grids.size

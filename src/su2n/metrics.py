@@ -7,6 +7,10 @@ the Cartan A+-part is read off the top singular values of S^dagger g S.
 
 |rho(g)| is the max absolute 2x2 minor of g (second exterior power); an
 independent oracle builds the full wedge-square matrix from g (x) g.
+rho_norm gathers the minors through two flat-index tables per m: upper, the
+minors an upper-triangular matrix can have nonzero, always taken; and rest,
+taken only when a strictly-lower entry is nonzero or an entry is not finite
+(K-conjugates, overflowed candidates).  Samples of AN skip rest.
 """
 
 from __future__ import annotations
@@ -64,24 +68,57 @@ def sup_norm(g):
 
 
 @lru_cache(maxsize=None)
-def _minor_tables(m):
-    """(I, J): the row pairs i < j of an m x m matrix, built once per m."""
-    idx = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    I = np.array([p[0] for p in idx])
-    J = np.array([p[1] for p in idx])
-    I.setflags(write=False)
-    J.setflags(write=False)
-    return I, J
+def _minor_index(m):
+    """(upper, rest, low) for m x m matrices flattened to rows of m^2 entries.
+
+    A minor with rows i < j and columns k < l is the flat-index column
+    (ik, jl, il, jk) of a (4, K) table: its value is a_ik a_jl - a_il a_jk.
+    upper holds the minors with i <= k and j <= l, rest the others; low holds
+    the strictly-lower entries.  On a finite matrix whose low entries are all
+    zero, every rest minor is exactly +/-0 (one zero factor in each product).
+    """
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    minors = [(i, j, k, l) for i, j in pairs for k, l in pairs]
+
+    def table(keep):
+        cols = [(i * m + k, j * m + l, i * m + l, j * m + k)
+                for i, j, k, l in minors if (i <= k and j <= l) == keep]
+        return np.array(cols, dtype=np.intp).reshape(-1, 4).T.copy()
+
+    low = np.array([i * m + j for i in range(m) for j in range(i)], dtype=np.intp)
+    tables = table(True), table(False), low
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def _largest_minor(rows, table):
+    """Max |minor| over the columns of table, for (m^2, N) rows of entries."""
+    ik, jl, il, jk = table
+    x = rows[ik]
+    x *= rows[jl]
+    y = rows[il]
+    y *= rows[jk]
+    x -= y
+    return np.abs(x).max(axis=0)
 
 
 def rho_norm(g):
-    """Max |det| over all 2x2 submatrices, per matrix of a (..., m, m) stack."""
+    """Max |det| over all 2x2 submatrices, per matrix of a (..., m, m) stack.
+
+    The minors of _minor_index's upper table are always taken; the rest,
+    which vanish on upper-triangular matrices (AN samples), are folded in
+    only when a strictly-lower entry is nonzero or an entry is not finite.
+    The result equals the sweep over all minors bit for bit.
+    """
     a = np.asarray(g, dtype=complex)
-    I, J = _minor_tables(a.shape[-1])
-    # minors[..., p, q] = a[i_p, k_q] a[j_p, l_q] - a[i_p, l_q] a[j_p, k_q]
-    rows_i, rows_j = a[..., I, :], a[..., J, :]
-    minors = rows_i[..., I] * rows_j[..., J] - rows_i[..., J] * rows_j[..., I]
-    return _per_matrix(np.abs(minors).max(axis=(-2, -1)))
+    m = a.shape[-1]
+    upper, rest, low = _minor_index(m)
+    rows = a.reshape(-1, m * m).T.copy()  # entry-major: each gather is a row
+    largest = _largest_minor(rows, upper)
+    if rest.size and (rows[low].any() or not np.isfinite(rows).all()):  # none at m = 2
+        largest = np.maximum(largest, _largest_minor(rows, rest))
+    return _per_matrix(largest.reshape(a.shape[:-2]))
 
 
 def rho_wedge_matrix(g) -> np.ndarray:
@@ -89,7 +126,7 @@ def rho_wedge_matrix(g) -> np.ndarray:
 
     Rows/columns indexed by pairs (i < j) with basis (e_i ^ e_j); entries are
     the 2x2 minors, but assembled through the Kronecker square so it is an
-    independent construction from rho_norm's direct minor sweep.
+    independent construction from rho_norm's minor tables.
     """
     a = np.asarray(g, dtype=complex)
     m = a.shape[0]

@@ -585,6 +585,32 @@ def test_group_invariants_and_inverse():
                    for i in range(m) for j in range(m))
 
 
+def test_inverse_is_the_product_j_g_dagger_j():
+    # the reference: J g^dagger J as two exact products with J written out
+    # here, entry by entry in value and in the types of the entry and its parts
+    rng = random.Random(25)
+    for n in range(3, 7):
+        m = n + 2
+        J = [[QQi(0) for _ in range(m)] for _ in range(m)]
+        J[0][m - 1] = J[1][n] = J[n][1] = J[m - 1][0] = QQi(1)
+        for i in range(2, n):
+            J[i][i] = QQi(1)
+        assert gram_matrix(n) == J
+        for _ in range(6):
+            g = exp_closed(random_element(n, rng, max_slots=6))
+            a = GroupElement.diagonal(n, Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+                                      Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            for h in (g, a, a @ g, g @ a @ exp_closed(random_element(n, rng))):
+                gd = [[conj(h.mat[j][i]) for j in range(m)] for i in range(m)]
+                want = elements._mat_mul(elements._mat_mul(J, gd, m), J, m)
+                got = h.inverse().mat
+                for i in range(m):
+                    for j in range(m):
+                        x, y = got[i][j], want[i][j]
+                        assert x == y
+                        assert (type(x), type(x.re), type(x.im)) == (type(y), type(y.re), type(y.im))
+
+
 def test_group_elements_are_exact_only():
     # a float group element is a plain complex array; there is no float mode
     with pytest.raises(TypeError):

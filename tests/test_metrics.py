@@ -20,7 +20,7 @@ from su2n import (
     shape_check,
     sup_norm,
 )
-from su2n.metrics import NonFinite, basis_change, fit_log_power
+from su2n.metrics import NonFinite, _minor_index, basis_change, fit_log_power
 from su2n.elements import gram_matrix
 
 
@@ -48,6 +48,100 @@ def test_rho_norm_chamber_and_oracle():
         c[cols["xx"]], c[cols["yy"]] = rng.normal(size=2)
         g = exp_float(c)
         assert rho_norm(g) == pytest.approx(rho_norm_oracle(g), rel=1e-9)
+
+
+def _rho_full_sweep(g):
+    """The reference: max |minor| over all P x P 2x2 minors, P = m(m-1)/2."""
+    a = np.asarray(g, dtype=complex)
+    m = a.shape[-1]
+    I, J = np.triu_indices(m, 1)
+    rows_i, rows_j = a[..., I, :], a[..., J, :]
+    minors = rows_i[..., I] * rows_j[..., J] - rows_i[..., J] * rows_j[..., I]
+    values = np.abs(minors).max(axis=(-2, -1))
+    return float(values) if values.ndim == 0 else values
+
+
+def _upper_stack(rng, count, m, scale):
+    """Upper-triangular complex matrices with entries up to scale in size."""
+    size = (count, m, m)
+    a = (rng.normal(size=size) + 1j * rng.normal(size=size)) * 10.0 ** rng.uniform(
+        0, math.log10(scale), size)
+    return np.triu(a)
+
+
+def _assert_rho_is_the_full_sweep(g):
+    with np.errstate(all="ignore"):  # inf and NaN inputs are the point
+        got, want = rho_norm(g), _rho_full_sweep(g)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_rho_norm_is_the_full_sweep_bit_for_bit():
+    rng = np.random.default_rng(25)
+    for m in range(5, 11):
+        for scale in (1.0, 1e4, 1e8):
+            up = _upper_stack(rng, 40, m, scale)
+            _assert_rho_is_the_full_sweep(up)
+            # -0.0 below the diagonal counts as zero
+            neg = up.copy()
+            neg[:, np.tril_indices(m, -1)[0], np.tril_indices(m, -1)[1]] = -0.0 - 0.0j
+            _assert_rho_is_the_full_sweep(neg)
+            # a single matrix gives a Python float
+            _assert_rho_is_the_full_sweep(up[0])
+            assert isinstance(rho_norm(up[0]), float)
+        # K-conjugates are not triangular
+        n = m - 2
+        ks = np.array([sample_compact_pair(n, rng) @ up[j] @ sample_compact_pair(n, rng)
+                       for j in range(20)])
+        _assert_rho_is_the_full_sweep(ks)
+        # one strictly-lower entry
+        one = _upper_stack(rng, 8, m, 1e3)
+        one[:, m - 1, 0] = 1e-300
+        _assert_rho_is_the_full_sweep(one)
+        # inf and NaN entries, above and below the diagonal
+        bad = _upper_stack(rng, 16, m, 1e3)
+        bad[0, 0, 0] = np.inf
+        bad[1, 0, m - 1] = np.nan
+        bad[2, m - 1, m - 1] = complex(0.0, -np.inf)
+        bad[3, 1, 0] = np.nan
+        bad[4, m - 1, 0] = np.inf
+        bad[5, 2, 3] = complex(np.inf, np.nan)
+        _assert_rho_is_the_full_sweep(bad)
+        for k in range(6):
+            _assert_rho_is_the_full_sweep(bad[k])
+        # products that overflow to inf and inf - inf = NaN, finite entries
+        _assert_rho_is_the_full_sweep(_upper_stack(rng, 8, m, 1e8) * 1e160)
+        # a stack of stacks keeps its leading shape; an empty stack is (0,)
+        deep = _upper_stack(rng, 3 * 7, m, 1e8).reshape(3, 7, m, m)
+        assert rho_norm(deep).shape == (3, 7)
+        _assert_rho_is_the_full_sweep(deep)
+        empty = rho_norm(np.zeros((0, m, m), dtype=complex))
+        assert empty.shape == (0,)
+        _assert_rho_is_the_full_sweep(np.zeros((0, m, m), dtype=complex))
+    # 2 x 2 matrices have one minor, and no rest minor
+    _assert_rho_is_the_full_sweep(rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2)))
+    _assert_rho_is_the_full_sweep(_upper_stack(rng, 4, 2, 1e8))
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_minor_tables_cover_every_minor_once(m):
+    upper, rest, low = _minor_index(m)
+    P = m * (m - 1) // 2
+    assert upper.shape[0] == rest.shape[0] == 4
+    # the minor (i < j, k < l) as its entry quadruple (ik, jl, il, jk)
+    cols = [tuple(c) for t in (upper, rest) for c in t.T]
+    assert len(cols) == len(set(cols)) == P * P  # disjoint, and cover all P^2
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    want = {(i * m + k, j * m + l, i * m + l, j * m + k)
+            for i, j in pairs for k, l in pairs}
+    assert set(cols) == want
+    assert sorted(low) == [i * m + j for i in range(m) for j in range(i)]
+    # every rest minor is exactly zero on finite upper-triangular matrices
+    rng = np.random.default_rng(m)
+    rows = _upper_stack(rng, 64, m, 1e8).reshape(-1, m * m).T
+    ik, jl, il, jk = rest
+    assert np.all(rows[ik] * rows[jl] - rows[il] * rows[jk] == 0)
 
 
 def test_basis_change_diagonalizes_form():

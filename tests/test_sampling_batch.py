@@ -17,6 +17,7 @@ import math
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -649,6 +650,39 @@ def test_witness_curves_run_without_scipy(monkeypatch, alg, sub):
         stack, failed = _evaluate(curve, grid)
         assert failed == {} and np.isfinite(stack).all()
         assert np.array_equal(stack, mats)
+
+
+@pytest.mark.parametrize("eid", ["notcds04-max-n4", "semi02-n4", "graph01-n4"])
+def test_rho_norm_runs_once_per_evaluation_block(eid, monkeypatch):
+    # _collect takes rho_norm of each non-empty block's kept samples in one
+    # call; these entries have no per-point curve, whose best-of-k choice
+    # calls rho_norm on its own
+    sizes, collects = [], []
+    real_rho, real_collect = lab.rho_norm, lab._collect
+
+    def rho_spy(g):
+        sizes.append(len(g))
+        return real_rho(g)
+
+    def collect_spy(curves, plan, with_mu=False):
+        assert not any(isinstance(c, lab._PerPoint) for _, c in curves)
+        before = len(sizes)
+        cloud = real_collect(curves, plan, with_mu)
+        collects.append((curves, plan, cloud, sizes[before:]))
+        return cloud
+
+    monkeypatch.setattr(lab, "rho_norm", rho_spy)
+    monkeypatch.setattr(lab, "_collect", collect_spy)
+    assert lab.verify_gallery_entry(gallery.get(eid), seed=0).verdict == "pass"
+    assert collects
+    for curves, plan, cloud, calls in collects:
+        assert len({tag for tag, _ in curves}) == len(curves)  # tag -> curve
+        kept = Counter(cloud.tags)
+        per_block = [sum(kept[curves[i][0]] for i in block)
+                     for block in lab._blocks(len(curves), plan.per_curve)]
+        assert calls == [k for k in per_block if k]
+        assert all(1 <= k <= lab.BLOCK_POINTS for k in calls)
+        assert sum(calls) == len(cloud)
 
 
 # The tracemalloc peak of one verify_gallery_entry at seed 0, after a warm-up
