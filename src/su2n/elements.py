@@ -25,12 +25,16 @@ alpha, beta, alpha+beta, 2*beta, alpha+2*beta, 2*alpha+2*beta where
 alpha(a) = a1/a2 and beta(a) = a2 on a = diag(a1, a2, 1, ..., 1/a2, 1/a1).
 
 The exact kernels are fraction-free (the idea of Bareiss, Math. Comp. 22,
-1968): `bracket_rows` on coordinate rows, `_mat_mul`, `exp_series`,
-`exp_closed` and `delta_formula` clear each input's common denominator once
-(`linalg.int_row`), compute on Python ints (Gaussian-integer pairs for
-matrix entries) and divide once per nonzero output part.  `exp_closed`
-evaluates the closed display on the coordinate row and shares no code with
-`exp_series`, which is its oracle, but `int_row`.
+1968): `bracket`, `matrix_of`, `exp_series`, `exp_closed` and
+`delta_formula` read an algebra element as ints over its common denominator
+(`linalg.int_row`, kept by the element), compute on Python ints
+(Gaussian-integer pairs for matrix entries) and divide once per nonzero
+output part.  A `GroupElement` is held in that form, sparse Gaussian-integer
+rows over one denominator: products, inverse, det (Bareiss elimination over
+Z[i]) and the form check run on it, and `.mat` is its QQi view.  Every zero
+entry of an exact matrix built here is the shared `scalars.ZERO`.
+`exp_closed` evaluates the closed display on the coordinate row and shares
+no code with `exp_series`, which is its oracle, but `int_row`.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ import numpy as np
 
 from .linalg import int_row
 from .scalars import (
+    ZERO,
     QQi,
     _make,
     as_exact_complex,
@@ -133,10 +138,12 @@ class AlgebraElement:
     on which sums, scalings and parts are computed.  The slot names are
     read-only views of the row: phi, eta and the entries of x and y as
     Gaussian rationals, t1, t2, xx and yy as Fractions.  Float sampling works
-    on np.array(u.coords(), dtype=float) instead (see float_line).
+    on np.array(u.coords(), dtype=float) instead (see float_line).  The exact
+    kernels read the row as ints over one denominator (`_int_row`), computed
+    on first use and kept.
     """
 
-    __slots__ = ("n", "_row")
+    __slots__ = ("n", "_row", "_ints")
 
     # Always "exact"; kept because bench/tracing.py names the exp_closed and
     # exp_series spans after the mode of their first argument.
@@ -159,6 +166,7 @@ class AlgebraElement:
         row += (as_exact_real(xx), as_exact_real(yy))
         self.n = n
         self._row = tuple(row)
+        self._ints = None
 
     @staticmethod
     def _of(n, row):
@@ -166,7 +174,16 @@ class AlgebraElement:
         e = object.__new__(AlgebraElement)
         e.n = n
         e._row = row
+        e._ints = None
         return e
+
+    def _int_row(self):
+        """linalg.int_row of the row, computed once and kept as (tuple of
+        ints, den)."""
+        if self._ints is None:
+            ints, den = int_row(self._row)
+            self._ints = tuple(ints), den
+        return self._ints
 
     # -- slot views ------------------------------------------------------------
 
@@ -321,8 +338,16 @@ def matrix_of(u: AlgebraElement):
     """The (n+2)x(n+2) matrix of an algebra element: nested lists of
     GaussianRationals, read from the coordinate table _coord_entries.
     """
-    ints, den = int_row(u._row)
+    ints, den = u._int_row()
     return _gaussian_matrix(_gaussian_of_row(u.n, ints), den, u.n + 2)
+
+
+def _matrix_element(u: AlgebraElement) -> "GroupElement":
+    """matrix_of(u) held as a GroupElement, built on u's ints with no QQi
+    entry in between, for the exact products of a commutator or a
+    conjugation (the matrix is not in the group; only products are read)."""
+    ints, den = u._int_row()
+    return GroupElement._of(u.n, _gaussian_of_row(u.n, ints), den)
 
 
 def element_from_matrix(M, n) -> AlgebraElement:
@@ -361,13 +386,21 @@ def ad_a(t1, t2, w: AlgebraElement) -> AlgebraElement:
 
 
 def bracket(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
-    """Lie bracket [u, v] in coordinates: `bracket_rows` on their coords()."""
+    """Lie bracket [u, v] in coordinates: `_bracket_ints` on the kept int
+    rows of u and v."""
     u._check_compatible(v)
-    return AlgebraElement._of(u.n, tuple(bracket_rows(u.n, u._row, v._row)))
+    return AlgebraElement._of(u.n, tuple(_bracket_ints(u.n, *u._int_row(), *v._int_row())))
 
 
 def bracket_rows(n, cu, cv) -> list:
-    """The coords() row of [u, v], from the coords() rows cu of u and cv of v.
+    """The coords() row of [u, v], from the coords() rows cu of u and cv of v:
+    `_bracket_ints` on int_row of each."""
+    return _bracket_ints(n, *int_row(cu), *int_row(cv))
+
+
+def _bracket_ints(n, U, du, V, dv) -> list:
+    """The coords() row of [u, v], as Fractions, from the int rows U / du of
+    u and V / dv of v (`int_row`).
 
     For nilpotent parts this is the closed-form slot computation
 
@@ -378,12 +411,10 @@ def bracket_rows(n, cu, cv) -> list:
 
     with <a, b> = sum_k a_k conj(b_k); a-parts act diagonally on the root
     slots (alpha+beta scales x by t1, etc.).  The result is always nilpotent
-    since a is abelian and normalizes n.  It is evaluated fraction-free: each
-    row is scaled to integers by the lcm of its denominators, every product is
-    a Python int, and a nonzero coordinate is one Fraction over du * dv.
+    since a is abelian and normalizes n.  It is evaluated fraction-free:
+    every product is a Python int, and a nonzero coordinate is one Fraction
+    over du * dv.
     """
-    U, du = int_row(cu)
-    V, dv = int_row(cv)
     d = 2 * (n - 2)
     X, Y, E = 4, 4 + d, 4 + 2 * d  # first columns of x, y and eta
     out = [0] * (4 * n)
@@ -420,7 +451,8 @@ def _gaussian_ints(M, m):
     """(rows, den) for an m x m matrix M of Gaussian rationals: M[i][j] is
     (re + i im) / den for the (j, re, im) in rows[i], with re, im integers,
     and 0 where rows[i] has no entry j.  den is the lcm of the denominators."""
-    nonzero = [[(j, z) for j, z in enumerate(row[:m]) if z] for row in M[:m]]
+    nonzero = [[(j, z) for j, z in enumerate(row[:m]) if z is not ZERO and z]
+               for row in M[:m]]
     den = lcm(*{p.denominator for row in nonzero for _, z in row for p in (z.re, z.im)})
     return [[(j, z.re.numerator * (den // z.re.denominator),
               z.im.numerator * (den // z.im.denominator)) for j, z in row]
@@ -442,13 +474,14 @@ def _gaussian_product(A, B, m):
 
 
 def _gaussian_matrix(rows, den, m):
-    """The m x m matrix of Gaussian rationals that (rows, den) stands for."""
-    zero = QQi(0)
+    """The m x m matrix of Gaussian rationals that (rows, den) stands for,
+    its zero entries the shared ZERO."""
+    zero = Fraction(0)
     out = []
     for row in rows:
-        out_row = [zero] * m
+        out_row = [ZERO] * m
         for j, r, i in row:
-            out_row[j] = QQi(Fraction(r, den), Fraction(i, den))
+            out_row[j] = _make(Fraction(r, den) if r else zero, Fraction(i, den) if i else zero)
         out.append(out_row)
     return out
 
@@ -479,7 +512,7 @@ def exp_series(u: AlgebraElement) -> "GroupElement":
     if not u.is_nilpotent():
         raise ValueError("exact exponentials need a nilpotent element")
     m = u.n + 2
-    ints, den = int_row(u._row)
+    ints, den = u._int_row()
     N = _gaussian_of_row(u.n, ints)
     acc_re = [[0] * m for _ in range(m)]
     acc_im = [[0] * m for _ in range(m)]
@@ -496,7 +529,7 @@ def exp_series(u: AlgebraElement) -> "GroupElement":
                 row_im[j] += w * i
     rows = [[(j, r, i) for j, (r, i) in enumerate(zip(row_re, row_im)) if r or i]
             for row_re, row_im in zip(acc_re, acc_im)]
-    return GroupElement(u.n, _gaussian_matrix(rows, 24 * den ** 4, m))
+    return GroupElement._of(u.n, rows, 24 * den ** 4)
 
 
 def _slot_sums(n, U):
@@ -558,7 +591,7 @@ def exp_closed(u: AlgebraElement) -> "GroupElement":
     if not u.is_nilpotent():
         raise ValueError("exp_closed needs a nilpotent element (t1 = t2 = 0)")
     n, m, r = u.n, u.n + 2, u._row
-    U, D = int_row(r)
+    U, D = u._int_row()
     rows = _exp_display(n, U, D)
     if not U[2] and not U[3]:
         _check_phi0_form(n, U, D, rows)
@@ -567,23 +600,26 @@ def exp_closed(u: AlgebraElement) -> "GroupElement":
     x_row, e1n, e1m, e2n, e2m, mid_m = rows
     den, zero = 24 * D ** 4, Fraction(0)
 
-    def entry(pair):
-        return _make(Fraction(pair[0], den) if pair[0] else zero,
-                     Fraction(pair[1], den) if pair[1] else zero)
+    def qqi(re_, im_):
+        return _make(re_, im_) if re_ or im_ else ZERO
 
-    nil, one = _make(zero, zero), _make(Fraction(1), zero)
-    M = [[one if i == j else nil for j in range(m)] for i in range(m)]
-    M[0][1] = _make(r[2], r[3])
+    def entry(pair):
+        return qqi(Fraction(pair[0], den) if pair[0] else zero,
+                   Fraction(pair[1], den) if pair[1] else zero)
+
+    one = _make(Fraction(1), zero)
+    M = [[one if i == j else ZERO for j in range(m)] for i in range(m)]
+    M[0][1] = qqi(r[2], r[3])
     for j, k in enumerate(range(2 * n, 4 * n - 4, 2)):
         M[0][2 + j] = entry(x_row[j])
-        M[1][2 + j] = _make(r[k], r[k + 1])
-        M[2 + j][n] = _make(-r[k], r[k + 1])
+        M[1][2 + j] = qqi(r[k], r[k + 1])
+        M[2 + j][n] = qqi(-r[k], r[k + 1])
         M[2 + j][m - 1] = entry(mid_m[j])
     M[0][n] = entry(e1n)
     M[0][m - 1] = entry(e1m)
     M[1][n] = entry(e2n)
     M[1][m - 1] = entry(e2m)
-    M[n][m - 1] = _make(-r[2], r[3])
+    M[n][m - 1] = qqi(-r[2], r[3])
     return GroupElement(u.n, M)
 
 
@@ -752,7 +788,7 @@ def delta_formula(u: AlgebraElement):
     """
     if not u.is_nilpotent():
         raise ValueError("delta_formula needs a nilpotent element (t1 = t2 = 0)")
-    U, D = int_row(u._row)
+    U, D = u._int_row()
     E = 4 * u.n - 4
     pr, pi, er, ei, xx, yy = U[2], U[3], U[E], U[E + 1], U[E + 2], U[E + 3]
     ax2, ay2, a, b = _slot_sums(u.n, U)
@@ -778,9 +814,9 @@ def _form_swap(n):
 
 def gram_matrix(n):
     """Gram matrix J of the Hermitian form (J^2 = identity), the permutation
-    matrix of _form_swap; one shared zero and one."""
-    zero, one = QQi(0), QQi(1)
-    return [[one if j == s else zero for j in range(n + 2)] for s in _form_swap(n)]
+    matrix of _form_swap; one shared one, and ZERO."""
+    one = QQi(1)
+    return [[one if j == s else ZERO for j in range(n + 2)] for s in _form_swap(n)]
 
 
 def form_value(v, w, n=None):
@@ -798,14 +834,67 @@ def form_value(v, w, n=None):
     return total
 
 
+def _least_den(rows, den):
+    """(rows, den) over the least common denominator: the entries and den
+    divided by their gcd, the form `_gaussian_ints` reads off a matrix."""
+    g = gcd(den, *(p for row in rows for _, r, i in row for p in (r, i)))
+    if g == 1:
+        return rows, den
+    return [[(j, r // g, i // g) for j, r, i in row] for row in rows], den // g
+
+
+def _bareiss_det(rows, m):
+    """det of the m x m Gaussian-integer matrix of the sparse rows `rows`,
+    as (re, im), by fraction-free elimination (Bareiss, Math. Comp. 22,
+    1968): step k replaces each entry (i, j) below and right of the pivot p
+    by (p a_ij - a_ik a_kj) / q, q the previous pivot, a division that is
+    exact in Z[i].  A row with a_ik = 0 is left as it is when p = q."""
+    R = [[0] * m for _ in range(m)]
+    I = [[0] * m for _ in range(m)]
+    for row_re, row_im, row in zip(R, I, rows):
+        for j, r, i in row:
+            row_re[j], row_im[j] = r, i
+    sign, qr, qi = 1, 1, 0
+    for k in range(m):
+        piv = next((i for i in range(k, m) if R[i][k] or I[i][k]), None)
+        if piv is None:
+            return 0, 0
+        if piv != k:
+            R[k], R[piv], I[k], I[piv], sign = R[piv], R[k], I[piv], I[k], -sign
+        pr, pi, kr, ki = R[k][k], I[k][k], R[k], I[k]
+        q2, same = qr * qr + qi * qi, pr == qr and pi == qi
+        for row_re, row_im in zip(R[k + 1:], I[k + 1:]):
+            fr, fi = row_re[k], row_im[k]
+            if same and not (fr or fi):
+                continue
+            for j in range(k + 1, m):
+                xr, xi = row_re[j], row_im[j]
+                tr, ti = pr * xr - pi * xi, pr * xi + pi * xr
+                if fr or fi:
+                    tr -= fr * kr[j] - fi * ki[j]
+                    ti -= fr * ki[j] + fi * kr[j]
+                row_re[j] = (tr * qr + ti * qi) // q2
+                row_im[j] = (ti * qr - tr * qi) // q2
+        qr, qi = pr, pi
+    return sign * qr, sign * qi
+
+
 class GroupElement:
     """An exact (n+2)x(n+2) matrix preserving the Hermitian form, det 1.
+
+    It is held as sparse Gaussian-integer rows over their least common
+    denominator, (rows, den) as `_gaussian_ints` reads them: entry (i, j) is
+    (re + i im) / den for the (j, re, im) in rows[i], and 0 where rows[i] has
+    no entry j.  Products, `inverse`, `det` and `check_invariants` compute on
+    these ints.  `mat` is the read-only QQi view (nested lists, zeros the
+    shared ZERO), built on first read and kept.  GroupElement(n, mat) keeps
+    a copy of its QQi matrix as that view and reads the ints on first need.
 
     Floating-point group elements are plain (m, m) complex arrays (see
     float_line, exp_float and metrics).
     """
 
-    __slots__ = ("n", "mat")
+    __slots__ = ("n", "_mat", "_ints")
 
     # Always "exact"; kept because bench/tracing.py names the matmul span
     # after the mode of its first argument.
@@ -813,12 +902,32 @@ class GroupElement:
 
     def __init__(self, n, mat):
         self.n = n
-        self.mat = [list(row) for row in mat]
+        self._mat = [list(row) for row in mat]
+        self._ints = None
+
+    @staticmethod
+    def _of(n, rows, den):
+        """The element of the Gaussian-integer rows `rows` over `den`."""
+        g = object.__new__(GroupElement)
+        g.n, g._mat, g._ints = n, None, _least_den(rows, den)
+        return g
+
+    @property
+    def mat(self):
+        if self._mat is None:
+            self._mat = _gaussian_matrix(*self._ints, self.n + 2)
+        return self._mat
+
+    def _int_rows(self):
+        """(rows, den), read off the QQi matrix once if built from one."""
+        if self._ints is None:
+            self._ints = _gaussian_ints(self._mat, self.n + 2)
+        return self._ints
 
     @staticmethod
     def identity(n):
-        m, zero, one = n + 2, QQi(0), QQi(1)
-        return GroupElement(n, [[one if i == j else zero for j in range(m)]
+        m, one = n + 2, QQi(1)
+        return GroupElement(n, [[one if i == j else ZERO for j in range(m)]
                                 for i in range(m)])
 
     @staticmethod
@@ -830,9 +939,9 @@ class GroupElement:
         """
         if mode != "exact":
             raise ValueError(f"group elements are exact, not {mode!r}")
-        m, zero, one = n + 2, QQi(0), QQi(1)
+        m, one = n + 2, QQi(1)
         a1, a2 = as_exact_real(a1), as_exact_real(a2)
-        M = [[zero] * m for _ in range(m)]
+        M = [[ZERO] * m for _ in range(m)]
         M[0][0] = QQi(a1)
         M[1][1] = QQi(a2)
         for i in range(2, n):
@@ -846,47 +955,48 @@ class GroupElement:
             return NotImplemented
         if other.n != self.n:
             raise ValueError("incompatible group elements")
-        return GroupElement(self.n, _mat_mul(self.mat, other.mat, self.n + 2))
+        (A, da), (B, db) = self._int_rows(), other._int_rows()
+        return GroupElement._of(self.n, _gaussian_product(A, B, self.n + 2), da * db)
 
     def inverse(self):
         """g^{-1} = J g^dagger J, using g^dagger J g = J.  J is the
         permutation matrix of sigma (_form_swap), so the product is the
         entries of g conjugated and moved: (J g^dagger J)[i][j] =
-        conj(g[sigma(j)][sigma(i)])."""
-        sigma, g = _form_swap(self.n), self.mat
-        return GroupElement(self.n, [[conj(g[sj][si]) for sj in sigma] for si in sigma])
+        conj(g[sigma(j)][sigma(i)]), over the same denominator."""
+        sigma, (rows, den) = _form_swap(self.n), self._int_rows()
+        out = [[] for _ in sigma]
+        for j, s in enumerate(sigma):
+            for k, r, i in rows[s]:
+                out[sigma[k]].append((j, r, -i))
+        return GroupElement._of(self.n, out, den)
 
     def det(self):
-        # Gaussian elimination over the Gaussian rationals, one QQi per entry
+        """det g = det N / den^m for the Gaussian-integer matrix N = den g
+        (`_bareiss_det`)."""
         m = self.n + 2
-        a = [row[:] for row in self.mat]
-        det = QQi(1)
-        for c in range(m):
-            piv = next((r for r in range(c, m) if a[r][c]), None)
-            if piv is None:
-                return QQi(0)
-            if piv != c:
-                a[c], a[piv] = a[piv], a[c]
-                det = -det
-            det = det * a[c][c]
-            inv = QQi(1) / a[c][c]
-            for r in range(c + 1, m):
-                if a[r][c]:
-                    f = a[r][c] * inv
-                    a[r] = [v - f * w for v, w in zip(a[r], a[c])]
-        return det
+        rows, den = self._int_rows()
+        re_, im_ = _bareiss_det(rows, m)
+        return _make(Fraction(re_, den ** m), Fraction(im_, den ** m))
 
     def check_invariants(self):
-        """(g^dagger J g == J, det == 1), exactly."""
-        m = self.n + 2
-        J = gram_matrix(self.n)
-        lhs = _mat_mul(_mat_mul([[conj(self.mat[j][i]) for j in range(m)]
-                                 for i in range(m)], J, m), self.mat, m)
-        for i in range(m):
-            for j in range(m):
-                if lhs[i][j] != J[i][j]:
-                    return False, f"form not preserved at ({i},{j})"
-        if self.det() != QQi(1):
+        """(g^dagger J g == J, det == 1), exactly, on N = den g: J N is N with
+        its rows moved by sigma (_form_swap), and N^dagger J N must be
+        den^2 J, whose row i is den^2 at column sigma(i)."""
+        m, sigma = self.n + 2, _form_swap(self.n)
+        rows, den = self._int_rows()
+        dagger = [[] for _ in rows]
+        for k, row in enumerate(rows):
+            for j, r, i in row:
+                dagger[j].append((k, r, -i))
+        lhs = _gaussian_product(dagger, [rows[s] for s in sigma], m)
+        d2 = den * den
+        for i, row in enumerate(lhs):
+            if row != [(sigma[i], d2, 0)]:
+                got = {j: (r, s) for j, r, s in row}
+                j = next(j for j in range(m)
+                         if got.get(j, (0, 0)) != ((d2, 0) if j == sigma[i] else (0, 0)))
+                return False, f"form not preserved at ({i},{j})"
+        if _bareiss_det(rows, m) != (den ** m, 0):
             return False, "determinant != 1"
         return True, ""
 

@@ -7,15 +7,18 @@ N^5 = 0 once per line, at build).  The helpers here
 (`conj`, `re`, `im`, `abs2`, ...) work on exact scalars and on Python
 integers, floats and complexes.
 
-The exact kernels skip work that cannot change an exact value: a product
-with an `int` or `Fraction` scales the real and imaginary parts directly, a
-`QQi x QQi` product leaves out the multiplies of a zero real or imaginary
-part, `QQi +- QQi` and `QQi == QQi` skip the coercion of the other operand,
-results are built without re-checking that their parts are Fractions, and
-`herm` skips the pairs with an exact-zero factor, as `elements._mat_mul`
-skips its zero terms.  Each result is the exact value, and type, of the
-dense formula.  The exact kernels of `elements` (bracket, matrix product,
-series and closed-form exponential, the Delta formula) run on integers and
+The exact kernels skip work that cannot change an exact value.  `ZERO` is
+the one shared exact zero, which every zero entry of the exact matrices of
+`elements` is: `==` returns True at once on an object and itself, and
+`a - ZERO` returns `a`.  A product with an `int` or `Fraction` scales the
+real and imaginary parts directly, a `QQi x QQi` product leaves out the
+multiplies of a zero real or imaginary part, `QQi +- QQi` and `QQi == QQi`
+skip the coercion of the other operand, results are built without
+re-checking that their parts are Fractions, and `herm` skips the pairs with
+an exact-zero factor, as the matrix products of `elements` skip their
+zero terms.  Each result is the exact value, and type, of the dense
+formula.  The exact kernels of `elements` (bracket, matrix product, series
+and closed-form exponential, the Delta formula, det) run on integers and
 build Fractions only at the output, one per nonzero part.
 """
 
@@ -46,6 +49,8 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if other is ZERO:
+            return self
         if type(other) is not GaussianRational:
             other = _coerce(other)
             if other is NotImplemented:
@@ -113,6 +118,8 @@ class GaussianRational:
         return self.re * self.re + self.im * self.im
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if type(other) is not GaussianRational:
             other = _coerce(other)
             if other is NotImplemented:
@@ -144,6 +151,12 @@ def _make(re, im):
     z.re = re
     z.im = im
     return z
+
+
+# The one shared exact zero: every zero entry of the exact matrices of
+# `elements` is this object, so `==` on two of them and `- ZERO` return at
+# once, with the value and type of the full computation.
+ZERO = _make(Fraction(0), Fraction(0))
 
 
 def _coerce(v):

@@ -17,7 +17,7 @@ from .config import DEFAULT
 from .corpus import random_corpus, random_element
 from .elements import (
     GroupElement,
-    _mat_mul,
+    _matrix_element,
     bracket,
     delta,
     delta_formula,
@@ -58,11 +58,10 @@ def _budget_row(name, t0, budget):
 
 def _commutator_matches(u, v):
     m = u.n + 2
-    Mu, Mv = matrix_of(u), matrix_of(v)
-    comm = [[a - b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(_mat_mul(Mu, Mv, m), _mat_mul(Mv, Mu, m))]
+    gu, gv = _matrix_element(u), _matrix_element(v)
+    uv, vu = (gu @ gv).mat, (gv @ gu).mat
     Mb = matrix_of(bracket(u, v))
-    return all(comm[i][j] == Mb[i][j] for i in range(m) for j in range(m))
+    return all(uv[i][j] - vu[i][j] == Mb[i][j] for i in range(m) for j in range(m))
 
 
 def formulas_suite(seed=0, trials_per_n=334, ns=(3, 4, 6)):

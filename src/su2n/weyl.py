@@ -16,9 +16,8 @@ from __future__ import annotations
 from .elements import (
     AlgebraElement,
     GroupElement,
+    _matrix_element,
     element_from_matrix,
-    matrix_of,
-    _mat_mul,
 )
 from .scalars import QQi
 
@@ -48,9 +47,7 @@ def conjugate(g: GroupElement, u: AlgebraElement) -> AlgebraElement:
     Raises NotInAN when the result leaves a+n; classifier call sites only
     use normalizing g for which closure holds.
     """
-    m = u.n + 2
-    res = _mat_mul(_mat_mul(g.mat, matrix_of(u), m), g.inverse().mat, m)
-    return element_from_matrix(res, u.n)
+    return element_from_matrix((g @ _matrix_element(u) @ g.inverse()).mat, u.n)
 
 
 def weyl_reflect(u: AlgebraElement, root: str) -> AlgebraElement:

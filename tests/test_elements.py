@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from su2n import elements
+from su2n import elements, linalg
 from su2n import (
     AlgebraElement,
     GroupElement,
@@ -21,7 +21,8 @@ from su2n import (
 )
 from su2n.corpus import random_element
 from su2n.elements import NotInAN, ROOT_SLOT, ROOTS, ad_a, bracket_rows, exp_float, root_value
-from su2n.scalars import QQi, abs2, conj, herm, im, re
+from su2n.scalars import ZERO, QQi, abs2, conj, herm, im, re
+from su2n.weyl import weyl_matrix
 
 
 def test_matrix_of_zero_is_zero(alg):
@@ -152,6 +153,20 @@ def test_bracket_rows_is_bracket_on_coordinate_rows():
     for _ in range(100):
         u, v = _random_pair(rng)
         assert bracket_rows(u.n, u.coords(), v.coords()) == bracket(u, v).coords()
+
+
+def test_the_kept_int_row_is_int_row_of_the_coordinates():
+    rng = random.Random(15)
+    for _ in range(100):
+        u, v = _random_pair(rng)
+        fresh = AlgebraElement.from_coords(u.n, u.coords())
+        h = hash(u)
+        ints, den = u._int_row()
+        assert (list(ints), den) == linalg.int_row(u.coords()) and type(ints) is tuple
+        assert u._int_row() is u._int_row()
+        # equality and hash read the row, not the kept ints
+        assert u == fresh and fresh == u and hash(u) == h == hash(fresh)
+        assert bracket(u, v) == bracket(fresh, v)
 
 
 SLOTS = ("t1", "t2", "phi", "x", "y", "eta", "xx", "yy")
@@ -622,6 +637,150 @@ def test_group_elements_are_exact_only():
     assert a.mat[3][3] == QQi(3) and a.mat[4][4] == QQi(Fraction(1, 4))
     ok, why = a.check_invariants()
     assert ok, why
+
+
+def _dense_product(A, B, m):
+    """A B over QQi, every product and sum taken."""
+    return [[sum((A[i][k] * B[k][j] for k in range(m)), QQi(0)) for j in range(m)]
+            for i in range(m)]
+
+
+def _form_matrix(n):
+    """J written out entry by entry."""
+    m = n + 2
+    J = [[QQi(0) for _ in range(m)] for _ in range(m)]
+    J[0][m - 1] = J[1][n] = J[n][1] = J[m - 1][0] = QQi(1)
+    for i in range(2, n):
+        J[i][i] = QQi(1)
+    return J
+
+
+def _dagger(M, m):
+    return [[conj(M[j][i]) for j in range(m)] for i in range(m)]
+
+
+def _assert_same_matrix(got, want):
+    """Equal in value, in repr and in the types of every entry and its parts,
+    zeros the shared ZERO."""
+    assert type(got) is list and all(type(row) is list for row in got)
+    assert got == want and repr(got) == repr(want)
+    for z in (z for row in got for z in row):
+        assert (type(z), type(z.re), type(z.im)) == (QQi, Fraction, Fraction)
+        assert z or z is ZERO
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_group_element_views_equal_the_eager_qqi_matrices(seed):
+    # the QQi reference of each view is built entry by entry over QQi
+    rng = random.Random(seed)
+    for n in (3, 4, 6):
+        m = n + 2
+        u, v = random_element(n, rng, max_slots=6), random_element(n, rng, max_slots=6)
+        u = u.scale(Fraction(rng.randint(1, 9), rng.choice([1, 2, 7, 89])))
+        a1, a2 = (Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(2))
+        g, h, a = exp_series(u), exp_closed(v), GroupElement.diagonal(n, a1, a2)
+        eye = [[QQi(1 if i == j else 0) for j in range(m)] for i in range(m)]
+        diag = [row[:] for row in eye]
+        diag[0][0], diag[1][1], diag[n][n], diag[m - 1][m - 1] = (
+            QQi(a1), QQi(a2), QQi(1 / a2), QQi(1 / a1))
+        J = _form_matrix(n)
+        _assert_same_matrix(g.mat, _dense_exp(matrix_of(u), m))
+        _assert_same_matrix(h.mat, _dense_exp(matrix_of(v), m))
+        _assert_same_matrix(GroupElement.identity(n).mat, eye)
+        _assert_same_matrix(a.mat, diag)
+        _assert_same_matrix(gram_matrix(n), J)
+        _assert_same_matrix(matrix_of(u), elements._matrix_element(u).mat)
+        for x, y in ((g, h), (h, g), (a, g), (g @ a, h)):
+            _assert_same_matrix((x @ y).mat, _dense_product(x.mat, y.mat, m))
+        for x in (g, h, a, g @ h @ a):
+            want = _dense_product(_dense_product(J, _dagger(x.mat, m), m), J, m)
+            _assert_same_matrix(x.inverse().mat, want)
+            # the ints held are the ints read off the view, and the view is kept
+            assert x._int_rows() == elements._gaussian_ints(x.mat, m)
+            assert x.mat is x.mat
+        with pytest.raises(AttributeError):
+            g.mat = eye
+    # the sparse coprime-denominator matrices of test_mat_mul_equals_dense_sum
+    for m, dens in ((5, range(1, 8)), (6, (1, 89, 97)), (8, range(1, 8)), (10, (1, 2, 89, 97))):
+        for _ in range(5):
+            A, B = _random_sparse_matrix(m, rng, dens), _random_sparse_matrix(m, rng, dens)
+            _assert_same_matrix((GroupElement(m - 2, A) @ GroupElement(m - 2, B)).mat,
+                                _dense_product(A, B, m))
+
+
+def _qqi_det(M, m):
+    """det by Gaussian elimination over QQi: the reference for det."""
+    a = [row[:] for row in M]
+    det = QQi(1)
+    for c in range(m):
+        piv = next((r for r in range(c, m) if a[r][c]), None)
+        if piv is None:
+            return QQi(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det = det * a[c][c]
+        inv = QQi(1) / a[c][c]
+        for r in range(c + 1, m):
+            if a[r][c]:
+                f = a[r][c] * inv
+                a[r] = [v - f * w for v, w in zip(a[r], a[c])]
+    return det
+
+
+def _qqi_invariants(M, n):
+    """check_invariants by dense QQi products with J written out."""
+    m, J = n + 2, _form_matrix(n)
+    lhs = _dense_product(_dense_product(_dagger(M, m), J, m), M, m)
+    for i in range(m):
+        for j in range(m):
+            if lhs[i][j] != J[i][j]:
+                return False, f"form not preserved at ({i},{j})"
+    if _qqi_det(M, m) != QQi(1):
+        return False, "determinant != 1"
+    return True, ""
+
+
+def _random_qqi_matrix(m, rng, zeros):
+    """A dense QQi matrix with a zero at each (i, j) in `zeros`, so that
+    elimination has to swap rows."""
+    q = lambda: Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 89]))
+    M = [[QQi(q(), q()) for _ in range(m)] for _ in range(m)]
+    for i, j in zeros:
+        M[i][j] = QQi(0)
+    return M
+
+
+def test_det_and_check_invariants_equal_their_qqi_references():
+    rng = random.Random(26)
+    outcomes = set()
+    for n in (3, 4, 6):
+        m = n + 2
+        eye = GroupElement.identity(n).mat
+        # keeps the form with det i^2 = -1
+        twist = [row[:] for row in eye]
+        twist[0][0] = twist[m - 1][m - 1] = QQi(0, 1)
+        # breaks the form, det 2
+        stretch = [row[:] for row in eye]
+        stretch[0][0] = QQi(2)
+        cases = [exp_closed(random_element(n, rng, max_slots=6)) for _ in range(3)]
+        cases += [GroupElement.diagonal(n, Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+                                        Fraction(rng.randint(1, 9), rng.randint(1, 9))),
+                  GroupElement(n, twist), GroupElement(n, stretch),
+                  weyl_matrix(n, "alpha") @ cases[0], weyl_matrix(n, "beta") @ cases[1],
+                  # one row swap, then two
+                  GroupElement(n, _random_qqi_matrix(m, rng, [(0, 0)])),
+                  GroupElement(n, _random_qqi_matrix(m, rng, [(0, 0), (0, 1), (1, 1)])),
+                  GroupElement(n, _random_sparse_matrix(m, rng, (1, 89, 97))),
+                  cases[2] @ GroupElement(n, stretch)]
+        for g in cases:
+            got, want = g.det(), _qqi_det(g.mat, m)
+            assert got == want
+            assert (type(got), type(got.re), type(got.im)) == (QQi, Fraction, Fraction)
+            result = g.check_invariants()
+            assert result == _qqi_invariants(g.mat, n)
+            outcomes.add(result[1].split(" at ")[0])
+    assert outcomes == {"", "determinant != 1", "form not preserved"}
 
 
 def test_delta_identity_and_central(alg):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from su2n import linalg
-from su2n.scalars import GaussianRational, QQi, abs2, conj, herm, im, re
+from su2n.scalars import ZERO, GaussianRational, QQi, abs2, conj, herm, im, re
 
 
 def test_gaussian_rational_arithmetic():
@@ -26,6 +26,17 @@ def test_gaussian_rational_int_interop():
     assert 1 / QQi(0, 1) == QQi(0, -1)
     with pytest.raises(ZeroDivisionError):
         QQi(1) / QQi(0)
+
+
+def test_the_shared_zero_is_the_exact_zero():
+    assert ZERO == QQi(0) and QQi(0) == ZERO and ZERO == 0 and 0 == ZERO
+    assert hash(ZERO) == hash(QQi(0)) and repr(ZERO) == "QQi(0)" and not ZERO
+    assert (type(ZERO), type(ZERO.re), type(ZERO.im)) == (QQi, Fraction, Fraction)
+    assert ZERO != QQi(0, 1) and QQi(Fraction(1, 3)) != ZERO
+    for a in (QQi(Fraction(1, 3), -2), QQi(0, 5), QQi(0), ZERO):
+        assert a - ZERO is a
+        d = ZERO - a
+        assert d == -a and (type(d), type(d.re), type(d.im)) == (QQi, Fraction, Fraction)
 
 
 def test_herm_is_sesquilinear():
