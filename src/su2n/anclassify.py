@@ -24,8 +24,8 @@ from .elements import (
     ROOT_SLOT,
     REDUCED_ROOTS,
     ad_a,
-    bracket_rows,
     exp_closed,
+    int_bracket,
     kernel_line,
     kernel_root,
     primitive_line,
@@ -137,8 +137,10 @@ class AnResult:
 
 
 def _normalized_by_element(w: AlgebraElement, u: Subalgebra) -> bool:
-    rows, cw = u.coord_rows(), w.coords()
-    return linalg.subspace_leq((bracket_rows(u.n, cw, r) for r in rows), rows)
+    """[w, b] in U for every basis element b of U, tested on the int
+    brackets against the int echelon form of U's rows."""
+    echelon = linalg.echelon_ints(u.rows())
+    return all(linalg.in_span(echelon, int_bracket(w, b)[0]) for b in u.basis)
 
 
 def _commutes(X: AlgebraElement) -> bool:
@@ -343,7 +345,7 @@ def line_compatible(spec):
         psi = spec.psi_value
         X = spec.torus().element(spec.n) + psi
         if (_commutes(X) and psi.is_nilpotent()
-                and not linalg.span_contains(spec.u.coord_rows(), psi.coords())):
+                and not spec.u.contains(psi)):
             return spec
         return normalize_to_compatible([X] + list(spec.u.basis))
     if isinstance(spec, OneParam) and not _commutes(spec.x):
@@ -402,7 +404,7 @@ def normalize_to_compatible(basis):
     if u_sub is None:
         return OneParam(X)
     # absorb psi into U when possible: then H is semidirect after all
-    if linalg.span_contains(u_sub.coord_rows(), psi.coords()):
+    if u_sub.contains(psi):
         return Semidirect(torus, u_sub)
     return Graph(omega, psi, u_sub)
 

@@ -25,11 +25,13 @@ alpha, beta, alpha+beta, 2*beta, alpha+2*beta, 2*alpha+2*beta where
 alpha(a) = a1/a2 and beta(a) = a2 on a = diag(a1, a2, 1, ..., 1/a2, 1/a1).
 
 The exact kernels are fraction-free (the idea of Bareiss, Math. Comp. 22,
-1968): `bracket`, `matrix_of`, `exp_series`, `exp_closed` and
-`delta_formula` read an algebra element as ints over its common denominator
-(`linalg.int_row`, kept by the element), compute on Python ints
-(Gaussian-integer pairs for matrix entries) and divide once per nonzero
-output part.  A `GroupElement` is held in that form, sparse Gaussian-integer
+1968): `bracket`, `exp_series`, `exp_closed` and `delta_formula` read an
+algebra element as ints over its common denominator (`linalg.int_row`, kept
+by the element and read by other modules through `int_coords`), compute on
+Python ints (Gaussian-integer pairs for matrix entries) and divide once per
+nonzero output part; `int_bracket` gives the bracket before that division.
+`matrix_of` divides nothing: each part of the display is one signed
+coordinate.  A `GroupElement` is held in that form, sparse Gaussian-integer
 rows over one denominator: products, inverse, det (Bareiss elimination over
 Z[i]) and the form check run on it, and `.mat` is its QQi view.  Every zero
 entry of an exact matrix built here is the shared `scalars.ZERO`.
@@ -334,12 +336,34 @@ def _gaussian_of_row(n, ints):
             for row_re, row_im in zip(re_, im_)]
 
 
+@lru_cache(maxsize=None)
+def _entry_parts(n) -> tuple:
+    """The entries of the display that a coordinate fills, as (i, j, rc, rs,
+    ic, is_): Re M[i][j] = rs * row[rc] and Im M[i][j] = is_ * row[ic] for
+    the coords() row of any element, each sign +-1, or 0 (and column 0)
+    where that part is always zero.  Every part of the display is one signed
+    coordinate, so this reads _coord_entries as it is."""
+    parts = {}
+    for c, entries in enumerate(_coord_entries(n)):
+        for i, j, a, b in entries:
+            rc, rs, ic, is_ = parts.get((i, j), (0, 0, 0, 0))
+            parts[i, j] = (c, a, ic, is_) if a else (rc, rs, c, b)
+    return tuple((i, j, *p) for (i, j), p in parts.items())
+
+
 def matrix_of(u: AlgebraElement):
     """The (n+2)x(n+2) matrix of an algebra element: nested lists of
-    GaussianRationals, read from the coordinate table _coord_entries.
+    GaussianRationals, each part a signed coordinate of u (_entry_parts),
+    each zero entry the shared ZERO.
     """
-    ints, den = u._int_row()
-    return _gaussian_matrix(_gaussian_of_row(u.n, ints), den, u.n + 2)
+    m, row, zero = u.n + 2, u._row, Fraction(0)
+    out = [[ZERO] * m for _ in range(m)]
+    for i, j, rc, rs, ic, is_ in _entry_parts(u.n):
+        r = row[rc] if rs > 0 else -row[rc] if rs else zero
+        q = row[ic] if is_ > 0 else -row[ic] if is_ else zero
+        if r or q:
+            out[i][j] = _make(r, q)
+    return out
 
 
 def _matrix_element(u: AlgebraElement) -> "GroupElement":
@@ -386,21 +410,32 @@ def ad_a(t1, t2, w: AlgebraElement) -> AlgebraElement:
 
 
 def bracket(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
-    """Lie bracket [u, v] in coordinates: `_bracket_ints` on the kept int
-    rows of u and v."""
+    """Lie bracket [u, v] in coordinates: int_bracket, one Fraction per
+    nonzero coordinate."""
+    ints, den = int_bracket(u, v)
+    zero = Fraction(0)
+    return AlgebraElement._of(u.n, tuple(Fraction(s, den) if s else zero for s in ints))
+
+
+def int_coords(u: AlgebraElement) -> tuple:
+    """u's coords() row as (ints, den), the linalg.int_row of it that u
+    keeps: computed on first use, never twice."""
+    return u._int_row()
+
+
+def int_bracket(u: AlgebraElement, v: AlgebraElement) -> tuple:
+    """The coords() row of [u, v] as (ints, du * dv): `_bracket_ints` on the
+    int rows (U, du) of u and (V, dv) of v that the elements keep.  No
+    Fraction is built, so a closure or normalizer test that only asks
+    whether the bracket lies in a span (linalg.in_span) reads it as it is."""
     u._check_compatible(v)
-    return AlgebraElement._of(u.n, tuple(_bracket_ints(u.n, *u._int_row(), *v._int_row())))
-
-
-def bracket_rows(n, cu, cv) -> list:
-    """The coords() row of [u, v], from the coords() rows cu of u and cv of v:
-    `_bracket_ints` on int_row of each."""
-    return _bracket_ints(n, *int_row(cu), *int_row(cv))
+    (U, du), (V, dv) = u._int_row(), v._int_row()
+    return _bracket_ints(u.n, U, du, V, dv), du * dv
 
 
 def _bracket_ints(n, U, du, V, dv) -> list:
-    """The coords() row of [u, v], as Fractions, from the int rows U / du of
-    u and V / dv of v (`int_row`).
+    """The coords() row of [u, v] as ints over du * dv, from the int rows
+    U / du of u and V / dv of v (`int_row`).
 
     For nilpotent parts this is the closed-form slot computation
 
@@ -412,8 +447,7 @@ def _bracket_ints(n, U, du, V, dv) -> list:
     with <a, b> = sum_k a_k conj(b_k); a-parts act diagonally on the root
     slots (alpha+beta scales x by t1, etc.).  The result is always nilpotent
     since a is abelian and normalizes n.  It is evaluated fraction-free:
-    every product is a Python int, and a nonzero coordinate is one Fraction
-    over du * dv.
+    every product is a Python int.
     """
     d = 2 * (n - 2)
     X, Y, E = 4, 4 + d, 4 + 2 * d  # first columns of x, y and eta
@@ -443,8 +477,7 @@ def _bracket_ints(n, U, du, V, dv) -> list:
             if root:
                 r_u, r_v = value[root]
                 out[c] += r_u * V[c] - r_v * U[c]
-    den, zero = du * dv, Fraction(0)
-    return [Fraction(s, den) if s else zero for s in out]
+    return out
 
 
 def _gaussian_ints(M, m):

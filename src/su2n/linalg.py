@@ -5,16 +5,19 @@ signatures) is computed here exactly, so classification answers are
 independent of any floating tolerance.  Vectors are plain lists of Fractions,
 matrices lists of rows.
 
-The row reduction and the Gram matrices of fixed forms are fraction-free (the
-idea of Bareiss, Math. Comp. 22, 1968): each row is scaled to Python ints by
-the lcm of its denominators (int_row), the arithmetic runs on ints, and
-Fractions are built only in the results.  The reduced row echelon form of a
-matrix is unique, so it is the same value as Fraction elimination gives.
+The row reduction, the span tests, the kernels, the combinations of rows and
+the Gram matrices of fixed forms are fraction-free (the idea of Bareiss,
+Math. Comp. 22, 1968): each row is read as Python ints over one denominator
+(int_row), the arithmetic runs on ints, and Fractions are built only in the
+results, one per nonzero entry.  A Row is a list of rationals that keeps its
+int form, so a row made here (combine) or by Subalgebra.rows() is never read
+into ints twice.  The reduced row echelon form of a matrix is unique, so
+rref is the same value as Fraction elimination gives.
 
-A span test row-reduces the spanning rows once (rref) and reduces each vector
-against that echelon form (residual): the vector is in the span iff nothing
-is left.  A caller with many vectors to test against one basis keeps the
-echelon form and calls residual directly.
+A span test reduces the int form of each vector against the int echelon form
+of the spanning rows (echelon_ints, in_span): the vector is in the span iff
+nothing is left.  No Fraction is built.  rref and residual give the rational
+rows and the leftover vector, for callers that read those values.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
 
-Vec = list
 Mat = list
 
 
@@ -41,6 +43,25 @@ def int_row(row):
     return [a * (den // d) for a, d in pairs], den
 
 
+class Row(list):
+    """A list of exact rationals that keeps its int_row as `ints`, a pair
+    (ints, den) with the row equal to [a / den for a in ints] and den the
+    lcm of its denominators.  Made by combine, Subalgebra.rows() and the
+    frame's kernels; never changed in place, so the kept ints stay those of
+    its entries."""
+
+    __slots__ = ("ints",)
+
+    def __init__(self, values, ints):
+        super().__init__(values)
+        self.ints = ints
+
+
+def ints_of(row):
+    """int_row(row), read from a Row without computing it again."""
+    return row.ints if type(row) is Row else int_row(row)
+
+
 def _primitive(row):
     """The int row divided by the gcd of its entries (a zero row as it is)."""
     g = gcd(*row)
@@ -52,11 +73,11 @@ def echelon_ints(rows):
     rows, row k having its nonzero pivot entry at pivots[k] and zeros at the
     other pivots; rref divides row k by that entry.
 
-    Fraction-free Gauss-Jordan: the rows are scaled to ints (int_row), and
+    Fraction-free Gauss-Jordan: the rows are read as ints (ints_of), and
     clearing column c of row i takes p * row_i - f * pivot_row with p the
     pivot and f the entry of row i, then divides by the gcd of the result.
     """
-    m = [_primitive(int_row(row)[0]) for row in rows]
+    m = [_primitive(ints_of(row)[0]) for row in rows]
     if not m:
         return [], []
     nrows, ncols = len(m), len(m[0])
@@ -80,8 +101,80 @@ def echelon_ints(rows):
     return m[:r], pivots
 
 
+def in_span(echelon, ints) -> bool:
+    """Whether the int row `ints` lies in the span of the rows of `echelon`,
+    a pair (ints, pivots) from echelon_ints.  Each echelon row is nonzero at
+    its own pivot and zero at the others, so clearing the pivots one by one,
+    p * w - f * row, leaves zero iff the row is in the span."""
+    rows, pivots = echelon
+    for row, pc in zip(rows, pivots):
+        f = ints[pc]
+        if f:
+            p = row[pc]
+            ints = [p * a - f * b for a, b in zip(ints, row)]
+    return not any(ints)
+
+
+def span_contains(rows, v) -> bool:
+    return in_span(echelon_ints(rows), ints_of(v)[0])
+
+
+def subspace_leq(rows_a, rows_b) -> bool:
+    """span(rows_a) <= span(rows_b), with rows_b row-reduced once."""
+    echelon = echelon_ints(rows_b)
+    return all(in_span(echelon, ints_of(v)[0]) for v in rows_a)
+
+
+def subspace_eq(rows_a, rows_b) -> bool:
+    return subspace_leq(rows_a, rows_b) and subspace_leq(rows_b, rows_a)
+
+
+def kernel_basis(rows) -> list:
+    """Basis of the right kernel {v : rows @ v = 0}: one vector per free
+    column fc of the echelon form, 1 at fc, 0 at the other free columns and
+    -row[fc] / row[pc] at the pivot pc of each echelon row."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    ints, pivots = echelon_ints(rows)
+    zero, one = Fraction(0), Fraction(1)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [zero] * ncols
+        v[fc] = one
+        for row, pc in zip(ints, pivots):
+            if row[fc]:
+                v[pc] = Fraction(-row[fc], row[pc])
+        basis.append(v)
+    return basis
+
+
+def combine(rows, coeffs) -> Row:
+    """The combination sum_i coeffs[i] rows[i] as a Row, skipping zero
+    coefficients: summed on the rows' ints over one common denominator,
+    then one Fraction per nonzero entry.  The ints are divided by their gcd
+    with that denominator first, so the Row keeps int_row of its entries."""
+    terms = [(c.as_integer_ratio(), ints_of(row)) for c, row in zip(coeffs, rows) if c]
+    den = lcm(*(cd * rd for (_, cd), (_, rd) in terms))
+    out = [0] * len(rows[0])
+    for (cn, cd), (ints, rd) in terms:
+        f = cn * (den // (cd * rd))
+        for k, a in enumerate(ints):
+            if a:
+                out[k] += f * a
+    g = gcd(den, *out)
+    if g > 1:
+        out, den = [a // g for a in out], den // g
+    zero = Fraction(0)
+    return Row([Fraction(a, den) if a else zero for a in out], (out, den))
+
+
 def rref(rows: Sequence[Sequence[Fraction]]):
-    """Reduced row echelon form.  Returns (rref_rows, pivot_columns).
+    """Reduced row echelon form.  Returns (rref_rows, pivot_columns), for
+    callers that read the rational rows: normalizer_in_A (through residual),
+    the a-rows of anclassify and solve_linear.
 
     The entries of `rows` are exact rationals (ints, Fractions, floats read
     exactly); the rows returned are lists of Fractions.
@@ -92,40 +185,11 @@ def rref(rows: Sequence[Sequence[Fraction]]):
             for row, c in zip(ints, pivots)], pivots
 
 
-def combine(rows, coeffs) -> Vec:
-    """The combination sum_i coeffs[i] rows[i], skipping zero coefficients
-    and zero entries."""
-    out = [Fraction(0)] * len(rows[0])
-    for c, row in zip(coeffs, rows):
-        if c:
-            for k, v in enumerate(row):
-                if v:
-                    out[k] += c * v
-    return out
-
-
-def kernel_basis(rows) -> list:
-    """Basis of the right kernel {v : rows @ v = 0}."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
-
-
 def residual(echelon, v) -> list:
     """v minus its combination of the rows of `echelon`, a pair (rows,
-    pivots) from rref: zero iff v lies in their span.  Each rref row is 1 at
-    its own pivot and 0 at the others, so one pass over the pivots clears
-    them all."""
+    pivots) from rref, for normalizer_in_A, which reads its entries: zero
+    iff v lies in their span.  Each rref row is 1 at its own pivot and 0 at
+    the others, so one pass over the pivots clears them all."""
     red, pivots = echelon
     v = list(v)
     for row, pc in zip(red, pivots):
@@ -133,20 +197,6 @@ def residual(echelon, v) -> list:
         if f != 0:
             v = [a - f * b if b else a for a, b in zip(v, row)]
     return v
-
-
-def span_contains(rows, v) -> bool:
-    return not any(residual(rref(rows), v))
-
-
-def subspace_leq(rows_a, rows_b) -> bool:
-    """span(rows_a) <= span(rows_b), with rows_b row-reduced once."""
-    echelon = rref(rows_b)
-    return not any(any(residual(echelon, v)) for v in rows_a)
-
-
-def subspace_eq(rows_a, rows_b) -> bool:
-    return subspace_leq(rows_a, rows_b) and subspace_leq(rows_b, rows_a)
 
 
 def solve_linear(rows, rhs) -> Optional[list]:
@@ -204,15 +254,15 @@ def form_gram(rows, form) -> list:
     """The Gram matrix W Q W^T of a fixed quadratic form on the rows W of
     `rows`, Q given as sparse_form(Q).
 
-    Each row is read on the support columns only and scaled to ints
-    (int_row), so every product is an int and each nonzero entry is one
-    Fraction over den times the two rows' denominators.
+    Each row is read as ints (ints_of) on the support columns only, so
+    every product is an int and each nonzero entry is one Fraction over den
+    times the two rows' denominators.
     """
     cols, entries, den = form
     ints, dens = [], []
     for row in rows:
-        w, dw = int_row([row[c] for c in cols])
-        ints.append(w)
+        w, dw = ints_of(row)
+        ints.append([w[c] for c in cols])
         dens.append(dw)
     d, zero = len(rows), Fraction(0)
     gram = [[zero] * d for _ in range(d)]

@@ -135,8 +135,11 @@ class _Frame:
     A vector of h is its coordinate row (the coords() of the element, a
     combination of h.coord_rows()), so a slot functional is a column slice,
     an element is AlgebraElement.from_coords, and kernels, intersections and
-    containments are small rational systems on rows.  A frame belongs to the
-    one h it was built from, and _frame_of builds it once per h.
+    containments are small rational systems on rows.  The rows of h and of
+    its kernels are linalg.Rows, which keep their ints: the span tests, the
+    echelon forms, the combinations and the Grams read those, and build
+    Fractions only in the rows they return.  A frame belongs to the one h it
+    was built from, and _frame_of builds it once per h.
     """
 
     def __init__(self, h: Subalgebra):
@@ -145,7 +148,7 @@ class _Frame:
         self.n = h.n
         self.d = h.dim
         self.cols = AlgebraElement.slot_columns(self.n)
-        self.full = h.coord_rows()
+        self.full = h.rows()
         self._kernels = {}
         self.z_rows = self.kernel(["phi", "x", "y"])
 
@@ -177,7 +180,8 @@ class _Frame:
 
     def kernel_of(self, values, within):
         """Row basis of {u in within : values(u) = 0}, where `values` maps a
-        row to a list of real-linear functionals."""
+        row to a list of real-linear functionals: each kernel vector of the
+        values combines the rows of `within` on their ints (linalg.combine)."""
         if not within:
             return []
         rows = [values(c) for c in within]
@@ -188,13 +192,26 @@ class _Frame:
 
     def kernel(self, names, within=None):
         """Row basis of {u in within : all named functionals vanish}; on all
-        of h (within None) each is solved once per frame."""
-        if within is not None:
-            return self.kernel_of(lambda c: self.funcs_on(names, c), within)
-        key = tuple(names)
-        if key not in self._kernels:
-            self._kernels[key] = self.kernel(names, self.full)
-        return self._kernels[key]
+        of h (within None) each is solved once per frame.
+
+        The functionals are columns, so their values on `within` are read off
+        the rows' ints scaled to one common denominator: the value matrix
+        times that denominator, which has the same kernel basis.
+        """
+        if within is None:
+            key = tuple(names)
+            if key not in self._kernels:
+                self._kernels[key] = self.kernel(names, self.full)
+            return self._kernels[key]
+        if not within:
+            return []
+        ints = [linalg.ints_of(c) for c in within]
+        den = math.lcm(*(d for _, d in ints))
+        scaled = [(a, den // d) for a, d in ints]
+        values = [[a[k] * f for a, f in scaled]
+                  for nm in names for k in range(self.cols[nm].start, self.cols[nm].stop)]
+        kern = linalg.kernel_basis([linalg.Row(r, (r, 1)) for r in values])
+        return [linalg.combine(within, k) for k in kern]
 
     def vanishes_on(self, name, within) -> bool:
         return all(all(v == 0 for v in self.func_on(name, c)) for c in within)

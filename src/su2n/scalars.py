@@ -254,8 +254,22 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
 
+def _is_digits(s) -> bool:
+    return s.isdigit() and s.isascii()
+
+
 def parse_rational(s) -> Fraction:
+    """The exact rational of an int, a float (its binary value) or a string.
+
+    A string as format_rational writes it, "-?digits" or "-?digits/digits"
+    in ASCII, is read as Fraction(int, int), with no regex; any other string
+    goes to Fraction(s), so the strings accepted and the exceptions raised
+    are Fraction's.
+    """
     if isinstance(s, str):
+        num, slash, den = s.partition("/")
+        if _is_digits(num.removeprefix("-")) and (not slash or _is_digits(den)):
+            return Fraction(int(num), int(den) if slash else 1)
         return Fraction(s)
     if isinstance(s, Integral):
         return Fraction(s)

@@ -2,10 +2,13 @@
 
 Element encoding: {"t1": s, "t2": s, "phi": [s, s], "x": [[s, s], ...],
 "y": [[s, s], ...], "eta": [s, s], "xx": s, "yy": s} where each s is an exact
-"p/q" string, an integer, or a double read as its exact binary value.  A
-subalgebra file wraps a basis with its n and mode; AN-subgroup specs carry a
-"kind" of semidirect / graph / oneparam; the line of a semidirect or graph
-spec must normalize its U.  A semidirect "torus" [p, q] of exact scalars is
+"p/q" string, an integer, or a double read as its exact binary value.  The
+reader builds an element's coords() row straight from those scalars
+(scalars.parse_rational reads the "p/q" strings the writer emits as two
+ints), with no Gaussian rational in between.  A subalgebra file wraps a
+basis with its n and mode; AN-subgroup specs carry a "kind" of semidirect /
+graph / oneparam; the line of a semidirect or graph spec must normalize its
+U.  A semidirect "torus" [p, q] of exact scalars is
 read as the line it spans, so [2, 2], [-1, -1] and ["1/2", "1/2"] load as
 [1, 1], and [1.5, 1] as [3, 2]; [0, 0] is an error.  The
 writer always emits "p/q" strings and "mode": "exact"; files marked
@@ -18,7 +21,7 @@ import json
 
 from .anclassify import Graph, OneParam, Semidirect, TorusLine, _normalized_by_element
 from .elements import AlgebraElement, primitive_line
-from .scalars import QQi, format_rational, im, parse_rational, re
+from .scalars import format_rational, im, parse_rational, re
 from .subalgebra import Subalgebra, SubalgebraError
 
 def _cx_out(v):
@@ -26,7 +29,8 @@ def _cx_out(v):
 
 
 def _cx_in(pair):
-    return QQi(parse_rational(pair[0]), parse_rational(pair[1]))
+    """The (Re, Im) coordinates of an encoded complex entry."""
+    return parse_rational(pair[0]), parse_rational(pair[1])
 
 
 def element_to_json(e: AlgebraElement) -> dict:
@@ -41,14 +45,21 @@ def element_to_json(e: AlgebraElement) -> dict:
 
 
 def element_from_json(d: dict, n: int) -> AlgebraElement:
-    return AlgebraElement(
-        n,
-        t1=parse_rational(d.get("t1", 0)), t2=parse_rational(d.get("t2", 0)),
-        phi=_cx_in(d.get("phi", [0, 0])),
-        x=[_cx_in(p) for p in d.get("x", [[0, 0]] * (n - 2))],
-        y=[_cx_in(p) for p in d.get("y", [[0, 0]] * (n - 2))],
-        eta=_cx_in(d.get("eta", [0, 0])),
-        xx=parse_rational(d.get("xx", 0)), yy=parse_rational(d.get("yy", 0)))
+    """The element of an encoding, its coords() row read straight from the
+    scalars in the slot order, with the checks and messages of
+    AlgebraElement(n, ...)."""
+    t = [parse_rational(d.get("t1", 0)), parse_rational(d.get("t2", 0))]
+    phi = _cx_in(d.get("phi", [0, 0]))
+    x = [_cx_in(p) for p in d.get("x", [[0, 0]] * (n - 2))]
+    y = [_cx_in(p) for p in d.get("y", [[0, 0]] * (n - 2))]
+    eta = _cx_in(d.get("eta", [0, 0]))
+    tail = [parse_rational(d.get("xx", 0)), parse_rational(d.get("yy", 0))]
+    if n < 3:
+        raise ValueError("n must be >= 3")
+    if len(x) != n - 2 or len(y) != n - 2:
+        raise ValueError(f"x, y must have length n-2 = {n - 2}")
+    return AlgebraElement.from_coords(
+        n, [*t, *phi, *(a for z in x + y for a in z), *eta, *tail])
 
 
 def _n_of(d: dict) -> int:

@@ -1,18 +1,21 @@
 """Basis-presented subalgebras of a+n with exact validation.
 
 A Subalgebra stores an independent basis and verifies bracket closure
-exactly (elements.bracket_rows on pairs of coordinate rows).  An element is
-its coords() row, so the coordinate matrix, one row per basis element, is
-read from the basis and not kept beside it.  The exact classifiers work on
-combinations of those rows (linalg.combine, on the frame that nilclassify
-keeps for each subalgebra), and sampling reads them as the float matrix
-np.array(h.coord_rows(), dtype=float).
+exactly on integers: the int echelon form of the basis rows
+(linalg.echelon_ints) and the int bracket of each pair (elements.int_bracket,
+on the int rows the elements keep), tested with linalg.in_span, so no
+Fraction is built.  An element is its coords() row, so the coordinate
+matrix, one row per basis element, is read from the basis and not kept
+beside it.  The exact classifiers work on combinations of those rows
+(linalg.combine on rows(), the linalg.Rows that keep the elements' ints, on
+the frame that nilclassify keeps for each subalgebra), and sampling reads
+them as the float matrix np.array(h.coord_rows(), dtype=float).
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .elements import AlgebraElement, bracket, bracket_rows
+from .elements import AlgebraElement, bracket, int_bracket, int_coords
 from .scalars import as_exact_real
 
 
@@ -44,13 +47,13 @@ class Subalgebra:
     # -- validation ------------------------------------------------------------
 
     def _validate(self):
-        rows = self.coord_rows()
-        echelon = linalg.rref(rows)
-        if len(echelon[0]) != len(self.basis):
+        basis = self.basis
+        echelon = linalg.echelon_ints(self.rows())
+        if len(echelon[0]) != len(basis):
             raise NotIndependent("basis is linearly dependent over R")
-        for i, ri in enumerate(rows):
-            for j in range(i + 1, len(rows)):
-                if any(linalg.residual(echelon, bracket_rows(self.n, ri, rows[j]))):
+        for i, u in enumerate(basis):
+            for j, v in enumerate(basis[i + 1:], start=i + 1):
+                if not linalg.in_span(echelon, int_bracket(u, v)[0]):
                     raise NotClosed(i, j)
 
     # -- structure ---------------------------------------------------------------
@@ -65,41 +68,50 @@ class Subalgebra:
     def element(self, coeffs) -> AlgebraElement:
         """Linear combination of the basis with real coefficients."""
         coeffs = [c and as_exact_real(c) for c in coeffs]
-        return AlgebraElement.from_coords(self.n, linalg.combine(self.coord_rows(), coeffs))
+        return AlgebraElement.from_coords(self.n, linalg.combine(self.rows(), coeffs))
 
     def contains(self, u: AlgebraElement) -> bool:
-        return linalg.span_contains(self.coord_rows(), u.coords())
+        return linalg.in_span(linalg.echelon_ints(self.rows()), int_coords(u)[0])
 
     def coord_rows(self):
         """The coords() row of each basis element, as new lists."""
         return [b.coords() for b in self.basis]
 
+    def rows(self):
+        """The coord_rows() as linalg.Rows, each keeping its basis element's
+        int row (elements.int_coords), for linalg to read without int_row."""
+        return _rows(self.basis)
+
     def __repr__(self):
         return f"Subalgebra(n={self.n}, dim={self.dim})"
+
+
+def _rows(basis):
+    return [linalg.Row(b.coords(), int_coords(b)) for b in basis]
 
 
 def close_under_bracket(seed, max_dim=None):
     """Grow a generating set to a bracket-closed independent basis.
 
-    Used by the corpus generator; returns a Subalgebra.
+    Used by the corpus generator; returns a Subalgebra.  Each candidate is
+    tested on ints against the int echelon form of the basis so far, and a
+    bracket is built as an element only when it joins the basis.
     """
     if not seed:
         raise SubalgebraError("empty seed")
     n = seed[0].n
     max_dim = max_dim or AlgebraElement.coord_dim(n)
     basis = []
-    echelon = linalg.rref([])
+    echelon = ([], [])
 
-    def try_add(u):
+    def add(u):
         nonlocal echelon
-        if not any(linalg.residual(echelon, u.coords())):
-            return False
         basis.append(u)
-        echelon = linalg.rref([b.coords() for b in basis])
-        return True
+        echelon = linalg.echelon_ints(_rows(basis))
 
     for s in seed:
-        try_add(s)
+        if not linalg.in_span(echelon, int_coords(s)[0]):
+            add(s)
     # Each pass brackets, in order, the pairs i < j of the basis it starts
     # with, except those an earlier pass bracketed (j < done).  A bracket
     # once in the span stays there, so skipping them leaves the basis and
@@ -109,8 +121,10 @@ def close_under_bracket(seed, max_dim=None):
         k = len(basis)
         for i in range(k):
             for j in range(max(i + 1, done), k):
-                w = bracket(basis[i], basis[j])
-                if not w.is_zero() and try_add(w) and len(basis) > max_dim:
-                    raise SubalgebraError("closure exceeded the ambient dimension")
+                u, v = basis[i], basis[j]
+                if not linalg.in_span(echelon, int_bracket(u, v)[0]):
+                    add(bracket(u, v))
+                    if len(basis) > max_dim:
+                        raise SubalgebraError("closure exceeded the ambient dimension")
         done = k
     return Subalgebra(basis)

@@ -20,9 +20,32 @@ from su2n import (
     matrix_of,
 )
 from su2n.corpus import random_element
-from su2n.elements import NotInAN, ROOT_SLOT, ROOTS, ad_a, bracket_rows, exp_float, root_value
+from su2n.elements import NotInAN, ROOT_SLOT, ROOTS, ad_a, exp_float, root_value
 from su2n.scalars import ZERO, QQi, abs2, conj, herm, im, re
 from su2n.weyl import weyl_matrix
+
+
+def test_matrix_of_reads_each_part_off_the_row():
+    """matrix_of against the matrix built through Gaussian integers from the
+    same row: equal entries, reprs, entry and part types, and ZERO for every
+    zero entry."""
+    rng = random.Random(21)
+    for n in (3, 4, 6):
+        m = n + 2
+        for _ in range(40):
+            u = random_element(n, rng, max_slots=6).scale(
+                Fraction(rng.randint(-9, 9), rng.choice([1, 2, 7, 89])))
+            if rng.random() < 0.5:
+                u = u + AlgebraElement(n, t1=Fraction(rng.randint(-5, 5), 3),
+                                       t2=Fraction(rng.randint(-5, 5), 7))
+            ints, den = u._int_row()
+            want = elements._gaussian_matrix(elements._gaussian_of_row(n, ints), den, m)
+            got = matrix_of(u)
+            assert got == want and repr(got) == repr(want)
+            for got_row, want_row in zip(got, want):
+                for a, b in zip(got_row, want_row):
+                    assert (a is ZERO) == (b is ZERO)
+                    assert (type(a), type(a.re), type(a.im)) == (QQi, Fraction, Fraction)
 
 
 def test_matrix_of_zero_is_zero(alg):
@@ -148,13 +171,6 @@ def test_bracket_equals_the_slot_formula():
     assert seen == set(range(3, 9))
 
 
-def test_bracket_rows_is_bracket_on_coordinate_rows():
-    rng = random.Random(14)
-    for _ in range(100):
-        u, v = _random_pair(rng)
-        assert bracket_rows(u.n, u.coords(), v.coords()) == bracket(u, v).coords()
-
-
 def test_the_kept_int_row_is_int_row_of_the_coordinates():
     rng = random.Random(15)
     for _ in range(100):
@@ -163,7 +179,11 @@ def test_the_kept_int_row_is_int_row_of_the_coordinates():
         h = hash(u)
         ints, den = u._int_row()
         assert (list(ints), den) == linalg.int_row(u.coords()) and type(ints) is tuple
-        assert u._int_row() is u._int_row()
+        assert u._int_row() is u._int_row() is elements.int_coords(u)
+        # the bracket before its division: ints over du * dv
+        ints, den = elements.int_bracket(u, v)
+        assert den == u._int_row()[1] * v._int_row()[1]
+        assert [Fraction(a, den) for a in ints] == bracket(u, v).coords()
         # equality and hash read the row, not the kept ints
         assert u == fresh and fresh == u and hash(u) == h == hash(fresh)
         assert bracket(u, v) == bracket(fresh, v)

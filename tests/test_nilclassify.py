@@ -314,6 +314,27 @@ def test_func_on_reads_the_slot_of_the_element():
                 assert frame.func_on(name, row) == _slot_values(e, name), (entry.id, name)
 
 
+def test_slot_kernels_on_ints_equal_the_kernels_of_their_values():
+    """_Frame.kernel reads the slot columns off the rows' ints; kernel_of
+    evaluates the same functionals on the Fraction rows.  Both give the same
+    rows, and every row returned keeps the int_row of its entries."""
+    from su2n import gallery
+
+    rng = random.Random(8)
+    names = [["phi"], ["y"], ["x", "xx"], ["phi", "y", "yy"], ["eta"], ["yy"]]
+    for entry in gallery.entries():
+        if entry.kind != "nil":
+            continue
+        frame = _Frame(entry.spec())
+        within = frame.full + [linalg.combine(frame.full, [
+            Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(frame.d)])]
+        for nm in names:
+            got = frame.kernel(nm, within)
+            assert got == frame.kernel_of(lambda c: frame.funcs_on(nm, c), within)
+            for row in got:
+                assert (list(row.ints[0]), row.ints[1]) == linalg.int_row(row), entry.id
+
+
 def _n5_d3(alg, sub):
     """A 3-dimensional h at n = 5 whose x, y minors are not all zero."""
     return sub(alg(5, x=[1, 0, 0], y=[0, 1, 0], yy=1),

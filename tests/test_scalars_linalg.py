@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from su2n import linalg
-from su2n.scalars import ZERO, GaussianRational, QQi, abs2, conj, herm, im, re
+from su2n.scalars import ZERO, GaussianRational, QQi, abs2, conj, herm, im, parse_rational, re
 
 
 def test_gaussian_rational_arithmetic():
@@ -239,6 +239,118 @@ def test_rref_of_small_cases():
     assert linalg.echelon_ints([[2, 1], [1, 3]]) == ([[1, 0], [0, 1]], [0, 1])
     assert linalg.rref([[0.5, 0.25], [1, Fraction(1, 3)]]) == (
         [[1, 0], [0, 1]], [0, 1])
+
+
+def _fraction_residual(rows, v):
+    """v reduced on Fractions against the Gauss-Jordan form of rows: the
+    reference for the span tests."""
+    red, pivots = _fraction_rref(rows)
+    v = [Fraction(x) for x in v]
+    for row, pc in zip(red, pivots):
+        f = v[pc]
+        if f:
+            v = [a - f * b for a, b in zip(v, row)]
+    return v
+
+
+def _fraction_kernel(rows):
+    """The kernel vector of each free column of the Gauss-Jordan form of
+    rows, 1 there and minus the column at the pivots: the reference for
+    kernel_basis."""
+    if not rows:
+        return []
+    red, pivots = _fraction_rref(rows)
+    basis = []
+    for fc in (c for c in range(len(rows[0])) if c not in pivots):
+        v = [Fraction(0)] * len(rows[0])
+        v[fc] = Fraction(1)
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return basis
+
+
+@st.composite
+def _span_systems(draw):
+    """(rows, other, v, coeffs): rows and other of one width (either may be
+    empty, zero and duplicate rows mixed in), v drawn afresh or a rational
+    combination of rows, and the coefficients of a combination of rows."""
+    ncols = draw(st.integers(1, 8))
+    row = st.lists(_exact_entry, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=5))
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.append([0] * ncols)
+    rows = draw(st.permutations(rows))
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    coeffs = draw(st.lists(coeff, min_size=len(rows), max_size=len(rows)))
+    combination = [sum((c * Fraction(r[k]) for c, r in zip(coeffs, rows)), Fraction(0))
+                   for k in range(ncols)]
+    v = draw(st.one_of(row, st.just(combination)))
+    other = draw(st.lists(st.one_of(row, st.just(combination)), max_size=3))
+    return rows, other, v, coeffs
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_span_systems())
+def test_integer_span_tests_and_kernels_equal_the_fraction_references(case):
+    rows, other, v, coeffs = case
+    in_span = not any(_fraction_residual(rows, v))
+    assert linalg.span_contains(rows, v) == in_span
+    assert linalg.subspace_leq(other, rows) == all(
+        not any(_fraction_residual(rows, w)) for w in other)
+    assert linalg.subspace_eq(other, rows) == (
+        _fraction_rref(other)[0] == _fraction_rref(rows)[0])
+    kern = linalg.kernel_basis(rows)
+    assert kern == _fraction_kernel(rows)
+    assert all(type(x) is Fraction for k in kern for x in k)
+    if rows:
+        # combine, on ints, is the Fraction combination and keeps int_row
+        comb = linalg.combine(rows, coeffs)
+        want = [sum((c * Fraction(r[k]) for c, r in zip(coeffs, rows)), Fraction(0))
+                for k in range(len(rows[0]))]
+        assert comb == want and all(type(x) is Fraction for x in comb)
+        assert (list(comb.ints[0]), comb.ints[1]) == linalg.int_row(comb)
+        # a Row is read through its kept ints, with the same answers
+        kept = [linalg.combine([r], [1]) for r in rows]
+        assert kept == [[Fraction(x) for x in r] for r in rows]
+        assert linalg.span_contains(kept, v) == in_span
+        assert linalg.kernel_basis(kept) == kern
+
+
+def test_span_tests_on_small_cases():
+    # an empty span holds the zero vector only
+    assert linalg.span_contains([], [0, 0]) and not linalg.span_contains([], [0, 1])
+    assert linalg.subspace_leq([], [[1, 2]]) and linalg.subspace_leq([[0, 0]], [])
+    assert linalg.kernel_basis([]) == []
+    assert linalg.kernel_basis([[0, 0]]) == [[1, 0], [0, 1]]
+    assert linalg.kernel_basis([[2, -4, 6]]) == [[2, 1, 0], [-3, 0, 1]]
+    assert linalg.span_contains([[Fraction(1, 3), 1]], [1, 3])
+    assert not linalg.span_contains([[1, 0], [2, 0]], [0, 1])
+    assert linalg.in_span(linalg.echelon_ints([[1, 1, 0], [0, 1, -1]]), [2, 3, -1])
+    row = linalg.combine([[1, 0, Fraction(-3, 2)], [Fraction(1, 2), 5, 0]], [Fraction(1, 2), 0])
+    assert row == [Fraction(1, 2), 0, Fraction(-3, 4)] and row.ints == ([2, 0, -3], 4)
+
+
+@pytest.mark.parametrize("s", [
+    "3", "-0", "+3", " 3", "3 ", "1_0", "3/-2", "-3/6", "12/08", "1/0", "0/5",
+    "0.5", "1e3", "-", "--1", "3/", "/2", "-/2", "1/2/3", "\u0663", "\u0661/\u0662",
+    "", "/", 7, -12, 0, 10**30, 0.1, -2.5, 1e-300])
+def test_parse_rational_is_fraction_of_its_input(s):
+    def outcome(read):
+        try:
+            v = read(s)
+        except Exception as e:  # the exception's type is compared
+            return type(e)
+        return v, type(v)
+    assert outcome(parse_rational) == outcome(Fraction)
+
+
+def test_parse_rational_rejects_what_is_not_a_rational():
+    for bad in (None, [1], 1j, QQi(1)):
+        with pytest.raises(TypeError):
+            parse_rational(bad)
 
 
 def test_int_row_clears_denominators_exactly():

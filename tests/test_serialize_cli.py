@@ -9,7 +9,7 @@ import pytest
 from su2n import AlgebraElement, Subalgebra, gallery
 from su2n.anclassify import Graph, OneParam, Semidirect, TorusLine
 from su2n.config import DEFAULT
-from su2n.scalars import QQi
+from su2n.scalars import QQi, parse_rational
 from su2n.serialize import (
     dump_spec,
     element_from_json,
@@ -29,6 +29,37 @@ def test_element_roundtrip_exact(alg):
     assert d["phi"] == ["1", "-2/5"]
     back = element_from_json(d, 4)
     assert back == u
+
+
+def _read_through_the_constructor(d, n):
+    """element_from_json as it read an encoding through AlgebraElement(n,
+    ...) and Gaussian rationals: the reference for its values and errors."""
+    def cx(pair):
+        return QQi(parse_rational(pair[0]), parse_rational(pair[1]))
+    return AlgebraElement(
+        n,
+        t1=parse_rational(d.get("t1", 0)), t2=parse_rational(d.get("t2", 0)),
+        phi=cx(d.get("phi", [0, 0])),
+        x=[cx(p) for p in d.get("x", [[0, 0]] * (n - 2))],
+        y=[cx(p) for p in d.get("y", [[0, 0]] * (n - 2))],
+        eta=cx(d.get("eta", [0, 0])),
+        xx=parse_rational(d.get("xx", 0)), yy=parse_rational(d.get("yy", 0)))
+
+
+@pytest.mark.parametrize("d,n", [
+    ({"t1": "-1/3", "phi": ["2", "-7/4"], "x": [["1", "0"], [0.5, "3"]],
+      "y": [["0", "0"], ["-2", "1/9"]], "eta": [1, "0"], "xx": "5", "yy": "-1/2"}, 4),
+    ({"xx": "1/4"}, 3), ({}, 5), ({}, 2), ({"x": [["1", "0"]]}, 4),
+    ({"y": [[0, 0], [0, 0], [0, 0]]}, 4), ({"x": [["1", "0"]], "t1": "1/0"}, 2),
+    ({"phi": ["a", "0"]}, 3), ({"phi": ["1"]}, 3), ({"eta": [["1"], "0"]}, 3),
+    ({"xx": None}, 3), ({"x": None}, 3), ({"yy": "٣"}, 3)])
+def test_element_from_json_reads_as_the_constructor_did(d, n):
+    def outcome(read):
+        try:
+            return read(d, n)
+        except Exception as e:  # the exception's type and message are compared
+            return type(e), str(e)
+    assert outcome(element_from_json) == outcome(_read_through_the_constructor)
 
 
 def _float_and_exact_twin():

@@ -1,7 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from su2n import (
     AlgebraElement,
@@ -12,6 +14,7 @@ from su2n import (
     close_under_bracket,
     conjugate,
     exp_closed,
+    linalg,
     weyl_matrix,
     weyl_reflect,
 )
@@ -102,6 +105,73 @@ def test_subalgebra_validation_names_first_open_pair(alg):
     # dependence is reported before closure
     with pytest.raises(NotIndependent):
         Subalgebra([eta, phi, y, alg(4, eta=2, phi=-1)])
+
+
+def _fraction_validation(basis):
+    """What validating `basis` on Fractions finds: NotIndependent when the
+    rref of its rows has fewer rows than the basis, else the first pair
+    i < j whose bracket leaves a nonzero residual against that rref, else
+    None.  The reference for Subalgebra's integer check."""
+    echelon = linalg.rref([b.coords() for b in basis])
+    if len(echelon[0]) != len(basis):
+        return NotIndependent
+    return next(((i, j) for i, j in itertools.combinations(range(len(basis)), 2)
+                 if any(linalg.residual(echelon, bracket(basis[i], basis[j]).coords()))),
+                None)
+
+
+def _fraction_closure(seed):
+    """Add each seed element, then each bracket of a pair i < j, in order,
+    when its Fraction residual against the basis so far is nonzero; pass over
+    all pairs until a pass adds nothing."""
+    basis = []
+
+    def add(u):
+        if any(linalg.residual(linalg.rref([b.coords() for b in basis]), u.coords())):
+            basis.append(u)
+            return True
+        return False
+
+    for u in seed:
+        add(u)
+    while any([add(bracket(basis[i], basis[j]))
+               for i, j in itertools.combinations(range(len(basis)), 2)]):
+        pass
+    return basis
+
+
+def _random_basis(rng):
+    """One to four sparse elements at n = 3..5 with small, sometimes
+    fractional, coefficients; sometimes with an a-part, sometimes with a
+    combination of two of them appended (a dependent basis)."""
+    n = rng.randint(3, 5)
+    basis = []
+    for _ in range(rng.randint(1, 4)):
+        u = random_element(n, rng, max_slots=2, coeff=2).scale(
+            Fraction(rng.randint(1, 3), rng.randint(1, 3)))
+        if rng.random() < 0.2:
+            u = u + AlgebraElement(n, t1=rng.randint(-1, 1), t2=rng.randint(-1, 1))
+        basis.append(u)
+    if len(basis) > 1 and rng.random() < 0.2:
+        basis.append(basis[0] + basis[-1].scale(Fraction(-1, 2)))
+    return basis
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.randoms(use_true_random=False))
+def test_integer_closure_check_equals_the_fraction_reference(rng):
+    basis = _random_basis(rng)
+    want = _fraction_validation(basis)
+    try:
+        Subalgebra(basis)
+        got = None
+    except NotClosed as e:
+        got = e.pair
+    except NotIndependent:
+        got = NotIndependent
+    assert got == want
+    if not all(b.is_zero() for b in basis):
+        assert close_under_bracket(basis).basis == _fraction_closure(basis)
 
 
 def test_close_under_bracket(alg):
