@@ -138,9 +138,8 @@ class AnResult:
 
 def _normalized_by_element(w: AlgebraElement, u: Subalgebra) -> bool:
     """[w, b] in U for every basis element b of U, tested on the int
-    brackets against the int echelon form of U's rows."""
-    echelon = linalg.echelon_ints(u.rows())
-    return all(linalg.in_span(echelon, int_bracket(w, b)[0]) for b in u.basis)
+    brackets against the int echelon form U keeps."""
+    return all(linalg.in_span(u.echelon, int_bracket(w, b)[0]) for b in u.basis)
 
 
 def _commutes(X: AlgebraElement) -> bool:

@@ -16,8 +16,8 @@ rref is the same value as Fraction elimination gives.
 
 A span test reduces the int form of each vector against the int echelon form
 of the spanning rows (echelon_ints, in_span): the vector is in the span iff
-nothing is left.  No Fraction is built.  rref and residual give the rational
-rows and the leftover vector, for callers that read those values.
+nothing is left.  No Fraction is built.  rref gives the rational rows, for
+the callers that read those values.
 """
 
 from __future__ import annotations
@@ -173,8 +173,8 @@ def combine(rows, coeffs) -> Row:
 
 def rref(rows: Sequence[Sequence[Fraction]]):
     """Reduced row echelon form.  Returns (rref_rows, pivot_columns), for
-    callers that read the rational rows: normalizer_in_A (through residual),
-    the a-rows of anclassify and solve_linear.
+    callers that read the rational rows: the a-rows of anclassify and
+    solve_linear.
 
     The entries of `rows` are exact rationals (ints, Fractions, floats read
     exactly); the rows returned are lists of Fractions.
@@ -183,20 +183,6 @@ def rref(rows: Sequence[Sequence[Fraction]]):
     zero = Fraction(0)
     return [[Fraction(a, row[c]) if a else zero for a in row]
             for row, c in zip(ints, pivots)], pivots
-
-
-def residual(echelon, v) -> list:
-    """v minus its combination of the rows of `echelon`, a pair (rows,
-    pivots) from rref, for normalizer_in_A, which reads its entries: zero
-    iff v lies in their span.  Each rref row is 1 at its own pivot and 0 at
-    the others, so one pass over the pivots clears them all."""
-    red, pivots = echelon
-    v = list(v)
-    for row, pc in zip(red, pivots):
-        f = v[pc]
-        if f != 0:
-            v = [a - f * b if b else a for a, b in zip(v, row)]
-    return v
 
 
 def solve_linear(rows, rhs) -> Optional[list]:

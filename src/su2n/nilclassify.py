@@ -55,8 +55,8 @@ from functools import cache, cached_property
 from typing import Callable, Optional
 
 from . import linalg
-from .elements import (ROOTS, AlgebraElement, column_roots, kernel_line,
-                       kernel_root, primitive_line)
+from .elements import (ROOTS, AlgebraElement, column_roots, int_coords,
+                       kernel_line, kernel_root, primitive_line)
 from .scalars import QQi, abs2, conj, herm, im, re
 from .shapes import MuShape
 from .subalgebra import Subalgebra
@@ -138,8 +138,10 @@ class _Frame:
     containments are small rational systems on rows.  The rows of h and of
     its kernels are linalg.Rows, which keep their ints: the span tests, the
     echelon forms, the combinations and the Grams read those, and build
-    Fractions only in the rows they return.  A frame belongs to the one h it
-    was built from, and _frame_of builds it once per h.
+    Fractions only in the rows they return.  The int echelon form of h is
+    the one h.echelon that Subalgebra validation computed, so h's own rows
+    are reduced once.  A frame belongs to the one h it was built from, and
+    _frame_of builds it once per h.
     """
 
     def __init__(self, h: Subalgebra):
@@ -149,6 +151,7 @@ class _Frame:
         self.d = h.dim
         self.cols = AlgebraElement.slot_columns(self.n)
         self.full = h.rows()
+        self.echelon = h.echelon
         self._kernels = {}
         self.z_rows = self.kernel(["phi", "x", "y"])
 
@@ -306,6 +309,25 @@ def cubic_c(e: AlgebraElement) -> Fraction:
     ax2 = sum((abs2(v) for v in e.x), Fraction(0))
     ay2 = sum((abs2(v) for v in e.y), Fraction(0))
     return e.xx * ay2 + e.yy * ax2 + 2 * im(herm(e.x, e.y) * conj(e.eta))
+
+
+@cache
+def _cubic_columns(n):
+    cols = AlgebraElement.slot_columns(n)
+    return cols["x"], cols["y"], cols["eta"].start, cols["xx"].start, cols["yy"].start
+
+
+def _cubic_ints(n, u) -> int:
+    """cubic_c on a coordinate row u of ints, as an int: C(u / D) is
+    _cubic_ints(n, u) / D**3.  The x and y columns interleave real and
+    imaginary parts, so Re(x y^dagger) is their dot product."""
+    xs, ys, e, xx, yy = _cubic_columns(n)
+    x, y = u[xs], u[ys]
+    re_xy = sum(a * b for a, b in zip(x, y))
+    im_xy = (sum(a * b for a, b in zip(x[1::2], y[0::2]))
+             - sum(a * b for a, b in zip(x[0::2], y[1::2])))
+    return (u[xx] * sum(b * b for b in y) + u[yy] * sum(a * a for a in x)
+            + 2 * (im_xy * u[e] - re_xy * u[e + 1]))
 
 
 def pair_e(u: AlgebraElement, z: AlgebraElement) -> Fraction:
@@ -673,9 +695,10 @@ def _sq4(frame):
 
 
 def _xx_axis_element(frame):
-    """The xx-axis row when the axis lies in h, else None."""
-    axis = AlgebraElement(frame.n, xx=1).coords()
-    return axis if linalg.span_contains(frame.full, axis) else None
+    """The xx-axis row when the axis lies in h, else None: its int row
+    tested against h's echelon form."""
+    axis = AlgebraElement(frame.n, xx=1)
+    return axis.coords() if linalg.in_span(frame.echelon, int_coords(axis)[0]) else None
 
 
 def _sq5(frame):
@@ -844,13 +867,22 @@ def _kernel_d_lambda(frame, W, lam):
 def _cubic_coeffs(frame, within):
     """Exact symmetric-trilinear coefficients of C on `within`, keyed by
     index triples i <= j <= l, by 7-term polarization on row sums, with C
-    evaluated once per index multiset (19 times, not 70, on three rows)."""
+    evaluated once per index multiset (19 times, not 70, on three rows).
+
+    The rows are read as ints over one common denominator D, so C is
+    evaluated on int row sums (_cubic_ints) and each coefficient is one
+    Fraction over D**3."""
+    ints = [linalg.ints_of(c) for c in within]
+    den = math.lcm(*(d for _, d in ints))
+    scaled = [[a * (den // d) for a in r] for r, d in ints]
+
     @cache
     def cval(*idx):
-        return cubic_c(frame.element([sum(col) for col in zip(*(within[i] for i in idx))]))
+        return _cubic_ints(frame.n, [sum(col) for col in zip(*(scaled[i] for i in idx))])
 
-    return {(i, j, l): (cval(i, j, l) - cval(i, j) - cval(i, l) - cval(j, l)
-                        + cval(i) + cval(j) + cval(l))
+    den3 = den ** 3
+    return {(i, j, l): Fraction(cval(i, j, l) - cval(i, j) - cval(i, l) - cval(j, l)
+                                + cval(i) + cval(j) + cval(l), den3)
             for i, j, l in itertools.combinations_with_replacement(range(len(within)), 3)}
 
 
@@ -891,28 +923,40 @@ def _odd_cubic_zero_on_plane(frame, line, ky):
     if a is None:
         return None
 
+    (ia, da), (ib, db) = linalg.ints_of(a), linalg.ints_of(b)
+
     def val(theta):
-        ca, cb = math.cos(theta), math.sin(theta)
-        cf = [Fraction(ca).limit_denominator(10**9) * x
-              + Fraction(cb).limit_denominator(10**9) * y for x, y in zip(a, b)]
-        return float(cubic_c(frame.element(cf))), cf
+        """(C(ca a + cb b), (ca, cb)), ca and cb cos(theta) and sin(theta)
+        made rational: the int C of the row's ints over the denominator
+        qa qb da db, divided by its cube (correctly rounded, so the float of
+        the exact value)."""
+        ca = Fraction(math.cos(theta)).limit_denominator(10**9)
+        cb = Fraction(math.sin(theta)).limit_denominator(10**9)
+        (pa, qa), (pb, qb) = ca.as_integer_ratio(), cb.as_integer_ratio()
+        fa, fb = pa * qb * db, pb * qa * da
+        c = _cubic_ints(frame.n, [fa * x + fb * y for x, y in zip(ia, ib)])
+        return c / (qa * qb * da * db) ** 3, (ca, cb)
+
+    def at(coeffs):
+        ca, cb = coeffs
+        return frame.element([ca * x + cb * y for x, y in zip(a, b)])
 
     flo, c0 = val(0.0)
     if flo == 0:
-        return frame.element(c0), True
+        return at(c0), True
     lo, hi = 0.0, math.pi  # odd: C(pi) = -C(0)
     for _ in range(200):
         mid = (lo + hi) / 2
         fm, cm = val(mid)
         if fm == 0 or hi - lo < 1e-15:
-            return frame.element(cm), False
+            return at(cm), False
         if (fm > 0) == (flo > 0):
             lo = mid
             flo = fm
         else:
             hi = mid
     _, cm = val((lo + hi) / 2)
-    return frame.element(cm), False
+    return at(cm), False
 
 
 def _li3(frame):
@@ -1008,11 +1052,13 @@ def _slot_subspace(frame, slots, within=None):
 
 
 def _h_decomposes(frame, slot_groups):
-    """h == sum of (h ∩ slot-span) over the groups, checked exactly."""
+    """h == sum of (h ∩ slot-span) over the groups, checked exactly: the
+    parts lie in h, so they sum to h iff their rank is dim h, and h's own
+    rows are not reduced again."""
     parts = []
     for slots in slot_groups:
         parts.extend(_slot_subspace(frame, slots))
-    return linalg.subspace_eq(parts, frame.full)
+    return len(linalg.echelon_ints(parts)[0]) == frame.d
 
 
 def _z_in_slots(frame, slots):
@@ -1041,7 +1087,7 @@ def _tm1(frame):
     """dim 1 central line with |eta|^2 = xx*yy identically: rho ~ |h|."""
     if frame.d != 1:
         return None
-    if not linalg.subspace_eq(frame.z_rows, frame.full):
+    if len(frame.z_rows) != frame.d:  # z, a subspace of h, is not all of h
         return None
     g = frame.fixed_gram(q_center, frame.full)
     if not linalg.gram_is_zero(g):
@@ -1321,7 +1367,7 @@ SEMIDIRECT_CASES = [
     SemidirectCase(2, lambda f, m: _h_decomposes(f, [["x", "yy"], ["xx"]]),
                    "alpha-beta", "semidirect-2", MuShape.band(1, Fraction(3, 2))),
     SemidirectCase(3, lambda f, m: (_has_lambda(m)
-                                    and not linalg.subspace_eq(f.z_rows, f.full)
+                                    and len(f.z_rows) < f.d
                                     and _h_decomposes(f, [["y", "x"],
                                                           ["yy", "eta", "xx"]])),
                    "alpha", "semidirect-3", _CDS),
@@ -1384,16 +1430,17 @@ def normalizer_in_A(h) -> NormalizerResult:
     # [t, b] = t1 [(1, 0), b] + t2 [(0, 1), b] must lie in span(h) for every
     # basis row b, where [(1, 0), b] and [(0, 1), b] scale each root column
     # of b by the root's t1 and t2 coefficients: each column of a nonzero
-    # residual is one constraint.
-    scales = list(zip(*(ROOTS[root] if root else (0, 0)
-                        for root in column_roots(frame.n))))
-    echelon = linalg.rref(frame.full)
+    # residual is one constraint.  Both scaled rows are reduced on b's ints
+    # with every pivot applied (_pivoted_leftover), so their leftovers are
+    # the two residuals times one common factor, which leaves the kernel of
+    # the (c1, c2) rows as it is.
     sys_rows = []
     for b in frame.full:
-        r1, r2 = (linalg.residual(echelon, [c * v if c and v else 0
-                                            for c, v in zip(cs, b)])
-                  for cs in scales)
-        sys_rows += [[c1, c2] for c1, c2 in zip(r1, r2) if c1 != 0 or c2 != 0]
+        ints = linalg.ints_of(b)[0]
+        r1, r2 = (_pivoted_leftover(frame.echelon, [c * v for c, v in zip(cs, ints)])
+                  for cs in _root_scales(frame.n))
+        pairs = [[c1, c2] for c1, c2 in zip(r1, r2) if c1 or c2]
+        sys_rows += [linalg.Row(r, (r, 1)) for r in pairs]
     if not sys_rows:
         return NormalizerResult("full")
     kern = linalg.kernel_basis(sys_rows)
@@ -1403,6 +1450,25 @@ def normalizer_in_A(h) -> NormalizerResult:
         return NormalizerResult("full")
     p, q = primitive_line(*kern[0])
     return NormalizerResult("line", (p, q), kernel_root(p, q))
+
+
+@cache
+def _root_scales(n):
+    """The t1 and t2 coefficient of the root of each coords() column (0 on
+    the a-part columns): [(1, 0), b] and [(0, 1), b] scale b's columns by
+    them."""
+    return tuple(zip(*(ROOTS[root] if root else (0, 0) for root in column_roots(n))))
+
+
+def _pivoted_leftover(echelon, w):
+    """The int row w reduced against an int echelon form (rows, pivots),
+    p * w - f * row at every pivot, also where f is 0: w's residual against
+    the span times the product of the pivots, one factor for every w."""
+    rows, pivots = echelon
+    for row, pc in zip(rows, pivots):
+        p, f = row[pc], w[pc]
+        w = [p * a - f * r for a, r in zip(w, row)] if f else [p * a for a in w]
+    return w
 
 
 def classify(h, seed: int = 0) -> ClassificationResult:

@@ -1,15 +1,16 @@
 """Basis-presented subalgebras of a+n with exact validation.
 
-A Subalgebra stores an independent basis and verifies bracket closure
-exactly on integers: the int echelon form of the basis rows
-(linalg.echelon_ints) and the int bracket of each pair (elements.int_bracket,
-on the int rows the elements keep), tested with linalg.in_span, so no
-Fraction is built.  An element is its coords() row, so the coordinate
-matrix, one row per basis element, is read from the basis and not kept
-beside it.  The exact classifiers work on combinations of those rows
-(linalg.combine on rows(), the linalg.Rows that keep the elements' ints, on
-the frame that nilclassify keeps for each subalgebra), and sampling reads
-them as the float matrix np.array(h.coord_rows(), dtype=float).
+A Subalgebra stores an independent basis, never changed after construction,
+and verifies bracket closure exactly on integers: the int echelon form of the
+basis rows (linalg.echelon_ints, kept as `echelon` for every later span test
+against h) and the int bracket of each pair (elements.int_bracket, on the int
+rows the elements keep), tested with linalg.in_span, so no Fraction is built.
+An element is its coords() row, so the coordinate matrix, one row per basis
+element, is read from the basis and not kept beside it.  The exact
+classifiers work on combinations of those rows (linalg.combine on rows(), the
+linalg.Rows that keep the elements' ints, on the frame that nilclassify keeps
+for each subalgebra), and sampling reads them as the float matrix
+np.array(h.coord_rows(), dtype=float).
 """
 
 from __future__ import annotations
@@ -47,8 +48,11 @@ class Subalgebra:
     # -- validation ------------------------------------------------------------
 
     def _validate(self):
+        """Reduce the basis rows once, keeping their int echelon form as
+        `echelon` (the basis never changes), then test independence and the
+        closure of each pair against it."""
         basis = self.basis
-        echelon = linalg.echelon_ints(self.rows())
+        self.echelon = echelon = linalg.echelon_ints(self.rows())
         if len(echelon[0]) != len(basis):
             raise NotIndependent("basis is linearly dependent over R")
         for i, u in enumerate(basis):
@@ -71,7 +75,7 @@ class Subalgebra:
         return AlgebraElement.from_coords(self.n, linalg.combine(self.rows(), coeffs))
 
     def contains(self, u: AlgebraElement) -> bool:
-        return linalg.in_span(linalg.echelon_ints(self.rows()), int_coords(u)[0])
+        return linalg.in_span(self.echelon, int_coords(u)[0])
 
     def coord_rows(self):
         """The coords() row of each basis element, as new lists."""

@@ -1,4 +1,5 @@
 import ast
+import functools
 import gc
 import itertools
 import random
@@ -17,6 +18,8 @@ from su2n.metrics import rho_norm, sup_norm
 from su2n.nilclassify import (
     _Frame,
     _cubic_coeffs,
+    _cubic_ints,
+    _odd_cubic_zero_on_plane,
     _fixed_form,
     _isqrt_exact,
     _minor_grams,
@@ -384,17 +387,120 @@ def test_fixed_form_grams_equal_the_polarization_grams():
         assert _fixed_form(q_center, n)[0] == tuple(range(4 * n - 4, 4 * n))
 
 
-def test_cubic_coeffs_build_each_index_multiset_element_once(alg, sub):
+def test_cubic_coeffs_evaluate_the_int_cubic_once_per_index_multiset(alg, sub, monkeypatch):
+    from su2n import nilclassify
+
     frame = _Frame(_n5_d3(alg, sub))
-    built = []
+    built, evaluated = [], []
     element = frame.element
     frame.element = lambda row: built.append(row) or element(row)
+    monkeypatch.setattr(nilclassify, "_cubic_ints",
+                        lambda n, u: evaluated.append(tuple(u)) or _cubic_ints(n, u))
     coeffs = _cubic_coeffs(frame, frame.full)
     # 10 triples i <= j <= l of 3 rows read C at the 3 + 6 + 10 multisets
-    # of at most three indices, not at 7 row sums per triple
+    # of at most three indices, not at 7 row sums per triple, on int rows
     assert len(coeffs) == 10
-    assert len(built) == 19
-    assert len({tuple(row) for row in built}) == 19
+    assert len(evaluated) == 19
+    assert len(set(evaluated)) == 19
+    assert all(type(a) is int for u in evaluated for a in u)
+    assert built == []
+
+
+def _row_frame(n):
+    """The part of a frame that _cubic_coeffs and _odd_cubic_zero_on_plane
+    read, for rows that are no subalgebra's."""
+    return SimpleNamespace(n=n, element=lambda row: AlgebraElement.from_coords(n, row))
+
+
+def test_int_cubic_equals_cubic_c():
+    rng = random.Random(11)
+    for n in range(3, 7):
+        for row in _random_rows(rng, n, 12):
+            ints, den = linalg.int_row(row)
+            assert Fraction(_cubic_ints(n, ints), den ** 3) == \
+                cubic_c(AlgebraElement.from_coords(n, row)), (n, row)
+        # on int rows the two are the same int
+        for _ in range(12):
+            row = [rng.randint(-9, 9) for _ in range(4 * n)]
+            assert _cubic_ints(n, row) == cubic_c(AlgebraElement.from_coords(n, row))
+        # rows with mixed denominators: coefficients over D**3
+        for _ in range(4):
+            rows = _random_rows(rng, n, 3)
+            assert _cubic_coeffs(_row_frame(n), rows) == \
+                _fraction_cubic_coeffs(_row_frame(n), rows), (n, rows)
+
+
+def test_odd_cubic_zero_on_a_plane_of_rows_with_different_denominators():
+    rng = random.Random(5)
+    for n in (3, 4, 5):
+        for _ in range(3):
+            a, b = _random_rows(rng, n, 2)
+            a = [v / 3 for v in a]
+            b = [v / 7 for v in b]
+            frame = _row_frame(n)
+            u, exact = _odd_cubic_zero_on_plane(frame, [a, b], [])
+            # C at the returned rational point is zero up to the bisection's
+            # precision, relative to C on the circle
+            scale = max(abs(cubic_c(frame.element(r))) for r in (a, b))
+            assert exact or abs(cubic_c(u)) <= 1e-9 * scale, (n, a, b)
+
+
+def _fraction_cubic_coeffs(frame, within):
+    """The polarization of cubic_c on Fraction elements: C at the row sum of
+    each index multiset, built as an element; the reference for
+    _cubic_coeffs."""
+    @functools.cache
+    def cval(*idx):
+        return cubic_c(frame.element([sum(col) for col in zip(*(within[i] for i in idx))]))
+
+    return {(i, j, l): (cval(i, j, l) - cval(i, j) - cval(i, l) - cval(j, l)
+                        + cval(i) + cval(j) + cval(l))
+            for i, j, l in itertools.combinations_with_replacement(range(len(within)), 3)}
+
+
+def test_cubic_coeffs_equal_the_fraction_polarization_on_the_classify_corpus(monkeypatch):
+    from su2n import Subalgebra, anclassify, corpus, gallery, nilclassify
+
+    calls = []
+    monkeypatch.setattr(nilclassify, "_cubic_coeffs",
+                        lambda frame, within: calls.append((frame, within))
+                        or _cubic_coeffs(frame, within))
+    # the specs of the classify benchmark's corpus at seeds 0 and 1, and the
+    # gallery
+    specs = [h for seed in (0, 1) for n in (3, 4, 5)
+             for _, h in corpus.random_corpus(count=80, ns=(n,), seed=seed * 10 + n,
+                                              include_gallery=False)]
+    specs += [e.spec() for e in gallery.entries()]
+    for spec in specs:
+        if isinstance(spec, Subalgebra):
+            classify(spec)
+        else:
+            anclassify.classify_an(spec)
+    assert len(calls) >= 40
+    assert {len(within) for _, within in calls} == {1, 2, 3}
+    for frame, within in calls:
+        assert _cubic_coeffs(frame, within) == _fraction_cubic_coeffs(frame, within)
+
+
+def test_classify_reduces_the_rows_of_h_once(monkeypatch):
+    from su2n import gallery, nilclassify
+
+    echelon_ints, reduced, reached = linalg.echelon_ints, [], []
+    monkeypatch.setattr(linalg, "echelon_ints",
+                        lambda rows: reduced.append([tuple(r) for r in rows])
+                        or echelon_ints(rows))
+    for name in ("_h_decomposes", "_xx_axis_element"):
+        monkeypatch.setattr(nilclassify, name,
+                            lambda *a, _f=getattr(nilclassify, name), _nm=name:
+                            reached.append(_nm) or _f(*a))
+    # template 3: a case-list row asks _h_decomposes, and square conditions
+    # 5 and 7 look for the xx axis in h; no kernel of h here equals h's rows
+    h = gallery.get("notcds03a-n4").spec()
+    assert classify(h).template.type_id == 3
+    assert set(reached) == {"_h_decomposes", "_xx_axis_element"}
+    # once, in Subalgebra validation; the frame reads that echelon form
+    assert reduced.count([tuple(r) for r in h.rows()]) == 1
+    assert nilclassify._frame_of(h).echelon == echelon_ints(h.rows())
 
 
 def test_minor_grams_are_the_single_part_polarizations_in_order(alg, sub):
@@ -605,13 +711,27 @@ def test_a_subalgebra_keeps_one_frame_while_it_lives(alg, sub, monkeypatch):
     assert len(nilclassify._FRAMES) == 0
 
 
+def residual(echelon, v) -> list:
+    """v minus its combination of the rows of `echelon`, a pair (rows,
+    pivots) from linalg.rref, on Fractions: zero iff v lies in their span.
+    Each rref row is 1 at its own pivot and 0 at the others, so one pass
+    over the pivots clears them all."""
+    red, pivots = echelon
+    v = list(v)
+    for row, pc in zip(red, pivots):
+        f = v[pc]
+        if f != 0:
+            v = [a - f * b if b else a for a, b in zip(v, row)]
+    return v
+
+
 def _ad_a_normalizer(h):
-    """N_A(h) from the residuals of ad_a(1, 0, b) and ad_a(0, 1, b)."""
+    """N_A(h) from the Fraction residuals of ad_a(1, 0, b) and ad_a(0, 1, b)."""
     echelon = linalg.rref(h.coord_rows())
     sys_rows = []
     for b in h.basis:
-        r1 = linalg.residual(echelon, ad_a(1, 0, b).coords())
-        r2 = linalg.residual(echelon, ad_a(0, 1, b).coords())
+        r1 = residual(echelon, ad_a(1, 0, b).coords())
+        r2 = residual(echelon, ad_a(0, 1, b).coords())
         sys_rows += [[c1, c2] for c1, c2 in zip(r1, r2) if c1 or c2]
     kern = linalg.kernel_basis(sys_rows) if sys_rows else [[1, 0], [0, 1]]
     if len(kern) != 1:

@@ -107,6 +107,18 @@ def test_subalgebra_validation_names_first_open_pair(alg):
         Subalgebra([eta, phi, y, alg(4, eta=2, phi=-1)])
 
 
+def _residual(echelon, v):
+    """v reduced on Fractions against the rows of `echelon`, a pair (rows,
+    pivots) from linalg.rref: zero iff v lies in their span."""
+    red, pivots = echelon
+    v = list(v)
+    for row, pc in zip(red, pivots):
+        f = v[pc]
+        if f:
+            v = [a - f * b for a, b in zip(v, row)]
+    return v
+
+
 def _fraction_validation(basis):
     """What validating `basis` on Fractions finds: NotIndependent when the
     rref of its rows has fewer rows than the basis, else the first pair
@@ -116,7 +128,7 @@ def _fraction_validation(basis):
     if len(echelon[0]) != len(basis):
         return NotIndependent
     return next(((i, j) for i, j in itertools.combinations(range(len(basis)), 2)
-                 if any(linalg.residual(echelon, bracket(basis[i], basis[j]).coords()))),
+                 if any(_residual(echelon, bracket(basis[i], basis[j]).coords()))),
                 None)
 
 
@@ -127,7 +139,7 @@ def _fraction_closure(seed):
     basis = []
 
     def add(u):
-        if any(linalg.residual(linalg.rref([b.coords() for b in basis]), u.coords())):
+        if any(_residual(linalg.rref([b.coords() for b in basis]), u.coords())):
             basis.append(u)
             return True
         return False
