@@ -16,7 +16,11 @@ together (_collect): one doubling ladder gives each curve the top of its
 grid, and the grids are built at once; on both, the curves are evaluated in
 blocks of BLOCK_POINTS parameters, each block one Vandermonde product over
 the factors of its curves, and rho_norm takes the block's kept samples in
-one call.
+one call.  A block's powers, factors and products are formed in the
+scratch buffers rho_norm also uses (metrics._Scratch), kept from block to
+block; the stack a block returns is always a fresh array.  The random
+directions of a spec's product curves are drawn as coefficients and
+combined in one numpy sum.
 Fitted envelope exponents and log-power regressions are then compared against
 the classifier's predicted shape.
 """
@@ -42,6 +46,7 @@ from .elements import (AlgebraElement, bracket, exp_closed, exp_float, float_lin
 from .gallery import GalleryEntry, get as gallery_get
 from .gallery import maximal_band_family, mixing_pair_family
 from .metrics import (
+    BLOCK_POINTS,
     InsufficientRange,
     SampleCloud,
     fit_log_power,
@@ -50,6 +55,7 @@ from .metrics import (
     rho_norm,
     shape_check,
     sup_norm,
+    _SCRATCH,
 )
 from .nilclassify import Witness, _lambda_of, classify
 from .scalars import QQi, abs2, conj, herm, re
@@ -103,14 +109,14 @@ class VerificationReport:
 #   ONE: 1
 # A curve whose direction moves with t is a _PerPoint, solved per point.
 # All curves of a spec share one doubling ladder, whose rungs are evaluated
-# LADDER_CHUNK at a time.  Curves are evaluated BLOCK_POINTS parameters at a
-# time (12 curves on a ladder chunk, 4 on grids of 48): larger blocks run
-# faster but leave a larger peak RSS (on gallery rounds, 384 points added
-# 2 MB where 192 add 0.5 MB).
+# LADDER_CHUNK at a time.  Curves are evaluated BLOCK_POINTS (metrics)
+# parameters at a time (12 curves on a ladder chunk, 4 on grids of 48):
+# larger blocks run faster but leave a larger peak RSS (on gallery rounds,
+# 384 points added 2 MB where 192 add 0.5 MB).
 LIN, POW, LOG, LOGPOW, ONE = range(5)
 AT_T = (LIN, 1.0, 1.0)
 LADDER_CHUNK = 16
-BLOCK_POINTS = 192
+_POWERS = np.arange(5)  # the Vandermonde columns of a float line
 
 
 class _Curve:
@@ -191,6 +197,8 @@ class _Batch:
     factors of every curve of one depth at once, left to right, and the head
     onto that product last: the matmuls of a curve evaluated alone, so the
     stack is the same bit for bit.  A _PerPoint curve is solved per point.
+    The powers, factors and partial products live in scratch arrays
+    (metrics._SCRATCH); the stack evaluate returns is a fresh array.
     """
 
     def __init__(self, curves):
@@ -222,8 +230,8 @@ class _Batch:
         grid for all of them or a (len(which), T) row each: the
         (len(which), T, m, m) stack and, per curve, the {index: error name}
         of its failed per-point solves (their slices are NaN)."""
-        ts = np.asarray(ts, dtype=float)
-        rows = np.broadcast_to(ts, (len(which), ts.shape[-1]))
+        rows = np.empty((len(which), np.shape(ts)[-1]))
+        rows[...] = ts
         out = np.empty(rows.shape + (self.m, self.m), dtype=complex)
         failed = [{} for _ in which]
         fixed = []
@@ -239,7 +247,9 @@ class _Batch:
     def _products(self, fixed, rows, out):
         # curves of one shape (factor count, head or not) side by side, their
         # factors laid out position by position, so that the factors at one
-        # position form one (C, T, m, m) block
+        # position form one (C, T, m, m) block.  Scratch buffers: powers and
+        # a-part exponentials in "e", the gathered factor stacks in "a", the
+        # factors g in "b", the chain's products in "c" and "d" by turns
         groups = {}
         for j, i in fixed:
             groups.setdefault((self.count[i], self.has_head[i]), []).append((j, i))
@@ -250,22 +260,30 @@ class _Batch:
                 owner += [j for j, _ in members]
         ids = np.array(ids)
         p = _parameters(self.kind[ids], self.a[ids], self.scale[ids], rows[owner])
-        g = ((p[..., None] ** np.arange(5)) @ self.stack[ids]).view(complex)
-        g = g.reshape(p.shape + (self.m, self.m))
+        vander = np.power(p[..., None], _POWERS, out=_SCRATCH("e", p.shape + (5,), float))
+        stack = self.stack.take(ids, 0, _SCRATCH("a", (len(ids),) + self.stack.shape[1:], float),
+                                "clip")
+        g = np.matmul(vander, stack, out=_SCRATCH("b", p.shape + stack.shape[-1:], float))
+        g = g.view(complex).reshape(p.shape + (self.m, self.m))
         with_a = self.with_a[ids]
         if with_a.any():  # scale the a-part rows in place, run by run
             edges = np.flatnonzero(np.diff(np.concatenate(([False], with_a, [False]))))
             for lo, hi in edges.reshape(-1, 2):
-                g[lo:hi] *= np.exp(p[lo:hi, :, None] * self.a_part[ids[lo:hi], None, :])[..., None]
+                e = np.multiply(p[lo:hi, :, None], self.a_part[ids[lo:hi], None, :],
+                                out=_SCRATCH("e", (hi - lo,) + p.shape[1:] + (self.m,)))
+                g[lo:hi] *= np.exp(e, out=e)[..., None]
         at = 0
         for (k, head), members in groups.items():
             c = len(members)
             block = g[at:at + k * c].reshape((k, c) + g.shape[1:])
             at += k * c
+            names = iter("cd" * k)
             acc = block[head]
             for f in range(head + 1, k):
-                acc = acc @ block[f]
-            out[[j for j, _ in members]] = block[0] @ acc if head else acc
+                acc = np.matmul(acc, block[f], out=_SCRATCH(next(names), acc.shape))
+            if head:
+                acc = np.matmul(block[0], acc, out=_SCRATCH(next(names), acc.shape))
+            out[[j for j, _ in members]] = acc
 
 
 def _ladder_tops(batch, ceiling, t_cap=None):
@@ -324,10 +342,11 @@ def _collect(curves, plan, with_mu=False) -> SampleCloud:
 
     One ladder gives every curve the top of its grid (_ladder_tops), the
     grids are built at once (_grids) and evaluated in blocks (_blocks);
-    rho_norm runs once per block, on its kept samples.  meta["discards"]
-    counts the dropped points by cause: non_finite, over_ceiling,
-    at_most_one (|h| <= 1) and the name of each error a per-point solve
-    raised.  with_mu adds the Cartan projection of every kept sample as
+    rho_norm runs once per block, on its kept samples; both work in the
+    shared scratch buffers (metrics._Scratch).  meta["discards"] counts the
+    dropped points by cause: non_finite, over_ceiling, at_most_one
+    (|h| <= 1) and the name of each error a per-point solve raised.
+    with_mu adds the Cartan projection of every kept sample as
     meta["mu_points"].
     """
     ceiling = plan.tol.norm_ceiling
@@ -375,30 +394,34 @@ def _collect(curves, plan, with_mu=False) -> SampleCloud:
     return cloud
 
 
-def _random_combo(rng, basis):
-    """A combination of the rows of basis with a random unit coefficient
-    vector (an axis-0 sum adds the rows in order)."""
-    coeffs = [rng.uniform(-1, 1) for _ in basis]
-    nrm = math.sqrt(sum(c * c for c in coeffs)) or 1.0
-    return (np.array(coeffs)[:, None] / nrm * basis).sum(axis=0)
+def _combine(coeffs, basis):
+    """The combination of the rows of basis by each row of coeffs, as one
+    (K, d, D) product summed over its middle axis, which adds the rows of
+    basis in order."""
+    return (coeffs[:, :, None] * basis).sum(axis=1)
 
 
-def _product_draw(rng, basis, depth):
-    """(directions, parameters) of a random curve t -> exp(t^e_1 v_1) ...
-    exp(t^e_k v_k), k in 1..depth, over directions v_i in the span of basis
-    and exponents e_i in [0.35, 1], one of them 1."""
+def _product_draw(rng, d, depth):
+    """(coefficients, parameters) of a random curve t -> exp(t^e_1 v_1) ...
+    exp(t^e_k v_k), k in 1..depth: row i of the (k, d) coefficients, uniform
+    in [-1, 1] and scaled to a unit vector, combines the d basis rows into
+    v_i, and the exponents e_i lie in [0.35, 1], one of them 1."""
     k = rng.randint(1, depth)
-    dirs = [_random_combo(rng, basis) for _ in range(k)]
+    rows = [[rng.uniform(-1, 1) for _ in range(d)] for _ in range(k)]
+    norms = [math.sqrt(sum([c * c for c in row])) or 1.0 for row in rows]  # 0 stays 0
     exps = [rng.uniform(0.35, 1.0) for _ in range(k)]
     exps[rng.randrange(k)] = 1.0
-    return dirs, [AT_T if e == 1.0 else (POW, e, 1.0) for e in exps]
+    return (np.array(rows) / np.array(norms)[:, None],
+            [AT_T if e == 1.0 else (POW, e, 1.0) for e in exps])
 
 
 def _rays_and_products(basis, draws, heads=None):
     """The line of each row of basis, and the product curve of each draw
-    (with its head, if heads are given), every line built by one float_lines
+    (with its head, if heads are given).  The directions of all draws are
+    combined at once (_combine), and every line is built by one float_lines
     call."""
-    lines = iter(float_lines(np.vstack([basis] + [dirs for dirs, _ in draws])))
+    dirs = _combine(np.vstack([coeffs for coeffs, _ in draws]), basis)
+    lines = iter(float_lines(np.vstack([basis, dirs])))
     rays = [next(lines) for _ in basis]
     heads = heads or [None] * len(draws)
     return rays, [_Curve([(next(lines), param) for param in params], head)
@@ -447,7 +470,7 @@ def _nil_curves(h: Subalgebra, plan, result=None):
                 curves.append((tag, witness_curve(w, h)))
         if result.template is not None:
             curves += _template_extremal_curves(result.template)
-    draws = [_product_draw(rng, B, PRODUCT_DEPTH) for _ in range(N_PRODUCT_CURVES)]
+    draws = [_product_draw(rng, len(B), PRODUCT_DEPTH) for _ in range(N_PRODUCT_CURVES)]
     rays, products = _rays_and_products(B, draws)
     for i, line in enumerate(rays):
         curves.append((f"ray{i}", _line_curve(line)))
@@ -736,7 +759,7 @@ def _ray_and_mix_curves(line, scale, u, rng):
     heads, draws = [], []
     for _ in range(N_PRODUCT_CURVES):
         heads.append((line, (LOG, rng.uniform(-2, 2), scale)))
-        draws.append(_product_draw(rng, B, PRODUCT_DEPTH))
+        draws.append(_product_draw(rng, len(B), PRODUCT_DEPTH))
     rays, mixes = _rays_and_products(B, draws, heads)
     return ([(f"u-ray{i}", _line_curve(ray)) for i, ray in enumerate(rays)]
             + [(f"mix{i}", c) for i, c in enumerate(mixes)])
@@ -754,12 +777,16 @@ def _graph_curves(spec: Graph, plan):
     line, scale = _line(spec)
     return (_line_curves("graph-line", line, scale)
             + _ray_and_mix_curves(line, scale, spec.u, rng)
-            + extremal_graph_curves(spec))
+            + _extremal_graph_curves(spec, line, scale))
 
 
 def extremal_graph_curves(spec: Graph):
     """The proof-recipe curves pinning the log-corrected envelopes."""
-    line, scale = _line(spec)
+    return _extremal_graph_curves(spec, *_line(spec))
+
+
+def _extremal_graph_curves(spec: Graph, line, scale):
+    """extremal_graph_curves on the graph line (line, scale) of _line(spec)."""
     B = np.array(spec.u.coord_rows(), dtype=float)
     nrm0 = np.linalg.norm(B[0])
     ray0 = float_line(B[0] * (1.0 / (nrm0 or 1.0)))

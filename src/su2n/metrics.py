@@ -10,7 +10,13 @@ independent oracle builds the full wedge-square matrix from g (x) g.
 rho_norm gathers the minors through two flat-index tables per m: upper, the
 minors an upper-triangular matrix can have nonzero, always taken; and rest,
 taken only when a strictly-lower entry is nonzero or an entry is not finite
-(K-conjugates, overflowed candidates).  Samples of AN skip rest.
+(K-conjugates, overflowed candidates).  Samples of AN skip rest.  It takes a
+stack in passes of at most BLOCK_POINTS matrices, gathering into buffers kept
+from call to call (_Scratch, shared with lab's block evaluation), so a call
+allocates only its result.
+
+The envelope fits bin a cloud by decade in one sort; shape_check fits once
+when both envelopes carry the same log correction.
 """
 
 from __future__ import annotations
@@ -61,6 +67,52 @@ def _per_matrix(values):
     return float(values) if values.ndim == 0 else values
 
 
+# Stacks are evaluated and measured at most BLOCK_POINTS matrices at a time
+# (lab's evaluation blocks, rho_norm's passes).
+BLOCK_POINTS = 192
+
+
+class _Scratch:
+    """Byte buffers kept from call to call, one per name, handed out as
+    C-contiguous views of the shape and dtype asked for; a view is valid
+    until the next request of its name, in any dtype.  A buffer grows to
+    the largest request of at most LIMIT bytes; a larger request gets a
+    fresh array that is not kept.
+
+    A loop that reuses them leaves the allocator nothing to free: freed
+    temporaries of a few hundred KB are trimmed off the heap top by glibc
+    and faulted back in on the next call, which made the sampling kernels'
+    speed depend on the allocator's state.
+
+    One instance, _SCRATCH, serves rho_norm and lab's block evaluation, and
+    both name their buffers by the letters "a" to "e".  Each holds its
+    views only while it runs and calls no other user meanwhile, so the
+    letters serve each in turn and the memory kept is the larger user's,
+    not the sum.
+    """
+
+    LIMIT = 1 << 22
+
+    def __init__(self):
+        self.flat = {}
+
+    def __call__(self, name, shape, dtype=complex):
+        try:
+            return np.ndarray(shape, dtype, self.flat[name])
+        except (KeyError, TypeError):  # no buffer yet, or one too small
+            return self._grow(name, shape, dtype)
+
+    def _grow(self, name, shape, dtype):
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        if nbytes > self.LIMIT:
+            return np.empty(shape, dtype)
+        self.flat[name] = np.empty(nbytes, np.uint8)
+        return np.ndarray(shape, dtype, self.flat[name])
+
+
+_SCRATCH = _Scratch()
+
+
 def sup_norm(g):
     """Max |entry| of a matrix, or of each matrix in a (..., m, m) stack."""
     a = np.asarray(g, dtype=complex)
@@ -92,15 +144,30 @@ def _minor_index(m):
     return tables
 
 
-def _largest_minor(rows, table):
-    """Max |minor| over the columns of table, for (m^2, N) rows of entries."""
+def _largest_minor(rows, table, out=None):
+    """Max |minor| over the columns of table, for (m^2, N) rows of entries.
+
+    The factors are gathered into scratch arrays (take with mode "clip":
+    every index is in range, and the default mode buffers its output) and
+    the two products are formed in place."""
     ik, jl, il, jk = table
-    x = rows[ik]
-    x *= rows[jl]
-    y = rows[il]
-    y *= rows[jk]
+    shape = (len(ik), rows.shape[1])
+    x = rows.take(ik, 0, _SCRATCH("b", shape), "clip")
+    y = rows.take(jl, 0, _SCRATCH("c", shape), "clip")
+    x *= y
+    rows.take(il, 0, y, "clip")
+    y *= rows.take(jk, 0, _SCRATCH("d", shape), "clip")
     x -= y
-    return np.abs(x).max(axis=0)
+    # y is spent: its bytes take |x|
+    return np.abs(x, out=_SCRATCH("c", shape, float)).max(axis=0, out=out)
+
+
+def _off_triangle(rows, low):
+    """Whether a strictly-lower entry (flat indices low) is nonzero or an
+    entry is not finite, for (m^2, N) rows; checked in the spent buffer of
+    _largest_minor's third factor."""
+    lower = rows.take(low, 0, _SCRATCH("d", (len(low), rows.shape[1])), "clip")
+    return lower.any() or not np.isfinite(rows, out=_SCRATCH("d", rows.shape, bool)).all()
 
 
 def rho_norm(g):
@@ -108,16 +175,25 @@ def rho_norm(g):
 
     The minors of _minor_index's upper table are always taken; the rest,
     which vanish on upper-triangular matrices (AN samples), are folded in
-    only when a strictly-lower entry is nonzero or an entry is not finite.
-    The result equals the sweep over all minors bit for bit.
+    only when a strictly-lower entry is nonzero or an entry is not finite,
+    decided per pass.  The stack is taken in passes of at most BLOCK_POINTS
+    matrices, each laid out entry-major in a scratch array, so memory stays
+    bounded and only the result is allocated.  The result equals the sweep
+    over all minors bit for bit.
     """
     a = np.asarray(g, dtype=complex)
     m = a.shape[-1]
     upper, rest, low = _minor_index(m)
-    rows = a.reshape(-1, m * m).T.copy()  # entry-major: each gather is a row
-    largest = _largest_minor(rows, upper)
-    if rest.size and (rows[low].any() or not np.isfinite(rows).all()):  # none at m = 2
-        largest = np.maximum(largest, _largest_minor(rows, rest))
+    flat = a.reshape(-1, m * m)
+    largest = np.empty(len(flat))
+    for start in range(0, len(flat), BLOCK_POINTS):
+        part = flat[start:start + BLOCK_POINTS]
+        rows = _SCRATCH("a", part.shape[::-1])
+        rows[...] = part.T  # entry-major: each gather is a row
+        out = largest[start:start + len(part)]
+        _largest_minor(rows, upper, out)
+        if rest.size and _off_triangle(rows, low):  # no rest at m = 2
+            np.maximum(out, _largest_minor(rows, rest), out=out)
     return _per_matrix(largest.reshape(a.shape[:-2]))
 
 
@@ -241,16 +317,17 @@ class SampleCloud:
 
 
 def _envelope_points(x, y, take_max: bool):
-    """The arrays (x, y) of the largest (or least) y in each decade of x."""
-    lo, hi = math.floor(x.min()), math.ceil(x.max())
-    ks = []
-    for b in range(lo, hi):
-        mask = (x >= b) & (x < b + 1)
-        if not mask.any():
-            continue
-        sub = np.where(mask)[0]
-        ks.append(sub[np.argmax(y[sub])] if take_max else sub[np.argmin(y[sub])])
-    return x[ks], y[ks]
+    """The arrays (x, y) of the largest (or least) y in each decade of x.
+
+    The decades run from floor(min x) up to ceil(max x), so a largest x that
+    is a whole number lies in none.  One stable lexsort on (decade, -y or y)
+    puts each decade's extremum first, the first in index order on a tie, as
+    argmax and argmin take it."""
+    idx = np.flatnonzero(x < math.ceil(x.max()))
+    decade = np.floor(x[idx])
+    order = np.lexsort((-y[idx] if take_max else y[idx], decade))
+    first = idx[order[np.diff(decade[order], prepend=np.nan) != 0]]
+    return x[first], y[first]
 
 
 def fit_exponents(cloud: SampleCloud, tol=None):
@@ -342,14 +419,17 @@ def shape_check(cloud: SampleCloud, shape: MuShape, tol=None) -> ShapeReport:
     x, y = cloud.log_norm, cloud.log_rho
     ln10 = math.log(10.0)
 
-    def corrected(logpow, take_max):
+    def corrected(logpow):
         if logpow == 0:
             return cloud
         yy = y - (float(logpow) * np.log(np.maximum(x * ln10, 1e-9)) / ln10)
         return SampleCloud(x, yy, cloud.tags)
 
-    s_lo_f, _, _ = fit_exponents(corrected(shape.log_lo, False), tol)
-    _, s_hi_f, _ = fit_exponents(corrected(shape.log_hi, True), tol)
+    if shape.log_lo == shape.log_hi:  # one corrected cloud, one fit
+        s_lo_f, s_hi_f, _ = fit_exponents(corrected(shape.log_lo), tol)
+    else:
+        s_lo_f, _, _ = fit_exponents(corrected(shape.log_lo), tol)
+        _, s_hi_f, _ = fit_exponents(corrected(shape.log_hi), tol)
     details["s_lo_fitted"] = s_lo_f
     details["s_hi_fitted"] = s_hi_f
     ok = (abs(s_lo_f - float(shape.s_lo)) <= tol.envelope_tol

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from su2n import gallery, lab, metrics
 from su2n import (
     AlgebraElement,
     CartanPoint,
@@ -20,7 +22,8 @@ from su2n import (
     shape_check,
     sup_norm,
 )
-from su2n.metrics import NonFinite, _minor_index, basis_change, fit_log_power
+from su2n.metrics import (BLOCK_POINTS, NonFinite, _envelope_points, _minor_index,
+                          basis_change, fit_log_power)
 from su2n.elements import gram_matrix
 
 
@@ -122,6 +125,51 @@ def test_rho_norm_is_the_full_sweep_bit_for_bit():
     # 2 x 2 matrices have one minor, and no rest minor
     _assert_rho_is_the_full_sweep(rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2)))
     _assert_rho_is_the_full_sweep(_upper_stack(rng, 4, 2, 1e8))
+    # rho_norm takes a stack BLOCK_POINTS matrices at a time: stacks that
+    # end just before, at and just after a pass boundary, and passes that
+    # differ in whether the rest minors are taken
+    assert BLOCK_POINTS == 192
+    rng = np.random.default_rng(29)
+    for m in (2, 5, 6, 8):
+        for count in (0, 1, 191, 192, 193, 1000):
+            _assert_rho_is_the_full_sweep(_upper_stack(rng, count, m, 1e6))
+        up = _upper_stack(rng, 500, m, 1e6)
+        # a strictly-lower entry, a NaN or an inf in one pass only
+        for k, i, j, v in ((300, m - 1, 0, 0.5), (450, 0, m - 1, np.nan),
+                           (10, 0, 0, np.inf), (191, 1, 0, -1e-300j), (192, m - 1, 1, np.nan)):
+            one = up.copy()
+            one[k, i, j] = v
+            _assert_rho_is_the_full_sweep(one)
+        # a stack of stacks across a pass boundary
+        deep = _upper_stack(rng, 3 * 70, m, 1e8).reshape(3, 70, m, m)
+        assert rho_norm(deep).shape == (3, 70)
+        _assert_rho_is_the_full_sweep(deep)
+        _assert_rho_is_the_full_sweep(deep[:, :7])
+    # K-conjugates over two passes
+    ks = np.array([sample_compact_pair(4, rng) @ g @ sample_compact_pair(4, rng)
+                   for g in _upper_stack(rng, 193, 6, 1e4)])
+    _assert_rho_is_the_full_sweep(ks)
+    _assert_rho_is_the_full_sweep(np.concatenate([_upper_stack(rng, 200, 6, 1e4), ks]))
+
+
+def test_rho_norm_allocates_only_its_result():
+    # after a first call has made the scratch arrays, a call on an
+    # upper-triangular (192, 6, 6) stack allocates its (192,) result and
+    # little else (the full per-call temporaries took about 1.1 MB)
+    up = _upper_stack(np.random.default_rng(3), 192, 6, 1e6)
+    first = rho_norm(up)
+    kept = first.copy()
+    tracemalloc.start()
+    try:
+        again = rho_norm(up)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024
+    # each result is its own array
+    rho_norm(_upper_stack(np.random.default_rng(4), 192, 6, 1e6))
+    assert np.array_equal(first, kept) and np.array_equal(again, kept)
+    assert not np.shares_memory(first, again)
 
 
 @pytest.mark.parametrize("m", range(2, 11))
@@ -289,3 +337,133 @@ def test_z_cloud_shapes(alg):
     cloud = SampleCloud.collect(*zip(*pts))
     assert shape_check(cloud, MuShape.curve(1)).verdict
     assert not shape_check(cloud, MuShape.curve(2)).verdict
+
+
+def _envelope_points_loop(x, y, take_max):
+    """The reference: one mask per decade from floor(min x) up to
+    ceil(max x), and argmax (or argmin) in each."""
+    lo, hi = math.floor(x.min()), math.ceil(x.max())
+    ks = []
+    for b in range(lo, hi):
+        mask = (x >= b) & (x < b + 1)
+        if not mask.any():
+            continue
+        sub = np.where(mask)[0]
+        ks.append(sub[np.argmax(y[sub])] if take_max else sub[np.argmin(y[sub])])
+    return x[ks], y[ks]
+
+
+def _envelope_clouds():
+    rng = np.random.default_rng(17)
+    x = rng.uniform(-3.5, 9.0, 600)
+    yield x, 1.5 * x + rng.normal(size=600)
+    # ties: y on a coarse grid, repeated x
+    x = np.round(rng.uniform(0.0, 6.0, 400), 1)
+    yield x, np.round(rng.uniform(0.0, 3.0, 400))
+    # empty decades, negative decades, a whole-number largest x (in no decade)
+    x = np.concatenate([rng.uniform(-4.0, -2.0, 50), rng.uniform(1.0, 2.0, 50),
+                        rng.uniform(5.0, 7.0, 50), [7.0, -4.0, 3.0]])
+    yield rng.permutation(x), rng.normal(size=len(x))
+    # one decade, every y equal
+    yield np.array([0.5, 0.2, 0.7, 0.2]), np.ones(4)
+    # a single point; only whole-number points, in no decade
+    yield np.array([2.5]), np.array([-1.0])
+    yield np.array([2.0, 2.0]), np.array([1.0, 0.0])
+
+
+def test_envelope_points_equal_the_per_decade_loop():
+    for x, y in _envelope_clouds():
+        for take_max in (True, False):
+            got, want = _envelope_points(x, y, take_max), _envelope_points_loop(x, y, take_max)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    # on a tie the first point in index order wins
+    x = np.array([0.5, 0.2, 0.7, 1.5, 1.6])
+    y = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
+    for take_max in (True, False):
+        assert _envelope_points(x, y, take_max)[0].tolist() == [0.5, 1.5]
+    # a largest x that is a whole number lies in no decade
+    assert _envelope_points(np.array([0.5, 2.0]), np.array([0.0, 1.0]), True)[0].tolist() == [0.5]
+
+
+def test_shape_check_fits_once_per_log_correction(monkeypatch):
+    # both envelopes of one corrected cloud come from one fit
+    calls = []
+    real = metrics.fit_exponents
+
+    def spy(cloud, tol=None):
+        calls.append(cloud)
+        return real(cloud, tol)
+    monkeypatch.setattr(metrics, "fit_exponents", spy)
+    cloud = _chamber_ray_cloud(0.5, 400)
+    for shape, fits in ((MuShape.full_chamber(), 1), (MuShape.band(1, 2), 1),
+                        (MuShape.curve(2, logpow=1), 1), (MuShape.band(1, 2, 1, 1), 1),
+                        (MuShape.band(1, 2, log_lo=1), 2), (MuShape.band(1, 2, log_hi=-1), 2),
+                        (MuShape.band(1, 2, 1, 2), 2)):
+        calls.clear()
+        shape_check(cloud, shape)
+        assert len(calls) == fits, shape
+        if fits == 2:
+            assert calls[0] is not calls[1]
+
+
+def _two_fit_shape_check(cloud, shape, tol):
+    """shape_check's envelope leg as it was: one fit_exponents call per side,
+    each on its own log-corrected cloud.  Returns (verdict, fitted, details)."""
+    x, y = cloud.log_norm, cloud.log_rho
+    ln10 = math.log(10.0)
+
+    def corrected(logpow):
+        if logpow == 0:
+            return cloud
+        return SampleCloud(x, y - (float(logpow) * np.log(np.maximum(x * ln10, 1e-9)) / ln10),
+                           cloud.tags)
+
+    s_lo, _, _ = metrics.fit_exponents(corrected(shape.log_lo), tol)
+    _, s_hi, _ = metrics.fit_exponents(corrected(shape.log_hi), tol)
+    details = {"s_lo_fitted": s_lo, "s_hi_fitted": s_hi}
+    ok = (abs(s_lo - float(shape.s_lo)) <= tol.envelope_tol
+          and abs(s_hi - float(shape.s_hi)) <= tol.envelope_tol)
+    if ok and shape.log_lo != 0:
+        p = fit_log_power(metrics._envelope_cloud(cloud, False), float(shape.s_lo))
+        details["log_lo_fitted"] = p
+        ok = abs(p - float(shape.log_lo)) <= tol.log_power_tol
+    if ok and shape.log_hi != 0:
+        p = fit_log_power(metrics._envelope_cloud(cloud, True), float(shape.s_hi))
+        details["log_hi_fitted"] = p
+        ok = abs(p - float(shape.log_hi)) <= tol.log_power_tol
+    return ok, (s_lo, s_hi), details
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except (InsufficientRange, np.linalg.LinAlgError) as e:
+        return type(e).__name__
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_shape_check_equals_the_two_fit_reference_on_the_gallery(seed, monkeypatch):
+    # on the designed subcloud and on the whole cloud of every gallery entry
+    # with a numeric band shape, the fitted values, details and verdict of
+    # shape_check equal the two-fit reference on the per-decade loop
+    from su2n.anclassify import classify_an
+    from su2n.nilclassify import classify
+    checked = 0
+    for e in gallery.entries():
+        spec = e.spec()
+        result = classify(spec, seed=seed) if e.kind == "nil" else classify_an(spec, seed=seed)
+        shape = result.shape
+        if shape.symbolic or shape.kind == "ray":
+            continue
+        plan = lab.SamplingPlan(seed=seed)
+        cloud = lab.sample_subgroup(spec, plan, result=result if e.kind == "nil" else None)
+        for sub in (lab.designed_subcloud(cloud), cloud):
+            report = _outcome(shape_check, sub, shape, plan.tol)
+            got = report if isinstance(report, str) else (
+                report.verdict, report.fitted, report.details)
+            with monkeypatch.context() as mp:
+                mp.setattr(metrics, "_envelope_points", _envelope_points_loop)
+                want = _outcome(_two_fit_shape_check, sub, shape, plan.tol)
+            assert got == want, (e.id, seed)
+            checked += 1
+    assert checked >= 60

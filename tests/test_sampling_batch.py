@@ -289,9 +289,9 @@ def _nil_basis(eid):
 def _product(seed, basis, depth):
     rng = random.Random(seed)
     for _ in range(50):
-        dirs, params = lab._product_draw(rng, basis, depth)
-        if len(dirs) == depth:
-            return lab._Curve(zip(float_lines(dirs), params))
+        coeffs, params = lab._product_draw(rng, len(basis), depth)
+        if len(coeffs) == depth:
+            return lab._Curve(zip(float_lines(lab._combine(coeffs, basis)), params))
     raise AssertionError("no product curve of full depth")
 
 
@@ -403,29 +403,77 @@ def test_batched_curves_equal_each_curve_alone(n):
                             4: {"extremal-upper", "extremal-32"}}[n]
 
 
+def test_a_later_evaluation_leaves_an_earlier_result_alone():
+    # evaluation blocks run in scratch arrays kept between calls, but every
+    # stack handed out is its own array
+    curves = [c for tag, c in _spec_curves(3) if tag.startswith(("prod", "mix"))]
+    first, second = curves[0], curves[-1]
+    assert first.head is None and second.head is not None
+    grid = np.geomspace(1.0, 1e4, 48)
+    a, one = first(grid), first(7.0)
+    stacks, _ = lab._Batch(curves).evaluate(range(len(curves)), grid)
+    kept = a.copy(), one.copy(), stacks.copy()
+    b = second(grid * 2)
+    lab._Batch(curves[::-1]).evaluate(range(len(curves)), grid * 3)
+    for got, want in zip((a, one, stacks), kept):
+        assert np.array_equal(got, want)
+        assert not np.shares_memory(got, b)
+        assert not any(np.shares_memory(got, buf) for buf in lab._SCRATCH.flat.values())
+
+
+def test_a_graph_cloud_builds_its_graph_line_once(monkeypatch):
+    # the graph-line curves, the mixes' heads and the extremal curves of one
+    # graph cloud share one line; extremal_graph_curves(spec) builds its own
+    built = []
+    real = lab._line
+    monkeypatch.setattr(lab, "_line", lambda spec: built.append(spec) or real(spec))
+    spec = line_compatible(gallery.get("graph01-n4").spec())
+    curves = dict(lab._graph_curves(spec, lab.SamplingPlan(seed=0)))
+    assert len(built) == 1
+    graph_line = curves["graph-line"].factors[0][0]
+    along = [c for tag, c in curves.items() if tag.startswith(("extremal", "mix"))
+             and c.head is not None]
+    assert len(along) > lab.N_PRODUCT_CURVES
+    assert all(c.head[0] is graph_line for c in along)
+    alone = lab.extremal_graph_curves(spec)
+    assert len(built) == 2
+    grid = np.geomspace(1.0, 1e4, 48)
+    assert [tag for tag, _ in alone] == [tag for tag in curves if tag.startswith("extremal")]
+    for tag, c in alone:
+        assert np.array_equal(c(grid), curves[tag](grid))
+
+
 def test_random_combo_adds_the_rows_in_order():
-    # the random directions of product curves, against the row-by-row sum
+    # the random directions of product curves, drawn and combined at once,
+    # against the row-by-row sum of each
     rng = np.random.default_rng(1)
     for d in (1, 3, 8, 12):
         basis = rng.normal(size=(d, 16)) * 10.0 ** rng.integers(-4, 4, (d, 1))
-        draws = random.Random(d)
-        coeffs = [draws.uniform(-1, 1) for _ in basis]
-        nrm = math.sqrt(sum(c * c for c in coeffs)) or 1.0
-        want = None
-        for c, b in zip(coeffs, basis):
-            term = (c / nrm) * b
-            want = term if want is None else want + term
-        assert np.array_equal(lab._random_combo(random.Random(d), basis), want)
+        for seed in range(4):
+            draws = random.Random(seed)
+            wants = []
+            for _ in range(draws.randint(1, 3)):
+                coeffs = [draws.uniform(-1, 1) for _ in basis]
+                nrm = math.sqrt(sum(c * c for c in coeffs)) or 1.0
+                want = None
+                for c, b in zip(coeffs, basis):
+                    term = (c / nrm) * b
+                    want = term if want is None else want + term
+                wants.append(want)
+            coeffs, _ = lab._product_draw(random.Random(seed), d, 3)
+            assert np.array_equal(lab._combine(coeffs, basis), wants)
+            assert np.array_equal(lab._combine(coeffs[:1], basis)[0], wants[0])
 
 
 def test_product_curve_stack_equals_serial_product():
     for eid, depth in (("cds-fulln-n3", 3), ("notcds07-max-n4", 2)):
         basis = _nil_basis(eid)
         rng = random.Random(7)
-        dirs, params = lab._product_draw(rng, basis, depth)
-        while len(dirs) < depth:
-            dirs, params = lab._product_draw(rng, basis, depth)
-        _, (curve,) = lab._rays_and_products(basis, [(dirs, params)])
+        coeffs, params = lab._product_draw(rng, len(basis), depth)
+        while len(coeffs) < depth:
+            coeffs, params = lab._product_draw(rng, len(basis), depth)
+        _, (curve,) = lab._rays_and_products(basis, [(coeffs, params)])
+        dirs = lab._combine(coeffs, basis)
         exps = [1.0 if kind == lab.LIN else e for kind, e, _ in params]
         assert 1.0 in exps
         ts = np.geomspace(1.0, 1e3, 12)
