@@ -25,7 +25,6 @@ from .anclassify import (
     line_compatible,
     normalize_to_compatible,
 )
-from .config import DEFAULT, Tolerances
 from .elements import (
     AlgebraElement,
     GroupElement,
@@ -37,7 +36,6 @@ from .elements import (
     delta_formula,
     element_from_matrix,
     exp_closed,
-    exp_float,
     exp_series,
     form_value,
     gram_matrix,
@@ -49,6 +47,7 @@ from .lab import (
     SamplingPlan,
     VerificationReport,
     check_dimension_table,
+    exp_float,
     sample_subgroup,
     verify_shape,
     witness_curve,

@@ -12,8 +12,9 @@ classify and mu-scan read a graph or one-parameter spec that is not in
 compatible form on its exact compatible conjugate; classify's notes then name
 the conjugate's kind and torus line, and a conjugate that is a bare torus line
 exits 1.
-SU2N_SEED overrides the default seed.  Classification draws no random
-numbers: classify --seed is only recorded in the report.
+SU2N_SEED overrides the default seed.  An SU2N_SEED that is not an integer
+and a mu-scan --samples below 1 are input errors.  Classification draws no
+random numbers: classify --seed is only recorded in the report.
 """
 
 from __future__ import annotations
@@ -36,11 +37,6 @@ from .serialize import (
 )
 from .subalgebra import Subalgebra, SubalgebraError
 from .verify import SUITES
-
-
-def _default_seed():
-    env = os.environ.get("SU2N_SEED")
-    return int(env) if env else 0
 
 
 def _cmd_classify(args):
@@ -69,6 +65,9 @@ def _cmd_mu_scan(args):
         spec = load_spec(args.spec)
     except (OSError, ValueError, KeyError, SubalgebraError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    if args.samples < 1:
+        print(f"error: --samples must be at least 1, not {args.samples}", file=sys.stderr)
         return 1
     plan = SamplingPlan(seed=args.seed, per_curve=args.samples)
     if args.tmax is not None:
@@ -136,13 +135,19 @@ def _cmd_gallery(args):
 
 
 def main(argv=None):
+    env = os.environ.get("SU2N_SEED") or "0"
+    try:
+        seed = int(env)
+    except ValueError:
+        print(f"error: SU2N_SEED must be an integer, not {env!r}", file=sys.stderr)
+        return 1
     ap = argparse.ArgumentParser(prog="su2n", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("classify", help="classify a subgroup spec file")
     p.add_argument("spec")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("mu-scan", help="sample a spec and fit envelope exponents")
@@ -150,7 +155,7 @@ def main(argv=None):
     p.add_argument("--tmax", type=float, default=None,
                    help="cap on the curve parameter")
     p.add_argument("--samples", type=int, default=48, help="samples per curve")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.set_defaults(fn=_cmd_mu_scan)
 

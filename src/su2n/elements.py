@@ -37,6 +37,10 @@ Z[i]) and the form check run on it, and `.mat` is its QQi view.  Every zero
 entry of an exact matrix built here is the shared `scalars.ZERO`.
 `exp_closed` evaluates the closed display on the coordinate row and shares
 no code with `exp_series`, which is its oracle, but `int_row`.
+
+The module is exact only and imports no numpy: the float exponential of a
+coordinate vector (`float_line`) lives with the sampling curves in `lab`,
+which reads `_coord_entries` for it.
 """
 
 from __future__ import annotations
@@ -46,8 +50,6 @@ from functools import lru_cache
 from math import factorial, gcd, lcm
 from operator import mul
 from typing import Optional
-
-import numpy as np
 
 from .linalg import int_row
 from .scalars import (
@@ -140,9 +142,9 @@ class AlgebraElement:
     on which sums, scalings and parts are computed.  The slot names are
     read-only views of the row: phi, eta and the entries of x and y as
     Gaussian rationals, t1, t2, xx and yy as Fractions.  Float sampling works
-    on np.array(u.coords(), dtype=float) instead (see float_line).  The exact
-    kernels read the row as ints over one denominator (`_int_row`), computed
-    on first use and kept.
+    on np.array(u.coords(), dtype=float) instead (see lab.float_line).  The
+    exact kernels read the row as ints over one denominator (`_int_row`),
+    computed on first use and kept.
     """
 
     __slots__ = ("n", "_row", "_ints")
@@ -693,119 +695,6 @@ def _check_y0_form(n, U, D, rows):
         raise AssertionError("y=0 exponential display disagrees with general form")
 
 
-@lru_cache(maxsize=None)
-def _coord_basis(n):
-    """(4n, m*m) complex: row c is the matrix of the c-th coordinate unit
-    vector (_coord_entries), flattened, so that c @ _coord_basis(n) is the
-    matrix of a float c."""
-    m = n + 2
-    B = np.zeros((4 * n, m * m), dtype=complex)
-    for c, entries in enumerate(_coord_entries(n)):
-        for i, j, a, b in entries:
-            B[c, i * m + j] = complex(a, b)
-    B.setflags(write=False)
-    return B
-
-
-class FloatLine:
-    """The line s -> exp(s X) of float_line: a float s gives the (m, m)
-    complex matrix, an array s the (T, m, m) stack of exp(s_k X) =
-    diag(exp(s_k D)) [1, s_k, ..., s_k^4] @ stack.
-
-    stack is the (5, 2 m^2) real view of I, N, N^2/2, N^3/6 and N^4/24, and
-    a_part the diagonal of D as a complex (m,) array, None for a nilpotent X
-    (whose diagonal factor would multiply by exactly 1).  Batched evaluation
-    (lab) reads both.
-    """
-
-    __slots__ = ("m", "stack", "a_part")
-
-    def __init__(self, m, stack, a_part):
-        self.m, self.stack, self.a_part = m, stack, a_part
-
-    def __call__(self, s):
-        t = np.reshape(np.asarray(s, dtype=float), (-1, 1))
-        g = ((t ** np.arange(5)) @ self.stack).view(complex).reshape(-1, self.m, self.m)
-        if self.a_part is not None:
-            g = np.exp(t * self.a_part)[..., None] * g
-        return g if np.ndim(s) else g[0]
-
-    def points(self, s):
-        """The (k, m, m) stack of line(float(s_k)): each point its own
-        one-row product, bit for bit as a float gives it, in one call."""
-        t = np.reshape(np.asarray(s, dtype=float), (-1, 1, 1))
-        g = ((t ** np.arange(5)) @ self.stack).view(complex).reshape(-1, self.m, self.m)
-        if self.a_part is not None:
-            g = np.exp(t[:, 0] * self.a_part)[..., None] * g
-        return g
-
-
-def float_line(c) -> FloatLine:
-    """The line s -> exp(s X) in floating point, for an a+n coordinate vector c.
-
-    c is a real array in the coords() layout, e.g. np.array(u.coords(),
-    dtype=float).  X = D + N splits into its a-part D = diag(t1, t2, 0, ...,
-    0, -t2, -t1) and its nilpotent part N, which must commute (a nilpotent
-    direction, or a torus, graph or compatible one-parameter line).  N^5 = 0,
-    so the Taylor series ends at N^4 / 4! and is exact ("Taylor series" in
-    Moler and Van Loan, Nineteen Dubious Ways to Compute the Exponential of a
-    Matrix, Twenty-Five Years Later, SIAM Review 45, 2003).  The (5, m*m)
-    stack of I, N, N^2/2, N^3/6 and N^4/24 is built, and N D = D N and
-    N^5 = 0 are checked (ValueError; a non-finite X is not checked for
-    N^5 = 0), once, here.  The FloatLine maps a float s to the (m, m)
-    complex matrix and an array s to the (T, m, m) stack.  A float s takes
-    a one-row product, which may differ in the last bits from the slice of
-    a longer grid holding s (BLAS runs gemv for one row and gemm for many):
-    on a 48-point grid, 10 of the 48 slices of the line of one random
-    product direction of notcds08-n3 did.
-    """
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 1:
-        raise ValueError(f"not a coordinate vector: shape {c.shape}")
-    return float_lines(c[None])[0]
-
-
-def float_lines(cs) -> list:
-    """float_line of each row of cs, an (L, 4n) array, built together.
-
-    Each matrix product runs once on the (L, m, m) stack, slice by slice as
-    it runs for one line, so every line is the one float_line builds, bit
-    for bit; a line that fails a check raises its ValueError.
-    """
-    cs = np.asarray(cs, dtype=float)
-    n = cs.shape[-1] // 4
-    if cs.ndim != 2 or n < 3 or cs.shape[1] != 4 * n:
-        raise ValueError(f"not a stack of coordinate vectors: shape {cs.shape}")
-    m = n + 2
-    # row by row, a vector-matrix product as for a single c
-    N = (cs[:, None, :] @ _coord_basis(n)).reshape(-1, m, m)
-    a_parts = [None] * len(cs)
-    for i in np.flatnonzero((cs[:, 0] != 0) | (cs[:, 1] != 0)):
-        d = a_parts[i] = N[i].diagonal().copy()
-        N[i] -= np.diag(d)
-        if (N[i] * d - d[:, None] * N[i]).any():
-            raise ValueError("the a-part and the nilpotent part do not commute")
-    N2 = N @ N
-    N3 = N2 @ N
-    N4 = N2 @ N2
-    if ((N4 @ N).any(axis=(1, 2)) & np.isfinite(N4).all(axis=(1, 2))).any():
-        raise ValueError("X^5 != 0: the exponential series does not end at X^4")
-    stack = np.empty((len(cs), 5, m, m), dtype=complex)
-    stack[:, 0] = np.eye(m)
-    stack[:, 1] = N
-    stack[:, 2] = N2 / 2
-    stack[:, 3] = N3 / 6
-    stack[:, 4] = N4 / 24
-    # each line's viewed as (5, 2 m^2) reals, so one real product evaluates a grid
-    stack = stack.reshape(len(cs), 5, -1).view(float)
-    return [FloatLine(m, st, d) for st, d in zip(stack, a_parts)]
-
-
-def exp_float(c, s=1.0):
-    """exp(s X) in floating point: float_line(c)(s), the one float exponential."""
-    return float_line(c)(s)
-
-
 def delta_formula(u: AlgebraElement):
     """Delta(exp u), exactly, from the fully expanded coordinate formula
 
@@ -852,14 +741,12 @@ def gram_matrix(n):
     return [[one if j == s else ZERO for j in range(n + 2)] for s in _form_swap(n)]
 
 
-def form_value(v, w, n=None):
+def form_value(v, w):
     """<v|w> for coordinate vectors of length n+2."""
     if len(v) != len(w):
         raise ValueError("length mismatch")
     m = len(v)
-    n = m - 2 if n is None else n
-    if m != n + 2:
-        raise ValueError("vectors must have length n+2")
+    n = m - 2
     total = v[0] * conj(w[m - 1]) + v[1] * conj(w[n])
     for i in range(2, n):
         total = total + v[i] * conj(w[i])
@@ -924,7 +811,7 @@ class GroupElement:
     a copy of its QQi matrix as that view and reads the ints on first need.
 
     Floating-point group elements are plain (m, m) complex arrays (see
-    float_line, exp_float and metrics).
+    lab.float_line, lab.exp_float and metrics).
     """
 
     __slots__ = ("n", "_mat", "_ints")

@@ -43,8 +43,7 @@ class GalleryEntry:
         return self.build()
 
 
-def mixing_pair_family(n: int, y, ytilde, x=None, xtilde=None,
-                       eta=0, etatilde=0, xx=0, xxtilde=0) -> Subalgebra:
+def mixing_pair_family(n: int, y, ytilde, x=None, xtilde=None, eta=0) -> Subalgebra:
     """Three-dimensional family from two phi-carrying generators.
 
     Builds u (phi = 1) and u~ (phi = i) over the given slot data, solving the
@@ -65,9 +64,8 @@ def mixing_pair_family(n: int, y, ytilde, x=None, xtilde=None,
                          "no such pair exists for n = 3")
 
     def make(yy, yyt):
-        u = _el(n, phi=1, y=yv, x=x, eta=eta, xx=xx, yy=yy)
-        ut = _el(n, phi=QQi(0, 1), y=yt, x=xtilde, eta=etatilde, xx=xxtilde,
-                 yy=yyt)
+        u = _el(n, phi=1, y=yv, x=x, eta=eta, yy=yy)
+        ut = _el(n, phi=QQi(0, 1), y=yt, x=xtilde, yy=yyt)
         return u, ut
 
     def residual(yy, yyt):

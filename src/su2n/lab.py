@@ -5,22 +5,25 @@ conditions, the extremal curves of the templates and graph cases, rays, torus
 and graph lines, and products of exponentials (depth up to 3, so the cloud
 probes the full band of mu(H), not a single curve), clipped at the norm
 ceiling where doubles stay trustworthy.  A direction in the algebra is its
-float coordinate vector.  A curve along fixed directions is a _Curve, a
-product of float lines each read at its own parameter, with an optional head
-factor on the left; it builds each of its lines once (float_line checks
-N D = D N and N^5 = 0 at build), and the rays and random products of a spec
-are built by one float_lines call.  A curve whose direction moves with t is
-a _PerPoint, solved per point: exp_float, or a line product at the real root
-nearest 0 of a quartic (np.roots).  The curves of one spec are sampled
-together (_collect): one doubling ladder gives each curve the top of its
-grid, and the grids are built at once; on both, the curves are evaluated in
-blocks of BLOCK_POINTS parameters, each block one Vandermonde product over
-the factors of its curves, and rho_norm takes the block's kept samples in
-one call.  A block's powers, factors and products are formed in the
-scratch buffers rho_norm also uses (metrics._Scratch), kept from block to
-block; the stack a block returns is always a fresh array.  The random
-directions of a spec's product curves are drawn as coefficients and
-combined in one numpy sum.
+float coordinate vector, and the float exponential lives here too:
+float_line maps a direction to its line s -> exp(s X) (a FloatLine),
+float_lines builds many lines at once, and exp_float reads one line at given
+parameters; `elements` stays exact.  A curve along fixed directions is a
+_Curve, a product of float lines each read at its own parameter, with an
+optional head factor on the left; it builds each of its lines once
+(float_line checks N D = D N and N^5 = 0 at build), and the rays and random
+products of a spec are built by one float_lines call.  A curve whose
+direction moves with t is a _PerPoint, solved per point: exp_float, or a
+line product at the real root nearest 0 of a quartic (np.roots).  The curves
+of one spec are sampled together (_collect): one doubling ladder gives each
+curve the top of its grid, and the grids are built at once; on both, the
+curves are evaluated in blocks of BLOCK_POINTS parameters, each block one
+Vandermonde product over the factors of its curves, and rho_norm takes the
+block's kept samples in one call.  A block's powers, factors and products
+are formed in the scratch buffers rho_norm also uses (metrics._Scratch),
+kept from block to block; the stack a block returns is always a fresh
+array.  The random directions of a spec's product curves are drawn as
+coefficients and combined in one numpy sum.
 Fitted envelope exponents and log-power regressions are then compared against
 the classifier's predicted shape.
 """
@@ -33,6 +36,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress
 from typing import Optional
 
@@ -40,9 +44,8 @@ import numpy as np
 
 from .anclassify import (Graph, OneParam, Semidirect, _pair_slots, _psi_in_2beta,
                          _sigma_of, classify_an, line_compatible)
-from .config import DEFAULT, Tolerances
-from .elements import (AlgebraElement, bracket, exp_closed, exp_float, float_line,
-                       float_lines)
+from .config import MIN_SAMPLES, NORM_CEILING
+from .elements import AlgebraElement, _coord_entries, bracket, exp_closed
 from .gallery import GalleryEntry, get as gallery_get
 from .gallery import maximal_band_family, mixing_pair_family
 from .metrics import (
@@ -83,7 +86,6 @@ class SamplingPlan:
     seed: int = 0
     per_curve: int = 48
     t_cap: Optional[float] = None
-    tol: Tolerances = DEFAULT
 
 
 @dataclass
@@ -101,6 +103,126 @@ class VerificationReport:
         return self.verdict == "pass"
 
 
+# ---------------------------------------------------------------------------
+# float lines
+
+
+_POWERS = np.arange(5)  # the Vandermonde columns of a float line
+
+
+@lru_cache(maxsize=None)
+def _coord_basis(n):
+    """(4n, m*m) complex: row c is the matrix of the c-th coordinate unit
+    vector (_coord_entries), flattened, so that c @ _coord_basis(n) is the
+    matrix of a float c."""
+    m = n + 2
+    B = np.zeros((4 * n, m * m), dtype=complex)
+    for c, entries in enumerate(_coord_entries(n)):
+        for i, j, a, b in entries:
+            B[c, i * m + j] = complex(a, b)
+    B.setflags(write=False)
+    return B
+
+
+class FloatLine:
+    """The line s -> exp(s X) of float_line: a float s gives the (m, m)
+    complex matrix, an array s the (T, m, m) stack of exp(s_k X) =
+    diag(exp(s_k D)) [1, s_k, ..., s_k^4] @ stack.
+
+    stack is the (5, 2 m^2) real view of I, N, N^2/2, N^3/6 and N^4/24, and
+    a_part the diagonal of D as a complex (m,) array, None for a nilpotent X
+    (whose diagonal factor would multiply by exactly 1).  Batched evaluation
+    (_Batch) reads both.
+    """
+
+    __slots__ = ("m", "stack", "a_part")
+
+    def __init__(self, m, stack, a_part):
+        self.m, self.stack, self.a_part = m, stack, a_part
+
+    def __call__(self, s):
+        t = np.reshape(np.asarray(s, dtype=float), (-1, 1))
+        g = ((t ** _POWERS) @ self.stack).view(complex).reshape(-1, self.m, self.m)
+        if self.a_part is not None:
+            g = np.exp(t * self.a_part)[..., None] * g
+        return g if np.ndim(s) else g[0]
+
+    def points(self, s):
+        """The (k, m, m) stack of line(float(s_k)): each point its own
+        one-row product, bit for bit as a float gives it, in one call."""
+        t = np.reshape(np.asarray(s, dtype=float), (-1, 1, 1))
+        g = ((t ** _POWERS) @ self.stack).view(complex).reshape(-1, self.m, self.m)
+        if self.a_part is not None:
+            g = np.exp(t[:, 0] * self.a_part)[..., None] * g
+        return g
+
+
+def float_line(c) -> FloatLine:
+    """The line s -> exp(s X) in floating point, for an a+n coordinate vector c.
+
+    c is a real array in the coords() layout, e.g. np.array(u.coords(),
+    dtype=float).  X = D + N splits into its a-part D = diag(t1, t2, 0, ...,
+    0, -t2, -t1) and its nilpotent part N, which must commute (a nilpotent
+    direction, or a torus, graph or compatible one-parameter line).  N^5 = 0,
+    so the Taylor series ends at N^4 / 4! and is exact ("Taylor series" in
+    Moler and Van Loan, Nineteen Dubious Ways to Compute the Exponential of a
+    Matrix, Twenty-Five Years Later, SIAM Review 45, 2003).  The (5, m*m)
+    stack of I, N, N^2/2, N^3/6 and N^4/24 is built, and N D = D N and
+    N^5 = 0 are checked (ValueError; a non-finite X is not checked for
+    N^5 = 0), once, here.  The FloatLine maps a float s to the (m, m)
+    complex matrix and an array s to the (T, m, m) stack.  A float s takes
+    a one-row product, which may differ in the last bits from the slice of
+    a longer grid holding s (BLAS runs gemv for one row and gemm for many):
+    on a 48-point grid, 10 of the 48 slices of the line of one random
+    product direction of notcds08-n3 did.
+    """
+    c = np.asarray(c, dtype=float)
+    if c.ndim != 1:
+        raise ValueError(f"not a coordinate vector: shape {c.shape}")
+    return float_lines(c[None])[0]
+
+
+def float_lines(cs) -> list:
+    """float_line of each row of cs, an (L, 4n) array, built together.
+
+    Each matrix product runs once on the (L, m, m) stack, slice by slice as
+    it runs for one line, so every line is the one float_line builds, bit
+    for bit; a line that fails a check raises its ValueError.
+    """
+    cs = np.asarray(cs, dtype=float)
+    n = cs.shape[-1] // 4
+    if cs.ndim != 2 or n < 3 or cs.shape[1] != 4 * n:
+        raise ValueError(f"not a stack of coordinate vectors: shape {cs.shape}")
+    m = n + 2
+    # row by row, a vector-matrix product as for a single c
+    N = (cs[:, None, :] @ _coord_basis(n)).reshape(-1, m, m)
+    a_parts = [None] * len(cs)
+    for i in np.flatnonzero((cs[:, 0] != 0) | (cs[:, 1] != 0)):
+        d = a_parts[i] = N[i].diagonal().copy()
+        N[i] -= np.diag(d)
+        if (N[i] * d - d[:, None] * N[i]).any():
+            raise ValueError("the a-part and the nilpotent part do not commute")
+    N2 = N @ N
+    N3 = N2 @ N
+    N4 = N2 @ N2
+    if ((N4 @ N).any(axis=(1, 2)) & np.isfinite(N4).all(axis=(1, 2))).any():
+        raise ValueError("X^5 != 0: the exponential series does not end at X^4")
+    stack = np.empty((len(cs), 5, m, m), dtype=complex)
+    stack[:, 0] = np.eye(m)
+    stack[:, 1] = N
+    stack[:, 2] = N2 / 2
+    stack[:, 3] = N3 / 6
+    stack[:, 4] = N4 / 24
+    # each line's viewed as (5, 2 m^2) reals, so one real product evaluates a grid
+    stack = stack.reshape(len(cs), 5, -1).view(float)
+    return [FloatLine(m, st, d) for st, d in zip(stack, a_parts)]
+
+
+def exp_float(c, s=1.0):
+    """exp(s X) in floating point: float_line(c)(s), the one float exponential."""
+    return float_line(c)(s)
+
+
 # A curve along fixed directions is a _Curve: a product of float lines, each
 # read at its own parameter p(t), with an optional head factor on the left,
 # head(t) @ (f_1(t) @ f_2(t) @ ...).  A parameter is (kind, a, scale):
@@ -116,7 +238,6 @@ class VerificationReport:
 LIN, POW, LOG, LOGPOW, ONE = range(5)
 AT_T = (LIN, 1.0, 1.0)
 LADDER_CHUNK = 16
-_POWERS = np.arange(5)  # the Vandermonde columns of a float line
 
 
 class _Curve:
@@ -349,7 +470,7 @@ def _collect(curves, plan, with_mu=False) -> SampleCloud:
     with_mu adds the Cartan projection of every kept sample as
     meta["mu_points"].
     """
-    ceiling = plan.tol.norm_ceiling
+    ceiling = NORM_CEILING
     batch = _Batch([c for _, c in curves])
     grids = _grids(_ladder_tops(batch, ceiling, plan.t_cap), plan.per_curve)
     norm_parts, rho_parts, tags = [np.empty(0)], [np.empty(0)], []
@@ -381,7 +502,7 @@ def _collect(curves, plan, with_mu=False) -> SampleCloud:
         if with_mu:
             mu_points += [mu(g).as_tuple() for g in good]
     kept, total = len(tags), grids.size
-    if kept < plan.tol.min_samples:
+    if kept < MIN_SAMPLES:
         raise OverflowCeiling(
             f"only {kept} of {total} samples survived the ceiling")
     cloud = SampleCloud.collect(np.concatenate(norm_parts),
@@ -881,11 +1002,11 @@ def verify_shape(spec, plan: SamplingPlan = None, seed: int = 0,
     # so a designed-curve miss falls back to the whole cloud (more samples
     # can only widen the fitted band, which is the success direction there).
     try:
-        report = shape_check(designed_subcloud(cloud), shape, plan.tol)
+        report = shape_check(designed_subcloud(cloud), shape)
     except (InsufficientRange, np.linalg.LinAlgError):
         report = None
     if report is None or (not report.verdict and shape.kind == "full_chamber"):
-        report = shape_check(cloud, shape, plan.tol)
+        report = shape_check(cloud, shape)
     return VerificationReport(
         spec_id, "pass" if report.verdict else "fail", shape,
         fitted=report.fitted, log_fits=report.details,

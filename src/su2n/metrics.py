@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import compress
 import numpy as np
 
-from .config import DEFAULT
+from .config import ENVELOPE_TOL, LOG_POWER_TOL, MIN_DECADES, MIN_SAMPLES, MU_PAIR_RTOL
 from .shapes import MuShape
 
 
@@ -237,14 +237,13 @@ def basis_change(n: int) -> np.ndarray:
     return S
 
 
-def mu(g, tol=None) -> CartanPoint:
+def mu(g) -> CartanPoint:
     """Cartan projection: g in K mu(g) K, mu(g) = diag(a1, a2, ...) in A+.
 
     Singular values of S^dagger g S pair off as (s, 1/s); the top two give
     (a1, a2).  Invariant under J-compatible unitaries on either side and
     under inversion.
     """
-    tol = tol or DEFAULT
     a = np.asarray(g, dtype=complex)
     if not np.all(np.isfinite(a)):
         raise NonFinite("non-finite matrix entries")
@@ -258,7 +257,7 @@ def mu(g, tol=None) -> CartanPoint:
     # reciprocal pairing check, greedy from the top; the tolerance widens
     # with the conditioning sv[0]^2 since the small partners lose relative
     # digits near the sampling ceiling (the top values stay accurate)
-    pair_tol = tol.mu_pair_rtol * max(1.0, 1e-9 * float(sv[0]) ** 2)
+    pair_tol = MU_PAIR_RTOL * max(1.0, 1e-9 * float(sv[0]) ** 2)
     for i in range(m // 2):
         prod = sv[i] * sv[m - 1 - i]
         if abs(prod - 1.0) > pair_tol * max(1.0, prod):
@@ -330,7 +329,7 @@ def _envelope_points(x, y, take_max: bool):
     return x[first], y[first]
 
 
-def fit_exponents(cloud: SampleCloud, tol=None):
+def fit_exponents(cloud: SampleCloud):
     """Envelope slopes of log|rho| against log|h|.
 
     Upper slope from least squares through the per-decade maxima, lower from
@@ -338,17 +337,16 @@ def fit_exponents(cloud: SampleCloud, tol=None):
     fitting (samples near the identity have not reached their asymptotics and
     would tilt the envelopes), keeping at least 2.5 decades.  Returns
     (s_lo, s_hi, confidence) where confidence is the worst envelope residual.
-    Raises InsufficientRange if the cloud has fewer than `min_samples` points
-    or spans fewer than `min_decades` decades.
+    Raises InsufficientRange if the cloud has fewer than MIN_SAMPLES points
+    or spans fewer than MIN_DECADES decades.
     """
-    tol = tol or DEFAULT
-    if len(cloud) < tol.min_samples:
+    if len(cloud) < MIN_SAMPLES:
         raise InsufficientRange(f"only {len(cloud)} samples")
     x, y = cloud.log_norm, cloud.log_rho
     span = x.max() - x.min()
-    if span < tol.min_decades:
+    if span < MIN_DECADES:
         raise InsufficientRange(
-            f"norms span {span:.2f} decades < {tol.min_decades}")
+            f"norms span {span:.2f} decades < {MIN_DECADES}")
     # drop the preasymptotic head, aligned to a decade boundary so the first
     # bin is fully populated (a sliver bin distorts the envelopes)
     cut = min(float(x.min()) + 0.25 * float(span), float(x.max()) - 2.5)
@@ -399,20 +397,19 @@ class ShapeReport:
         return self.verdict
 
 
-def shape_check(cloud: SampleCloud, shape: MuShape, tol=None) -> ShapeReport:
+def shape_check(cloud: SampleCloud, shape: MuShape) -> ShapeReport:
     """Compare a fitted cloud with a predicted MuShape at finite scale.
 
-    Envelope slopes must match the shape's exponents within envelope_tol; for
+    Envelope slopes must match the shape's exponents within ENVELOPE_TOL; for
     log-corrected envelopes the expected log drift is subtracted before the
     slope comparison, and the recovered log power must match within
-    log_power_tol.
+    LOG_POWER_TOL.
     """
-    tol = tol or DEFAULT
     if shape.symbolic:
         raise SymbolicShape("shape has a symbolic exponent; unverifiable here")
     if shape.kind == "ray":
         k = fit_ray_power(cloud)
-        ok = abs(k - float(shape.k)) <= tol.log_power_tol
+        ok = abs(k - float(shape.k)) <= LOG_POWER_TOL
         return ShapeReport(ok, (k,), shape, {"fitted_k": k})
 
     details = {}
@@ -426,22 +423,22 @@ def shape_check(cloud: SampleCloud, shape: MuShape, tol=None) -> ShapeReport:
         return SampleCloud(x, yy, cloud.tags)
 
     if shape.log_lo == shape.log_hi:  # one corrected cloud, one fit
-        s_lo_f, s_hi_f, _ = fit_exponents(corrected(shape.log_lo), tol)
+        s_lo_f, s_hi_f, _ = fit_exponents(corrected(shape.log_lo))
     else:
-        s_lo_f, _, _ = fit_exponents(corrected(shape.log_lo), tol)
-        _, s_hi_f, _ = fit_exponents(corrected(shape.log_hi), tol)
+        s_lo_f, _, _ = fit_exponents(corrected(shape.log_lo))
+        _, s_hi_f, _ = fit_exponents(corrected(shape.log_hi))
     details["s_lo_fitted"] = s_lo_f
     details["s_hi_fitted"] = s_hi_f
-    ok = (abs(s_lo_f - float(shape.s_lo)) <= tol.envelope_tol
-          and abs(s_hi_f - float(shape.s_hi)) <= tol.envelope_tol)
+    ok = (abs(s_lo_f - float(shape.s_lo)) <= ENVELOPE_TOL
+          and abs(s_hi_f - float(shape.s_hi)) <= ENVELOPE_TOL)
     if ok and shape.log_lo != 0:
         p = fit_log_power(_envelope_cloud(cloud, False), float(shape.s_lo))
         details["log_lo_fitted"] = p
-        ok = abs(p - float(shape.log_lo)) <= tol.log_power_tol
+        ok = abs(p - float(shape.log_lo)) <= LOG_POWER_TOL
     if ok and shape.log_hi != 0:
         p = fit_log_power(_envelope_cloud(cloud, True), float(shape.s_hi))
         details["log_hi_fitted"] = p
-        ok = abs(p - float(shape.log_hi)) <= tol.log_power_tol
+        ok = abs(p - float(shape.log_hi)) <= LOG_POWER_TOL
     return ShapeReport(ok, (s_lo_f, s_hi_f), shape, details)
 
 

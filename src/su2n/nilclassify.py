@@ -1045,10 +1045,10 @@ def _span_in_slots(frame, rows, slots):
     return not any(any(frame.funcs_on(others, c)) for c in rows)
 
 
-def _slot_subspace(frame, slots, within=None):
-    """{u : all slots outside `slots` vanish} as rows."""
+def _slot_subspace(frame, slots):
+    """{u in h : all slots outside `slots` vanish} as rows."""
     others = [s for s in _ALL_SLOTS if s not in slots]
-    return frame.kernel(others, within)
+    return frame.kernel(others)
 
 
 def _h_decomposes(frame, slot_groups):

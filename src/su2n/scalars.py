@@ -2,8 +2,8 @@
 
 Algebra elements and the classification path hold Fraction and
 GaussianRational entries.  Floating point appears only where group elements
-are sampled, as numpy arrays (elements.float_line checks N D = D N and
-N^5 = 0 once per line, at build).  The helpers here
+are sampled, as numpy arrays in `lab` (lab.float_line checks N D = D N
+and N^5 = 0 once per line, at build).  The helpers here
 (`conj`, `re`, `im`, `abs2`, ...) work on exact scalars and on Python
 integers, floats and complexes.
 

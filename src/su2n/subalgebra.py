@@ -94,7 +94,7 @@ def _rows(basis):
     return [linalg.Row(b.coords(), int_coords(b)) for b in basis]
 
 
-def close_under_bracket(seed, max_dim=None):
+def close_under_bracket(seed):
     """Grow a generating set to a bracket-closed independent basis.
 
     Used by the corpus generator; returns a Subalgebra.  Each candidate is
@@ -104,7 +104,7 @@ def close_under_bracket(seed, max_dim=None):
     if not seed:
         raise SubalgebraError("empty seed")
     n = seed[0].n
-    max_dim = max_dim or AlgebraElement.coord_dim(n)
+    max_dim = AlgebraElement.coord_dim(n)
     basis = []
     echelon = ([], [])
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import DEFAULT
+from .config import LOG_POWER_TOL
 from .corpus import random_corpus, random_element
 from .elements import (
     GroupElement,
@@ -22,7 +22,6 @@ from .elements import (
     delta,
     delta_formula,
     exp_closed,
-    exp_float,
     exp_series,
     matrix_of,
 )
@@ -30,6 +29,7 @@ from .gallery import entries as gallery_entries, get as gallery_get
 from .lab import (
     SamplingPlan,
     check_dimension_table,
+    exp_float,
     fit_graph_log_power,
     verify_gallery_entry,
 )
@@ -208,17 +208,17 @@ def log_corrections_suite(seed=0):
     s, c = fit_graph_log_power(gallery_get("graph01-n4").spec(),
                                SamplingPlan(seed=seed))
     rows.append(_row("upper log deficit of the alpha/alpha+beta graph is -1",
-                     abs(c - (-1.0)) <= DEFAULT.log_power_tol,
+                     abs(c - (-1.0)) <= LOG_POWER_TOL,
                      f"s={s}, coeff={c:.3f}"))
     s, c = fit_graph_log_power(gallery_get("graph03-r1-n3").spec(),
                                SamplingPlan(seed=seed))
     rows.append(_row("lower log power of the beta/alpha+2beta graph (r=1) is 1/2",
-                     abs(c - 0.5) <= DEFAULT.log_power_tol,
+                     abs(c - 0.5) <= LOG_POWER_TOL,
                      f"s={s}, coeff={c:.3f}"))
     s, c = fit_graph_log_power(gallery_get("graph03-r2-n3").spec(),
                                SamplingPlan(seed=seed))
     rows.append(_row("lower log power of the beta/alpha+2beta graph (r=2) is 1",
-                     abs(c - 1.0) <= DEFAULT.log_power_tol,
+                     abs(c - 1.0) <= LOG_POWER_TOL,
                      f"s={s}, coeff={c:.3f}"))
     rows.append(_budget_row("log-correction suite runtime under budget", t0, 120))
     return rows
@@ -241,10 +241,10 @@ def _random_conjugator(n, rng):
     return exp_closed(w)
 
 
-def conjugation_suite(pairs=100, seed=0, ns=(3, 4)):
+def conjugation_suite(pairs=100, seed=0):
     """Classification shapes are unchanged by exact conjugations."""
     rng = random.Random(seed)
-    corpus = random_corpus(count=pairs, ns=ns, seed=seed + 13,
+    corpus = random_corpus(count=pairs, ns=(3, 4), seed=seed + 13,
                            include_gallery=False)[:pairs]
     t0 = time.perf_counter()
     bad = []

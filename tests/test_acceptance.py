@@ -9,7 +9,7 @@ import time
 import pytest
 
 from su2n import gallery, verify
-from su2n.config import DEFAULT
+from su2n.config import ENVELOPE_TOL
 from su2n.elements import NotInAN
 from su2n.subalgebra import SubalgebraError
 from su2n.verify import (
@@ -84,8 +84,8 @@ def test_criterion_4_exponent_reproduction():
     rep = verify_gallery_entry(gallery.get("notcds11-n3"), seed=0)
     s_lo, s_hi = rep.fitted
     rows.append({"name": f"type-11 band ends fitted ({s_lo:.3f}, {s_hi:.3f})",
-                 "ok": abs(s_lo - 1.25) <= DEFAULT.envelope_tol
-                 and abs(s_hi - 2.0) <= DEFAULT.envelope_tol,
+                 "ok": abs(s_lo - 1.25) <= ENVELOPE_TOL
+                 and abs(s_hi - 2.0) <= ENVELOPE_TOL,
                  "detail": ""})
     _report("criterion 4: envelope exponents within +-0.08 at the 1e8 ceiling",
             rows, t0, 300.0)

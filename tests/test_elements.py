@@ -20,7 +20,8 @@ from su2n import (
     matrix_of,
 )
 from su2n.corpus import random_element
-from su2n.elements import NotInAN, ROOT_SLOT, ROOTS, ad_a, exp_float, root_value
+from su2n.elements import NotInAN, ROOT_SLOT, ROOTS, ad_a, root_value
+from su2n.lab import exp_float
 from su2n.scalars import ZERO, QQi, abs2, conj, herm, im, re
 from su2n.weyl import weyl_matrix
 

@@ -22,6 +22,7 @@ from su2n import (
     shape_check,
     sup_norm,
 )
+from su2n.config import ENVELOPE_TOL, LOG_POWER_TOL
 from su2n.metrics import (BLOCK_POINTS, NonFinite, _envelope_points, _minor_index,
                           basis_change, fit_log_power)
 from su2n.elements import gram_matrix
@@ -390,9 +391,9 @@ def test_shape_check_fits_once_per_log_correction(monkeypatch):
     calls = []
     real = metrics.fit_exponents
 
-    def spy(cloud, tol=None):
+    def spy(cloud):
         calls.append(cloud)
-        return real(cloud, tol)
+        return real(cloud)
     monkeypatch.setattr(metrics, "fit_exponents", spy)
     cloud = _chamber_ray_cloud(0.5, 400)
     for shape, fits in ((MuShape.full_chamber(), 1), (MuShape.band(1, 2), 1),
@@ -406,7 +407,7 @@ def test_shape_check_fits_once_per_log_correction(monkeypatch):
             assert calls[0] is not calls[1]
 
 
-def _two_fit_shape_check(cloud, shape, tol):
+def _two_fit_shape_check(cloud, shape):
     """shape_check's envelope leg as it was: one fit_exponents call per side,
     each on its own log-corrected cloud.  Returns (verdict, fitted, details)."""
     x, y = cloud.log_norm, cloud.log_rho
@@ -418,19 +419,19 @@ def _two_fit_shape_check(cloud, shape, tol):
         return SampleCloud(x, y - (float(logpow) * np.log(np.maximum(x * ln10, 1e-9)) / ln10),
                            cloud.tags)
 
-    s_lo, _, _ = metrics.fit_exponents(corrected(shape.log_lo), tol)
-    _, s_hi, _ = metrics.fit_exponents(corrected(shape.log_hi), tol)
+    s_lo, _, _ = metrics.fit_exponents(corrected(shape.log_lo))
+    _, s_hi, _ = metrics.fit_exponents(corrected(shape.log_hi))
     details = {"s_lo_fitted": s_lo, "s_hi_fitted": s_hi}
-    ok = (abs(s_lo - float(shape.s_lo)) <= tol.envelope_tol
-          and abs(s_hi - float(shape.s_hi)) <= tol.envelope_tol)
+    ok = (abs(s_lo - float(shape.s_lo)) <= ENVELOPE_TOL
+          and abs(s_hi - float(shape.s_hi)) <= ENVELOPE_TOL)
     if ok and shape.log_lo != 0:
         p = fit_log_power(metrics._envelope_cloud(cloud, False), float(shape.s_lo))
         details["log_lo_fitted"] = p
-        ok = abs(p - float(shape.log_lo)) <= tol.log_power_tol
+        ok = abs(p - float(shape.log_lo)) <= LOG_POWER_TOL
     if ok and shape.log_hi != 0:
         p = fit_log_power(metrics._envelope_cloud(cloud, True), float(shape.s_hi))
         details["log_hi_fitted"] = p
-        ok = abs(p - float(shape.log_hi)) <= tol.log_power_tol
+        ok = abs(p - float(shape.log_hi)) <= LOG_POWER_TOL
     return ok, (s_lo, s_hi), details
 
 
@@ -458,12 +459,12 @@ def test_shape_check_equals_the_two_fit_reference_on_the_gallery(seed, monkeypat
         plan = lab.SamplingPlan(seed=seed)
         cloud = lab.sample_subgroup(spec, plan, result=result if e.kind == "nil" else None)
         for sub in (lab.designed_subcloud(cloud), cloud):
-            report = _outcome(shape_check, sub, shape, plan.tol)
+            report = _outcome(shape_check, sub, shape)
             got = report if isinstance(report, str) else (
                 report.verdict, report.fitted, report.details)
             with monkeypatch.context() as mp:
                 mp.setattr(metrics, "_envelope_points", _envelope_points_loop)
-                want = _outcome(_two_fit_shape_check, sub, shape, plan.tol)
+                want = _outcome(_two_fit_shape_check, sub, shape)
             assert got == want, (e.id, seed)
             checked += 1
     assert checked >= 60

@@ -224,7 +224,7 @@ def test_type6_ratio_bounded_along_random_sequences(alg, sub):
     assert r.template.type_id == 6
     u = np.array(h.basis[0].coords(), dtype=float)
     rng = _random.Random(3)
-    from su2n.elements import exp_float
+    from su2n.lab import exp_float
     C = (4 + 2) ** 4
     for _ in range(20):
         t = 10 ** rng.uniform(0.5, 4)

@@ -18,20 +18,18 @@ import random
 import sys
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from su2n import gallery
-from su2n import elements, lab
+from su2n import lab
 from su2n.anclassify import Graph, OneParam, Semidirect, line_compatible
-from su2n.config import DEFAULT
+from su2n.config import MIN_SAMPLES, NORM_CEILING
 from su2n.corpus import random_element
 from su2n.subalgebra import close_under_bracket
-from su2n.elements import (AlgebraElement, exp_closed, exp_float, float_line, float_lines,
-                           matrix_of)
-from su2n.lab import ImplicitSolveFailed
+from su2n.elements import AlgebraElement, exp_closed, matrix_of
+from su2n.lab import ImplicitSolveFailed, exp_float, float_line, float_lines
 from su2n.metrics import rho_norm, rho_norm_oracle, sup_norm
 from su2n.nilclassify import check_linear, check_square, classify
 from su2n.scalars import QQi
@@ -120,9 +118,9 @@ def test_exp_float_rejects_a_series_that_does_not_end(monkeypatch):
     exp_float(_vec(u), GRID)
     # the xx coordinate also writes the identity: X = N + 3 I, X^5 != 0
     m = n + 2
-    patched = elements._coord_basis(n).copy()
+    patched = lab._coord_basis(n).copy()
     patched[AlgebraElement.slot_columns(n)["xx"].start] += np.eye(m).ravel()
-    monkeypatch.setattr(elements, "_coord_basis", lambda n: patched)
+    monkeypatch.setattr(lab, "_coord_basis", lambda n: patched)
     with pytest.raises(ValueError, match="X\\^5"):
         float_line(_vec(u))
     for s in (GRID, 2.0):
@@ -152,7 +150,7 @@ def test_exp_float_is_the_float_line_bitwise():
 def _one_line(c):
     """(stack, a-part) of the line of c, built alone, one matrix at a time."""
     n, m = len(c) // 4, len(c) // 4 + 2
-    N = (c @ elements._coord_basis(n)).reshape(m, m)
+    N = (c @ lab._coord_basis(n)).reshape(m, m)
     d = None
     if c[0] or c[1]:
         d = N.diagonal()
@@ -222,7 +220,7 @@ def test_stacked_norms_equal_per_matrix_norms(n):
         one_rho, one_sup = rho_norm(g), sup_norm(g)
         assert isinstance(one_rho, float) and isinstance(one_sup, float)
         assert rho[k] == one_rho and sup[k] == one_sup
-        if one_sup <= DEFAULT.norm_ceiling:  # where samples are kept
+        if one_sup <= NORM_CEILING:  # where samples are kept
             assert abs(one_rho - rho_norm_oracle(g)) <= 1e-9 * max(1.0, one_rho)
     # a stack of stacks keeps its leading shape
     assert rho_norm(stack.reshape(3, -1, n + 2, n + 2)).shape == (3, len(GRID))
@@ -295,7 +293,7 @@ def _product(seed, basis, depth):
     raise AssertionError("no product curve of full depth")
 
 
-def _grid(curve, ceiling=DEFAULT.norm_ceiling, t_cap=None, per=48):
+def _grid(curve, ceiling=NORM_CEILING, t_cap=None, per=48):
     """The grid lab samples one curve on."""
     return lab._grids(lab._ladder_tops(lab._Batch([curve]), ceiling, t_cap), per)[0]
 
@@ -539,30 +537,29 @@ def test_a_programming_error_in_a_curve_surfaces(monkeypatch):
         lab.sample_subgroup(h, lab.SamplingPlan(seed=0), result=result)
 
 
-def test_plan_tolerances_set_the_ceiling():
-    low = lab.SamplingPlan(seed=0, tol=replace(DEFAULT, norm_ceiling=1e6))
-    for eid in ("cds-fulln-n3", "semi02-n4"):
+def test_plan_tolerances_set_the_ceiling(monkeypatch):
+    ids = ("cds-fulln-n3", "semi02-n4")
+    for eid in ids:
         assert _sampled(eid, lab.SamplingPlan(seed=0)).log_norm.max() > 6.0
-        cloud = _sampled(eid, low)
-        assert len(cloud) >= DEFAULT.min_samples
+    monkeypatch.setattr(lab, "NORM_CEILING", 1e6)
+    for eid in ids:
+        cloud = _sampled(eid, lab.SamplingPlan(seed=0))
+        assert len(cloud) >= MIN_SAMPLES
         assert cloud.log_norm.max() <= 6.0
 
 
 def test_sampling_builds_each_line_once(monkeypatch):
     # a ray, a product factor or a torus line is built once per curve, when
     # the curve is made, and never again for a ladder chunk or a grid; the
-    # rays and product factors of a spec are built by one float_lines call
+    # rays and product factors of a spec are built by one float_lines call.
+    # float_line builds its one row by float_lines, so every line is counted
+    # there, once
     built, calls = [], []
-
-    def counted(c):
-        built.append(c)
-        return float_line(c)
 
     def counted_rows(cs):
         calls.append(len(cs))
         built.extend(cs)
         return float_lines(cs)
-    monkeypatch.setattr(lab, "float_line", counted)
     monkeypatch.setattr(lab, "float_lines", counted_rows)
     plan = lab.SamplingPlan(seed=0)
 
@@ -576,7 +573,8 @@ def test_sampling_builds_each_line_once(monkeypatch):
     assert not any(isinstance(c, lab._PerPoint) for c in witnesses)
     factors = sum(len(c.factors) for tag, c in curves if tag.startswith("prod"))
     assert len(built) == 2 + len(h.coord_rows()) + factors
-    assert calls == [len(h.coord_rows()) + factors]
+    # the two witness rays, one row each, then the rays and product factors
+    assert calls == [1, 1, len(h.coord_rows()) + factors]
     made = len(built)
     built.clear()
     lab.sample_subgroup(h, plan, result=result)

@@ -8,7 +8,7 @@ import pytest
 
 from su2n import AlgebraElement, Subalgebra, gallery
 from su2n.anclassify import Graph, OneParam, Semidirect, TorusLine
-from su2n.config import DEFAULT
+from su2n.config import ENVELOPE_TOL
 from su2n.scalars import QQi, parse_rational
 from su2n.serialize import (
     dump_spec,
@@ -248,8 +248,8 @@ def test_cli_mu_scan_conjugates_a_non_compatible_spec(tmp_path, spec, s_lo, s_hi
     assert report["verdict"] == "CDS"
     assert "compatible conjugate: semidirect on the torus line (1, 1)" in report["notes"]
     shape = MuShape.from_json(report["shape"])
-    tol = DEFAULT.envelope_tol
-    assert shape.s_lo - tol <= summary["s_lo"] <= summary["s_hi"] <= shape.s_hi + tol
+    assert (shape.s_lo - ENVELOPE_TOL <= summary["s_lo"] <= summary["s_hi"]
+            <= shape.s_hi + ENVELOPE_TOL)
 
 
 def _semidirect_file(tmp_path, torus, u):
@@ -335,3 +335,31 @@ def test_cli_verify_all_runs_the_registry_in_order(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines() == ["PASS  alpha: alpha-check"]
     with pytest.raises(SystemExit):
         cli.main(["verify", "--suite", "shapes"])
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_cli_rejects_fewer_than_one_sample_per_curve(tmp_path, capsys, samples):
+    from su2n import cli
+    spec_path = tmp_path / "p.json"
+    dump_spec(gallery.get("notcds09-n3").spec(), spec_path)
+    assert cli.main(["mu-scan", str(spec_path), "--samples", samples]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --samples must be at least 1, not {samples}\n"
+
+
+@pytest.mark.parametrize("command", ["classify", "gallery"])
+def test_cli_rejects_a_seed_that_is_not_an_integer(tmp_path, monkeypatch, capsys, command):
+    from su2n import cli
+    spec_path = tmp_path / "p.json"
+    dump_spec(gallery.get("notcds09-n3").spec(), spec_path)
+    argv = {"classify": ["classify", str(spec_path)], "gallery": ["gallery", "--list"]}
+    monkeypatch.setenv("SU2N_SEED", "abc")
+    assert cli.main(argv[command]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: SU2N_SEED must be an integer, not 'abc'\n"
+    # an integer is the default seed, which classify records
+    monkeypatch.setenv("SU2N_SEED", "12")
+    assert cli.main(["classify", str(spec_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 12

@@ -1,11 +1,15 @@
 """Every name a module of the package, of its tests or of its demos imports
 is used in that module, no module of the package imports scipy (a test
-oracle only), no module of the package but `elements.py` reads an
+oracle only), only `lab.py`, `metrics.py` and `verify.py` import numpy (the
+exact core has none), no module of the package but `elements.py` reads an
 algebra element's private coordinate row (the rest go through coords() or
 the slot views), and no module of the package but `nilclassify.py` names
 the classifier's private frame `_Frame` (the rest ask `_frame_of`), and
 the closed forms `exp_closed` and `delta_formula` share no code with their
-oracle `exp_series` but `linalg.int_row`.
+oracle `exp_series` but `linalg.int_row`.  Every defaulted parameter of a
+function of the package is passed by some call in the package, the
+benchmark, the tests or the demos: a default no caller overrides is a
+constant, not an option.
 
 The package's `__init__.py` is exempt for its relative imports: those are
 re-exports, listed in `__all__`.
@@ -19,6 +23,7 @@ import pytest
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "su2n"
 DEMOS = TESTS.parent / "demos"
+BENCH = TESTS.parent / "bench"
 
 
 def unused_imports(path: Path) -> list:
@@ -61,19 +66,37 @@ def test_unused_import_is_reported(tmp_path):
     assert unused_imports(mod) == [(3, "re"), (4, "pi")]
 
 
-def test_the_package_does_not_import_scipy():
+def imported_modules(path: Path) -> list:
+    """(line, top-level module) for each absolute import of the module."""
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            found += [(path.name, node.lineno) for name in names
-                      if name.split(".")[0] == "scipy"]
-    assert found == []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.append((node.lineno, node.module.split(".")[0]))
+    return found
+
+
+def test_the_package_does_not_import_scipy():
+    assert [(path.name, line) for path in sorted(SRC.glob("*.py"))
+            for line, name in imported_modules(path) if name == "scipy"] == []
+
+
+NUMPY_MODULES = {"lab.py", "metrics.py", "verify.py"}
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name not in NUMPY_MODULES], ids=lambda p: p.name)
+def test_only_the_float_modules_import_numpy(path):
+    assert [line for line, name in imported_modules(path) if name == "numpy"] == []
+
+
+def test_numpy_import_is_reported(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("import numpy as np\nfrom numpy.linalg import svd\n"
+                   "from . import numpy\nimport numpyro\n")
+    assert [line for line, name in imported_modules(mod) if name == "numpy"] == [1, 2]
+    assert "numpy" in dict(imported_modules(SRC / "lab.py")).values()
 
 
 def private_row_reads(path: Path) -> list:
@@ -173,3 +196,89 @@ def test_an_oracle_name_in_a_closed_form_is_reported(tmp_path):
     reached, found = closed_form_reach(mod)
     assert reached == ["_helper", "delta_formula", "exp_closed"]
     assert found == [("_helper", 4, "_mat_mul"), ("delta_formula", 8, "exp_series")]
+
+
+def defaulted_parameters(path: Path) -> list:
+    """(function, parameter, position) for each parameter with a default of
+    each function the module defines, nested ones included.  position is the
+    index of the positional argument of a call that passes the parameter,
+    None for a keyword-only one; a method's call `obj.f(...)` leaves out
+    self, and its name is the class's for __init__.  The other dunder
+    methods are called by operators or call syntax, never by name, and are
+    left out."""
+    found = []
+
+    def visit(node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if child.name.startswith("__") and child.name != "__init__":
+                    continue
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                skip = 1 if in_class and not static else 0
+                name = in_class if in_class and child.name == "__init__" else child.name
+                first = len(positional) - len(args.defaults)
+                found.extend((name, a.arg, k - skip)
+                             for k, a in enumerate(positional) if k >= first)
+                found.extend((name, a.arg, None)
+                             for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+                visit(child, None)
+            else:
+                visit(child, in_class)
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
+
+
+def passed_arguments(paths) -> dict:
+    """Function name -> [(positional count, keywords)] over every call
+    `f(...)` or `obj.f(...)` in the files.  A call with *args counts as
+    passing every position from its star on, and one with **kwargs every
+    keyword (keywords None)."""
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            stars = [k for k, a in enumerate(node.args) if isinstance(a, ast.Starred)]
+            count = float("inf") if stars else len(node.args)
+            keywords = {k.arg for k in node.keywords}
+            calls.setdefault(name, []).append((count, None if None in keywords else keywords))
+    return calls
+
+
+def unpassed_parameters(defining, calling) -> list:
+    """(module, function, parameter) for each defaulted parameter of the
+    files `defining` that no call in the files `calling` passes."""
+    calls = passed_arguments(calling)
+    return [(path.name, fn, param) for path in defining
+            for fn, param, pos in defaulted_parameters(path)
+            if not any(keywords is None or param in keywords
+                       or (pos is not None and pos < count)
+                       for count, keywords in calls.get(fn, []))]
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    calling = [p for folder in (SRC, BENCH, TESTS, DEMOS) for p in sorted(folder.glob("*.py"))]
+    assert unpassed_parameters(sorted(SRC.glob("*.py")), calling) == []
+
+
+def test_an_unpassed_parameter_is_reported(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def f(a, b=1, *, c=2, d=3):\n    def g(e=0):\n        return e\n"
+                   "    return g()\n"
+                   "class C:\n    def __init__(self, h=0):\n        pass\n"
+                   "    def m(self, i=0, j=0):\n        return i\n"
+                   "    @staticmethod\n    def s(k=0):\n        return k\n"
+                   "    def __call__(self, l=0):\n        return l\n")
+    use = tmp_path / "use.py"
+    use.write_text("f(0, 1, c=2)\nC().m(1)\nx.s(5)\nf(*args)\nC(**kw)\n")
+    assert unpassed_parameters([mod], [use]) == [
+        ("mod.py", "f", "d"), ("mod.py", "g", "e"), ("mod.py", "m", "j")]
