@@ -5,10 +5,13 @@ Being a Cartan-decomposition subgroup does not change under conjugation, so
 and classifies that.  A compatible subgroup is either a semidirect product
 T x| U of a torus line with a unipotent part, the graph of a homomorphism
 psi : ker(omega) -> U_omega U_{2omega} over a unipotent part, or a
-one-parameter group.  Each case is matched against the corresponding list and
-returns the asymptotic shape of its Cartan projection; cases quoted from the
-SO(2,n) classification carry a symbolic exponent and are flagged
-unverifiable.
+one-parameter group; each spec's `line()` is its torus element, torus + psi,
+or x.  Each case is matched against the corresponding list and returns the
+asymptotic shape of its Cartan projection; cases quoted from the SO(2,n)
+classification carry a symbolic exponent and are flagged unverifiable.  The
+graph cases are listed for a simple omega; `graph_case` reaches the other
+omega by the simple reflection that makes it simple, applied to root names
+only, and `lab` reads the same function for its extremal curves.
 """
 
 from __future__ import annotations
@@ -27,14 +30,13 @@ from .elements import (
     exp_closed,
     int_bracket,
     kernel_line,
-    kernel_root,
     primitive_line,
     root_value,
 )
 from .nilclassify import _frame_of, _slot_subspace, _span_in_slots, classify
 from .shapes import MuShape
 from .subalgebra import Subalgebra
-from .weyl import conjugate, weyl_matrix
+from .weyl import conjugate
 
 
 class AnError(ValueError):
@@ -65,9 +67,6 @@ class TorusLine:
     def element(self, n):
         return AlgebraElement(n, t1=self.p, t2=self.q)
 
-    def root_name(self) -> Optional[str]:
-        return kernel_root(self.p, self.q)
-
     @staticmethod
     def of_kernel(root: str) -> "TorusLine":
         p, q = kernel_line(root)
@@ -85,8 +84,8 @@ class Semidirect:
     def n(self):
         return self.u.n
 
-    def dim(self):
-        return 1 + self.u.dim
+    def line(self) -> AlgebraElement:
+        return self.torus.element(self.n)
 
 
 @dataclass
@@ -101,11 +100,11 @@ class Graph:
     def n(self):
         return self.psi_value.n
 
-    def dim(self):
-        return 1 + self.u.dim
-
     def torus(self) -> TorusLine:
         return TorusLine.of_kernel(self.omega)
+
+    def line(self) -> AlgebraElement:
+        return self.torus().element(self.n) + self.psi_value
 
 
 @dataclass
@@ -118,8 +117,8 @@ class OneParam:
     def n(self):
         return self.x.n
 
-    def dim(self):
-        return 1
+    def line(self) -> AlgebraElement:
+        return self.x
 
 
 @dataclass
@@ -195,16 +194,21 @@ def classify_semidirect(torus: TorusLine, u: Subalgebra, seed: int = 0) -> AnRes
 # graphs of psi over U
 
 
+# The graph cases for a simple omega, keyed by (omega, sigma); each is NotCDS
+# with a band whose provenance names the case.
 _GRAPH_SHAPES = {
-    ("alpha", "alpha+beta"): lambda r: ("NotCDS", MuShape.band(
-        1, 2, log_hi=-1, provenance="graph-1"), "graph-1"),
-    ("alpha", "alpha+2beta"): lambda r: ("NotCDS", MuShape.band(
-        2, 2, log_lo=-2, provenance="graph-2"), "graph-2"),
-    ("beta", "alpha+2beta"): lambda r: ("NotCDS", MuShape.band(
-        1, 2, log_lo=Fraction(r, 2), provenance="graph-3"), "graph-3"),
-    ("beta", "alpha+beta"): lambda r: ("NotCDS", MuShape.band(
-        1, 1, log_hi=r, provenance="graph-4"), "graph-4"),
+    ("alpha", "alpha+beta"): lambda r: MuShape.band(
+        1, 2, log_hi=-1, provenance="graph-1"),
+    ("alpha", "alpha+2beta"): lambda r: MuShape.band(
+        2, 2, log_lo=-2, provenance="graph-2"),
+    ("beta", "alpha+2beta"): lambda r: MuShape.band(
+        1, 2, log_lo=Fraction(r, 2), provenance="graph-3"),
+    ("beta", "alpha+beta"): lambda r: MuShape.band(
+        1, 1, log_hi=r, provenance="graph-4"),
 }
+
+# the simple reflection that sends a non-simple reduced omega to a simple root
+_SIMPLE_REFLECTION = {"alpha+beta": "alpha", "alpha+2beta": "beta"}
 
 
 def _sigma_of(u: Subalgebra) -> Optional[str]:
@@ -214,24 +218,50 @@ def _sigma_of(u: Subalgebra) -> Optional[str]:
                  if _span_in_slots(frame, frame.full, _pair_slots(sigma))), None)
 
 
-def _reflected_root(name: str, simple: str) -> str:
-    """Image of a root under a simple reflection: s_alpha swaps t1 and t2,
-    s_beta flips the sign of t2 (as actions on the functionals)."""
+def _reflected_root(name: str, simple: str) -> Optional[str]:
+    """Image of a root under a simple reflection, or None for a negative
+    image: s_alpha swaps t1 and t2, s_beta flips the sign of t2 (as actions
+    on the functionals)."""
     c1, c2 = ROOTS[name]
     if simple == "alpha":
         c1, c2 = c2, c1
     else:
         c2 = -c2
-    new_name = next((nm for nm, v in ROOTS.items() if v == (c1, c2)), None)
-    if new_name is None:
-        raise NoCaseMatched(f"reflection sends {name} to a negative root")
-    return new_name
+    return next((nm for nm, v in ROOTS.items() if v == (c1, c2)), None)
+
+
+def graph_case(spec: Graph):
+    """(case, shape, r) of the listed graph case that spec's root names
+    match, or None.
+
+    The names are read after the simple reflection that makes omega simple,
+    which maps root spaces to root spaces: U's pair sigma goes to the pair
+    of its image, and psi's components on beta and 2beta are its components
+    on their preimages (a reflection is its own inverse).  r is 1 when psi
+    lies in U_2beta alone (omega = beta after the reflection), else 2.
+    """
+    sigma = _sigma_of(spec.u)
+    if sigma is None:
+        return None
+    simple = _SIMPLE_REFLECTION.get(spec.omega)
+
+    def name(root):
+        return _reflected_root(root, simple) if simple else root
+
+    omega = name(spec.omega)
+    shape_of = _GRAPH_SHAPES.get((omega, name(sigma)))
+    if shape_of is None:
+        return None
+    psi = spec.psi_value
+    r = (1 if omega == "beta" and psi.root_component(name("beta")).is_zero()
+         and not psi.root_component(name("2beta")).is_zero() else 2)
+    shape = shape_of(r)
+    return shape.provenance, shape, r
 
 
 def _classify_graph(spec: Graph, seed: int = 0) -> AnResult:
     """Match a compatible graph subgroup against the non-semidirect case list."""
-    if not _normalized_by_element(spec.torus().element(spec.n) + spec.psi_value,
-                                  spec.u):
+    if not _normalized_by_element(spec.line(), spec.u):
         raise UNotNormalized("the graph line does not normalize U")
     # any intersection of U with the omega root spaces forces CDS
     if _slot_subspace(_frame_of(spec.u), _pair_slots(spec.omega)):
@@ -242,52 +272,14 @@ def _classify_graph(spec: Graph, seed: int = 0) -> AnResult:
     if nil.is_cds:
         return AnResult("CDS", MuShape.full_chamber("graph-u-cds"), "graph-cds",
                         notes="H contains the CDS U", nil_result=nil)
-    # reduce omega to a simple root by the Weyl reflections from the proofs
-    work = spec
-    for _ in range(4):
-        if work.omega in ("alpha", "beta"):
-            break
-        if work.omega == "alpha+beta":
-            work = _reflect_graph_simple(work, "alpha")
-        elif work.omega == "alpha+2beta":
-            work = _reflect_graph_simple(work, "beta")
-    sigma = _sigma_of(work.u)
-    if sigma is None:
-        raise NoCaseMatched("U is not supported in a single root pair")
-    if work.omega == "alpha" and sigma == "beta":
-        raise NoCaseMatched("sigma = beta cannot be normalized by psi(T)")
-    if work.omega == "beta" and sigma == "alpha":
-        raise NoCaseMatched("sigma = alpha cannot be normalized by psi(T)")
-    # sigma = omega means U meets the omega spaces: handled above; a leftover
-    # (alpha, alpha) or (beta, beta) here is an inconsistency
-    if sigma == work.omega:
-        return AnResult("CDS", MuShape.full_chamber("graph-omega-intersect"),
-                        "graph-cds", notes="U meets the omega root spaces")
-    r = 1 if _psi_in_2beta(work) else 2
-    key = (work.omega, sigma)
-    if key not in _GRAPH_SHAPES:
-        raise NoCaseMatched(f"unlisted pair omega={work.omega}, sigma={sigma}")
-    verdict, shape, case = _GRAPH_SHAPES[key](r)
-    return AnResult(verdict, shape, case, r=r, nil_result=nil)
-
-
-def _psi_in_2beta(spec: Graph) -> bool:
-    psi = spec.psi_value
-    return (spec.omega == "beta"
-            and psi.root_component("beta").is_zero()
-            and not psi.root_component("2beta").is_zero())
-
-
-def _reflect_graph_simple(spec: Graph, root: str) -> Graph:
-    from .elements import NotInAN
-
-    w = weyl_matrix(spec.n, root)
-    try:
-        psi = conjugate(w, spec.psi_value)
-        basis = [conjugate(w, b) for b in spec.u.basis]
-    except NotInAN as e:
-        raise NoCaseMatched(f"reflection by {root} leaves a+n: {e}")
-    return Graph(_reflected_root(spec.omega, root), psi, Subalgebra(basis))
+    found = graph_case(spec)
+    if found is None:
+        sigma = _sigma_of(spec.u)
+        raise NoCaseMatched("U is not supported in a single root pair"
+                            if sigma is None else
+                            f"unlisted pair omega={spec.omega}, sigma={sigma}")
+    case, shape, r = found
+    return AnResult("NotCDS", shape, case, r=r, nil_result=nil)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +324,7 @@ def _sweep(X, U_basis):
 def line_compatible(spec):
     """spec, or an exact conjugate of it whose line commutes with its a-part.
 
-    The line is the torus element of a Semidirect, torus + psi of a Graph and
-    x of a OneParam; a compatible line has [a-part, nilpotent part] = 0, which
+    A compatible line (spec.line()) has [a-part, nilpotent part] = 0, which
     is also what sampling needs to exponentiate it as diagonal x nilpotent.
     A Graph whose line fails that, or whose psi is not a nilpotent element
     outside U (so that H is no graph over U), is rebuilt by
@@ -341,14 +332,13 @@ def line_compatible(spec):
     line.
     """
     if isinstance(spec, Graph):
-        psi = spec.psi_value
-        X = spec.torus().element(spec.n) + psi
+        psi, X = spec.psi_value, spec.line()
         if (_commutes(X) and psi.is_nilpotent()
                 and not spec.u.contains(psi)):
             return spec
         return normalize_to_compatible([X] + list(spec.u.basis))
-    if isinstance(spec, OneParam) and not _commutes(spec.x):
-        return OneParam(_sweep(spec.x, [])[0])
+    if isinstance(spec, OneParam) and not _commutes(spec.line()):
+        return OneParam(_sweep(spec.line(), [])[0])
     return spec
 
 
@@ -418,17 +408,16 @@ def classify_an(spec, seed: int = 0) -> AnResult:
     work = line_compatible(spec)
     if isinstance(work, Semidirect):
         result = classify_semidirect(work.torus, work.u, seed=seed)
-        line = work.torus
     elif isinstance(work, Graph):
         result = _classify_graph(work, seed=seed)
-        line = work.torus()
     elif isinstance(work, OneParam):
         result = _one_param_shape(work)
-        line = TorusLine(*primitive_line(work.x.t1, work.x.t2))
     else:
         raise TypeError("expected Semidirect, Graph, or OneParam")
     if work is not spec:
+        x = work.line()
+        p, q = primitive_line(x.t1, x.t2)
         conj = (f"classified the compatible conjugate: {work.kind} on the "
-                f"torus line ({line.p}, {line.q})")
+                f"torus line ({p}, {q})")
         result.notes = f"{result.notes}; {conj}" if result.notes else conj
     return result

@@ -12,15 +12,17 @@ classify and mu-scan read a graph or one-parameter spec that is not in
 compatible form on its exact compatible conjugate; classify's notes then name
 the conjugate's kind and torus line, and a conjugate that is a bare torus line
 exits 1.
-SU2N_SEED overrides the default seed.  An SU2N_SEED that is not an integer
-and a mu-scan --samples below 1 are input errors.  Classification draws no
-random numbers: classify --seed is only recorded in the report.
+SU2N_SEED overrides the default seed.  An SU2N_SEED that is not an integer,
+a mu-scan --samples below 1 and a --tmax that is not positive and finite are
+input errors.  Classification draws no random numbers: classify --seed is
+only recorded in the report.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -69,21 +71,18 @@ def _cmd_mu_scan(args):
     if args.samples < 1:
         print(f"error: --samples must be at least 1, not {args.samples}", file=sys.stderr)
         return 1
-    plan = SamplingPlan(seed=args.seed, per_curve=args.samples)
-    if args.tmax is not None:
-        plan.t_cap = args.tmax
+    if args.tmax is not None and not (math.isfinite(args.tmax) and args.tmax > 0):
+        print(f"error: --tmax must be positive and finite, not {args.tmax}",
+              file=sys.stderr)
+        return 1
+    plan = SamplingPlan(seed=args.seed, per_curve=args.samples, t_cap=args.tmax)
     try:
         cloud = sample_subgroup(spec, plan)
         s_lo, s_hi, conf = fit_exponents(cloud)
     except (InsufficientRange, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    if args.out:
-        cloud_to_csv(cloud, args.out)
-    else:
-        print("t,log10_norm,log10_rho,curve_id")
-        for t, ln, lr, tag in cloud.to_rows():
-            print(f"{'' if t is None else t!r},{ln!r},{lr!r},{tag}")
+    cloud_to_csv(cloud, args.out or sys.stdout)
     print(json.dumps({"s_lo": s_lo, "s_hi": s_hi, "confidence": conf,
                       "samples": len(cloud),
                       "discard_fraction": cloud.meta.get("discard_fraction")}),
@@ -153,7 +152,8 @@ def main(argv=None):
     p = sub.add_parser("mu-scan", help="sample a spec and fit envelope exponents")
     p.add_argument("spec")
     p.add_argument("--tmax", type=float, default=None,
-                   help="cap on the curve parameter")
+                   help="cap on the curve parameter, positive and finite; "
+                   "a cap below 4 samples to t = 4")
     p.add_argument("--samples", type=int, default=48, help="samples per curve")
     p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")

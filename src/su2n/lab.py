@@ -42,8 +42,8 @@ from typing import Optional
 
 import numpy as np
 
-from .anclassify import (Graph, OneParam, Semidirect, _pair_slots, _psi_in_2beta,
-                         _sigma_of, classify_an, line_compatible)
+from .anclassify import (Graph, OneParam, Semidirect, _pair_slots, classify_an,
+                         graph_case, line_compatible)
 from .config import MIN_SAMPLES, NORM_CEILING
 from .elements import AlgebraElement, _coord_entries, bracket, exp_closed
 from .gallery import GalleryEntry, get as gallery_get
@@ -855,16 +855,9 @@ def sample_subgroup(spec, plan: SamplingPlan = None, result=None) -> SampleCloud
 
 def _line(spec):
     """(line, scale) for a Semidirect, Graph or OneParam spec: the float_line
-    of v, the float coordinates of its line (the torus, T + psi, or x), and
-    scale the largest |t_i| of v, so that line(log t / scale) has a-part
-    entries in [1/t, t]."""
-    if isinstance(spec, Semidirect):
-        x = spec.torus.element(spec.n)
-    elif isinstance(spec, Graph):
-        x = spec.torus().element(spec.n) + spec.psi_value
-    else:
-        x = spec.x
-    v = _vec(x)
+    of v, the float coordinates of spec.line(), and scale the largest |t_i|
+    of v, so that line(log t / scale) has a-part entries in [1/t, t]."""
+    v = _vec(spec.line())
     return float_line(v), float(np.abs(v[:2]).max())
 
 
@@ -906,37 +899,39 @@ def extremal_graph_curves(spec: Graph):
     return _extremal_graph_curves(spec, *_line(spec))
 
 
+def _case_curve(spec: Graph, case, r, line, scale):
+    """(tag, curve) of the proof's extremal curve of a graph case, on the
+    graph line (line, scale) of _line(spec) and the line ray0 of U's first
+    basis row."""
+    b0 = np.array(spec.u.coord_rows()[0], dtype=float)
+    ray0 = float_line(b0 * (1.0 / (np.linalg.norm(b0) or 1.0)))
+    along = (line, (LOG, 1.0, scale))  # line(log t / scale)
+    if case == "graph-1":
+        # upper extremal: |x_u|^2 ~ log a1
+        return "extremal-upper", _line_curve(ray0, (LOGPOW, 0.5, 1.0), along)
+    if case == "graph-2":
+        return "extremal-lower", _line_curve(ray0, (ONE, 1.0, 1.0), along)
+    if case == "graph-3":
+        return "extremal-lower", _line_curve(ray0, (LOGPOW, r / 2.0, 1.0), along)
+    return "extremal-upper", _Curve([along])
+
+
 def _extremal_graph_curves(spec: Graph, line, scale):
     """extremal_graph_curves on the graph line (line, scale) of _line(spec)."""
-    B = np.array(spec.u.coord_rows(), dtype=float)
-    nrm0 = np.linalg.norm(B[0])
-    ray0 = float_line(B[0] * (1.0 / (nrm0 or 1.0)))
-    case = _graph_case(spec)
     curves = []
     cols, slots = AlgebraElement.slot_columns(spec.n), _pair_slots(spec.omega)
-    inter = [b for b, row in zip(B, spec.u.coord_rows())
+    inter = [row for row in spec.u.coord_rows()
              if any(any(row[cols[s]]) for s in slots)]
     if inter:
         # U meets the omega root spaces: the chamber fills; pin the square
         # direction with the torus outpacing the unipotent factor
         curves.append(("extremal-square", _line_curve(
             float_line(inter[0]), head=(line, (LOG, 2.0, scale)))))
-    along = (line, (LOG, 1.0, scale))  # line(log t / scale)
-    if case == ("alpha", "alpha+beta"):
-        # upper extremal: |x_u|^2 ~ log a1
-        curves.append(("extremal-upper", _line_curve(ray0, (LOGPOW, 0.5, 1.0), along)))
-    elif case == ("alpha", "alpha+2beta"):
-        curves.append(("extremal-lower", _line_curve(ray0, (ONE, 1.0, 1.0), along)))
-    elif case == ("beta", "alpha+2beta"):
-        r = 1 if _psi_in_2beta(spec) else 2
-        curves.append(("extremal-lower", _line_curve(ray0, (LOGPOW, r / 2.0, 1.0), along)))
-    elif case == ("beta", "alpha+beta"):
-        curves.append(("extremal-upper", _Curve([along])))
+    found = graph_case(spec)
+    if found is not None:
+        case, _, r = found
+        curves.append(_case_curve(spec, case, r, line, scale))
     return curves
-
-
-def _graph_case(spec: Graph):
-    return (spec.omega, _sigma_of(spec.u))
 
 
 def fit_ray_drift(spec: OneParam, plan: SamplingPlan = None) -> float:
@@ -948,17 +943,17 @@ def fit_graph_log_power(spec: Graph, plan: SamplingPlan = None):
     """Log-power coefficient along the proof's extremal curve.
 
     Returns (s, coefficient): the envelope exponent the extremal curve tracks
-    and the regression coefficient of log|rho| - s log|h| on log log|h|.
+    (the case's s_hi for an upper curve, s_lo for a lower one) and the
+    regression coefficient of log|rho| - s log|h| on log log|h|.
     """
     plan = plan or SamplingPlan()
-    curves = extremal_graph_curves(spec)
-    if not curves:
-        raise ValueError("no extremal curve for this graph case")
-    ex = [(tag, c) for tag, c in curves if tag.startswith("extremal")]
-    cloud = _collect(ex, plan)
-    case = _graph_case(spec)
-    s = 2.0 if case in (("alpha", "alpha+beta"), ("alpha", "alpha+2beta")) else 1.0
-    return s, fit_log_power(cloud, s)
+    found = graph_case(spec)
+    if found is None:
+        raise ValueError("no extremal curve for a graph with no listed case")
+    case, shape, r = found
+    tag, curve = _case_curve(spec, case, r, *_line(spec))
+    s = float(shape.s_hi if tag == "extremal-upper" else shape.s_lo)
+    return s, fit_log_power(_collect([(tag, curve)], plan), s)
 
 
 # ---------------------------------------------------------------------------

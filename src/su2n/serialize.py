@@ -100,9 +100,9 @@ def spec_to_json(spec) -> dict:
     raise TypeError(f"cannot serialize {type(spec).__name__}")
 
 
-def _line_normalizes(spec, line):
+def _line_normalizes(spec):
     """spec, once [line, U] lies in U, so that line + U is a subalgebra."""
-    if not _normalized_by_element(line, spec.u):
+    if not _normalized_by_element(spec.line(), spec.u):
         raise SubalgebraError(f"the {spec.kind} line does not normalize U: "
                               "line + U is not a subalgebra")
     return spec
@@ -117,13 +117,11 @@ def spec_from_json(d: dict):
         p, q = (parse_rational(v) for v in d["torus"])
         if p == 0 and q == 0:
             raise ValueError("the semidirect torus [0, 0] spans no line")
-        torus = TorusLine(*primitive_line(p, q))
-        return _line_normalizes(Semidirect(torus, u), torus.element(u.n))
+        return _line_normalizes(Semidirect(TorusLine(*primitive_line(p, q)), u))
     if kind == "graph":
         u = subalgebra_from_json(d)
         psi = element_from_json(d["psi"], _n_of(d))
-        spec = Graph(d["omega"], psi, u)
-        return _line_normalizes(spec, spec.torus().element(u.n) + psi)
+        return _line_normalizes(Graph(d["omega"], psi, u))
     if kind == "oneparam":
         return OneParam(element_from_json(d["x"], _n_of(d)))
     raise ValueError(f"unknown spec kind {kind!r}")
@@ -171,10 +169,12 @@ def classification_report(result) -> dict:
     raise TypeError(f"cannot report {type(result).__name__}")
 
 
-def cloud_to_csv(cloud, path):
-    rows = cloud.to_rows()
-    with open(path, "w") as f:
-        f.write("t,log10_norm,log10_rho,curve_id\n")
-        for t, ln, lr, tag in rows:
-            tv = "" if t is None else repr(float(t))
-            f.write(f"{tv},{ln!r},{lr!r},{tag}\n")
+def cloud_to_csv(cloud, out):
+    """Write the cloud's rows as CSV to out, a path or an open text stream."""
+    if not hasattr(out, "write"):
+        with open(out, "w") as f:
+            return cloud_to_csv(cloud, f)
+    out.write("t,log10_norm,log10_rho,curve_id\n")
+    for t, ln, lr, tag in cloud.to_rows():
+        tv = "" if t is None else repr(float(t))
+        out.write(f"{tv},{ln!r},{lr!r},{tag}\n")

@@ -16,17 +16,19 @@ from su2n.anclassify import (
     line_compatible,
     normalize_to_compatible,
 )
+from su2n.elements import NotInAN, ROOTS, kernel_root
+from su2n.lab import extremal_graph_curves, fit_graph_log_power
 from su2n.scalars import QQi
 from su2n.serialize import spec_from_json, spec_to_json
 from su2n.shapes import MuShape
-from su2n.weyl import conjugate
+from su2n.weyl import conjugate, weyl_matrix
 
 
 def test_torus_line_naming():
     assert TorusLine.of_kernel("alpha") == TorusLine(1, 1)
     assert TorusLine.of_kernel("beta") == TorusLine(1, 0)
-    assert TorusLine(2, 1).root_name() == "alpha-beta"
-    assert TorusLine(5, 3).root_name() is None
+    assert kernel_root(2, 1) == "alpha-beta"
+    assert kernel_root(5, 3) is None
 
 
 def test_semidirect_cases(alg):
@@ -111,10 +113,11 @@ def test_classify_an_frames_each_subalgebra_once(alg, monkeypatch):
         framed.clear()
         classify_an(spec)
         assert len(framed) == 1 and framed[0] is spec.u, entry_id
-    # a Weyl-reflected U is another subalgebra and gets a frame of its own
+    # a graph with omega not simple is decided on root names: U alone is framed
+    spec = Graph("alpha+2beta", alg(3, eta=1), Subalgebra([alg(3, phi=1)]))
     framed.clear()
-    r = classify_an(Graph("alpha+2beta", alg(3, eta=1), Subalgebra([alg(3, phi=1)])))
-    assert len({id(h) for h in framed}) == len(framed), r
+    classify_an(spec)
+    assert len(framed) == 1 and framed[0] is spec.u
 
 
 def test_classify_an_reads_the_case_list_once(monkeypatch):
@@ -227,6 +230,43 @@ def test_graph_shape_invariant_under_reflection(alg):
     reflected = classify_an(Graph("alpha+2beta", alg(3, eta=1),
                                   Subalgebra([alg(3, phi=1)])))
     assert direct.shape == reflected.shape and direct.case == reflected.case
+
+
+def _weyl_reflected(spec):
+    """The graph spec of w H w^-1 for the simple reflection w that sends a
+    simple omega to a non-simple root, by exact conjugation of psi and of
+    U's basis, or None when it leaves a+n."""
+    root = {"alpha": "beta", "beta": "alpha"}[spec.omega]
+    c1, c2 = ROOTS[spec.omega]
+    image = (c2, c1) if root == "alpha" else (c1, -c2)
+    w = weyl_matrix(spec.n, root)
+    try:
+        return Graph(next(nm for nm, v in ROOTS.items() if v == image),
+                     conjugate(w, spec.psi_value),
+                     Subalgebra([conjugate(w, b) for b in spec.u.basis]))
+    except NotInAN:
+        return None
+
+
+def _reflection_cases():
+    for e in gallery.entries():
+        if e.kind == "graph" and _weyl_reflected(e.spec()) is not None:
+            yield pytest.param(e.id, id=e.id)
+
+
+@pytest.mark.parametrize("entry_id", _reflection_cases())
+def test_graph_invariant_under_weyl_reflection(entry_id):
+    spec = gallery.get(entry_id).spec()
+    moved = _weyl_reflected(spec)
+    assert moved.omega in ("alpha+beta", "alpha+2beta")
+    want, got = classify_an(spec), classify_an(moved)
+    assert ((got.verdict, got.shape, got.case, got.r)
+            == (want.verdict, want.shape, want.case, want.r))
+    tags = [tag for tag, _ in extremal_graph_curves(spec)]
+    assert [tag for tag, _ in extremal_graph_curves(moved)] == tags
+    if want.verdict == "NotCDS":
+        assert fit_graph_log_power(moved) == pytest.approx(
+            fit_graph_log_power(spec), rel=1e-9, abs=1e-12)
 
 
 def _e1(n):

@@ -348,6 +348,29 @@ def test_cli_rejects_fewer_than_one_sample_per_curve(tmp_path, capsys, samples):
     assert captured.err == f"error: --samples must be at least 1, not {samples}\n"
 
 
+@pytest.mark.parametrize("tmax", ["nan", "inf", "0", "-5"])
+def test_cli_rejects_a_tmax_that_is_not_positive_and_finite(tmp_path, capsys, tmax):
+    from su2n import cli
+    spec_path = tmp_path / "p.json"
+    dump_spec(gallery.get("notcds09-n3").spec(), spec_path)
+    assert cli.main(["mu-scan", str(spec_path), "--tmax", tmax]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --tmax must be positive and finite, not {float(tmax)}\n"
+
+
+def test_cli_mu_scan_prints_the_csv_it_writes_to_out(tmp_path, capsys):
+    from su2n import cli
+    spec_path, out = tmp_path / "p.json", tmp_path / "cloud.csv"
+    dump_spec(gallery.get("graph01-n4").spec(), spec_path)
+    assert cli.main(["mu-scan", str(spec_path), "--samples", "8"]) == 0
+    printed = capsys.readouterr().out
+    assert cli.main(["mu-scan", str(spec_path), "--samples", "8", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert printed.startswith("t,log10_norm,log10_rho,curve_id\n")
+    assert printed.encode() == out.read_bytes()
+
+
 @pytest.mark.parametrize("command", ["classify", "gallery"])
 def test_cli_rejects_a_seed_that_is_not_an_integer(tmp_path, monkeypatch, capsys, command):
     from su2n import cli
