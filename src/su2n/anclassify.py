@@ -162,12 +162,15 @@ def _pair_slots(root: str) -> list:
 def classify_semidirect(torus: TorusLine, u: Subalgebra, seed: int = 0) -> AnResult:
     """Match T x| U against the semidirect case list.
 
-    U must be a nontrivial subgroup of N normalized by the line T.  When U is
-    a CDS so is H, which contains it.  Otherwise the case is the first row of
-    `nilclassify.SEMIDIRECT_CASES` that U's template and slot structure
-    satisfy, and T must be that row's kernel line (any torus line when the
-    row is normalized by all of A).
+    T must be a nonzero torus line and U a nontrivial subgroup of N that T
+    normalizes.  When U is a CDS so is H, which contains it.  Otherwise the
+    case is the first row of `nilclassify.SEMIDIRECT_CASES` that U's template
+    and slot structure satisfy.  T lies in N_A(U), which `classify` checks
+    is that row's line, so any generator of it, of either sign, gives the
+    same case.
     """
+    if torus.p == 0 and torus.q == 0:
+        raise SpecViolation("T must be a nonzero torus line")
     if u.dim == 0 or all(b.is_zero() for b in u.basis):
         raise SpecViolation("U must be nontrivial")
     if not u.is_nilpotent():
@@ -179,12 +182,9 @@ def classify_semidirect(torus: TorusLine, u: Subalgebra, seed: int = 0) -> AnRes
         return AnResult("CDS", MuShape.full_chamber("semidirect-cds"),
                         "semidirect-cds", notes="H contains the CDS U",
                         nil_result=nil)
-    t, row = nil.template.type_id, nil.semidirect
+    row = nil.semidirect
     if row is None:
-        raise NoCaseMatched(f"type-{t} U fits no semidirect case")
-    if row.root is not None and torus != TorusLine.of_kernel(row.root):
-        raise NoCaseMatched(
-            f"template {t} requires T = ker({row.root}), got {torus}")
+        raise NoCaseMatched(f"type-{nil.template.type_id} U fits no semidirect case")
     shape = row.shape_of(1 + u.dim)
     notes = "exponent quoted for SO(2,n); s symbolic" if shape.symbolic else ""
     return AnResult(row.verdict, shape, row.case, notes=notes, nil_result=nil)

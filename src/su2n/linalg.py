@@ -205,10 +205,12 @@ def solve_linear(rows, rhs) -> Optional[list]:
 def gram_from_quadratic(q: Callable, vectors: Sequence) -> list:
     """Gram matrices of quadratic forms by polarization on `vectors`.
 
-    `q` maps a vector to a list of Fractions, the values of one or more
-    quadratic forms there; one Gram per entry of that list is returned, each
-    evaluating q once at every vector and every pairwise sum.  With no
-    vectors there is nothing to evaluate and the list is empty.
+    `q` maps a vector to a list of ints or Fractions, the values of one or
+    more quadratic forms there; one Gram per entry of that list is returned,
+    each evaluating q once at every vector and every pairwise sum.  The
+    diagonal holds those values as they are and each off-diagonal entry is
+    one exact Fraction, also on int values.  With no vectors there is
+    nothing to evaluate and the list is empty.
     """
     d = len(vectors)
     if not d:
@@ -221,7 +223,7 @@ def gram_from_quadratic(q: Callable, vectors: Sequence) -> list:
         for j in range(i + 1, d):
             vals = q([a + b for a, b in zip(vectors[i], vectors[j])])
             for g, val, vi, vj in zip(grams, vals, diag[i], diag[j]):
-                g[i][j] = g[j][i] = (val - vi - vj) / 2
+                g[i][j] = g[j][i] = Fraction(val - vi - vj, 2)
     return grams
 
 

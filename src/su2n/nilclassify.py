@@ -19,11 +19,15 @@ the lower envelope is |h|), and a matched template's case-list normalizer
 must equal N_A(h).  Each route runs once and is deterministic, so a
 disagreement is an implementation bug and raises InconsistentClassification.
 
-Universal statements (forms vanishing identically, anisotropy) are decided
-deterministically: Gram matrices W Q W^T of quadratic forms on the coordinate
-rows W, with the fixed symmetric matrix Q of each form polarized once per n
-(a form with a central parameter z, t_pair or pair_e, is linear in z, so its
-Q is sum_c z[c] Q_c over one fixed Q_c per column of z), and exact LDL-style
+Every polynomial form of the conditions (q_center, r_alpha, t_pair, pair_e,
+d_lambda and the (x; y) minor parts) is one function of coordinate rows,
+exact on ints and on Fractions alike; the cubic C of linear condition 2 is
+t_pair(n, u, u).  Universal statements (forms vanishing identically,
+anisotropy) are decided deterministically: Gram matrices W Q W^T of
+quadratic forms on the coordinate rows W, with the fixed symmetric matrix Q
+of each form polarized once per n on the int coordinate unit rows (a form
+with a central parameter z, t_pair or pair_e, is linear in z, so its Q is
+sum_c z[c] Q_c over one fixed Q_c per column of z), and exact LDL-style
 signatures for definiteness.  Existential equalities on quadrics
 use the exact signature to decide and produce rational witnesses when the
 zero cone has rational points (falling back to approximate witnesses,
@@ -55,7 +59,7 @@ from functools import cache, cached_property
 from typing import Callable, Optional
 
 from . import linalg
-from .elements import (ROOTS, AlgebraElement, column_roots, int_coords,
+from .elements import (ROOTS, AlgebraElement, _slot_sums, column_roots, int_coords,
                        kernel_line, kernel_root, primitive_line)
 from .scalars import QQi, abs2, conj, herm, im, re
 from .shapes import MuShape
@@ -292,77 +296,76 @@ def _frame_of(h: Subalgebra) -> _Frame:
     return frame
 
 
-# quadratic/cubic form values -------------------------------------------------
+# the polynomial forms, on coordinate rows ------------------------------------
+#
+# Each form is a polynomial in the entries of a coordinate row (the coords()
+# layout, with eta, xx and yy its last four columns), built with + and *
+# only: on a row of ints it is an int, on a row of Fractions a Fraction.  The
+# x and y sums (|x|^2, |y|^2, Re <x, y>, Im <x, y>) are elements._slot_sums.
 
-def q_center(e: AlgebraElement) -> Fraction:
+
+def q_center(n, u):
     """|eta|^2 - xx*yy, the form whose anisotropy drives the central cases."""
-    return abs2(e.eta) - e.xx * e.yy
+    er, ei, xx, yy = u[4 * n - 4:]
+    return er * er + ei * ei - xx * yy
 
 
-def r_alpha(e: AlgebraElement) -> Fraction:
+def r_alpha(n, u):
     """|x|^2 + 2 Re(phi conj(eta))."""
-    return sum((abs2(v) for v in e.x), Fraction(0)) + 2 * re(e.phi * conj(e.eta))
+    er, ei = u[4 * n - 4:4 * n - 2]
+    return _slot_sums(n, u)[0] + 2 * (u[2] * er + u[3] * ei)
 
 
-def cubic_c(e: AlgebraElement) -> Fraction:
-    """xx |y|^2 + yy |x|^2 + 2 Im(x y^dagger conj(eta))."""
-    ax2 = sum((abs2(v) for v in e.x), Fraction(0))
-    ay2 = sum((abs2(v) for v in e.y), Fraction(0))
-    return e.xx * ay2 + e.yy * ax2 + 2 * im(herm(e.x, e.y) * conj(e.eta))
+def t_pair(n, u, z):
+    """xx_z |y_u|^2 + yy_z |x_u|^2 + 2 Im(x_u y_u+ conj(eta_z)); the cubic
+    C(u) of linear condition 2 is t_pair(n, u, u)."""
+    ax2, ay2, a, b = _slot_sums(n, u)
+    er, ei, xx, yy = z[4 * n - 4:]
+    return xx * ay2 + yy * ax2 + 2 * (b * er - a * ei)
 
 
-@cache
-def _cubic_columns(n):
-    cols = AlgebraElement.slot_columns(n)
-    return cols["x"], cols["y"], cols["eta"].start, cols["xx"].start, cols["yy"].start
+def pair_e(n, u, z):
+    """xx_z |y_u|^2 - Re(phi_u conj(eta_z)) yy_u + 2 Im(conj(eta_z) x_u y_u+)."""
+    _, ay2, a, b = _slot_sums(n, u)
+    er, ei, xx = z[4 * n - 4:4 * n - 1]
+    return xx * ay2 - (u[2] * er + u[3] * ei) * u[4 * n - 1] + 2 * (b * er - a * ei)
 
 
-def _cubic_ints(n, u) -> int:
-    """cubic_c on a coordinate row u of ints, as an int: C(u / D) is
-    _cubic_ints(n, u) / D**3.  The x and y columns interleave real and
-    imaginary parts, so Re(x y^dagger) is their dot product."""
-    xs, ys, e, xx, yy = _cubic_columns(n)
-    x, y = u[xs], u[ys]
-    re_xy = sum(a * b for a, b in zip(x, y))
-    im_xy = (sum(a * b for a, b in zip(x[1::2], y[0::2]))
-             - sum(a * b for a, b in zip(x[0::2], y[1::2])))
-    return (u[xx] * sum(b * b for b in y) + u[yy] * sum(a * a for a in x)
-            + 2 * (im_xy * u[e] - re_xy * u[e + 1]))
+def d_lambda(n, u, lam):
+    """xx + |lambda|^2 yy + 2 Im(lambda conj(eta)), lambda complex."""
+    er, ei, xx, yy = u[4 * n - 4:]
+    lr, li = re(lam), im(lam)
+    return xx + (lr * lr + li * li) * yy + 2 * (li * er - lr * ei)
 
 
-def pair_e(u: AlgebraElement, z: AlgebraElement) -> Fraction:
-    """xx_z |y_u|^2 - phi_u yy_u conj(eta_z) + 2 Im(conj(eta_z) x_u y_u+)."""
-    ay2 = sum((abs2(v) for v in u.y), Fraction(0))
-    term2 = u.phi * conj(z.eta) * u.yy
-    return z.xx * ay2 - re(term2) + 2 * im(conj(z.eta) * herm(u.x, u.y))
-
-
-def t_pair(u: AlgebraElement, z: AlgebraElement) -> Fraction:
-    """xx_z |y_u|^2 + yy_z |x_u|^2 + 2 Im(x_u y_u+ conj(eta_z))."""
-    ax2 = sum((abs2(v) for v in u.x), Fraction(0))
-    ay2 = sum((abs2(v) for v in u.y), Fraction(0))
-    return z.xx * ay2 + z.yy * ax2 + 2 * im(herm(u.x, u.y) * conj(z.eta))
-
-
-def d_lambda(e: AlgebraElement, lam) -> Fraction:
-    """xx + |lambda|^2 yy + 2 Im(lambda conj(eta))."""
-    return e.xx + abs2(lam) * e.yy + 2 * im(lam * conj(e.eta))
+def _minor_parts(n, u):
+    """The real and imaginary parts of every (x; y) minor x_i y_j - x_j y_i,
+    i < j, of the row u, in the order (minor 0 Re, minor 0 Im, minor 1 Re,
+    ...); none at n = 3."""
+    d = 2 * (n - 2)
+    x, y = u[4:4 + d], u[4 + d:4 + 2 * d]
+    parts = []
+    for i, j in itertools.combinations(range(0, d, 2), 2):
+        (xir, xii), (xjr, xji) = x[i:i + 2], x[j:j + 2]
+        (yir, yii), (yjr, yji) = y[i:i + 2], y[j:j + 2]
+        parts += [xir * yjr - xii * yji - xjr * yir + xji * yii,
+                  xir * yji + xii * yjr - xjr * yii - xji * yir]
+    return parts
 
 
 def _fixed_forms(values, n):
-    """The fixed symmetric matrices Q of the quadratic forms values(e), a
+    """The fixed symmetric matrices Q of the quadratic forms values(u), a
     list, on coordinate rows at this n, as linalg.sparse_form gives them:
-    the polarization Grams on the 4n coordinate unit rows."""
-    d = AlgebraElement.coord_dim(n)
+    the polarization Grams on the 4n int coordinate unit rows."""
+    d = 4 * n
     units = [[int(i == j) for j in range(d)] for i in range(d)]
-    return tuple(linalg.sparse_form(g) for g in linalg.gram_from_quadratic(
-        lambda v: values(AlgebraElement.from_coords(n, v)), units))
+    return tuple(linalg.sparse_form(g) for g in linalg.gram_from_quadratic(values, units))
 
 
 @cache
 def _fixed_form(q, n):
     """Q of the form q (q_center or r_alpha) at this n, found once."""
-    return _fixed_forms(lambda e: [q(e)], n)[0]
+    return _fixed_forms(lambda u: [q(n, u)], n)[0]
 
 
 @cache
@@ -370,16 +373,15 @@ def _pair_forms(q, n):
     """(c, Q_c) for the columns c of eta, xx and yy at this n, found once:
     q (t_pair or pair_e) reads only those columns of z and is linear in
     them, so u -> q(u, z) has Q = sum_c z[c] Q_c."""
-    d = AlgebraElement.coord_dim(n)
-    zcols = range(AlgebraElement.slot_columns(n)["eta"].start, d)
-    units = [AlgebraElement.from_coords(n, [int(i == c) for i in range(d)]) for c in zcols]
-    return tuple(zip(zcols, _fixed_forms(lambda e: [q(e, z) for z in units], n)))
+    zcols = range(4 * n - 4, 4 * n)
+    units = [[int(i == c) for i in range(4 * n)] for c in zcols]
+    return tuple(zip(zcols, _fixed_forms(lambda u: [q(n, u, z) for z in units], n)))
 
 
 @cache
 def _minor_forms(n):
     """Q of the Re and Im parts of every (x; y) minor at this n, found once."""
-    return _fixed_forms(_minor_parts, n)
+    return _fixed_forms(lambda u: _minor_parts(n, u), n)
 
 
 def _wedge(a, b):
@@ -389,13 +391,11 @@ def _wedge(a, b):
             for i, j in itertools.combinations(range(len(a)), 2)]
 
 
-def _rank_xy(e: AlgebraElement) -> int:
-    has_vec = any(e.x) or any(e.y)
-    if not has_vec:
+def _rank_xy(n, u) -> int:
+    """dim_C <x, y> of the row u: 0, 1 or 2, read off its minor parts."""
+    if not any(u[4:4 * n - 4]):  # the x and y columns
         return 0
-    if any(m != 0 for m in _wedge(e.x, e.y)):
-        return 2
-    return 1
+    return 2 if any(_minor_parts(n, u)) else 1
 
 
 # isotropic vectors -----------------------------------------------------------
@@ -470,12 +470,6 @@ def _isqrt_exact(k: int):
 # rank-one machinery
 
 
-def _minor_parts(e):
-    """The real and imaginary parts of every (x;y) minor of e, in the order
-    (minor 0 Re, minor 0 Im, minor 1 Re, ...)."""
-    return [part(m) for m in _wedge(e.x, e.y) for part in (re, im)]
-
-
 def _minor_grams(frame, within):
     """Grams of the parts of every (x;y) minor (_minor_parts) on `within`,
     in their order; none when `within` is empty."""
@@ -532,9 +526,8 @@ def _candidate_lambdas(frame, within):
     rows of `within` and then its pencil walk, in that order."""
     cands = []
     for row in itertools.chain(within, _pencil_rank_one_rows(frame, within)):
-        e = frame.element(row)
-        if _rank_xy(e) == 1 and any(e.y):
-            lam = _lambda_of(e)
+        if _rank_xy(frame.n, row) == 1 and any(frame.func_on("y", row)):
+            lam = _lambda_of(frame.element(row))
             if lam not in cands:
                 cands.append(lam)
     return cands
@@ -552,7 +545,7 @@ def _pencil_rank_one_rows(frame, within):
         ei, ej = frame.element(ci), frame.element(cj)
         for t in _pencil_rank1_roots(ei, ej):
             row = [a + t * b for a, b in zip(ci, cj)]
-            if _rank_xy(frame.element(row)) == 1:
+            if _rank_xy(frame.n, row) == 1:
                 yield row
 
 
@@ -834,7 +827,7 @@ def _li2(frame):
         Wl = _w_lambda(frame, W, lam)
         K = _kernel_d_lambda(frame, Wl, lam)
         w = frame.nonzero_with(["y"], K)
-        if w is not None and _rank_xy(frame.element(w)) == 1:
+        if w is not None and _rank_xy(frame.n, w) == 1:
             return {"u": frame.element(w)}, "pointwise lambda branch", True
     # (e) complex-line case: exact cubic expansion on the line subspace
     v0 = _image_complex_line(frame, "y", W)
@@ -843,25 +836,24 @@ def _li2(frame):
     return None
 
 
+def _x_minus_lam_y(frame, lam, c):
+    """x_u - lam * y_u at the row c, (Re, Im) per entry."""
+    e = frame.element(c)
+    return [part(xv - lam * yv) for xv, yv in zip(e.x, e.y) for part in (re, im)]
+
+
 def _w_lambda(frame, W, lam):
     """{u in W : x_u = lam * y_u} as rows."""
-    def values(c):
-        e = frame.element(c)
-        return [part(xv - lam * yv) for xv, yv in zip(e.x, e.y) for part in (re, im)]
-    return frame.kernel_of(values, W)
+    return frame.kernel_of(lambda c: _x_minus_lam_y(frame, lam, c), W)
 
 
 def _lambda_global(frame, W, lam):
     """x_u = lam * y_u for every u in W."""
-    for c in W:
-        e = frame.element(c)
-        if any(part(xv - lam * yv) for xv, yv in zip(e.x, e.y) for part in (re, im)):
-            return False
-    return True
+    return not any(any(_x_minus_lam_y(frame, lam, c)) for c in W)
 
 
 def _kernel_d_lambda(frame, W, lam):
-    return frame.kernel_of(lambda c: [d_lambda(frame.element(c), lam)], W)
+    return frame.kernel_of(lambda c: [d_lambda(frame.n, c, lam)], W)
 
 
 def _cubic_coeffs(frame, within):
@@ -869,8 +861,8 @@ def _cubic_coeffs(frame, within):
     index triples i <= j <= l, by 7-term polarization on row sums, with C
     evaluated once per index multiset (19 times, not 70, on three rows).
 
-    The rows are read as ints over one common denominator D, so C is
-    evaluated on int row sums (_cubic_ints) and each coefficient is one
+    The rows are read as ints over one common denominator D, so C =
+    t_pair(n, u, u) is evaluated on int row sums and each coefficient is one
     Fraction over D**3."""
     ints = [linalg.ints_of(c) for c in within]
     den = math.lcm(*(d for _, d in ints))
@@ -878,7 +870,8 @@ def _cubic_coeffs(frame, within):
 
     @cache
     def cval(*idx):
-        return _cubic_ints(frame.n, [sum(col) for col in zip(*(scaled[i] for i in idx))])
+        u = [sum(col) for col in zip(*(scaled[i] for i in idx))]
+        return t_pair(frame.n, u, u)
 
     den3 = den ** 3
     return {(i, j, l): Fraction(cval(i, j, l) - cval(i, j) - cval(i, l) - cval(j, l)
@@ -934,7 +927,8 @@ def _odd_cubic_zero_on_plane(frame, line, ky):
         cb = Fraction(math.sin(theta)).limit_denominator(10**9)
         (pa, qa), (pb, qb) = ca.as_integer_ratio(), cb.as_integer_ratio()
         fa, fb = pa * qb * db, pb * qa * da
-        c = _cubic_ints(frame.n, [fa * x + fb * y for x, y in zip(ia, ib)])
+        u = [fa * x + fb * y for x, y in zip(ia, ib)]
+        c = t_pair(frame.n, u, u)
         return c / (qa * qb * da * db) ** 3, (ca, cb)
 
     def at(coeffs):
@@ -1119,10 +1113,9 @@ def _tm3(frame):
     lam = None
     wy = frame.nonzero_with(["y"], frame.full)
     if wy is not None:
-        e = frame.element(wy)
-        if _rank_xy(e) == 2:
+        if _rank_xy(frame.n, wy) == 2:
             return None
-        lam = _lambda_of(e)
+        lam = _lambda_of(frame.element(wy))
         if lam is None:
             return None
         if not _lambda_global(frame, frame.full, lam):
@@ -1144,8 +1137,7 @@ def _tm3(frame):
         if QQi(z.xx) != QQi(abs2(lam)) * QQi(z.yy):
             return None
     # subcase (a): some u with D_lambda(u) != 0
-    rows = [[d_lambda(frame.element(c), lam)] for c in frame.full]
-    has_d = any(r[0] != 0 for r in rows)
+    has_d = any(d_lambda(frame.n, c, lam) for c in frame.full)
     ev = {"lambda": lam}
     if has_d:
         if frame.d == 1:
@@ -1292,8 +1284,9 @@ def _tm11(frame):
     Z0 = frame.kernel(["yy"], frame.z_rows)
     if len(Z0) != 1:
         return None
-    z = frame.element(Z0[0])
-    if not z.eta:
+    zc = Z0[0]
+    er, ei = frame.func_on("eta", zc)
+    if not (er or ei):
         return None
     # u ranges over h \ z; the conditions only depend on u modulo z and
     # rescaling, so one representative decides
@@ -1301,16 +1294,16 @@ def _tm11(frame):
                 if not linalg.span_contains(frame.z_rows, c)), None)
     if rep is None:
         return None
-    u = frame.element(rep)
-    if not u.phi or not any(u.y):
+    pr, pi = frame.func_on("phi", rep)
+    if not (pr or pi) or not any(frame.func_on("y", rep)):
         return None
-    prod = u.phi * conj(z.eta)
-    if im(prod) != 0 or not prod:
+    # phi_u conj(eta_z), nonzero as both factors are, must be real
+    if pi * er - pr * ei != 0:
         return None
-    if pair_e(u, z) == 0:
+    if pair_e(frame.n, rep, zc) == 0:
         return None
     return NotCdsMatch(11, MuShape.band(Fraction(5, 4), 2, provenance="notcds-11"),
-                       {"u": u, "z": z}, frame.d)
+                       {"u": frame.element(rep), "z": frame.element(zc)}, frame.d)
 
 
 _TEMPLATES = [_tm1, _tm2, _tm3, _tm4, _tm5, _tm6, _tm7, _tm8, _tm9, _tm10, _tm11]

@@ -57,20 +57,29 @@ def test_semidirect_errors(alg):
     assert r.verdict == "CDS" and r.case == "semidirect-cds"
     assert r.shape == MuShape.full_chamber()
     # a torus that fails to normalize is rejected before any case matching
-    # (for a normalizing torus the required kernel is the full normalizer,
-    # so NoCaseMatched flags only another generator of that line, below, or
-    # an internal disagreement)
     with pytest.raises(UNotNormalized):
         classify_semidirect(TorusLine.of_kernel("alpha+beta"),
-                            Subalgebra([alg(3, eta=1, xx=1, yy=1)]))
-    # (2, 2) normalizes U but is not the primitive generator (1, 1) of
-    # ker(alpha) that the type-1 case names
-    with pytest.raises(NoCaseMatched):
-        classify_semidirect(TorusLine(2, 2),
                             Subalgebra([alg(3, eta=1, xx=1, yy=1)]))
     with pytest.raises(SpecViolation):
         classify_semidirect(TorusLine.of_kernel("alpha"),
                             Subalgebra([alg(3, t1=1)]))
+
+
+@pytest.mark.parametrize("entry_id", [e.id for e in gallery.entries()
+                                      if e.kind == "semidirect"])
+def test_semidirect_case_is_the_same_on_every_generator_of_the_line(entry_id):
+    # T x| U depends on the line T spans, not on its generator: -T and 2T
+    # give the entry's case, and the zero torus spans no line
+    spec = gallery.get(entry_id).spec()
+    p, q = spec.torus.p, spec.torus.q
+    base = classify_an(spec)
+    assert base.case == gallery.get(entry_id).expected_case
+    for t in (TorusLine(-p, -q), TorusLine(2 * p, 2 * q)):
+        r = classify_an(Semidirect(t, spec.u))
+        assert (r.verdict, r.shape, r.case, r.notes) == \
+            (base.verdict, base.shape, base.case, base.notes), t
+    with pytest.raises(SpecViolation):
+        classify_an(Semidirect(TorusLine(0, 0), spec.u))
 
 
 def test_semidirect_band_contains_unipotent_band(alg):
@@ -144,13 +153,6 @@ def test_classify_an_reads_the_case_list_once(monkeypatch):
 def test_graph_cds_when_u_meets_omega(alg):
     r = classify_an(Graph("beta", alg(3, yy=1), Subalgebra([alg(3, y=[1])])))
     assert r.verdict == "CDS"
-
-
-def test_graph_reflection_reduction(alg):
-    # omega = alpha+2beta reflects through beta to the alpha cases
-    g = Graph("alpha+2beta", alg(3, eta=1), Subalgebra([alg(3, phi=1)]))
-    r = classify_an(g)
-    assert r.verdict in ("CDS", "NotCDS")
 
 
 def test_one_param(alg):

@@ -11,22 +11,22 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from su2n import AlgebraElement, linalg
+from su2n import AlgebraElement, bracket, linalg
 from su2n.elements import ad_a, kernel_root, primitive_line
 from su2n.lab import witness_curve
 from su2n.metrics import rho_norm, sup_norm
 from su2n.nilclassify import (
     _Frame,
     _cubic_coeffs,
-    _cubic_ints,
     _odd_cubic_zero_on_plane,
     _fixed_form,
     _isqrt_exact,
+    _minor_forms,
     _minor_grams,
     _minor_parts,
+    _pair_forms,
     _pencil_rank1_roots,
     _rank_xy,
-    _wedge,
     InconsistentClassification,
     NormalizerResult,
     NotInN,
@@ -34,7 +34,7 @@ from su2n.nilclassify import (
     check_linear,
     check_square,
     classify,
-    cubic_c,
+    d_lambda,
     find_rank_one,
     match_notcds,
     normalizer_in_A,
@@ -43,9 +43,53 @@ from su2n.nilclassify import (
     r_alpha,
     t_pair,
 )
-from su2n.scalars import QQi, im, re
+from su2n.scalars import QQi, abs2, conj, herm, im, re
 from su2n.serialize import classification_report
 from su2n.shapes import MuShape
+
+
+# The forms on algebra elements in QQi arithmetic, as the paper writes them:
+# the independent reference for the row forms of nilclassify.
+
+def qqi_q_center(e):
+    return abs2(e.eta) - e.xx * e.yy
+
+
+def qqi_r_alpha(e):
+    return sum((abs2(v) for v in e.x), Fraction(0)) + 2 * re(e.phi * conj(e.eta))
+
+
+def qqi_t_pair(u, z):
+    ax2 = sum((abs2(v) for v in u.x), Fraction(0))
+    ay2 = sum((abs2(v) for v in u.y), Fraction(0))
+    return z.xx * ay2 + z.yy * ax2 + 2 * im(herm(u.x, u.y) * conj(z.eta))
+
+
+def qqi_cubic_c(e):
+    """xx |y|^2 + yy |x|^2 + 2 Im(x y^dagger conj(eta)), written out."""
+    ax2 = sum((abs2(v) for v in e.x), Fraction(0))
+    ay2 = sum((abs2(v) for v in e.y), Fraction(0))
+    return e.xx * ay2 + e.yy * ax2 + 2 * im(herm(e.x, e.y) * conj(e.eta))
+
+
+def qqi_pair_e(u, z):
+    ay2 = sum((abs2(v) for v in u.y), Fraction(0))
+    return (z.xx * ay2 - re(u.phi * conj(z.eta) * u.yy)
+            + 2 * im(conj(z.eta) * herm(u.x, u.y)))
+
+
+def qqi_d_lambda(e, lam):
+    return e.xx + abs2(lam) * e.yy + 2 * im(lam * conj(e.eta))
+
+
+def qqi_minors(e):
+    """The complex (x; y) minors x_i y_j - x_j y_i, i < j."""
+    return [e.x[i] * e.y[j] - e.x[j] * e.y[i]
+            for i, j in itertools.combinations(range(len(e.x)), 2)]
+
+
+def qqi_minor_parts(e):
+    return [part(m) for m in qqi_minors(e) for part in (re, im)]
 
 
 def test_square_condition_examples(alg, sub):
@@ -59,9 +103,10 @@ def test_square_condition_three(alg, sub):
     h = sub(alg(4, x=[1, 0], y=[QQi(0, 2), 0], xx=1), alg(4, yy=1))
     w = check_square(h)
     assert w.condition_id == 3
-    assert q_center(w.elements["z"]) == 0 or True  # z cited by the condition
     u, z = w.elements["u"], w.elements["z"]
-    assert t_pair(u, z) != 0 and not u.phi
+    # the z the condition cites is central in h
+    assert all(bracket(z, b).is_zero() for b in h.basis)
+    assert t_pair(4, u.coords(), z.coords()) != 0 and not u.phi
 
 
 def test_square_conditions_four_to_seven(alg, sub):
@@ -86,7 +131,7 @@ def test_linear_condition_two_locked(alg, sub):
     h = sub(alg(3, y=[1], x=[QQi(0, 1)], xx=-1, yy=1))
     w = check_linear(h)
     assert w.condition_id == 2
-    assert cubic_c(w.elements["u"]) == 0
+    assert qqi_cubic_c(w.elements["u"]) == 0
 
 
 def test_linear_conditions_four_five(alg, sub):
@@ -95,7 +140,7 @@ def test_linear_conditions_four_five(alg, sub):
     h = sub(alg(3, phi=1, y=[1]), alg(3, eta=1))
     w = check_linear(h)
     assert w.condition_id == 5
-    assert pair_e(w.elements["u"], w.elements["z"]) == 0
+    assert qqi_pair_e(w.elements["u"], w.elements["z"]) == 0
 
 
 def test_mode_and_membership_guards(alg, sub):
@@ -268,7 +313,7 @@ def test_odd_cubic_linear_witness_is_approximate(alg, sub):
     r = classify(h, seed=0)
     assert r.linear.condition_id == 2
     assert r.linear.note == "odd-cubic zero on a 2-plane"
-    c = cubic_c(r.linear.elements["u"])
+    c = qqi_cubic_c(r.linear.elements["u"])
     assert c != 0 and abs(c) < 1e-9
     assert classification_report(r)["witnesses"]["linear"] == {
         "condition": 2, "exact": False}
@@ -366,25 +411,66 @@ def test_fixed_form_grams_equal_the_polarization_grams():
         frame = SimpleNamespace(n=n)
         for count in (1, 2, 3, 5):
             rows = _random_rows(rng, n, count)
-            for q in (q_center, r_alpha):
+            for q, ref in ((q_center, qqi_q_center), (r_alpha, qqi_r_alpha)):
                 assert linalg.form_gram(rows, _fixed_form(q, n)) == \
-                    _polarization_grams(lambda e: [q(e)], n, rows)[0], (n, q)
+                    _polarization_grams(lambda e: [ref(e)], n, rows)[0], (n, q)
             # the forms with a central parameter z, at a random z
             eta, xx, yy = (rng.choice((0, Fraction(rng.randint(-9, 9), rng.randint(1, 7))))
                            for _ in range(3))
             z = AlgebraElement(n, eta=QQi(eta, rng.randint(-3, 3)), xx=xx, yy=yy)
-            for q in (t_pair, pair_e):
+            for q, ref in ((t_pair, qqi_t_pair), (pair_e, qqi_pair_e)):
                 assert _Frame.pair_gram(frame, q, z.coords(), rows) == \
-                    _polarization_grams(lambda e: [q(e, z)], n, rows)[0], (n, q, z)
+                    _polarization_grams(lambda e: [ref(e, z)], n, rows)[0], (n, q, z)
             # one Gram per minor part (none at n = 3), in _minor_parts' order
             grams = _minor_grams(frame, rows)
             assert len(grams) == (n - 2) * (n - 3)
-            assert grams == _polarization_grams(_minor_parts, n, rows), n
+            assert grams == _polarization_grams(qqi_minor_parts, n, rows), n
         # rows outside the support of every form give zero Grams
         outside = [AlgebraElement(n, t1=2, t2=-1, phi=QQi(1, 3)).coords(),
                    AlgebraElement(n, y=[1] * (n - 2)).coords()]
         assert linalg.form_gram(outside, _fixed_form(q_center, n)) == [[0, 0], [0, 0]]
         assert _fixed_form(q_center, n)[0] == tuple(range(4 * n - 4, 4 * n))
+
+
+def test_row_forms_equal_their_qqi_definitions():
+    """Each form on a coordinate row equals its QQi definition on the
+    element of that row: a Fraction on Fraction rows, an int on int rows."""
+    rng = random.Random(21)
+    for n in range(3, 9):
+        rows = _random_rows(rng, n, 40) + [[rng.randint(-9, 9) for _ in range(4 * n)]
+                                           for _ in range(10)]
+        for u, z in zip(rows, rows[1:] + rows[:1]):
+            eu, ez = (AlgebraElement.from_coords(n, r) for r in (u, z))
+            lam = QQi(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                      Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+            got = [q_center(n, u), r_alpha(n, u), t_pair(n, u, z), pair_e(n, u, z),
+                   t_pair(n, u, u), *_minor_parts(n, u)]
+            want = [qqi_q_center(eu), qqi_r_alpha(eu), qqi_t_pair(eu, ez),
+                    qqi_pair_e(eu, ez), qqi_cubic_c(eu), *qqi_minor_parts(eu)]
+            assert got == want, (n, u, z)
+            assert d_lambda(n, u, lam) == qqi_d_lambda(eu, lam), (n, u, lam)
+            if all(type(a) is int for a in u + z):
+                assert all(type(v) is int for v in got), (n, u, z)
+
+
+def test_building_the_fixed_forms_builds_no_element(monkeypatch):
+    """The forms are polarized on int unit rows: no AlgebraElement is made."""
+    built = []
+    init, of, from_coords = AlgebraElement.__init__, AlgebraElement._of, AlgebraElement.from_coords
+    monkeypatch.setattr(AlgebraElement, "__init__",
+                        lambda self, *a, **kw: built.append("__init__") or init(self, *a, **kw))
+    monkeypatch.setattr(AlgebraElement, "_of",
+                        staticmethod(lambda *a: built.append("_of") or of(*a)))
+    monkeypatch.setattr(AlgebraElement, "from_coords",
+                        staticmethod(lambda *a: built.append("from_coords") or from_coords(*a)))
+    for n in range(3, 9):
+        # the functions under the caches, so each form is polarized in this test
+        for q in (q_center, r_alpha):
+            _fixed_form.__wrapped__(q, n)
+        for q in (t_pair, pair_e):
+            _pair_forms.__wrapped__(q, n)
+        _minor_forms.__wrapped__(n)
+    assert built == []
 
 
 def test_cubic_coeffs_evaluate_the_int_cubic_once_per_index_multiset(alg, sub, monkeypatch):
@@ -394,8 +480,8 @@ def test_cubic_coeffs_evaluate_the_int_cubic_once_per_index_multiset(alg, sub, m
     built, evaluated = [], []
     element = frame.element
     frame.element = lambda row: built.append(row) or element(row)
-    monkeypatch.setattr(nilclassify, "_cubic_ints",
-                        lambda n, u: evaluated.append(tuple(u)) or _cubic_ints(n, u))
+    monkeypatch.setattr(nilclassify, "t_pair",
+                        lambda n, u, z: evaluated.append(tuple(u)) or t_pair(n, u, z))
     coeffs = _cubic_coeffs(frame, frame.full)
     # 10 triples i <= j <= l of 3 rows read C at the 3 + 6 + 10 multisets
     # of at most three indices, not at 7 row sums per triple, on int rows
@@ -413,16 +499,18 @@ def _row_frame(n):
 
 
 def test_int_cubic_equals_cubic_c():
+    """C(u) = t_pair(n, u, u): on a row's ints over D it is C * D**3, and on
+    an int row it is C itself, an int."""
     rng = random.Random(11)
     for n in range(3, 7):
         for row in _random_rows(rng, n, 12):
             ints, den = linalg.int_row(row)
-            assert Fraction(_cubic_ints(n, ints), den ** 3) == \
-                cubic_c(AlgebraElement.from_coords(n, row)), (n, row)
-        # on int rows the two are the same int
+            assert Fraction(t_pair(n, ints, ints), den ** 3) == \
+                qqi_cubic_c(AlgebraElement.from_coords(n, row)), (n, row)
         for _ in range(12):
             row = [rng.randint(-9, 9) for _ in range(4 * n)]
-            assert _cubic_ints(n, row) == cubic_c(AlgebraElement.from_coords(n, row))
+            c = t_pair(n, row, row)
+            assert type(c) is int and c == qqi_cubic_c(AlgebraElement.from_coords(n, row))
         # rows with mixed denominators: coefficients over D**3
         for _ in range(4):
             rows = _random_rows(rng, n, 3)
@@ -441,17 +529,17 @@ def test_odd_cubic_zero_on_a_plane_of_rows_with_different_denominators():
             u, exact = _odd_cubic_zero_on_plane(frame, [a, b], [])
             # C at the returned rational point is zero up to the bisection's
             # precision, relative to C on the circle
-            scale = max(abs(cubic_c(frame.element(r))) for r in (a, b))
-            assert exact or abs(cubic_c(u)) <= 1e-9 * scale, (n, a, b)
+            scale = max(abs(qqi_cubic_c(frame.element(r))) for r in (a, b))
+            assert exact or abs(qqi_cubic_c(u)) <= 1e-9 * scale, (n, a, b)
 
 
 def _fraction_cubic_coeffs(frame, within):
-    """The polarization of cubic_c on Fraction elements: C at the row sum of
-    each index multiset, built as an element; the reference for
+    """The polarization of the QQi cubic C on Fraction elements: C at the
+    row sum of each index multiset, built as an element; the reference for
     _cubic_coeffs."""
     @functools.cache
     def cval(*idx):
-        return cubic_c(frame.element([sum(col) for col in zip(*(within[i] for i in idx))]))
+        return qqi_cubic_c(frame.element([sum(col) for col in zip(*(within[i] for i in idx))]))
 
     return {(i, j, l): (cval(i, j, l) - cval(i, j) - cval(i, l) - cval(j, l)
                         + cval(i) + cval(j) + cval(l))
@@ -511,7 +599,7 @@ def test_minor_grams_are_the_single_part_polarizations_in_order(alg, sub):
     for h in subs:
         frame = _Frame(h)
         grams = _minor_grams(frame, frame.full)
-        expected = [_polarization_grams(lambda e, m=m, part=part: [part(_wedge(e.x, e.y)[m])],
+        expected = [_polarization_grams(lambda e, m=m, part=part: [part(qqi_minors(e)[m])],
                                         h.n, frame.full)[0]
                     for m in range((h.n - 2) * (h.n - 3) // 2) for part in (re, im)]
         assert grams == expected, h
@@ -527,7 +615,7 @@ def test_cubic_coeffs_expand_the_cubic(alg, sub):
         # each key i <= j <= l holds 6 T(w_i, w_j, w_l), T the polar form of C
         expansion = sum(len(set(itertools.permutations(k))) * c * t[k[0]] * t[k[1]] * t[k[2]]
                         for k, c in coeffs.items()) / 6
-        assert cubic_c(frame.element(linalg.combine(frame.full, t))) == expansion
+        assert qqi_cubic_c(frame.element(linalg.combine(frame.full, t))) == expansion
 
 
 @pytest.mark.parametrize("basis_kw, has_rank_one", [
@@ -542,7 +630,7 @@ def test_find_rank_one_decides_the_layered_cases(alg, sub, basis_kw, has_rank_on
     frame = _Frame(sub(alg(4, **basis_kw)))
     w = find_rank_one(frame, frame.full)
     if has_rank_one:
-        assert _rank_xy(frame.element(w)) == 1
+        assert _rank_xy(frame.n, w) == 1
     else:
         assert w is None
 
