@@ -25,7 +25,10 @@ kept from block to block; the stack a block returns is always a fresh
 array.  The random directions of a spec's product curves are drawn as
 coefficients and combined in one numpy sum.
 Fitted envelope exponents and log-power regressions are then compared against
-the classifier's predicted shape.
+the classifier's predicted shape, in two stages (verify_shape): the
+proof-designed curves are sampled alone first (sample_subgroup with
+designed_only, which draws no product curve), and the whole cloud is sampled
+only when that cloud cannot decide.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -538,10 +540,11 @@ def _product_draw(rng, d, depth):
 
 def _rays_and_products(basis, draws, heads=None):
     """The line of each row of basis, and the product curve of each draw
-    (with its head, if heads are given).  The directions of all draws are
-    combined at once (_combine), and every line is built by one float_lines
-    call."""
-    dirs = _combine(np.vstack([coeffs for coeffs, _ in draws]), basis)
+    (with its head, if heads are given; there may be no draw).  The
+    directions of all draws are combined at once (_combine), and every line
+    is built by one float_lines call."""
+    coeffs = [c for c, _ in draws] or [np.empty((0, len(basis)))]
+    dirs = _combine(np.vstack(coeffs), basis)
     lines = iter(float_lines(np.vstack([basis, dirs])))
     rays = [next(lines) for _ in basis]
     heads = heads or [None] * len(draws)
@@ -580,7 +583,10 @@ def _least_rho_ratio(g_u, z_line, p, factors):
     return cands[0 if np.isnan(ratio[0]) else int(np.nanargmin(ratio))]
 
 
-def _nil_curves(h: Subalgebra, plan, result=None):
+def _nil_curves(h: Subalgebra, plan, result=None, designed_only=False):
+    """The witness and template extremal curves of result, a ray both ways per
+    basis row of h, then N_PRODUCT_CURVES random products (none if
+    designed_only)."""
     B = np.array(h.coord_rows(), dtype=float)
     rng = random.Random(plan.seed)
     curves = []
@@ -591,7 +597,8 @@ def _nil_curves(h: Subalgebra, plan, result=None):
                 curves.append((tag, witness_curve(w, h)))
         if result.template is not None:
             curves += _template_extremal_curves(result.template)
-    draws = [_product_draw(rng, len(B), PRODUCT_DEPTH) for _ in range(N_PRODUCT_CURVES)]
+    draws = [] if designed_only else [_product_draw(rng, len(B), PRODUCT_DEPTH)
+                                      for _ in range(N_PRODUCT_CURVES)]
     rays, products = _rays_and_products(B, draws)
     for i, line in enumerate(rays):
         curves.append((f"ray{i}", _line_curve(line)))
@@ -806,28 +813,8 @@ _WITNESS_RECIPES = {
 }
 
 
-DESIGNED_PREFIXES = ("square-witness", "linear-witness", "extremal", "ray",
-                     "u-ray", "torus", "graph-line", "line")
-
-
-def designed_subcloud(cloud: SampleCloud) -> SampleCloud:
-    """The samples from proof-designed curves (witnesses, extremal recipes,
-    single-parameter rays, torus and graph lines).  Product curves fill the
-    interior of a band but converge slowly, so envelope slopes are read off
-    the designed curves when they provide enough range."""
-    designed = {t: t.startswith(DESIGNED_PREFIXES) for t in dict.fromkeys(cloud.tags)}
-    keep = np.fromiter(map(designed.__getitem__, cloud.tags), bool, len(cloud.tags))
-    if not keep.any():
-        return cloud
-    sub = SampleCloud(cloud.log_norm[keep], cloud.log_rho[keep],
-                      list(compress(cloud.tags, keep)), dict(cloud.meta))
-    for name in ("t_values", "mu_points"):
-        if name in cloud.meta:
-            sub.meta[name] = list(compress(cloud.meta[name], keep))
-    return sub
-
-
-def sample_subgroup(spec, plan: SamplingPlan = None, result=None) -> SampleCloud:
+def sample_subgroup(spec, plan: SamplingPlan = None, result=None,
+                    designed_only=False) -> SampleCloud:
     """Cloud of (log|h|, log|rho(h)|) samples from a subgroup spec.
 
     An AN spec is sampled on its compatible conjugate from line_compatible,
@@ -836,15 +823,22 @@ def sample_subgroup(spec, plan: SamplingPlan = None, result=None) -> SampleCloud
     one-parameter cloud also carries the Cartan projection of every sample
     (meta["mu_points"]) and the a-part of its line (meta["ray_direction"]),
     which fit_ray_power reads.
+
+    designed_only samples the proof-designed curves alone (witness and
+    extremal curves, rays, torus and graph lines): no random product (prod*)
+    or line-times-product (mix*) curve is drawn.  Each curve is sampled on
+    its own grid, so those samples are the designed samples of the whole
+    cloud, bit for bit; only meta["discard_fraction"] and meta["discards"]
+    count the designed curves alone.
     """
     plan = plan or SamplingPlan()
     if isinstance(spec, Subalgebra):
-        return _collect(_nil_curves(spec, plan, result), plan)
+        return _collect(_nil_curves(spec, plan, result, designed_only), plan)
     spec = line_compatible(spec)
     if isinstance(spec, Semidirect):
-        return _collect(_semidirect_curves(spec, plan), plan)
+        return _collect(_semidirect_curves(spec, plan, designed_only), plan)
     if isinstance(spec, Graph):
-        return _collect(_graph_curves(spec, plan), plan)
+        return _collect(_graph_curves(spec, plan, designed_only), plan)
     if isinstance(spec, OneParam):
         line, scale = _line(spec)
         cloud = _collect(_line_curves("line", line, scale), plan, with_mu=True)
@@ -867,11 +861,12 @@ def _line_curves(tag, line, scale):
             (tag + "-", _line_curve(line, (LOG, -1.0, scale)))]
 
 
-def _ray_and_mix_curves(line, scale, u, rng):
-    """A ray per basis row of u, then line(s log t / scale) times a random product."""
+def _ray_and_mix_curves(line, scale, u, rng, designed_only=False):
+    """A ray per basis row of u, then N_PRODUCT_CURVES curves line(s log t /
+    scale) times a random product (none if designed_only)."""
     B = np.array(u.coord_rows(), dtype=float)
     heads, draws = [], []
-    for _ in range(N_PRODUCT_CURVES):
+    for _ in range(0 if designed_only else N_PRODUCT_CURVES):
         heads.append((line, (LOG, rng.uniform(-2, 2), scale)))
         draws.append(_product_draw(rng, len(B), PRODUCT_DEPTH))
     rays, mixes = _rays_and_products(B, draws, heads)
@@ -879,18 +874,18 @@ def _ray_and_mix_curves(line, scale, u, rng):
             + [(f"mix{i}", c) for i, c in enumerate(mixes)])
 
 
-def _semidirect_curves(spec: Semidirect, plan):
+def _semidirect_curves(spec: Semidirect, plan, designed_only=False):
     rng = random.Random(plan.seed + 1)
     line, scale = _line(spec)
     return (_line_curves("torus", line, scale)
-            + _ray_and_mix_curves(line, scale, spec.u, rng))
+            + _ray_and_mix_curves(line, scale, spec.u, rng, designed_only))
 
 
-def _graph_curves(spec: Graph, plan):
+def _graph_curves(spec: Graph, plan, designed_only=False):
     rng = random.Random(plan.seed + 2)
     line, scale = _line(spec)
     return (_line_curves("graph-line", line, scale)
-            + _ray_and_mix_curves(line, scale, spec.u, rng)
+            + _ray_and_mix_curves(line, scale, spec.u, rng, designed_only)
             + _extremal_graph_curves(spec, line, scale))
 
 
@@ -962,7 +957,15 @@ def fit_graph_log_power(spec: Graph, plan: SamplingPlan = None):
 
 def verify_shape(spec, plan: SamplingPlan = None, seed: int = 0,
                  spec_id: str = "") -> VerificationReport:
-    """Classify, sample, fit, and compare against the predicted shape."""
+    """Classify, sample, fit, and compare against the predicted shape.
+
+    A numeric shape is checked in two stages: first on the cloud of the
+    proof-designed curves alone (sample_subgroup with designed_only); then,
+    only if that check raises (InsufficientRange, LinAlgError or
+    OverflowCeiling) or misses a full chamber, on the whole cloud, sampled
+    afresh.  The notes name the cloud that decided ("designed" or "whole"),
+    its sample count and its discard fraction.
+    """
     t0 = time.perf_counter()
     plan = plan or SamplingPlan(seed=seed)
     result = None
@@ -991,22 +994,25 @@ def verify_shape(spec, plan: SamplingPlan = None, seed: int = 0,
             if getattr(result, "notes", "") else "symbolic exponent",
             classification=result)
     nil_result = result if isinstance(spec, Subalgebra) else None
-    cloud = sample_subgroup(spec, plan, result=nil_result)
-    # Thin shapes are pinned by the proof-designed curves.  For the full
-    # chamber the extremes may only be reached by torus x unipotent products,
-    # so a designed-curve miss falls back to the whole cloud (more samples
-    # can only widen the fitted band, which is the success direction there).
+    # Thin shapes are pinned by the proof-designed curves, so those are
+    # sampled and checked alone first.  For the full chamber the extremes may
+    # only be reached by torus x unipotent products, so a designed-curve miss
+    # there falls back to the whole cloud (more samples can only widen the
+    # fitted band, which is the success direction there), as does a designed
+    # cloud that cannot decide.
     try:
-        report = shape_check(designed_subcloud(cloud), shape)
-    except (InsufficientRange, np.linalg.LinAlgError):
+        cloud = sample_subgroup(spec, plan, result=nil_result, designed_only=True)
+        report, decided = shape_check(cloud, shape), "designed"
+    except (InsufficientRange, np.linalg.LinAlgError, OverflowCeiling):
         report = None
     if report is None or (not report.verdict and shape.kind == "full_chamber"):
-        report = shape_check(cloud, shape)
+        cloud = sample_subgroup(spec, plan, result=nil_result)
+        report, decided = shape_check(cloud, shape), "whole"
     return VerificationReport(
         spec_id, "pass" if report.verdict else "fail", shape,
         fitted=report.fitted, log_fits=report.details,
         runtime=time.perf_counter() - t0, classification=result,
-        notes=f"cloud of {len(cloud)} samples, "
+        notes=f"{decided} cloud of {len(cloud)} samples, "
               f"discard fraction {cloud.meta.get('discard_fraction', 0):.2f}")
 
 

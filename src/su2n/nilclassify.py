@@ -1068,7 +1068,7 @@ def match_notcds(h) -> Optional[NotCdsMatch]:
     of types 3 and 5 carry curve shapes instead of bands).
     """
     frame = _frame_of(h)
-    if all(frame.element(c).is_zero() for c in frame.full):
+    if not any(map(any, frame.full)):
         raise ValueError("trivial subalgebra")
     for matcher in _TEMPLATES:
         m = matcher(frame)

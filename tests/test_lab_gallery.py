@@ -1,22 +1,51 @@
+import dataclasses
+from itertools import compress
+
+import numpy as np
 import pytest
 
-from su2n import gallery
+from su2n import gallery, lab
 from su2n.anclassify import classify_an
 from su2n.corpus import random_corpus
 from su2n.gallery import maximal_band_family, mixing_pair_family
 from su2n.lab import (
-    DESIGNED_PREFIXES,
+    OverflowCeiling,
     SamplingPlan,
     check_dimension_table,
-    designed_subcloud,
     fit_graph_log_power,
     fit_ray_drift,
     sample_subgroup,
     verify_gallery_entry,
     verify_shape,
 )
+from su2n.metrics import SampleCloud, shape_check
 from su2n.nilclassify import classify
 from su2n.scalars import QQi
+
+# The tags of the proof-designed curves: witnesses, extremal recipes, rays,
+# torus, graph and one-parameter lines.  Every other curve is a random
+# product (prod*) or a line times one (mix*).
+DESIGNED_PREFIXES = ("square-witness", "linear-witness", "extremal", "ray",
+                     "u-ray", "torus", "graph-line", "line")
+
+
+def designed_subcloud(cloud: SampleCloud) -> SampleCloud:
+    """The samples of a cloud from proof-designed curves, in order (the whole
+    cloud if it has none): the reference the designed-only cloud of
+    sample_subgroup must equal."""
+    keep = np.array([t.startswith(DESIGNED_PREFIXES) for t in cloud.tags], bool)
+    if not keep.any():
+        return cloud
+    sub = SampleCloud(cloud.log_norm[keep], cloud.log_rho[keep],
+                      list(compress(cloud.tags, keep)), dict(cloud.meta))
+    for name in ("t_values", "mu_points"):
+        if name in cloud.meta:
+            sub.meta[name] = list(compress(cloud.meta[name], keep))
+    return sub
+
+
+def _nil_result(entry, spec, seed=0):
+    return classify(spec, seed=seed) if entry.kind == "nil" else None
 
 
 def test_gallery_covers_all_templates():
@@ -102,6 +131,114 @@ def test_designed_subcloud_filters_products():
     assert sub.meta["t_values"] == [cloud.meta["t_values"][i] for i in keep]
     assert (sub.log_norm == cloud.log_norm[keep]).all()
     assert (sub.log_rho == cloud.log_rho[keep]).all()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_designed_only_cloud_is_the_designed_part_of_the_whole_cloud(seed):
+    # bit for bit: the same curves on the same grids, with no product drawn
+    for e in gallery.entries():
+        spec = e.spec()
+        result = _nil_result(e, spec, seed)
+        plan = SamplingPlan(seed=seed)
+        whole = sample_subgroup(spec, plan, result=result)
+        alone = sample_subgroup(spec, plan, result=result, designed_only=True)
+        want = designed_subcloud(whole)
+        assert alone.log_norm.tobytes() == want.log_norm.tobytes(), (e.id, seed)
+        assert alone.log_rho.tobytes() == want.log_rho.tobytes(), (e.id, seed)
+        assert alone.tags == want.tags, (e.id, seed)
+        assert alone.meta["t_values"] == want.meta["t_values"], (e.id, seed)
+        assert not any(t.startswith(("prod", "mix")) for t in alone.tags), e.id
+        if e.kind == "oneparam":
+            assert alone.meta["mu_points"] == want.meta["mu_points"], e.id
+
+
+def _spy_sampling(monkeypatch, fail_designed=False):
+    """Record the designed_only flag of every sample_subgroup call that
+    verify_shape makes; with fail_designed the designed-only call raises
+    OverflowCeiling."""
+    calls = []
+    sample = lab.sample_subgroup
+
+    def spy(spec, plan=None, result=None, designed_only=False):
+        calls.append(designed_only)
+        if designed_only and fail_designed:
+            raise OverflowCeiling("designed curves failed on purpose")
+        return sample(spec, plan, result, designed_only)
+    monkeypatch.setattr(lab, "sample_subgroup", spy)
+    return calls
+
+
+def _whole_cloud_check(entry, seed=0):
+    spec = entry.spec()
+    cloud = sample_subgroup(spec, SamplingPlan(seed=seed), result=_nil_result(entry, spec, seed))
+    return cloud, shape_check(cloud, classify(spec, seed=seed).shape)
+
+
+def test_verify_shape_decides_on_the_designed_cloud_alone(monkeypatch):
+    e = gallery.get("notcds11-n3")
+    spec = e.spec()
+    calls = _spy_sampling(monkeypatch)
+    rep = verify_gallery_entry(e, seed=0)
+    assert calls == [True] and rep.verdict == "pass"
+    alone = sample_subgroup(spec, SamplingPlan(seed=0), result=classify(spec),
+                            designed_only=True)
+    assert rep.fitted == shape_check(alone, rep.predicted).fitted
+    assert rep.notes == (f"designed cloud of {len(alone)} samples, discard fraction "
+                         f"{alone.meta['discard_fraction']:.2f}")
+
+
+def _miss_on_designed(monkeypatch):
+    """shape_check reports a miss on any cloud without product samples."""
+    def check(cloud, shape):
+        report = shape_check(cloud, shape)
+        if not any(t.startswith(("prod", "mix")) for t in cloud.tags):
+            report = dataclasses.replace(report, verdict=False)
+        return report
+    monkeypatch.setattr(lab, "shape_check", check)
+
+
+def test_a_full_chamber_miss_on_the_designed_cloud_samples_the_whole_cloud(monkeypatch):
+    e = gallery.get("cds-fulln-n3")
+    assert classify(e.spec()).shape.kind == "full_chamber"
+    cloud, want = _whole_cloud_check(e)
+    _miss_on_designed(monkeypatch)
+    calls = _spy_sampling(monkeypatch)
+    rep = verify_gallery_entry(e, seed=0)
+    assert calls == [True, False]
+    assert rep.verdict == "pass" and want.verdict
+    assert rep.fitted == want.fitted and rep.log_fits == want.details
+    assert rep.notes == (f"whole cloud of {len(cloud)} samples, discard fraction "
+                         f"{cloud.meta['discard_fraction']:.2f}")
+
+
+def test_a_thin_shape_miss_on_the_designed_cloud_is_final(monkeypatch):
+    e = gallery.get("notcds11-n3")
+    assert classify(e.spec()).shape.kind != "full_chamber"
+    _miss_on_designed(monkeypatch)
+    calls = _spy_sampling(monkeypatch)
+    rep = verify_gallery_entry(e, seed=0)
+    assert calls == [True] and rep.verdict == "fail"
+    assert rep.notes.startswith("designed cloud of ")
+
+
+def test_an_overflow_on_the_designed_curves_falls_back_to_the_whole_cloud(monkeypatch):
+    e = gallery.get("notcds11-n3")
+    cloud, want = _whole_cloud_check(e)
+    calls = _spy_sampling(monkeypatch, fail_designed=True)
+    rep = verify_gallery_entry(e, seed=0)
+    assert calls == [True, False]
+    assert rep.verdict == "pass" and rep.fitted == want.fitted
+    assert rep.notes.startswith(f"whole cloud of {len(cloud)} samples")
+
+
+def test_random_100_at_n8_is_decided_by_the_whole_cloud(monkeypatch):
+    # the designed curves miss its full chamber, so the whole cloud decides
+    # (and misses too: see the strict xfail below)
+    specs = dict(random_corpus(count=200, ns=(8,), seed=1, include_gallery=False))
+    calls = _spy_sampling(monkeypatch)
+    report = verify_shape(specs["random-100"], seed=0)
+    assert calls == [True, False]
+    assert report.notes.startswith("whole cloud of ")
 
 
 @pytest.mark.xfail(strict=True, reason=(

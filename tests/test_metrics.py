@@ -444,7 +444,7 @@ def _outcome(check, *args):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_shape_check_equals_the_two_fit_reference_on_the_gallery(seed, monkeypatch):
-    # on the designed subcloud and on the whole cloud of every gallery entry
+    # on the designed-only cloud and on the whole cloud of every gallery entry
     # with a numeric band shape, the fitted values, details and verdict of
     # shape_check equal the two-fit reference on the per-decade loop
     from su2n.anclassify import classify_an
@@ -457,8 +457,9 @@ def test_shape_check_equals_the_two_fit_reference_on_the_gallery(seed, monkeypat
         if shape.symbolic or shape.kind == "ray":
             continue
         plan = lab.SamplingPlan(seed=seed)
-        cloud = lab.sample_subgroup(spec, plan, result=result if e.kind == "nil" else None)
-        for sub in (lab.designed_subcloud(cloud), cloud):
+        nil_result = result if e.kind == "nil" else None
+        for designed_only in (True, False):
+            sub = lab.sample_subgroup(spec, plan, result=nil_result, designed_only=designed_only)
             report = _outcome(shape_check, sub, shape)
             got = report if isinstance(report, str) else (
                 report.verdict, report.fitted, report.details)

@@ -473,6 +473,25 @@ def test_building_the_fixed_forms_builds_no_element(monkeypatch):
     assert built == []
 
 
+def test_match_notcds_tests_the_rows_for_zero_without_building_elements(alg, sub, monkeypatch):
+    """The trivial-subalgebra check reads the frame's rows: no AlgebraElement
+    is made (the templates are emptied, so the check is all that runs)."""
+    from su2n import nilclassify
+    h = sub(alg(3, phi=1, y=[1]), alg(3, eta=1, xx=1))
+    nilclassify._frame_of(h)  # the frame is built before the spy goes in
+    built = []
+    init, of, from_coords = AlgebraElement.__init__, AlgebraElement._of, AlgebraElement.from_coords
+    monkeypatch.setattr(AlgebraElement, "__init__",
+                        lambda self, *a, **kw: built.append("__init__") or init(self, *a, **kw))
+    monkeypatch.setattr(AlgebraElement, "_of",
+                        staticmethod(lambda *a: built.append("_of") or of(*a)))
+    monkeypatch.setattr(AlgebraElement, "from_coords",
+                        staticmethod(lambda *a: built.append("from_coords") or from_coords(*a)))
+    monkeypatch.setattr(nilclassify, "_TEMPLATES", [])
+    assert match_notcds(h) is None
+    assert built == []
+
+
 def test_cubic_coeffs_evaluate_the_int_cubic_once_per_index_multiset(alg, sub, monkeypatch):
     from su2n import nilclassify
 
