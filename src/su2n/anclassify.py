@@ -26,7 +26,6 @@ from .elements import (
     ROOTS,
     ROOT_SLOT,
     REDUCED_ROOTS,
-    ad_a,
     exp_closed,
     int_bracket,
     kernel_line,
@@ -144,7 +143,7 @@ def _normalized_by_element(w: AlgebraElement, u: Subalgebra) -> bool:
 def _commutes(X: AlgebraElement) -> bool:
     """[a-part, nilpotent part] = 0 for X: every root component of X sits on
     a root that the a-part of X kills."""
-    return ad_a(X.t1, X.t2, X).is_zero()
+    return not any(int_bracket(X.a_part(), X)[0])
 
 
 def _pair_slots(root: str) -> list:

@@ -27,9 +27,9 @@ import os
 import sys
 
 from .anclassify import AnError, classify_an
-from .lab import SamplingPlan, sample_subgroup
-from .metrics import InsufficientRange, fit_exponents
-from .nilclassify import ClassificationError, InconsistentClassification, classify
+from .lab import OverflowCeiling, SamplingPlan, sample_subgroup
+from .metrics import InsufficientRange, NonFinite, fit_exponents
+from .nilclassify import ClassificationError, InconsistentClassification, NotInN, classify
 from .serialize import (
     classification_report,
     cloud_to_csv,
@@ -55,7 +55,7 @@ def _cmd_classify(args):
     except InconsistentClassification as e:
         print(f"inconsistent classification: {e}", file=sys.stderr)
         return 2
-    except (AnError, ClassificationError, ValueError) as e:
+    except (AnError, ClassificationError, NotInN) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     print(json.dumps(classification_report(result), indent=1))
@@ -79,7 +79,7 @@ def _cmd_mu_scan(args):
     try:
         cloud = sample_subgroup(spec, plan)
         s_lo, s_hi, conf = fit_exponents(cloud)
-    except (InsufficientRange, ArithmeticError) as e:
+    except (InsufficientRange, OverflowCeiling, NonFinite) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     cloud_to_csv(cloud, args.out or sys.stdout)

@@ -30,10 +30,13 @@ algebra element as ints over its common denominator (`linalg.int_row`, kept
 by the element and read by other modules through `int_coords`), compute on
 Python ints (Gaussian-integer pairs for matrix entries) and divide once per
 nonzero output part; `int_bracket` gives the bracket before that division.
-`matrix_of` divides nothing: each part of the display is one signed
-coordinate.  A `GroupElement` is held in that form, sparse Gaussian-integer
-rows over one denominator: products, inverse, det (Bareiss elimination over
-Z[i]) and the form check run on it, and `.mat` is its QQi view.  Every zero
+The action of a on n lives once, in the a-part term of `_bracket_ints`,
+which scales each root column by its root (`column_roots`): [t, w] is
+`int_bracket(t, w)` for an element t of a.  `matrix_of` divides nothing:
+each part of the display is one signed coordinate.  A `GroupElement` is
+held in that form, sparse Gaussian-integer rows over one denominator:
+products, inverse, det (Bareiss elimination over Z[i]) and the form check
+run on it, and `.mat` is its QQi view.  Every zero
 entry of an exact matrix built here is the shared `scalars.ZERO`.
 `exp_closed` evaluates the closed display on the coordinate row and shares
 no code with `exp_series`, which is its oracle, but `int_row`.
@@ -397,18 +400,6 @@ def column_roots(n) -> tuple:
     slot_root = {slot: root for root, slot in ROOT_SLOT.items()}
     return tuple(slot_root.get(slot) for slot, sl in AlgebraElement.slot_columns(n).items()
                  for _ in range(sl.start, sl.stop))
-
-
-def ad_a(t1, t2, w: AlgebraElement) -> AlgebraElement:
-    """[diag(t1, t2), w]: each root column of w scaled by the value of its
-    root at (t1, t2), zero entries skipped; a is abelian, so the a-part of w
-    drops out."""
-    t1, t2 = as_exact_real(t1), as_exact_real(t2)
-    value = {root: c1 * t1 + c2 * t2 for root, (c1, c2) in ROOTS.items()}
-    zero = Fraction(0)
-    return AlgebraElement._of(w.n, tuple(
-        value[root] * v if v and root else zero
-        for v, root in zip(w._row, column_roots(w.n))))
 
 
 def bracket(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:

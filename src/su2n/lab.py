@@ -63,7 +63,7 @@ from .metrics import (
     _SCRATCH,
 )
 from .nilclassify import Witness, _lambda_of, classify
-from .scalars import QQi, abs2, conj, herm, re
+from .scalars import QQi, abs2, conj, re
 from .shapes import MuShape
 from .subalgebra import Subalgebra
 from .weyl import conjugate, weyl_reflect
@@ -660,8 +660,8 @@ def _ray_recipe(name):
 
 def _square_1(els, n):
     u = els["u"]
-    ys = sum((abs2(v) for v in u.y), Fraction(0))
-    return _ray(_conj_u_alpha(u, -(herm(u.x, u.y) / QQi(ys))) if ys else u)
+    lam = _lambda_of(n, u.coords())
+    return _ray(u if lam is None else _conj_u_alpha(u, -lam))
 
 
 def _square_3(els, n):
@@ -732,7 +732,7 @@ def _corner_recipe(a, b, clear_im):
 def _linear_2(els, n):
     u = els["u"]
     if any(u.y):
-        u = weyl_reflect(_conj_u_alpha(u, -_lambda_of(u)), "alpha")
+        u = weyl_reflect(_conj_u_alpha(u, -_lambda_of(n, u.coords())), "alpha")
     return _ray(u)
 
 
@@ -770,8 +770,7 @@ def _linear_5(els, n):
         u, z = conj_pair(welt, u, z)
     # (ii) make x_u orthogonal to y_u (alpha conjugation)
     if ys != 0:
-        c = -(herm(u.x, u.y) / QQi(ys))
-        welt = AlgebraElement(n, phi=c)
+        welt = AlgebraElement(n, phi=-_lambda_of(n, u.coords()))
         u, z = conj_pair(welt, u, z)
     # (iii) clear x_u by a beta element centralizing y_u
     if any(u.x) and u.phi:

@@ -22,8 +22,15 @@ disagreement is an implementation bug and raises InconsistentClassification.
 Every polynomial form of the conditions (q_center, r_alpha, t_pair, pair_e,
 d_lambda and the (x; y) minor parts) is one function of coordinate rows,
 exact on ints and on Fractions alike; the cubic C of linear condition 2 is
-t_pair(n, u, u).  Universal statements (forms vanishing identically,
-anisotropy) are decided deterministically: Gram matrices W Q W^T of
+t_pair(n, u, u).  Every other slot a decision reads is a column of a row
+too: the 2x2 minors of any two complex vectors are _wedge_parts of their
+(Re, Im) column pairs (the minor parts, the complex-line tests and the
+pencil walk), lambda = <x, y> / |y|^2 is _lambda_of on elements._slot_sums,
+and phi_u conj(eta_z) is _phi_conj_eta.  An AlgebraElement is built only for
+the witnesses and the template evidence that the routes return.
+
+Universal statements (forms vanishing identically, anisotropy) are decided
+deterministically: Gram matrices W Q W^T of
 quadratic forms on the coordinate rows W, with the fixed symmetric matrix Q
 of each form polarized once per n on the int coordinate unit rows (a form
 with a central parameter z, t_pair or pair_e, is linear in z, so its Q is
@@ -59,9 +66,9 @@ from functools import cache, cached_property
 from typing import Callable, Optional
 
 from . import linalg
-from .elements import (ROOTS, AlgebraElement, _slot_sums, column_roots, int_coords,
-                       kernel_line, kernel_root, primitive_line)
-from .scalars import QQi, abs2, conj, herm, im, re
+from .elements import (ROOTS, AlgebraElement, _slot_sums, column_roots, kernel_line,
+                       kernel_root, primitive_line)
+from .scalars import QQi, im, re
 from .shapes import MuShape
 from .subalgebra import Subalgebra
 
@@ -338,19 +345,24 @@ def d_lambda(n, u, lam):
     return xx + (lr * lr + li * li) * yy + 2 * (li * er - lr * ei)
 
 
-def _minor_parts(n, u):
-    """The real and imaginary parts of every (x; y) minor x_i y_j - x_j y_i,
-    i < j, of the row u, in the order (minor 0 Re, minor 0 Im, minor 1 Re,
-    ...); none at n = 3."""
-    d = 2 * (n - 2)
-    x, y = u[4:4 + d], u[4 + d:4 + 2 * d]
+def _wedge_parts(x, y):
+    """The real and imaginary parts of every 2x2 minor x_i y_j - x_j y_i,
+    i < j, of the complex vectors x and y given as (Re, Im) column pairs, in
+    the order (minor 0 Re, minor 0 Im, minor 1 Re, ...); none for vectors of
+    one entry (n = 3)."""
     parts = []
-    for i, j in itertools.combinations(range(0, d, 2), 2):
+    for i, j in itertools.combinations(range(0, len(x), 2), 2):
         (xir, xii), (xjr, xji) = x[i:i + 2], x[j:j + 2]
         (yir, yii), (yjr, yji) = y[i:i + 2], y[j:j + 2]
         parts += [xir * yjr - xii * yji - xjr * yir + xji * yii,
                   xir * yji + xii * yjr - xjr * yii - xji * yir]
     return parts
+
+
+def _minor_parts(n, u):
+    """The parts (_wedge_parts) of every (x; y) minor of the row u."""
+    d = 2 * (n - 2)
+    return _wedge_parts(u[4:4 + d], u[4 + d:4 + 2 * d])
 
 
 def _fixed_forms(values, n):
@@ -382,13 +394,6 @@ def _pair_forms(q, n):
 def _minor_forms(n):
     """Q of the Re and Im parts of every (x; y) minor at this n, found once."""
     return _fixed_forms(lambda u: _minor_parts(n, u), n)
-
-
-def _wedge(a, b):
-    """Complex 2x2 minors a_i b_j - a_j b_i, i < j, of the stacked (a; b)
-    matrix (empty for vectors of length 1, that is n = 3)."""
-    return [a[i] * b[j] - a[j] * b[i]
-            for i, j in itertools.combinations(range(len(a)), 2)]
 
 
 def _rank_xy(n, u) -> int:
@@ -494,31 +499,30 @@ def _find_rank2(frame, within):
 
 
 def _image_complex_line(frame, name, within):
-    """v0 when the `name` vector of every element of `within` lies in the
-    complex line C*v0 (a zero wedge with v0 is exactly C-colinearity); None
-    when it does not, or when that vector vanishes on `within`."""
-    vecs = [getattr(frame.element(c), name) for c in within]
+    """v0, as (Re, Im) column pairs, when the `name` vector of every row of
+    `within` lies in the complex line C*v0 (a zero wedge with v0 is exactly
+    C-colinearity); None when it does not, or when that vector vanishes on
+    `within`."""
+    vecs = [frame.func_on(name, c) for c in within]
     v0 = next((vec for vec in vecs if any(vec)), None)
-    if v0 is None or any(any(m != 0 for m in _wedge(v0, vec)) for vec in vecs):
+    if v0 is None or any(any(_wedge_parts(v0, vec)) for vec in vecs):
         return None
     return v0
 
 
 def _line_subspace(frame, v0, within):
     """{u in within : x_u and y_u both lie in the complex line C*v0}."""
-    def values(c):
-        e = frame.element(c)
-        return [part(m) for vec in (e.x, e.y) for m in _wedge(v0, vec)
-                for part in (re, im)]
-    return frame.kernel_of(values, within)
+    return frame.kernel_of(lambda c: [*_wedge_parts(v0, frame.func_on("x", c)),
+                                      *_wedge_parts(v0, frame.func_on("y", c))], within)
 
 
-def _lambda_of(e: AlgebraElement):
-    """lambda with x = lambda y for a rank<=1 element with y != 0."""
-    ys = sum((abs2(v) for v in e.y), Fraction(0))
-    if ys == 0:
+def _lambda_of(n, u):
+    """<x, y> / |y|^2 of the row u (elements._slot_sums), the lambda with
+    x = lambda y when u has rank <= 1; None when y = 0."""
+    _, ys, a, b = _slot_sums(n, u)
+    if not ys:
         return None
-    return herm(e.x, e.y) / QQi(ys)
+    return QQi(Fraction(a, ys), Fraction(b, ys))
 
 
 def _candidate_lambdas(frame, within):
@@ -527,7 +531,7 @@ def _candidate_lambdas(frame, within):
     cands = []
     for row in itertools.chain(within, _pencil_rank_one_rows(frame, within)):
         if _rank_xy(frame.n, row) == 1 and any(frame.func_on("y", row)):
-            lam = _lambda_of(frame.element(row))
+            lam = _lambda_of(frame.n, row)
             if lam not in cands:
                 cands.append(lam)
     return cands
@@ -542,22 +546,22 @@ def _pencil_rank_one_rows(frame, within):
     found: an exhausted walk is no proof that none exists.
     """
     for ci, cj in itertools.combinations(within, 2):
-        ei, ej = frame.element(ci), frame.element(cj)
-        for t in _pencil_rank1_roots(ei, ej):
+        for t in _pencil_rank1_roots(frame.n, ci, cj):
             row = [a + t * b for a, b in zip(ci, cj)]
             if _rank_xy(frame.n, row) == 1:
                 yield row
 
 
-def _pencil_rank1_roots(ei, ej):
-    """Rational t where every (x;y)-minor of ei + t*ej vanishes."""
-    polys = []  # (a, b, c) real quadratics a t^2 + b t + c from each minor part
-    for m0, m2, m1a, m1b in zip(_wedge(ei.x, ei.y), _wedge(ej.x, ej.y),
-                                _wedge(ei.x, ej.y), _wedge(ej.x, ei.y)):
-        for part in (re, im):
-            a, b, c = part(m2), part(m1a + m1b), part(m0)
-            if a or b or c:
-                polys.append((a, b, c))
+def _pencil_rank1_roots(n, ci, cj):
+    """Rational t where every (x;y)-minor of the row ci + t*cj vanishes.
+
+    Each minor part of ci + t cj is the real quadratic a t^2 + b t + c with
+    a and c the part at cj and at ci and b the sum of the two mixed parts."""
+    d = 2 * (n - 2)
+    xi, yi, xj, yj = ci[4:4 + d], ci[4 + d:4 + 2 * d], cj[4:4 + d], cj[4 + d:4 + 2 * d]
+    polys = [(a, b1 + b2, c) for a, b1, b2, c in zip(_minor_parts(n, cj), _wedge_parts(xi, yj),
+                                                     _wedge_parts(xj, yi), _minor_parts(n, ci))
+             if a or b1 + b2 or c]
     if not polys:
         return []
     roots = set()
@@ -688,10 +692,11 @@ def _sq4(frame):
 
 
 def _xx_axis_element(frame):
-    """The xx-axis row when the axis lies in h, else None: its int row
+    """The xx-axis row when the axis lies in h, else None: its int unit row
     tested against h's echelon form."""
-    axis = AlgebraElement(frame.n, xx=1)
-    return axis.coords() if linalg.in_span(frame.echelon, int_coords(axis)[0]) else None
+    axis = [0] * (4 * frame.n)
+    axis[frame.cols["xx"].start] = 1
+    return axis if linalg.in_span(frame.echelon, axis) else None
 
 
 def _sq5(frame):
@@ -703,7 +708,7 @@ def _sq5(frame):
     w = frame.nonzero_with(["phi", "yy"], V)
     if w is None:
         return None
-    return {"u": frame.element(w), "z": AlgebraElement(frame.n, xx=1)}, "", True
+    return {"u": frame.element(w), "z": frame.element(axis)}, "", True
 
 
 def _sq6(frame):
@@ -815,7 +820,7 @@ def _li2(frame):
     if _globally_dependent(frame, W):
         wy = frame.nonzero_with(["y"], W)
         if wy is not None:
-            lam = _lambda_of(frame.element(wy))
+            lam = _lambda_of(frame.n, wy)
             if lam is not None and _lambda_global(frame, W, lam):
                 K = _kernel_d_lambda(frame, W, lam)
                 w = frame.nonzero_with(["y"], K)
@@ -838,8 +843,11 @@ def _li2(frame):
 
 def _x_minus_lam_y(frame, lam, c):
     """x_u - lam * y_u at the row c, (Re, Im) per entry."""
-    e = frame.element(c)
-    return [part(xv - lam * yv) for xv, yv in zip(e.x, e.y) for part in (re, im)]
+    lr, li = re(lam), im(lam)
+    x, y = frame.func_on("x", c), frame.func_on("y", c)
+    return [v for k in range(0, len(x), 2)
+            for v in (x[k] - (lr * y[k] - li * y[k + 1]),
+                      x[k + 1] - (lr * y[k + 1] + li * y[k]))]
 
 
 def _w_lambda(frame, W, lam):
@@ -987,40 +995,36 @@ def _li5(frame):
     return None
 
 
+def _phi_conj_eta(frame, u, z):
+    """phi_u conj(eta_z) of the rows u and z, as its (Re, Im) parts."""
+    pr, pi = frame.func_on("phi", u)
+    er, ei = frame.func_on("eta", z)
+    return pr * er + pi * ei, pi * er - pr * ei
+
+
 def _li5_fixed_z(frame, zc):
-    z = frame.element(zc)
-    # K = {u : Im(phi_u conj(eta_z)) = 0}
-    K = frame.kernel_of(lambda c: [im(frame.element(c).phi * conj(z.eta))],
-                        frame.full)
+    """Linear condition 5 at the central row zc: u ranges over K, where
+    phi_u conj(eta_z) is real, so a witness u needs it nonzero."""
+    def witness(w, note, exact=True):
+        if w is None or not _phi_conj_eta(frame, w, zc)[0]:
+            return None
+        return {"u": frame.element(w), "z": frame.element(zc)}, note, exact
+
+    K = frame.kernel_of(lambda c: [_phi_conj_eta(frame, c, zc)[1]], frame.full)
     if not K:
         return None
     g = frame.pair_gram(pair_e, zc, K)
     sig = linalg.signature(g)
     p, q, zr, cert = sig
     if linalg.gram_is_zero(g):
-        w = frame.nonzero_with(["phi", "y"], K)
-        if w is not None:
-            u = frame.element(w)
-            if im(u.phi * conj(z.eta)) == 0 and (u.phi * conj(z.eta)):
-                return {"u": u, "z": z}, "E vanishes identically", True
-        return None
+        return witness(frame.nonzero_with(["phi", "y"], K), "E vanishes identically")
     if p > 0 and q > 0:
         # indefinite: try rational points of the zero cone
         res = _rational_zero(frame, sig, K, avoid_kernels=[["phi"], ["y"]])
-        if res is not None:
-            row, exact = res
-            u = frame.element(row)
-            if any(u.y) and u.phi and (u.phi * conj(z.eta)):
-                return {"u": u, "z": z}, "", exact
-        return None
+        return None if res is None else witness(res[0], "", res[1])
     # semidefinite: the zero set is the radical
     rad = [linalg.combine(K, v) for v in cert["radical"]]
-    w = frame.nonzero_with(["phi", "y"], rad)
-    if w is not None:
-        u = frame.element(w)
-        if u.phi * conj(z.eta):
-            return {"u": u, "z": z}, "", True
-    return None
+    return witness(frame.nonzero_with(["phi", "y"], rad), "")
 
 
 # condition 2 is read from the frame, where template 7 reads it too
@@ -1110,14 +1114,11 @@ def _tm3(frame):
     xx_z = |lambda|^2 yy_z on the central part."""
     if not frame.vanishes_on("phi", frame.full):
         return None
-    lam = None
     wy = frame.nonzero_with(["y"], frame.full)
     if wy is not None:
         if _rank_xy(frame.n, wy) == 2:
             return None
-        lam = _lambda_of(frame.element(wy))
-        if lam is None:
-            return None
+        lam = _lambda_of(frame.n, wy)
         if not _lambda_global(frame, frame.full, lam):
             return None
     else:
@@ -1127,14 +1128,13 @@ def _tm3(frame):
         wz = frame.nonzero_with(["yy"], frame.z_rows)
         if wz is None:
             return None
-        z0 = frame.element(wz)
-        lam = z0.eta / QQi(0, 1) / QQi(z0.yy)
-    i_ = QQi(0, 1)
+        er, ei, _, yy = wz[4 * frame.n - 4:]
+        lam = QQi(ei / yy, -er / yy)  # eta_z / (i yy_z)
+    # eta_z = i lambda yy_z and xx_z = |lambda|^2 yy_z on every central row
+    lr, li = re(lam), im(lam)
     for zc in frame.z_rows:
-        z = frame.element(zc)
-        if z.eta != i_ * lam * QQi(z.yy):
-            return None
-        if QQi(z.xx) != QQi(abs2(lam)) * QQi(z.yy):
+        er, ei, xx, yy = zc[4 * frame.n - 4:]
+        if (er, ei, xx) != (-li * yy, lr * yy, (lr * lr + li * li) * yy):
             return None
     # subcase (a): some u with D_lambda(u) != 0
     has_d = any(d_lambda(frame.n, c, lam) for c in frame.full)
@@ -1179,16 +1179,16 @@ def _tm5(frame):
     wyy = frame.nonzero_with(["yy"], frame.full)
     if wyy is None:
         return None
-    e0 = frame.element(wyy)
-    if e0.yy == 0:
+    pr, pi = frame.func_on("phi", wyy)
+    yy = wyy[-1]
+    if not (pr or pi):
         return None
-    phi0 = e0.phi / QQi(e0.yy)
-    if not phi0:
-        return None
+    p0r, p0i = pr / yy, pi / yy  # phi0 = phi / yy at wyy
     for c in frame.full:
-        e = frame.element(c)
-        if e.phi != phi0 * QQi(e.yy):
+        (pr, pi), yy = frame.func_on("phi", c), c[-1]
+        if (pr, pi) != (p0r * yy, p0i * yy):
             return None
+    phi0 = QQi(p0r, p0i)
     ev = {"phi0": phi0}
     if frame.d == 1:
         shape = MuShape.curve(Fraction(4, 3), provenance="notcds-5 dim1")
@@ -1298,7 +1298,7 @@ def _tm11(frame):
     if not (pr or pi) or not any(frame.func_on("y", rep)):
         return None
     # phi_u conj(eta_z), nonzero as both factors are, must be real
-    if pi * er - pr * ei != 0:
+    if _phi_conj_eta(frame, rep, zc)[1]:
         return None
     if pair_e(frame.n, rep, zc) == 0:
         return None

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,17 +12,21 @@ from su2n.anclassify import (
     SpecViolation,
     TorusLine,
     UNotNormalized,
+    _commutes,
     classify_an,
     classify_semidirect,
     line_compatible,
     normalize_to_compatible,
 )
-from su2n.elements import NotInAN, ROOTS, kernel_root
+from su2n.corpus import random_element
+from su2n.elements import NotInAN, ROOTS, kernel_line, kernel_root
 from su2n.lab import extremal_graph_curves, fit_graph_log_power
 from su2n.scalars import QQi
 from su2n.serialize import spec_from_json, spec_to_json
 from su2n.shapes import MuShape
 from su2n.weyl import conjugate, weyl_matrix
+
+from references import ad_a
 
 
 def test_torus_line_naming():
@@ -311,3 +316,24 @@ def test_classify_an_invariant_under_exact_conjugation(entry_id, conjugator):
     moved = spec_from_json(spec_to_json(_conjugated(spec, g)))
     want, got = classify_an(spec), classify_an(moved)
     assert (got.verdict, got.shape, got.case) == (want.verdict, want.shape, want.case)
+
+
+def test_commutes_equals_the_ad_a_reference():
+    """_commutes(X), read off the int bracket [a-part of X, X], is the
+    vanishing of ad_a at the a-part of X on X: on torus points in the kernel
+    of a root, with X on that root's slot or on random slots, and on random
+    torus points."""
+    rng = random.Random(7)
+    seen = set()
+    for k in range(300):
+        n, root = rng.randint(3, 6), rng.choice(list(ROOTS))
+        t1, t2 = (kernel_line(root) if k % 3 else
+                  (Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-4, 4)))
+        w = random_element(n, rng)
+        if k % 2:
+            w = w.root_component(root)
+        X = AlgebraElement(n, t1=t1, t2=t2) + w
+        want = ad_a(X.t1, X.t2, X).is_zero()
+        assert _commutes(X) == want, X
+        seen.add(want)
+    assert seen == {True, False}

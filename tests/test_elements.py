@@ -20,10 +20,12 @@ from su2n import (
     matrix_of,
 )
 from su2n.corpus import random_element
-from su2n.elements import NotInAN, ROOT_SLOT, ROOTS, ad_a, root_value
+from su2n.elements import NotInAN, ROOT_SLOT, ROOTS, root_value
 from su2n.lab import exp_float
 from su2n.scalars import ZERO, QQi, abs2, conj, herm, im, re
 from su2n.weyl import weyl_matrix
+
+from references import ad_a
 
 
 def test_matrix_of_reads_each_part_off_the_row():

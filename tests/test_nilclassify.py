@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from su2n import AlgebraElement, bracket, linalg
-from su2n.elements import ad_a, kernel_root, primitive_line
+from su2n.elements import kernel_root, primitive_line
 from su2n.lab import witness_curve
 from su2n.metrics import rho_norm, sup_norm
 from su2n.nilclassify import (
@@ -21,12 +21,15 @@ from su2n.nilclassify import (
     _odd_cubic_zero_on_plane,
     _fixed_form,
     _isqrt_exact,
+    _lambda_of,
     _minor_forms,
     _minor_grams,
     _minor_parts,
     _pair_forms,
     _pencil_rank1_roots,
     _rank_xy,
+    _wedge_parts,
+    _x_minus_lam_y,
     InconsistentClassification,
     NormalizerResult,
     NotInN,
@@ -46,6 +49,9 @@ from su2n.nilclassify import (
 from su2n.scalars import QQi, abs2, conj, herm, im, re
 from su2n.serialize import classification_report
 from su2n.shapes import MuShape
+from su2n.subalgebra import Subalgebra
+
+from references import ad_a
 
 
 # The forms on algebra elements in QQi arithmetic, as the paper writes them:
@@ -82,10 +88,15 @@ def qqi_d_lambda(e, lam):
     return e.xx + abs2(lam) * e.yy + 2 * im(lam * conj(e.eta))
 
 
+def qqi_wedge(a, b):
+    """The complex 2x2 minors a_i b_j - a_j b_i, i < j, of the stacked
+    (a; b) matrix."""
+    return [a[i] * b[j] - a[j] * b[i] for i, j in itertools.combinations(range(len(a)), 2)]
+
+
 def qqi_minors(e):
     """The complex (x; y) minors x_i y_j - x_j y_i, i < j."""
-    return [e.x[i] * e.y[j] - e.x[j] * e.y[i]
-            for i, j in itertools.combinations(range(len(e.x)), 2)]
+    return qqi_wedge(e.x, e.y)
 
 
 def qqi_minor_parts(e):
@@ -512,9 +523,12 @@ def test_cubic_coeffs_evaluate_the_int_cubic_once_per_index_multiset(alg, sub, m
 
 
 def _row_frame(n):
-    """The part of a frame that _cubic_coeffs and _odd_cubic_zero_on_plane
-    read, for rows that are no subalgebra's."""
-    return SimpleNamespace(n=n, element=lambda row: AlgebraElement.from_coords(n, row))
+    """The part of a frame that _cubic_coeffs, _odd_cubic_zero_on_plane and
+    _x_minus_lam_y read, for rows that are no subalgebra's."""
+    frame = SimpleNamespace(n=n, cols=AlgebraElement.slot_columns(n),
+                            element=lambda row: AlgebraElement.from_coords(n, row))
+    frame.func_on = functools.partial(_Frame.func_on, frame)
+    return frame
 
 
 def test_int_cubic_equals_cubic_c():
@@ -721,11 +735,114 @@ def test_nonzero_with_raises_when_no_trial_value_works(alg, sub):
 
 
 def test_pencil_roots_are_the_rank_one_points_of_the_pencil(alg):
-    ei, ej = alg(4, x=[1, 0], y=[1, 1]), alg(4, x=[0, 1])
-    # ei + t ej has x = (1, t), y = (1, 1): its one minor is 1 - t
-    assert _pencil_rank1_roots(ei, ej) == [1]
-    # ej + t ei has x = (t, 1), y = (t, t): its one minor is t^2 - t
-    assert sorted(_pencil_rank1_roots(ej, ei)) == [0, 1]
+    ci, cj = alg(4, x=[1, 0], y=[1, 1]).coords(), alg(4, x=[0, 1]).coords()
+    # ci + t cj has x = (1, t), y = (1, 1): its one minor is 1 - t
+    assert _pencil_rank1_roots(4, ci, cj) == [1]
+    # cj + t ci has x = (t, 1), y = (t, t): its one minor is t^2 - t
+    assert sorted(_pencil_rank1_roots(4, cj, ci)) == [0, 1]
+
+
+def qqi_pencil_roots(ei, ej):
+    """Rational t where every (x; y) minor of ei + t ej vanishes, from the
+    QQi wedges of the elements: each minor part is a t^2 + b t + c with a
+    from ej's minor, c from ei's and b from the two mixed wedges, and the
+    candidates are the rational roots of the first nonzero one."""
+    polys = []
+    for m0, m2, m1a, m1b in zip(qqi_wedge(ei.x, ei.y), qqi_wedge(ej.x, ej.y),
+                                qqi_wedge(ei.x, ej.y), qqi_wedge(ej.x, ei.y)):
+        for part in (re, im):
+            a, b, c = part(m2), part(m1a + m1b), part(m0)
+            if a or b or c:
+                polys.append((a, b, c))
+    if not polys:
+        return []
+    a, b, c = polys[0]
+    if a == 0:
+        roots = {-c / b} if b else set()
+    else:
+        disc = b * b - 4 * a * c
+        rn, rd = _isqrt_exact(disc.numerator), _isqrt_exact(disc.denominator)
+        s = Fraction(rn, rd) if disc >= 0 and rn is not None and rd is not None else None
+        roots = set() if s is None else {(-b + s) / (2 * a), (-b - s) / (2 * a)}
+    return sorted(t for t in roots if all(a * t * t + b * t + c == 0 for a, b, c in polys))
+
+
+def _random_qqi(rng):
+    return QQi(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+               Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+
+
+def test_pencil_roots_equal_the_qqi_wedge_pencil():
+    """On random Fraction rows, and on pencils through a rank-one row at a
+    random rational t0, the row pencil finds the roots of the QQi one."""
+    rng = random.Random(23)
+    hits = 0
+    for n in range(3, 9):
+        for k in range(60):
+            ci, cj = _random_rows(rng, n, 2)
+            if k % 2:
+                lam, y = _random_qqi(rng), [_random_qqi(rng) for _ in range(n - 2)]
+                r = AlgebraElement(n, phi=_random_qqi(rng), x=[lam * v for v in y], y=y,
+                                   xx=rng.randint(-3, 3)).coords()
+                t0 = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                ci = [a - t0 * b for a, b in zip(r, cj)]
+            got = _pencil_rank1_roots(n, ci, cj)
+            assert sorted(got) == qqi_pencil_roots(*(AlgebraElement.from_coords(n, c)
+                                                     for c in (ci, cj))), (n, ci, cj)
+            assert all(_rank_xy(n, [a + t * b for a, b in zip(ci, cj)]) <= 1 for t in got)
+            hits += bool(got)
+    assert hits > 100
+
+
+def test_row_slot_readings_equal_their_qqi_definitions():
+    """_wedge_parts, _lambda_of and _x_minus_lam_y on random Fraction rows
+    equal the QQi wedge, <x, y> / |y|^2 and x - lambda y of the elements."""
+    rng = random.Random(24)
+    lambdas = 0
+    for n in range(3, 9):
+        frame, d = _row_frame(n), 2 * (n - 2)
+        rows = _random_rows(rng, n, 40)
+        for u, v in zip(rows, rows[1:] + rows[:1]):
+            eu, ev = (AlgebraElement.from_coords(n, r) for r in (u, v))
+            assert _wedge_parts(u[4:4 + d], v[4 + d:4 + 2 * d]) == \
+                [part(m) for m in qqi_wedge(eu.x, ev.y) for part in (re, im)], (n, u, v)
+            ys = sum((abs2(w) for w in eu.y), Fraction(0))
+            lam = _lambda_of(n, u)
+            assert lam == (herm(eu.x, eu.y) / QQi(ys) if ys else None), (n, u)
+            if lam is not None:
+                lambdas += 1
+                assert type(lam) is QQi and {type(lam.re), type(lam.im)} == {Fraction}
+            mu = _random_qqi(rng)
+            assert _x_minus_lam_y(frame, mu, u) == \
+                [part(a - mu * b) for a, b in zip(eu.x, eu.y) for part in (re, im)], (n, u)
+    assert lambdas > 100
+
+
+def test_classify_builds_elements_only_for_its_outputs(monkeypatch):
+    """classify builds an AlgebraElement for each element of its square and
+    linear witnesses and its template evidence, and for nothing else: every
+    decision reads coordinate rows.  The specs are fresh copies of the
+    seed-0 corpus, which holds every nil gallery entry, so no frame is
+    cached before the spy goes in."""
+    from su2n import corpus, gallery
+
+    named = corpus.random_corpus(count=120, seed=0)
+    assert {e.id for e in gallery.entries() if e.kind == "nil"} <= {name for name, _ in named}
+    specs = [Subalgebra(list(h.basis)) for _, h in named]
+    built = []
+    init, of = AlgebraElement.__init__, AlgebraElement._of
+    monkeypatch.setattr(AlgebraElement, "__init__",
+                        lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+    monkeypatch.setattr(AlgebraElement, "_of",
+                        staticmethod(lambda *a: built.append(1) or of(*a)))
+    for h in specs:
+        del built[:]
+        r = classify(h)
+        outputs = [v for part in (r.square and r.square.elements,
+                                  r.linear and r.linear.elements,
+                                  r.template and r.template.evidence) if part
+                   for v in part.values() if isinstance(v, AlgebraElement)]
+        assert len(built) == len(outputs), h
 
 
 def _float_imports(source):
@@ -759,7 +876,7 @@ def f():
     import su2n.metrics
 """
     assert _float_imports(bad) == [2, 4, 5, 6, 7]
-    assert _float_imports("from . import linalg\nfrom .elements import ad_a") == []
+    assert _float_imports("from . import linalg\nfrom .elements import int_bracket") == []
     path = Path(__file__).parents[1] / "src" / "su2n" / "nilclassify.py"
     assert _float_imports(path.read_text()) == []
 

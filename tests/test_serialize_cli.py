@@ -386,3 +386,31 @@ def test_cli_rejects_a_seed_that_is_not_an_integer(tmp_path, monkeypatch, capsys
     monkeypatch.setenv("SU2N_SEED", "12")
     assert cli.main(["classify", str(spec_path)]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 12
+
+
+def test_cli_classify_rejects_a_nil_spec_with_an_a_part(tmp_path, capsys):
+    from su2n import cli
+    spec_path = tmp_path / "a.json"
+    dump_spec(Subalgebra([AlgebraElement(3, t1=1, phi=1)]), spec_path)
+    assert cli.main(["classify", str(spec_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: subalgebra has a nonzero a-part\n"
+
+
+@pytest.mark.parametrize("command, target, error", [
+    ("classify", "classify", ValueError("a bug in the classifier")),
+    ("mu-scan", "sample_subgroup", ZeroDivisionError("a bug in the sampler")),
+])
+def test_cli_lets_a_programming_error_propagate(tmp_path, monkeypatch, command, target, error):
+    """Only the errors a spec or a cloud can cause exit 1: a bare ValueError
+    out of classify or an ArithmeticError out of sampling is a bug."""
+    from su2n import cli
+
+    def broken(*args, **kwargs):
+        raise error
+    spec_path = tmp_path / "p.json"
+    dump_spec(gallery.get("notcds09-n3").spec(), spec_path)
+    monkeypatch.setattr(cli, target, broken)
+    with pytest.raises(type(error), match=str(error)):
+        cli.main([command, str(spec_path)])

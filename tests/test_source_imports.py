@@ -6,7 +6,10 @@ algebra element's private coordinate row (the rest go through coords() or
 the slot views), and no module of the package but `nilclassify.py` names
 the classifier's private frame `_Frame` (the rest ask `_frame_of`), and
 the closed forms `exp_closed` and `delta_formula` share no code with their
-oracle `exp_series` but `linalg.int_row`.  Every defaulted parameter of a
+oracle `exp_series` but `linalg.int_row`.  The classifiers `nilclassify.py`
+and `anclassify.py` import none of the QQi slot helpers `herm`, `abs2` and
+`conj` (their decisions read coordinate rows) and no `ad_a` (the a-action
+is the a-part term of the bracket).  Every defaulted parameter of a
 function of the package is passed by some call in the package, the
 benchmark, the tests or the demos: a default no caller overrides is a
 constant, not an option.
@@ -144,6 +147,31 @@ def test_frame_name_is_reported(tmp_path):
                    "f = nilclassify._Frame(h)\ng = getattr(nilclassify, '_Frame')\n")
     assert frame_names(mod) == [2, 5, 6]
     assert frame_names(SRC / "nilclassify.py") != []
+
+
+def imported_names(path: Path) -> list:
+    """(line, name) for each name imported by `from ... import`, by its
+    original name."""
+    return [(node.lineno, a.name) for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) for a in node.names]
+
+
+# the QQi slot helpers and the a-action, which the classifiers read off rows
+# and off the bracket
+SLOT_VIEW_NAMES = {"herm", "abs2", "conj", "ad_a"}
+
+
+@pytest.mark.parametrize("name", ["nilclassify.py", "anclassify.py"])
+def test_the_classifiers_import_no_slot_view_helpers(name):
+    assert [item for item in imported_names(SRC / name) if item[1] in SLOT_VIEW_NAMES] == []
+
+
+def test_a_slot_view_import_is_reported(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("from .scalars import QQi, conj as c\nimport herm\n"
+                   "def f():\n    from .elements import ad_a\n")
+    assert [item for item in imported_names(mod) if item[1] in SLOT_VIEW_NAMES] == [
+        (1, "conj"), (4, "ad_a")]
 
 
 # the series oracle and the matrix machinery it runs on
