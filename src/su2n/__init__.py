@@ -6,89 +6,57 @@ exactly whether a closed connected subgroup of AN is a Cartan-decomposition
 subgroup — reporting the asymptotic shape of its Cartan projection — and
 verifies the shape by sampling group elements in floating point and
 computing their Cartan projections numerically.
+
+Importing the package loads none of its modules: each name of __all__ is
+resolved on first access (a module __getattr__), so the exact classifier
+runs without numpy, which only the sampling modules (lab, metrics, verify)
+import.
 """
 
-from . import corpus, gallery, lab, linalg, serialize, verify
-from .anclassify import (
-    AnError,
-    AnResult,
-    Graph,
-    NoCaseMatched,
-    NormalizationFailed,
-    OneParam,
-    Semidirect,
-    SpecViolation,
-    TorusLine,
-    UNotNormalized,
-    classify_an,
-    classify_semidirect,
-    line_compatible,
-    normalize_to_compatible,
-)
-from .elements import (
-    AlgebraElement,
-    GroupElement,
-    NotInAN,
-    ROOTS,
-    ROOT_SLOT,
-    bracket,
-    delta,
-    delta_formula,
-    element_from_matrix,
-    exp_closed,
-    exp_series,
-    form_value,
-    gram_matrix,
-    kernel_line,
-    matrix_of,
-)
-from .lab import (
-    OverflowCeiling,
-    SamplingPlan,
-    VerificationReport,
-    check_dimension_table,
-    exp_float,
-    sample_subgroup,
-    verify_shape,
-    witness_curve,
-)
-from .metrics import (
-    CartanPoint,
-    InsufficientRange,
-    NonFinite,
-    SampleCloud,
-    SymbolicShape,
-    fit_exponents,
-    fit_log_power,
-    mu,
-    rho_norm,
-    rho_norm_oracle,
-    sample_compact_pair,
-    shape_check,
-    sup_norm,
-)
-from .nilclassify import (
-    ClassificationError,
-    ClassificationResult,
-    InconsistentClassification,
-    NotCdsMatch,
-    NotInN,
-    Witness,
-    check_linear,
-    check_square,
-    classify,
-    match_notcds,
-    normalizer_in_A,
-)
-from .scalars import QQi
-from .shapes import MuShape
-from .subalgebra import (
-    NotClosed,
-    NotIndependent,
-    Subalgebra,
-    SubalgebraError,
-    close_under_bracket,
-)
-from .weyl import conjugate, weyl_matrix, weyl_reflect
+import importlib
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names each module exports at the package level
+_EXPORTS = {
+    "anclassify": ("AnError", "AnResult", "Graph", "NoCaseMatched", "NormalizationFailed",
+                   "OneParam", "Semidirect", "SpecViolation", "TorusLine", "UNotNormalized",
+                   "classify_an", "classify_semidirect", "line_compatible",
+                   "normalize_to_compatible"),
+    "elements": ("AlgebraElement", "GroupElement", "NotInAN", "ROOTS", "ROOT_SLOT", "bracket",
+                 "delta", "delta_formula", "element_from_matrix", "exp_closed", "exp_series",
+                 "form_value", "gram_matrix", "kernel_line", "matrix_of"),
+    "lab": ("OverflowCeiling", "SamplingPlan", "VerificationReport", "check_dimension_table",
+            "exp_float", "sample_subgroup", "verify_shape", "witness_curve"),
+    "metrics": ("CartanPoint", "InsufficientRange", "NonFinite", "SampleCloud",
+                "SymbolicShape", "fit_exponents", "fit_log_power", "mu", "rho_norm",
+                "rho_norm_oracle", "sample_compact_pair", "shape_check", "sup_norm"),
+    "nilclassify": ("ClassificationError", "ClassificationResult",
+                    "InconsistentClassification", "NotCdsMatch", "NotInN", "Witness",
+                    "check_linear", "check_square", "classify", "match_notcds",
+                    "normalizer_in_A"),
+    "scalars": ("QQi",),
+    "shapes": ("MuShape",),
+    "subalgebra": ("NotClosed", "NotIndependent", "Subalgebra", "SubalgebraError",
+                   "close_under_bracket"),
+    "weyl": ("conjugate", "weyl_matrix", "weyl_reflect"),
+}
+_MODULES = ("anclassify", "config", "corpus", "elements", "gallery", "lab", "linalg",
+            "metrics", "nilclassify", "scalars", "serialize", "shapes", "subalgebra",
+            "verify", "weyl")
+_OWNER = {name: mod for mod, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_MODULES, *_OWNER])
+
+
+def __getattr__(name):
+    if name in _MODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    elif name in _OWNER:
+        value = getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

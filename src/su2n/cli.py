@@ -25,10 +25,9 @@ import json
 import math
 import os
 import sys
+from collections.abc import Mapping
 
 from .anclassify import AnError, classify_an
-from .lab import OverflowCeiling, SamplingPlan, sample_subgroup
-from .metrics import InsufficientRange, NonFinite, fit_exponents
 from .nilclassify import ClassificationError, InconsistentClassification, NotInN, classify
 from .serialize import (
     classification_report,
@@ -38,7 +37,31 @@ from .serialize import (
     spec_to_json,
 )
 from .subalgebra import Subalgebra, SubalgebraError
-from .verify import SUITES
+
+# The sampling modules (lab, metrics, verify) import numpy; mu-scan and
+# verify import them when they run, so classify and gallery never load it.
+
+
+class _Suites(Mapping):
+    """verify.SUITES by name, its names listed here so that the --suite
+    choices need no import: verify is imported on the first suite read."""
+
+    NAMES = ("formulas", "cartan", "classifier", "shapes", "dimensions",
+             "log-corrections", "conjugation")
+
+    def __iter__(self):
+        return iter(self.NAMES)
+
+    def __len__(self):
+        return len(self.NAMES)
+
+    def __getitem__(self, name):
+        from .verify import SUITES as suites
+
+        return suites[name]
+
+
+SUITES = _Suites()
 
 
 def _cmd_classify(args):
@@ -63,6 +86,9 @@ def _cmd_classify(args):
 
 
 def _cmd_mu_scan(args):
+    from .lab import OverflowCeiling, SamplingPlan, sample_subgroup
+    from .metrics import InsufficientRange, NonFinite, fit_exponents
+
     try:
         spec = load_spec(args.spec)
     except (OSError, ValueError, KeyError, SubalgebraError) as e:

@@ -18,6 +18,15 @@ A span test reduces the int form of each vector against the int echelon form
 of the spanning rows (echelon_ints, in_span): the vector is in the span iff
 nothing is left.  No Fraction is built.  rref gives the rational rows, for
 the callers that read those values.
+
+The classifier decides on these int forms too: a Row's ints are the row
+times a positive number (its denominator), so every zero test, minor and
+kernel it takes on them is the rational row's.  It hands kernel_basis a value
+matrix only when the kernel is not read off the matrix (all of the rows when
+every value is zero, none for one row and a nonzero value), and sums the
+forms of a central parameter as ints (sum_forms) into one Gram.  Fractions
+are built for the rows, Grams and elements it returns; signature stays on
+Fractions, since its congruence vectors become witnesses.
 """
 
 from __future__ import annotations
@@ -236,6 +245,22 @@ def sparse_form(gram) -> tuple:
     k = len(cols)
     flat, den = int_row([gram[a][b] for a in cols for b in cols])
     return cols, tuple((i // k, i % k, v) for i, v in enumerate(flat) if v), den
+
+
+def sum_forms(terms, den) -> tuple:
+    """sum_i c_i Q_i / den as a sparse_form, for the pairs (c_i, Q_i) of
+    `terms`, each c_i an int and Q_i a sparse_form: the entries are summed
+    as ints over the lcm of the forms' denominators."""
+    lden = lcm(*(form[2] for _, form in terms))
+    acc = {}
+    for c, (cols, entries, fden) in terms:
+        f = c * (lden // fden)
+        for a, b, v in entries:
+            key = cols[a], cols[b]
+            acc[key] = acc.get(key, 0) + f * v
+    cols = sorted({a for a, _ in acc})
+    at = {c: k for k, c in enumerate(cols)}
+    return tuple(cols), tuple((at[a], at[b], v) for (a, b), v in acc.items() if v), lden * den
 
 
 def form_gram(rows, form) -> list:

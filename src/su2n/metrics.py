@@ -170,24 +170,33 @@ def _off_triangle(rows, low):
     return lower.any() or not np.isfinite(rows, out=_SCRATCH("d", rows.shape, bool)).all()
 
 
+def _pass_points(m):
+    """Matrices per rho_norm pass at size m: BLOCK_POINTS while the upper
+    table has at most 105 minors (m <= 6, every gallery size), fewer above,
+    so that a pass's factor buffers hold at most BLOCK_POINTS * 105 entries
+    of the upper table (at m = 10, its 825 minors take passes of 24)."""
+    return min(BLOCK_POINTS, max(1, BLOCK_POINTS * 105 // _minor_index(m)[0].shape[1]))
+
+
 def rho_norm(g):
     """Max |det| over all 2x2 submatrices, per matrix of a (..., m, m) stack.
 
     The minors of _minor_index's upper table are always taken; the rest,
     which vanish on upper-triangular matrices (AN samples), are folded in
     only when a strictly-lower entry is nonzero or an entry is not finite,
-    decided per pass.  The stack is taken in passes of at most BLOCK_POINTS
+    decided per pass.  The stack is taken in passes of _pass_points(m)
     matrices, each laid out entry-major in a scratch array, so memory stays
     bounded and only the result is allocated.  The result equals the sweep
-    over all minors bit for bit.
+    over all minors bit for bit, whatever the passes.
     """
     a = np.asarray(g, dtype=complex)
     m = a.shape[-1]
     upper, rest, low = _minor_index(m)
     flat = a.reshape(-1, m * m)
     largest = np.empty(len(flat))
-    for start in range(0, len(flat), BLOCK_POINTS):
-        part = flat[start:start + BLOCK_POINTS]
+    step = _pass_points(m)
+    for start in range(0, len(flat), step):
+        part = flat[start:start + step]
         rows = _SCRATCH("a", part.shape[::-1])
         rows[...] = part.T  # entry-major: each gather is a row
         out = largest[start:start + len(part)]

@@ -25,9 +25,20 @@ exact on ints and on Fractions alike; the cubic C of linear condition 2 is
 t_pair(n, u, u).  Every other slot a decision reads is a column of a row
 too: the 2x2 minors of any two complex vectors are _wedge_parts of their
 (Re, Im) column pairs (the minor parts, the complex-line tests and the
-pencil walk), lambda = <x, y> / |y|^2 is _lambda_of on elements._slot_sums,
+pencil walk), lambda = <x, y> / |y|^2 is _int_lambda on elements._slot_sums,
 and phi_u conj(eta_z) is _phi_conj_eta.  An AlgebraElement is built only for
 the witnesses and the template evidence that the routes return.
+
+The decisions read ints.  A row is read as its int form (linalg.ints_of),
+the row times its denominator: a homogeneous form has the same zeros and
+sign there, so every zero test, minor, lambda and slot formula takes the
+ints, and a kernel takes the rows' ints over one common denominator, a
+positive multiple of the value matrix with the same kernel basis.  lambda
+travels as the int lambda (lr, li, ld) = lambda * ld, and d_lambda and
+_x_minus_lam_y carry the factors ld^2 and ld.  Fractions are built only in
+the rows a kernel or a search returns, in the Grams, and in the elements
+and evidence of the result; the signatures stay on Fractions, since their
+congruence vectors become witnesses.
 
 Universal statements (forms vanishing identically, anisotropy) are decided
 deterministically: Gram matrices W Q W^T of
@@ -68,7 +79,7 @@ from typing import Callable, Optional
 from . import linalg
 from .elements import (ROOTS, AlgebraElement, _slot_sums, column_roots, kernel_line,
                        kernel_root, primitive_line)
-from .scalars import QQi, im, re
+from .scalars import QQi
 from .shapes import MuShape
 from .subalgebra import Subalgebra
 
@@ -147,11 +158,13 @@ class _Frame:
     combination of h.coord_rows()), so a slot functional is a column slice,
     an element is AlgebraElement.from_coords, and kernels, intersections and
     containments are small rational systems on rows.  The rows of h and of
-    its kernels are linalg.Rows, which keep their ints: the span tests, the
-    echelon forms, the combinations and the Grams read those, and build
-    Fractions only in the rows they return.  The int echelon form of h is
-    the one h.echelon that Subalgebra validation computed, so h's own rows
-    are reduced once.  A frame belongs to the one h it was built from, and
+    its kernels are linalg.Rows, which keep their ints: the zero tests, the
+    kernels' value matrices, the span tests, the echelon forms, the
+    combinations and the Grams read those, and Fractions are built only in
+    the rows they return.  A kernel that needs no solve is read off its
+    value matrix (_solve_kernel).  The int echelon form of h is the one
+    h.echelon that Subalgebra validation computed, so h's own rows are
+    reduced once.  A frame belongs to the one h it was built from, and
     _frame_of builds it once per h.
     """
 
@@ -194,41 +207,32 @@ class _Frame:
 
     def kernel_of(self, values, within):
         """Row basis of {u in within : values(u) = 0}, where `values` maps a
-        row to a list of real-linear functionals: each kernel vector of the
-        values combines the rows of `within` on their ints (linalg.combine)."""
+        row to a list of real-linear functionals.  The values are taken on
+        the rows' ints scaled to one common denominator: a positive multiple
+        of the value matrix, with the same kernel basis (_solve_kernel)."""
         if not within:
             return []
-        rows = [values(c) for c in within]
-        if not rows[0]:
-            return within
-        kern = linalg.kernel_basis([list(col) for col in zip(*rows)])
-        return [linalg.combine(within, k) for k in kern]
+        ints = [linalg.ints_of(c) for c in within]
+        den = math.lcm(*(d for _, d in ints))
+        rows = [values(a if d == den else [v * (den // d) for v in a]) for a, d in ints]
+        return _solve_kernel([list(col) for col in zip(*rows)], within)
 
     def kernel(self, names, within=None):
         """Row basis of {u in within : all named functionals vanish}; on all
         of h (within None) each is solved once per frame.
 
-        The functionals are columns, so their values on `within` are read off
-        the rows' ints scaled to one common denominator: the value matrix
-        times that denominator, which has the same kernel basis.
+        The functionals are columns, read off the rows' ints by kernel_of.
         """
         if within is None:
             key = tuple(names)
             if key not in self._kernels:
                 self._kernels[key] = self.kernel(names, self.full)
             return self._kernels[key]
-        if not within:
-            return []
-        ints = [linalg.ints_of(c) for c in within]
-        den = math.lcm(*(d for _, d in ints))
-        scaled = [(a, den // d) for a, d in ints]
-        values = [[a[k] * f for a, f in scaled]
-                  for nm in names for k in range(self.cols[nm].start, self.cols[nm].stop)]
-        kern = linalg.kernel_basis([linalg.Row(r, (r, 1)) for r in values])
-        return [linalg.combine(within, k) for k in kern]
+        return self.kernel_of(lambda c: self.funcs_on(names, c), within)
 
     def vanishes_on(self, name, within) -> bool:
-        return all(all(v == 0 for v in self.func_on(name, c)) for c in within)
+        sl = self.cols[name]
+        return not any(any(linalg.ints_of(c)[0][sl]) for c in within)
 
     def nonzero_with(self, names, within) -> Optional:
         """A row in `within` where every named functional is nonzero; None
@@ -244,19 +248,18 @@ class _Frame:
             return None
         live = []
         for nm in names:
-            cand = next((c for c in within
-                         if any(v != 0 for v in self.func_on(nm, c))), None)
+            sl = self.cols[nm]
+            cand = next((c for c in within if any(linalg.ints_of(c)[0][sl])), None)
             if cand is None:
                 return None
             live.append(cand)
         u = live[0]
         for nm, helper in zip(names[1:], live[1:]):
-            if any(v != 0 for v in self.func_on(nm, u)):
+            if any(linalg.ints_of(u)[0][self.cols[nm]]):
                 continue
-            for t in (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(1, 3),
-                      Fraction(3), Fraction(1, 5), Fraction(5)):
-                cand = [a + t * b for a, b in zip(u, helper)]
-                if all(any(v != 0 for v in self.func_on(nm2, cand)) for nm2 in names):
+            for t in _TRIALS:
+                cand = linalg.combine([u, helper], [1, t])
+                if all(any(cand.ints[0][self.cols[nm2]]) for nm2 in names):
                     u = cand
                     break
             else:
@@ -272,23 +275,45 @@ class _Frame:
 
     def pair_gram(self, q, z, within):
         """Gram of u -> q(u, z) on `within`, for q = t_pair or pair_e at the
-        central row z: sum_c z[c] W Q_c W^T over the forms of _pair_forms."""
-        terms = [(z[c], linalg.form_gram(within, form))
-                 for c, form in _pair_forms(q, self.n) if z[c]]
-        k = range(len(within))
-        return [[sum(v * g[i][j] for v, g in terms) for j in k] for i in k]
+        central row z: W Q W^T for Q = sum_c z[c] Q_c over the forms of
+        _pair_forms, summed on the ints of z into one sparse form."""
+        zi, zd = linalg.ints_of(z)
+        return linalg.form_gram(within, linalg.sum_forms(
+            [(zi[c], form) for c, form in _pair_forms(q, self.n) if zi[c]], zd))
 
     def gram_witness(self, gram, within):
         """A row where the form with this Gram is nonzero."""
         k = len(gram)
         for i in range(k):
-            if gram[i][i] != 0:
+            if gram[i][i]:
                 return within[i]
         for i in range(k):
             for j in range(i + 1, k):
-                if gram[i][j] != 0:
-                    return [a + b for a, b in zip(within[i], within[j])]
+                if gram[i][j]:
+                    return linalg.combine([within[i], within[j]], [1, 1])
         return None
+
+
+# the perturbations nonzero_with tries, in order
+_TRIALS = (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(1, 3), Fraction(3),
+           Fraction(1, 5), Fraction(5))
+
+
+def _solve_kernel(values, within):
+    """The rows of `within` combined by the kernel basis of `values`, the
+    value matrix of some functionals (one row per functional, one column per
+    row of `within`) up to a positive factor.  The kernels that need no
+    solve are read off the matrix: with every value zero it is all of
+    `within`, as it stands (each kernel vector is a unit vector, and a row
+    combined alone is itself), and with one row of `within` and a nonzero
+    value it is empty."""
+    values = [r for r in values if any(r)]
+    if not values:
+        return within
+    if len(within) == 1:
+        return []
+    kern = linalg.kernel_basis([linalg.Row(r, (r, 1)) for r in values])
+    return [linalg.combine(within, k) for k in kern]
 
 
 _FRAMES = weakref.WeakKeyDictionary()
@@ -339,10 +364,11 @@ def pair_e(n, u, z):
 
 
 def d_lambda(n, u, lam):
-    """xx + |lambda|^2 yy + 2 Im(lambda conj(eta)), lambda complex."""
+    """ld^2 (xx + |lambda|^2 yy + 2 Im(lambda conj(eta))) at the int lambda
+    (lr, li, ld) of _int_lambda: D_lambda times ld^2, so its zeros and sign."""
     er, ei, xx, yy = u[4 * n - 4:]
-    lr, li = re(lam), im(lam)
-    return xx + (lr * lr + li * li) * yy + 2 * (li * er - lr * ei)
+    lr, li, ld = lam
+    return ld * ld * xx + (lr * lr + li * li) * yy + 2 * ld * (li * er - lr * ei)
 
 
 def _wedge_parts(x, y):
@@ -397,7 +423,9 @@ def _minor_forms(n):
 
 
 def _rank_xy(n, u) -> int:
-    """dim_C <x, y> of the row u: 0, 1 or 2, read off its minor parts."""
+    """dim_C <x, y> of the row u: 0, 1 or 2, read off the minor parts of its
+    ints (a positive multiple of the row, with the same zeros)."""
+    u = linalg.ints_of(u)[0]
     if not any(u[4:4 * n - 4]):  # the x and y columns
         return 0
     return 2 if any(_minor_parts(n, u)) else 1
@@ -421,9 +449,8 @@ def _rational_zero(frame, gram_data, within, avoid_kernels=()):
         return linalg.combine(within, v)
 
     def ok(row):
-        if all(c == 0 for c in row):
-            return False
-        return all(any(frame.funcs_on(names, row)) for names in avoid_kernels)
+        u = linalg.ints_of(row)[0]
+        return any(u) and all(any(frame.funcs_on(names, u)) for names in avoid_kernels)
 
     candidates = [lift(v) for v in cert["radical"]]
     # combinations inside the radical
@@ -499,11 +526,12 @@ def _find_rank2(frame, within):
 
 
 def _image_complex_line(frame, name, within):
-    """v0, as (Re, Im) column pairs, when the `name` vector of every row of
-    `within` lies in the complex line C*v0 (a zero wedge with v0 is exactly
-    C-colinearity); None when it does not, or when that vector vanishes on
-    `within`."""
-    vecs = [frame.func_on(name, c) for c in within]
+    """v0, as int (Re, Im) column pairs, when the `name` vector of every row
+    of `within` lies in the complex line C*v0 (a zero wedge with v0 is
+    exactly C-colinearity); None when it does not, or when that vector
+    vanishes on `within`.  Each row is read as its ints, a positive multiple
+    of it: the line and the zero wedges are the same."""
+    vecs = [frame.func_on(name, linalg.ints_of(c)[0]) for c in within]
     v0 = next((vec for vec in vecs if any(vec)), None)
     if v0 is None or any(any(_wedge_parts(v0, vec)) for vec in vecs):
         return None
@@ -516,22 +544,43 @@ def _line_subspace(frame, v0, within):
                                       *_wedge_parts(v0, frame.func_on("y", c))], within)
 
 
-def _lambda_of(n, u):
+def _int_lambda(n, u):
     """<x, y> / |y|^2 of the row u (elements._slot_sums), the lambda with
-    x = lambda y when u has rank <= 1; None when y = 0."""
-    _, ys, a, b = _slot_sums(n, u)
-    if not ys:
-        return None
-    return QQi(Fraction(a, ys), Fraction(b, ys))
+    x = lambda y when u has rank <= 1, as the int lambda (lr, li, ld):
+    lambda = (lr + i li) / ld with ld > 0 and the three coprime, so equal
+    lambdas are equal triples.  Read on u's ints, as lambda has degree 0.
+    None when y = 0."""
+    _, ys, a, b = _slot_sums(n, linalg.ints_of(u)[0])
+    return _reduced(a, b, ys) if ys else None
+
+
+def _reduced(lr, li, ld):
+    """The int lambda (lr + i li) / ld for ld != 0, ld made positive and the
+    three made coprime."""
+    g = math.gcd(lr, li, ld) * (1 if ld > 0 else -1)
+    return lr // g, li // g, ld // g
+
+
+def _qqi_lambda(lam):
+    """The QQi of an int lambda: the lambda a caller is given."""
+    lr, li, ld = lam
+    return QQi(Fraction(lr, ld), Fraction(li, ld))
+
+
+def _lambda_of(n, u):
+    """<x, y> / |y|^2 of the row u as a QQi (_int_lambda); None when y = 0."""
+    lam = _int_lambda(n, u)
+    return None if lam is None else _qqi_lambda(lam)
 
 
 def _candidate_lambdas(frame, within):
-    """The distinct lambdas of the rank-one rows with y != 0 among the basis
-    rows of `within` and then its pencil walk, in that order."""
+    """The distinct int lambdas of the rank-one rows with y != 0 among the
+    basis rows of `within` and then its pencil walk, in that order."""
     cands = []
+    y = frame.cols["y"]
     for row in itertools.chain(within, _pencil_rank_one_rows(frame, within)):
-        if _rank_xy(frame.n, row) == 1 and any(frame.func_on("y", row)):
-            lam = _lambda_of(frame.n, row)
+        if _rank_xy(frame.n, row) == 1 and any(linalg.ints_of(row)[0][y]):
+            lam = _int_lambda(frame.n, row)
             if lam not in cands:
                 cands.append(lam)
     return cands
@@ -547,7 +596,7 @@ def _pencil_rank_one_rows(frame, within):
     """
     for ci, cj in itertools.combinations(within, 2):
         for t in _pencil_rank1_roots(frame.n, ci, cj):
-            row = [a + t * b for a, b in zip(ci, cj)]
+            row = linalg.combine([ci, cj], [1, t])
             if _rank_xy(frame.n, row) == 1:
                 yield row
 
@@ -555,32 +604,34 @@ def _pencil_rank_one_rows(frame, within):
 def _pencil_rank1_roots(n, ci, cj):
     """Rational t where every (x;y)-minor of the row ci + t*cj vanishes.
 
-    Each minor part of ci + t cj is the real quadratic a t^2 + b t + c with
-    a and c the part at cj and at ci and b the sum of the two mixed parts."""
+    The rows are read as ints, ci = Ii / Di and cj = Ij / Dj, so ci + t cj
+    is (Ii + s Ij) / Di at s = t Di / Dj.  Each minor part of Ii + s Ij is
+    the int quadratic a s^2 + b s + c with a and c the part at Ij and at Ii
+    and b the sum of the two mixed parts; the rational roots s = p / q of
+    the first nonvanishing one are kept where every part vanishes
+    (a p^2 + b p q + c q^2 = 0), and returned as t = s Dj / Di."""
+    (ii, di), (ij, dj) = linalg.ints_of(ci), linalg.ints_of(cj)
     d = 2 * (n - 2)
-    xi, yi, xj, yj = ci[4:4 + d], ci[4 + d:4 + 2 * d], cj[4:4 + d], cj[4 + d:4 + 2 * d]
-    polys = [(a, b1 + b2, c) for a, b1, b2, c in zip(_minor_parts(n, cj), _wedge_parts(xi, yj),
-                                                     _wedge_parts(xj, yi), _minor_parts(n, ci))
+    xi, yi, xj, yj = ii[4:4 + d], ii[4 + d:4 + 2 * d], ij[4:4 + d], ij[4 + d:4 + 2 * d]
+    polys = [(a, b1 + b2, c) for a, b1, b2, c in zip(_minor_parts(n, ij), _wedge_parts(xi, yj),
+                                                     _wedge_parts(xj, yi), _minor_parts(n, ii))
              if a or b1 + b2 or c]
     if not polys:
         return []
-    roots = set()
+    roots = set()  # the t values, tried in the order of this set
     a, b, c = polys[0]
     if a == 0:
         if b != 0:
-            roots.add(-c / b)
+            roots.add(Fraction(-c * dj, b * di))
     else:
-        disc = b * b - 4 * a * c
-        if disc >= 0:
-            rn = _isqrt_exact(disc.numerator)
-            rd = _isqrt_exact(disc.denominator)
-            if rn is not None and rd is not None:
-                s = Fraction(rn, rd)
-                roots.add((-b + s) / (2 * a))
-                roots.add((-b - s) / (2 * a))
+        r = _isqrt_exact(b * b - 4 * a * c)
+        if r is not None:
+            roots.add(Fraction((-b + r) * dj, 2 * a * di))
+            roots.add(Fraction((-b - r) * dj, 2 * a * di))
     good = []
     for t in roots:
-        if all(a * t * t + b * t + c == 0 for a, b, c in polys):
+        p, q = t.numerator * di, t.denominator * dj  # s = p / q
+        if all(a * p * p + b * p * q + c * q * q == 0 for a, b, c in polys):
             good.append(t)
     return good
 
@@ -820,7 +871,7 @@ def _li2(frame):
     if _globally_dependent(frame, W):
         wy = frame.nonzero_with(["y"], W)
         if wy is not None:
-            lam = _lambda_of(frame.n, wy)
+            lam = _int_lambda(frame.n, wy)
             if lam is not None and _lambda_global(frame, W, lam):
                 K = _kernel_d_lambda(frame, W, lam)
                 w = frame.nonzero_with(["y"], K)
@@ -842,12 +893,13 @@ def _li2(frame):
 
 
 def _x_minus_lam_y(frame, lam, c):
-    """x_u - lam * y_u at the row c, (Re, Im) per entry."""
-    lr, li = re(lam), im(lam)
+    """ld (x_u - lambda y_u) at the row c and the int lambda (lr, li, ld),
+    (Re, Im) per entry: on an int row, ints."""
+    lr, li, ld = lam
     x, y = frame.func_on("x", c), frame.func_on("y", c)
     return [v for k in range(0, len(x), 2)
-            for v in (x[k] - (lr * y[k] - li * y[k + 1]),
-                      x[k + 1] - (lr * y[k + 1] + li * y[k]))]
+            for v in (ld * x[k] - (lr * y[k] - li * y[k + 1]),
+                      ld * x[k + 1] - (lr * y[k + 1] + li * y[k]))]
 
 
 def _w_lambda(frame, W, lam):
@@ -856,8 +908,8 @@ def _w_lambda(frame, W, lam):
 
 
 def _lambda_global(frame, W, lam):
-    """x_u = lam * y_u for every u in W."""
-    return not any(any(_x_minus_lam_y(frame, lam, c)) for c in W)
+    """x_u = lam * y_u for every u in W, tested on the rows' ints."""
+    return not any(any(_x_minus_lam_y(frame, lam, linalg.ints_of(c)[0])) for c in W)
 
 
 def _kernel_d_lambda(frame, W, lam):
@@ -986,8 +1038,8 @@ def _li4(frame):
 def _li5(frame):
     """u: phi,y != 0; central z: yy_z = 0, phi_u conj(eta_z) real, E(u,z) = 0."""
     Z0 = frame.kernel(["yy"], frame.z_rows)
-    for zc in Z0 + ([[a + b for a, b in zip(Z0[0], Z0[1])]] if len(Z0) > 1 else []):
-        if not any(frame.funcs_on(["eta", "xx"], zc)):
+    for zc in Z0 + ([linalg.combine(Z0[:2], [1, 1])] if len(Z0) > 1 else []):
+        if not any(frame.funcs_on(["eta", "xx"], linalg.ints_of(zc)[0])):
             continue
         res = _li5_fixed_z(frame, zc)
         if res is not None:
@@ -996,7 +1048,8 @@ def _li5(frame):
 
 
 def _phi_conj_eta(frame, u, z):
-    """phi_u conj(eta_z) of the rows u and z, as its (Re, Im) parts."""
+    """phi_u conj(eta_z) of the rows u and z, as its (Re, Im) parts; on the
+    rows' ints, the product times their two denominators."""
     pr, pi = frame.func_on("phi", u)
     er, ei = frame.func_on("eta", z)
     return pr * er + pi * ei, pi * er - pr * ei
@@ -1005,12 +1058,14 @@ def _phi_conj_eta(frame, u, z):
 def _li5_fixed_z(frame, zc):
     """Linear condition 5 at the central row zc: u ranges over K, where
     phi_u conj(eta_z) is real, so a witness u needs it nonzero."""
+    z = linalg.ints_of(zc)[0]
+
     def witness(w, note, exact=True):
-        if w is None or not _phi_conj_eta(frame, w, zc)[0]:
+        if w is None or not _phi_conj_eta(frame, linalg.ints_of(w)[0], z)[0]:
             return None
         return {"u": frame.element(w), "z": frame.element(zc)}, note, exact
 
-    K = frame.kernel_of(lambda c: [_phi_conj_eta(frame, c, zc)[1]], frame.full)
+    K = frame.kernel_of(lambda c: [_phi_conj_eta(frame, c, z)[1]], frame.full)
     if not K:
         return None
     g = frame.pair_gram(pair_e, zc, K)
@@ -1040,7 +1095,7 @@ _ALL_SLOTS = ["phi", "y", "x", "yy", "eta", "xx"]
 def _span_in_slots(frame, rows, slots):
     """Every element of the span of `rows` supported inside `slots`."""
     others = [s for s in _ALL_SLOTS if s not in slots]
-    return not any(any(frame.funcs_on(others, c)) for c in rows)
+    return not any(any(frame.funcs_on(others, linalg.ints_of(c)[0])) for c in rows)
 
 
 def _slot_subspace(frame, slots):
@@ -1118,7 +1173,7 @@ def _tm3(frame):
     if wy is not None:
         if _rank_xy(frame.n, wy) == 2:
             return None
-        lam = _lambda_of(frame.n, wy)
+        lam = _int_lambda(frame.n, wy)
         if not _lambda_global(frame, frame.full, lam):
             return None
     else:
@@ -1128,17 +1183,18 @@ def _tm3(frame):
         wz = frame.nonzero_with(["yy"], frame.z_rows)
         if wz is None:
             return None
-        er, ei, _, yy = wz[4 * frame.n - 4:]
-        lam = QQi(ei / yy, -er / yy)  # eta_z / (i yy_z)
-    # eta_z = i lambda yy_z and xx_z = |lambda|^2 yy_z on every central row
-    lr, li = re(lam), im(lam)
+        er, ei, _, yy = linalg.ints_of(wz)[0][4 * frame.n - 4:]
+        lam = _reduced(ei, -er, yy)  # eta_z / (i yy_z)
+    # eta_z = i lambda yy_z and xx_z = |lambda|^2 yy_z on every central row,
+    # times ld and ld^2 on its ints
+    lr, li, ld = lam
     for zc in frame.z_rows:
-        er, ei, xx, yy = zc[4 * frame.n - 4:]
-        if (er, ei, xx) != (-li * yy, lr * yy, (lr * lr + li * li) * yy):
+        er, ei, xx, yy = linalg.ints_of(zc)[0][4 * frame.n - 4:]
+        if (ld * er, ld * ei, ld * ld * xx) != (-li * yy, lr * yy, (lr * lr + li * li) * yy):
             return None
     # subcase (a): some u with D_lambda(u) != 0
-    has_d = any(d_lambda(frame.n, c, lam) for c in frame.full)
-    ev = {"lambda": lam}
+    has_d = any(d_lambda(frame.n, linalg.ints_of(c)[0], lam) for c in frame.full)
+    ev = {"lambda": _qqi_lambda(lam)}
     if has_d:
         if frame.d == 1:
             shape = MuShape.curve(Fraction(3, 2), provenance="notcds-3a dim1")
@@ -1179,16 +1235,18 @@ def _tm5(frame):
     wyy = frame.nonzero_with(["yy"], frame.full)
     if wyy is None:
         return None
-    pr, pi = frame.func_on("phi", wyy)
-    yy = wyy[-1]
+    w = linalg.ints_of(wyy)[0]
+    pr, pi = frame.func_on("phi", w)
+    yy = w[-1]
     if not (pr or pi):
         return None
-    p0r, p0i = pr / yy, pi / yy  # phi0 = phi / yy at wyy
+    # phi0 = phi / yy at wyy; phi_c = phi0 yy_c on every row, cross-multiplied
     for c in frame.full:
-        (pr, pi), yy = frame.func_on("phi", c), c[-1]
-        if (pr, pi) != (p0r * yy, p0i * yy):
+        u = linalg.ints_of(c)[0]
+        (cr, ci), cyy = frame.func_on("phi", u), u[-1]
+        if (cr * yy, ci * yy) != (pr * cyy, pi * cyy):
             return None
-    phi0 = QQi(p0r, p0i)
+    phi0 = QQi(Fraction(pr, yy), Fraction(pi, yy))
     ev = {"phi0": phi0}
     if frame.d == 1:
         shape = MuShape.curve(Fraction(4, 3), provenance="notcds-5 dim1")
@@ -1285,8 +1343,8 @@ def _tm11(frame):
     if len(Z0) != 1:
         return None
     zc = Z0[0]
-    er, ei = frame.func_on("eta", zc)
-    if not (er or ei):
+    z = linalg.ints_of(zc)[0]
+    if not any(frame.func_on("eta", z)):
         return None
     # u ranges over h \ z; the conditions only depend on u modulo z and
     # rescaling, so one representative decides
@@ -1294,13 +1352,13 @@ def _tm11(frame):
                 if not linalg.span_contains(frame.z_rows, c)), None)
     if rep is None:
         return None
-    pr, pi = frame.func_on("phi", rep)
-    if not (pr or pi) or not any(frame.func_on("y", rep)):
+    u = linalg.ints_of(rep)[0]
+    if not any(frame.func_on("phi", u)) or not any(frame.func_on("y", u)):
         return None
     # phi_u conj(eta_z), nonzero as both factors are, must be real
-    if _phi_conj_eta(frame, rep, zc)[1]:
+    if _phi_conj_eta(frame, u, z)[1]:
         return None
-    if pair_e(frame.n, rep, zc) == 0:
+    if pair_e(frame.n, u, z) == 0:
         return None
     return NotCdsMatch(11, MuShape.band(Fraction(5, 4), 2, provenance="notcds-11"),
                        {"u": frame.element(rep), "z": frame.element(zc)}, frame.d)

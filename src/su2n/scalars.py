@@ -24,6 +24,7 @@ build Fractions only at the output, one per nonzero part.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from numbers import Integral
 
@@ -258,21 +259,40 @@ def _is_digits(s) -> bool:
     return s.isdigit() and s.isascii()
 
 
+# The Fraction that parse_rational returns for every exact zero it reads:
+# most scalars of a spec file are "0".
+_ZERO_Q = Fraction(0)
+
+
 def parse_rational(s) -> Fraction:
-    """The exact rational of an int, a float (its binary value) or a string.
+    """The exact rational of an int, a finite float (its binary value) or a
+    string.
 
     A string as format_rational writes it, "-?digits" or "-?digits/digits"
-    in ASCII, is read as Fraction(int, int), with no regex; any other string
-    goes to Fraction(s), so the strings accepted and the exceptions raised
-    are Fraction's.
+    in ASCII, is read as Fraction(int) or Fraction(int, int), with no regex;
+    any other string goes to Fraction(s), so the other strings accepted are
+    Fraction's.  "0" and the int 0 give one shared Fraction(0).  A zero
+    denominator, an infinite or NaN float and a bool (JSON true and false)
+    raise ValueError; a value of any other type raises TypeError.
     """
     if isinstance(s, str):
+        if s == "0":
+            return _ZERO_Q
         num, slash, den = s.partition("/")
-        if _is_digits(num.removeprefix("-")) and (not slash or _is_digits(den)):
-            return Fraction(int(num), int(den) if slash else 1)
-        return Fraction(s)
+        if _is_digits(num.removeprefix("-")) and not slash:
+            return Fraction(int(num))
+        try:
+            if _is_digits(num.removeprefix("-")) and _is_digits(den):
+                return Fraction(int(num), int(den))
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {s!r}") from None
+    if isinstance(s, bool):
+        raise ValueError(f"not a rational: {s!r}")
     if isinstance(s, Integral):
-        return Fraction(s)
+        return Fraction(s) if s else _ZERO_Q
     if isinstance(s, float):
+        if not math.isfinite(s):
+            raise ValueError(f"not a finite rational: {s!r}")
         return Fraction(s)
     raise TypeError(f"cannot parse rational from {s!r}")

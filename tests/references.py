@@ -1,8 +1,12 @@
 """Slot-by-slot references that the tests compare the package against."""
 
-from su2n import AlgebraElement
-from su2n.elements import ROOTS, column_roots
-from su2n.scalars import as_exact_real
+from fractions import Fraction
+from math import isqrt, lcm
+
+from su2n import AlgebraElement, linalg
+from su2n.elements import ROOTS, _slot_sums, column_roots
+from su2n.nilclassify import _minor_parts, _wedge_parts
+from su2n.scalars import QQi, as_exact_real
 
 
 def ad_a(t1, t2, w: AlgebraElement) -> AlgebraElement:
@@ -13,3 +17,91 @@ def ad_a(t1, t2, w: AlgebraElement) -> AlgebraElement:
     value = {root: c1 * t1 + c2 * t2 for root, (c1, c2) in ROOTS.items()}
     return AlgebraElement.from_coords(w.n, [value[root] * v if root else 0
                                             for v, root in zip(w.coords(), column_roots(w.n))])
+
+
+# -- the Fraction formulas of the classifier's int reads ----------------------
+#
+# nilclassify decides on the int form of each row (linalg.ints_of), a positive
+# multiple of it, and on the int lambda (lr, li, ld) = lambda * ld.  These are
+# the same readings on the rational rows and a QQi lambda, as the classifier
+# took them before it read ints: the tests compare the two.
+
+def int_lambda(lam):
+    """The int lambda (lr, li, ld) of a QQi: lambda = (lr + i li) / ld, with
+    ld the lcm of the parts' denominators (so the three are coprime)."""
+    (a, b), (c, d) = lam.re.as_integer_ratio(), lam.im.as_integer_ratio()
+    ld = lcm(b, d)
+    return a * (ld // b), c * (ld // d), ld
+
+
+def fraction_rank_xy(n, u):
+    """dim_C <x, y> of the rational row u, from its minor parts."""
+    if not any(u[4:4 * n - 4]):
+        return 0
+    return 2 if any(_minor_parts(n, u)) else 1
+
+
+def fraction_lambda(n, u):
+    """<x, y> / |y|^2 of the rational row u as a QQi; None when y = 0."""
+    _, ys, a, b = _slot_sums(n, u)
+    return QQi(a / ys, b / ys) if ys else None
+
+
+def fraction_x_minus_lam_y(n, lam, u):
+    """x_u - lambda y_u of the rational row u at a QQi lambda, (Re, Im) per entry."""
+    d = 2 * (n - 2)
+    x, y = u[4:4 + d], u[4 + d:4 + 2 * d]
+    lr, li = lam.re, lam.im
+    return [v for k in range(0, d, 2)
+            for v in (x[k] - (lr * y[k] - li * y[k + 1]),
+                      x[k + 1] - (lr * y[k + 1] + li * y[k]))]
+
+
+def fraction_d_lambda(n, u, lam):
+    """xx + |lambda|^2 yy + 2 Im(lambda conj(eta)) of the rational row u."""
+    er, ei, xx, yy = u[4 * n - 4:]
+    lr, li = lam.re, lam.im
+    return xx + (lr * lr + li * li) * yy + 2 * (li * er - lr * ei)
+
+
+def fraction_phi_conj_eta(n, u, z):
+    """phi_u conj(eta_z) of the rational rows u and z, as (Re, Im)."""
+    (pr, pi), (er, ei) = u[2:4], z[4 * n - 4:4 * n - 2]
+    return pr * er + pi * ei, pi * er - pr * ei
+
+
+def fraction_pencil_roots(n, ci, cj):
+    """Rational t where every (x; y) minor of the rational row ci + t cj
+    vanishes: the roots of the first nonvanishing minor part, a t^2 + b t + c
+    in Fractions, where every part vanishes, in the order of their set."""
+    d = 2 * (n - 2)
+    xi, yi, xj, yj = ci[4:4 + d], ci[4 + d:4 + 2 * d], cj[4:4 + d], cj[4 + d:4 + 2 * d]
+    polys = [(a, b1 + b2, c) for a, b1, b2, c in zip(_minor_parts(n, cj), _wedge_parts(xi, yj),
+                                                     _wedge_parts(xj, yi), _minor_parts(n, ci))
+             if a or b1 + b2 or c]
+    if not polys:
+        return []
+    roots = set()
+    a, b, c = polys[0]
+    if a == 0:
+        if b != 0:
+            roots.add(-c / b)
+    else:
+        disc = b * b - 4 * a * c
+        if disc >= 0:
+            rn, rd = isqrt(disc.numerator), isqrt(disc.denominator)
+            if rn * rn == disc.numerator and rd * rd == disc.denominator:
+                s = Fraction(rn, rd)
+                roots.add((-b + s) / (2 * a))
+                roots.add((-b - s) / (2 * a))
+    return [t for t in roots if all(a * t * t + b * t + c == 0 for a, b, c in polys)]
+
+
+def reference_kernel(values, within):
+    """{u in span(within) : values(u) = 0} as the combinations of `within`
+    by the kernel basis of the value matrix on the rational rows."""
+    if not within:
+        return []
+    matrix = [list(col) for col in zip(*(values(c) for c in within))]
+    return [linalg.combine(within, k)
+            for k in linalg.kernel_basis(matrix or [[0] * len(within)])]

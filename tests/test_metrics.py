@@ -81,6 +81,37 @@ def _assert_rho_is_the_full_sweep(g):
     assert np.array_equal(got, want, equal_nan=True)
 
 
+def test_rho_norm_passes_shrink_above_m6_and_equal_one_pass_bit_for_bit(monkeypatch):
+    """Passes hold BLOCK_POINTS matrices up to m = 6 (105 upper minors) and
+    fewer above, in proportion; at m = 10 (825 upper minors, passes of 24)
+    the result is the one-pass sweep's, byte for byte, also with one matrix
+    off the triangle, whose pass takes the rest minors."""
+    assert [metrics._pass_points(m) for m in range(2, 7)] == [BLOCK_POINTS] * 5
+    assert _minor_index(6)[0].shape[1] == 105 and _minor_index(10)[0].shape[1] == 825
+    assert metrics._pass_points(10) == BLOCK_POINTS * 105 // 825 == 24
+    rng = np.random.default_rng(31)
+    up = _upper_stack(rng, 300, 10, 1e8)
+    off = up.copy()
+    off[100, 9, 0] = 0.25
+    got = [rho_norm(g) for g in (up, off)]
+    monkeypatch.setattr(metrics, "_pass_points", lambda m: len(up))
+    want = [rho_norm(g) for g in (up, off)]
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def test_scratch_stays_below_2_mb_after_a_verify_shape_at_n8(monkeypatch):
+    """One verify_shape of corpus random-100 at n = 8 (m = 10) leaves under
+    2 MB in the shared scratch buffers (7.56 MB with passes of BLOCK_POINTS)."""
+    from su2n import corpus
+    scratch = metrics._Scratch()
+    monkeypatch.setattr(metrics, "_SCRATCH", scratch)
+    monkeypatch.setattr(lab, "_SCRATCH", scratch)
+    specs = dict(corpus.random_corpus(count=200, ns=(8,), seed=1, include_gallery=False))
+    lab.verify_shape(specs["random-100"])
+    assert "b" in scratch.flat
+    assert sum(buf.nbytes for buf in scratch.flat.values()) < 2_000_000
+
+
 def test_rho_norm_is_the_full_sweep_bit_for_bit():
     rng = np.random.default_rng(25)
     for m in range(5, 11):

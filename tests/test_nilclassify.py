@@ -51,7 +51,7 @@ from su2n.serialize import classification_report
 from su2n.shapes import MuShape
 from su2n.subalgebra import Subalgebra
 
-from references import ad_a
+from references import ad_a, int_lambda
 
 
 # The forms on algebra elements in QQi arithmetic, as the paper writes them:
@@ -459,7 +459,8 @@ def test_row_forms_equal_their_qqi_definitions():
             want = [qqi_q_center(eu), qqi_r_alpha(eu), qqi_t_pair(eu, ez),
                     qqi_pair_e(eu, ez), qqi_cubic_c(eu), *qqi_minor_parts(eu)]
             assert got == want, (n, u, z)
-            assert d_lambda(n, u, lam) == qqi_d_lambda(eu, lam), (n, u, lam)
+            ld = int_lambda(lam)[2]
+            assert d_lambda(n, u, int_lambda(lam)) == ld * ld * qqi_d_lambda(eu, lam), (n, u, lam)
             if all(type(a) is int for a in u + z):
                 assert all(type(v) is int for v in got), (n, u, z)
 
@@ -813,8 +814,9 @@ def test_row_slot_readings_equal_their_qqi_definitions():
                 lambdas += 1
                 assert type(lam) is QQi and {type(lam.re), type(lam.im)} == {Fraction}
             mu = _random_qqi(rng)
-            assert _x_minus_lam_y(frame, mu, u) == \
-                [part(a - mu * b) for a, b in zip(eu.x, eu.y) for part in (re, im)], (n, u)
+            ld = int_lambda(mu)[2]
+            assert _x_minus_lam_y(frame, int_lambda(mu), u) == \
+                [ld * part(a - mu * b) for a, b in zip(eu.x, eu.y) for part in (re, im)], (n, u)
     assert lambdas > 100
 
 

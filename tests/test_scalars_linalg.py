@@ -338,19 +338,39 @@ def test_span_tests_on_small_cases():
     "0.5", "1e3", "-", "--1", "3/", "/2", "-/2", "1/2/3", "\u0663", "\u0661/\u0662",
     "", "/", 7, -12, 0, 10**30, 0.1, -2.5, 1e-300])
 def test_parse_rational_is_fraction_of_its_input(s):
+    """parse_rational reads what Fraction reads, with Fraction's exception,
+    but for a zero denominator, which is an input error (ValueError)."""
     def outcome(read):
         try:
             v = read(s)
         except Exception as e:  # the exception's type is compared
             return type(e)
         return v, type(v)
-    assert outcome(parse_rational) == outcome(Fraction)
+    want = outcome(Fraction)
+    assert outcome(parse_rational) == (ValueError if want is ZeroDivisionError else want)
 
 
 def test_parse_rational_rejects_what_is_not_a_rational():
     for bad in (None, [1], 1j, QQi(1)):
         with pytest.raises(TypeError):
             parse_rational(bad)
+
+
+@pytest.mark.parametrize("bad", ["1/0", "-3/000", " 1/0", float("inf"), float("-inf"),
+                                 float("nan"), True, False])
+def test_parse_rational_raises_value_error_on_a_bad_scalar(bad):
+    """A zero denominator, a float that is no rational and a bool (JSON
+    true and false, which Python counts as ints) are input errors."""
+    with pytest.raises(ValueError):
+        parse_rational(bad)
+
+
+def test_parse_rational_shares_one_zero_and_reads_integers_exactly():
+    zero = parse_rational("0")
+    assert zero == 0 and type(zero) is Fraction
+    assert parse_rational(0) is zero and parse_rational("0") is zero
+    assert parse_rational("-12") == Fraction(-12) and parse_rational("7/14") == Fraction(1, 2)
+    assert type(parse_rational("-12")) is Fraction
 
 
 def test_int_row_clears_denominators_exactly():

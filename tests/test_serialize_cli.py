@@ -404,13 +404,57 @@ def test_cli_classify_rejects_a_nil_spec_with_an_a_part(tmp_path, capsys):
 ])
 def test_cli_lets_a_programming_error_propagate(tmp_path, monkeypatch, command, target, error):
     """Only the errors a spec or a cloud can cause exit 1: a bare ValueError
-    out of classify or an ArithmeticError out of sampling is a bug."""
+    out of classify or an ArithmeticError out of sampling is a bug.  mu-scan
+    imports lab when it runs, so its sampler is patched there."""
     from su2n import cli
 
     def broken(*args, **kwargs):
         raise error
     spec_path = tmp_path / "p.json"
     dump_spec(gallery.get("notcds09-n3").spec(), spec_path)
-    monkeypatch.setattr(cli, target, broken)
+    monkeypatch.setattr({"classify": "su2n.cli", "mu-scan": "su2n.lab"}[command] + "."
+                        + target, broken)
     with pytest.raises(type(error), match=str(error)):
         cli.main([command, str(spec_path)])
+
+
+@pytest.mark.parametrize("command", ["classify", "mu-scan"])
+@pytest.mark.parametrize("key, value, message", [
+    ("t1", "1/0", "zero denominator in '1/0'"),
+    ("xx", float("inf"), "not a finite rational: inf"),
+    ("yy", True, "not a rational: True"),
+], ids=["zero-denominator", "infinity", "bool"])
+def test_cli_reports_a_bad_scalar_as_an_input_error(tmp_path, capsys, command, key, value,
+                                                    message):
+    """A spec scalar "1/0", a JSON Infinity and a JSON true exit 1 with an
+    error line, on both commands that read a spec."""
+    from su2n import cli
+    d = spec_to_json(gallery.get("notcds09-n3").spec())
+    d["basis"][0][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    assert json.dumps(value) in path.read_text()  # "1/0", Infinity, true
+    assert cli.main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_cli_classify_does_not_import_numpy(tmp_path):
+    """The package and classify load no sampling module: numpy is not
+    imported by a classify run (in a fresh interpreter)."""
+    spec_path = tmp_path / "g.json"
+    dump_spec(gallery.get("graph04-r1-n4").spec(), spec_path)
+    code = ("import sys\nfrom su2n import cli\n"
+            f"assert cli.main(['classify', {str(spec_path)!r}]) == 0\n"
+            "print(sorted(m for m in ('numpy', 'su2n.lab', 'su2n.metrics', 'su2n.verify')"
+            " if m in sys.modules), file=sys.stderr)\n")
+    p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert p.returncode == 0, p.stderr
+    assert p.stderr == "[]\n"
+
+
+def test_cli_suite_names_are_the_registry_of_verify():
+    from su2n import cli, verify
+    assert list(cli.SUITES) == list(verify.SUITES)
+    assert all(cli.SUITES[name] is verify.SUITES[name] for name in verify.SUITES)

@@ -310,3 +310,21 @@ def test_an_unpassed_parameter_is_reported(tmp_path):
     use.write_text("f(0, 1, c=2)\nC().m(1)\nx.s(5)\nf(*args)\nC(**kw)\n")
     assert unpassed_parameters([mod], [use]) == [
         ("mod.py", "f", "d"), ("mod.py", "g", "e"), ("mod.py", "m", "j")]
+
+
+def test_every_name_of_the_package_resolves():
+    """The package loads its modules on first access: every name of
+    __all__ resolves to the object of its module, and no other does."""
+    import importlib
+
+    import su2n
+    assert len(su2n.__all__) == len(set(su2n.__all__))
+    for name in su2n.__all__:
+        value = getattr(su2n, name)
+        if name in su2n._MODULES:
+            assert value is importlib.import_module(f"su2n.{name}")
+        else:
+            assert value is getattr(importlib.import_module(f"su2n.{su2n._OWNER[name]}"), name)
+    assert set(su2n.__all__) <= set(dir(su2n))
+    with pytest.raises(AttributeError):
+        su2n.no_such_name
