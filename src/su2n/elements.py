@@ -62,8 +62,6 @@ from .scalars import (
     as_exact_complex,
     as_exact_real,
     conj,
-    im,
-    re,
 )
 
 
@@ -376,21 +374,32 @@ def _matrix_element(u: AlgebraElement) -> "GroupElement":
     entry in between, for the exact products of a commutator or a
     conjugation (the matrix is not in the group; only products are read)."""
     ints, den = u._int_row()
-    return GroupElement._of(u.n, _gaussian_of_row(u.n, ints), den)
+    return GroupElement.from_rows(u.n, _gaussian_of_row(u.n, ints), den)
 
 
 def element_from_matrix(M, n) -> AlgebraElement:
-    """Read coordinates from an exact matrix, each column's at its first
-    entry in _coord_entries; raises NotInAN on pattern mismatch."""
-    m = n + 2
-    u = AlgebraElement.from_coords(n, [a * re(M[i][j]) + b * im(M[i][j])
-                                       for (i, j, a, b), *_ in _coord_entries(n)])
-    expected = matrix_of(u)
-    for i in range(m):
-        for j in range(m):
-            if expected[i][j] != M[i][j]:
-                raise NotInAN(f"entry ({i},{j}) breaks the a+n pattern")
-    return u
+    """Read coordinates from an exact matrix (`_element_of_rows` on its
+    Gaussian-integer rows); raises NotInAN on pattern mismatch."""
+    return _element_of_rows(n, *_gaussian_ints(M, n + 2))
+
+
+def _element_of_rows(n, rows, den) -> AlgebraElement:
+    """The algebra element of the matrix (rows, den) of `_gaussian_ints`:
+    each column's coordinate is read at its first entry in _coord_entries,
+    and the whole matrix must then be that row's `_gaussian_of_row`.
+    Raises NotInAN at the first entry (i, j), in row-major order, that breaks
+    the a+n pattern."""
+    entries = {(i, j): (r, s) for i, row in enumerate(rows) for j, r, s in row}
+    ints = []
+    for (i, j, a, b), *_ in _coord_entries(n):
+        r, s = entries.get((i, j), (0, 0))
+        ints.append(a * r + b * s)
+    for i, (row, want) in enumerate(zip(rows, _gaussian_of_row(n, ints))):
+        if row != want:
+            j = min(j for j, _, _ in set(row) ^ set(want))
+            raise NotInAN(f"entry ({i},{j}) breaks the a+n pattern")
+    zero = Fraction(0)
+    return AlgebraElement._of(n, tuple(Fraction(v, den) if v else zero for v in ints))
 
 
 @lru_cache(maxsize=None)
@@ -501,28 +510,23 @@ def _gaussian_product(A, B, m):
 
 def _gaussian_matrix(rows, den, m):
     """The m x m matrix of Gaussian rationals that (rows, den) stands for,
-    its zero entries the shared ZERO."""
-    zero = Fraction(0)
+    its zero entries the shared ZERO.  Each distinct numerator's Fraction is
+    built once and shared, 0 and den among them."""
+    fracs = {0: Fraction(0), den: Fraction(1)}
+
+    def frac(v):
+        f = fracs.get(v)
+        if f is None:
+            f = fracs[v] = Fraction(v, den)
+        return f
+
     out = []
     for row in rows:
         out_row = [ZERO] * m
         for j, r, i in row:
-            out_row[j] = _make(Fraction(r, den) if r else zero, Fraction(i, den) if i else zero)
+            out_row[j] = _make(frac(r), frac(i))
         out.append(out_row)
     return out
-
-
-def _mat_mul(A, B, m):
-    """Exact product of two m x m matrices of Gaussian rationals.
-
-    Each factor's common denominator is cleared once and the product is
-    taken over the Gaussian integers, skipping zero entries: a+n matrices are
-    upper triangular and mostly zero.  Every entry equals the dense sum
-    `sum(A[i][k] * B[k][j] for k in range(m))` started at QQi(0).
-    """
-    IA, da = _gaussian_ints(A, m)
-    IB, db = _gaussian_ints(B, m)
-    return _gaussian_matrix(_gaussian_product(IA, IB, m), da * db, m)
 
 
 def exp_series(u: AlgebraElement) -> "GroupElement":
@@ -555,7 +559,7 @@ def exp_series(u: AlgebraElement) -> "GroupElement":
                 row_im[j] += w * i
     rows = [[(j, r, i) for j, (r, i) in enumerate(zip(row_re, row_im)) if r or i]
             for row_re, row_im in zip(acc_re, acc_im)]
-    return GroupElement._of(u.n, rows, 24 * den ** 4)
+    return GroupElement.from_rows(u.n, rows, 24 * den ** 4)
 
 
 def _slot_sums(n, U):
@@ -607,46 +611,33 @@ def _exp_display(n, U, D):
 def exp_closed(u: AlgebraElement) -> "GroupElement":
     """Exact closed-form exp for nilpotent elements.
 
-    Implements the general display (`_exp_display`) on the int row of u,
-    dividing once per nonzero output part; the entries phi, y and their
-    negated conjugates are u's own coordinates.  The phi = 0 and y = 0
-    specializations are recomputed on the same integer scale and compared
-    against it whenever they apply, as a structural self-check (they are
-    distinct displayed formulas, not shortcuts).
+    Implements the general display (`_exp_display`) on the int row of u and
+    holds it as Gaussian-integer rows over 24 D^4; the entries phi, y and
+    their negated conjugates are u's own coordinates on that scale.  The
+    phi = 0 and y = 0 specializations are recomputed on the same integer
+    scale and compared against it whenever they apply, as a structural
+    self-check (they are distinct displayed formulas, not shortcuts).
     """
     if not u.is_nilpotent():
         raise ValueError("exp_closed needs a nilpotent element (t1 = t2 = 0)")
-    n, m, r = u.n, u.n + 2, u._row
+    n, m = u.n, u.n + 2
     U, D = u._int_row()
-    rows = _exp_display(n, U, D)
+    parts = _exp_display(n, U, D)
     if not U[2] and not U[3]:
-        _check_phi0_form(n, U, D, rows)
+        _check_phi0_form(n, U, D, parts)
     if not any(U[2 * n:4 * n - 4]):
-        _check_y0_form(n, U, D, rows)
-    x_row, e1n, e1m, e2n, e2m, mid_m = rows
-    den, zero = 24 * D ** 4, Fraction(0)
-
-    def qqi(re_, im_):
-        return _make(re_, im_) if re_ or im_ else ZERO
-
-    def entry(pair):
-        return qqi(Fraction(pair[0], den) if pair[0] else zero,
-                   Fraction(pair[1], den) if pair[1] else zero)
-
-    one = _make(Fraction(1), zero)
-    M = [[one if i == j else ZERO for j in range(m)] for i in range(m)]
-    M[0][1] = qqi(r[2], r[3])
-    for j, k in enumerate(range(2 * n, 4 * n - 4, 2)):
-        M[0][2 + j] = entry(x_row[j])
-        M[1][2 + j] = qqi(r[k], r[k + 1])
-        M[2 + j][n] = qqi(-r[k], r[k + 1])
-        M[2 + j][m - 1] = entry(mid_m[j])
-    M[0][n] = entry(e1n)
-    M[0][m - 1] = entry(e1m)
-    M[1][n] = entry(e2n)
-    M[1][m - 1] = entry(e2m)
-    M[n][m - 1] = qqi(-r[2], r[3])
-    return GroupElement(u.n, M)
+        _check_y0_form(n, U, D, parts)
+    x_row, e1n, e1m, e2n, e2m, mid_m = parts
+    den, c1, pr, pi = 24 * D ** 4, 24 * D ** 3, U[2], U[3]
+    ys = [(c1 * U[k], c1 * U[k + 1]) for k in range(2 * n, 4 * n - 4, 2)]
+    full = [[(0, den, 0), (1, c1 * pr, c1 * pi),
+             *((2 + k, r, i) for k, (r, i) in enumerate(x_row)), (n, *e1n), (m - 1, *e1m)],
+            [(1, den, 0), *((2 + k, r, i) for k, (r, i) in enumerate(ys)),
+             (n, *e2n), (m - 1, *e2m)],
+            *([(2 + k, den, 0), (n, -r, i), (m - 1, *mid_m[k])] for k, (r, i) in enumerate(ys)),
+            [(n, den, 0), (m - 1, -c1 * pr, c1 * pi)],
+            [(m - 1, den, 0)]]
+    return GroupElement.from_rows(n, [[e for e in row if e[1] or e[2]] for row in full], den)
 
 
 def _check_phi0_form(n, U, D, rows):
@@ -793,53 +784,48 @@ def _bareiss_det(rows, m):
 class GroupElement:
     """An exact (n+2)x(n+2) matrix preserving the Hermitian form, det 1.
 
-    It is held as sparse Gaussian-integer rows over their least common
-    denominator, (rows, den) as `_gaussian_ints` reads them: entry (i, j) is
-    (re + i im) / den for the (j, re, im) in rows[i], and 0 where rows[i] has
-    no entry j.  Products, `inverse`, `det` and `check_invariants` compute on
-    these ints.  `mat` is the read-only QQi view (nested lists, zeros the
-    shared ZERO), built on first read and kept.  GroupElement(n, mat) keeps
-    a copy of its QQi matrix as that view and reads the ints on first need.
+    It is its sparse Gaussian-integer rows over their least common
+    denominator, `rows` and `den` as `_gaussian_ints` reads them: entry
+    (i, j) is (re + i im) / den for the (j, re, im) in rows[i], each row in
+    column order, and 0 where rows[i] has no entry j.  It is built, multiplied,
+    inverted and checked (`det`, `check_invariants`) on these ints.  `mat` is
+    the read-only QQi view (nested lists, zeros the shared ZERO), built on
+    first read and kept.  GroupElement(n, mat) reads the ints of an exact
+    matrix once, at construction; from_rows takes them as they are.
 
     Floating-point group elements are plain (m, m) complex arrays (see
     lab.float_line, lab.exp_float and metrics).
     """
 
-    __slots__ = ("n", "_mat", "_ints")
+    __slots__ = ("n", "rows", "den", "_mat")
 
     # Always "exact"; kept because bench/tracing.py names the matmul span
     # after the mode of its first argument.
     mode = "exact"
 
     def __init__(self, n, mat):
-        self.n = n
-        self._mat = [list(row) for row in mat]
-        self._ints = None
+        self.n, self._mat = n, None
+        self.rows, self.den = _gaussian_ints(mat, n + 2)
 
     @staticmethod
-    def _of(n, rows, den):
-        """The element of the Gaussian-integer rows `rows` over `den`."""
+    def from_rows(n, rows, den):
+        """The element of the Gaussian-integer rows `rows` over `den` (each
+        row in column order, with no zero entry), over their least
+        denominator."""
         g = object.__new__(GroupElement)
-        g.n, g._mat, g._ints = n, None, _least_den(rows, den)
+        g.n, g._mat = n, None
+        g.rows, g.den = _least_den(rows, den)
         return g
 
     @property
     def mat(self):
         if self._mat is None:
-            self._mat = _gaussian_matrix(*self._ints, self.n + 2)
+            self._mat = _gaussian_matrix(self.rows, self.den, self.n + 2)
         return self._mat
-
-    def _int_rows(self):
-        """(rows, den), read off the QQi matrix once if built from one."""
-        if self._ints is None:
-            self._ints = _gaussian_ints(self._mat, self.n + 2)
-        return self._ints
 
     @staticmethod
     def identity(n):
-        m, one = n + 2, QQi(1)
-        return GroupElement(n, [[one if i == j else ZERO for j in range(m)]
-                                for i in range(m)])
+        return GroupElement.diagonal(n, 1, 1)
 
     @staticmethod
     def diagonal(n, a1, a2, mode="exact"):
@@ -850,43 +836,35 @@ class GroupElement:
         """
         if mode != "exact":
             raise ValueError(f"group elements are exact, not {mode!r}")
-        m, one = n + 2, QQi(1)
         a1, a2 = as_exact_real(a1), as_exact_real(a2)
-        M = [[ZERO] * m for _ in range(m)]
-        M[0][0] = QQi(a1)
-        M[1][1] = QQi(a2)
-        for i in range(2, n):
-            M[i][i] = one
-        M[n][n] = QQi(1 / a2)
-        M[m - 1][m - 1] = QQi(1 / a1)
-        return GroupElement(n, M)
+        ints, den = int_row([a1, a2] + [1] * (n - 2) + [1 / a2, 1 / a1])
+        return GroupElement.from_rows(n, [[(i, v, 0)] for i, v in enumerate(ints)], den)
 
     def __matmul__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
         if other.n != self.n:
             raise ValueError("incompatible group elements")
-        (A, da), (B, db) = self._int_rows(), other._int_rows()
-        return GroupElement._of(self.n, _gaussian_product(A, B, self.n + 2), da * db)
+        return GroupElement.from_rows(
+            self.n, _gaussian_product(self.rows, other.rows, self.n + 2), self.den * other.den)
 
     def inverse(self):
         """g^{-1} = J g^dagger J, using g^dagger J g = J.  J is the
         permutation matrix of sigma (_form_swap), so the product is the
         entries of g conjugated and moved: (J g^dagger J)[i][j] =
         conj(g[sigma(j)][sigma(i)]), over the same denominator."""
-        sigma, (rows, den) = _form_swap(self.n), self._int_rows()
+        sigma, rows = _form_swap(self.n), self.rows
         out = [[] for _ in sigma]
         for j, s in enumerate(sigma):
             for k, r, i in rows[s]:
                 out[sigma[k]].append((j, r, -i))
-        return GroupElement._of(self.n, out, den)
+        return GroupElement.from_rows(self.n, out, self.den)
 
     def det(self):
         """det g = det N / den^m for the Gaussian-integer matrix N = den g
         (`_bareiss_det`)."""
-        m = self.n + 2
-        rows, den = self._int_rows()
-        re_, im_ = _bareiss_det(rows, m)
+        m, den = self.n + 2, self.den
+        re_, im_ = _bareiss_det(self.rows, m)
         return _make(Fraction(re_, den ** m), Fraction(im_, den ** m))
 
     def check_invariants(self):
@@ -894,7 +872,7 @@ class GroupElement:
         its rows moved by sigma (_form_swap), and N^dagger J N must be
         den^2 J, whose row i is den^2 at column sigma(i)."""
         m, sigma = self.n + 2, _form_swap(self.n)
-        rows, den = self._int_rows()
+        rows, den = self.rows, self.den
         dagger = [[] for _ in rows]
         for k, row in enumerate(rows):
             for j, r, i in row:

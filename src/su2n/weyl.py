@@ -9,36 +9,27 @@ Only the action on root spaces is contractual; the sign convention is an
 internal choice and never exposed.  Ad(w) maps a+n into itself only when the
 slots sent to negative roots vanish (phi for alpha; y, yy for beta) — the
 caller gets NotInAN otherwise.
+
+Both the reflections and Ad(g) u are computed on Gaussian-integer rows: the
+matrix of u is built on u's int row, multiplied by g and g^{-1} as rows over
+one denominator, and its coordinates are read back off those rows.
 """
 
 from __future__ import annotations
 
-from .elements import (
-    AlgebraElement,
-    GroupElement,
-    _matrix_element,
-    element_from_matrix,
-)
-from .scalars import QQi
+from .elements import AlgebraElement, GroupElement, _element_of_rows, _matrix_element
 
 
 def weyl_matrix(n: int, root: str) -> GroupElement:
     m = n + 2
-    zero, one, i_ = QQi(0), QQi(1), QQi(0, 1)
-    M = [[zero for _ in range(m)] for _ in range(m)]
-    for k in range(m):
-        M[k][k] = one
+    rows = [[(k, 1, 0)] for k in range(m)]
     if root == "alpha":
-        M[0][0] = M[1][1] = M[n][n] = M[m - 1][m - 1] = zero
-        M[0][1] = M[1][0] = one
-        M[n][m - 1] = M[m - 1][n] = one
+        rows[0], rows[1], rows[n], rows[m - 1] = rows[1], rows[0], rows[m - 1], rows[n]
     elif root == "beta":
-        M[1][1] = M[n][n] = zero
-        M[1][n] = i_
-        M[n][1] = i_
+        rows[1], rows[n] = [(n, 0, 1)], [(1, 0, 1)]
     else:
         raise ValueError("reflection implemented for the simple roots only")
-    return GroupElement(n, M)
+    return GroupElement.from_rows(n, rows, 1)
 
 
 def conjugate(g: GroupElement, u: AlgebraElement) -> AlgebraElement:
@@ -47,7 +38,8 @@ def conjugate(g: GroupElement, u: AlgebraElement) -> AlgebraElement:
     Raises NotInAN when the result leaves a+n; classifier call sites only
     use normalizing g for which closure holds.
     """
-    return element_from_matrix((g @ _matrix_element(u) @ g.inverse()).mat, u.n)
+    p = g @ _matrix_element(u) @ g.inverse()
+    return _element_of_rows(u.n, p.rows, p.den)
 
 
 def weyl_reflect(u: AlgebraElement, root: str) -> AlgebraElement:

@@ -4,9 +4,17 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from su2n import AlgebraElement, linalg
-from su2n.elements import ROOTS, _slot_sums, column_roots
+from su2n.elements import (
+    ROOTS,
+    NotInAN,
+    _coord_entries,
+    _slot_sums,
+    column_roots,
+    gram_matrix,
+    matrix_of,
+)
 from su2n.nilclassify import _minor_parts, _wedge_parts
-from su2n.scalars import QQi, as_exact_real
+from su2n.scalars import QQi, as_exact_real, conj, im, re
 
 
 def ad_a(t1, t2, w: AlgebraElement) -> AlgebraElement:
@@ -105,3 +113,39 @@ def reference_kernel(values, within):
     matrix = [list(col) for col in zip(*(values(c) for c in within))]
     return [linalg.combine(within, k)
             for k in linalg.kernel_basis(matrix or [[0] * len(within)])]
+
+
+# -- the QQi route of conjugation ---------------------------------------------
+#
+# weyl.conjugate computes g (matrix of u) g^{-1} on Gaussian-integer rows and
+# reads the coordinates off those rows.  This is the same conjugation on the
+# QQi view of g: dense QQi products, then the pattern read off the QQi
+# matrix, as the package computed it before it kept group elements as ints.
+
+def dense_product(A, B):
+    """A B over QQi, every product and sum taken."""
+    m = len(A)
+    return [[sum((A[i][k] * B[k][j] for k in range(m)), QQi(0)) for j in range(m)]
+            for i in range(m)]
+
+
+def qqi_element_from_matrix(M, n):
+    """The coordinates of a QQi matrix, each column's read at its first entry
+    in _coord_entries; NotInAN at the first (i, j), row by row, where the
+    matrix of that reading differs from M."""
+    u = AlgebraElement.from_coords(n, [a * re(M[i][j]) + b * im(M[i][j])
+                                       for (i, j, a, b), *_ in _coord_entries(n)])
+    expected = matrix_of(u)
+    for i in range(n + 2):
+        for j in range(n + 2):
+            if expected[i][j] != M[i][j]:
+                raise NotInAN(f"entry ({i},{j}) breaks the a+n pattern")
+    return u
+
+
+def qqi_conjugate(g, u):
+    """Ad(g) u = g (matrix of u) g^{-1} over QQi, with g^{-1} = J g^dagger J."""
+    m, G, J = u.n + 2, g.mat, gram_matrix(u.n)
+    g_inv = dense_product(dense_product(J, [[conj(G[j][i]) for j in range(m)]
+                                            for i in range(m)]), J)
+    return qqi_element_from_matrix(dense_product(dense_product(G, matrix_of(u)), g_inv), u.n)

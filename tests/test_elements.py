@@ -114,16 +114,15 @@ def test_bracket_antisymmetry_bilinearity(alg):
 
 def test_bracket_matches_commutator_with_a_parts(alg):
     rng = random.Random(6)
-    from su2n.elements import _mat_mul
     for _ in range(30):
         n = rng.choice([3, 4, 5])
         u = random_element(n, rng) + AlgebraElement(n, t1=Fraction(rng.randint(-2, 2)),
                                                     t2=Fraction(rng.randint(-2, 2)))
         v = random_element(n, rng) + AlgebraElement(n, t1=Fraction(rng.randint(-2, 2)))
         m = n + 2
-        Mu, Mv = matrix_of(u), matrix_of(v)
+        gu, gv = GroupElement(n, matrix_of(u)), GroupElement(n, matrix_of(v))
         comm = [[a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(_mat_mul(Mu, Mv, m), _mat_mul(Mv, Mu, m))]
+                for r1, r2 in zip((gu @ gv).mat, (gv @ gu).mat)]
         Mb = matrix_of(bracket(u, v))
         assert all(comm[i][j] == Mb[i][j] for i in range(m) for j in range(m))
 
@@ -336,14 +335,14 @@ def _random_sparse_matrix(m, rng, dens=range(1, 8)):
 
 
 def test_mat_mul_equals_dense_sum():
-    from su2n.elements import _mat_mul
+    # GroupElement @ on matrices that are not in the group: only the product is read
     rng = random.Random(11)
     # coprime denominators 89 and 97 in different entries, up to n = 8
     for m, dens in ((5, range(1, 8)), (6, range(1, 8)), (8, range(1, 8)),
                     (6, (1, 89, 97)), (10, range(1, 8)), (10, (1, 2, 89, 97))):
         for _ in range(20):
             A, B = _random_sparse_matrix(m, rng, dens), _random_sparse_matrix(m, rng, dens)
-            P = _mat_mul(A, B, m)
+            P = (GroupElement(m - 2, A) @ GroupElement(m - 2, B)).mat
             for i in range(m):
                 for j in range(m):
                     dense = QQi(0)
@@ -353,7 +352,7 @@ def test_mat_mul_equals_dense_sum():
                     assert P[i][j] == dense
     # an all-zero factor gives the exact zero matrix
     Z = [[QQi(0)] * 5 for _ in range(5)]
-    assert _mat_mul(Z, _random_sparse_matrix(5, rng), 5) == Z
+    assert (GroupElement(3, Z) @ GroupElement(3, _random_sparse_matrix(5, rng))).mat == Z
 
 
 def _dense_exp(M, m):
@@ -640,7 +639,7 @@ def test_inverse_is_the_product_j_g_dagger_j():
                                       Fraction(rng.randint(1, 9), rng.randint(1, 9)))
             for h in (g, a, a @ g, g @ a @ exp_closed(random_element(n, rng))):
                 gd = [[conj(h.mat[j][i]) for j in range(m)] for i in range(m)]
-                want = elements._mat_mul(elements._mat_mul(J, gd, m), J, m)
+                want = _dense_product(_dense_product(J, gd, m), J, m)
                 got = h.inverse().mat
                 for i in range(m):
                     for j in range(m):
@@ -719,7 +718,7 @@ def test_group_element_views_equal_the_eager_qqi_matrices(seed):
             want = _dense_product(_dense_product(J, _dagger(x.mat, m), m), J, m)
             _assert_same_matrix(x.inverse().mat, want)
             # the ints held are the ints read off the view, and the view is kept
-            assert x._int_rows() == elements._gaussian_ints(x.mat, m)
+            assert (x.rows, x.den) == elements._gaussian_ints(x.mat, m)
             assert x.mat is x.mat
         with pytest.raises(AttributeError):
             g.mat = eye
