@@ -11,7 +11,8 @@ A reader that closes the output pipe early ends the command quietly with 0.
 classify and mu-scan read a graph or one-parameter spec that is not in
 compatible form on its exact compatible conjugate; classify's notes then name
 the conjugate's kind and torus line, and a conjugate that is a bare torus line
-exits 1.
+exits 1.  mu-scan samples a nilpotent spec on the witness and extremal curves
+of its classification, and exits as classify does when that fails.
 SU2N_SEED overrides the default seed.  An SU2N_SEED that is not an integer,
 a mu-scan --samples below 1 and a --tmax that is not positive and finite are
 input errors.  Classification draws no random numbers: classify --seed is
@@ -105,7 +106,11 @@ def _cmd_mu_scan(args):
     try:
         cloud = sample_subgroup(spec, plan)
         s_lo, s_hi, conf = fit_exponents(cloud)
-    except (InsufficientRange, OverflowCeiling, NonFinite) as e:
+    except InconsistentClassification as e:
+        print(f"inconsistent classification: {e}", file=sys.stderr)
+        return 2
+    except (AnError, ClassificationError, NotInN,
+            InsufficientRange, OverflowCeiling, NonFinite) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     cloud_to_csv(cloud, args.out or sys.stdout)

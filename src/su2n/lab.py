@@ -823,6 +823,10 @@ def sample_subgroup(spec, plan: SamplingPlan = None, result=None,
     (meta["mu_points"]) and the a-part of its line (meta["ray_direction"]),
     which fit_ray_power reads.
 
+    A Subalgebra is sampled on the witness and extremal curves of `result`,
+    its classification, which is computed here when not given (and raises
+    what classify raises).
+
     designed_only samples the proof-designed curves alone (witness and
     extremal curves, rays, torus and graph lines): no random product (prod*)
     or line-times-product (mix*) curve is drawn.  Each curve is sampled on
@@ -832,6 +836,8 @@ def sample_subgroup(spec, plan: SamplingPlan = None, result=None,
     """
     plan = plan or SamplingPlan()
     if isinstance(spec, Subalgebra):
+        if result is None:
+            result = classify(spec, seed=plan.seed)
         return _collect(_nil_curves(spec, plan, result, designed_only), plan)
     spec = line_compatible(spec)
     if isinstance(spec, Semidirect):
