@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 
 from .anclassify import Graph, OneParam, Semidirect, TorusLine, _normalized_by_element
-from .elements import AlgebraElement, primitive_line
+from .elements import EXTENDED_FUNCTIONALS, ROOTS, AlgebraElement, primitive_line
 from .scalars import format_rational, im, parse_rational, re
 from .subalgebra import Subalgebra, SubalgebraError
 
@@ -28,9 +28,36 @@ def _cx_out(v):
     return [format_rational(re(v)), format_rational(im(v))]
 
 
-def _cx_in(pair):
-    """The (Re, Im) coordinates of an encoded complex entry."""
-    return parse_rational(pair[0]), parse_rational(pair[1])
+def _scalar(v, field):
+    """parse_rational of v; a value that is no scalar (a JSON null, list or
+    object) is a ValueError naming `field`."""
+    try:
+        return parse_rational(v)
+    except TypeError:
+        raise ValueError(f"{field} must be a rational scalar, not {v!r}") from None
+
+
+def _list(v, field):
+    if not isinstance(v, (list, tuple)):
+        raise ValueError(f"{field} must be a list, not {v!r}")
+    return v
+
+
+def _pair(v, field):
+    """The two scalars of the pair v, an encoded complex entry or a torus."""
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        raise ValueError(f"{field} must be a pair of scalars, not {v!r}")
+    return _scalar(v[0], f"{field}[0]"), _scalar(v[1], f"{field}[1]")
+
+
+def _pairs(v, field):
+    return [_pair(p, f"{field}[{i}]") for i, p in enumerate(_list(v, field))]
+
+
+def _object(v, field):
+    if not isinstance(v, dict):
+        raise ValueError(f"{field} must be a JSON object, not {v!r}")
+    return v
 
 
 def element_to_json(e: AlgebraElement) -> dict:
@@ -47,13 +74,14 @@ def element_to_json(e: AlgebraElement) -> dict:
 def element_from_json(d: dict, n: int) -> AlgebraElement:
     """The element of an encoding, its coords() row read straight from the
     scalars in the slot order, with the checks and messages of
-    AlgebraElement(n, ...)."""
-    t = [parse_rational(d.get("t1", 0)), parse_rational(d.get("t2", 0))]
-    phi = _cx_in(d.get("phi", [0, 0]))
-    x = [_cx_in(p) for p in d.get("x", [[0, 0]] * (n - 2))]
-    y = [_cx_in(p) for p in d.get("y", [[0, 0]] * (n - 2))]
-    eta = _cx_in(d.get("eta", [0, 0]))
-    tail = [parse_rational(d.get("xx", 0)), parse_rational(d.get("yy", 0))]
+    AlgebraElement(n, ...).  A slot of the wrong shape (a complex entry that
+    is not a pair, x or y not a list, a scalar that is a list or null) is a
+    ValueError that names it."""
+    t = [_scalar(d.get(k, 0), k) for k in ("t1", "t2")]
+    phi = _pair(d.get("phi", [0, 0]), "phi")
+    x, y = (_pairs(d.get(k, [[0, 0]] * (n - 2)), k) for k in ("x", "y"))
+    eta = _pair(d.get("eta", [0, 0]), "eta")
+    tail = [_scalar(d.get(k, 0), k) for k in ("xx", "yy")]
     if n < 3:
         raise ValueError("n must be >= 3")
     if len(x) != n - 2 or len(y) != n - 2:
@@ -67,7 +95,10 @@ def _n_of(d: dict) -> int:
     mode = d.get("mode", "exact")
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
-    return int(d["n"])
+    n = d.get("n")
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, not {n!r}")
+    return n
 
 
 def subalgebra_to_json(h: Subalgebra) -> dict:
@@ -77,7 +108,8 @@ def subalgebra_to_json(h: Subalgebra) -> dict:
 
 def subalgebra_from_json(d: dict) -> Subalgebra:
     n = _n_of(d)
-    return Subalgebra([element_from_json(e, n) for e in d["basis"]])
+    return Subalgebra([element_from_json(_object(e, f"basis[{i}]"), n)
+                       for i, e in enumerate(_list(d.get("basis"), "basis"))])
 
 
 def spec_to_json(spec) -> dict:
@@ -109,21 +141,27 @@ def _line_normalizes(spec):
 
 
 def spec_from_json(d: dict):
-    kind = d.get("kind", "nil")
+    """The spec of a JSON object.  Every malformed field (a missing or
+    non-integer n, a basis that is not a list of objects, an unknown graph
+    omega, a bad scalar or slot) is a ValueError."""
+    kind = _object(d, "a spec").get("kind", "nil")
     if kind == "nil":
         return subalgebra_from_json(d)
     if kind == "semidirect":
         u = subalgebra_from_json(d)
-        p, q = (parse_rational(v) for v in d["torus"])
+        p, q = _pair(d.get("torus"), "torus")
         if p == 0 and q == 0:
             raise ValueError("the semidirect torus [0, 0] spans no line")
         return _line_normalizes(Semidirect(TorusLine(*primitive_line(p, q)), u))
     if kind == "graph":
         u = subalgebra_from_json(d)
-        psi = element_from_json(d["psi"], _n_of(d))
-        return _line_normalizes(Graph(d["omega"], psi, u))
+        omega = d.get("omega")
+        if omega not in (*ROOTS, *EXTENDED_FUNCTIONALS):
+            raise ValueError(f"unknown graph omega {omega!r}")
+        psi = element_from_json(_object(d.get("psi"), "psi"), u.n)
+        return _line_normalizes(Graph(omega, psi, u))
     if kind == "oneparam":
-        return OneParam(element_from_json(d["x"], _n_of(d)))
+        return OneParam(element_from_json(_object(d.get("x"), "x"), _n_of(d)))
     raise ValueError(f"unknown spec kind {kind!r}")
 
 
