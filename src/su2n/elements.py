@@ -33,11 +33,15 @@ nonzero output part; `int_bracket` gives the bracket before that division.
 The action of a on n lives once, in the a-part term of `_bracket_ints`,
 which scales each root column by its root (`column_roots`): [t, w] is
 `int_bracket(t, w)` for an element t of a.  `matrix_of` divides nothing:
-each part of the display is one signed coordinate.  A `GroupElement` is
-held in that form, sparse Gaussian-integer rows over one denominator:
+each part of the display is one signed coordinate.
+
+A `GroupElement` is its sparse Gaussian-integer rows over one denominator.
+`exp_closed`, `exp_series`, `identity` and `diagonal` build those rows;
 products, inverse, det (Bareiss elimination over Z[i]) and the form check
-run on it, and `.mat` is its QQi view.  Every zero
-entry of an exact matrix built here is the shared `scalars.ZERO`.
+run on them; `_element_of_rows` reads an a+n coordinate row back off them
+(for `weyl.conjugate` and `element_from_matrix`).  QQi matrices appear only
+at the edge: `.mat`, `matrix_of`, GroupElement(n, mat) and
+`element_from_matrix`, every zero entry the shared `scalars.ZERO`.
 `exp_closed` evaluates the closed display on the coordinate row and shares
 no code with `exp_series`, which is its oracle, but `int_row`.
 
@@ -512,19 +516,12 @@ def _gaussian_matrix(rows, den, m):
     """The m x m matrix of Gaussian rationals that (rows, den) stands for,
     its zero entries the shared ZERO.  Each distinct numerator's Fraction is
     built once and shared, 0 and den among them."""
-    fracs = {0: Fraction(0), den: Fraction(1)}
-
-    def frac(v):
-        f = fracs.get(v)
-        if f is None:
-            f = fracs[v] = Fraction(v, den)
-        return f
-
+    fracs = {v: Fraction(v, den) for v in {p for row in rows for _, r, i in row for p in (r, i)}}
     out = []
     for row in rows:
         out_row = [ZERO] * m
         for j, r, i in row:
-            out_row[j] = _make(frac(r), frac(i))
+            out_row[j] = _make(fracs[r], fracs[i])
         out.append(out_row)
     return out
 
