@@ -38,20 +38,26 @@ def _scalar(v, field):
 
 
 def _list(v, field):
-    if not isinstance(v, (list, tuple)):
+    if type(v) is not list:
         raise ValueError(f"{field} must be a list, not {v!r}")
     return v
 
 
 def _pair(v, field):
-    """The two scalars of the pair v, an encoded complex entry or a torus."""
-    if not isinstance(v, (list, tuple)) or len(v) != 2:
-        raise ValueError(f"{field} must be a pair of scalars, not {v!r}")
-    return _scalar(v[0], f"{field}[0]"), _scalar(v[1], f"{field}[1]")
+    """The two scalars of the pair v, an encoded complex entry or a torus;
+    anything else is a ValueError naming `field`."""
+    if type(v) is list and len(v) == 2:
+        try:
+            return parse_rational(v[0]), parse_rational(v[1])
+        except TypeError:
+            pass
+    raise ValueError(f"{field} must be a pair of scalars, not {v!r}")
 
 
 def _pairs(v, field):
-    return [_pair(p, f"{field}[{i}]") for i, p in enumerate(_list(v, field))]
+    """The pairs of the list v, the x or y slot."""
+    entry = f"an entry of {field}"
+    return [_pair(p, entry) for p in _list(v, field)]
 
 
 def _object(v, field):
@@ -77,11 +83,12 @@ def element_from_json(d: dict, n: int) -> AlgebraElement:
     AlgebraElement(n, ...).  A slot of the wrong shape (a complex entry that
     is not a pair, x or y not a list, a scalar that is a list or null) is a
     ValueError that names it."""
-    t = [_scalar(d.get(k, 0), k) for k in ("t1", "t2")]
+    t = [_scalar(d.get("t1", 0), "t1"), _scalar(d.get("t2", 0), "t2")]
     phi = _pair(d.get("phi", [0, 0]), "phi")
-    x, y = (_pairs(d.get(k, [[0, 0]] * (n - 2)), k) for k in ("x", "y"))
+    x = _pairs(d.get("x", [[0, 0]] * (n - 2)), "x")
+    y = _pairs(d.get("y", [[0, 0]] * (n - 2)), "y")
     eta = _pair(d.get("eta", [0, 0]), "eta")
-    tail = [_scalar(d.get(k, 0), k) for k in ("xx", "yy")]
+    tail = [_scalar(d.get("xx", 0), "xx"), _scalar(d.get("yy", 0), "yy")]
     if n < 3:
         raise ValueError("n must be >= 3")
     if len(x) != n - 2 or len(y) != n - 2:

@@ -461,14 +461,16 @@ def _set(path, value):
     ("notcds09-n3", _set(("basis", 0, "phi"), "1"), "phi must be a pair of scalars, not '1'"),
     ("notcds09-n3", _set(("basis", 0, "xx"), None), "xx must be a rational scalar, not None"),
     ("notcds09-n3", _set(("basis", 0, "eta", 1), [0]),
-     "eta[1] must be a rational scalar, not [0]"),
+     "eta must be a pair of scalars, not ['0', [0]]"),
+    ("notcds09-n3", _set(("basis", 0, "y", 0), "1"), "an entry of y must be a pair of scalars, not '1'"),
     ("notcds09-n3", _set(("basis", 0, "x"), None), "x must be a list, not None"),
     ("notcds09-n3", _set(("basis",), None), "basis must be a list, not None"),
     ("notcds09-n3", _set(("n",), None), "n must be an integer, not None"),
     ("notcds09-n3", _set(("basis",), [None]), "basis[0] must be a JSON object, not None"),
     ("graph01-n4", _set(("omega",), "gamma"), "unknown graph omega 'gamma'"),
     ("graph01-n4", _set(("omega",), None), "unknown graph omega None"),
-], ids=["phi-digits", "phi-one-char", "null-scalar", "list-scalar", "null-x", "null-basis",
+], ids=["phi-digits", "phi-one-char", "null-scalar", "list-scalar", "y-entry", "null-x",
+        "null-basis",
         "null-n", "null-element", "unknown-omega", "null-omega"])
 def test_cli_reports_a_malformed_spec_as_an_input_error(tmp_path, capsys, command, entry,
                                                         edit, message):
