@@ -25,7 +25,7 @@ from su2n.lab import exp_float
 from su2n.scalars import ZERO, QQi, abs2, conj, herm, im, re
 from su2n.weyl import weyl_matrix
 
-from references import ad_a
+from references import ad_a, dense_product
 
 
 def test_matrix_of_reads_each_part_off_the_row():
@@ -639,7 +639,7 @@ def test_inverse_is_the_product_j_g_dagger_j():
                                       Fraction(rng.randint(1, 9), rng.randint(1, 9)))
             for h in (g, a, a @ g, g @ a @ exp_closed(random_element(n, rng))):
                 gd = [[conj(h.mat[j][i]) for j in range(m)] for i in range(m)]
-                want = _dense_product(_dense_product(J, gd, m), J, m)
+                want = dense_product(dense_product(J, gd), J)
                 got = h.inverse().mat
                 for i in range(m):
                     for j in range(m):
@@ -659,12 +659,6 @@ def test_group_elements_are_exact_only():
     assert a.mat[3][3] == QQi(3) and a.mat[4][4] == QQi(Fraction(1, 4))
     ok, why = a.check_invariants()
     assert ok, why
-
-
-def _dense_product(A, B, m):
-    """A B over QQi, every product and sum taken."""
-    return [[sum((A[i][k] * B[k][j] for k in range(m)), QQi(0)) for j in range(m)]
-            for i in range(m)]
 
 
 def _form_matrix(n):
@@ -713,9 +707,9 @@ def test_group_element_views_equal_the_eager_qqi_matrices(seed):
         _assert_same_matrix(gram_matrix(n), J)
         _assert_same_matrix(matrix_of(u), elements._matrix_element(u).mat)
         for x, y in ((g, h), (h, g), (a, g), (g @ a, h)):
-            _assert_same_matrix((x @ y).mat, _dense_product(x.mat, y.mat, m))
+            _assert_same_matrix((x @ y).mat, dense_product(x.mat, y.mat))
         for x in (g, h, a, g @ h @ a):
-            want = _dense_product(_dense_product(J, _dagger(x.mat, m), m), J, m)
+            want = dense_product(dense_product(J, _dagger(x.mat, m)), J)
             _assert_same_matrix(x.inverse().mat, want)
             # the ints held are the ints read off the view, and the view is kept
             assert (x.rows, x.den) == elements._gaussian_ints(x.mat, m)
@@ -727,7 +721,7 @@ def test_group_element_views_equal_the_eager_qqi_matrices(seed):
         for _ in range(5):
             A, B = _random_sparse_matrix(m, rng, dens), _random_sparse_matrix(m, rng, dens)
             _assert_same_matrix((GroupElement(m - 2, A) @ GroupElement(m - 2, B)).mat,
-                                _dense_product(A, B, m))
+                                dense_product(A, B))
 
 
 def _qqi_det(M, m):
@@ -753,7 +747,7 @@ def _qqi_det(M, m):
 def _qqi_invariants(M, n):
     """check_invariants by dense QQi products with J written out."""
     m, J = n + 2, _form_matrix(n)
-    lhs = _dense_product(_dense_product(_dagger(M, m), J, m), M, m)
+    lhs = dense_product(dense_product(_dagger(M, m), J), M)
     for i in range(m):
         for j in range(m):
             if lhs[i][j] != J[i][j]:

@@ -127,5 +127,5 @@ def test_group_elements_are_built_and_conjugated_without_qqi(monkeypatch):
     assert built == []
     assert 0 < broken < read
     # the spy sees a QQi view being built
-    g.mat
+    GroupElement.identity(3).mat
     assert built
