@@ -24,16 +24,17 @@ The six coordinate slots phi, y, x, yy, eta, xx are the root spaces for
 alpha, beta, alpha+beta, 2*beta, alpha+2*beta, 2*alpha+2*beta where
 alpha(a) = a1/a2 and beta(a) = a2 on a = diag(a1, a2, 1, ..., 1/a2, 1/a1).
 
-The exact kernels are fraction-free (the idea of Bareiss, Math. Comp. 22,
-1968): `bracket`, `exp_series`, `exp_closed` and `delta_formula` read an
-algebra element as ints over its common denominator (`linalg.int_row`, kept
-by the element and read by other modules through `int_coords`), compute on
-Python ints (Gaussian-integer pairs for matrix entries) and divide once per
-nonzero output part; `int_bracket` gives the bracket before that division.
+An `AlgebraElement` is its coordinate row as ints over one denominator, the
+row form of `linalg`; Fractions are built only in coords() and the slot
+views.  The exact kernels are fraction-free (the idea of Bareiss, Math.
+Comp. 22, 1968): sums, scalings, parts, `bracket`, `exp_series`,
+`exp_closed` and `delta_formula` compute on Python ints (Gaussian-integer
+pairs for matrix entries): an element is reduced once (`from_ints`), a
+matrix entry divided once; `int_bracket` gives the bracket unreduced.
 The action of a on n lives once, in the a-part term of `_bracket_ints`,
 which scales each root column by its root (`column_roots`): [t, w] is
-`int_bracket(t, w)` for an element t of a.  `matrix_of` divides nothing:
-each part of the display is one signed coordinate.
+`int_bracket(t, w)` for an element t of a.  `matrix_of` reads each part
+of the display as one signed coordinate of coords().
 
 A `GroupElement` is its sparse Gaussian-integer rows over one denominator.
 `exp_closed`, `exp_series`, `identity` and `diagonal` build those rows;
@@ -43,7 +44,7 @@ run on them; `_element_of_rows` reads an a+n coordinate row back off them
 at the edge: `.mat`, `matrix_of`, GroupElement(n, mat) and
 `element_from_matrix`, every zero entry the shared `scalars.ZERO`.
 `exp_closed` evaluates the closed display on the coordinate row and shares
-no code with `exp_series`, which is its oracle, but `int_row`.
+no code with `exp_series`, which is its oracle: both read the element's ints.
 
 The module is exact only and imports no numpy: the float exponential of a
 coordinate vector (`float_line`) lives with the sampling curves in `lab`,
@@ -67,6 +68,10 @@ from .scalars import (
     as_exact_real,
     conj,
 )
+
+
+# the one Fraction zero of coords() and the slot views
+_ZERO = Fraction(0)
 
 
 class NotInAN(ValueError):
@@ -142,17 +147,18 @@ def kernel_root(p, q) -> Optional[str]:
 class AlgebraElement:
     """Immutable element of a+n for SU(2,n) in the coordinates above.
 
-    It is its coordinate row: `n` and one tuple of 4n exact Fractions in the
-    `slot_columns` layout, which coords() copies and from_coords stores, and
-    on which sums, scalings and parts are computed.  The slot names are
-    read-only views of the row: phi, eta and the entries of x and y as
-    Gaussian rationals, t1, t2, xx and yy as Fractions.  Float sampling works
-    on np.array(u.coords(), dtype=float) instead (see lab.float_line).  The
-    exact kernels read the row as ints over one denominator (`_int_row`),
-    computed on first use and kept.
+    It is its coordinate row as ints over one denominator, the `linalg` row
+    form: `n`, `ints`, a tuple of 4n ints in the `slot_columns` layout, and
+    `den`, a positive int coprime to them, so the row is
+    [a / den for a in ints] and equal elements have equal fields.  Sums,
+    scalings, parts and brackets are computed on the ints (from_ints) and
+    build no Fraction.  Fractions are built only at the edge: coords(), and
+    the read-only slot views, phi, eta and the entries of x and y as
+    Gaussian rationals, t1, t2, xx and yy as Fractions.  Float sampling
+    works on np.array(u.coords(), dtype=float) instead (see lab.float_line).
     """
 
-    __slots__ = ("n", "_row", "_ints")
+    __slots__ = ("n", "ints", "den")
 
     # Always "exact"; kept because bench/tracing.py names the exp_closed and
     # exp_series spans after the mode of their first argument.
@@ -170,51 +176,53 @@ class AlgebraElement:
             raise ValueError(f"x, y must have length n-2 = {d}")
         row = [as_exact_real(t1), as_exact_real(t2)]
         for z in (phi, *x, *y, eta):
-            z = as_exact_complex(z)
-            row += (z.re, z.im)
+            if type(z) is int:  # int_row reads it as it is
+                row += (z, 0)
+            else:
+                z = as_exact_complex(z)
+                row += (z.re, z.im)
         row += (as_exact_real(xx), as_exact_real(yy))
-        self.n = n
-        self._row = tuple(row)
-        self._ints = None
+        ints, self.den = int_row(row)
+        self.n, self.ints = n, tuple(ints)
 
     @staticmethod
-    def _of(n, row):
-        """The element of the tuple `row` of Fractions, taken as it is."""
+    def from_ints(n, ints, den):
+        """The element of the row [a / den for a in ints], 4n ints over a
+        nonzero int den, held over its least positive denominator
+        (ValueError for any other length or a zero den)."""
+        if n < 3 or len(ints) != 4 * n or not den:
+            raise ValueError(f"not a coordinate row for n = {n}: {len(ints)} ints over {den}")
+        g = gcd(den, *ints) if den > 0 else -gcd(den, *ints)
         e = object.__new__(AlgebraElement)
-        e.n = n
-        e._row = row
-        e._ints = None
+        e.n, e.ints, e.den = n, tuple(a // g for a in ints), den // g
         return e
-
-    def _int_row(self):
-        """linalg.int_row of the row, computed once and kept as (tuple of
-        ints, den)."""
-        if self._ints is None:
-            ints, den = int_row(self._row)
-            self._ints = tuple(ints), den
-        return self._ints
 
     # -- slot views ------------------------------------------------------------
 
-    t1 = property(lambda self: self._row[0])
-    t2 = property(lambda self: self._row[1])
-    phi = property(lambda self: _make(self._row[2], self._row[3]))
-    x = property(lambda self: self._pairs(4, 2 * self.n))
-    y = property(lambda self: self._pairs(2 * self.n, 4 * self.n - 4))
-    eta = property(lambda self: _make(self._row[-4], self._row[-3]))
-    xx = property(lambda self: self._row[-2])
-    yy = property(lambda self: self._row[-1])
+    def _value(self, k):
+        a = self.ints[k]
+        return Fraction(a, self.den) if a else _ZERO
 
-    def _pairs(self, start, stop):
-        r = self._row
-        return tuple(_make(r[k], r[k + 1]) for k in range(start, stop, 2))
+    def _complex(self, k):
+        return _make(self._value(k), self._value(k + 1))
+
+    t1 = property(lambda self: self._value(0))
+    t2 = property(lambda self: self._value(1))
+    phi = property(lambda self: self._complex(2))
+    x = property(lambda self: tuple(map(self._complex, range(4, 2 * self.n, 2))))
+    y = property(lambda self: tuple(map(self._complex, range(2 * self.n, 4 * self.n - 4, 2))))
+    eta = property(lambda self: self._complex(4 * self.n - 4))
+    xx = property(lambda self: self._value(-2))
+    yy = property(lambda self: self._value(-1))
 
     # -- vector-space structure ----------------------------------------------
 
     def __add__(self, other):
         self._check_compatible(other)
-        return AlgebraElement._of(self.n, tuple(
-            a + b if a and b else a or b for a, b in zip(self._row, other._row)))
+        den = lcm(self.den, other.den)
+        fu, fv = den // self.den, den // other.den
+        return AlgebraElement.from_ints(
+            self.n, [a * fu + b * fv for a, b in zip(self.ints, other.ints)], den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -224,8 +232,8 @@ class AlgebraElement:
 
     def scale(self, c):
         """Multiply by a real scalar (a float is read as its exact binary value)."""
-        c = as_exact_real(c)
-        return AlgebraElement._of(self.n, tuple(c * v if v else v for v in self._row))
+        p, q = as_exact_real(c).as_integer_ratio()
+        return AlgebraElement.from_ints(self.n, [p * a for a in self.ints], q * self.den)
 
     __rmul__ = scale
     __mul__ = scale
@@ -233,10 +241,10 @@ class AlgebraElement:
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.n == other.n and self._row == other._row
+        return self.n == other.n and self.den == other.den and self.ints == other.ints
 
     def __hash__(self):
-        return hash((self.n, self._row))
+        return hash((self.n, self.ints, self.den))
 
     def _check_compatible(self, other):
         if not isinstance(other, AlgebraElement):
@@ -247,23 +255,26 @@ class AlgebraElement:
     # -- structure -------------------------------------------------------------
 
     def is_nilpotent(self):
-        return not self._row[0] and not self._row[1]
+        return not self.ints[0] and not self.ints[1]
 
     def is_zero(self):
-        return not any(self._row)
+        return not any(self.ints)
 
     def a_part(self):
-        return AlgebraElement._of(self.n, self._row[:2] + (Fraction(0),) * (4 * self.n - 2))
+        return AlgebraElement.from_ints(
+            self.n, self.ints[:2] + (0,) * (4 * self.n - 2), self.den)
 
     def nilpotent_part(self):
-        return AlgebraElement._of(self.n, (Fraction(0),) * 2 + self._row[2:])
+        return AlgebraElement.from_ints(self.n, (0, 0) + self.ints[2:], self.den)
 
     def coords(self):
-        """Real coordinate vector of Fractions: a copy of the row.
+        """Real coordinate vector of Fractions, [a / den for a in ints] as a
+        new list.
 
         The layout is the one `slot_columns` describes.
         """
-        return list(self._row)
+        den = self.den
+        return [Fraction(a, den) if a else _ZERO for a in self.ints]
 
     @staticmethod
     def slot_columns(n) -> dict:
@@ -287,18 +298,18 @@ class AlgebraElement:
     @staticmethod
     def from_coords(n, vec):
         """The element whose coords() is `vec`, a sequence of 4n exact reals
-        (read as Fractions; ValueError for any other length)."""
+        (read by linalg.int_row; ValueError for any other length)."""
         if n < 3 or len(vec) != 4 * n:
             raise ValueError(f"not a coordinate row for n = {n}: {len(vec)} entries")
-        return AlgebraElement._of(n, tuple(
-            v if type(v) is Fraction else as_exact_real(v) for v in vec))
+        return AlgebraElement.from_ints(
+            n, *int_row([v if type(v) is Fraction else as_exact_real(v) for v in vec]))
 
     def root_component(self, root: str):
         """The root-space component as a new element (a-part dropped)."""
         sl = self.slot_columns(self.n)[ROOT_SLOT[root]]
-        row = [Fraction(0)] * (4 * self.n)
-        row[sl] = self._row[sl]
-        return AlgebraElement._of(self.n, tuple(row))
+        ints = [0] * (4 * self.n)
+        ints[sl] = self.ints[sl]
+        return AlgebraElement.from_ints(self.n, ints, self.den)
 
     def __repr__(self):
         parts = []
@@ -363,11 +374,11 @@ def matrix_of(u: AlgebraElement):
     GaussianRationals, each part a signed coordinate of u (_entry_parts),
     each zero entry the shared ZERO.
     """
-    m, row, zero = u.n + 2, u._row, Fraction(0)
+    m, row = u.n + 2, u.coords()
     out = [[ZERO] * m for _ in range(m)]
     for i, j, rc, rs, ic, is_ in _entry_parts(u.n):
-        r = row[rc] if rs > 0 else -row[rc] if rs else zero
-        q = row[ic] if is_ > 0 else -row[ic] if is_ else zero
+        r = row[rc] if rs > 0 else -row[rc] if rs else _ZERO
+        q = row[ic] if is_ > 0 else -row[ic] if is_ else _ZERO
         if r or q:
             out[i][j] = _make(r, q)
     return out
@@ -377,8 +388,7 @@ def _matrix_element(u: AlgebraElement) -> "GroupElement":
     """matrix_of(u) held as a GroupElement, built on u's ints with no QQi
     entry in between, for the exact products of a commutator or a
     conjugation (the matrix is not in the group; only products are read)."""
-    ints, den = u._int_row()
-    return GroupElement.from_rows(u.n, _gaussian_of_row(u.n, ints), den)
+    return GroupElement.from_rows(u.n, _gaussian_of_row(u.n, u.ints), u.den)
 
 
 def element_from_matrix(M, n) -> AlgebraElement:
@@ -402,8 +412,7 @@ def _element_of_rows(n, rows, den) -> AlgebraElement:
         if row != want:
             j = min(j for j, _, _ in set(row) ^ set(want))
             raise NotInAN(f"entry ({i},{j}) breaks the a+n pattern")
-    zero = Fraction(0)
-    return AlgebraElement._of(n, tuple(Fraction(v, den) if v else zero for v in ints))
+    return AlgebraElement.from_ints(n, ints, den)
 
 
 @lru_cache(maxsize=None)
@@ -416,32 +425,23 @@ def column_roots(n) -> tuple:
 
 
 def bracket(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
-    """Lie bracket [u, v] in coordinates: int_bracket, one Fraction per
-    nonzero coordinate."""
-    ints, den = int_bracket(u, v)
-    zero = Fraction(0)
-    return AlgebraElement._of(u.n, tuple(Fraction(s, den) if s else zero for s in ints))
-
-
-def int_coords(u: AlgebraElement) -> tuple:
-    """u's coords() row as (ints, den), the linalg.int_row of it that u
-    keeps: computed on first use, never twice."""
-    return u._int_row()
+    """Lie bracket [u, v] in coordinates: int_bracket, over its least
+    denominator."""
+    return AlgebraElement.from_ints(u.n, *int_bracket(u, v))
 
 
 def int_bracket(u: AlgebraElement, v: AlgebraElement) -> tuple:
     """The coords() row of [u, v] as (ints, du * dv): `_bracket_ints` on the
-    int rows (U, du) of u and (V, dv) of v that the elements keep.  No
-    Fraction is built, so a closure or normalizer test that only asks
-    whether the bracket lies in a span (linalg.in_span) reads it as it is."""
+    rows (U, du) of u and (V, dv) of v.  It is not reduced, so a closure or
+    normalizer test that only asks whether the bracket lies in a span
+    (linalg.in_span) reads it as it is."""
     u._check_compatible(v)
-    (U, du), (V, dv) = u._int_row(), v._int_row()
-    return _bracket_ints(u.n, U, du, V, dv), du * dv
+    return _bracket_ints(u.n, u.ints, v.ints), u.den * v.den
 
 
-def _bracket_ints(n, U, du, V, dv) -> list:
-    """The coords() row of [u, v] as ints over du * dv, from the int rows
-    U / du of u and V / dv of v (`int_row`).
+def _bracket_ints(n, U, V) -> list:
+    """The coords() row of [u, v] as ints over du * dv, from the rows
+    U / du of u and V / dv of v.
 
     For nilpotent parts this is the closed-form slot computation
 
@@ -539,7 +539,7 @@ def exp_series(u: AlgebraElement) -> "GroupElement":
     if not u.is_nilpotent():
         raise ValueError("exact exponentials need a nilpotent element")
     m = u.n + 2
-    ints, den = u._int_row()
+    ints, den = u.ints, u.den
     N = _gaussian_of_row(u.n, ints)
     acc_re = [[0] * m for _ in range(m)]
     acc_im = [[0] * m for _ in range(m)]
@@ -570,7 +570,7 @@ def _slot_sums(n, U):
 
 def _exp_display(n, U, D):
     """The entries of exp(u) that are not coordinates of u, per the general
-    display, from u's row U / D in ints (`int_row`):
+    display, from u's row U / D in ints:
 
         x_row_k = x_k + phi y_k / 2
         e1n = eta - <x, y> / 2 + i phi yy / 2 - phi |y|^2 / 6
@@ -618,7 +618,7 @@ def exp_closed(u: AlgebraElement) -> "GroupElement":
     if not u.is_nilpotent():
         raise ValueError("exp_closed needs a nilpotent element (t1 = t2 = 0)")
     n, m = u.n, u.n + 2
-    U, D = u._int_row()
+    U, D = u.ints, u.den
     parts = _exp_display(n, U, D)
     if not U[2] and not U[3]:
         _check_phi0_form(n, U, D, parts)
@@ -683,13 +683,13 @@ def delta_formula(u: AlgebraElement):
         Im = yy |phi|^2 |y|^2 / 24 + Im(<x, y> conj(eta)) + xx |y|^2 / 2
              + yy |x|^2 / 2
 
-    evaluated on u's int row U / D (`int_row`): Re over 144 D^6 and Im over
+    evaluated on u's int row U / D: Re over 144 D^6 and Im over
     24 D^5, a monomial of degree k with coefficient c weighted by
     144 c D^(6-k), resp. 24 c D^(5-k).
     """
     if not u.is_nilpotent():
         raise ValueError("delta_formula needs a nilpotent element (t1 = t2 = 0)")
-    U, D = u._int_row()
+    U, D = u.ints, u.den
     E = 4 * u.n - 4
     pr, pi, er, ei, xx, yy = U[2], U[3], U[E], U[E + 1], U[E + 2], U[E + 3]
     ax2, ay2, a, b = _slot_sums(u.n, U)

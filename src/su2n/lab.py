@@ -583,20 +583,19 @@ def _least_rho_ratio(g_u, z_line, p, factors):
     return cands[0 if np.isnan(ratio[0]) else int(np.nanargmin(ratio))]
 
 
-def _nil_curves(h: Subalgebra, plan, result=None, designed_only=False):
-    """The witness and template extremal curves of result, a ray both ways per
-    basis row of h, then N_PRODUCT_CURVES random products (none if
-    designed_only)."""
+def _nil_curves(h: Subalgebra, plan, result, designed_only=False):
+    """The witness and template extremal curves of result, h's
+    classification, a ray both ways per basis row of h, then
+    N_PRODUCT_CURVES random products (none if designed_only)."""
     B = np.array(h.coord_rows(), dtype=float)
     rng = random.Random(plan.seed)
     curves = []
-    if result is not None:
-        for tag, w in (("square-witness", result.square),
-                       ("linear-witness", result.linear)):
-            if w is not None:
-                curves.append((tag, witness_curve(w, h)))
-        if result.template is not None:
-            curves += _template_extremal_curves(result.template)
+    for tag, w in (("square-witness", result.square),
+                   ("linear-witness", result.linear)):
+        if w is not None:
+            curves.append((tag, witness_curve(w, h)))
+    if result.template is not None:
+        curves += _template_extremal_curves(result.template)
     draws = [] if designed_only else [_product_draw(rng, len(B), PRODUCT_DEPTH)
                                       for _ in range(N_PRODUCT_CURVES)]
     rays, products = _rays_and_products(B, draws)
@@ -660,7 +659,7 @@ def _ray_recipe(name):
 
 def _square_1(els, n):
     u = els["u"]
-    lam = _lambda_of(n, u.coords())
+    lam = _lambda_of(n, (u.ints, u.den))
     return _ray(u if lam is None else _conj_u_alpha(u, -lam))
 
 
@@ -732,7 +731,7 @@ def _corner_recipe(a, b, clear_im):
 def _linear_2(els, n):
     u = els["u"]
     if any(u.y):
-        u = weyl_reflect(_conj_u_alpha(u, -_lambda_of(n, u.coords())), "alpha")
+        u = weyl_reflect(_conj_u_alpha(u, -_lambda_of(n, (u.ints, u.den))), "alpha")
     return _ray(u)
 
 
@@ -770,7 +769,7 @@ def _linear_5(els, n):
         u, z = conj_pair(welt, u, z)
     # (ii) make x_u orthogonal to y_u (alpha conjugation)
     if ys != 0:
-        welt = AlgebraElement(n, phi=-_lambda_of(n, u.coords()))
+        welt = AlgebraElement(n, phi=-_lambda_of(n, (u.ints, u.den)))
         u, z = conj_pair(welt, u, z)
     # (iii) clear x_u by a beta element centralizing y_u
     if any(u.x) and u.phi:

@@ -2,31 +2,33 @@
 
 Everything the classifiers decide (kernels, ranks, memberships, quadratic-form
 signatures) is computed here exactly, so classification answers are
-independent of any floating tolerance.  Vectors are plain lists of Fractions,
-matrices lists of rows.
+independent of any floating tolerance.
 
-The row reduction, the span tests, the kernels, the combinations of rows and
-the Gram matrices of fixed forms are fraction-free (the idea of Bareiss,
-Math. Comp. 22, 1968): each row is read as Python ints over one denominator
-(int_row), the arithmetic runs on ints, and Fractions are built only in the
-results, one per nonzero entry.  A Row is a list of rationals that keeps its
-int form, so a row made here (combine) or by Subalgebra.rows() is never read
-into ints twice.  The reduced row echelon form of a matrix is unique, so
-rref is the same value as Fraction elimination gives.
+A row is a pair (ints, den): the rational row [a / den for a in ints], with
+den a positive int coprime to the ints.  It is the one form in which a
+coordinate row is held, passed and computed on: an AlgebraElement is its
+(ints, den), Subalgebra.rows() gives those pairs, and the row reduction, the
+span tests, the kernels, the combinations of rows and the Gram matrices of
+fixed forms take pairs and run on Python ints, fraction-free (the idea of
+Bareiss, Math. Comp. 22, 1968).  int_row is the one reader of rational
+entries into a row; combine returns a pair and builds no Fraction.
 
-A span test reduces the int form of each vector against the int echelon form
-of the spanning rows (echelon_ints, in_span): the vector is in the span iff
-nothing is left.  No Fraction is built.  rref gives the rational rows, for
-the callers that read those values.
+A span test reduces the ints of each vector against the int echelon form of
+the spanning rows (echelon_ints, in_span): the vector is in the span iff
+nothing is left.  kernel_basis returns its kernel vectors as Fractions, the
+coefficients a caller combines rows by.  rref and solve_linear take rational
+rows and give rational rows, for the callers that read those values: the
+reduced row echelon form is unique, so rref is the same value as Fraction
+elimination gives.
 
-The classifier decides on these int forms too: a Row's ints are the row
-times a positive number (its denominator), so every zero test, minor and
-kernel it takes on them is the rational row's.  It hands kernel_basis a value
-matrix only when the kernel is not read off the matrix (all of the rows when
-every value is zero, none for one row and a nonzero value), and sums the
-forms of a central parameter as ints (sum_forms) into one Gram.  Fractions
-are built for the rows, Grams and elements it returns; signature stays on
-Fractions, since its congruence vectors become witnesses.
+The classifier decides on these ints too: a row's ints are the rational row
+times a positive number (its den), so every zero test, minor and kernel it
+takes on them is the rational row's.  It hands kernel_basis a value matrix
+only when the kernel is not read off the matrix (all of the rows when every
+value is zero, none for one row and a nonzero value), and sums the forms of
+a central parameter as ints (sum_forms) into one Gram.  Fractions are built
+in the Grams and in rref and solve_linear; signature stays on Fractions,
+since its congruence vectors become witnesses.
 """
 
 from __future__ import annotations
@@ -44,31 +46,12 @@ def _frac_rows(rows) -> Mat:
 
 
 def int_row(row):
-    """(ints, den): row == [a / den for a in ints], den the lcm of the
-    denominators of the entries of `row`, which are ints, Fractions or floats
-    (a float read as its exact binary value)."""
+    """The row (ints, den) of the rational entries of `row`, which are ints,
+    Fractions or floats (a float read as its exact binary value): den is the
+    lcm of their denominators, so it is coprime to the ints."""
     pairs = [x.as_integer_ratio() for x in row]
     den = lcm(*{d for _, d in pairs})
     return [a * (den // d) for a, d in pairs], den
-
-
-class Row(list):
-    """A list of exact rationals that keeps its int_row as `ints`, a pair
-    (ints, den) with the row equal to [a / den for a in ints] and den the
-    lcm of its denominators.  Made by combine, Subalgebra.rows() and the
-    frame's kernels; never changed in place, so the kept ints stay those of
-    its entries."""
-
-    __slots__ = ("ints",)
-
-    def __init__(self, values, ints):
-        super().__init__(values)
-        self.ints = ints
-
-
-def ints_of(row):
-    """int_row(row), read from a Row without computing it again."""
-    return row.ints if type(row) is Row else int_row(row)
 
 
 def _primitive(row):
@@ -82,11 +65,11 @@ def echelon_ints(rows):
     rows, row k having its nonzero pivot entry at pivots[k] and zeros at the
     other pivots; rref divides row k by that entry.
 
-    Fraction-free Gauss-Jordan: the rows are read as ints (ints_of), and
-    clearing column c of row i takes p * row_i - f * pivot_row with p the
-    pivot and f the entry of row i, then divides by the gcd of the result.
+    Fraction-free Gauss-Jordan on the rows' ints: clearing column c of row
+    i takes p * row_i - f * pivot_row with p the pivot and f the entry of
+    row i, then divides by the gcd of the result.
     """
-    m = [_primitive(ints_of(row)[0]) for row in rows]
+    m = [_primitive(ints) for ints, _ in rows]
     if not m:
         return [], []
     nrows, ncols = len(m), len(m[0])
@@ -125,13 +108,13 @@ def in_span(echelon, ints) -> bool:
 
 
 def span_contains(rows, v) -> bool:
-    return in_span(echelon_ints(rows), ints_of(v)[0])
+    return in_span(echelon_ints(rows), v[0])
 
 
 def subspace_leq(rows_a, rows_b) -> bool:
     """span(rows_a) <= span(rows_b), with rows_b row-reduced once."""
     echelon = echelon_ints(rows_b)
-    return all(in_span(echelon, ints_of(v)[0]) for v in rows_a)
+    return all(in_span(echelon, v[0]) for v in rows_a)
 
 
 def subspace_eq(rows_a, rows_b) -> bool:
@@ -139,12 +122,13 @@ def subspace_eq(rows_a, rows_b) -> bool:
 
 
 def kernel_basis(rows) -> list:
-    """Basis of the right kernel {v : rows @ v = 0}: one vector per free
-    column fc of the echelon form, 1 at fc, 0 at the other free columns and
-    -row[fc] / row[pc] at the pivot pc of each echelon row."""
+    """Basis of the right kernel {v : rows @ v = 0} of the rows (pairs), as
+    lists of Fractions: one vector per free column fc of the echelon form, 1
+    at fc, 0 at the other free columns and -row[fc] / row[pc] at the pivot pc
+    of each echelon row."""
     if not rows:
         return []
-    ncols = len(rows[0])
+    ncols = len(rows[0][0])
     ints, pivots = echelon_ints(rows)
     zero, one = Fraction(0), Fraction(1)
     basis = []
@@ -160,14 +144,16 @@ def kernel_basis(rows) -> list:
     return basis
 
 
-def combine(rows, coeffs) -> Row:
-    """The combination sum_i coeffs[i] rows[i] as a Row, skipping zero
-    coefficients: summed on the rows' ints over one common denominator,
-    then one Fraction per nonzero entry.  The ints are divided by their gcd
-    with that denominator first, so the Row keeps int_row of its entries."""
-    terms = [(c.as_integer_ratio(), ints_of(row)) for c, row in zip(coeffs, rows) if c]
+def combine(rows, coeffs) -> tuple:
+    """The row sum_i coeffs[i] rows[i], one rational coefficient per row,
+    skipping zero coefficients: summed on the rows' ints over one common
+    denominator, then divided by the gcd with it.  ValueError when the
+    numbers of coefficients and rows differ."""
+    if len(coeffs) != len(rows):
+        raise ValueError(f"{len(coeffs)} coefficients for {len(rows)} rows")
+    terms = [(c.as_integer_ratio(), row) for c, row in zip(coeffs, rows) if c]
     den = lcm(*(cd * rd for (_, cd), (_, rd) in terms))
-    out = [0] * len(rows[0])
+    out = [0] * len(rows[0][0])
     for (cn, cd), (ints, rd) in terms:
         f = cn * (den // (cd * rd))
         for k, a in enumerate(ints):
@@ -176,8 +162,7 @@ def combine(rows, coeffs) -> Row:
     g = gcd(den, *out)
     if g > 1:
         out, den = [a // g for a in out], den // g
-    zero = Fraction(0)
-    return Row([Fraction(a, den) if a else zero for a in out], (out, den))
+    return out, den
 
 
 def rref(rows: Sequence[Sequence[Fraction]]):
@@ -186,9 +171,9 @@ def rref(rows: Sequence[Sequence[Fraction]]):
     solve_linear.
 
     The entries of `rows` are exact rationals (ints, Fractions, floats read
-    exactly); the rows returned are lists of Fractions.
+    exactly, each row by int_row); the rows returned are lists of Fractions.
     """
-    ints, pivots = echelon_ints(rows)
+    ints, pivots = echelon_ints([int_row(row) for row in rows])
     zero = Fraction(0)
     return [[Fraction(a, row[c]) if a else zero for a in row]
             for row, c in zip(ints, pivots)], pivots
@@ -265,18 +250,15 @@ def sum_forms(terms, den) -> tuple:
 
 def form_gram(rows, form) -> list:
     """The Gram matrix W Q W^T of a fixed quadratic form on the rows W of
-    `rows`, Q given as sparse_form(Q).
+    `rows` (pairs), Q given as sparse_form(Q).
 
-    Each row is read as ints (ints_of) on the support columns only, so
-    every product is an int and each nonzero entry is one Fraction over den
-    times the two rows' denominators.
+    Each row's ints are read on the support columns only, so every product
+    is an int and each nonzero entry is one Fraction over den times the two
+    rows' denominators.
     """
     cols, entries, den = form
-    ints, dens = [], []
-    for row in rows:
-        w, dw = ints_of(row)
-        ints.append([w[c] for c in cols])
-        dens.append(dw)
+    ints = [[w[c] for c in cols] for w, _ in rows]
+    dens = [dw for _, dw in rows]
     d, zero = len(rows), Fraction(0)
     gram = [[zero] * d for _ in range(d)]
     for i, w in enumerate(ints):

@@ -29,16 +29,18 @@ pencil walk), lambda = <x, y> / |y|^2 is _int_lambda on elements._slot_sums,
 and phi_u conj(eta_z) is _phi_conj_eta.  An AlgebraElement is built only for
 the witnesses and the template evidence that the routes return.
 
-The decisions read ints.  A row is read as its int form (linalg.ints_of),
-the row times its denominator: a homogeneous form has the same zeros and
-sign there, so every zero test, minor, lambda and slot formula takes the
-ints, and a kernel takes the rows' ints over one common denominator, a
-positive multiple of the value matrix with the same kernel basis.  lambda
-travels as the int lambda (lr, li, ld) = lambda * ld, and d_lambda and
-_x_minus_lam_y carry the factors ld^2 and ld.  Fractions are built only in
-the rows a kernel or a search returns, in the Grams, and in the elements
-and evidence of the result; the signatures stay on Fractions, since their
-congruence vectors become witnesses.
+The decisions read ints.  A row is the pair (ints, den) of linalg, the
+rational row times its positive denominator: a homogeneous form has the
+same zeros and sign on the ints, so every zero test, minor, lambda and slot
+formula takes them, and a kernel takes the rows' ints over one common
+denominator, a positive multiple of the value matrix with the same kernel
+basis.  lambda travels as the int lambda (lr, li, ld) = lambda * ld, and
+d_lambda and _x_minus_lam_y carry the factors ld^2 and ld.  The rows of h,
+of its kernels and of every search are pairs (linalg.combine), and an
+element of the result is read off one as it is (AlgebraElement.from_ints).
+Fractions are built only in the Grams, the kernel coefficients, lambda and
+the evidence; the signatures stay on Fractions, since their congruence
+vectors become witnesses.
 
 Universal statements (forms vanishing identically, anisotropy) are decided
 deterministically: Gram matrices W Q W^T of
@@ -154,15 +156,13 @@ class ClassificationResult:
 class _Frame:
     """Precomputed exact data for one subalgebra.
 
-    A vector of h is its coordinate row (the coords() of the element, a
-    combination of h.coord_rows()), so a slot functional is a column slice,
-    an element is AlgebraElement.from_coords, and kernels, intersections and
-    containments are small rational systems on rows.  The rows of h and of
-    its kernels are linalg.Rows, which keep their ints: the zero tests, the
-    kernels' value matrices, the span tests, the echelon forms, the
-    combinations and the Grams read those, and Fractions are built only in
-    the rows they return.  A kernel that needs no solve is read off its
-    value matrix (_solve_kernel).  The int echelon form of h is the one
+    A vector of h is its coordinate row (ints, den), a combination of
+    h.rows(), so a slot functional is a column slice of the ints, an element
+    is AlgebraElement.from_ints, and kernels, intersections and containments
+    are small systems on rows.  The zero tests, the kernels' value matrices,
+    the span tests, the echelon forms, the combinations and the Grams read
+    the rows' ints.  A kernel that needs no solve is read off its value
+    matrix (_solve_kernel).  The int echelon form of h is the one
     h.echelon that Subalgebra validation computed, so h's own rows are
     reduced once.  A frame belongs to the one h it was built from, and
     _frame_of builds it once per h.
@@ -194,7 +194,7 @@ class _Frame:
     # functional values, read as column slices of the row --------------------
 
     def element(self, row) -> AlgebraElement:
-        return AlgebraElement.from_coords(self.n, row)
+        return AlgebraElement.from_ints(self.n, *row)
 
     def funcs_on(self, names, row):
         """Values of the named slot functionals (concatenated) at row."""
@@ -212,9 +212,8 @@ class _Frame:
         of the value matrix, with the same kernel basis (_solve_kernel)."""
         if not within:
             return []
-        ints = [linalg.ints_of(c) for c in within]
-        den = math.lcm(*(d for _, d in ints))
-        rows = [values(a if d == den else [v * (den // d) for v in a]) for a, d in ints]
+        den = math.lcm(*(d for _, d in within))
+        rows = [values(a if d == den else [v * (den // d) for v in a]) for a, d in within]
         return _solve_kernel([list(col) for col in zip(*rows)], within)
 
     def kernel(self, names, within=None):
@@ -232,7 +231,7 @@ class _Frame:
 
     def vanishes_on(self, name, within) -> bool:
         sl = self.cols[name]
-        return not any(any(linalg.ints_of(c)[0][sl]) for c in within)
+        return not any(any(c[0][sl]) for c in within)
 
     def nonzero_with(self, names, within) -> Optional:
         """A row in `within` where every named functional is nonzero; None
@@ -249,17 +248,17 @@ class _Frame:
         live = []
         for nm in names:
             sl = self.cols[nm]
-            cand = next((c for c in within if any(linalg.ints_of(c)[0][sl])), None)
+            cand = next((c for c in within if any(c[0][sl])), None)
             if cand is None:
                 return None
             live.append(cand)
         u = live[0]
         for nm, helper in zip(names[1:], live[1:]):
-            if any(linalg.ints_of(u)[0][self.cols[nm]]):
+            if any(u[0][self.cols[nm]]):
                 continue
             for t in _TRIALS:
                 cand = linalg.combine([u, helper], [1, t])
-                if all(any(cand.ints[0][self.cols[nm2]]) for nm2 in names):
+                if all(any(cand[0][self.cols[nm2]]) for nm2 in names):
                     u = cand
                     break
             else:
@@ -277,7 +276,7 @@ class _Frame:
         """Gram of u -> q(u, z) on `within`, for q = t_pair or pair_e at the
         central row z: W Q W^T for Q = sum_c z[c] Q_c over the forms of
         _pair_forms, summed on the ints of z into one sparse form."""
-        zi, zd = linalg.ints_of(z)
+        zi, zd = z
         return linalg.form_gram(within, linalg.sum_forms(
             [(zi[c], form) for c, form in _pair_forms(q, self.n) if zi[c]], zd))
 
@@ -312,7 +311,7 @@ def _solve_kernel(values, within):
         return within
     if len(within) == 1:
         return []
-    kern = linalg.kernel_basis([linalg.Row(r, (r, 1)) for r in values])
+    kern = linalg.kernel_basis([(r, 1) for r in values])
     return [linalg.combine(within, k) for k in kern]
 
 
@@ -425,7 +424,7 @@ def _minor_forms(n):
 def _rank_xy(n, u) -> int:
     """dim_C <x, y> of the row u: 0, 1 or 2, read off the minor parts of its
     ints (a positive multiple of the row, with the same zeros)."""
-    u = linalg.ints_of(u)[0]
+    u = u[0]
     if not any(u[4:4 * n - 4]):  # the x and y columns
         return 0
     return 2 if any(_minor_parts(n, u)) else 1
@@ -449,7 +448,7 @@ def _rational_zero(frame, gram_data, within, avoid_kernels=()):
         return linalg.combine(within, v)
 
     def ok(row):
-        u = linalg.ints_of(row)[0]
+        u = row[0]
         return any(u) and all(any(frame.funcs_on(names, u)) for names in avoid_kernels)
 
     candidates = [lift(v) for v in cert["radical"]]
@@ -531,7 +530,7 @@ def _image_complex_line(frame, name, within):
     exactly C-colinearity); None when it does not, or when that vector
     vanishes on `within`.  Each row is read as its ints, a positive multiple
     of it: the line and the zero wedges are the same."""
-    vecs = [frame.func_on(name, linalg.ints_of(c)[0]) for c in within]
+    vecs = [frame.func_on(name, c[0]) for c in within]
     v0 = next((vec for vec in vecs if any(vec)), None)
     if v0 is None or any(any(_wedge_parts(v0, vec)) for vec in vecs):
         return None
@@ -550,7 +549,7 @@ def _int_lambda(n, u):
     lambda = (lr + i li) / ld with ld > 0 and the three coprime, so equal
     lambdas are equal triples.  Read on u's ints, as lambda has degree 0.
     None when y = 0."""
-    _, ys, a, b = _slot_sums(n, linalg.ints_of(u)[0])
+    _, ys, a, b = _slot_sums(n, u[0])
     return _reduced(a, b, ys) if ys else None
 
 
@@ -579,7 +578,7 @@ def _candidate_lambdas(frame, within):
     cands = []
     y = frame.cols["y"]
     for row in itertools.chain(within, _pencil_rank_one_rows(frame, within)):
-        if _rank_xy(frame.n, row) == 1 and any(linalg.ints_of(row)[0][y]):
+        if _rank_xy(frame.n, row) == 1 and any(row[0][y]):
             lam = _int_lambda(frame.n, row)
             if lam not in cands:
                 cands.append(lam)
@@ -610,7 +609,7 @@ def _pencil_rank1_roots(n, ci, cj):
     and b the sum of the two mixed parts; the rational roots s = p / q of
     the first nonvanishing one are kept where every part vanishes
     (a p^2 + b p q + c q^2 = 0), and returned as t = s Dj / Di."""
-    (ii, di), (ij, dj) = linalg.ints_of(ci), linalg.ints_of(cj)
+    (ii, di), (ij, dj) = ci, cj
     d = 2 * (n - 2)
     xi, yi, xj, yj = ii[4:4 + d], ii[4 + d:4 + 2 * d], ij[4:4 + d], ij[4 + d:4 + 2 * d]
     polys = [(a, b1 + b2, c) for a, b1, b2, c in zip(_minor_parts(n, ij), _wedge_parts(xi, yj),
@@ -747,7 +746,7 @@ def _xx_axis_element(frame):
     tested against h's echelon form."""
     axis = [0] * (4 * frame.n)
     axis[frame.cols["xx"].start] = 1
-    return axis if linalg.in_span(frame.echelon, axis) else None
+    return (axis, 1) if linalg.in_span(frame.echelon, axis) else None
 
 
 def _sq5(frame):
@@ -909,7 +908,7 @@ def _w_lambda(frame, W, lam):
 
 def _lambda_global(frame, W, lam):
     """x_u = lam * y_u for every u in W, tested on the rows' ints."""
-    return not any(any(_x_minus_lam_y(frame, lam, linalg.ints_of(c)[0])) for c in W)
+    return not any(any(_x_minus_lam_y(frame, lam, c[0])) for c in W)
 
 
 def _kernel_d_lambda(frame, W, lam):
@@ -924,9 +923,8 @@ def _cubic_coeffs(frame, within):
     The rows are read as ints over one common denominator D, so C =
     t_pair(n, u, u) is evaluated on int row sums and each coefficient is one
     Fraction over D**3."""
-    ints = [linalg.ints_of(c) for c in within]
-    den = math.lcm(*(d for _, d in ints))
-    scaled = [[a * (den // d) for a in r] for r, d in ints]
+    den = math.lcm(*(d for _, d in within))
+    scaled = [[a * (den // d) for a in r] for r, d in within]
 
     @cache
     def cval(*idx):
@@ -976,7 +974,7 @@ def _odd_cubic_zero_on_plane(frame, line, ky):
     if a is None:
         return None
 
-    (ia, da), (ib, db) = linalg.ints_of(a), linalg.ints_of(b)
+    (ia, da), (ib, db) = a, b
 
     def val(theta):
         """(C(ca a + cb b), (ca, cb)), ca and cb cos(theta) and sin(theta)
@@ -992,8 +990,7 @@ def _odd_cubic_zero_on_plane(frame, line, ky):
         return c / (qa * qb * da * db) ** 3, (ca, cb)
 
     def at(coeffs):
-        ca, cb = coeffs
-        return frame.element([ca * x + cb * y for x, y in zip(a, b)])
+        return frame.element(linalg.combine([a, b], coeffs))
 
     flo, c0 = val(0.0)
     if flo == 0:
@@ -1039,7 +1036,7 @@ def _li5(frame):
     """u: phi,y != 0; central z: yy_z = 0, phi_u conj(eta_z) real, E(u,z) = 0."""
     Z0 = frame.kernel(["yy"], frame.z_rows)
     for zc in Z0 + ([linalg.combine(Z0[:2], [1, 1])] if len(Z0) > 1 else []):
-        if not any(frame.funcs_on(["eta", "xx"], linalg.ints_of(zc)[0])):
+        if not any(frame.funcs_on(["eta", "xx"], zc[0])):
             continue
         res = _li5_fixed_z(frame, zc)
         if res is not None:
@@ -1058,10 +1055,10 @@ def _phi_conj_eta(frame, u, z):
 def _li5_fixed_z(frame, zc):
     """Linear condition 5 at the central row zc: u ranges over K, where
     phi_u conj(eta_z) is real, so a witness u needs it nonzero."""
-    z = linalg.ints_of(zc)[0]
+    z = zc[0]
 
     def witness(w, note, exact=True):
-        if w is None or not _phi_conj_eta(frame, linalg.ints_of(w)[0], z)[0]:
+        if w is None or not _phi_conj_eta(frame, w[0], z)[0]:
             return None
         return {"u": frame.element(w), "z": frame.element(zc)}, note, exact
 
@@ -1095,7 +1092,7 @@ _ALL_SLOTS = ["phi", "y", "x", "yy", "eta", "xx"]
 def _span_in_slots(frame, rows, slots):
     """Every element of the span of `rows` supported inside `slots`."""
     others = [s for s in _ALL_SLOTS if s not in slots]
-    return not any(any(frame.funcs_on(others, linalg.ints_of(c)[0])) for c in rows)
+    return not any(any(frame.funcs_on(others, c[0])) for c in rows)
 
 
 def _slot_subspace(frame, slots):
@@ -1127,7 +1124,7 @@ def match_notcds(h) -> Optional[NotCdsMatch]:
     of types 3 and 5 carry curve shapes instead of bands).
     """
     frame = _frame_of(h)
-    if not any(map(any, frame.full)):
+    if not any(any(c[0]) for c in frame.full):
         raise ValueError("trivial subalgebra")
     for matcher in _TEMPLATES:
         m = matcher(frame)
@@ -1183,17 +1180,17 @@ def _tm3(frame):
         wz = frame.nonzero_with(["yy"], frame.z_rows)
         if wz is None:
             return None
-        er, ei, _, yy = linalg.ints_of(wz)[0][4 * frame.n - 4:]
+        er, ei, _, yy = wz[0][4 * frame.n - 4:]
         lam = _reduced(ei, -er, yy)  # eta_z / (i yy_z)
     # eta_z = i lambda yy_z and xx_z = |lambda|^2 yy_z on every central row,
     # times ld and ld^2 on its ints
     lr, li, ld = lam
     for zc in frame.z_rows:
-        er, ei, xx, yy = linalg.ints_of(zc)[0][4 * frame.n - 4:]
+        er, ei, xx, yy = zc[0][4 * frame.n - 4:]
         if (ld * er, ld * ei, ld * ld * xx) != (-li * yy, lr * yy, (lr * lr + li * li) * yy):
             return None
     # subcase (a): some u with D_lambda(u) != 0
-    has_d = any(d_lambda(frame.n, linalg.ints_of(c)[0], lam) for c in frame.full)
+    has_d = any(d_lambda(frame.n, c[0], lam) for c in frame.full)
     ev = {"lambda": _qqi_lambda(lam)}
     if has_d:
         if frame.d == 1:
@@ -1235,14 +1232,14 @@ def _tm5(frame):
     wyy = frame.nonzero_with(["yy"], frame.full)
     if wyy is None:
         return None
-    w = linalg.ints_of(wyy)[0]
+    w = wyy[0]
     pr, pi = frame.func_on("phi", w)
     yy = w[-1]
     if not (pr or pi):
         return None
     # phi0 = phi / yy at wyy; phi_c = phi0 yy_c on every row, cross-multiplied
     for c in frame.full:
-        u = linalg.ints_of(c)[0]
+        u = c[0]
         (cr, ci), cyy = frame.func_on("phi", u), u[-1]
         if (cr * yy, ci * yy) != (pr * cyy, pi * cyy):
             return None
@@ -1343,7 +1340,7 @@ def _tm11(frame):
     if len(Z0) != 1:
         return None
     zc = Z0[0]
-    z = linalg.ints_of(zc)[0]
+    z = zc[0]
     if not any(frame.func_on("eta", z)):
         return None
     # u ranges over h \ z; the conditions only depend on u modulo z and
@@ -1352,7 +1349,7 @@ def _tm11(frame):
                 if not linalg.span_contains(frame.z_rows, c)), None)
     if rep is None:
         return None
-    u = linalg.ints_of(rep)[0]
+    u = rep[0]
     if not any(frame.func_on("phi", u)) or not any(frame.func_on("y", u)):
         return None
     # phi_u conj(eta_z), nonzero as both factors are, must be real
@@ -1487,11 +1484,11 @@ def normalizer_in_A(h) -> NormalizerResult:
     # the (c1, c2) rows as it is.
     sys_rows = []
     for b in frame.full:
-        ints = linalg.ints_of(b)[0]
+        ints = b[0]
         r1, r2 = (_pivoted_leftover(frame.echelon, [c * v for c, v in zip(cs, ints)])
                   for cs in _root_scales(frame.n))
         pairs = [[c1, c2] for c1, c2 in zip(r1, r2) if c1 or c2]
-        sys_rows += [linalg.Row(r, (r, 1)) for r in pairs]
+        sys_rows += [(r, 1) for r in pairs]
     if not sys_rows:
         return NormalizerResult("full")
     kern = linalg.kernel_basis(sys_rows)

@@ -3,20 +3,19 @@
 A Subalgebra stores an independent basis, never changed after construction,
 and verifies bracket closure exactly on integers: the int echelon form of the
 basis rows (linalg.echelon_ints, kept as `echelon` for every later span test
-against h) and the int bracket of each pair (elements.int_bracket, on the int
-rows the elements keep), tested with linalg.in_span, so no Fraction is built.
-An element is its coords() row, so the coordinate matrix, one row per basis
-element, is read from the basis and not kept beside it.  The exact
-classifiers work on combinations of those rows (linalg.combine on rows(), the
-linalg.Rows that keep the elements' ints, on the frame that nilclassify keeps
-for each subalgebra), and sampling reads them as the float matrix
-np.array(h.coord_rows(), dtype=float).
+against h) and the int bracket of each pair (elements.int_bracket), tested
+with linalg.in_span, so no Fraction is built.  An element is its row
+(ints, den), the one row form of linalg, so rows() is the basis elements'
+pairs, read from the basis and not kept beside it.  The exact classifiers
+work on combinations of those rows (linalg.combine, on the frame that
+nilclassify keeps for each subalgebra), and sampling reads them as the
+float matrix np.array(h.coord_rows(), dtype=float).
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .elements import AlgebraElement, bracket, int_bracket, int_coords
+from .elements import AlgebraElement, bracket, int_bracket
 from .scalars import as_exact_real
 
 
@@ -70,20 +69,20 @@ class Subalgebra:
         return all(b.is_nilpotent() for b in self.basis)
 
     def element(self, coeffs) -> AlgebraElement:
-        """Linear combination of the basis with real coefficients."""
+        """Linear combination of the basis with real coefficients, one per
+        basis element (ValueError for any other number)."""
         coeffs = [c and as_exact_real(c) for c in coeffs]
-        return AlgebraElement.from_coords(self.n, linalg.combine(self.rows(), coeffs))
+        return AlgebraElement.from_ints(self.n, *linalg.combine(self.rows(), coeffs))
 
     def contains(self, u: AlgebraElement) -> bool:
-        return linalg.in_span(self.echelon, int_coords(u)[0])
+        return linalg.in_span(self.echelon, u.ints)
 
     def coord_rows(self):
         """The coords() row of each basis element, as new lists."""
         return [b.coords() for b in self.basis]
 
     def rows(self):
-        """The coord_rows() as linalg.Rows, each keeping its basis element's
-        int row (elements.int_coords), for linalg to read without int_row."""
+        """The row (ints, den) of each basis element, as linalg reads rows."""
         return _rows(self.basis)
 
     def __repr__(self):
@@ -91,7 +90,7 @@ class Subalgebra:
 
 
 def _rows(basis):
-    return [linalg.Row(b.coords(), int_coords(b)) for b in basis]
+    return [(b.ints, b.den) for b in basis]
 
 
 def close_under_bracket(seed):
@@ -114,7 +113,7 @@ def close_under_bracket(seed):
         echelon = linalg.echelon_ints(_rows(basis))
 
     for s in seed:
-        if not linalg.in_span(echelon, int_coords(s)[0]):
+        if not linalg.in_span(echelon, s.ints):
             add(s)
     # Each pass brackets, in order, the pairs i < j of the basis it starts
     # with, except those an earlier pass bracketed (j < done).  A bracket

@@ -14,7 +14,7 @@ from su2n.elements import (
     matrix_of,
 )
 from su2n.nilclassify import _minor_parts, _wedge_parts
-from su2n.scalars import QQi, as_exact_real, conj, im, re
+from su2n.scalars import QQi, as_exact_real, conj, herm, im, re
 
 
 def ad_a(t1, t2, w: AlgebraElement) -> AlgebraElement:
@@ -27,10 +27,72 @@ def ad_a(t1, t2, w: AlgebraElement) -> AlgebraElement:
                                             for v, root in zip(w.coords(), column_roots(w.n))])
 
 
+# -- the Fraction-row form of an element ---------------------------------------
+#
+# An AlgebraElement holds its coordinate row as ints over one denominator.
+# These are the same operations on the row as a tuple of 4n Fractions, as the
+# package computed them when it held that tuple, with the bracket by its slot
+# formula over QQi: the tests compare the two.
+
+def row_views(n, row):
+    """The slot views of the Fraction row: t1, t2, xx and yy as Fractions,
+    phi and eta as QQi, x and y as tuples of QQi."""
+    def pairs(start, stop):
+        return tuple(QQi(row[k], row[k + 1]) for k in range(start, stop, 2))
+    return {"t1": row[0], "t2": row[1], "phi": QQi(row[2], row[3]),
+            "x": pairs(4, 2 * n), "y": pairs(2 * n, 4 * n - 4),
+            "eta": QQi(row[-4], row[-3]), "xx": row[-2], "yy": row[-1]}
+
+
+def row_sum(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def row_scale(c, u):
+    return tuple(c * a for a in u)
+
+
+def row_a_part(u):
+    return u[:2] + (Fraction(0),) * (len(u) - 2)
+
+
+def row_nilpotent_part(u):
+    return (Fraction(0),) * 2 + u[2:]
+
+
+def row_root_component(n, u, root):
+    """The columns of the root's slot kept, every other column zero."""
+    return tuple(a if r == root else Fraction(0) for a, r in zip(u, column_roots(n)))
+
+
+def row_bracket(n, u, v):
+    """[u, v] of the Fraction rows by the slot formula over QQi,
+
+        x = phi_u y_v - phi_v y_u
+        eta = -<x_u, y_v> + <x_v, y_u> + i (phi_u yy_v - phi_v yy_u)
+        yy = -2 Im <y_u, y_v>
+        xx = -2 Im (<x_u, x_v> + phi_u conj(eta_v) - phi_v conj(eta_u)),
+
+    plus the a-parts' action [t_u, v] - [t_v, u] (ad_a on the rows)."""
+    a, b = row_views(n, u), row_views(n, v)
+    x = [a["phi"] * yv - b["phi"] * yu for yu, yv in zip(a["y"], b["y"])]
+    eta = (herm(b["x"], a["y"]) - herm(a["x"], b["y"])
+           + QQi(0, 1) * (a["phi"] * b["yy"] - b["phi"] * a["yy"]))
+    yy = -2 * im(herm(a["y"], b["y"]))
+    xx = -2 * im(herm(a["x"], b["x"]) + a["phi"] * conj(b["eta"]) - b["phi"] * conj(a["eta"]))
+    row = [Fraction(0)] * 4 + [p for z in x for p in (re(z), im(z))]
+    row += [Fraction(0)] * (2 * n - 4) + [re(eta), im(eta), xx, yy]
+    roots = column_roots(n)
+    value = {root: (c1 * u[0] + c2 * u[1], c1 * v[0] + c2 * v[1])
+             for root, (c1, c2) in ROOTS.items()}
+    return tuple(c + value[r][0] * vc - value[r][1] * uc if r else c
+                 for c, r, uc, vc in zip(row, roots, u, v))
+
+
 # -- the Fraction formulas of the classifier's int reads ----------------------
 #
-# nilclassify decides on the int form of each row (linalg.ints_of), a positive
-# multiple of it, and on the int lambda (lr, li, ld) = lambda * ld.  These are
+# nilclassify decides on the ints of each row (ints, den), a positive
+# multiple of the rational row, and on the int lambda (lr, li, ld) = lambda * ld.  These are
 # the same readings on the rational rows and a QQi lambda, as the classifier
 # took them before it read ints: the tests compare the two.
 
@@ -106,13 +168,15 @@ def fraction_pencil_roots(n, ci, cj):
 
 
 def reference_kernel(values, within):
-    """{u in span(within) : values(u) = 0} as the combinations of `within`
-    by the kernel basis of the value matrix on the rational rows."""
+    """{u in span(within) : values(u) = 0} as the combinations of the rows
+    (ints, den) of `within` by the kernel basis of the value matrix on the
+    rational rows."""
     if not within:
         return []
-    matrix = [list(col) for col in zip(*(values(c) for c in within))]
+    rational = [[Fraction(a, den) for a in ints] for ints, den in within]
+    matrix = [list(col) for col in zip(*map(values, rational))] or [[0] * len(within)]
     return [linalg.combine(within, k)
-            for k in linalg.kernel_basis(matrix or [[0] * len(within)])]
+            for k in linalg.kernel_basis([linalg.int_row(r) for r in matrix])]
 
 
 # -- the QQi route of conjugation ---------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from su2n import elements, linalg
 from su2n import (
@@ -25,7 +26,17 @@ from su2n.lab import exp_float
 from su2n.scalars import ZERO, QQi, abs2, conj, herm, im, re
 from su2n.weyl import weyl_matrix
 
-from references import ad_a, dense_product
+from references import (
+    ad_a,
+    dense_product,
+    row_a_part,
+    row_bracket,
+    row_nilpotent_part,
+    row_root_component,
+    row_scale,
+    row_sum,
+    row_views,
+)
 
 
 def test_matrix_of_reads_each_part_off_the_row():
@@ -41,8 +52,7 @@ def test_matrix_of_reads_each_part_off_the_row():
             if rng.random() < 0.5:
                 u = u + AlgebraElement(n, t1=Fraction(rng.randint(-5, 5), 3),
                                        t2=Fraction(rng.randint(-5, 5), 7))
-            ints, den = u._int_row()
-            want = elements._gaussian_matrix(elements._gaussian_of_row(n, ints), den, m)
+            want = elements._gaussian_matrix(elements._gaussian_of_row(n, u.ints), u.den, m)
             got = matrix_of(u)
             assert got == want and repr(got) == repr(want)
             for got_row, want_row in zip(got, want):
@@ -178,16 +188,14 @@ def test_the_kept_int_row_is_int_row_of_the_coordinates():
     for _ in range(100):
         u, v = _random_pair(rng)
         fresh = AlgebraElement.from_coords(u.n, u.coords())
-        h = hash(u)
-        ints, den = u._int_row()
-        assert (list(ints), den) == linalg.int_row(u.coords()) and type(ints) is tuple
-        assert u._int_row() is u._int_row() is elements.int_coords(u)
+        assert (list(u.ints), u.den) == linalg.int_row(u.coords()) and type(u.ints) is tuple
         # the bracket before its division: ints over du * dv
         ints, den = elements.int_bracket(u, v)
-        assert den == u._int_row()[1] * v._int_row()[1]
+        assert den == u.den * v.den
         assert [Fraction(a, den) for a in ints] == bracket(u, v).coords()
-        # equality and hash read the row, not the kept ints
-        assert u == fresh and fresh == u and hash(u) == h == hash(fresh)
+        # an element read back from its coordinates has the same fields
+        assert (fresh.ints, fresh.den) == (u.ints, u.den)
+        assert u == fresh and fresh == u and hash(u) == hash(fresh)
         assert bracket(u, v) == bracket(fresh, v)
 
 
@@ -291,8 +299,53 @@ def test_element_operations_equal_the_slot_formulas():
         assert u.is_zero() == (not any(u.coords()))
         assert u.is_nilpotent() == (not U["t1"] and not U["t2"])
         back = AlgebraElement.from_coords(n, u.coords())
-        assert back == u and hash(back) == hash(u) == hash((n, tuple(u.coords())))
+        assert back == u and hash(back) == hash(u)
     assert seen == set(range(3, 9))
+
+
+_fraction = st.one_of(st.just(Fraction(0)), st.integers(-40, 40).map(Fraction),
+                     st.fractions(min_value=-40, max_value=40, max_denominator=60))
+
+
+@st.composite
+def _fraction_rows(draw):
+    """(n, u, v, c, k): two Fraction rows at n with about a third of their
+    entries zero, a rational scalar c and a nonzero int k."""
+    n = draw(st.integers(3, 6))
+    row = st.lists(_fraction, min_size=4 * n, max_size=4 * n).map(tuple)
+    return (n, draw(row), draw(row), draw(_fraction),
+            draw(st.integers(-30, 30).filter(bool)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_fraction_rows())
+def test_every_route_gives_one_reduced_element_and_the_row_formulas(case):
+    """An element built by the constructor, from_coords, from_ints on an
+    unreduced or negated-denominator row, or scale(2).scale(1/2) has den > 0
+    coprime to its ints, and all routes give equal elements with equal
+    hashes.  Its coords(), slot views, sums, scalings, parts and brackets
+    are the Fraction-row formulas of tests/references.py."""
+    n, ru, rv, c, k = case
+    ints, den = linalg.int_row(ru)
+    views = row_views(n, ru)
+    routes = [AlgebraElement(n, **views), AlgebraElement.from_coords(n, ru),
+              AlgebraElement.from_ints(n, [k * a for a in ints], k * den),
+              AlgebraElement.from_coords(n, ru).scale(2).scale(Fraction(1, 2))]
+    for e in routes:
+        assert e.den > 0 and math.gcd(e.den, *e.ints) == 1
+        assert type(e.ints) is tuple and all(type(a) is int for a in e.ints)
+        assert e == routes[0] and hash(e) == hash(routes[0])
+    u, v = routes[0], AlgebraElement.from_coords(n, rv)
+    assert u.coords() == list(ru) and all(type(a) is Fraction for a in u.coords())
+    assert {slot: getattr(u, slot) for slot in views} == views
+    for got, want in [(u + v, row_sum(ru, rv)), (u - v, row_sum(ru, row_scale(-1, rv))),
+                      (u.scale(c), row_scale(c, ru)), (-u, row_scale(-1, ru)),
+                      (u.a_part(), row_a_part(ru)), (u.nilpotent_part(), row_nilpotent_part(ru)),
+                      (bracket(u, v), row_bracket(n, ru, rv)),
+                      *((u.root_component(r), row_root_component(n, ru, r)) for r in ROOTS)]:
+        assert got.coords() == list(want)
+        assert got == AlgebraElement.from_coords(n, want)
+        assert got.den > 0 and math.gcd(got.den, *got.ints) == 1
 
 
 def test_from_coords_reads_an_int_row_and_checks_its_length():

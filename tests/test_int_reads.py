@@ -1,7 +1,7 @@
 """The classifier's int reads against their Fraction formulas.
 
-nilclassify decides on the int form of each row (linalg.ints_of: the row
-times its denominator) and on the int lambda (lr, li, ld) = lambda * ld.
+nilclassify decides on the ints of each row (ints, den), the rational row
+times its denominator, and on the int lambda (lr, li, ld) = lambda * ld.
 Each int read must equal its Fraction formula of tests/references.py times
 the documented positive factor, and each kernel the reference kernel of the
 rational value matrix, row for row.
@@ -9,6 +9,7 @@ rational value matrix, row for row.
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -66,7 +67,7 @@ def _rows(draw, min_size=1, max_size=4, combine=True):
     if combine and len(rows) > 1 and draw(st.booleans()):
         coeffs = [rng.randint(-2, 2) for _ in rows]
         if any(coeffs):
-            rows.append(list(linalg.combine(rows, coeffs)))
+            rows.append([sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(4 * n)])
     return n, rows
 
 
@@ -80,15 +81,14 @@ def _frame(n):
 
 
 def _as_rows(rows):
-    """The rows as linalg.Rows, as a frame holds them."""
-    return [linalg.combine([r], [1]) for r in rows]
+    """The rational rows as (ints, den), as a frame holds them."""
+    return [linalg.int_row(r) for r in rows]
 
 
 def _check_rows(got, want):
+    """The same rows, each over its least positive denominator."""
     assert got == want
-    for row in got:
-        if type(row) is linalg.Row:
-            assert (list(row.ints[0]), row.ints[1]) == linalg.int_row(row)
+    assert all(den > 0 and math.gcd(den, *ints) == 1 for ints, den in got)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -108,8 +108,7 @@ def test_int_value_kernels_equal_the_reference_kernel(nrows, lam, pick):
     kernel of the Fraction formulas on the rational rows."""
     n, rows = nrows
     frame, within = _frame(n), _as_rows(rows)
-    z = within[pick % len(within)]
-    zi = linalg.ints_of(z)[0]
+    z, (zi, _) = rows[pick % len(rows)], within[pick % len(rows)]
     v0 = frame.func_on("y", z)
     cases = [
         (lambda c: _x_minus_lam_y(frame, int_lambda(lam), c),
@@ -136,16 +135,16 @@ def test_int_slot_reads_equal_their_fraction_formulas(nrows, lam):
     frame = _frame(n)
     (ui, du), (zi, dz) = linalg.int_row(u), linalg.int_row(z)
     lr, li, ld = int_lambda(lam)
-    assert _rank_xy(n, u) == _rank_xy(n, ui) == fraction_rank_xy(n, u)
-    assert _lambda_of(n, u) == _lambda_of(n, ui) == fraction_lambda(n, u)
-    if _lambda_of(n, u) is not None:
-        assert int_lambda(_lambda_of(n, u)) == _int_lambda(n, u)
+    assert _rank_xy(n, (ui, du)) == fraction_rank_xy(n, u)
+    assert _lambda_of(n, (ui, du)) == fraction_lambda(n, u)
+    if _lambda_of(n, (ui, du)) is not None:
+        assert int_lambda(_lambda_of(n, (ui, du))) == _int_lambda(n, (ui, du))
     assert _x_minus_lam_y(frame, (lr, li, ld), ui) == \
         [ld * du * v for v in fraction_x_minus_lam_y(n, lam, u)]
     assert d_lambda(n, ui, (lr, li, ld)) == ld * ld * du * fraction_d_lambda(n, u, lam)
     assert _phi_conj_eta(frame, ui, zi) == \
         tuple(du * dz * v for v in fraction_phi_conj_eta(n, u, z))
-    v0 = _image_complex_line(frame, "y", [u, z])
+    v0 = _image_complex_line(frame, "y", [(ui, du), (zi, dz)])
     if v0 is None:
         ys = [frame.func_on("y", r) for r in (u, z)]
         first = next((y for y in ys if any(y)), None)
@@ -177,7 +176,8 @@ def test_rescaled_pencil_roots_equal_the_fraction_pencil(pencil):
     """The roots found on the rows' ints and rescaled by their denominators
     are the Fraction pencil's roots, in the same order."""
     n, ci, cj = pencil
-    assert _pencil_rank1_roots(n, ci, cj) == fraction_pencil_roots(n, ci, cj)
+    assert _pencil_rank1_roots(n, linalg.int_row(ci), linalg.int_row(cj)) == \
+        fraction_pencil_roots(n, ci, cj)
 
 
 def test_frame_kernels_solve_no_trivial_matrix(monkeypatch):
@@ -188,7 +188,7 @@ def test_frame_kernels_solve_no_trivial_matrix(monkeypatch):
     kernel_basis = linalg.kernel_basis
 
     def spy(rows):
-        seen.append([list(r) for r in rows])
+        seen.append([list(ints) for ints, _ in rows])
         return kernel_basis(rows)
 
     monkeypatch.setattr(linalg, "kernel_basis", spy)

@@ -2,6 +2,7 @@ import ast
 import functools
 import gc
 import itertools
+import math
 import random
 import weakref
 from fractions import Fraction
@@ -366,17 +367,18 @@ def test_func_on_reads_the_slot_of_the_element():
         coeffs += [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(frame.d)]
                    for _ in range(3)]
         for c in coeffs:
-            row = linalg.combine(frame.full, c)
+            ints, den = row = linalg.combine(frame.full, c)
             e = h.element(c)
             assert frame.element(row) == e, entry.id
             for name in ("t", "phi", "x", "y", "eta", "xx", "yy"):
-                assert frame.func_on(name, row) == _slot_values(e, name), (entry.id, name)
+                assert [Fraction(a, den) for a in frame.func_on(name, ints)] == \
+                    _slot_values(e, name), (entry.id, name)
 
 
 def test_slot_kernels_on_ints_equal_the_kernels_of_their_values():
-    """_Frame.kernel reads the slot columns off the rows' ints; kernel_of
-    evaluates the same functionals on the Fraction rows.  Both give the same
-    rows, and every row returned keeps the int_row of its entries."""
+    """_Frame.kernel reads the slot columns off the rows' ints, as kernel_of
+    does with the same functionals.  Both give the same rows, and every row
+    returned is over its least positive denominator."""
     from su2n import gallery
 
     rng = random.Random(8)
@@ -390,8 +392,8 @@ def test_slot_kernels_on_ints_equal_the_kernels_of_their_values():
         for nm in names:
             got = frame.kernel(nm, within)
             assert got == frame.kernel_of(lambda c: frame.funcs_on(nm, c), within)
-            for row in got:
-                assert (list(row.ints[0]), row.ints[1]) == linalg.int_row(row), entry.id
+            for ints, den in got:
+                assert den > 0 and math.gcd(den, *ints) == 1, entry.id
 
 
 def _n5_d3(alg, sub):
@@ -422,23 +424,24 @@ def test_fixed_form_grams_equal_the_polarization_grams():
         frame = SimpleNamespace(n=n)
         for count in (1, 2, 3, 5):
             rows = _random_rows(rng, n, count)
+            pairs = [linalg.int_row(r) for r in rows]
             for q, ref in ((q_center, qqi_q_center), (r_alpha, qqi_r_alpha)):
-                assert linalg.form_gram(rows, _fixed_form(q, n)) == \
+                assert linalg.form_gram(pairs, _fixed_form(q, n)) == \
                     _polarization_grams(lambda e: [ref(e)], n, rows)[0], (n, q)
             # the forms with a central parameter z, at a random z
             eta, xx, yy = (rng.choice((0, Fraction(rng.randint(-9, 9), rng.randint(1, 7))))
                            for _ in range(3))
             z = AlgebraElement(n, eta=QQi(eta, rng.randint(-3, 3)), xx=xx, yy=yy)
             for q, ref in ((t_pair, qqi_t_pair), (pair_e, qqi_pair_e)):
-                assert _Frame.pair_gram(frame, q, z.coords(), rows) == \
+                assert _Frame.pair_gram(frame, q, (z.ints, z.den), pairs) == \
                     _polarization_grams(lambda e: [ref(e, z)], n, rows)[0], (n, q, z)
             # one Gram per minor part (none at n = 3), in _minor_parts' order
-            grams = _minor_grams(frame, rows)
+            grams = _minor_grams(frame, pairs)
             assert len(grams) == (n - 2) * (n - 3)
             assert grams == _polarization_grams(qqi_minor_parts, n, rows), n
         # rows outside the support of every form give zero Grams
-        outside = [AlgebraElement(n, t1=2, t2=-1, phi=QQi(1, 3)).coords(),
-                   AlgebraElement(n, y=[1] * (n - 2)).coords()]
+        outside = [(e.ints, e.den) for e in (AlgebraElement(n, t1=2, t2=-1, phi=QQi(1, 3)),
+                                             AlgebraElement(n, y=[1] * (n - 2)))]
         assert linalg.form_gram(outside, _fixed_form(q_center, n)) == [[0, 0], [0, 0]]
         assert _fixed_form(q_center, n)[0] == tuple(range(4 * n - 4, 4 * n))
 
@@ -468,11 +471,12 @@ def test_row_forms_equal_their_qqi_definitions():
 def test_building_the_fixed_forms_builds_no_element(monkeypatch):
     """The forms are polarized on int unit rows: no AlgebraElement is made."""
     built = []
-    init, of, from_coords = AlgebraElement.__init__, AlgebraElement._of, AlgebraElement.from_coords
+    init, from_ints, from_coords = (AlgebraElement.__init__, AlgebraElement.from_ints,
+                                    AlgebraElement.from_coords)
     monkeypatch.setattr(AlgebraElement, "__init__",
                         lambda self, *a, **kw: built.append("__init__") or init(self, *a, **kw))
-    monkeypatch.setattr(AlgebraElement, "_of",
-                        staticmethod(lambda *a: built.append("_of") or of(*a)))
+    monkeypatch.setattr(AlgebraElement, "from_ints",
+                        staticmethod(lambda *a: built.append("from_ints") or from_ints(*a)))
     monkeypatch.setattr(AlgebraElement, "from_coords",
                         staticmethod(lambda *a: built.append("from_coords") or from_coords(*a)))
     for n in range(3, 9):
@@ -492,11 +496,12 @@ def test_match_notcds_tests_the_rows_for_zero_without_building_elements(alg, sub
     h = sub(alg(3, phi=1, y=[1]), alg(3, eta=1, xx=1))
     nilclassify._frame_of(h)  # the frame is built before the spy goes in
     built = []
-    init, of, from_coords = AlgebraElement.__init__, AlgebraElement._of, AlgebraElement.from_coords
+    init, from_ints, from_coords = (AlgebraElement.__init__, AlgebraElement.from_ints,
+                                    AlgebraElement.from_coords)
     monkeypatch.setattr(AlgebraElement, "__init__",
                         lambda self, *a, **kw: built.append("__init__") or init(self, *a, **kw))
-    monkeypatch.setattr(AlgebraElement, "_of",
-                        staticmethod(lambda *a: built.append("_of") or of(*a)))
+    monkeypatch.setattr(AlgebraElement, "from_ints",
+                        staticmethod(lambda *a: built.append("from_ints") or from_ints(*a)))
     monkeypatch.setattr(AlgebraElement, "from_coords",
                         staticmethod(lambda *a: built.append("from_coords") or from_coords(*a)))
     monkeypatch.setattr(nilclassify, "_TEMPLATES", [])
@@ -527,7 +532,7 @@ def _row_frame(n):
     """The part of a frame that _cubic_coeffs, _odd_cubic_zero_on_plane and
     _x_minus_lam_y read, for rows that are no subalgebra's."""
     frame = SimpleNamespace(n=n, cols=AlgebraElement.slot_columns(n),
-                            element=lambda row: AlgebraElement.from_coords(n, row))
+                            element=lambda row: AlgebraElement.from_ints(n, *row))
     frame.func_on = functools.partial(_Frame.func_on, frame)
     return frame
 
@@ -548,8 +553,8 @@ def test_int_cubic_equals_cubic_c():
         # rows with mixed denominators: coefficients over D**3
         for _ in range(4):
             rows = _random_rows(rng, n, 3)
-            assert _cubic_coeffs(_row_frame(n), rows) == \
-                _fraction_cubic_coeffs(_row_frame(n), rows), (n, rows)
+            assert _cubic_coeffs(_row_frame(n), [linalg.int_row(r) for r in rows]) == \
+                _fraction_cubic_coeffs(n, rows), (n, rows)
 
 
 def test_odd_cubic_zero_on_a_plane_of_rows_with_different_denominators():
@@ -557,8 +562,8 @@ def test_odd_cubic_zero_on_a_plane_of_rows_with_different_denominators():
     for n in (3, 4, 5):
         for _ in range(3):
             a, b = _random_rows(rng, n, 2)
-            a = [v / 3 for v in a]
-            b = [v / 7 for v in b]
+            a = linalg.int_row([v / 3 for v in a])
+            b = linalg.int_row([v / 7 for v in b])
             frame = _row_frame(n)
             u, exact = _odd_cubic_zero_on_plane(frame, [a, b], [])
             # C at the returned rational point is zero up to the bisection's
@@ -567,13 +572,14 @@ def test_odd_cubic_zero_on_a_plane_of_rows_with_different_denominators():
             assert exact or abs(qqi_cubic_c(u)) <= 1e-9 * scale, (n, a, b)
 
 
-def _fraction_cubic_coeffs(frame, within):
+def _fraction_cubic_coeffs(n, within):
     """The polarization of the QQi cubic C on Fraction elements: C at the
-    row sum of each index multiset, built as an element; the reference for
-    _cubic_coeffs."""
+    row sum of each index multiset of the rational rows `within`, built as
+    an element; the reference for _cubic_coeffs."""
     @functools.cache
     def cval(*idx):
-        return qqi_cubic_c(frame.element([sum(col) for col in zip(*(within[i] for i in idx))]))
+        return qqi_cubic_c(AlgebraElement.from_coords(
+            n, [sum(col) for col in zip(*(within[i] for i in idx))]))
 
     return {(i, j, l): (cval(i, j, l) - cval(i, j) - cval(i, l) - cval(j, l)
                         + cval(i) + cval(j) + cval(l))
@@ -601,7 +607,8 @@ def test_cubic_coeffs_equal_the_fraction_polarization_on_the_classify_corpus(mon
     assert len(calls) >= 40
     assert {len(within) for _, within in calls} == {1, 2, 3}
     for frame, within in calls:
-        assert _cubic_coeffs(frame, within) == _fraction_cubic_coeffs(frame, within)
+        rational = [[Fraction(a, den) for a in ints] for ints, den in within]
+        assert _cubic_coeffs(frame, within) == _fraction_cubic_coeffs(frame.n, rational)
 
 
 def test_classify_reduces_the_rows_of_h_once(monkeypatch):
@@ -634,7 +641,7 @@ def test_minor_grams_are_the_single_part_polarizations_in_order(alg, sub):
         frame = _Frame(h)
         grams = _minor_grams(frame, frame.full)
         expected = [_polarization_grams(lambda e, m=m, part=part: [part(qqi_minors(e)[m])],
-                                        h.n, frame.full)[0]
+                                        h.n, h.coord_rows())[0]
                     for m in range((h.n - 2) * (h.n - 3) // 2) for part in (re, im)]
         assert grams == expected, h
 
@@ -730,13 +737,13 @@ def test_nonzero_with_raises_when_no_trial_value_works(alg, sub):
     # yy vanishes on both the start row (phi) and the y helper, so no trial
     # value of the perturbation keeps all three names nonzero
     frame = _Frame(sub(alg(3, phi=1)))
-    within = [alg(3, phi=1).coords(), alg(3, y=[1]).coords(), alg(3, yy=1).coords()]
+    within = [(e.ints, e.den) for e in (alg(3, phi=1), alg(3, y=[1]), alg(3, yy=1))]
     with pytest.raises(AssertionError):
         frame.nonzero_with(["phi", "y", "yy"], within)
 
 
 def test_pencil_roots_are_the_rank_one_points_of_the_pencil(alg):
-    ci, cj = alg(4, x=[1, 0], y=[1, 1]).coords(), alg(4, x=[0, 1]).coords()
+    ci, cj = ((e.ints, e.den) for e in (alg(4, x=[1, 0], y=[1, 1]), alg(4, x=[0, 1])))
     # ci + t cj has x = (1, t), y = (1, 1): its one minor is 1 - t
     assert _pencil_rank1_roots(4, ci, cj) == [1]
     # cj + t ci has x = (t, 1), y = (t, t): its one minor is t^2 - t
@@ -787,10 +794,11 @@ def test_pencil_roots_equal_the_qqi_wedge_pencil():
                                    xx=rng.randint(-3, 3)).coords()
                 t0 = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                 ci = [a - t0 * b for a, b in zip(r, cj)]
-            got = _pencil_rank1_roots(n, ci, cj)
+            got = _pencil_rank1_roots(n, linalg.int_row(ci), linalg.int_row(cj))
             assert sorted(got) == qqi_pencil_roots(*(AlgebraElement.from_coords(n, c)
                                                      for c in (ci, cj))), (n, ci, cj)
-            assert all(_rank_xy(n, [a + t * b for a, b in zip(ci, cj)]) <= 1 for t in got)
+            assert all(_rank_xy(n, linalg.int_row([a + t * b for a, b in zip(ci, cj)])) <= 1
+                       for t in got)
             hits += bool(got)
     assert hits > 100
 
@@ -808,7 +816,7 @@ def test_row_slot_readings_equal_their_qqi_definitions():
             assert _wedge_parts(u[4:4 + d], v[4 + d:4 + 2 * d]) == \
                 [part(m) for m in qqi_wedge(eu.x, ev.y) for part in (re, im)], (n, u, v)
             ys = sum((abs2(w) for w in eu.y), Fraction(0))
-            lam = _lambda_of(n, u)
+            lam = _lambda_of(n, linalg.int_row(u))
             assert lam == (herm(eu.x, eu.y) / QQi(ys) if ys else None), (n, u)
             if lam is not None:
                 lambdas += 1
@@ -832,11 +840,11 @@ def test_classify_builds_elements_only_for_its_outputs(monkeypatch):
     assert {e.id for e in gallery.entries() if e.kind == "nil"} <= {name for name, _ in named}
     specs = [Subalgebra(list(h.basis)) for _, h in named]
     built = []
-    init, of = AlgebraElement.__init__, AlgebraElement._of
+    init, from_ints = AlgebraElement.__init__, AlgebraElement.from_ints
     monkeypatch.setattr(AlgebraElement, "__init__",
                         lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
-    monkeypatch.setattr(AlgebraElement, "_of",
-                        staticmethod(lambda *a: built.append(1) or of(*a)))
+    monkeypatch.setattr(AlgebraElement, "from_ints",
+                        staticmethod(lambda *a: built.append(1) or from_ints(*a)))
     for h in specs:
         del built[:]
         r = classify(h)
@@ -959,7 +967,8 @@ def _ad_a_normalizer(h):
         r1 = residual(echelon, ad_a(1, 0, b).coords())
         r2 = residual(echelon, ad_a(0, 1, b).coords())
         sys_rows += [[c1, c2] for c1, c2 in zip(r1, r2) if c1 or c2]
-    kern = linalg.kernel_basis(sys_rows) if sys_rows else [[1, 0], [0, 1]]
+    kern = (linalg.kernel_basis([linalg.int_row(r) for r in sys_rows]) if sys_rows
+            else [[1, 0], [0, 1]])
     if len(kern) != 1:
         return NormalizerResult("full" if kern else "trivial")
     p, q = primitive_line(*kern[0])

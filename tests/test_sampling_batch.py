@@ -371,7 +371,7 @@ def _spec_curves(n):
     torus = np.zeros(4 * n)
     torus[:2] = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
     line, scale = float_line(torus), float(np.abs(torus[:2]).max())
-    return (lab._nil_curves(h, plan) + lab._line_curves("torus", line, scale)
+    return (lab._nil_curves(h, plan, classify(h)) + lab._line_curves("torus", line, scale)
             + lab._ray_and_mix_curves(line, scale, h, rng))
 
 

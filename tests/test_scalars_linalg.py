@@ -116,11 +116,16 @@ def test_re_im_abs2_on_both_backends():
     assert im(Fraction(5)) == 0
 
 
+def _pairs(rows):
+    """The rational rows as linalg rows (ints, den)."""
+    return [linalg.int_row(row) for row in rows]
+
+
 def test_rref_rank_kernel():
     m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     red, piv = linalg.rref(m)
     assert piv == [0] and len(red) == 1
-    k = linalg.kernel_basis(m)
+    k = linalg.kernel_basis(_pairs(m))
     assert len(k) == 1
     v = k[0]
     assert v[0] + 2 * v[1] == 0
@@ -131,7 +136,7 @@ def test_in_span_and_solve():
     rows = [[Fraction(v) for v in r] for r in rows]
     cols = [list(c) for c in zip(*rows)]
     assert linalg.solve_linear(cols, [Fraction(2), Fraction(3), Fraction(5)]) == [2, 3]
-    assert not linalg.span_contains(rows, [Fraction(0), Fraction(0), Fraction(1)])
+    assert not linalg.span_contains(_pairs(rows), ([0, 0, 1], 1))
     x = linalg.solve_linear(rows, [Fraction(2), Fraction(3)])
     assert [sum(r[j] * x[j] for j in range(3)) for r in rows] == [2, 3]
 
@@ -170,9 +175,11 @@ def _rank(rows):
 @given(_span_cases())
 def test_span_tests_agree_with_rank(case):
     rows, other, v = case
-    assert linalg.span_contains(rows, v) == (_rank(rows + [v]) == _rank(rows))
-    assert linalg.subspace_leq(other, rows) == (_rank(rows + other) == _rank(rows))
-    assert linalg.subspace_eq(rows, other) == (
+    assert linalg.span_contains(_pairs(rows), linalg.int_row(v)) == (
+        _rank(rows + [v]) == _rank(rows))
+    assert linalg.subspace_leq(_pairs(other), _pairs(rows)) == (
+        _rank(rows + other) == _rank(rows))
+    assert linalg.subspace_eq(_pairs(rows), _pairs(other)) == (
         linalg.rref(rows)[0] == linalg.rref(other)[0])
 
 
@@ -223,7 +230,7 @@ def test_rref_equals_fraction_gauss_jordan(rows):
     assert (red, pivots) == _fraction_rref(rows)
     assert all(type(x) is Fraction for row in red for x in row)
     # the integer echelon behind it: primitive rows, nonzero at their pivots
-    ints, int_pivots = linalg.echelon_ints(rows)
+    ints, int_pivots = linalg.echelon_ints(_pairs(rows))
     assert int_pivots == pivots
     for row, c in zip(ints, pivots):
         assert row[c] != 0 and gcd(*row) == 1
@@ -236,7 +243,7 @@ def test_rref_of_small_cases():
     assert linalg.rref([[-2, 4, 1], [-2, 4, 1]]) == (
         [[1, -2, Fraction(-1, 2)]], [0])
     # elimination leaves 2 * (1, 3) - (2, 1) = (0, 5): primitive as (0, 1)
-    assert linalg.echelon_ints([[2, 1], [1, 3]]) == ([[1, 0], [0, 1]], [0, 1])
+    assert linalg.echelon_ints([([2, 1], 1), ([1, 3], 1)]) == ([[1, 0], [0, 1]], [0, 1])
     assert linalg.rref([[0.5, 0.25], [1, Fraction(1, 3)]]) == (
         [[1, 0], [0, 1]], [0, 1])
 
@@ -296,41 +303,45 @@ def _span_systems(draw):
 @given(_span_systems())
 def test_integer_span_tests_and_kernels_equal_the_fraction_references(case):
     rows, other, v, coeffs = case
+    pairs, v_pair = _pairs(rows), linalg.int_row(v)
     in_span = not any(_fraction_residual(rows, v))
-    assert linalg.span_contains(rows, v) == in_span
-    assert linalg.subspace_leq(other, rows) == all(
+    assert linalg.span_contains(pairs, v_pair) == in_span
+    assert linalg.subspace_leq(_pairs(other), pairs) == all(
         not any(_fraction_residual(rows, w)) for w in other)
-    assert linalg.subspace_eq(other, rows) == (
+    assert linalg.subspace_eq(_pairs(other), pairs) == (
         _fraction_rref(other)[0] == _fraction_rref(rows)[0])
-    kern = linalg.kernel_basis(rows)
+    kern = linalg.kernel_basis(pairs)
     assert kern == _fraction_kernel(rows)
     assert all(type(x) is Fraction for k in kern for x in k)
     if rows:
-        # combine, on ints, is the Fraction combination and keeps int_row
-        comb = linalg.combine(rows, coeffs)
+        # combine, on ints, is the Fraction combination as a row over its
+        # least positive denominator
+        comb = linalg.combine(pairs, coeffs)
         want = [sum((c * Fraction(r[k]) for c, r in zip(coeffs, rows)), Fraction(0))
                 for k in range(len(rows[0]))]
-        assert comb == want and all(type(x) is Fraction for x in comb)
-        assert (list(comb.ints[0]), comb.ints[1]) == linalg.int_row(comb)
-        # a Row is read through its kept ints, with the same answers
-        kept = [linalg.combine([r], [1]) for r in rows]
-        assert kept == [[Fraction(x) for x in r] for r in rows]
-        assert linalg.span_contains(kept, v) == in_span
+        assert comb == linalg.int_row(want) and all(type(x) is int for x in comb[0])
+        # a row combined alone is itself, with the same answers
+        kept = [linalg.combine([r], [1]) for r in pairs]
+        assert kept == pairs
+        assert linalg.span_contains(kept, v_pair) == in_span
         assert linalg.kernel_basis(kept) == kern
 
 
 def test_span_tests_on_small_cases():
     # an empty span holds the zero vector only
-    assert linalg.span_contains([], [0, 0]) and not linalg.span_contains([], [0, 1])
-    assert linalg.subspace_leq([], [[1, 2]]) and linalg.subspace_leq([[0, 0]], [])
+    assert linalg.span_contains([], ([0, 0], 1)) and not linalg.span_contains([], ([0, 1], 1))
+    assert linalg.subspace_leq([], [([1, 2], 1)]) and linalg.subspace_leq([([0, 0], 1)], [])
     assert linalg.kernel_basis([]) == []
-    assert linalg.kernel_basis([[0, 0]]) == [[1, 0], [0, 1]]
-    assert linalg.kernel_basis([[2, -4, 6]]) == [[2, 1, 0], [-3, 0, 1]]
-    assert linalg.span_contains([[Fraction(1, 3), 1]], [1, 3])
-    assert not linalg.span_contains([[1, 0], [2, 0]], [0, 1])
-    assert linalg.in_span(linalg.echelon_ints([[1, 1, 0], [0, 1, -1]]), [2, 3, -1])
-    row = linalg.combine([[1, 0, Fraction(-3, 2)], [Fraction(1, 2), 5, 0]], [Fraction(1, 2), 0])
-    assert row == [Fraction(1, 2), 0, Fraction(-3, 4)] and row.ints == ([2, 0, -3], 4)
+    assert linalg.kernel_basis([([0, 0], 1)]) == [[1, 0], [0, 1]]
+    assert linalg.kernel_basis([([2, -4, 6], 1)]) == [[2, 1, 0], [-3, 0, 1]]
+    assert linalg.span_contains([([1, 3], 3)], ([1, 3], 1))
+    assert not linalg.span_contains([([1, 0], 1), ([2, 0], 1)], ([0, 1], 1))
+    assert linalg.in_span(linalg.echelon_ints([([1, 1, 0], 1), ([0, 1, -1], 1)]), [2, 3, -1])
+    row = linalg.combine([([2, 0, -3], 2), ([1, 10, 0], 2)], [Fraction(1, 2), 0])
+    assert row == ([2, 0, -3], 4)
+    # the common denominator is reduced away: 3 * (1/3, 2/3) = (1, 2)
+    assert linalg.combine([([1, 2], 3)], [3]) == ([1, 2], 1)
+    assert linalg.combine([([1, 2], 3)], [0]) == ([0, 0], 1)
 
 
 @pytest.mark.parametrize("s", [
@@ -436,14 +447,14 @@ def test_form_gram_is_w_q_wt():
     assert form == ((1, 3), ((0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, -6)), 2)
     rows = [[Fraction(1, 3), 2, 5, Fraction(-1, 4)], [0, 0, 7, 0], [0] * 4,
             [1, Fraction(5, 6), 0, Fraction(2, 9)]]
-    gram = linalg.form_gram(rows, form)
+    gram = linalg.form_gram(_pairs(rows), form)
     assert gram == _dense_gram(rows, q)
     assert all(type(x) is Fraction for row in gram for x in row)
     assert linalg.form_gram([], form) == []
     # a form with empty support has a zero Gram of the right size
     zero = linalg.sparse_form([[0] * 4 for _ in range(4)])
     assert zero == ((), (), 1)
-    assert linalg.form_gram(rows, zero) == [[0] * 4 for _ in range(4)]
+    assert linalg.form_gram(_pairs(rows), zero) == [[0] * 4 for _ in range(4)]
 
 
 def test_is_definite():

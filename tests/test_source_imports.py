@@ -1,18 +1,18 @@
 """Every name a module of the package, of its tests or of its demos imports
 is used in that module, no module of the package imports scipy (a test
 oracle only), only `lab.py`, `metrics.py` and `verify.py` import numpy (the
-exact core has none), no module of the package but `elements.py` reads an
-algebra element's private coordinate row (the rest go through coords() or
-the slot views), and no module of the package but `nilclassify.py` names
-the classifier's private frame `_Frame` (the rest ask `_frame_of`), and
-the closed forms `exp_closed` and `delta_formula` share no code with their
-oracle `exp_series` but `linalg.int_row`.  The classifiers `nilclassify.py`
-and `anclassify.py` import none of the QQi slot helpers `herm`, `abs2` and
-`conj` (their decisions read coordinate rows) and no `ad_a` (the a-action
-is the a-part term of the bracket).  Every defaulted parameter of a
-function of the package is passed by some call in the package, the
-benchmark, the tests or the demos: a default no caller overrides is a
-constant, not an option.
+exact core has none), a rational row is read into ints in one place (only
+`elements.py` and `linalg.py` name `linalg.int_row`; the rest take the rows
+(ints, den) that these two give), no module of the package but
+`nilclassify.py` names the classifier's private frame `_Frame` (the rest ask
+`_frame_of`), and the closed forms `exp_closed` and `delta_formula` share no
+code with their oracle `exp_series` (all three read the element's ints).
+The classifiers `nilclassify.py` and `anclassify.py` import none of the QQi
+slot helpers `herm`, `abs2` and `conj` (their decisions read coordinate
+rows) and no `ad_a` (the a-action is the a-part term of the bracket).  Every
+defaulted parameter of a function of the package is passed by some call in
+the package, the benchmark, the tests or the demos: a default no caller
+overrides is a constant, not an option.
 
 The package's `__init__.py` is exempt for its relative imports: those are
 re-exports, listed in `__all__`.
@@ -102,24 +102,35 @@ def test_numpy_import_is_reported(tmp_path):
     assert "numpy" in dict(imported_modules(SRC / "lab.py")).values()
 
 
+# the modules that read rational entries into a row (ints, den)
+ROW_READERS = {"elements.py", "linalg.py"}
+
+
 def private_row_reads(path: Path) -> list:
-    """Lines that read the attribute `_row`, directly or by its name."""
+    """Lines that read rationals into a row: that name `int_row`, as a
+    variable, an attribute, an imported name or a string."""
     tree = ast.parse(path.read_text(), filename=str(path))
     return sorted({node.lineno for node in ast.walk(tree)
-                   if (isinstance(node, ast.Attribute) and node.attr == "_row")
-                   or (isinstance(node, ast.Constant) and node.value == "_row")})
+                   if (isinstance(node, ast.Name) and node.id == "int_row")
+                   or (isinstance(node, ast.Attribute) and node.attr == "int_row")
+                   or (isinstance(node, ast.alias) and node.name == "int_row")
+                   or (isinstance(node, ast.Constant) and node.value == "int_row")})
 
 
 @pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
                                   if p.name != "elements.py"], ids=lambda p: p.name)
 def test_only_elements_reads_the_private_row(path):
-    assert private_row_reads(path) == []
+    """Only elements and linalg read rationals into a row: nilclassify,
+    subalgebra, anclassify, weyl, lab and the rest take rows (ints, den)."""
+    assert (private_row_reads(path) != []) == (path.name in ROW_READERS)
 
 
 def test_private_row_read_is_reported(tmp_path):
     mod = tmp_path / "mod.py"
-    mod.write_text("def f(u):\n    return u.coords(), u._row[0], getattr(u, '_row')\n")
-    assert private_row_reads(mod) == [2]
+    mod.write_text("from su2n import linalg\nfrom su2n.linalg import int_row as read\n\n"
+                   "def f(u):\n    return u.coords(), linalg.int_row(u.coords())\n\n"
+                   "g = getattr(linalg, 'int_row')\n")
+    assert private_row_reads(mod) == [2, 5, 7]
     assert private_row_reads(SRC / "elements.py") != []
 
 

@@ -14,6 +14,7 @@ from su2n import (
     close_under_bracket,
     conjugate,
     exp_closed,
+    gallery,
     linalg,
     weyl_matrix,
     weyl_reflect,
@@ -197,9 +198,17 @@ def test_close_under_bracket(alg):
 def test_z_part(alg):
     h = Subalgebra([alg(4, x=[1, 0], y=[0, 1]), alg(4, eta=1, xx=1, yy=1)])
     (z,) = _Frame(h).z_rows
-    assert z == alg(4, eta=1, xx=1, yy=1).coords()
+    assert AlgebraElement.from_ints(4, *z) == alg(4, eta=1, xx=1, yy=1)
     h2 = Subalgebra([alg(3, phi=1)])
     assert _Frame(h2).z_rows == []
+
+
+def test_element_takes_one_coefficient_per_basis_element():
+    h = gallery.get("notcds09-n3").spec()
+    assert h.dim == 2
+    for coeffs in ([1], [1, 2, 3, 4], []):
+        with pytest.raises(ValueError, match=f"^{len(coeffs)} coefficients for 2 rows$"):
+            h.element(coeffs)
 
 
 def test_element_and_contains(alg):
