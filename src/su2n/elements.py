@@ -33,8 +33,10 @@ pairs for matrix entries): an element is reduced once (`from_ints`), a
 matrix entry divided once; `int_bracket` gives the bracket unreduced.
 The action of a on n lives once, in the a-part term of `_bracket_ints`,
 which scales each root column by its root (`column_roots`): [t, w] is
-`int_bracket(t, w)` for an element t of a.  `matrix_of` reads each part
-of the display as one signed coordinate of coords().
+`int_bracket(t, w)` for an element t of a.  A row becomes its matrix on
+one int route: `_gaussian_of_row` reads each part of the display as one
+signed coordinate (`_cell_table`), and `matrix_of` is that matrix over den,
+one Fraction per distinct numerator (`_gaussian_matrix`).
 
 A `GroupElement` is its sparse Gaussian-integer rows over one denominator.
 `exp_closed`, `exp_series`, `identity` and `diagonal` build those rows;
@@ -70,7 +72,7 @@ from .scalars import (
 )
 
 
-# the one Fraction zero of coords() and the slot views
+# the one Fraction zero of coords(), the slot views and the matrix views
 _ZERO = Fraction(0)
 
 
@@ -193,8 +195,10 @@ class AlgebraElement:
         if n < 3 or len(ints) != 4 * n or not den:
             raise ValueError(f"not a coordinate row for n = {n}: {len(ints)} ints over {den}")
         g = gcd(den, *ints) if den > 0 else -gcd(den, *ints)
+        if g != 1:
+            ints, den = [a // g for a in ints], den // g
         e = object.__new__(AlgebraElement)
-        e.n, e.ints, e.den = n, tuple(a // g for a in ints), den // g
+        e.n, e.ints, e.den = n, tuple(ints), den
         return e
 
     # -- slot views ------------------------------------------------------------
@@ -340,48 +344,41 @@ def _coord_entries(n) -> tuple:
     return tuple(table + [((0, m - 1, 0, 1),), ((1, n, 0, 1),)])
 
 
-def _gaussian_of_row(n, ints):
-    """The matrix of the int coordinate row `ints`, in the sparse
-    Gaussian-integer rows of `_gaussian_ints`, read from _coord_entries."""
-    m = n + 2
-    re_, im_ = [[0] * m for _ in range(m)], [[0] * m for _ in range(m)]
-    for v, entries in zip(ints, _coord_entries(n)):
-        if v:
-            for i, j, a, b in entries:
-                re_[i][j] += a * v
-                im_[i][j] += b * v
-    return [[(j, r, s) for j, (r, s) in enumerate(zip(row_re, row_im)) if r or s]
-            for row_re, row_im in zip(re_, im_)]
-
-
 @lru_cache(maxsize=None)
-def _entry_parts(n) -> tuple:
-    """The entries of the display that a coordinate fills, as (i, j, rc, rs,
-    ic, is_): Re M[i][j] = rs * row[rc] and Im M[i][j] = is_ * row[ic] for
-    the coords() row of any element, each sign +-1, or 0 (and column 0)
-    where that part is always zero.  Every part of the display is one signed
-    coordinate, so this reads _coord_entries as it is."""
+def _cell_table(n) -> tuple:
+    """The entries of the display that a coordinate fills, row by row in
+    column order: cells[i] holds (j, rc, rs, ic, is_) for each such entry
+    (i, j), with Re M[i][j] = rs * row[rc] and Im M[i][j] = is_ * row[ic]
+    for the coordinate row of any element, each sign +-1, or 0 (and column
+    0) where that part is always zero.  Every part of the display is one
+    signed coordinate, so this reads _coord_entries as it is."""
     parts = {}
     for c, entries in enumerate(_coord_entries(n)):
         for i, j, a, b in entries:
             rc, rs, ic, is_ = parts.get((i, j), (0, 0, 0, 0))
             parts[i, j] = (c, a, ic, is_) if a else (rc, rs, c, b)
-    return tuple((i, j, *p) for (i, j), p in parts.items())
+    return tuple(tuple((j, *parts[i, j]) for j in range(n + 2) if (i, j) in parts)
+                 for i in range(n + 2))
+
+
+def _gaussian_of_row(n, ints):
+    """The matrix of the int coordinate row `ints`, in the sparse
+    Gaussian-integer rows of `_gaussian_ints`, read from _cell_table."""
+    out = []
+    for cells in _cell_table(n):
+        row = []
+        for j, rc, rs, ic, is_ in cells:
+            r, s = rs * ints[rc], is_ * ints[ic]
+            if r or s:
+                row.append((j, r, s))
+        out.append(row)
+    return out
 
 
 def matrix_of(u: AlgebraElement):
-    """The (n+2)x(n+2) matrix of an algebra element: nested lists of
-    GaussianRationals, each part a signed coordinate of u (_entry_parts),
-    each zero entry the shared ZERO.
-    """
-    m, row = u.n + 2, u.coords()
-    out = [[ZERO] * m for _ in range(m)]
-    for i, j, rc, rs, ic, is_ in _entry_parts(u.n):
-        r = row[rc] if rs > 0 else -row[rc] if rs else _ZERO
-        q = row[ic] if is_ > 0 else -row[ic] if is_ else _ZERO
-        if r or q:
-            out[i][j] = _make(r, q)
-    return out
+    """The (n+2)x(n+2) matrix of an algebra element, nested lists of
+    GaussianRationals: its `_gaussian_of_row` over u.den (_gaussian_matrix)."""
+    return _gaussian_matrix(_gaussian_of_row(u.n, u.ints), u.den, u.n + 2)
 
 
 def _matrix_element(u: AlgebraElement) -> "GroupElement":
@@ -490,12 +487,20 @@ def _gaussian_ints(M, m):
     """(rows, den) for an m x m matrix M of Gaussian rationals: M[i][j] is
     (re + i im) / den for the (j, re, im) in rows[i], with re, im integers,
     and 0 where rows[i] has no entry j.  den is the lcm of the denominators."""
-    nonzero = [[(j, z) for j, z in enumerate(row[:m]) if z is not ZERO and z]
-               for row in M[:m]]
-    den = lcm(*{p.denominator for row in nonzero for _, z in row for p in (z.re, z.im)})
-    return [[(j, z.re.numerator * (den // z.re.denominator),
-              z.im.numerator * (den // z.im.denominator)) for j, z in row]
-            for row in nonzero], den
+    parts, dens = [], set()
+    for row in M[:m]:
+        out = []
+        for j, z in enumerate(row[:m]):
+            if z is not ZERO:
+                a, b = z.re.as_integer_ratio()
+                c, d = z.im.as_integer_ratio()
+                if a or c:
+                    out.append((j, a, b, c, d))
+                    dens.update((b, d))
+        parts.append(out)
+    den = lcm(*dens)
+    return [[(j, a * (den // b), c * (den // d)) for j, a, b, c, d in row]
+            for row in parts], den
 
 
 def _gaussian_product(A, B, m):
@@ -515,13 +520,18 @@ def _gaussian_product(A, B, m):
 def _gaussian_matrix(rows, den, m):
     """The m x m matrix of Gaussian rationals that (rows, den) stands for,
     its zero entries the shared ZERO.  Each distinct numerator's Fraction is
-    built once and shared, 0 and den among them."""
-    fracs = {v: Fraction(v, den) for v in {p for row in rows for _, r, i in row for p in (r, i)}}
-    out = []
+    built once and shared, the zero part the Fraction _ZERO."""
+    fracs, out = {0: _ZERO}, []
     for row in rows:
         out_row = [ZERO] * m
         for j, r, i in row:
-            out_row[j] = _make(fracs[r], fracs[i])
+            fr = fracs.get(r)
+            if fr is None:
+                fr = fracs[r] = Fraction(r, den)
+            fi = fracs.get(i)
+            if fi is None:
+                fi = fracs[i] = Fraction(i, den)
+            out_row[j] = _make(fr, fi)
         out.append(out_row)
     return out
 
@@ -538,24 +548,19 @@ def exp_series(u: AlgebraElement) -> "GroupElement":
     """
     if not u.is_nilpotent():
         raise ValueError("exact exponentials need a nilpotent element")
-    m = u.n + 2
-    ints, den = u.ints, u.den
-    N = _gaussian_of_row(u.n, ints)
-    acc_re = [[0] * m for _ in range(m)]
-    acc_im = [[0] * m for _ in range(m)]
-    for i in range(m):
-        acc_re[i][i] = 24 * den ** 4
+    m, den = u.n + 2, u.den
+    N = _gaussian_of_row(u.n, u.ints)
+    acc = [{i: (24 * den ** 4, 0)} for i in range(m)]  # column -> (re, im), per row
     P = N
     for k in range(1, 5):
         if k > 1:
             P = _gaussian_product(P, N, m)
         w = den ** (4 - k) * (24 // factorial(k))
-        for row_re, row_im, row in zip(acc_re, acc_im, P):
+        for row_acc, row in zip(acc, P):
             for j, r, i in row:
-                row_re[j] += w * r
-                row_im[j] += w * i
-    rows = [[(j, r, i) for j, (r, i) in enumerate(zip(row_re, row_im)) if r or i]
-            for row_re, row_im in zip(acc_re, acc_im)]
+                a, b = row_acc.get(j, (0, 0))
+                row_acc[j] = (a + w * r, b + w * i)
+    rows = [[(j, r, i) for j, (r, i) in sorted(row_acc.items()) if r or i] for row_acc in acc]
     return GroupElement.from_rows(u.n, rows, 24 * den ** 4)
 
 

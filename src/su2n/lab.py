@@ -553,8 +553,15 @@ def _rays_and_products(basis, draws, heads=None):
 
 
 def _vec(e: AlgebraElement) -> np.ndarray:
-    """The float coordinate vector of an exact element."""
-    return np.array(e.coords(), dtype=float)
+    """The float coordinate vector of an exact element, a / den for each of
+    its ints (correctly rounded, as float(Fraction(a, den)) is)."""
+    den = e.den
+    return np.array([a / den for a in e.ints])
+
+
+def _vecs(h: Subalgebra) -> np.ndarray:
+    """The float coordinate rows of h's basis, one _vec each."""
+    return np.array([_vec(b) for b in h.basis], dtype=float)
 
 
 def _ray(e: AlgebraElement) -> _Curve:
@@ -587,7 +594,7 @@ def _nil_curves(h: Subalgebra, plan, result, designed_only=False):
     """The witness and template extremal curves of result, h's
     classification, a ray both ways per basis row of h, then
     N_PRODUCT_CURVES random products (none if designed_only)."""
-    B = np.array(h.coord_rows(), dtype=float)
+    B = _vecs(h)
     rng = random.Random(plan.seed)
     curves = []
     for tag, w in (("square-witness", result.square),
@@ -868,7 +875,7 @@ def _line_curves(tag, line, scale):
 def _ray_and_mix_curves(line, scale, u, rng, designed_only=False):
     """A ray per basis row of u, then N_PRODUCT_CURVES curves line(s log t /
     scale) times a random product (none if designed_only)."""
-    B = np.array(u.coord_rows(), dtype=float)
+    B = _vecs(u)
     heads, draws = [], []
     for _ in range(0 if designed_only else N_PRODUCT_CURVES):
         heads.append((line, (LOG, rng.uniform(-2, 2), scale)))
@@ -902,7 +909,7 @@ def _case_curve(spec: Graph, case, r, line, scale):
     """(tag, curve) of the proof's extremal curve of a graph case, on the
     graph line (line, scale) of _line(spec) and the line ray0 of U's first
     basis row."""
-    b0 = np.array(spec.u.coord_rows()[0], dtype=float)
+    b0 = _vec(spec.u.basis[0])
     ray0 = float_line(b0 * (1.0 / (np.linalg.norm(b0) or 1.0)))
     along = (line, (LOG, 1.0, scale))  # line(log t / scale)
     if case == "graph-1":

@@ -13,13 +13,14 @@ the one shared exact zero, which every zero entry of the exact matrices of
 `a - ZERO` returns `a`.  A product with an `int` or `Fraction` scales the
 real and imaginary parts directly, a `QQi x QQi` product leaves out the
 multiplies of a zero real or imaginary part, `QQi +- QQi` and `QQi == QQi`
-skip the coercion of the other operand, results are built without
-re-checking that their parts are Fractions, and `herm` skips the pairs with
-an exact-zero factor, as the matrix products of `elements` skip their
-zero terms.  Each result is the exact value, and type, of the dense
-formula.  The exact kernels of `elements` (bracket, matrix product, series
-and closed-form exponential, the Delta formula, det) run on integers and
-build Fractions only at the output, one per nonzero part.
+skip the coercion of the other operand, `==` compares each pair of parts by
+identity, then by integer ratio (not through Fraction.__eq__), results are
+built without re-checking that their parts are Fractions, and `herm` skips
+the pairs with an exact-zero factor, as the matrix products of `elements`
+skip their zero terms.  Each result is the exact value, and type, of the
+dense formula.  The exact kernels of `elements` (bracket, matrix product,
+series and closed-form exponential, the Delta formula, det) run on integers
+and build Fractions only at the output, one per nonzero part.
 """
 
 from __future__ import annotations
@@ -125,7 +126,10 @@ class GaussianRational:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        return self.re == other.re and self.im == other.im
+        # a Fraction is held reduced, so equal parts have equal integer ratios
+        a, b, c, d = self.re, other.re, self.im, other.im
+        return ((a is b or a.as_integer_ratio() == b.as_integer_ratio())
+                and (c is d or c.as_integer_ratio() == d.as_integer_ratio()))
 
     def __hash__(self):
         return hash((self.re, self.im))

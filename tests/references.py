@@ -11,10 +11,9 @@ from su2n.elements import (
     _slot_sums,
     column_roots,
     gram_matrix,
-    matrix_of,
 )
 from su2n.nilclassify import _minor_parts, _wedge_parts
-from su2n.scalars import QQi, as_exact_real, conj, herm, im, re
+from su2n.scalars import ZERO, QQi, _make, as_exact_real, conj, herm, im, re
 
 
 def ad_a(t1, t2, w: AlgebraElement) -> AlgebraElement:
@@ -25,6 +24,39 @@ def ad_a(t1, t2, w: AlgebraElement) -> AlgebraElement:
     value = {root: c1 * t1 + c2 * t2 for root, (c1, c2) in ROOTS.items()}
     return AlgebraElement.from_coords(w.n, [value[root] * v if root else 0
                                             for v, root in zip(w.coords(), column_roots(w.n))])
+
+
+# -- the matrix of an element, read off its Fraction coordinates --------------
+#
+# The package builds matrix_of(u) from u's ints (elements._gaussian_of_row),
+# one Fraction per distinct numerator.  This is the route it took before: each
+# part of the display is one signed coordinate of coords(), negated where the
+# display has -conj.
+
+def entry_parts(n) -> tuple:
+    """The entries of the display that a coordinate fills, as (i, j, rc, rs,
+    ic, is_): Re M[i][j] = rs * row[rc] and Im M[i][j] = is_ * row[ic] for
+    the coords() row of any element, each sign +-1, or 0 (and column 0)
+    where that part is always zero."""
+    parts = {}
+    for c, entries in enumerate(_coord_entries(n)):
+        for i, j, a, b in entries:
+            rc, rs, ic, is_ = parts.get((i, j), (0, 0, 0, 0))
+            parts[i, j] = (c, a, ic, is_) if a else (rc, rs, c, b)
+    return tuple((i, j, *p) for (i, j), p in parts.items())
+
+
+def reference_matrix_of(u: AlgebraElement):
+    """The (n+2)x(n+2) QQi matrix of u, each part a signed coordinate of
+    u.coords() (entry_parts), each zero entry the shared ZERO."""
+    m, row, zero = u.n + 2, u.coords(), Fraction(0)
+    out = [[ZERO] * m for _ in range(m)]
+    for i, j, rc, rs, ic, is_ in entry_parts(u.n):
+        r = row[rc] if rs > 0 else -row[rc] if rs else zero
+        q = row[ic] if is_ > 0 else -row[ic] if is_ else zero
+        if r or q:
+            out[i][j] = _make(r, q)
+    return out
 
 
 # -- the Fraction-row form of an element ---------------------------------------
@@ -199,7 +231,7 @@ def qqi_element_from_matrix(M, n):
     matrix of that reading differs from M."""
     u = AlgebraElement.from_coords(n, [a * re(M[i][j]) + b * im(M[i][j])
                                        for (i, j, a, b), *_ in _coord_entries(n)])
-    expected = matrix_of(u)
+    expected = reference_matrix_of(u)
     for i in range(n + 2):
         for j in range(n + 2):
             if expected[i][j] != M[i][j]:
@@ -212,4 +244,5 @@ def qqi_conjugate(g, u):
     m, G, J = u.n + 2, g.mat, gram_matrix(u.n)
     g_inv = dense_product(dense_product(J, [[conj(G[j][i]) for j in range(m)]
                                             for i in range(m)]), J)
-    return qqi_element_from_matrix(dense_product(dense_product(G, matrix_of(u)), g_inv), u.n)
+    conjugated = dense_product(dense_product(G, reference_matrix_of(u)), g_inv)
+    return qqi_element_from_matrix(conjugated, u.n)

@@ -29,6 +29,7 @@ from su2n.weyl import weyl_matrix
 from references import (
     ad_a,
     dense_product,
+    reference_matrix_of,
     row_a_part,
     row_bracket,
     row_nilpotent_part,
@@ -39,26 +40,95 @@ from references import (
 )
 
 
+def _random_scaled_element(n, rng):
+    """A random element of a+n, its row scaled by a random rational and, half
+    of the time, an a-part added."""
+    u = random_element(n, rng, max_slots=6).scale(
+        Fraction(rng.randint(-9, 9), rng.choice([1, 2, 7, 89])))
+    if rng.random() < 0.5:
+        u = u + AlgebraElement(n, t1=Fraction(rng.randint(-5, 5), 3),
+                               t2=Fraction(rng.randint(-5, 5), 7))
+    return u
+
+
 def test_matrix_of_reads_each_part_off_the_row():
-    """matrix_of against the matrix built through Gaussian integers from the
-    same row: equal entries, reprs, entry and part types, and ZERO for every
-    zero entry."""
+    """matrix_of against the reference that reads each part of the display
+    off coords(): equal entries, reprs, entry and part types, and ZERO for
+    every zero entry."""
     rng = random.Random(21)
     for n in (3, 4, 6):
-        m = n + 2
         for _ in range(40):
-            u = random_element(n, rng, max_slots=6).scale(
-                Fraction(rng.randint(-9, 9), rng.choice([1, 2, 7, 89])))
-            if rng.random() < 0.5:
-                u = u + AlgebraElement(n, t1=Fraction(rng.randint(-5, 5), 3),
-                                       t2=Fraction(rng.randint(-5, 5), 7))
-            want = elements._gaussian_matrix(elements._gaussian_of_row(n, u.ints), u.den, m)
+            u = _random_scaled_element(n, rng)
+            want = reference_matrix_of(u)
             got = matrix_of(u)
             assert got == want and repr(got) == repr(want)
             for got_row, want_row in zip(got, want):
                 for a, b in zip(got_row, want_row):
                     assert (a is ZERO) == (b is ZERO)
                     assert (type(a), type(a.re), type(a.im)) == (QQi, Fraction, Fraction)
+
+
+def _fractions_built(monkeypatch, f):
+    """(f(), the number of Fractions built while f ran)."""
+    built, new = [0], Fraction.__new__
+
+    def spy(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Fraction, "__new__", spy)
+        out = f()
+    return out, built[0]
+
+
+def _nonzero_numerators(M, den):
+    """The distinct nonzero numerators over den of the parts of a QQi matrix."""
+    return {p * den for row in M for z in row for p in (z.re, z.im)} - {0}
+
+
+def test_matrix_views_build_one_fraction_per_distinct_numerator(monkeypatch):
+    """matrix_of(u) and the first read of g.mat build at most one Fraction per
+    distinct nonzero numerator, plus one for zero: an element whose
+    coordinates repeat one value needs two, 1 and -1."""
+    rng = random.Random(5)
+    for n in (3, 4, 6):
+        d = n - 2
+        ones = AlgebraElement(n, phi=QQi(1, 1), x=[QQi(1, 1)] * d, y=[QQi(1, 1)] * d,
+                              eta=QQi(1, 1), xx=1, yy=1)
+        for u in [ones, ones.scale(Fraction(3, 7))] + [_random_scaled_element(n, rng)
+                                                      for _ in range(20)]:
+            want = _nonzero_numerators(reference_matrix_of(u), u.den)
+            M, built = _fractions_built(monkeypatch, lambda: matrix_of(u))
+            assert M == reference_matrix_of(u) and built <= len(want) + 1
+            if u is ones:
+                assert built <= 2
+            if not u.is_nilpotent():
+                continue
+            for g in (exp_closed(u), exp_series(u), exp_series(u) @ exp_closed(ones)):
+                want = {p for row in g.rows for _, r, i in row for p in (r, i)} - {0}
+                M, built = _fractions_built(monkeypatch, lambda: g.mat)
+                assert built <= len(want) + 1
+                assert _fractions_built(monkeypatch, lambda: g.mat) == (M, 0)
+
+
+def test_group_element_of_a_view_holds_the_rows_of_the_view():
+    """GroupElement(n, g.mat) reads back exactly (g.rows, g.den) for the
+    exponentials, their products and inverses, and the points of A; so does
+    GroupElement(n, M) for the same matrix M with each zero a new QQi(0)."""
+    rng = random.Random(8)
+    for n in (3, 4, 6):
+        for _ in range(15):
+            u, v = (random_element(n, rng, max_slots=6).scale(
+                Fraction(rng.randint(1, 9), rng.choice([1, 2, 7, 89]))) for _ in "uv")
+            a1, a2 = (Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(2))
+            g, h, a = exp_closed(u), exp_series(v), GroupElement.diagonal(n, a1, a2)
+            for x in (g, h, a, g @ h, h @ a @ g, g.inverse(), (a @ h).inverse(),
+                      GroupElement.identity(n)):
+                y = GroupElement(n, x.mat)
+                assert (y.rows, y.den) == (x.rows, x.den)
+                y = GroupElement(n, [[QQi(z.re, z.im) for z in row] for row in x.mat])
+                assert (y.rows, y.den) == (x.rows, x.den)
 
 
 def test_matrix_of_zero_is_zero(alg):
@@ -447,7 +517,7 @@ def test_exp_series_equals_dense_sum():
         for _ in range(15):
             u = _random_nilpotent(n, rng, dens)
             g = exp_series(u)
-            dense = _dense_exp(matrix_of(u), m)
+            dense = _dense_exp(reference_matrix_of(u), m)
             for i in range(m):
                 for j in range(m):
                     assert isinstance(g.mat[i][j], QQi)
@@ -456,7 +526,7 @@ def test_exp_series_equals_dense_sum():
     for u in (AlgebraElement(4, phi=QQi(0, 2), yy=Fraction(1, 3)),
               AlgebraElement(4, x=[QQi(0, 1), QQi(0, -2)], xx=2),
               AlgebraElement(6)):
-        assert exp_series(u).mat == _dense_exp(matrix_of(u), u.n + 2)
+        assert exp_series(u).mat == _dense_exp(reference_matrix_of(u), u.n + 2)
 
 
 def test_exp_closed_identity_and_y0_display(alg):
@@ -753,12 +823,12 @@ def test_group_element_views_equal_the_eager_qqi_matrices(seed):
         diag[0][0], diag[1][1], diag[n][n], diag[m - 1][m - 1] = (
             QQi(a1), QQi(a2), QQi(1 / a2), QQi(1 / a1))
         J = _form_matrix(n)
-        _assert_same_matrix(g.mat, _dense_exp(matrix_of(u), m))
-        _assert_same_matrix(h.mat, _dense_exp(matrix_of(v), m))
+        _assert_same_matrix(g.mat, _dense_exp(reference_matrix_of(u), m))
+        _assert_same_matrix(h.mat, _dense_exp(reference_matrix_of(v), m))
         _assert_same_matrix(GroupElement.identity(n).mat, eye)
         _assert_same_matrix(a.mat, diag)
         _assert_same_matrix(gram_matrix(n), J)
-        _assert_same_matrix(matrix_of(u), elements._matrix_element(u).mat)
+        _assert_same_matrix(reference_matrix_of(u), elements._matrix_element(u).mat)
         for x, y in ((g, h), (h, g), (a, g), (g @ a, h)):
             _assert_same_matrix((x @ y).mat, dense_product(x.mat, y.mat))
         for x in (g, h, a, g @ h @ a):

@@ -1,4 +1,6 @@
 import dataclasses
+import random
+from fractions import Fraction
 from itertools import compress
 
 import numpy as np
@@ -21,6 +23,7 @@ from su2n.lab import (
 from su2n.metrics import SampleCloud, shape_check
 from su2n.nilclassify import classify
 from su2n.scalars import QQi
+from su2n.subalgebra import Subalgebra
 
 # The tags of the proof-designed curves: witnesses, extremal recipes, rays,
 # torus, graph and one-parameter lines.  Every other curve is a random
@@ -46,6 +49,34 @@ def designed_subcloud(cloud: SampleCloud) -> SampleCloud:
 
 def _nil_result(entry, spec, seed=0):
     return classify(spec, seed=seed) if entry.kind == "nil" else None
+
+
+def _subalgebras_of_the_gallery_and_a_corpus():
+    """The subalgebra of each gallery entry (the U of a graph or semidirect
+    spec, the line of a one-parameter spec) and of random_corpus(count=60,
+    seed=0)."""
+    out = []
+    for entry in gallery.entries():
+        spec = entry.spec()
+        out.append(spec if entry.kind == "nil" else
+                   spec.u if hasattr(spec, "u") else Subalgebra([spec.x]))
+    return out + [h for _, h in random_corpus(count=60, seed=0)]
+
+
+def test_float_rows_are_the_floats_of_the_fraction_rows():
+    """lab's float rows, a / den on each element's ints, are bit for bit the
+    float arrays of the Fraction rows, on the gallery, a corpus and rows with
+    large and repeating-decimal denominators."""
+    def same_bits(a, b):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    rng = random.Random(3)
+    scales = [Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**25)) for _ in range(4)]
+    for h in _subalgebras_of_the_gallery_and_a_corpus():
+        assert same_bits(lab._vecs(h), np.array(h.coord_rows(), dtype=float))
+        for b in h.basis:
+            for u in [b] + [b.scale(c) for c in scales + [Fraction(1, 3), Fraction(-2, 7)]]:
+                assert same_bits(lab._vec(u), np.array(u.coords(), dtype=float))
 
 
 def test_gallery_covers_all_templates():

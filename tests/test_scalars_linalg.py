@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from su2n import linalg
-from su2n.scalars import ZERO, GaussianRational, QQi, abs2, conj, herm, im, parse_rational, re
+from su2n.scalars import (ZERO, GaussianRational, QQi, _make, abs2, conj, herm, im, parse_rational,
+                          re)
 
 
 def test_gaussian_rational_arithmetic():
@@ -74,6 +75,29 @@ def test_gaussian_operations_equal_their_part_formulas(z, w):
         assert type(got) is QQi and type(got.re) is Fraction and type(got.im) is Fraction
         assert (got.re, got.im) == want
     assert (z == w) is (a == c and b == d)
+
+
+# an unreduced (numerator, denominator) pair, read by Fraction
+_unreduced = st.builds(lambda p, q, k: Fraction(p * k, q * k), st.integers(-40, 40),
+                       st.integers(1, 12), st.integers(-6, 6).filter(bool))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_any_parts, _any_parts, _unreduced, _unreduced,
+       st.one_of(st.integers(-5, 5), _rationals, _unreduced))
+def test_gaussian_equality_is_fraction_equality_of_both_parts(z, w, p, q, v):
+    """QQi == QQi against Fraction equality on both parts: on itself, on a
+    copy sharing its parts, on ZERO, on equal values built from unreduced
+    ratios, and with an int or Fraction right operand."""
+    assert (z == w) is (z.re == w.re and z.im == w.im) and (z != w) is not (z == w)
+    assert z == z and z == _make(z.re, z.im) and z == QQi(z.re, z.im)
+    assert (z == ZERO) is (ZERO == z) is (z.re == 0 and z.im == 0)
+    x = QQi(p, q)
+    assert x == QQi(Fraction(p.numerator, p.denominator), Fraction(q.numerator, q.denominator))
+    assert (x == w) is (p == w.re and q == w.im)
+    for a, b in ((z, v), (x, v)):
+        assert (a == v) is (a.re == v and a.im == 0)
+        assert (a == v) is (v == a)
 
 
 @st.composite
