@@ -13,17 +13,20 @@ _Curve, a product of float lines each read at its own parameter, with an
 optional head factor on the left; it builds each of its lines once
 (float_line checks N D = D N and N^5 = 0 at build), and the rays and random
 products of a spec are built by one float_lines call.  A curve whose
-direction moves with t is a _PerPoint, solved per point: exp_float, or a
-line product at the real root nearest 0 of a quartic (np.roots).  The curves
-of one spec are sampled together (_collect): one doubling ladder gives each
-curve the top of its grid, and the grids are built at once; on both, the
-curves are evaluated in blocks of BLOCK_POINTS parameters, each block one
-Vandermonde product over the factors of its curves, and rho_norm takes the
-block's kept samples in one call.  A block's powers, factors and products
-are formed in the scratch buffers rho_norm also uses (metrics._Scratch),
-kept from block to block; the stack a block returns is always a fresh
-array.  The random directions of a spec's product curves are drawn as
-coefficients and combined in one numpy sum.
+direction moves with t is a _PerPoint, evaluated a grid at a time: the
+parameter of each point (a power of t, or the real root nearest 0 of a
+quartic, np.roots) is found on its own, then the grid's stack in one pass,
+either exp of its directions (one float_lines call, each line read at s = 1)
+or a best-of-k scan whose candidates are one stack, with one rho_norm call.
+The curves of one spec are sampled together (_collect): one doubling ladder
+gives each curve the top of its grid, and the grids are built at once; on
+both, the curves are evaluated in blocks of BLOCK_POINTS parameters, each
+block one Vandermonde product over the factors of its curves, and rho_norm
+takes the block's kept samples in one call.  A block's powers, factors and
+products are formed in the scratch buffers rho_norm also uses
+(metrics._Scratch), kept from block to block; the stack a block returns is
+always a fresh array.  The random directions of a spec's product curves are
+drawn as coefficients and combined in one numpy sum.
 Fitted envelope exponents and log-power regressions are then compared against
 the classifier's predicted shape, in two stages (verify_shape): the
 proof-designed curves are sampled alone first (sample_subgroup with
@@ -225,13 +228,28 @@ def exp_float(c, s=1.0):
     return float_line(c)(s)
 
 
+def _exp_rows(cs):
+    """exp(X) of each row X of cs, an (L, 4n) array, as an (L, m, m) stack:
+    the lines of one float_lines call, each read at s = 1 by its own
+    one-row product, so each slice is exp_float(X), bit for bit."""
+    lines = float_lines(cs)
+    m = lines[0].m
+    ones = np.ones((len(lines), 1, 5))
+    g = (ones @ np.stack([line.stack for line in lines])).view(complex).reshape(-1, m, m)
+    for k, line in enumerate(lines):
+        if line.a_part is not None:
+            g[k] = np.exp(line.a_part)[:, None] * g[k]
+    return g
+
+
 # A curve along fixed directions is a _Curve: a product of float lines, each
 # read at its own parameter p(t), with an optional head factor on the left,
 # head(t) @ (f_1(t) @ f_2(t) @ ...).  A parameter is (kind, a, scale):
 #   LIN: a t                  POW: t^a
 #   LOG: a log(t) / scale     LOGPOW: max(log t, 1e-9)^a
 #   ONE: 1
-# A curve whose direction moves with t is a _PerPoint, solved per point.
+# A curve whose direction moves with t is a _PerPoint: a parameter found per
+# point, then the stack of a whole grid in one pass.
 # All curves of a spec share one doubling ladder, whose rungs are evaluated
 # LADDER_CHUNK at a time.  Curves are evaluated BLOCK_POINTS (metrics)
 # parameters at a time (12 curves on a ladder chunk, 4 on grids of 48):
@@ -267,25 +285,40 @@ def _line_curve(line, param=AT_T, head=None):
 
 
 class _PerPoint:
-    """A curve that solves for each t on its own (polynomial roots, best-of-k
-    choices), stacked over a grid.  fn maps a float t to an (m, m) matrix,
-    and so does calling the curve.  A failed solve leaves a NaN slice."""
+    """A curve whose direction moves with t, evaluated a grid at a time.
 
-    def __init__(self, fn, n):
-        self.fn, self.m = fn, n + 2
+    param maps each float t of the grid to the parameter of its point, a
+    Python float (a power of t, or the real root nearest 0 of a quartic);
+    build maps the points whose param succeeded, with their parameters, to
+    their (k, m, m) stack in one pass.  A param that raises ArithmeticError
+    or ImplicitSolveFailed leaves its point out of the build and its slice
+    NaN, under the error's name.  Calling the curve evaluates it alone: a
+    float t is the grid of one point and gives the (m, m) matrix.
+    """
 
-    def __call__(self, t):
-        return self.fn(t)
+    __slots__ = ("param", "build", "m")
+
+    def __init__(self, param, build, n):
+        self.param, self.build, self.m = param, build, n + 2
+
+    def __call__(self, ts):
+        stack = self.evaluate(np.atleast_1d(ts))[0]
+        return stack if np.ndim(ts) else stack[0]
 
     def evaluate(self, ts):
-        """(stack, {index: error name}) for the points whose solve failed."""
+        """(stack, {index: error name}) on the (T,) grid ts."""
+        ts = np.asarray(ts, dtype=float)
         out = np.full((len(ts), self.m, self.m), np.nan, dtype=complex)
-        failed = {}
-        for k, t in enumerate(ts):
+        ok, ps, failed = [], [], {}
+        for k, t in enumerate(ts.tolist()):
             try:
-                out[k] = self.fn(float(t))
+                ps.append(self.param(t))
             except (ArithmeticError, ImplicitSolveFailed) as e:
                 failed[k] = type(e).__name__
+            else:
+                ok.append(k)
+        if ok:
+            out[ok] = self.build(ts[ok], np.array(ps))
         return out, failed
 
 
@@ -319,7 +352,7 @@ class _Batch:
     Vandermonde product (F, T, 5) @ (F, 5, 2 m^2), then multiplies the
     factors of every curve of one depth at once, left to right, and the head
     onto that product last: the matmuls of a curve evaluated alone, so the
-    stack is the same bit for bit.  A _PerPoint curve is solved per point.
+    stack is the same bit for bit.  A _PerPoint curve evaluates its own grid.
     The powers, factors and partial products live in scratch arrays
     (metrics._SCRATCH); the stack evaluate returns is a fresh array.
     """
@@ -578,16 +611,36 @@ def _commuting_lines(u: AlgebraElement, z: AlgebraElement):
 
 
 def _least_rho_ratio(g_u, z_line, p, factors):
-    """Of g_u exp((p f) z) = exp(t u + (p f) z) over the factors f, the sample
-    with the least rho/|h|: a best-of-k scan around the root p of a corner
-    determinant, which tracks the lower envelope.  The candidates are one
-    (k, m, m) stack, each factor of z its own one-row product (z_line.points:
-    the bits of a float parameter, which a grid of k rows need not keep).
-    As min() over them would, it takes the first least ratio, and a NaN
-    ratio (an overflowed candidate) only in first place."""
-    cands = g_u @ z_line.points(p * np.array(factors))
-    ratio = rho_norm(cands) / np.maximum(sup_norm(cands), 1.0)
-    return cands[0 if np.isnan(ratio[0]) else int(np.nanargmin(ratio))]
+    """Per point k of a grid, of g_u[k] exp((p[k] f) z) = exp(t u + (p[k] f) z)
+    over the factors f, the sample with the least rho/|h|: a best-of-k scan
+    around the root p of a corner determinant, which tracks the lower
+    envelope.  g_u is the (T, m, m) stack of exp(t u), p the (T,) roots.
+    All T k candidates are one stack, each factor of z its own one-row
+    product (z_line.points: the bits of a float parameter, which a grid
+    need not keep), multiplied by one stacked matmul; rho_norm and sup_norm
+    run once over them, and _first_least picks each point's candidate."""
+    T, k, m = len(p), len(factors), g_u.shape[-1]
+    cands = g_u[:, None] @ z_line.points(p[:, None] * np.array(factors)).reshape(T, k, m, m)
+    flat = cands.reshape(T * k, m, m)
+    ratio = rho_norm(flat) / np.maximum(sup_norm(flat), 1.0)
+    return cands[np.arange(T), _first_least(ratio.reshape(T, k))]
+
+
+def _first_least(ratio):
+    """The index of each row's first least ratio, as min() over the row
+    would take it: a NaN ratio (an overflowed candidate) only in first
+    place, where it stays, and never later."""
+    nan = np.isnan(ratio)
+    pick = np.argmin(np.where(nan, np.inf, ratio), axis=1)
+    pick[nan[:, 0]] = 0
+    return pick
+
+
+def _best_of_k(u_line, z_line, param, factors, n):
+    """The curve t -> _least_rho_ratio of exp(t u) and exp((p(t) f) z) over
+    the factors f, for p = param(t)."""
+    return _PerPoint(param, lambda ts, ps: _least_rho_ratio(
+        u_line.points(ts), z_line, ps, factors), n)
 
 
 def _nil_curves(h: Subalgebra, plan, result, designed_only=False):
@@ -624,11 +677,11 @@ def _template_extremal_curves(tm):
         ru = (complex(u.eta) * eta_z.conjugate()).real
         u_line, z_line = _commuting_lines(u, z)
 
-        def lower(t):
+        def p0(t):
             # track eta_h = -|y_h|^2 phi_h / 12 along exp(t u + p z)
-            p0 = -(t ** 3 * ys * r0 / 12.0 + t * ru) / eta2
-            return _least_rho_ratio(u_line(t), z_line, p0, (1.0, 0.97, 1.03, 0.9, 1.1))
-        curves.append(("extremal-54", _PerPoint(lower, u.n)))
+            return -(t ** 3 * ys * r0 / 12.0 + t * ru) / eta2
+        curves.append(("extremal-54", _best_of_k(u_line, z_line, p0,
+                                                 (1.0, 0.97, 1.03, 0.9, 1.1), u.n)))
     if tm.type_id == 7 and "rank_one" in tm.evidence:
         curves.append(("extremal-32", _ray(tm.evidence["rank_one"])))
     return curves
@@ -641,7 +694,9 @@ def _template_extremal_curves(tm):
 def witness_curve(witness: Witness, h: Subalgebra):
     """The proof's one-parameter curve t -> h(t) for a witness.
 
-    Returns a curve (a float line or a _PerPoint) from a float t to h(t).
+    Returns a curve from a float t to h(t), and from an array of t to the
+    stack: a _Curve along a fixed direction, or a _PerPoint whose direction
+    moves with t.
     Square curves have |rho(h(t))| ~ |h(t)|^2, linear ones ~ |h(t)|;
     preliminary conjugations from the proofs are applied exactly, so the
     curve may live in a conjugate copy of H (which moves mu by a bounded
@@ -670,9 +725,22 @@ def _square_1(els, n):
     return _ray(u if lam is None else _conj_u_alpha(u, -lam))
 
 
+def _moving_curve(a, b, param, n, clear_im=False):
+    """t -> exp(t a + p b), p = param(t), for float coordinate vectors a and
+    b: the directions of a grid are one (T, 4n) array, exponentiated by one
+    float_lines call (_exp_rows).  clear_im also clears Im g[0, n+1] of
+    g = exp(e) by exp(e - Im g[0, n+1] xx), a second call."""
+    axis = _vec(AlgebraElement(n, xx=1))
+
+    def build(ts, ps):
+        e = a * ts[:, None] + b * ps[:, None]
+        g = _exp_rows(e)
+        return _exp_rows(e + axis * -g[:, 0, -1].imag[:, None]) if clear_im else g
+    return _PerPoint(param, build, n)
+
+
 def _square_3(els, n):
-    u, z = _vec(els["u"]), _vec(els["z"])
-    return _PerPoint(lambda t: exp_float(u * t + z * (t * t)), n)
+    return _moving_curve(_vec(els["u"]), _vec(els["z"]), lambda t: t * t, n)
 
 
 def _square_5(els, n):
@@ -680,9 +748,7 @@ def _square_5(els, n):
     u1 = u - z.scale(u.xx)  # clear the xx slot
     aphi2 = abs2(complex(u1.phi))
     yy = float(u1.yy)
-    u1f, zf = _vec(u1), _vec(z)
-    return _PerPoint(
-        lambda t: exp_float(u1f * t + zf * ((t ** 3) * aphi2 * yy / 6.0)), n)
+    return _moving_curve(_vec(u1), _vec(z), lambda t: (t ** 3) * aphi2 * yy / 6.0, n)
 
 
 def _slot_dot(base, direction, n):
@@ -724,14 +790,9 @@ def _corner_recipe(a, b, clear_im):
     g = exp(e) by exp(e - Im g[0, n+1] xx)."""
     def recipe(els, n):
         af, bf = _vec(els[a]), _vec(els[b])
-        axis = _vec(AlgebraElement(n, xx=1))
-
-        def curve(t):
-            s = _root_nearest_zero(_re_corner(_slot_dot(af * t, bf, n)))
-            e = af * t + bf * s
-            g = exp_float(e)
-            return exp_float(e + axis * -g[0, -1].imag) if clear_im else g
-        return _PerPoint(curve, n)
+        return _moving_curve(
+            af, bf, lambda t: _root_nearest_zero(_re_corner(_slot_dot(af * t, bf, n))),
+            n, clear_im)
     return recipe
 
 
@@ -746,23 +807,36 @@ def _linear_4(els, n):
     """t -> exp(t u + p z), p the root nearest 0 of the quartic Re(delta)."""
     u, z = _vec(els["u"]), _vec(els["z"])
 
-    def curve(t):
+    def root(t):
         dot = _slot_dot(u * t, z, n)
         redelta = (dot("xx", "yy") + dot("phi", "phi") * dot("yy", "yy") / 12
                    - dot("eta", "eta"))
-        return exp_float(u * t + z * _root_nearest_zero(redelta))
-    return _PerPoint(curve, n)
+        return _root_nearest_zero(redelta)
+    return _moving_curve(u, z, root, n)
 
 
 def _linear_5(els, n):
     """Curve for the mixed phi/y + central-eta condition.
 
-    The pair (u, z) is conjugated exactly so that u lives in the phi and y
-    slots only and z is a pure central eta element with phi_u conj(eta_z)
-    real; along exp(s u + p z) the corner determinant has a double root in p,
-    and scanning p near it tracks the linear-growth direction.
+    The pair (u, z) is conjugated exactly (_linear_5_pair) so that u lives
+    in the phi and y slots only and z is a pure central eta element with
+    phi_u conj(eta_z) real; along exp(s u + p z) the corner determinant has a
+    double root in p, and scanning p near it tracks the linear-growth
+    direction.
     """
-    u, z = els["u"], els["z"]
+    u, z = _linear_5_pair(els["u"], els["z"], n)
+    u_line, z_line = _commuting_lines(u, z)
+    eta2 = abs2(complex(z.eta))
+    if eta2 == 0:  # the line of u alone
+        return _PerPoint(lambda s: 0.0, lambda ss, _: u_line.points(ss), n)
+    ys = sum(abs2(complex(v)) for v in u.y)
+    r0 = re(complex(z.eta) * conj(complex(u.phi)))
+    return _best_of_k(u_line, z_line, lambda s: -(s ** 3) * ys * r0 / (12.0 * eta2),
+                      (1.0, 0.98, 1.02, 0.9, 1.1, 0.0), n)
+
+
+def _linear_5_pair(u, z, n):
+    """The exact conjugate of the pair (u, z) that _linear_5 samples."""
 
     def conj_pair(welt, u, z):
         g = exp_closed(welt)
@@ -791,18 +865,7 @@ def _linear_5(els, n):
         t = Fraction(u.xx, 2) / abs2(u.phi)
         welt = AlgebraElement(n, eta=QQi(0, 1) * (t * u.phi))
         u, z = conj_pair(welt, u, z)
-    u_line, z_line = _commuting_lines(u, z)
-    eta2 = abs2(complex(z.eta))
-    ys = sum(abs2(complex(v)) for v in u.y)
-    r0 = re(complex(z.eta) * conj(complex(u.phi)))
-
-    def curve(s):
-        if eta2 == 0:
-            return u_line(s)
-        p_star = -(s ** 3) * ys * r0 / (12.0 * eta2)
-        return _least_rho_ratio(u_line(s), z_line, p_star,
-                                (1.0, 0.98, 1.02, 0.9, 1.1, 0.0))
-    return _PerPoint(curve, n)
+    return u, z
 
 
 _WITNESS_RECIPES = {

@@ -3,7 +3,9 @@
 from fractions import Fraction
 from math import isqrt, lcm
 
-from su2n import AlgebraElement, linalg
+import numpy as np
+
+from su2n import AlgebraElement, lab, linalg
 from su2n.elements import (
     ROOTS,
     NotInAN,
@@ -12,8 +14,9 @@ from su2n.elements import (
     column_roots,
     gram_matrix,
 )
+from su2n.metrics import rho_norm, sup_norm
 from su2n.nilclassify import _minor_parts, _wedge_parts
-from su2n.scalars import ZERO, QQi, _make, as_exact_real, conj, herm, im, re
+from su2n.scalars import ZERO, QQi, _make, abs2, as_exact_real, conj, herm, im, re
 
 
 def ad_a(t1, t2, w: AlgebraElement) -> AlgebraElement:
@@ -246,3 +249,115 @@ def qqi_conjugate(g, u):
                                             for i in range(m)]), J)
     conjugated = dense_product(dense_product(G, reference_matrix_of(u)), g_inv)
     return qqi_element_from_matrix(conjugated, u.n)
+
+
+# -- per-point sampling curves ------------------------------------------------
+#
+# lab evaluates a curve whose direction moves with t (lab._PerPoint) on a
+# whole grid at once.  These are the per-point solvers it ran before: each
+# maps a float t to the (m, m) matrix of its point, by one exp_float (two
+# for a corner curve that clears Im g[0, n+1]) or one best-of-k scan.
+
+def per_point_stack(fn, ts, m):
+    """(stack, {index: error name}) of fn at each t of ts, one point at a
+    time; a point whose solve raises ArithmeticError or ImplicitSolveFailed
+    is a NaN slice."""
+    out = np.full((len(ts), m, m), np.nan, dtype=complex)
+    failed = {}
+    for k, t in enumerate(ts):
+        try:
+            out[k] = fn(float(t))
+        except (ArithmeticError, lab.ImplicitSolveFailed) as e:
+            failed[k] = type(e).__name__
+    return out, failed
+
+
+def least_rho_ratio(g_u, z_line, p, factors):
+    """Of g_u exp((p f) z) over the factors f, the candidate with the least
+    rho/|h|, as min() over them takes it: the first least ratio, and a NaN
+    ratio only in first place."""
+    cands = g_u @ z_line.points(p * np.array(factors))
+    ratio = rho_norm(cands) / np.maximum(sup_norm(cands), 1.0)
+    return cands[0 if np.isnan(ratio[0]) else int(np.nanargmin(ratio))]
+
+
+def extremal_54(u, z):
+    """The type-11 extremal curve of the template evidence (u, z)."""
+    eta_z = complex(z.eta)
+    eta2 = abs2(eta_z)
+    ys = sum(abs2(complex(v)) for v in u.y)
+    r0 = (complex(u.phi) * eta_z.conjugate()).real
+    ru = (complex(u.eta) * eta_z.conjugate()).real
+    u_line, z_line = lab._commuting_lines(u, z)
+
+    def lower(t):
+        p0 = -(t ** 3 * ys * r0 / 12.0 + t * ru) / eta2
+        return least_rho_ratio(u_line(t), z_line, p0, (1.0, 0.97, 1.03, 0.9, 1.1))
+    return lower
+
+
+def _square_3(els, n):
+    u, z = lab._vec(els["u"]), lab._vec(els["z"])
+    return lambda t: lab.exp_float(u * t + z * (t * t))
+
+
+def _square_5(els, n):
+    u, z = els["u"], els["z"]
+    u1 = u - z.scale(u.xx)
+    aphi2 = abs2(complex(u1.phi))
+    yy = float(u1.yy)
+    u1f, zf = lab._vec(u1), lab._vec(z)
+    return lambda t: lab.exp_float(u1f * t + zf * ((t ** 3) * aphi2 * yy / 6.0))
+
+
+def _corner(a, b, clear_im):
+    def recipe(els, n):
+        af, bf = lab._vec(els[a]), lab._vec(els[b])
+        axis = lab._vec(AlgebraElement(n, xx=1))
+
+        def curve(t):
+            s = lab._root_nearest_zero(lab._re_corner(lab._slot_dot(af * t, bf, n)))
+            e = af * t + bf * s
+            g = lab.exp_float(e)
+            return lab.exp_float(e + axis * -g[0, -1].imag) if clear_im else g
+        return curve
+    return recipe
+
+
+def _linear_4(els, n):
+    u, z = lab._vec(els["u"]), lab._vec(els["z"])
+
+    def curve(t):
+        dot = lab._slot_dot(u * t, z, n)
+        redelta = (dot("xx", "yy") + dot("phi", "phi") * dot("yy", "yy") / 12
+                   - dot("eta", "eta"))
+        return lab.exp_float(u * t + z * lab._root_nearest_zero(redelta))
+    return curve
+
+
+def _linear_5(els, n):
+    u, z = lab._linear_5_pair(els["u"], els["z"], n)
+    u_line, z_line = lab._commuting_lines(u, z)
+    eta2 = abs2(complex(z.eta))
+    ys = sum(abs2(complex(v)) for v in u.y)
+    r0 = re(complex(z.eta) * conj(complex(u.phi)))
+
+    def curve(s):
+        if eta2 == 0:
+            return u_line(s)
+        p_star = -(s ** 3) * ys * r0 / (12.0 * eta2)
+        return least_rho_ratio(u_line(s), z_line, p_star, (1.0, 0.98, 1.02, 0.9, 1.1, 0.0))
+    return curve
+
+
+PER_POINT_WITNESSES = {
+    ("square", 3): _square_3, ("square", 5): _square_5,
+    ("square", 6): _corner("u", "v", False), ("square", 7): _corner("u", "v", True),
+    ("square", 8): _corner("v", "u", True),
+    ("linear", 4): _linear_4, ("linear", 5): _linear_5,
+}
+
+
+def per_point_witness(witness, n):
+    """The per-point solver of a square 3, 5, 6-8 or linear 4, 5 witness."""
+    return PER_POINT_WITNESSES[witness.side, witness.condition_id](witness.elements, n)

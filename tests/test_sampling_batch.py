@@ -9,8 +9,10 @@ batched curve products -- against the one-matrix-at-a-time version, the
 float exponential against the exact one, and on the torus, graph and
 one-parameter lines against scipy's expm.  A float line (float_line) runs
 its checks once, when it is built, and sampling builds each line once per
-curve.  The implicit witness curves solve a quartic per point by its real
-root nearest 0, with numpy alone.
+curve.  The implicit witness curves take a quartic's real root nearest 0 at
+each point, with numpy alone, and build the stack of a whole grid at once;
+they and the best-of-k curves are checked against the per-point solvers of
+tests/references.py.
 """
 
 import math
@@ -26,13 +28,15 @@ from su2n import gallery
 from su2n import lab
 from su2n.anclassify import Graph, OneParam, Semidirect, line_compatible
 from su2n.config import MIN_SAMPLES, NORM_CEILING
-from su2n.corpus import random_element
-from su2n.subalgebra import close_under_bracket
+from su2n.corpus import random_corpus, random_element
+from su2n.subalgebra import Subalgebra, close_under_bracket
 from su2n.elements import AlgebraElement, exp_closed, matrix_of
 from su2n.lab import ImplicitSolveFailed, exp_float, float_line, float_lines
 from su2n.metrics import rho_norm, rho_norm_oracle, sup_norm
 from su2n.nilclassify import check_linear, check_square, classify
 from su2n.scalars import QQi
+
+import references
 
 GRID = np.array([-40.0, -3.0, -0.25, 0.0, 0.5, 1.0, 7.0, 1e3, 2.0 ** 40])
 
@@ -195,6 +199,26 @@ def test_line_points_are_the_float_evaluations_bit_for_bit():
     for line, grid in [(curves["prod4"].factors[0][0], s)] + [
             (float_line(_vec(x)), cs) for x in _gallery_lines()]:
         assert np.array_equal(line.points(grid), [line(float(t)) for t in grid])
+
+
+def test_exp_rows_are_exp_float_bit_for_bit():
+    # the lines of one float_lines call read at s = 1, against exp_float of
+    # each row: random nilpotent rows, the test directions, and the gallery
+    # lines (a-part and nilpotent part together) at several scales
+    rng = np.random.default_rng(6)
+    with_a = 0
+    for n in (3, 4, 6):
+        rows = rng.normal(size=(12, 4 * n)) * 10.0 ** rng.integers(-6, 6, (12, 1))
+        rows[:, :2] = 0.0
+        dirs = [_vec(u) for u in _directions(n, random.Random(40 + n))]
+        lines = [_vec(x) * c for x in _gallery_lines() if x.n == n
+                 for c in (-30.0, -0.5, 0.0, 2.0, 30.0)]
+        cs = np.vstack([rows, dirs] + [lines] * bool(lines))
+        stack = lab._exp_rows(cs)
+        assert stack.shape == (len(cs), n + 2, n + 2)
+        assert stack.tobytes() == np.array([exp_float(c) for c in cs]).tobytes()
+        with_a += int(((cs[:, 0] != 0) | (cs[:, 1] != 0)).sum())
+    assert with_a
 
 
 def test_exp_closed_grid_rejects_an_a_part():
@@ -513,8 +537,8 @@ def test_failed_solves_are_counted_by_error():
     def flaky(t):
         if fails(t):
             raise ImplicitSolveFailed("no root")
-        return exp_float(basis[0], t)
-    curve = lab._PerPoint(flaky, 3)
+        return t
+    curve = lab._PerPoint(flaky, lambda ts, ps: exp_float(basis[0], ps), 3)
     ray = lab._line_curve(float_line(basis[1]))
     cloud = lab._collect([("w", curve), ("ray0", ray)], lab.SamplingPlan())
     grid = _grid(curve)
@@ -528,7 +552,7 @@ def test_a_programming_error_in_a_curve_surfaces(monkeypatch):
     def broken_curve(witness, h):
         def solve(t):
             raise TypeError("a bug, not a numeric failure")
-        return lab._PerPoint(solve, h.n)
+        return lab._PerPoint(solve, lambda ts, ps: exp_float(np.zeros(4 * h.n), ps), h.n)
     monkeypatch.setattr(lab, "witness_curve", broken_curve)
     h = gallery.get("cds-fulln-n3").spec()
     result = classify(h)
@@ -629,17 +653,22 @@ def test_least_rho_curves_build_their_two_lines_once(monkeypatch):
 
 
 def test_least_rho_ratio_is_the_first_least_candidate():
-    # the candidates as one stack against min() over them one at a time
+    # the candidates of a whole grid as one stack against min() over each
+    # point's candidates one at a time
     basis = _nil_basis("notcds11-n3")
     u_line, z_line = float_line(basis[0]), float_line(basis[-1])
-    for t in (1.0, 7.0, 300.0):
-        g_u = u_line(t)
-        for p, factors in ((2.5, (1.0, 0.97, 1.03, 0.9, 1.1)),
-                           (-40.0 * t, (1.0, 0.98, 1.02, 0.9, 1.1, 0.0)),
-                           (3.0, (1.0, 1.0, 0.5, 0.5))):
-            want = min((g_u @ z_line(p * f) for f in factors),
+    ts = np.array([1.0, 7.0, 300.0])
+    for p, factors in ((lambda t: 2.5, (1.0, 0.97, 1.03, 0.9, 1.1)),
+                       (lambda t: -40.0 * t, (1.0, 0.98, 1.02, 0.9, 1.1, 0.0)),
+                       (lambda t: 3.0, (1.0, 1.0, 0.5, 0.5))):
+        ps = np.array([p(t) for t in ts])
+        got = lab._least_rho_ratio(u_line.points(ts), z_line, ps, factors)
+        assert got.shape == (len(ts), 5, 5)
+        for t, pk, g in zip(ts, ps, got):
+            g_u = u_line(t)
+            want = min((g_u @ z_line(pk * f) for f in factors),
                        key=lambda g: rho_norm(g) / max(sup_norm(g), 1.0))
-            assert np.array_equal(lab._least_rho_ratio(g_u, z_line, p, factors), want)
+            assert np.array_equal(g, want)
 
 
 def test_a_non_commuting_pair_has_no_split_lines(alg):
@@ -677,20 +706,31 @@ def test_closed_form_corner_equals_the_float_exponential(n):
             assert abs(corner(p) - g[0, -1].real) <= 1e-12 * max(1.0, np.abs(g).max())
 
 
-def test_witness_curves_run_without_scipy(monkeypatch, alg, sub):
-    monkeypatch.setitem(sys.modules, "scipy", None)
-    monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+def _solver_witnesses():
+    """(h, witness) of square conditions 6 and 7 and linear condition 4 on
+    hand-built subalgebras: two corner curves (the second clears
+    Im g[0, n+1]) and a Re(delta) curve, each solving a quartic per point."""
+    alg = AlgebraElement
     cases = [
         (check_square, [alg(4, phi=1, y=[1, 0]), alg(4, x=[0, 1])], 6),
         (check_square, [alg(4, phi=1, y=[1, 0]), alg(4, x=[QQi(0, -1), 0], yy=1),
                         alg(4, xx=1)], 7),
         (check_linear, [alg(3, phi=1, yy=1), alg(3, eta=1)], 4),
     ]
-    grid = np.geomspace(1.0, 1e3, 12)
+    out = []
     for check, els, cond in cases:
-        h = sub(*els)
+        h = Subalgebra(els)
         w = check(h)
         assert w.condition_id == cond
+        out.append((h, w))
+    return out
+
+
+def test_witness_curves_run_without_scipy(monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+    grid = np.geomspace(1.0, 1e3, 12)
+    for h, w in _solver_witnesses():
         curve = lab.witness_curve(w, h)
         mats = [curve(float(t)) for t in grid]
         stack, failed = _evaluate(curve, grid)
@@ -698,20 +738,221 @@ def test_witness_curves_run_without_scipy(monkeypatch, alg, sub):
         assert np.array_equal(stack, mats)
 
 
-@pytest.mark.parametrize("eid", ["notcds04-max-n4", "semi02-n4", "graph01-n4"])
+def _per_point_curves():
+    """(name, grid curve, per-point reference) for every curve whose
+    direction moves with t that the gallery and the test corpus reach: the
+    type-11 extremal curve of notcds11-n3, the linear-5 witness of
+    cds-real-pair-n3, the witnesses of _solver_witnesses, and the square-3,
+    square-5 and linear-4 witnesses of random_corpus(count=200) at seeds 0
+    and 1."""
+    out = []
+    h = gallery.get("notcds11-n3").spec()
+    tm = classify(h).template
+    curve = dict(lab._template_extremal_curves(tm))["extremal-54"]
+    out.append(("extremal-54", curve, references.extremal_54(tm.evidence["u"],
+                                                             tm.evidence["z"])))
+    h = gallery.get("cds-real-pair-n3").spec()
+    pairs = [(h, classify(h).linear)] + _solver_witnesses()
+    for seed in (0, 1):
+        for _, g in random_corpus(count=200, seed=seed):
+            r = classify(g, seed=0)
+            pairs += [(g, w) for w in (r.square, r.linear) if w is not None
+                      and (w.side, w.condition_id) in {("square", 3), ("square", 5),
+                                                       ("linear", 4)}]
+    for g, w in pairs:
+        out.append((f"{w.side}-{w.condition_id}", lab.witness_curve(w, g),
+                    references.per_point_witness(w, g.n)))
+    return out
+
+
+# grids topping at the least top, a middling one and two ladder rungs, the
+# last the top of the ladder; then past the ladder: at 1e60 every candidate
+# of some best-of-k points overflows (NaN slices), and at 1e120 t ** 3
+# overflows (OverflowError) and np.roots meets infinite quartic coefficients
+# (LinAlgError, which propagates)
+TOPS = np.array([4.0, 1e4, 2.0 ** 40, 2.0 ** 81, 1e60, 1e120])
+
+
+def test_grid_curves_equal_their_per_point_references():
+    # each curve solved on a whole grid at once against the per-point
+    # solvers it replaced, to the last bit, NaN and inf slices included,
+    # with the same failed points under the same error names; a scalar call
+    # is the grid of one point
+    curves = _per_point_curves()
+    assert Counter(name for name, _, _ in curves) == {
+        "extremal-54": 1, "linear-5": 1, "square-6": 1, "square-7": 1,
+        "linear-4": 2, "square-3": 8, "square-5": 2}
+    seen = Counter()
+    for name, curve, point in curves:
+        assert isinstance(curve, lab._PerPoint)
+        for grid in lab._grids(TOPS, 48):
+            with np.errstate(all="ignore"):
+                try:
+                    want, want_failed = references.per_point_stack(point, grid, curve.m)
+                except ValueError as e:
+                    seen[type(e).__name__] += 1
+                    with pytest.raises(type(e)):
+                        curve.evaluate(grid)
+                    continue
+                got, failed = curve.evaluate(grid)
+                ones = [curve(t) for t in grid[::7].tolist()]
+            assert failed == want_failed, name
+            assert got.tobytes() == want.tobytes(), name
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(ones, want[::7])), name
+            seen.update(failed.values())
+            seen["NaN slice"] += int(np.isnan(want).any(axis=(1, 2)).sum()) - len(failed)
+    assert seen["OverflowError"] and seen["NaN slice"] and seen["LinAlgError"]
+
+
+def _nan_first_argmin(row):
+    return 0 if np.isnan(row[0]) else int(np.nanargmin(row))
+
+
+def test_first_least_pick_is_nanargmin_with_a_nan_only_first():
+    nan, inf = np.nan, np.inf
+    table = np.array([
+        [nan, 1.0, 0.5],  # a NaN in first place is taken
+        [2.0, nan, 0.5],  # a later NaN is passed over
+        [1.0, nan, 3.0],
+        [0.5, 0.25, 0.25],  # ties: the first
+        [0.25, 0.25, 0.25],
+        [inf, inf, inf],  # all inf, none NaN: the first
+        [inf, nan, inf],
+        [nan, nan, nan],  # all NaN: the first
+        [3.0, 2.0, 1.0],
+    ])
+    assert lab._first_least(table).tolist() == [0, 2, 0, 1, 0, 0, 0, 0, 2]
+    assert lab._first_least(table).tolist() == [_nan_first_argmin(r) for r in table]
+    rng = np.random.default_rng(0)
+    values = np.array([nan, inf, 0.0, 0.5, 1.0, 2.0])
+    for k in (1, 2, 5, 6):
+        table = rng.choice(values, (400, k))
+        assert lab._first_least(table).tolist() == [_nan_first_argmin(r) for r in table]
+
+
+@pytest.mark.parametrize("which", [1, 2], ids=["square-7", "linear-4"])
+def test_failed_roots_leave_nan_slices_counted_by_error(which, monkeypatch):
+    # a root that fails at chosen points of a corner curve and of a Re(delta)
+    # curve: exactly those slices are NaN, named ImplicitSolveFailed and
+    # counted as discards; every other slice is the one solved without them
+    h, w = _solver_witnesses()[which]
+    curve = lab.witness_curve(w, h)
+    plan = lab.SamplingPlan()
+    grid = _grid(curve)
+    chosen = [1, 5, 17, 30]
+    assert not any(math.log2(t).is_integer() for t in grid[chosen])  # no ladder rung
+    clean, clean_failed = curve.evaluate(grid)
+    assert clean_failed == {}
+    clean_cloud = lab._collect([("w", curve)], plan)
+
+    fail_at, pending = set(grid[chosen].tolist()), []
+    real_evaluate, real_root = lab._PerPoint.evaluate, lab._root_nearest_zero
+
+    def evaluate(self, ts):
+        pending[:] = np.asarray(ts).tolist()[::-1]
+        return real_evaluate(self, ts)
+
+    def root(poly):  # called once per point, in grid order
+        if pending.pop() in fail_at:
+            raise ImplicitSolveFailed("chosen")
+        return real_root(poly)
+    monkeypatch.setattr(lab._PerPoint, "evaluate", evaluate)
+    monkeypatch.setattr(lab, "_root_nearest_zero", root)
+    stack, failed = curve.evaluate(grid)
+    assert failed == dict.fromkeys(chosen, "ImplicitSolveFailed")
+    assert np.isnan(stack[chosen]).all()
+    rest = np.setdiff1d(np.arange(len(grid)), chosen)
+    assert stack[rest].tobytes() == clean[rest].tobytes()
+    cloud = lab._collect([("w", curve)], plan)
+    discards = cloud.meta["discards"]
+    assert discards["ImplicitSolveFailed"] == len(chosen)
+    assert "ImplicitSolveFailed" not in clean_cloud.meta["discards"]
+    assert sum(discards.values()) == len(grid) - len(cloud)
+    assert cloud.meta["t_values"] == [t for t in clean_cloud.meta["t_values"]
+                                      if t not in fail_at]
+
+
+def test_a_failed_line_check_surfaces_and_is_never_a_discard(monkeypatch):
+    # a ValueError from float_lines in a grid's line build propagates out of
+    # sampling, even when one point of the grid fails the check
+    h, w = _solver_witnesses()[2]
+    result = classify(h)
+    plan = lab.SamplingPlan(seed=0)
+    torus, bad = _vec(AlgebraElement(3, t1=1)), _vec(AlgebraElement(3, phi=1))
+    grid = _grid(lab.witness_curve(w, h))
+    # the torus line commutes; at grid[5] the direction gains a phi part,
+    # which does not commute with it
+    one_bad = lab._moving_curve(torus, bad, lambda t: float(t == grid[5]), 3)
+    with pytest.raises(ValueError, match="do not commute"):
+        one_bad.evaluate(grid)
+    monkeypatch.setattr(lab, "witness_curve", lambda w, h: one_bad)
+    with pytest.raises(ValueError, match="do not commute"):
+        lab.sample_subgroup(h, plan, result=result)
+    with pytest.raises(ValueError, match="do not commute"):
+        lab._collect([("w", one_bad)], plan)
+    monkeypatch.undo()
+    # the yy coordinate also writes the identity: X = N + I, X^5 != 0
+    curve = lab.witness_curve(w, h)
+    assert curve.evaluate(grid)[1] == {}
+    patched = lab._coord_basis(3).copy()
+    patched[AlgebraElement.slot_columns(3)["yy"].start] += np.eye(5).ravel()
+    monkeypatch.setattr(lab, "_coord_basis", lambda n: patched)
+    with pytest.raises(ValueError, match="X\\^5"):
+        curve.evaluate(grid)
+    with pytest.raises(ValueError, match="X\\^5"):
+        lab._collect([("w", curve)], plan)
+
+
+def test_moving_direction_curves_build_one_line_stack_per_grid(monkeypatch):
+    # each exponential of a moving-direction witness curve is one float_lines
+    # call over the solved points of a grid: one for square 6 and linear 4,
+    # two for square 7 (the second clears Im g[0, n+1]); exp_float is never
+    # called
+    calls, exps = [], []
+    real = lab.float_lines
+    monkeypatch.setattr(lab, "float_lines", lambda cs: calls.append(len(cs)) or real(cs))
+    monkeypatch.setattr(lab, "exp_float", lambda *a: exps.append(a) or exp_float(*a))
+    for (h, w), per_grid in zip(_solver_witnesses(), (1, 2, 1)):
+        curve = lab.witness_curve(w, h)
+        for grid in lab._grids(TOPS[:3], 48):
+            calls.clear()
+            stack, failed = curve.evaluate(grid)
+            assert calls == [len(grid) - len(failed)] * per_grid
+        calls.clear()
+        lab._collect([("w", curve)], lab.SamplingPlan())
+        assert calls and set(calls) <= {16, 48}
+    assert exps == []
+
+
+# the candidates a point of each entry's best-of-k curve
+BEST_OF_K = {"notcds11-n3": 5, "cds-real-pair-n3": 6}
+
+
+@pytest.mark.parametrize("eid", ["notcds04-max-n4", "semi02-n4", "graph01-n4",
+                                 *BEST_OF_K])
 def test_rho_norm_runs_once_per_evaluation_block(eid, monkeypatch):
     # _collect takes rho_norm of each non-empty block's kept samples in one
-    # call; these entries have no per-point curve, whose best-of-k choice
-    # calls rho_norm on its own
-    sizes, collects = [], []
-    real_rho, real_collect = lab.rho_norm, lab._collect
+    # call.  A best-of-k curve (the type-11 extremal curve of notcds11-n3,
+    # the linear-5 witness of cds-real-pair-n3) takes rho_norm of all the
+    # candidates of the points it is evaluated on in one call of its own,
+    # once per evaluation, not once per point; the other entries have none
+    sizes, collects, scans = [], [], []
+    real_rho, real_collect, real_evaluate = lab.rho_norm, lab._collect, lab._PerPoint.evaluate
 
     def rho_spy(g):
         sizes.append(len(g))
         return real_rho(g)
 
+    def evaluate_spy(self, ts):
+        before = len(sizes)
+        out = real_evaluate(self, ts)
+        scans.append((len(ts) - len(out[1]), sizes[before:]))
+        del sizes[before:]
+        return out
+
     def collect_spy(curves, plan, with_mu=False):
-        assert not any(isinstance(c, lab._PerPoint) for _, c in curves)
+        assert (any(isinstance(c, lab._PerPoint) for _, c in curves)
+                == (eid in BEST_OF_K))
         before = len(sizes)
         cloud = real_collect(curves, plan, with_mu)
         collects.append((curves, plan, cloud, sizes[before:]))
@@ -719,8 +960,12 @@ def test_rho_norm_runs_once_per_evaluation_block(eid, monkeypatch):
 
     monkeypatch.setattr(lab, "rho_norm", rho_spy)
     monkeypatch.setattr(lab, "_collect", collect_spy)
+    monkeypatch.setattr(lab._PerPoint, "evaluate", evaluate_spy)
     assert lab.verify_gallery_entry(gallery.get(eid), seed=0).verdict == "pass"
     assert collects
+    assert bool(scans) == (eid in BEST_OF_K)
+    for solved, calls in scans:
+        assert calls == [BEST_OF_K[eid] * solved]
     for curves, plan, cloud, calls in collects:
         assert len({tag for tag, _ in curves}) == len(curves)  # tag -> curve
         kept = Counter(cloud.tags)
