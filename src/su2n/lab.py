@@ -15,9 +15,9 @@ optional head factor on the left; it builds each of its lines once
 products of a spec are built by one float_lines call.  A curve whose
 direction moves with t is a _PerPoint, evaluated a grid at a time: the
 parameter of each point (a power of t, or the real root nearest 0 of a
-quartic, np.roots) is found on its own, then the grid's stack in one pass,
-either exp of its directions (one float_lines call, each line read at s = 1)
-or a best-of-k scan whose candidates are one stack, with one rho_norm call.
+quartic, np.roots) is found on its own, then the grid's stack in one pass:
+exp_float of each of its directions, or a best-of-k scan whose candidates
+are one stack, with one rho_norm call.
 The curves of one spec are sampled together (_collect): one doubling ladder
 gives each curve the top of its grid, and the grids are built at once; on
 both, the curves are evaluated in blocks of BLOCK_POINTS parameters, each
@@ -228,20 +228,6 @@ def exp_float(c, s=1.0):
     return float_line(c)(s)
 
 
-def _exp_rows(cs):
-    """exp(X) of each row X of cs, an (L, 4n) array, as an (L, m, m) stack:
-    the lines of one float_lines call, each read at s = 1 by its own
-    one-row product, so each slice is exp_float(X), bit for bit."""
-    lines = float_lines(cs)
-    m = lines[0].m
-    ones = np.ones((len(lines), 1, 5))
-    g = (ones @ np.stack([line.stack for line in lines])).view(complex).reshape(-1, m, m)
-    for k, line in enumerate(lines):
-        if line.a_part is not None:
-            g[k] = np.exp(line.a_part)[:, None] * g[k]
-    return g
-
-
 # A curve along fixed directions is a _Curve: a product of float lines, each
 # read at its own parameter p(t), with an optional head factor on the left,
 # head(t) @ (f_1(t) @ f_2(t) @ ...).  A parameter is (kind, a, scale):
@@ -249,7 +235,7 @@ def _exp_rows(cs):
 #   LOG: a log(t) / scale     LOGPOW: max(log t, 1e-9)^a
 #   ONE: 1
 # A curve whose direction moves with t is a _PerPoint: a parameter found per
-# point, then the stack of a whole grid in one pass.
+# point, then the stack of a whole grid in one build.
 # All curves of a spec share one doubling ladder, whose rungs are evaluated
 # LADDER_CHUNK at a time.  Curves are evaluated BLOCK_POINTS (metrics)
 # parameters at a time (12 curves on a ladder chunk, 4 on grids of 48):
@@ -292,8 +278,9 @@ class _PerPoint:
     build maps the points whose param succeeded, with their parameters, to
     their (k, m, m) stack in one pass.  A param that raises ArithmeticError
     or ImplicitSolveFailed leaves its point out of the build and its slice
-    NaN, under the error's name.  Calling the curve evaluates it alone: a
-    float t is the grid of one point and gives the (m, m) matrix.
+    NaN, under the error's name.  Calling the curve at a float t builds the
+    grid of that one point and gives its (m, m) matrix; there a failed solve
+    raises.
     """
 
     __slots__ = ("param", "build", "m")
@@ -301,9 +288,9 @@ class _PerPoint:
     def __init__(self, param, build, n):
         self.param, self.build, self.m = param, build, n + 2
 
-    def __call__(self, ts):
-        stack = self.evaluate(np.atleast_1d(ts))[0]
-        return stack if np.ndim(ts) else stack[0]
+    def __call__(self, t):
+        t = float(t)
+        return self.build(np.array([t]), np.array([self.param(t)]))[0]
 
     def evaluate(self, ts):
         """(stack, {index: error name}) on the (T,) grid ts."""
@@ -727,15 +714,18 @@ def _square_1(els, n):
 
 def _moving_curve(a, b, param, n, clear_im=False):
     """t -> exp(t a + p b), p = param(t), for float coordinate vectors a and
-    b: the directions of a grid are one (T, 4n) array, exponentiated by one
-    float_lines call (_exp_rows).  clear_im also clears Im g[0, n+1] of
-    g = exp(e) by exp(e - Im g[0, n+1] xx), a second call."""
+    b: the directions of a grid are one (T, 4n) array, each row exponentiated
+    by exp_float.  clear_im also clears Im g[0, n+1] of g = exp(e) by
+    exp(e - Im g[0, n+1] xx)."""
     axis = _vec(AlgebraElement(n, xx=1))
+
+    def exps(rows):
+        return np.array([exp_float(r) for r in rows])
 
     def build(ts, ps):
         e = a * ts[:, None] + b * ps[:, None]
-        g = _exp_rows(e)
-        return _exp_rows(e + axis * -g[:, 0, -1].imag[:, None]) if clear_im else g
+        g = exps(e)
+        return exps(e + axis * -g[:, 0, -1].imag[:, None]) if clear_im else g
     return _PerPoint(param, build, n)
 
 

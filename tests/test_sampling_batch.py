@@ -201,26 +201,6 @@ def test_line_points_are_the_float_evaluations_bit_for_bit():
         assert np.array_equal(line.points(grid), [line(float(t)) for t in grid])
 
 
-def test_exp_rows_are_exp_float_bit_for_bit():
-    # the lines of one float_lines call read at s = 1, against exp_float of
-    # each row: random nilpotent rows, the test directions, and the gallery
-    # lines (a-part and nilpotent part together) at several scales
-    rng = np.random.default_rng(6)
-    with_a = 0
-    for n in (3, 4, 6):
-        rows = rng.normal(size=(12, 4 * n)) * 10.0 ** rng.integers(-6, 6, (12, 1))
-        rows[:, :2] = 0.0
-        dirs = [_vec(u) for u in _directions(n, random.Random(40 + n))]
-        lines = [_vec(x) * c for x in _gallery_lines() if x.n == n
-                 for c in (-30.0, -0.5, 0.0, 2.0, 30.0)]
-        cs = np.vstack([rows, dirs] + [lines] * bool(lines))
-        stack = lab._exp_rows(cs)
-        assert stack.shape == (len(cs), n + 2, n + 2)
-        assert stack.tobytes() == np.array([exp_float(c) for c in cs]).tobytes()
-        with_a += int(((cs[:, 0] != 0) | (cs[:, 1] != 0)).sum())
-    assert with_a
-
-
 def test_exp_closed_grid_rejects_an_a_part():
     for s in (GRID, 1.0):
         with pytest.raises(ValueError):
@@ -777,7 +757,7 @@ def test_grid_curves_equal_their_per_point_references():
     # each curve solved on a whole grid at once against the per-point
     # solvers it replaced, to the last bit, NaN and inf slices included,
     # with the same failed points under the same error names; a scalar call
-    # is the grid of one point
+    # is the grid of one point, and raises where that point fails
     curves = _per_point_curves()
     assert Counter(name for name, _, _ in curves) == {
         "extremal-54": 1, "linear-5": 1, "square-6": 1, "square-7": 1,
@@ -795,13 +775,20 @@ def test_grid_curves_equal_their_per_point_references():
                         curve.evaluate(grid)
                     continue
                 got, failed = curve.evaluate(grid)
-                ones = [curve(t) for t in grid[::7].tolist()]
+                for k in range(0, len(grid), 7):
+                    if k in want_failed:  # a scalar call raises, as the solver did
+                        with pytest.raises((ArithmeticError, ImplicitSolveFailed)) as e:
+                            curve(grid[k])
+                        assert type(e.value).__name__ == want_failed[k], name
+                        seen["scalar raise"] += 1
+                    else:
+                        assert curve(grid[k]).tobytes() == want[k].tobytes(), name
             assert failed == want_failed, name
             assert got.tobytes() == want.tobytes(), name
-            assert all(g.tobytes() == w.tobytes() for g, w in zip(ones, want[::7])), name
             seen.update(failed.values())
             seen["NaN slice"] += int(np.isnan(want).any(axis=(1, 2)).sum()) - len(failed)
     assert seen["OverflowError"] and seen["NaN slice"] and seen["LinAlgError"]
+    assert seen["scalar raise"]
 
 
 def _nan_first_argmin(row):
@@ -871,6 +858,14 @@ def test_failed_roots_leave_nan_slices_counted_by_error(which, monkeypatch):
     assert cloud.meta["t_values"] == [t for t in clean_cloud.meta["t_values"]
                                       if t not in fail_at]
 
+    # called at a float t, the curve raises where the root fails, as the
+    # per-point solver did, and leaves no NaN matrix behind
+    def no_root(poly):
+        raise ImplicitSolveFailed("chosen")
+    monkeypatch.setattr(lab, "_root_nearest_zero", no_root)
+    with pytest.raises(ImplicitSolveFailed):
+        curve(grid[chosen[0]])
+
 
 def test_a_failed_line_check_surfaces_and_is_never_a_discard(monkeypatch):
     # a ValueError from float_lines in a grid's line build propagates out of
@@ -901,27 +896,6 @@ def test_a_failed_line_check_surfaces_and_is_never_a_discard(monkeypatch):
         curve.evaluate(grid)
     with pytest.raises(ValueError, match="X\\^5"):
         lab._collect([("w", curve)], plan)
-
-
-def test_moving_direction_curves_build_one_line_stack_per_grid(monkeypatch):
-    # each exponential of a moving-direction witness curve is one float_lines
-    # call over the solved points of a grid: one for square 6 and linear 4,
-    # two for square 7 (the second clears Im g[0, n+1]); exp_float is never
-    # called
-    calls, exps = [], []
-    real = lab.float_lines
-    monkeypatch.setattr(lab, "float_lines", lambda cs: calls.append(len(cs)) or real(cs))
-    monkeypatch.setattr(lab, "exp_float", lambda *a: exps.append(a) or exp_float(*a))
-    for (h, w), per_grid in zip(_solver_witnesses(), (1, 2, 1)):
-        curve = lab.witness_curve(w, h)
-        for grid in lab._grids(TOPS[:3], 48):
-            calls.clear()
-            stack, failed = curve.evaluate(grid)
-            assert calls == [len(grid) - len(failed)] * per_grid
-        calls.clear()
-        lab._collect([("w", curve)], lab.SamplingPlan())
-        assert calls and set(calls) <= {16, 48}
-    assert exps == []
 
 
 # the candidates a point of each entry's best-of-k curve
