@@ -8,10 +8,11 @@ psi : ker(omega) -> U_omega U_{2omega} over a unipotent part, or a
 one-parameter group; each spec's `line()` is its torus element, torus + psi,
 or x.  Each case is matched against the corresponding list and returns the
 asymptotic shape of its Cartan projection; cases quoted from the SO(2,n)
-classification carry a symbolic exponent and are flagged unverifiable.  The
-graph cases are listed for a simple omega; `graph_case` reaches the other
-omega by the simple reflection that makes it simple, applied to root names
-only, and `lab` reads the same function for its extremal curves.
+classification carry a symbolic exponent and are flagged unverifiable.  Both
+case lists are data: `nilclassify.SEMIDIRECT_CASES`, and `_GRAPH_SHAPES` keyed
+by (omega, sigma, r) for a simple omega.  `graph_case` reaches the other omega
+by the simple reflection that makes it simple, applied to root names only,
+and `lab` reads the same function for its extremal curves.
 """
 
 from __future__ import annotations
@@ -163,10 +164,10 @@ def classify_semidirect(torus: TorusLine, u: Subalgebra, seed: int = 0) -> AnRes
 
     T must be a nonzero torus line and U a nontrivial subgroup of N that T
     normalizes.  When U is a CDS so is H, which contains it.  Otherwise the
-    case is the first row of `nilclassify.SEMIDIRECT_CASES` that U's template
-    and slot structure satisfy.  T lies in N_A(U), which `classify` checks
-    is that row's line, so any generator of it, of either sign, gives the
-    same case.
+    case is the first row of the data table `nilclassify.SEMIDIRECT_CASES`
+    that U's template and slot structure satisfy, which `classify` keeps in
+    its result.  T lies in N_A(U), which `classify` checks is that row's
+    line, so any generator of it, of either sign, gives the same case.
     """
     if torus.p == 0 and torus.q == 0:
         raise SpecViolation("T must be a nonzero torus line")
@@ -193,17 +194,15 @@ def classify_semidirect(torus: TorusLine, u: Subalgebra, seed: int = 0) -> AnRes
 # graphs of psi over U
 
 
-# The graph cases for a simple omega, keyed by (omega, sigma); each is NotCDS
-# with a band whose provenance names the case.
+# The graph cases for a simple omega, keyed by (omega, sigma, r); each is
+# NotCDS with a band whose provenance names the case.
 _GRAPH_SHAPES = {
-    ("alpha", "alpha+beta"): lambda r: MuShape.band(
-        1, 2, log_hi=-1, provenance="graph-1"),
-    ("alpha", "alpha+2beta"): lambda r: MuShape.band(
-        2, 2, log_lo=-2, provenance="graph-2"),
-    ("beta", "alpha+2beta"): lambda r: MuShape.band(
-        1, 2, log_lo=Fraction(r, 2), provenance="graph-3"),
-    ("beta", "alpha+beta"): lambda r: MuShape.band(
-        1, 1, log_hi=r, provenance="graph-4"),
+    ("alpha", "alpha+beta", 2): MuShape.band(1, 2, log_hi=-1, provenance="graph-1"),
+    ("alpha", "alpha+2beta", 2): MuShape.band(2, 2, log_lo=-2, provenance="graph-2"),
+    ("beta", "alpha+2beta", 1): MuShape.band(1, 2, log_lo=Fraction(1, 2), provenance="graph-3"),
+    ("beta", "alpha+2beta", 2): MuShape.band(1, 2, log_lo=1, provenance="graph-3"),
+    ("beta", "alpha+beta", 1): MuShape.band(1, 1, log_hi=1, provenance="graph-4"),
+    ("beta", "alpha+beta", 2): MuShape.band(1, 1, log_hi=2, provenance="graph-4"),
 }
 
 # the simple reflection that sends a non-simple reduced omega to a simple root
@@ -236,8 +235,9 @@ def graph_case(spec: Graph):
     The names are read after the simple reflection that makes omega simple,
     which maps root spaces to root spaces: U's pair sigma goes to the pair
     of its image, and psi's components on beta and 2beta are its components
-    on their preimages (a reflection is its own inverse).  r is 1 when psi
-    lies in U_2beta alone (omega = beta after the reflection), else 2.
+    on their preimages (a reflection is its own inverse).  r, read before
+    the lookup as it is part of the key, is 1 when psi lies in U_2beta alone
+    and omega is beta after the reflection, else 2.
     """
     sigma = _sigma_of(spec.u)
     if sigma is None:
@@ -248,14 +248,11 @@ def graph_case(spec: Graph):
         return _reflected_root(root, simple) if simple else root
 
     omega = name(spec.omega)
-    shape_of = _GRAPH_SHAPES.get((omega, name(sigma)))
-    if shape_of is None:
-        return None
     psi = spec.psi_value
     r = (1 if omega == "beta" and psi.root_component(name("beta")).is_zero()
          and not psi.root_component(name("2beta")).is_zero() else 2)
-    shape = shape_of(r)
-    return shape.provenance, shape, r
+    shape = _GRAPH_SHAPES.get((omega, name(sigma), r))
+    return None if shape is None else (shape.provenance, shape, r)
 
 
 def _classify_graph(spec: Graph, seed: int = 0) -> AnResult:

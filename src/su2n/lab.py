@@ -757,9 +757,12 @@ def _root_nearest_zero(poly):
     """The real root of a real np.poly1d nearest 0, the first on a tie: of the
     companion-matrix eigenvalues (np.roots), those with imaginary part exactly
     0, as LAPACK returns a real matrix's real eigenvalues.  The zero
-    polynomial gives 0; no real root raises ImplicitSolveFailed."""
+    polynomial gives 0; no real root, or a coefficient that is not finite,
+    raises ImplicitSolveFailed."""
     if not poly.coeffs.any():
         return 0.0
+    if not np.isfinite(poly.coeffs).all():
+        raise ImplicitSolveFailed(f"coefficients not finite: {poly.coeffs}")
     roots = np.roots(poly.coeffs)
     real = roots.real[roots.imag == 0]
     if not len(real):

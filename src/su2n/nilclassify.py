@@ -61,7 +61,8 @@ Every public route (classify, check_square, check_linear, match_notcds,
 semidirect_case, normalizer_in_A) takes h as a Subalgebra and reads its
 frame, the exact row data of h, from _frame_of: one frame per subalgebra,
 built on the first query and freed with h.  classify keeps the case-list row
-it checks N_A(h) against in its result, so no caller looks it up again.
+it checks N_A(h) against in its result, so no caller looks it up again.  The
+case list SEMIDIRECT_CASES is data, and SemidirectCase.holds reads a row.
 
 The module is exact only and imports no numpy or scipy: the float curves
 that realize a witness (`lab.witness_curve`) live with the other sampling
@@ -76,7 +77,7 @@ import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 from . import linalg
 from .elements import (ROOTS, AlgebraElement, _slot_sums, column_roots, kernel_line,
@@ -1133,6 +1134,14 @@ def match_notcds(h) -> Optional[NotCdsMatch]:
     return None
 
 
+def _band_or_curve(frame, s, provenance):
+    """The template's band |h|..|h|^s, or the curve |h|^s with "dim1" added
+    to its provenance when h is a line."""
+    if frame.d == 1:
+        return MuShape.curve(s, provenance=f"{provenance} dim1")
+    return MuShape.band(1, s, provenance=provenance)
+
+
 def _tm1(frame):
     """dim 1 central line with |eta|^2 = xx*yy identically: rho ~ |h|."""
     if frame.d != 1:
@@ -1154,11 +1163,7 @@ def _tm2(frame):
         return None
     if not _z_in_slots(frame, ["xx"]):
         return None
-    if frame.d == 1:
-        shape = MuShape.curve(Fraction(3, 2), provenance="notcds-2 dim1")
-    else:
-        shape = MuShape.band(1, Fraction(3, 2), provenance="notcds-2")
-    return NotCdsMatch(2, shape, {}, frame.d)
+    return NotCdsMatch(2, _band_or_curve(frame, Fraction(3, 2), "notcds-2"), {}, frame.d)
 
 
 def _tm3(frame):
@@ -1193,11 +1198,8 @@ def _tm3(frame):
     has_d = any(d_lambda(frame.n, c[0], lam) for c in frame.full)
     ev = {"lambda": _qqi_lambda(lam)}
     if has_d:
-        if frame.d == 1:
-            shape = MuShape.curve(Fraction(3, 2), provenance="notcds-3a dim1")
-        else:
-            shape = MuShape.band(1, Fraction(3, 2), provenance="notcds-3a")
-        return NotCdsMatch(3, shape, ev, frame.d, subcase="a")
+        return NotCdsMatch(3, _band_or_curve(frame, Fraction(3, 2), "notcds-3a"), ev,
+                           frame.d, subcase="a")
     return NotCdsMatch(3, MuShape.curve(1, provenance="notcds-3b"), ev, frame.d,
                        subcase="b")
 
@@ -1244,12 +1246,8 @@ def _tm5(frame):
         if (cr * yy, ci * yy) != (pr * cyy, pi * cyy):
             return None
     phi0 = QQi(Fraction(pr, yy), Fraction(pi, yy))
-    ev = {"phi0": phi0}
-    if frame.d == 1:
-        shape = MuShape.curve(Fraction(4, 3), provenance="notcds-5 dim1")
-    else:
-        shape = MuShape.band(1, Fraction(4, 3), provenance="notcds-5")
-    return NotCdsMatch(5, shape, ev, frame.d, subcase="")
+    return NotCdsMatch(5, _band_or_curve(frame, Fraction(4, 3), "notcds-5"),
+                       {"phi0": phi0}, frame.d, subcase="")
 
 
 def _tm6(frame):
@@ -1370,18 +1368,34 @@ _TEMPLATES = [_tm1, _tm2, _tm3, _tm4, _tm5, _tm6, _tm7, _tm8, _tm9, _tm10, _tm11
 
 @dataclass(frozen=True)
 class SemidirectCase:
-    """One row of the case list for U of template `type_id`.
+    """One row of the case list for U of template `type_id`, as data.
 
-    When U's slot structure satisfies `holds(frame, match)`, N_A(U) is
-    ker(root), or all of A when root is None; T x| U is semidirect case
-    `case`, of shape `shape` for any such torus line T.  Rows are tried in
-    order, and a U that matches no row of its template has trivial N_A(U).
+    `parts` is a tuple of slot groups: U is the sum of its parts in those
+    groups; one group means U lies in those slots, and none means always.
+    `lam` (None, True or False) is whether the type-3 template's lambda must
+    be nonzero, and `noncentral` asks that U not be central.  When U meets
+    the row, N_A(U) is ker(root), or all of A when root is None; T x| U is
+    semidirect case `case`, of shape `shape` for any such torus line T.
+    Rows are tried in order, and a U that matches no row of its template
+    has trivial N_A(U).
     """
     type_id: int
-    holds: Callable
+    parts: tuple
     root: Optional[str]
     case: str
     shape: MuShape
+    lam: Optional[bool] = None
+    noncentral: bool = False
+
+    def holds(self, frame, match) -> bool:
+        """Whether h, of frame `frame` and template match `match`, meets the row."""
+        if self.lam is not None and bool(match.evidence.get("lambda")) != self.lam:
+            return False
+        if self.noncentral and not len(frame.z_rows) < frame.d:
+            return False
+        if len(self.parts) == 1:
+            return _span_in_slots(frame, frame.full, self.parts[0])
+        return not self.parts or _h_decomposes(frame, self.parts)
 
     def normalizer(self) -> NormalizerResult:
         if self.root is None:
@@ -1401,63 +1415,42 @@ class SemidirectCase:
         return replace(sh, provenance=self.case)
 
 
-def _has_lambda(match):
-    """Type 3 with x = lambda y for a lambda != 0."""
-    return bool(match.evidence.get("lambda"))
-
-
 _CDS = MuShape.full_chamber()
 SEMIDIRECT_CASES = [
-    SemidirectCase(1, lambda f, m: (_span_in_slots(f, f.full, ["yy"])
-                                    or _span_in_slots(f, f.full, ["xx"])),
-                   None, "semidirect-1a", MuShape.band(1, None)),
-    SemidirectCase(1, lambda f, m: True, "alpha", "semidirect-1b", _CDS),
-    SemidirectCase(2, lambda f, m: _h_decomposes(f, [["x", "yy"], ["xx"]]),
-                   "alpha-beta", "semidirect-2", MuShape.band(1, Fraction(3, 2))),
-    SemidirectCase(3, lambda f, m: (_has_lambda(m)
-                                    and len(f.z_rows) < f.d
-                                    and _h_decomposes(f, [["y", "x"],
-                                                          ["yy", "eta", "xx"]])),
-                   "alpha", "semidirect-3", _CDS),
-    SemidirectCase(3, lambda f, m: (not _has_lambda(m)
-                                    and _h_decomposes(f, [["y"], ["yy"]])),
-                   None, "semidirect-4a", MuShape.band(1, None)),
-    SemidirectCase(3, lambda f, m: (not _has_lambda(m)
-                                    and _h_decomposes(f, [["y", "eta"], ["yy"]])),
-                   "alpha+beta", "semidirect-4bi", MuShape.curve(1)),
-    SemidirectCase(3, lambda f, m: (not _has_lambda(m)
-                                    and _h_decomposes(f, [["y", "xx"], ["yy"]])),
-                   "2alpha+beta", "semidirect-4bii", MuShape.band(1, Fraction(3, 2))),
-    SemidirectCase(3, lambda f, m: (not _has_lambda(m) and not f.z_rows
-                                    and _span_in_slots(f, f.full, ["y", "yy"])),
-                   "beta", "semidirect-4biii", _CDS),
-    SemidirectCase(4, lambda f, m: _h_decomposes(f, [["x"], ["xx", "eta", "yy"]]),
-                   None, "semidirect-5a", MuShape.band(1, None)),
-    SemidirectCase(4, lambda f, m: _span_in_slots(f, f.full, ["x", "xx"]),
-                   "alpha+beta", "semidirect-5b", _CDS),
-    SemidirectCase(4, lambda f, m: _h_decomposes(f, [["phi", "x", "eta"], ["xx"]]),
-                   "beta", "semidirect-5c", MuShape.curve(1)),
-    SemidirectCase(5, lambda f, m: _h_decomposes(f, [["phi", "yy"], ["x"]]),
-                   "alpha-2beta", "semidirect-6", MuShape.band(1, Fraction(4, 3))),
-    SemidirectCase(6, lambda f, m: _span_in_slots(f, f.full, ["eta"]),
-                   None, "semidirect-7a", MuShape.band(None, 2)),
-    SemidirectCase(6, lambda f, m: _h_decomposes(f, [["y", "x"], ["yy", "eta", "xx"]]),
-                   "alpha", "semidirect-7b", MuShape.curve(2)),
-    SemidirectCase(7, lambda f, m: _h_decomposes(f, [["x", "yy"], ["eta"]]),
-                   "alpha-beta", "semidirect-8x", MuShape.band(Fraction(3, 2), 2)),
-    SemidirectCase(7, lambda f, m: _h_decomposes(f, [["y", "xx"], ["eta"]]),
-                   "2alpha+beta", "semidirect-8y", MuShape.band(Fraction(3, 2), 2)),
-    SemidirectCase(8, lambda f, m: (_h_decomposes(f, [["phi", "y"], ["x", "yy"]])
-                                    and bool(_slot_subspace(f, ["phi", "y"]))),
-                   "alpha-beta", "semidirect-9", MuShape.curve(Fraction(3, 2))),
-    SemidirectCase(9, lambda f, m: _h_decomposes(f, [["phi", "y"], ["xx"]]),
-                   "alpha-beta", "semidirect-10", MuShape.band(1, Fraction(3, 2))),
-    SemidirectCase(10, lambda f, m: _span_in_slots(f, f.full, ["phi"]),
-                   None, "semidirect-11a", MuShape.band(None, 2)),
-    SemidirectCase(10, lambda f, m: _span_in_slots(f, f.full, ["phi", "x", "eta"]),
-                   "beta", "semidirect-11b", _CDS),
-    SemidirectCase(10, lambda f, m: _span_in_slots(f, f.full, ["phi", "xx"]),
-                   "alpha+2beta", "semidirect-11c", MuShape.curve(2)),
+    SemidirectCase(1, (("yy",),), None, "semidirect-1a", MuShape.band(1, None)),
+    SemidirectCase(1, (("xx",),), None, "semidirect-1a", MuShape.band(1, None)),
+    SemidirectCase(1, (), "alpha", "semidirect-1b", _CDS),
+    SemidirectCase(2, (("x", "yy"), ("xx",)), "alpha-beta", "semidirect-2",
+                   MuShape.band(1, Fraction(3, 2))),
+    SemidirectCase(3, (("y", "x"), ("yy", "eta", "xx")), "alpha", "semidirect-3", _CDS,
+                   lam=True, noncentral=True),
+    SemidirectCase(3, (("y",), ("yy",)), None, "semidirect-4a", MuShape.band(1, None), lam=False),
+    SemidirectCase(3, (("y", "eta"), ("yy",)), "alpha+beta", "semidirect-4bi",
+                   MuShape.curve(1), lam=False),
+    SemidirectCase(3, (("y", "xx"), ("yy",)), "2alpha+beta", "semidirect-4bii",
+                   MuShape.band(1, Fraction(3, 2)), lam=False),
+    SemidirectCase(3, (("y", "yy"),), "beta", "semidirect-4biii", _CDS, lam=False),
+    SemidirectCase(4, (("x",), ("xx", "eta", "yy")), None, "semidirect-5a", MuShape.band(1, None)),
+    SemidirectCase(4, (("x", "xx"),), "alpha+beta", "semidirect-5b", _CDS),
+    SemidirectCase(4, (("phi", "x", "eta"), ("xx",)), "beta", "semidirect-5c",
+                   MuShape.curve(1)),
+    SemidirectCase(5, (("phi", "yy"), ("x",)), "alpha-2beta", "semidirect-6",
+                   MuShape.band(1, Fraction(4, 3))),
+    SemidirectCase(6, (("eta",),), None, "semidirect-7a", MuShape.band(None, 2)),
+    SemidirectCase(6, (("y", "x"), ("yy", "eta", "xx")), "alpha", "semidirect-7b",
+                   MuShape.curve(2)),
+    SemidirectCase(7, (("x", "yy"), ("eta",)), "alpha-beta", "semidirect-8x",
+                   MuShape.band(Fraction(3, 2), 2)),
+    SemidirectCase(7, (("y", "xx"), ("eta",)), "2alpha+beta", "semidirect-8y",
+                   MuShape.band(Fraction(3, 2), 2)),
+    SemidirectCase(8, (("phi", "y"), ("x", "yy")), "alpha-beta", "semidirect-9",
+                   MuShape.curve(Fraction(3, 2))),
+    SemidirectCase(9, (("phi", "y"), ("xx",)), "alpha-beta", "semidirect-10",
+                   MuShape.band(1, Fraction(3, 2))),
+    SemidirectCase(10, (("phi",),), None, "semidirect-11a", MuShape.band(None, 2)),
+    SemidirectCase(10, (("phi", "x", "eta"),), "beta", "semidirect-11b", _CDS),
+    SemidirectCase(10, (("phi", "xx"),), "alpha+2beta", "semidirect-11c",
+                   MuShape.curve(2)),
 ]
 
 

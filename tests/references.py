@@ -15,8 +15,15 @@ from su2n.elements import (
     gram_matrix,
 )
 from su2n.metrics import rho_norm, sup_norm
-from su2n.nilclassify import _minor_parts, _wedge_parts
+from su2n.nilclassify import (
+    _h_decomposes,
+    _minor_parts,
+    _slot_subspace,
+    _span_in_slots,
+    _wedge_parts,
+)
 from su2n.scalars import ZERO, QQi, _make, abs2, as_exact_real, conj, herm, im, re
+from su2n.shapes import MuShape
 
 
 def ad_a(t1, t2, w: AlgebraElement) -> AlgebraElement:
@@ -361,3 +368,67 @@ PER_POINT_WITNESSES = {
 def per_point_witness(witness, n):
     """The per-point solver of a square 3, 5, 6-8 or linear 4, 5 witness."""
     return PER_POINT_WITNESSES[witness.side, witness.condition_id](witness.elements, n)
+
+
+# -- the case lists as code ----------------------------------------------------
+#
+# nilclassify.SEMIDIRECT_CASES and anclassify._GRAPH_SHAPES hold their rows as
+# data.  These are the rows as the package held them before: each semidirect
+# condition a function of the frame and the template match, each graph shape
+# a function of r.  The tests compare the rows the two pick.
+
+def _has_lambda(match):
+    """Type 3 with x = lambda y for a lambda != 0."""
+    return bool(match.evidence.get("lambda"))
+
+
+# (type_id, holds, root, case) in the order the rows are tried
+SEMIDIRECT_CASES = [
+    (1, lambda f, m: (_span_in_slots(f, f.full, ["yy"])
+                      or _span_in_slots(f, f.full, ["xx"])), None, "semidirect-1a"),
+    (1, lambda f, m: True, "alpha", "semidirect-1b"),
+    (2, lambda f, m: _h_decomposes(f, [["x", "yy"], ["xx"]]), "alpha-beta", "semidirect-2"),
+    (3, lambda f, m: (_has_lambda(m) and len(f.z_rows) < f.d
+                      and _h_decomposes(f, [["y", "x"], ["yy", "eta", "xx"]])),
+     "alpha", "semidirect-3"),
+    (3, lambda f, m: not _has_lambda(m) and _h_decomposes(f, [["y"], ["yy"]]),
+     None, "semidirect-4a"),
+    (3, lambda f, m: not _has_lambda(m) and _h_decomposes(f, [["y", "eta"], ["yy"]]),
+     "alpha+beta", "semidirect-4bi"),
+    (3, lambda f, m: not _has_lambda(m) and _h_decomposes(f, [["y", "xx"], ["yy"]]),
+     "2alpha+beta", "semidirect-4bii"),
+    (3, lambda f, m: (not _has_lambda(m) and not f.z_rows
+                      and _span_in_slots(f, f.full, ["y", "yy"])), "beta", "semidirect-4biii"),
+    (4, lambda f, m: _h_decomposes(f, [["x"], ["xx", "eta", "yy"]]), None, "semidirect-5a"),
+    (4, lambda f, m: _span_in_slots(f, f.full, ["x", "xx"]), "alpha+beta", "semidirect-5b"),
+    (4, lambda f, m: _h_decomposes(f, [["phi", "x", "eta"], ["xx"]]), "beta", "semidirect-5c"),
+    (5, lambda f, m: _h_decomposes(f, [["phi", "yy"], ["x"]]), "alpha-2beta", "semidirect-6"),
+    (6, lambda f, m: _span_in_slots(f, f.full, ["eta"]), None, "semidirect-7a"),
+    (6, lambda f, m: _h_decomposes(f, [["y", "x"], ["yy", "eta", "xx"]]),
+     "alpha", "semidirect-7b"),
+    (7, lambda f, m: _h_decomposes(f, [["x", "yy"], ["eta"]]), "alpha-beta", "semidirect-8x"),
+    (7, lambda f, m: _h_decomposes(f, [["y", "xx"], ["eta"]]), "2alpha+beta", "semidirect-8y"),
+    (8, lambda f, m: (_h_decomposes(f, [["phi", "y"], ["x", "yy"]])
+                      and bool(_slot_subspace(f, ["phi", "y"]))), "alpha-beta", "semidirect-9"),
+    (9, lambda f, m: _h_decomposes(f, [["phi", "y"], ["xx"]]), "alpha-beta", "semidirect-10"),
+    (10, lambda f, m: _span_in_slots(f, f.full, ["phi"]), None, "semidirect-11a"),
+    (10, lambda f, m: _span_in_slots(f, f.full, ["phi", "x", "eta"]), "beta", "semidirect-11b"),
+    (10, lambda f, m: _span_in_slots(f, f.full, ["phi", "xx"]), "alpha+2beta", "semidirect-11c"),
+]
+
+
+def semidirect_case(frame, match):
+    """(root, case) of the first row that h, of frame `frame` and template
+    match `match`, satisfies, or None."""
+    return next(((root, case) for type_id, holds, root, case in SEMIDIRECT_CASES
+                 if type_id == match.type_id and holds(frame, match)), None)
+
+
+# the graph cases for a simple omega, keyed by (omega, sigma)
+GRAPH_SHAPES = {
+    ("alpha", "alpha+beta"): lambda r: MuShape.band(1, 2, log_hi=-1, provenance="graph-1"),
+    ("alpha", "alpha+2beta"): lambda r: MuShape.band(2, 2, log_lo=-2, provenance="graph-2"),
+    ("beta", "alpha+2beta"): lambda r: MuShape.band(
+        1, 2, log_lo=Fraction(r, 2), provenance="graph-3"),
+    ("beta", "alpha+beta"): lambda r: MuShape.band(1, 1, log_hi=r, provenance="graph-4"),
+}

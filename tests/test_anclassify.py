@@ -12,6 +12,7 @@ from su2n.anclassify import (
     SpecViolation,
     TorusLine,
     UNotNormalized,
+    _GRAPH_SHAPES,
     _commutes,
     classify_an,
     classify_semidirect,
@@ -26,6 +27,7 @@ from su2n.serialize import spec_from_json, spec_to_json
 from su2n.shapes import MuShape
 from su2n.weyl import conjugate, weyl_matrix
 
+import references
 from references import ad_a
 
 
@@ -112,6 +114,16 @@ def test_graph_cases(alg):
     assert r.case == "graph-3" and r.r == 2
     r = classify_an(Graph("beta", alg(4, yy=1), Subalgebra([alg(4, x=[1, 0])])))
     assert r.case == "graph-4" and r.shape == MuShape.band(1, 1, log_hi=1)
+
+
+def test_graph_rows_are_the_shapes_of_their_reference():
+    # r is 1 only for omega = beta, and always 2 for omega = alpha
+    assert set(_GRAPH_SHAPES) == {(omega, sigma, r)
+                                  for omega, sigma in references.GRAPH_SHAPES
+                                  for r in ((1, 2) if omega == "beta" else (2,))}
+    for (omega, sigma, r), shape in _GRAPH_SHAPES.items():
+        want = references.GRAPH_SHAPES[omega, sigma](r)
+        assert (shape, shape.provenance) == (want, want.provenance)
 
 
 def test_classify_an_frames_each_subalgebra_once(alg, monkeypatch):

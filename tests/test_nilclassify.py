@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -19,6 +20,7 @@ from su2n.metrics import rho_norm, sup_norm
 from su2n.nilclassify import (
     _Frame,
     _cubic_coeffs,
+    _frame_of,
     _odd_cubic_zero_on_plane,
     _fixed_form,
     _isqrt_exact,
@@ -45,6 +47,7 @@ from su2n.nilclassify import (
     pair_e,
     q_center,
     r_alpha,
+    semidirect_case,
     t_pair,
 )
 from su2n.scalars import QQi, abs2, conj, herm, im, re
@@ -52,6 +55,7 @@ from su2n.serialize import classification_report
 from su2n.shapes import MuShape
 from su2n.subalgebra import Subalgebra
 
+import references
 from references import ad_a, int_lambda
 
 
@@ -710,7 +714,8 @@ def test_classify_draws_no_random_numbers(monkeypatch):
 @pytest.mark.parametrize("route, fake", [
     ("match_notcds", lambda *args: None),
     # a case row predicting ker(alpha) for a U whose N_A(U) is trivial
-    ("semidirect_case", lambda *args: SEMIDIRECT_CASES[1]),
+    ("semidirect_case", lambda *args: next(row for row in SEMIDIRECT_CASES
+                                           if row.case == "semidirect-1b")),
 ], ids=["double-entry", "normalizer"])
 def test_a_disagreement_raises_on_the_single_pass(monkeypatch, route, fake):
     from su2n import gallery, nilclassify
@@ -724,6 +729,34 @@ def test_a_disagreement_raises_on_the_single_pass(monkeypatch, route, fake):
     with pytest.raises(InconsistentClassification):
         classify(h)
     assert len(runs) == 1
+
+
+def test_the_case_rows_pick_the_rows_of_their_reference():
+    """The data rows pick the (root, case) of the lambda rows they replaced
+    (references.SEMIDIRECT_CASES) for every NotCDS U of six random corpora,
+    the nil gallery and the gallery's semidirect U, and every row is the
+    first match of some U."""
+    from su2n import corpus, gallery
+
+    us = [h for seed in range(6) for _, h in corpus.random_corpus(count=300, seed=seed)]
+    us += [e.spec().u for e in gallery.entries() if e.kind == "semidirect"]
+    first = Counter()
+    for h in us:
+        match = match_notcds(h)
+        if match is None:
+            continue
+        row = semidirect_case(h, match)
+        got = None if row is None else (row.root, row.case)
+        assert got == references.semidirect_case(_frame_of(h), match)
+        if row is not None:
+            first[SEMIDIRECT_CASES.index(row)] += 1
+    assert len(SEMIDIRECT_CASES) == 22
+    assert sorted(first) == list(range(22)), first
+
+
+def test_the_case_rows_hold_no_callables():
+    assert not [(row.case, value) for row in SEMIDIRECT_CASES
+                for value in vars(row).values() if callable(value)]
 
 
 def test_isqrt_exact_on_large_perfect_squares():

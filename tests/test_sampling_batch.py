@@ -669,6 +669,10 @@ def test_root_nearest_zero():
     assert lab._root_nearest_zero(p([0.0, 0.0, 0.0])) == 0.0
     with pytest.raises(ImplicitSolveFailed):
         lab._root_nearest_zero(p([1, 0, 1]))
+    # an overflowed coefficient is a failed solve, not a LinAlgError of np.roots
+    for bad in ([-0.5, 0.0, np.inf], [1.0, np.nan, 1.0]):
+        with pytest.raises(ImplicitSolveFailed, match="not finite"):
+            lab._root_nearest_zero(p(bad))
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
@@ -748,9 +752,10 @@ def _per_point_curves():
 # grids topping at the least top, a middling one and two ladder rungs, the
 # last the top of the ladder; then past the ladder: at 1e60 every candidate
 # of some best-of-k points overflows (NaN slices), and at 1e120 t ** 3
-# overflows (OverflowError) and np.roots meets infinite quartic coefficients
-# (LinAlgError, which propagates)
+# overflows (OverflowError) and the quartics of the root-solving curves get
+# coefficients that are not finite (ImplicitSolveFailed)
 TOPS = np.array([4.0, 1e4, 2.0 ** 40, 2.0 ** 81, 1e60, 1e120])
+ROOT_SOLVING = {"square-6", "square-7", "linear-4"}
 
 
 def test_grid_curves_equal_their_per_point_references():
@@ -767,13 +772,7 @@ def test_grid_curves_equal_their_per_point_references():
         assert isinstance(curve, lab._PerPoint)
         for grid in lab._grids(TOPS, 48):
             with np.errstate(all="ignore"):
-                try:
-                    want, want_failed = references.per_point_stack(point, grid, curve.m)
-                except ValueError as e:
-                    seen[type(e).__name__] += 1
-                    with pytest.raises(type(e)):
-                        curve.evaluate(grid)
-                    continue
+                want, want_failed = references.per_point_stack(point, grid, curve.m)
                 got, failed = curve.evaluate(grid)
                 for k in range(0, len(grid), 7):
                     if k in want_failed:  # a scalar call raises, as the solver did
@@ -787,8 +786,14 @@ def test_grid_curves_equal_their_per_point_references():
             assert got.tobytes() == want.tobytes(), name
             seen.update(failed.values())
             seen["NaN slice"] += int(np.isnan(want).any(axis=(1, 2)).sum()) - len(failed)
-    assert seen["OverflowError"] and seen["NaN slice"] and seen["LinAlgError"]
-    assert seen["scalar raise"]
+            if grid[-1] == TOPS[-1] and name in ROOT_SOLVING:
+                # the top point's quartic overflows: a named discard
+                assert failed[len(grid) - 1] == "ImplicitSolveFailed", name
+                with pytest.raises(ImplicitSolveFailed, match="not finite"):
+                    curve(grid[-1])
+                seen["unsolved top"] += 1
+    assert seen["OverflowError"] and seen["NaN slice"] and seen["scalar raise"]
+    assert seen["unsolved top"] == 4
 
 
 def _nan_first_argmin(row):

@@ -12,7 +12,9 @@ slot helpers `herm`, `abs2` and `conj` (their decisions read coordinate
 rows) and no `ad_a` (the a-action is the a-part term of the bracket).  Every
 defaulted parameter of a function of the package is passed by some call in
 the package, the benchmark, the tests or the demos: a default no caller
-overrides is a constant, not an option.
+overrides is a constant, not an option.  The case tables
+`nilclassify.SEMIDIRECT_CASES` and `anclassify._GRAPH_SHAPES` hold their
+rows as data, with no lambda in them.
 
 The package's `__init__.py` is exempt for its relative imports: those are
 re-exports, listed in `__all__`.
@@ -235,6 +237,39 @@ def test_an_oracle_name_in_a_closed_form_is_reported(tmp_path):
     reached, found = closed_form_reach(mod)
     assert reached == ["_helper", "delta_formula", "exp_closed"]
     assert found == [("_helper", 4, "_mat_mul"), ("delta_formula", 8, "exp_series")]
+
+
+# the case tables, which hold their rows as data
+CASE_TABLES = {"SEMIDIRECT_CASES", "_GRAPH_SHAPES"}
+
+
+def table_lambdas(path: Path) -> dict:
+    """Table name -> the lines of the lambdas in the value assigned to it,
+    for each name in CASE_TABLES that the module assigns."""
+    found = {}
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)) or node.value is None:
+            continue
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        for name in {t.id for t in targets if isinstance(t, ast.Name)} & CASE_TABLES:
+            found.setdefault(name, []).extend(
+                n.lineno for n in ast.walk(node.value) if isinstance(n, ast.Lambda))
+    return found
+
+
+@pytest.mark.parametrize("name, table", [("nilclassify.py", "SEMIDIRECT_CASES"),
+                                         ("anclassify.py", "_GRAPH_SHAPES")])
+def test_the_case_tables_hold_no_lambdas(name, table):
+    assert table_lambdas(SRC / name) == {table: []}
+
+
+def test_a_table_lambda_is_reported(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("SEMIDIRECT_CASES = [Row(1, lambda f: True), Row(2, None)]\n"
+                   "_GRAPH_SHAPES: dict = {\n    'a': lambda r: r,\n    'b': 1,\n}\n"
+                   "OTHER = [lambda: 0]\n")
+    assert table_lambdas(mod) == {"SEMIDIRECT_CASES": [1], "_GRAPH_SHAPES": [3]}
+    assert table_lambdas(TESTS / "references.py")["SEMIDIRECT_CASES"] != []
 
 
 def defaulted_parameters(path: Path) -> list:
