@@ -1391,7 +1391,7 @@ class SemidirectCase:
         """Whether h, of frame `frame` and template match `match`, meets the row."""
         if self.lam is not None and bool(match.evidence.get("lambda")) != self.lam:
             return False
-        if self.noncentral and not len(frame.z_rows) < frame.d:
+        if self.noncentral and len(frame.z_rows) == frame.d:
             return False
         if len(self.parts) == 1:
             return _span_in_slots(frame, frame.full, self.parts[0])
