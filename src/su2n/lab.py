@@ -715,12 +715,16 @@ def _square_1(els, n):
 def _moving_curve(a, b, param, n, clear_im=False):
     """t -> exp(t a + p b), p = param(t), for float coordinate vectors a and
     b: the directions of a grid are one (T, 4n) array, each row exponentiated
-    by exp_float.  clear_im also clears Im g[0, n+1] of g = exp(e) by
-    exp(e - Im g[0, n+1] xx)."""
+    by exp_float; a row that is not finite (t a + p b overflowed) leaves its
+    slice NaN, a non_finite discard.  clear_im also clears Im g[0, n+1] of
+    g = exp(e) by exp(e - Im g[0, n+1] xx)."""
     axis = _vec(AlgebraElement(n, xx=1))
 
     def exps(rows):
-        return np.array([exp_float(r) for r in rows])
+        out = np.full((len(rows), n + 2, n + 2), np.nan, dtype=complex)
+        for k in np.flatnonzero(np.isfinite(rows).all(axis=1)):
+            out[k] = exp_float(rows[k])
+        return out
 
     def build(ts, ps):
         e = a * ts[:, None] + b * ps[:, None]

@@ -463,7 +463,9 @@ def fit_ray_power(cloud: SampleCloud) -> float:
     The cloud must carry mu points in meta["mu_points"] as (a1, a2) pairs.
     The dominant chamber direction is taken as the ray R; the drift of the
     log-coordinates perpendicular to R grows like (ray coordinate)^0 with
-    |s| = (log|r|)^k, i.e. perp = k * log(ray) + const.
+    |s| = (log|r|)^k, i.e. perp = k * log(ray) + const.  A line's a-part
+    (t1, t2) in meta["ray_direction"] is read as its chamber image
+    (|t1|, |t2|) in descending order, where the mu points lie.
     """
     pts = cloud.meta.get("mu_points")
     if pts is None:
@@ -479,7 +481,7 @@ def fit_ray_power(cloud: SampleCloud) -> float:
         w = np.array(ray, dtype=float)
     else:
         w = (lam / np.linalg.norm(lam, axis=1)[:, None]).mean(axis=0)
-    w = np.abs(w) / np.linalg.norm(w)
+    w = np.sort(np.abs(w))[::-1] / np.linalg.norm(w)
     wp = np.array([-w[1], w[0]])
     # Group norms of the two A-factors: exp(rho * w) has sup norm
     # e^{rho * max|w_i|}, likewise for the perpendicular factor.

@@ -62,7 +62,8 @@ semidirect_case, normalizer_in_A) takes h as a Subalgebra and reads its
 frame, the exact row data of h, from _frame_of: one frame per subalgebra,
 built on the first query and freed with h.  classify keeps the case-list row
 it checks N_A(h) against in its result, so no caller looks it up again.  The
-case list SEMIDIRECT_CASES is data, and SemidirectCase.holds reads a row.
+case list SEMIDIRECT_CASES is data, a pure function of U's template type and
+slot supports: SemidirectCase.holds reads a row on the frame alone.
 
 The module is exact only and imports no numpy or scipy: the float curves
 that realize a witness (`lab.witness_curve`) live with the other sampling
@@ -114,7 +115,6 @@ class NotCdsMatch:
     type_id: int
     shape: MuShape
     evidence: dict
-    dim_h: int
     subcase: str = ""
 
 
@@ -951,10 +951,8 @@ def _li2_line_case(frame, W, v0):
     ky = frame.kernel(["y"], line)
     if len(line) - len(ky) >= 2:
         # an odd cubic vanishes somewhere on any 2-plane missing ker y
-        found = _odd_cubic_zero_on_plane(frame, line, ky)
-        if found is not None:
-            u, exact = found
-            return {"u": u}, "odd-cubic zero on a 2-plane", exact
+        u, exact = _odd_cubic_zero_on_plane(frame, line, ky)
+        return {"u": u}, "odd-cubic zero on a 2-plane", exact
     return None
 
 
@@ -963,17 +961,12 @@ def _odd_cubic_zero_on_plane(frame, line, ky):
 
     Returns (u, exact): exact is False for the bisection's approximate zero,
     an element with rational coefficients at which C is only nearly zero.
+    The caller has dim(line) - dim(ker y) >= 2, so two rows of `line` are
+    independent modulo ker y, and the pair search always finds them.
     """
     comp = [c for c in line if not linalg.span_contains(ky, c)]
-    if len(comp) < 2:
-        return None
-    a, b = None, None
-    for ci, cj in itertools.combinations(comp, 2):
-        if not linalg.span_contains(ky + [ci], cj):
-            a, b = ci, cj
-            break
-    if a is None:
-        return None
+    a, b = next((ci, cj) for ci, cj in itertools.combinations(comp, 2)
+                if not linalg.span_contains(ky + [ci], cj))
 
     (ia, da), (ib, db) = a, b
 
@@ -1121,8 +1114,9 @@ def match_notcds(h) -> Optional[NotCdsMatch]:
 
     Templates are tried in order; the order resolves the stated special-case
     overlaps (a one-dimensional central line with an isotropic form is type 1,
-    an anisotropic one falls through to type 6, and the dim-1 specializations
-    of types 3 and 5 carry curve shapes instead of bands).
+    and an anisotropic one falls through to type 6).  On a line h the shape
+    is MuShape.on_a_line, noted "dim1": the band 1..s of types 2, 3a and 5
+    is the curve |h|^s there.
     """
     frame = _frame_of(h)
     if not any(any(c[0]) for c in frame.full):
@@ -1130,16 +1124,10 @@ def match_notcds(h) -> Optional[NotCdsMatch]:
     for matcher in _TEMPLATES:
         m = matcher(frame)
         if m is not None:
+            if frame.d == 1:
+                m.shape = m.shape.on_a_line(f"{m.shape.provenance} dim1")
             return m
     return None
-
-
-def _band_or_curve(frame, s, provenance):
-    """The template's band |h|..|h|^s, or the curve |h|^s with "dim1" added
-    to its provenance when h is a line."""
-    if frame.d == 1:
-        return MuShape.curve(s, provenance=f"{provenance} dim1")
-    return MuShape.band(1, s, provenance=provenance)
 
 
 def _tm1(frame):
@@ -1151,7 +1139,7 @@ def _tm1(frame):
     g = frame.fixed_gram(q_center, frame.full)
     if not linalg.gram_is_zero(g):
         return None
-    return NotCdsMatch(1, MuShape.curve(1, provenance="notcds-1"), {}, frame.d)
+    return NotCdsMatch(1, MuShape.curve(1, provenance="notcds-1"), {})
 
 
 def _tm2(frame):
@@ -1163,7 +1151,7 @@ def _tm2(frame):
         return None
     if not _z_in_slots(frame, ["xx"]):
         return None
-    return NotCdsMatch(2, _band_or_curve(frame, Fraction(3, 2), "notcds-2"), {}, frame.d)
+    return NotCdsMatch(2, MuShape.band(1, Fraction(3, 2), provenance="notcds-2"), {})
 
 
 def _tm3(frame):
@@ -1198,10 +1186,9 @@ def _tm3(frame):
     has_d = any(d_lambda(frame.n, c[0], lam) for c in frame.full)
     ev = {"lambda": _qqi_lambda(lam)}
     if has_d:
-        return NotCdsMatch(3, _band_or_curve(frame, Fraction(3, 2), "notcds-3a"), ev,
-                           frame.d, subcase="a")
-    return NotCdsMatch(3, MuShape.curve(1, provenance="notcds-3b"), ev, frame.d,
-                       subcase="b")
+        return NotCdsMatch(3, MuShape.band(1, Fraction(3, 2), provenance="notcds-3a"),
+                           ev, subcase="a")
+    return NotCdsMatch(3, MuShape.curve(1, provenance="notcds-3b"), ev, subcase="b")
 
 
 def _tm4(frame):
@@ -1219,7 +1206,7 @@ def _tm4(frame):
     for v in cert["radical"]:
         if not _span_in_slots(frame, [linalg.combine(frame.full, v)], ["xx"]):
             return None
-    return NotCdsMatch(4, MuShape.curve(1, provenance="notcds-4"), {}, frame.d)
+    return NotCdsMatch(4, MuShape.curve(1, provenance="notcds-4"), {})
 
 
 def _tm5(frame):
@@ -1246,8 +1233,8 @@ def _tm5(frame):
         if (cr * yy, ci * yy) != (pr * cyy, pi * cyy):
             return None
     phi0 = QQi(Fraction(pr, yy), Fraction(pi, yy))
-    return NotCdsMatch(5, _band_or_curve(frame, Fraction(4, 3), "notcds-5"),
-                       {"phi0": phi0}, frame.d, subcase="")
+    return NotCdsMatch(5, MuShape.band(1, Fraction(4, 3), provenance="notcds-5"),
+                       {"phi0": phi0})
 
 
 def _tm6(frame):
@@ -1258,7 +1245,7 @@ def _tm6(frame):
         return None
     if not linalg.is_definite(frame.fixed_gram(q_center, frame.z_rows)):
         return None
-    return NotCdsMatch(6, MuShape.curve(2, provenance="notcds-6"), {}, frame.d)
+    return NotCdsMatch(6, MuShape.curve(2, provenance="notcds-6"), {})
 
 
 def _tm7(frame):
@@ -1277,7 +1264,7 @@ def _tm7(frame):
     if frame.li2 is not None:
         return None  # linear condition 2: some rank-one element has C = 0
     return NotCdsMatch(7, MuShape.band(Fraction(3, 2), 2, provenance="notcds-7"),
-                       {"rank_one": frame.element(v)}, frame.d)
+                       {"rank_one": frame.element(v)})
 
 
 def _tm8(frame):
@@ -1292,8 +1279,7 @@ def _tm8(frame):
         return None
     if frame.kernel(["phi", "yy"]):
         return None  # (phi, yy) must be injective
-    return NotCdsMatch(8, MuShape.curve(Fraction(3, 2), provenance="notcds-8"),
-                       {}, frame.d)
+    return NotCdsMatch(8, MuShape.curve(Fraction(3, 2), provenance="notcds-8"), {})
 
 
 def _tm9(frame):
@@ -1310,8 +1296,7 @@ def _tm9(frame):
     if not (linalg.subspace_eq(kphi, frame.z_rows)
             and linalg.subspace_eq(ky, frame.z_rows)):
         return None
-    return NotCdsMatch(9, MuShape.band(1, Fraction(3, 2), provenance="notcds-9"),
-                       {}, frame.d)
+    return NotCdsMatch(9, MuShape.band(1, Fraction(3, 2), provenance="notcds-9"), {})
 
 
 def _tm10(frame):
@@ -1326,7 +1311,7 @@ def _tm10(frame):
     g = frame.fixed_gram(r_alpha, frame.full)
     if not linalg.gram_is_zero(g):
         return None
-    return NotCdsMatch(10, MuShape.curve(2, provenance="notcds-10"), {}, frame.d)
+    return NotCdsMatch(10, MuShape.curve(2, provenance="notcds-10"), {})
 
 
 def _tm11(frame):
@@ -1356,7 +1341,7 @@ def _tm11(frame):
     if pair_e(frame.n, u, z) == 0:
         return None
     return NotCdsMatch(11, MuShape.band(Fraction(5, 4), 2, provenance="notcds-11"),
-                       {"u": frame.element(rep), "z": frame.element(zc)}, frame.d)
+                       {"u": frame.element(rep), "z": frame.element(zc)})
 
 
 _TEMPLATES = [_tm1, _tm2, _tm3, _tm4, _tm5, _tm6, _tm7, _tm8, _tm9, _tm10, _tm11]
@@ -1372,9 +1357,10 @@ class SemidirectCase:
 
     `parts` is a tuple of slot groups: U is the sum of its parts in those
     groups; one group means U lies in those slots, and none means always.
-    `lam` (None, True or False) is whether the type-3 template's lambda must
-    be nonzero, and `noncentral` asks that U not be central.  When U meets
-    the row, N_A(U) is ker(root), or all of A when root is None; T x| U is
+    `nonzero` names the slots that must not vanish identically on U (for a
+    type-3 U, x is not identically zero exactly when its lambda is nonzero,
+    as x = lambda y).  A row reads U's slots alone.  When U meets the row,
+    N_A(U) is ker(root), or all of A when root is None; T x| U is
     semidirect case `case`, of shape `shape` for any such torus line T.
     Rows are tried in order, and a U that matches no row of its template
     has trivial N_A(U).
@@ -1384,14 +1370,11 @@ class SemidirectCase:
     root: Optional[str]
     case: str
     shape: MuShape
-    lam: Optional[bool] = None
-    noncentral: bool = False
+    nonzero: tuple = ()
 
-    def holds(self, frame, match) -> bool:
-        """Whether h, of frame `frame` and template match `match`, meets the row."""
-        if self.lam is not None and bool(match.evidence.get("lambda")) != self.lam:
-            return False
-        if self.noncentral and len(frame.z_rows) == frame.d:
+    def holds(self, frame) -> bool:
+        """Whether h, of frame `frame`, meets the row."""
+        if any(frame.vanishes_on(name, frame.full) for name in self.nonzero):
             return False
         if len(self.parts) == 1:
             return _span_in_slots(frame, frame.full, self.parts[0])
@@ -1407,12 +1390,10 @@ class SemidirectCase:
         return "CDS" if self.shape.kind == "full_chamber" else "NotCDS"
 
     def shape_of(self, dim_h: int) -> MuShape:
-        """The shape of T x| U; a band 1..s with numeric s is the curve
-        |h|^s when dim H = 2, as for the dim-1 templates."""
-        sh = self.shape
-        if dim_h == 2 and sh.kind == "band" and sh.s_lo == 1 and not sh.symbolic:
-            return MuShape.curve(sh.s_hi, provenance=self.case)
-        return replace(sh, provenance=self.case)
+        """The shape of T x| U, noted `case`; when dim H = 2, U is a line and
+        the shape is MuShape.on_a_line, as for the dim-1 templates."""
+        sh = replace(self.shape, provenance=self.case)
+        return sh.on_a_line(self.case) if dim_h == 2 else sh
 
 
 _CDS = MuShape.full_chamber()
@@ -1423,13 +1404,13 @@ SEMIDIRECT_CASES = [
     SemidirectCase(2, (("x", "yy"), ("xx",)), "alpha-beta", "semidirect-2",
                    MuShape.band(1, Fraction(3, 2))),
     SemidirectCase(3, (("y", "x"), ("yy", "eta", "xx")), "alpha", "semidirect-3", _CDS,
-                   lam=True, noncentral=True),
-    SemidirectCase(3, (("y",), ("yy",)), None, "semidirect-4a", MuShape.band(1, None), lam=False),
+                   nonzero=("x",)),
+    SemidirectCase(3, (("y",), ("yy",)), None, "semidirect-4a", MuShape.band(1, None)),
     SemidirectCase(3, (("y", "eta"), ("yy",)), "alpha+beta", "semidirect-4bi",
-                   MuShape.curve(1), lam=False),
+                   MuShape.curve(1)),
     SemidirectCase(3, (("y", "xx"), ("yy",)), "2alpha+beta", "semidirect-4bii",
-                   MuShape.band(1, Fraction(3, 2)), lam=False),
-    SemidirectCase(3, (("y", "yy"),), "beta", "semidirect-4biii", _CDS, lam=False),
+                   MuShape.band(1, Fraction(3, 2))),
+    SemidirectCase(3, (("y", "yy"),), "beta", "semidirect-4biii", _CDS),
     SemidirectCase(4, (("x",), ("xx", "eta", "yy")), None, "semidirect-5a", MuShape.band(1, None)),
     SemidirectCase(4, (("x", "xx"),), "alpha+beta", "semidirect-5b", _CDS),
     SemidirectCase(4, (("phi", "x", "eta"), ("xx",)), "beta", "semidirect-5c",
@@ -1455,10 +1436,10 @@ SEMIDIRECT_CASES = [
 
 
 def semidirect_case(h, match: NotCdsMatch) -> Optional[SemidirectCase]:
-    """The first row of the case list that h, of template match, satisfies."""
+    """The first row of the case list for h's template that h satisfies."""
     frame = _frame_of(h)
     return next((row for row in SEMIDIRECT_CASES
-                 if row.type_id == match.type_id and row.holds(frame, match)), None)
+                 if row.type_id == match.type_id and row.holds(frame)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -1487,8 +1468,6 @@ def normalizer_in_A(h) -> NormalizerResult:
     kern = linalg.kernel_basis(sys_rows)
     if not kern:
         return NormalizerResult("trivial")
-    if len(kern) == 2:
-        return NormalizerResult("full")
     p, q = primitive_line(*kern[0])
     return NormalizerResult("line", (p, q), kernel_root(p, q))
 

@@ -60,6 +60,14 @@ class MuShape:
         return MuShape("ray", k=_fr(k) if k is not None else None,
                        provenance=provenance)
 
+    def on_a_line(self, provenance) -> "MuShape":
+        """The shape when H is a line, or a torus line times one: a band
+        |h|..|h|^s with numeric s is the curve |h|^s there, noted
+        `provenance`; any other shape is as it is."""
+        if self.kind == "band" and self.s_lo == 1 and not self.symbolic:
+            return MuShape.curve(self.s_hi, provenance=provenance)
+        return self
+
     @property
     def symbolic(self) -> bool:
         if self.kind == "ray":

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from su2n import gallery, lab
-from su2n.anclassify import classify_an
+from su2n.anclassify import OneParam, classify_an
+from su2n.config import LOG_POWER_TOL
 from su2n.corpus import random_corpus
+from su2n.elements import AlgebraElement
 from su2n.gallery import maximal_band_family, mixing_pair_family
 from su2n.lab import (
     OverflowCeiling,
@@ -330,6 +332,18 @@ def test_ray_sampling_leaves_the_callers_plan_alone():
     assert plan == SamplingPlan(seed=0)
     fit_ray_drift(spec, plan)
     assert plan == SamplingPlan(seed=0)
+
+
+def test_a_ray_fit_reads_the_line_in_the_chamber():
+    # (0, 1) + x and (0, 1) + xx are the Weyl images of (1, 0) + y and
+    # (1, 0) + yy: the same mu points, so the same drift fit, near the exact
+    # k of each (2 and 1)
+    for raw, image, k in [(dict(t2=1, x=[1, 0]), dict(t1=1, y=[1, 0]), 2),
+                          (dict(t2=1, xx=1), dict(t1=1, yy=1), 1)]:
+        fit = fit_ray_drift(OneParam(AlgebraElement(4, **raw)))
+        assert fit == pytest.approx(fit_ray_drift(OneParam(AlgebraElement(4, **image))),
+                                    rel=1e-12)
+        assert abs(fit - k) <= LOG_POWER_TOL
 
 
 def test_verify_gallery_entry_frames_each_subalgebra_once(monkeypatch):

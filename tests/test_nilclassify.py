@@ -6,6 +6,7 @@ import math
 import random
 import weakref
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -735,12 +736,15 @@ def test_the_case_rows_pick_the_rows_of_their_reference():
     """The data rows pick the (root, case) of the lambda rows they replaced
     (references.SEMIDIRECT_CASES) for every NotCDS U of six random corpora,
     the nil gallery and the gallery's semidirect U, and every row is the
-    first match of some U."""
+    first match of some U.  The rows' one extra condition decides: without
+    semidirect-3's x condition some U picks another row."""
     from su2n import corpus, gallery
 
     us = [h for seed in range(6) for _, h in corpus.random_corpus(count=300, seed=seed)]
     us += [e.spec().u for e in gallery.entries() if e.kind == "semidirect"]
-    first = Counter()
+    loose = [replace(row, nonzero=()) for row in SEMIDIRECT_CASES]
+    assert loose != SEMIDIRECT_CASES
+    first, moved = Counter(), 0
     for h in us:
         match = match_notcds(h)
         if match is None:
@@ -750,8 +754,13 @@ def test_the_case_rows_pick_the_rows_of_their_reference():
         assert got == references.semidirect_case(_frame_of(h), match)
         if row is not None:
             first[SEMIDIRECT_CASES.index(row)] += 1
+        frame = _frame_of(h)
+        if got != next(((r.root, r.case) for r in loose
+                        if r.type_id == match.type_id and r.holds(frame)), None):
+            moved += 1
     assert len(SEMIDIRECT_CASES) == 22
     assert sorted(first) == list(range(22)), first
+    assert moved
 
 
 def test_the_case_rows_hold_no_callables():

@@ -872,6 +872,25 @@ def test_failed_roots_leave_nan_slices_counted_by_error(which, monkeypatch):
         curve(grid[chosen[0]])
 
 
+def test_an_overflowed_square_3_direction_is_a_nan_slice():
+    # past the ladder t * t overflows, so the direction t u + t^2 z of a
+    # square-3 witness curve is not finite there: its slice is NaN and named
+    # by no error (a non_finite discard), not a failed line check, and every
+    # other slice is the one built without it
+    h, w = next((h, w) for _, h in random_corpus(count=200, seed=0)
+                for w in [classify(h, seed=0).square]
+                if w is not None and w.condition_id == 3)
+    curve = lab.witness_curve(w, h)
+    grid = lab._grids(np.array([1e200]), 48)[0]
+    with np.errstate(all="ignore"):
+        over = ~np.isfinite(grid * grid)
+        stack, failed = curve.evaluate(grid)
+        rest = curve.evaluate(grid[~over])[0]
+    assert over.any() and failed == {}
+    assert np.isnan(stack[over]).all()
+    assert stack[~over].tobytes() == rest.tobytes()
+
+
 def test_a_failed_line_check_surfaces_and_is_never_a_discard(monkeypatch):
     # a ValueError from float_lines in a grid's line build propagates out of
     # sampling, even when one point of the grid fails the check
