@@ -781,14 +781,14 @@ def _re_corner(dot):
             - dot("x", "x") / 2 - dot("phi", "eta"))
 
 
-def _corner_recipe(a, b, clear_im):
-    """Square conditions 6-8: t -> exp(t a + s b), s the root nearest 0 of the
-    quartic Re exp(t a + s b)[0, n+1]; clear_im also clears Im g[0, n+1] of
-    g = exp(e) by exp(e - Im g[0, n+1] xx)."""
+def _corner_recipe(clear_im):
+    """Square conditions 6 and 7: t -> exp(t u + s v), s the root nearest 0
+    of the quartic Re exp(t u + s v)[0, n+1]; clear_im also clears
+    Im g[0, n+1] of g = exp(e) by exp(e - Im g[0, n+1] xx)."""
     def recipe(els, n):
-        af, bf = _vec(els[a]), _vec(els[b])
+        uf, vf = _vec(els["u"]), _vec(els["v"])
         return _moving_curve(
-            af, bf, lambda t: _root_nearest_zero(_re_corner(_slot_dot(af * t, bf, n))),
+            uf, vf, lambda t: _root_nearest_zero(_re_corner(_slot_dot(uf * t, vf, n))),
             n, clear_im)
     return recipe
 
@@ -819,13 +819,12 @@ def _linear_5(els, n):
     in the phi and y slots only and z is a pure central eta element with
     phi_u conj(eta_z) real; along exp(s u + p z) the corner determinant has a
     double root in p, and scanning p near it tracks the linear-growth
-    direction.
+    direction.  eta_z != 0 (the witness has phi_u conj(eta_z) != 0), and the
+    conjugations keep it: z lies in the eta and xx slots, at the top roots.
     """
     u, z = _linear_5_pair(els["u"], els["z"], n)
     u_line, z_line = _commuting_lines(u, z)
     eta2 = abs2(complex(z.eta))
-    if eta2 == 0:  # the line of u alone
-        return _PerPoint(lambda s: 0.0, lambda ss, _: u_line.points(ss), n)
     ys = sum(abs2(complex(v)) for v in u.y)
     r0 = re(complex(z.eta) * conj(complex(u.phi)))
     return _best_of_k(u_line, z_line, lambda s: -(s ** 3) * ys * r0 / (12.0 * eta2),
@@ -868,10 +867,8 @@ def _linear_5_pair(u, z, n):
 _WITNESS_RECIPES = {
     ("square", 1): _square_1, ("square", 2): _ray_recipe("z"),
     ("square", 3): _square_3, ("square", 4): _ray_recipe("u"),
-    ("square", 5): _square_5, ("square", 6): _corner_recipe("u", "v", False),
-    ("square", 7): _corner_recipe("u", "v", True),
-    # h in exp(s u + t v + z): s = O(1)
-    ("square", 8): _corner_recipe("v", "u", True),
+    ("square", 5): _square_5, ("square", 6): _corner_recipe(False),
+    ("square", 7): _corner_recipe(True),
     ("linear", 1): _ray_recipe("z"), ("linear", 2): _linear_2,
     ("linear", 3): _ray_recipe("u"), ("linear", 4): _linear_4,
     ("linear", 5): _linear_5,

@@ -460,27 +460,26 @@ def _envelope_cloud(cloud, take_max: bool):
 def fit_ray_power(cloud: SampleCloud) -> float:
     """Slope of log(perpendicular drift) against log(ray coordinate).
 
-    The cloud must carry mu points in meta["mu_points"] as (a1, a2) pairs.
-    The dominant chamber direction is taken as the ray R; the drift of the
+    The cloud must carry mu points in meta["mu_points"] as (a1, a2) pairs
+    and its line's a-part (t1, t2) in meta["ray_direction"]; a missing one
+    raises InsufficientRange.  The ray R is the chamber image (|t1|, |t2|)
+    in descending order, where the mu points lie; the drift of the
     log-coordinates perpendicular to R grows like (ray coordinate)^0 with
-    |s| = (log|r|)^k, i.e. perp = k * log(ray) + const.  A line's a-part
-    (t1, t2) in meta["ray_direction"] is read as its chamber image
-    (|t1|, |t2|) in descending order, where the mu points lie.
+    |s| = (log|r|)^k, i.e. perp = k * log(ray) + const.
     """
-    pts = cloud.meta.get("mu_points")
+    pts, ray = cloud.meta.get("mu_points"), cloud.meta.get("ray_direction")
     if pts is None:
         raise InsufficientRange("ray fitting needs mu points in the cloud meta")
+    if ray is None:
+        raise InsufficientRange('ray fitting needs meta["ray_direction"], the '
+                                "a-part of the line")
     lam = np.log(np.array(pts, dtype=float))  # rows (log a1, log a2)
     norms = np.linalg.norm(lam, axis=1)
     keep0 = norms > 1e-9
     if keep0.sum() < 8:
         raise InsufficientRange("too few usable ray samples")
     lam = lam[keep0]
-    ray = cloud.meta.get("ray_direction")
-    if ray is not None:
-        w = np.array(ray, dtype=float)
-    else:
-        w = (lam / np.linalg.norm(lam, axis=1)[:, None]).mean(axis=0)
+    w = np.array(ray, dtype=float)
     w = np.sort(np.abs(w))[::-1] / np.linalg.norm(w)
     wp = np.array([-w[1], w[0]])
     # Group norms of the two A-factors: exp(rho * w) has sup norm

@@ -3,10 +3,10 @@
 Three independent routes are computed over exact rationals and then
 cross-checked:
 
-  * check_square  — eight conditions guaranteeing a sequence with
-                    |rho(h_m)| ~ |h_m|^2 (conditions 6 and 7 in their
-                    simplified forms, which are equivalent once condition 2
-                    has been ruled out);
+  * check_square  — seven conditions guaranteeing a sequence with
+                    |rho(h_m)| ~ |h_m|^2 (6 and 7 in simplified forms,
+                    equivalent once condition 2 has been ruled out; an
+                    eighth holds on no subalgebra, see check_square);
   * check_linear  — five conditions guaranteeing |rho(h_m)| ~ |h_m|;
   * match_notcds  — eleven templates for the non-CDS subgroups, each carrying
                     the asymptotic shape of the Cartan projection.
@@ -575,15 +575,15 @@ def _lambda_of(n, u):
 
 def _candidate_lambdas(frame, within):
     """The distinct int lambdas of the rank-one rows with y != 0 among the
-    basis rows of `within` and then its pencil walk, in that order."""
-    cands = []
+    basis rows of `within` and then its pencil walk, yielded in that order."""
+    seen = set()
     y = frame.cols["y"]
     for row in itertools.chain(within, _pencil_rank_one_rows(frame, within)):
         if _rank_xy(frame.n, row) == 1 and any(row[0][y]):
             lam = _int_lambda(frame.n, row)
-            if lam not in cands:
-                cands.append(lam)
-    return cands
+            if lam not in seen:
+                seen.add(lam)
+                yield lam
 
 
 def _pencil_rank_one_rows(frame, within):
@@ -663,7 +663,7 @@ def find_rank_one(frame, within):
 
 
 # ---------------------------------------------------------------------------
-# the eight square conditions
+# the seven square conditions
 
 
 def check_square(h) -> Optional[Witness]:
@@ -673,6 +673,10 @@ def check_square(h) -> Optional[Witness]:
     x_v y_u+ restriction; after condition 2 has failed, any witness pair
     automatically satisfies the original restriction (its bracket lies in the
     central part, where |eta|^2 = xx*yy forces the missing equation).
+
+    An eighth condition (ker phi = z = xx-axis, y_u != 0, v in ker(y, yy)
+    with r_alpha(v) > 0) holds on no subalgebra: phi_v != 0 off the axis, so
+    x([v, u]) = phi_v y_u != 0, yet [v, u] lies in ker phi, the axis.
     """
     return _first_witness(h, "square", _SQUARE_CHECKS)
 
@@ -792,32 +796,7 @@ def _sq7(frame):
             "simplified form", True)
 
 
-def _sq8(frame):
-    """dim 3, z = xx-axis, phi nonzero off z, y_u != 0, R(v) > 0 branch."""
-    if frame.d != 3:
-        return None
-    axis = _xx_axis_element(frame)
-    if axis is None:
-        return None
-    if not linalg.subspace_eq(frame.z_rows, [axis]):
-        return None
-    kphi = frame.kernel(["phi"])
-    if not linalg.subspace_eq(kphi, frame.z_rows):
-        return None
-    u = frame.nonzero_with(["y"], frame.full)
-    if u is None:
-        return None
-    V = frame.kernel(["y", "yy"])
-    g = frame.fixed_gram(r_alpha, V)
-    p, q, z, cert = linalg.signature(g)
-    if p == 0:
-        return None
-    dval, vec = cert["positive"][0]
-    v = linalg.combine(V, vec)
-    return {"u": frame.element(u), "v": frame.element(v)}, "", True
-
-
-_SQUARE_CHECKS = [_sq1, _sq2, _sq3, _sq4, _sq5, _sq6, _sq7, _sq8]
+_SQUARE_CHECKS = [_sq1, _sq2, _sq3, _sq4, _sq5, _sq6, _sq7]
 
 
 # ---------------------------------------------------------------------------
@@ -836,21 +815,19 @@ def _li1(frame):
     p, q, z, cert = sig
     if z == 0 and (p == 0 or q == 0):
         return None  # anisotropic, or no central part
-    res = _rational_zero(frame, sig, Z)
-    if res is None:
-        return None
-    row, exact = res
+    row, exact = _rational_zero(frame, sig, Z)
     return {"z": frame.element(row)}, "", exact
 
 
 def _li2(frame):
     """phi_u = 0, dim_C <x,y> = 1, and the cubic C(u) = 0.
 
-    Layered decision: the two kernel sides are linear; a global or pointwise
-    lambda reduces C to |y|^2 * D_lambda with D_lambda linear; the complex-line
+    Layered decision: the two kernel sides are linear; a lambda reduces C to
+    |y|^2 * D_lambda with D_lambda linear on {x = lambda y}; the complex-line
     case expands C exactly and uses oddness of cubics on two-planes.  The
-    pointwise lambdas come from basis rows and the pencil walk, so outside
-    the exact layers a None is not a proof; only the double entry checks it.
+    lambdas come lazily from basis rows, then the pencil walk (a lambda
+    global on ker phi comes first), so outside the exact layers a None is
+    not a proof; only the double entry checks it.
     Template 7 reads the same search: for phi = 0 it says whether some
     rank-one element has C = 0.
     """
@@ -867,25 +844,14 @@ def _li2(frame):
     w = frame.nonzero_with(["y"], V)
     if w is not None:
         return {"u": frame.element(w)}, "x_u = 0 branch", True
-    # (c) global dependence: a single lambda works for all of W
-    if _globally_dependent(frame, W):
-        wy = frame.nonzero_with(["y"], W)
-        if wy is not None:
-            lam = _int_lambda(frame.n, wy)
-            if lam is not None and _lambda_global(frame, W, lam):
-                K = _kernel_d_lambda(frame, W, lam)
-                w = frame.nonzero_with(["y"], K)
-                if w is not None:
-                    return ({"u": frame.element(w)},
-                            f"global lambda branch", True)
-    # (d) candidate lambdas from basis rows and the pencil walk
+    # (c) candidate lambdas from basis rows and the pencil walk
     for lam in _candidate_lambdas(frame, W):
         Wl = _w_lambda(frame, W, lam)
         K = _kernel_d_lambda(frame, Wl, lam)
         w = frame.nonzero_with(["y"], K)
         if w is not None and _rank_xy(frame.n, w) == 1:
             return {"u": frame.element(w)}, "pointwise lambda branch", True
-    # (e) complex-line case: exact cubic expansion on the line subspace
+    # (d) complex-line case: exact cubic expansion on the line subspace
     v0 = _image_complex_line(frame, "y", W)
     if v0 is not None:
         return _li2_line_case(frame, W, v0)
@@ -1224,8 +1190,6 @@ def _tm5(frame):
     w = wyy[0]
     pr, pi = frame.func_on("phi", w)
     yy = w[-1]
-    if not (pr or pi):
-        return None
     # phi0 = phi / yy at wyy; phi_c = phi0 yy_c on every row, cross-multiplied
     for c in frame.full:
         u = c[0]
@@ -1258,20 +1222,16 @@ def _tm7(frame):
     has_not1 = bool(frame.z_rows) or (_find_rank2(frame, frame.full) is not None)
     if not has_not1:
         return None
-    v = frame.rank_one
-    if v is None:
-        return None
     if frame.li2 is not None:
         return None  # linear condition 2: some rank-one element has C = 0
+    # template 6 failed with phi = 0 and a definite form: rank_one is found
     return NotCdsMatch(7, MuShape.band(Fraction(3, 2), 2, provenance="notcds-7"),
-                       {"rank_one": frame.element(v)})
+                       {"rank_one": frame.element(frame.rank_one)})
 
 
 def _tm8(frame):
     """dim <= 3, trivial central part, ker phi = ker y, (phi, yy) injective."""
     if frame.d > 3 or frame.z_rows:
-        return None
-    if frame.nonzero_with(["phi"], frame.full) is None:
         return None
     kphi = frame.kernel(["phi"])
     ky = frame.kernel(["y"])

@@ -16,11 +16,17 @@ from su2n.elements import (
 )
 from su2n.metrics import rho_norm, sup_norm
 from su2n.nilclassify import (
+    _globally_dependent,
     _h_decomposes,
+    _int_lambda,
+    _kernel_d_lambda,
+    _lambda_global,
     _minor_parts,
     _slot_subspace,
     _span_in_slots,
     _wedge_parts,
+    _xx_axis_element,
+    r_alpha,
 )
 from su2n.scalars import ZERO, QQi, _make, abs2, as_exact_real, conj, herm, im, re
 from su2n.shapes import MuShape
@@ -317,9 +323,9 @@ def _square_5(els, n):
     return lambda t: lab.exp_float(u1f * t + zf * ((t ** 3) * aphi2 * yy / 6.0))
 
 
-def _corner(a, b, clear_im):
+def _corner(clear_im):
     def recipe(els, n):
-        af, bf = lab._vec(els[a]), lab._vec(els[b])
+        af, bf = lab._vec(els["u"]), lab._vec(els["v"])
         axis = lab._vec(AlgebraElement(n, xx=1))
 
         def curve(t):
@@ -350,8 +356,6 @@ def _linear_5(els, n):
     r0 = re(complex(z.eta) * conj(complex(u.phi)))
 
     def curve(s):
-        if eta2 == 0:
-            return u_line(s)
         p_star = -(s ** 3) * ys * r0 / (12.0 * eta2)
         return least_rho_ratio(u_line(s), z_line, p_star, (1.0, 0.98, 1.02, 0.9, 1.1, 0.0))
     return curve
@@ -359,15 +363,64 @@ def _linear_5(els, n):
 
 PER_POINT_WITNESSES = {
     ("square", 3): _square_3, ("square", 5): _square_5,
-    ("square", 6): _corner("u", "v", False), ("square", 7): _corner("u", "v", True),
-    ("square", 8): _corner("v", "u", True),
+    ("square", 6): _corner(False), ("square", 7): _corner(True),
     ("linear", 4): _linear_4, ("linear", 5): _linear_5,
 }
 
 
 def per_point_witness(witness, n):
-    """The per-point solver of a square 3, 5, 6-8 or linear 4, 5 witness."""
+    """The per-point solver of a square 3, 5, 6, 7 or linear 4, 5 witness."""
     return PER_POINT_WITNESSES[witness.side, witness.condition_id](witness.elements, n)
+
+
+# -- two deciders the classifier no longer holds ------------------------------
+#
+# Square condition 8 holds on no subalgebra, and linear condition 2's
+# global-lambda branch returned only the row its pointwise branch returns.
+# These are the two as the classifier held them; the tests check both claims.
+
+def square_8(frame):
+    """(u, v) rows of square condition 8 on h of frame `frame`, or None:
+    dim 3, z = xx-axis = ker phi, u with y_u != 0, and v in ker(y, yy) with
+    r_alpha(v) > 0."""
+    if frame.d != 3:
+        return None
+    axis = _xx_axis_element(frame)
+    if axis is None or not linalg.subspace_eq(frame.z_rows, [axis]):
+        return None
+    if not linalg.subspace_eq(frame.kernel(["phi"]), frame.z_rows):
+        return None
+    u = frame.nonzero_with(["y"], frame.full)
+    if u is None:
+        return None
+    V = frame.kernel(["y", "yy"])
+    p, _, _, cert = linalg.signature(frame.fixed_gram(r_alpha, V))
+    if p == 0:
+        return None
+    return u, linalg.combine(V, cert["positive"][0][1])
+
+
+def li2_global_lambda(frame):
+    """The row of linear condition 2's global-lambda branch, or None: on
+    W = ker phi with x, y C-dependent throughout and one lambda, read off
+    its first row with y != 0, with x = lambda y on all of W, the first row
+    with y != 0 of {D_lambda = 0}.  The branch ran after the y = 0 and
+    x = 0 branches, so it returns None where either of them holds."""
+    W = frame.kernel(["phi"])
+    if not W:
+        return None
+    if (frame.nonzero_with(["x"], frame.kernel(["y", "yy"], W)) is not None
+            or frame.nonzero_with(["y"], frame.kernel(["x", "xx"], W)) is not None):
+        return None
+    if not _globally_dependent(frame, W):
+        return None
+    wy = frame.nonzero_with(["y"], W)
+    if wy is None:
+        return None
+    lam = _int_lambda(frame.n, wy)
+    if not _lambda_global(frame, W, lam):
+        return None
+    return frame.nonzero_with(["y"], _kernel_d_lambda(frame, W, lam))
 
 
 # -- the case lists as code ----------------------------------------------------

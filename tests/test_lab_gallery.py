@@ -22,7 +22,7 @@ from su2n.lab import (
     verify_gallery_entry,
     verify_shape,
 )
-from su2n.metrics import SampleCloud, shape_check
+from su2n.metrics import InsufficientRange, SampleCloud, fit_ray_power, shape_check
 from su2n.nilclassify import classify
 from su2n.scalars import QQi
 from su2n.subalgebra import Subalgebra
@@ -344,6 +344,14 @@ def test_a_ray_fit_reads_the_line_in_the_chamber():
         assert fit == pytest.approx(fit_ray_drift(OneParam(AlgebraElement(4, **image))),
                                     rel=1e-12)
         assert abs(fit - k) <= LOG_POWER_TOL
+
+
+def test_a_ray_fit_without_the_line_raises():
+    # the line's a-part is the only direction a ray fit reads
+    cloud = sample_subgroup(OneParam(AlgebraElement(4, t1=1, y=[1, 0])))
+    del cloud.meta["ray_direction"]
+    with pytest.raises(InsufficientRange, match="ray_direction"):
+        fit_ray_power(cloud)
 
 
 def test_verify_gallery_entry_frames_each_subalgebra_once(monkeypatch):

@@ -160,6 +160,90 @@ def test_linear_conditions_four_five(alg, sub):
     assert qqi_pair_e(w.elements["u"], w.elements["z"]) == 0
 
 
+def test_each_condition_has_one_recipe(alg, sub):
+    # lab holds one curve recipe per condition the classifier checks, and
+    # the references one per-point solver per recipe whose curve moves with t
+    from su2n import lab, nilclassify
+
+    conditions = ({("square", i) for i in range(1, len(nilclassify._SQUARE_CHECKS) + 1)}
+                  | {("linear", i) for i in range(1, len(nilclassify._LINEAR_CHECKS) + 1)})
+    assert set(lab._WITNESS_RECIPES) == conditions
+    # one example per condition, each of the examples above
+    examples = {
+        ("square", 1): sub(alg(4, x=[1, 0], y=[0, 1])),
+        ("square", 2): sub(alg(3, eta=1, xx=1)),
+        ("square", 3): sub(alg(4, x=[1, 0], y=[QQi(0, 2), 0], xx=1), alg(4, yy=1)),
+        ("square", 4): sub(alg(3, phi=1, x=[2], eta=-2)),
+        ("square", 5): sub(alg(3, phi=1, yy=1), alg(3, xx=1)),
+        ("square", 6): sub(alg(4, phi=1, y=[1, 0]), alg(4, x=[0, 1])),
+        ("square", 7): sub(alg(4, phi=1, y=[1, 0]), alg(4, x=[QQi(0, -1), 0], yy=1),
+                           alg(4, xx=1)),
+        ("linear", 1): sub(alg(3, eta=1, xx=1, yy=1)),
+        ("linear", 2): sub(alg(4, x=[1, 0])),
+        ("linear", 3): sub(alg(4, phi=1, x=[1, 0])),
+        ("linear", 4): sub(alg(3, phi=1, yy=1), alg(3, eta=1)),
+        ("linear", 5): sub(alg(3, phi=1, y=[1]), alg(3, eta=1)),
+    }
+    assert set(examples) == conditions
+    per_point = set()
+    for (side, cid), h in examples.items():
+        w = (check_square if side == "square" else check_linear)(h)
+        assert (w.side, w.condition_id) == (side, cid)
+        if isinstance(witness_curve(w, h), lab._PerPoint):
+            per_point.add((side, cid))
+    assert set(references.PER_POINT_WITNESSES) == per_point
+
+
+def test_square_8_holds_on_no_subalgebra():
+    # square condition 8 as the classifier held it: ker phi = z = xx-axis
+    # puts [v, u] on the axis, where x = 0, yet x([v, u]) = phi_v y_u != 0;
+    # none of these specs (the gallery's nil entries among them) passes
+    # even its dim-3 and axis gates
+    from su2n.corpus import random_corpus
+
+    specs = [h for ns in ((3, 4, 5), (6,)) for seed in range(3)
+             for _, h in random_corpus(count=300, ns=ns, seed=seed)]
+    assert len(specs) == 1800
+    assert not [h for h in specs if references.square_8(_frame_of(h)) is not None]
+
+
+def test_the_pointwise_lambdas_return_the_global_lambda_row():
+    # wherever linear 2's old global-lambda branch returned a row, the
+    # pointwise branch returns that row: the global lambda is the first
+    # basis-row lambda, and its {x = lambda y} is all of ker phi
+    from su2n.corpus import random_corpus
+    from su2n.nilclassify import _li2
+
+    hits = 0
+    for seed in range(6):
+        for _, h in random_corpus(count=300, seed=seed):
+            frame = _frame_of(h)
+            row = references.li2_global_lambda(frame)
+            if row is not None:
+                hits += 1
+                assert _li2(frame)[0] == {"u": frame.element(row)}
+    assert hits == 27
+
+
+def test_a_basis_row_lambda_leaves_the_pencil_walk_unstarted(monkeypatch, alg, sub):
+    # x = y on all of ker phi, so the first basis-row lambda decides linear
+    # 2, and the pencil walk is never advanced
+    from su2n import nilclassify
+
+    h = sub(alg(4, x=[1, 0], y=[1, 0], xx=2, yy=1), alg(4, eta=QQi(1, 2)))
+    frame = _frame_of(h)
+    assert references.li2_global_lambda(frame) is not None
+    walk, started = nilclassify._pencil_rank_one_rows, []
+
+    def spy(frame, within):
+        started.append(within)
+        yield from walk(frame, within)
+
+    monkeypatch.setattr(nilclassify, "_pencil_rank_one_rows", spy)
+    w = nilclassify._li2(frame)
+    assert w[1] == "pointwise lambda branch" and started == []
+
+
 def test_mode_and_membership_guards(alg, sub):
     # algebra elements are exact; there is no floating mode to classify
     with pytest.raises(TypeError):
