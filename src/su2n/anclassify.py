@@ -282,14 +282,19 @@ def _classify_graph(spec: Graph, seed: int = 0) -> AnResult:
 # one-parameter subgroups
 
 
+def require_a_part(spec: OneParam):
+    """Raise SpecViolation when X lies in n (no a-part): such a line is a
+    nilpotent spec, for the nil classifier and its sampling."""
+    if not (spec.x.t1 or spec.x.t2):
+        raise SpecViolation("X lies in n; use the nil classifier")
+
+
 def _one_param_shape(spec: OneParam) -> AnResult:
     """The ray-with-logarithmic-drift shape for a compatible one-parameter
     subgroup not of product form; the drift power k has no closed form and
     is left symbolic (the empirical lab fits it)."""
-    x = spec.x
-    if not (x.t1 or x.t2):
-        raise SpecViolation("X lies in n; use the nil classifier")
-    if x.nilpotent_part().is_zero():
+    require_a_part(spec)
+    if spec.x.nilpotent_part().is_zero():
         raise SpecViolation("X lies in a; H = H ∩ A")
     return AnResult("NotCDS", MuShape.ray(None, provenance="oneparam"),
                     "oneparam", notes="drift power k fitted empirically")

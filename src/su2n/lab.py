@@ -22,7 +22,7 @@ The curves of one spec are sampled together (_collect): one doubling ladder
 gives each curve the top of its grid, and the grids are built at once; on
 both, the curves are evaluated in blocks of BLOCK_POINTS parameters, each
 block one Vandermonde product over the factors of its curves, and rho_norm
-takes the block's kept samples in one call.  A block's powers, factors and
+(and mu, on a one-parameter line) takes the block's kept samples in one call.  A block's powers, factors and
 products are formed in the scratch buffers rho_norm also uses
 (metrics._Scratch), kept from block to block; the stack a block returns is
 always a fresh array.  The random directions of a spec's product curves are
@@ -48,7 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .anclassify import (Graph, OneParam, Semidirect, _pair_slots, classify_an,
-                         graph_case, line_compatible)
+                         graph_case, line_compatible, require_a_part)
 from .config import MIN_SAMPLES, NORM_CEILING
 from .elements import AlgebraElement, _coord_entries, bracket, exp_closed
 from .gallery import GalleryEntry, get as gallery_get
@@ -490,7 +490,8 @@ def _collect(curves, plan, with_mu=False) -> SampleCloud:
     dropped points by cause: non_finite, over_ceiling, at_most_one
     (|h| <= 1) and the name of each error a per-point solve raised.
     with_mu adds the Cartan projection of every kept sample as
-    meta["mu_points"].
+    meta["mu_points"], a list of (a1, a2) float tuples: mu runs once per
+    block, on the block's kept samples as one stack (possibly empty).
     """
     ceiling = NORM_CEILING
     batch = _Batch([c for _, c in curves])
@@ -522,7 +523,7 @@ def _collect(curves, plan, with_mu=False) -> SampleCloud:
         for i, k in zip(which, keep.sum(axis=1)):
             tags += [curves[i][0]] * int(k)
         if with_mu:
-            mu_points += [mu(g).as_tuple() for g in good]
+            mu_points += map(tuple, mu(good).tolist())
     kept, total = len(tags), grids.size
     if kept < MIN_SAMPLES:
         raise OverflowCeiling(
@@ -884,7 +885,8 @@ def sample_subgroup(spec, plan: SamplingPlan = None, result=None,
     be compatible); conjugation moves mu by a bounded amount only.  A
     one-parameter cloud also carries the Cartan projection of every sample
     (meta["mu_points"]) and the a-part of its line (meta["ray_direction"]),
-    which fit_ray_power reads.
+    which fit_ray_power reads; one whose X lies in n raises SpecViolation,
+    as classify_an does.
 
     A Subalgebra is sampled on the witness and extremal curves of `result`,
     its classification, which is computed here when not given (and raises
@@ -908,6 +910,7 @@ def sample_subgroup(spec, plan: SamplingPlan = None, result=None,
     if isinstance(spec, Graph):
         return _collect(_graph_curves(spec, plan, designed_only), plan)
     if isinstance(spec, OneParam):
+        require_a_part(spec)
         line, scale = _line(spec)
         cloud = _collect(_line_curves("line", line, scale), plan, with_mu=True)
         cloud.meta["ray_direction"] = tuple(_vec(spec.x)[:2])

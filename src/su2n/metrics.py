@@ -4,6 +4,9 @@ mu(g) is computed in a fixed orthonormal basis S that diagonalizes the
 Hermitian form: the two hyperbolic pairs (e1, e_{n+2}) and (e2, e_{n+1}) are
 rotated to (+/-) combinations over sqrt(2), so K becomes block-unitary and
 the Cartan A+-part is read off the top singular values of S^dagger g S.
+Like sup_norm and rho_norm, mu takes a matrix or a (..., m, m) stack; a
+stack is one product and one batched SVD (lab hands it a block's kept
+samples at once).
 
 |rho(g)| is the max absolute 2x2 minor of g (second exterior power); an
 independent oracle builds the full wedge-square matrix from g (x) g.
@@ -229,9 +232,11 @@ def rho_norm_oracle(g) -> float:
     return float(np.abs(rho_wedge_matrix(g)).max())
 
 
+@lru_cache(maxsize=None)
 def basis_change(n: int) -> np.ndarray:
     """Columns: (e1+e_{n+2})/r2, (e2+e_{n+1})/r2, middle, (e2-e_{n+1})/r2,
-    (e1-e_{n+2})/r2.  Orthogonal, and S^T J S = diag(1,...,1,-1,-1)."""
+    (e1-e_{n+2})/r2.  Orthogonal, and S^T J S = diag(1,...,1,-1,-1).
+    Built once per n and read-only."""
     m = n + 2
     S = np.zeros((m, m))
     r2 = math.sqrt(2.0)
@@ -243,22 +248,37 @@ def basis_change(n: int) -> np.ndarray:
     S[n, m - 2] = -1 / r2
     S[0, m - 1] = 1 / r2
     S[m - 1, m - 1] = -1 / r2
+    S.setflags(write=False)
     return S
 
 
-def mu(g) -> CartanPoint:
-    """Cartan projection: g in K mu(g) K, mu(g) = diag(a1, a2, ...) in A+.
+def _first_failing(failed):
+    """(index, message prefix) of the first True of failed, a mask over a
+    stack's matrices; ((), "") for a single matrix (a 0-d mask)."""
+    j = np.unravel_index(int(np.argmax(failed)), failed.shape)
+    if not j:
+        return j, ""
+    return j, f"matrix {j[0] if len(j) == 1 else tuple(map(int, j))}: "
+
+
+def mu(g):
+    """Cartan projection: g in K mu(g) K, mu(g) = diag(a1, a2, ...) in A+,
+    of a matrix (a CartanPoint) or of each matrix in a (..., m, m) stack
+    (a (..., 2) array of rows (a1, a2)).
 
     Singular values of S^dagger g S pair off as (s, 1/s); the top two give
     (a1, a2).  Invariant under J-compatible unitaries on either side and
-    under inversion.
+    under inversion.  A matrix and a stack take the same steps: one
+    finiteness check, one product and one (batched) SVD.  A non-finite
+    entry or a spectrum that does not pair reciprocally raises NonFinite,
+    naming the first such matrix of a stack by its index.
     """
     a = np.asarray(g, dtype=complex)
-    if not np.all(np.isfinite(a)):
-        raise NonFinite("non-finite matrix entries")
-    m = a.shape[0]
-    n = m - 2
-    S = basis_change(n)
+    if not np.isfinite(a).all():
+        _, where = _first_failing(~np.isfinite(a).all(axis=(-2, -1)))
+        raise NonFinite(where + "non-finite matrix entries")
+    m = a.shape[-1]
+    S = basis_change(m - 2)
     try:
         sv = np.linalg.svd(S.T @ a @ S, compute_uv=False)
     except np.linalg.LinAlgError as e:  # pragma: no cover
@@ -266,17 +286,18 @@ def mu(g) -> CartanPoint:
     # reciprocal pairing check, greedy from the top; the tolerance widens
     # with the conditioning sv[0]^2 since the small partners lose relative
     # digits near the sampling ceiling (the top values stay accurate)
-    pair_tol = MU_PAIR_RTOL * max(1.0, 1e-9 * float(sv[0]) ** 2)
-    for i in range(m // 2):
-        prod = sv[i] * sv[m - 1 - i]
-        if abs(prod - 1.0) > pair_tol * max(1.0, prod):
-            raise NonFinite(
-                f"singular values do not pair reciprocally: s{i}*s{m-1-i} = {prod}")
-    a1 = float(sv[0])
-    a2 = float(sv[1])
-    a1 = max(a1, 1.0)
-    a2 = min(max(a2, 1.0), a1)
-    return CartanPoint(a1, a2)
+    half = m // 2
+    pair_tol = MU_PAIR_RTOL * np.maximum(1.0, 1e-9 * sv[..., :1] ** 2)
+    prod = sv[..., :half] * sv[..., :-half - 1:-1]
+    bad = np.abs(prod - 1.0) > pair_tol * np.maximum(1.0, prod)
+    if bad.any():
+        j, where = _first_failing(bad.any(axis=-1))
+        i = int(np.argmax(bad[j]))
+        raise NonFinite(where + "singular values do not pair reciprocally: "
+                        f"s{i}*s{m-1-i} = {prod[j][i]}")
+    top = np.maximum(sv[..., :2], 1.0)  # (a1, a2) with a2 <= a1 below
+    np.minimum(top[..., 1], top[..., 0], out=top[..., 1])
+    return CartanPoint(*top.tolist()) if top.ndim == 1 else top
 
 
 def sample_compact_pair(n: int, rng) -> np.ndarray:

@@ -270,6 +270,83 @@ def test_mu_rejects_non_finite():
         mu(bad)
 
 
+def _per_matrix_mu(stack):
+    """mu of each matrix alone, as a (k, 2) array."""
+    return np.array([mu(g).as_tuple() for g in stack], dtype=float)
+
+
+def _oneparam_mu_stacks(monkeypatch, plan=None):
+    """(cloud, stacks): the cloud of oneparam-alpha-n3 and each stack lab
+    hands mu while sampling it."""
+    stacks = []
+
+    def mu_spy(g):
+        stacks.append(np.array(g))
+        return mu(g)
+
+    monkeypatch.setattr(lab, "mu", mu_spy)
+    cloud = lab.sample_subgroup(gallery.get("oneparam-alpha-n3").spec(), plan)
+    return cloud, stacks
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_mu_of_a_stack_is_mu_of_each_matrix_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    points = []
+    for _ in range(12):
+        a1 = math.exp(rng.uniform(0, 6 * math.log(10)))
+        points.append(CartanPoint(a1, math.exp(rng.uniform(0, math.log(a1)))).matrix(n))
+    points.append(np.eye(n + 2, dtype=complex))
+    conjugates = [sample_compact_pair(n, rng) @ a @ sample_compact_pair(n, rng)
+                  for a in points]
+    for stack in (np.array(points), np.array(conjugates)):
+        got = mu(stack)
+        assert got.shape == (len(stack), 2)
+        assert got.tobytes() == _per_matrix_mu(stack).tobytes()
+    both = np.array([points, conjugates])  # any batch shape
+    assert mu(both).tobytes() == _per_matrix_mu(both.reshape(-1, n + 2, n + 2)).tobytes()
+    assert mu(both).shape == (2, len(points), 2)
+    assert mu(np.empty((0, n + 2, n + 2), complex)).shape == (0, 2)
+
+
+def test_mu_of_a_matrix_is_a_cartan_point():
+    a = CartanPoint(4.0, 2.0).matrix(5)
+    pt = mu(a)
+    assert isinstance(pt, CartanPoint)
+    assert pt.as_tuple() == tuple(mu(a[None])[0].tolist())
+
+
+def test_one_mu_call_per_block_gives_the_per_sample_mu_points(monkeypatch):
+    # 150 parameters a curve: one curve per block, so the two line curves
+    # take two blocks
+    plan = lab.SamplingPlan(per_curve=150)
+    cloud, stacks = _oneparam_mu_stacks(monkeypatch, plan)
+    assert len(stacks) == len(lab._blocks(2, plan.per_curve)) == 2
+    kept = np.concatenate(stacks)
+    assert np.log10(sup_norm(kept)).tobytes() == cloud.log_norm.tobytes()
+    assert cloud.meta["mu_points"] == [mu(g).as_tuple() for g in kept]
+    cloud, stacks = _oneparam_mu_stacks(monkeypatch)
+    assert len(stacks) == len(lab._blocks(2, 48)) == 1
+
+
+@pytest.mark.parametrize("which, why", [("nan", "non-finite"),
+                                        ("unpaired", "do not pair reciprocally")])
+def test_mu_names_the_first_failing_matrix_of_a_stack(which, why):
+    rng = np.random.default_rng(5)
+    stack = np.array([sample_compact_pair(3, rng) @ CartanPoint(9.0, 3.0).matrix(3)
+                      for _ in range(6)])
+    bad = np.full((5, 5), np.nan) if which == "nan" else np.diag([2.0, 1, 1, 1, 1])
+    stack[3] = stack[5] = bad
+    with pytest.raises(NonFinite, match=rf"^matrix 3: .*{why}"):
+        mu(stack)
+    with pytest.raises(NonFinite, match=r"^matrix \(1, 0\): "):
+        mu(stack.reshape(2, 3, 5, 5))
+    with pytest.raises(NonFinite, match=why) as alone:
+        mu(bad)
+    assert not str(alone.value).startswith("matrix")
+    assert mu(stack[:3]).shape == (3, 2)
+
+
 def test_compact_samples_preserve_form():
     rng = np.random.default_rng(3)
     J = np.array(gram_matrix(4), dtype=complex)

@@ -226,6 +226,19 @@ def test_cli_rejects_a_line_that_does_not_normalize_u(tmp_path, spec):
         assert f"the {spec.kind} line does not normalize U" in p.stderr
 
 
+def test_cli_mu_scan_rejects_a_one_param_line_in_n_as_classify_does(tmp_path, capsys):
+    """X = x + y has t1 = t2 = 0: both commands exit 1 with classify's message,
+    not mu-scan's empty cloud."""
+    from su2n import cli
+    spec_path = tmp_path / "oneparam.json"
+    dump_spec(OneParam(AlgebraElement(4, x=[1, 0], y=[1, 0])), spec_path)
+    errors = []
+    for command in ("classify", "mu-scan"):
+        assert cli.main([command, str(spec_path)]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors == ["error: X lies in n; use the nil classifier\n"] * 2
+
+
 @pytest.mark.parametrize("spec, s_lo, s_hi", [
     # psi in the beta slot, which the alpha-kernel torus does not centralize;
     # U = <x, eta> is normalized by T + y ([T + y, x] = x + eta, [T + y, eta] = 2 eta)
