@@ -17,10 +17,9 @@ import importlib
 
 # the names each module exports at the package level
 _EXPORTS = {
-    "anclassify": ("AnError", "AnResult", "Graph", "NoCaseMatched", "NormalizationFailed",
-                   "OneParam", "Semidirect", "SpecViolation", "TorusLine", "UNotNormalized",
-                   "classify_an", "classify_semidirect", "line_compatible",
-                   "normalize_to_compatible"),
+    "anclassify": ("AnError", "AnResult", "Graph", "NoCaseMatched", "OneParam", "Semidirect",
+                   "SpecViolation", "TorusLine", "UNotNormalized", "classify_an",
+                   "classify_semidirect", "line_compatible", "normalize_to_compatible"),
     "elements": ("AlgebraElement", "GroupElement", "NotInAN", "ROOTS", "ROOT_SLOT", "bracket",
                  "delta", "delta_formula", "element_from_matrix", "exp_closed", "exp_series",
                  "form_value", "gram_matrix", "kernel_line", "matrix_of"),

@@ -55,10 +55,6 @@ class SpecViolation(AnError):
     pass
 
 
-class NormalizationFailed(AnError):
-    pass
-
-
 @dataclass(frozen=True)
 class TorusLine:
     p: int
@@ -171,8 +167,6 @@ def classify_semidirect(torus: TorusLine, u: Subalgebra, seed: int = 0) -> AnRes
     """
     if torus.p == 0 and torus.q == 0:
         raise SpecViolation("T must be a nonzero torus line")
-    if u.dim == 0 or all(b.is_zero() for b in u.basis):
-        raise SpecViolation("U must be nontrivial")
     if not u.is_nilpotent():
         raise SpecViolation("U must lie inside N")
     if not _normalized_by_element(torus.element(u.n), u):
@@ -305,21 +299,23 @@ def _one_param_shape(spec: OneParam) -> AnResult:
 
 
 def _sweep(X, U_basis):
-    """Conjugate X, and U_basis with it, by exponentials of root vectors in
-    height order, cancelling every component of X whose root does not kill
-    the a-part of X.  Returns the conjugated (X, U_basis); afterwards the
-    a-part and the nilpotent part of X commute."""
-    for _ in range(64):
-        if _commutes(X):
-            return X, U_basis
-        for nm in ROOTS:
-            rv = root_value(nm, X.t1, X.t2)
-            comp = X.root_component(nm)
-            if rv != 0 and not comp.is_zero():
-                g = exp_closed(comp.scale(Fraction(1, 1) / rv))
-                X = conjugate(g, X)
-                U_basis = [conjugate(g, b) for b in U_basis]
-    raise NormalizationFailed("conjugation sweep did not stabilize")
+    """Conjugate X, and U_basis with it, so that the a-part T of X commutes
+    with its nilpotent part; returns the conjugated (X, U_basis).
+
+    One pass over ROOTS, which runs in height order, is enough.  For Y in
+    g_gamma, Ad(exp Y) T = T - gamma(T) Y, and Ad(exp Y) maps g_delta into
+    the sum of the g_(delta + k gamma) with k >= 0.  So conjugating by
+    exp(comp_gamma / gamma(T)) zeroes the gamma-component of X, changes only
+    roots of greater height, and keeps the components already zeroed.
+    """
+    for nm in ROOTS:
+        rv = root_value(nm, X.t1, X.t2)
+        comp = X.root_component(nm)
+        if rv != 0 and not comp.is_zero():
+            g = exp_closed(comp.scale(Fraction(1, 1) / rv))
+            X = conjugate(g, X)
+            U_basis = [conjugate(g, b) for b in U_basis]
+    return X, U_basis
 
 
 def line_compatible(spec):
@@ -347,16 +343,16 @@ def normalize_to_compatible(basis):
     """Conjugate a subalgebra of a+n (with nonzero a-part) into the
     compatible T * U * C_N(T) presentation.
 
-    The sweep conjugates by exponentials of root vectors in height order,
-    cancelling every component of the torus-bearing element whose root does
-    not kill the torus line.  Returns a Semidirect, Graph, or OneParam spec,
-    or the string "full-torus" when the a-projection is two-dimensional.
-    Raises NormalizationFailed when the sweep does not terminate (the
-    existence result is nonconstructive; this search is best effort).
+    One pass of _sweep conjugates the torus-bearing element X to T + psi
+    with psi on the roots that kill the torus line T, and U with it.  A
+    double root kills the lines its half kills, so a nonzero psi sits on a
+    reduced root omega that kills T, and omega is the only one: no two
+    reduced roots kill the same line.  Returns a Semidirect, Graph, or
+    OneParam spec, or the string "full-torus" when the a-projection is
+    two-dimensional.
     """
     if not basis:
-        raise NormalizationFailed("empty basis")
-    n = basis[0].n
+        raise SpecViolation("empty basis")
     a_rows = [[b.t1, b.t2] for b in basis]
     red, piv = linalg.rref(a_rows)
     if len(red) == 0:
@@ -364,7 +360,6 @@ def normalize_to_compatible(basis):
     if len(red) == 2:
         return "full-torus"
     p, q = primitive_line(red[0][0], red[0][1])
-    basis = [b for b in basis]
     # pick X with a-part exactly (p, q)
     xi = next(i for i, b in enumerate(basis) if (b.t1 or b.t2))
     scale = Fraction(p, 1) / basis[xi].t1 if basis[xi].t1 else Fraction(q, 1) / basis[xi].t2
@@ -386,16 +381,12 @@ def normalize_to_compatible(basis):
         if u_sub is None:
             raise SpecViolation("H = H ∩ A is a torus line")
         return Semidirect(torus, u_sub)
-    # psi must live in the root spaces killed by the torus line
-    omegas = [nm for nm in REDUCED_ROOTS if root_value(nm, p, q) == 0]
-    if not omegas:
-        raise NormalizationFailed("psi part survives on a generic torus line")
-    omega = omegas[0]
     if u_sub is None:
         return OneParam(X)
     # absorb psi into U when possible: then H is semidirect after all
     if u_sub.contains(psi):
         return Semidirect(torus, u_sub)
+    omega = next(nm for nm in REDUCED_ROOTS if root_value(nm, p, q) == 0)
     return Graph(omega, psi, u_sub)
 
 

@@ -986,13 +986,12 @@ def _extremal_graph_curves(spec: Graph, line, scale):
     """extremal_graph_curves on the graph line (line, scale) of _line(spec)."""
     curves = []
     cols, slots = AlgebraElement.slot_columns(spec.n), _pair_slots(spec.omega)
-    inter = [row for row in spec.u.coord_rows()
-             if any(any(row[cols[s]]) for s in slots)]
+    inter = [b for b in spec.u.basis if any(any(b.ints[cols[s]]) for s in slots)]
     if inter:
         # U meets the omega root spaces: the chamber fills; pin the square
         # direction with the torus outpacing the unipotent factor
         curves.append(("extremal-square", _line_curve(
-            float_line(inter[0]), head=(line, (LOG, 2.0, scale)))))
+            float_line(_vec(inter[0])), head=(line, (LOG, 2.0, scale)))))
     found = graph_case(spec)
     if found is not None:
         case, _, r = found

@@ -7,20 +7,18 @@ and N^5 = 0 once per line, at build).  The helpers here
 (`conj`, `re`, `im`, `abs2`, ...) work on exact scalars and on Python
 integers, floats and complexes.
 
-The exact kernels skip work that cannot change an exact value.  `ZERO` is
-the one shared exact zero, which every zero entry of the exact matrices of
-`elements` is: `==` returns True at once on an object and itself, and
-`a - ZERO` returns `a`.  A product with an `int` or `Fraction` scales the
-real and imaginary parts directly, a `QQi x QQi` product leaves out the
-multiplies of a zero real or imaginary part, `QQi +- QQi` and `QQi == QQi`
-skip the coercion of the other operand, `==` compares each pair of parts by
-identity, then by integer ratio (not through Fraction.__eq__), results are
-built without re-checking that their parts are Fractions, and `herm` skips
-the pairs with an exact-zero factor, as the matrix products of `elements`
-skip their zero terms.  Each result is the exact value, and type, of the
-dense formula.  The exact kernels of `elements` (bracket, matrix product,
-series and closed-form exponential, the Delta formula, det) run on integers
-and build Fractions only at the output, one per nonzero part.
+The exact matrices of `elements` are compared and subtracted entry by
+entry, so those two operations skip work that cannot change an exact value.
+`ZERO` is the one shared exact zero, which every zero entry of those
+matrices is: `==` returns True at once on an object and itself, and
+`a - ZERO` returns `a`.  `QQi +- QQi`, `QQi * QQi` and `QQi == QQi` skip the
+coercion of the other operand, `==` compares each pair of parts by identity,
+then by integer ratio (not through Fraction.__eq__), and results are built
+without re-checking that their parts are Fractions.  Each result is the
+exact value, and type, of the dense formula.  The exact kernels of
+`elements` (bracket, matrix product, series and closed-form exponential, the
+Delta formula, det) run on integers and build Fractions only at the output,
+one per nonzero part.
 """
 
 from __future__ import annotations
@@ -67,21 +65,10 @@ class GaussianRational:
 
     def __mul__(self, other):
         if type(other) is not GaussianRational:
-            if isinstance(other, (int, Fraction)):
-                return _make(self.re * other, self.im * other)
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        # (a + bi)(c + di), without the products of a zero part
         a, b, c, d = self.re, self.im, other.re, other.im
-        if not b:
-            return _make(a * c, a * d)
-        if not d:
-            return _make(a * c, b * c)
-        if not a:
-            return _make(-(b * d), b * c)
-        if not c:
-            return _make(-(b * d), a * d)
         return _make(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
@@ -236,23 +223,11 @@ def abs2(v):
 
 
 def herm(x, y):
-    """Hermitian pairing of row vectors: x y^dagger = sum_i x_i conj(y_i).
-
-    Pairs with an exact-zero factor are skipped: the x and y slots of an
-    algebra element are mostly zero.  On vectors of one scalar type the
-    result equals the dense sum of the terms, in value and type: with no
-    nonzero pair it is the first term, and 0 for empty vectors.
-    """
+    """Hermitian pairing of row vectors: x y^dagger = sum_i x_i conj(y_i),
+    0 for empty vectors."""
     if len(x) != len(y):
         raise ValueError("vector length mismatch")
-    total = None
-    for a, b in zip(x, y):
-        if a and b:
-            term = a * conj(b)
-            total = term if total is None else total + term
-    if total is None:
-        return x[0] * conj(y[0]) if x else 0
-    return total
+    return sum((a * conj(b) for a, b in zip(x, y)), 0)
 
 
 def format_rational(q: Fraction) -> str:

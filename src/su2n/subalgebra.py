@@ -8,8 +8,8 @@ with linalg.in_span, so no Fraction is built.  An element is its row
 (ints, den), the one row form of linalg, so rows() is the basis elements'
 pairs, read from the basis and not kept beside it.  The exact classifiers
 work on combinations of those rows (linalg.combine, on the frame that
-nilclassify keeps for each subalgebra), and sampling reads them as the
-float matrix np.array(h.coord_rows(), dtype=float).
+nilclassify keeps for each subalgebra), and sampling reads each as the
+float vector of its ints over den (lab._vec).
 """
 
 from __future__ import annotations

@@ -11,8 +11,11 @@ from su2n.elements import (
     NotInAN,
     _coord_entries,
     _slot_sums,
+    bracket,
     column_roots,
+    exp_closed,
     gram_matrix,
+    root_value,
 )
 from su2n.metrics import rho_norm, sup_norm
 from su2n.nilclassify import (
@@ -30,6 +33,7 @@ from su2n.nilclassify import (
 )
 from su2n.scalars import ZERO, QQi, _make, abs2, as_exact_real, conj, herm, im, re
 from su2n.shapes import MuShape
+from su2n.weyl import conjugate
 
 
 def ad_a(t1, t2, w: AlgebraElement) -> AlgebraElement:
@@ -485,3 +489,26 @@ GRAPH_SHAPES = {
         1, 2, log_lo=Fraction(r, 2), provenance="graph-3"),
     ("beta", "alpha+beta"): lambda r: MuShape.band(1, 1, log_hi=r, provenance="graph-4"),
 }
+
+
+# -- the compatible form of an AN line ----------------------------------------
+#
+# anclassify._sweep makes one pass over the roots in height order.  This is
+# the sweep it ran before: passes repeated until the a-part of X commutes
+# with the rest, at most 64 of them.
+
+def sweep_until_commuting(X, U_basis):
+    """Conjugate X, and U_basis with it, pass after pass over ROOTS, each
+    cancelling every component of X on a root that does not kill the a-part
+    of X, until [a-part, X] = 0; AssertionError after 64 passes."""
+    for _ in range(64):
+        if bracket(X.a_part(), X).is_zero():
+            return X, U_basis
+        for nm in ROOTS:
+            rv = root_value(nm, X.t1, X.t2)
+            comp = X.root_component(nm)
+            if rv != 0 and not comp.is_zero():
+                g = exp_closed(comp.scale(Fraction(1) / rv))
+                X = conjugate(g, X)
+                U_basis = [conjugate(g, b) for b in U_basis]
+    raise AssertionError("conjugation sweep did not stabilize")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from su2n import AlgebraElement, Subalgebra, exp_closed, gallery
+from su2n import AlgebraElement, Subalgebra, anclassify, exp_closed, gallery
 from su2n.anclassify import (
     Graph,
     NoCaseMatched,
@@ -14,13 +14,14 @@ from su2n.anclassify import (
     UNotNormalized,
     _GRAPH_SHAPES,
     _commutes,
+    _sweep,
     classify_an,
     classify_semidirect,
     line_compatible,
     normalize_to_compatible,
 )
 from su2n.corpus import random_element
-from su2n.elements import NotInAN, ROOTS, kernel_line, kernel_root
+from su2n.elements import NotInAN, REDUCED_ROOTS, ROOTS, kernel_line, kernel_root, primitive_line
 from su2n.lab import extremal_graph_curves, fit_graph_log_power
 from su2n.scalars import QQi
 from su2n.serialize import spec_from_json, spec_to_json
@@ -205,6 +206,79 @@ def test_normalize_semidirect_and_oneparam(alg):
     assert isinstance(spec, OneParam)
     assert spec.x.nilpotent_part().root_component("alpha").phi == QQi(2)
     assert normalize_to_compatible([alg(3, t1=1), alg(3, t2=1)]) == "full-torus"
+
+
+def test_normalize_rejects_an_empty_basis():
+    with pytest.raises(SpecViolation, match="empty basis"):
+        normalize_to_compatible([])
+
+
+def _height(root):
+    """The height of a root: ROOTS holds it as a functional (c1, c2) on
+    (t1, t2), and alpha = (1, -1), beta = (0, 1), so its alpha and beta
+    coefficients are c1 and c1 + c2."""
+    c1, c2 = ROOTS[root]
+    return c1 + (c1 + c2)
+
+
+def test_roots_run_in_height_order():
+    assert [_height(nm) for nm in ROOTS] == [1, 1, 2, 2, 3, 4]
+
+
+def test_each_nonzero_line_is_killed_by_at_most_one_reduced_root():
+    # so the omega that normalize_to_compatible picks is the only one; a
+    # double root kills the lines its half kills
+    lines = [kernel_line(nm) for nm in REDUCED_ROOTS]
+    assert len(set(lines)) == len(lines)
+    assert kernel_line("2beta") == kernel_line("beta")
+    assert kernel_line("2alpha+2beta") == kernel_line("alpha+beta")
+
+
+def _random_nilpotent(n, rng, coeff):
+    """An element of n whose slots are each nonzero with probability 1/2,
+    with integer parts in [-coeff, coeff]."""
+    def c():
+        return rng.randint(-coeff, coeff)
+    kw = {}
+    for slot in ("phi", "x", "y", "eta", "xx", "yy"):
+        if rng.random() < 0.5:
+            kw[slot] = (c() if slot in ("xx", "yy") else QQi(c(), c()) if slot in ("phi", "eta")
+                        else [QQi(c(), c()) for _ in range(n - 2)])
+    return AlgebraElement(n, **kw)
+
+
+def test_one_pass_sweep_equals_the_sweep_until_commuting(monkeypatch):
+    """One pass over the roots in height order leaves X compatible, with at
+    most one exponential per root, and gives the (X, U) that repeated
+    passes give, on random lines X = T + N through every special line."""
+    rng = random.Random(0)
+    us = {}
+    for e in gallery.entries():
+        spec = e.spec()
+        if isinstance(spec, (Semidirect, Graph)):
+            us.setdefault(spec.n, []).append(spec.u.basis)
+    exps = []
+    monkeypatch.setattr(anclassify, "exp_closed", lambda y: exps.append(y) or exp_closed(y))
+    lines = set()
+    for _ in range(1000):
+        n = rng.randint(3, 5)
+        t1, t2 = rng.randint(-4, 4), rng.randint(-4, 4)
+        X = AlgebraElement(n, t1=t1, t2=t2) + _random_nilpotent(n, rng, 5)
+        # the gallery's U, conjugated; at n = 5, which it lacks, one element
+        g0 = exp_closed(_random_nilpotent(n, rng, 2))
+        U = [conjugate(g0, b) for b in (rng.choice(us[n]) if n in us
+                                        else [_random_nilpotent(n, rng, 5)])]
+        exps.clear()
+        got = _sweep(X, U)
+        assert got == references.sweep_until_commuting(X, U)
+        assert _commutes(got[0])
+        roots = [[nm for nm in ROOTS if not y.root_component(nm).is_zero()] for y in exps]
+        assert all(len(r) == 1 for r in roots)
+        assert len({r[0] for r in roots}) == len(roots)
+        if t1 or t2:
+            lines.add(primitive_line(t1, t2))
+    # the kernels of alpha, beta, alpha+beta, alpha+2beta, alpha-beta, 2alpha+beta
+    assert {(1, 1), (1, 0), (0, 1), (1, -1), (2, 1), (1, 2)} <= lines
 
 
 def test_line_compatible_conjugates_only_non_commuting_lines(alg):
