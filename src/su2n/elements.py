@@ -503,17 +503,23 @@ def _gaussian_ints(M, m):
             for row in parts], den
 
 
-def _gaussian_product(A, B, m):
-    """A B for m x m Gaussian-integer matrices in the sparse rows of
-    `_gaussian_ints`; only products of two nonzero entries are taken."""
+def _gaussian_product(A, B):
+    """A B for square Gaussian-integer matrices in the sparse rows of
+    `_gaussian_ints`; only products of two nonzero entries are taken, each
+    output row summed in a dict by column and given in column order with
+    its zero entries dropped."""
     out = []
     for a_row in A:
-        re_, im_ = [0] * m, [0] * m
+        acc = {}  # column -> [re, im]
         for k, ar, ai in a_row:
             for j, br, bi in B[k]:
-                re_[j] += ar * br - ai * bi
-                im_[j] += ar * bi + ai * br
-        out.append([(j, r, i) for j, (r, i) in enumerate(zip(re_, im_)) if r or i])
+                e = acc.get(j)
+                if e is None:
+                    acc[j] = [ar * br - ai * bi, ar * bi + ai * br]
+                else:
+                    e[0] += ar * br - ai * bi
+                    e[1] += ar * bi + ai * br
+        out.append([(j, r, i) for j, (r, i) in sorted(acc.items()) if r or i])
     return out
 
 
@@ -554,7 +560,7 @@ def exp_series(u: AlgebraElement) -> "GroupElement":
     P = N
     for k in range(1, 5):
         if k > 1:
-            P = _gaussian_product(P, N, m)
+            P = _gaussian_product(P, N)
         w = den ** (4 - k) * (24 // factorial(k))
         for row_acc, row in zip(acc, P):
             for j, r, i in row:
@@ -848,7 +854,7 @@ class GroupElement:
         if other.n != self.n:
             raise ValueError("incompatible group elements")
         return GroupElement.from_rows(
-            self.n, _gaussian_product(self.rows, other.rows, self.n + 2), self.den * other.den)
+            self.n, _gaussian_product(self.rows, other.rows), self.den * other.den)
 
     def inverse(self):
         """g^{-1} = J g^dagger J, using g^dagger J g = J.  J is the
@@ -879,7 +885,7 @@ class GroupElement:
         for k, row in enumerate(rows):
             for j, r, i in row:
                 dagger[j].append((k, r, -i))
-        lhs = _gaussian_product(dagger, [rows[s] for s in sigma], m)
+        lhs = _gaussian_product(dagger, [rows[s] for s in sigma])
         d2 = den * den
         for i, row in enumerate(lhs):
             if row != [(sigma[i], d2, 0)]:

@@ -8,27 +8,30 @@ A row is a pair (ints, den): the rational row [a / den for a in ints], with
 den a positive int coprime to the ints.  It is the one form in which a
 coordinate row is held, passed and computed on: an AlgebraElement is its
 (ints, den), Subalgebra.rows() gives those pairs, and the row reduction, the
-span tests, the kernels, the combinations of rows and the Gram matrices of
-fixed forms take pairs and run on Python ints, fraction-free (the idea of
-Bareiss, Math. Comp. 22, 1968).  int_row is the one reader of rational
-entries into a row; combine returns a pair and builds no Fraction.
+span tests, the kernels, the signatures, the combinations of rows and the
+Gram matrices of fixed forms take pairs or int matrices and run on Python
+ints, fraction-free (the idea of Bareiss, Math. Comp. 22, 1968).  int_row is
+the one reader of rational entries into a row; combine returns a pair and
+builds no Fraction.
 
 A span test reduces the ints of each vector against the int echelon form of
 the spanning rows (echelon_ints, in_span): the vector is in the span iff
-nothing is left.  kernel_basis returns its kernel vectors as Fractions, the
-coefficients a caller combines rows by.  rref and solve_linear take rational
-rows and give rational rows, for the callers that read those values: the
-reduced row echelon form is unique, so rref is the same value as Fraction
-elimination gives.
+nothing is left.  kernel_basis returns its kernel vectors as rows (ints,
+den), the coefficients a caller combines rows by (combine(rows, *v)).  rref
+and solve_linear take rational rows and give rational rows, for the callers
+that read those values: the reduced row echelon form is unique, so rref is
+the same value as Fraction elimination gives.
 
 The classifier decides on these ints too: a row's ints are the rational row
 times a positive number (its den), so every zero test, minor and kernel it
 takes on them is the rational row's.  It hands kernel_basis a value matrix
 only when the kernel is not read off the matrix (all of the rows when every
 value is zero, none for one row and a nonzero value), and sums the forms of
-a central parameter as ints (sum_forms) into one Gram.  Fractions are built
-in the Grams and in rref and solve_linear; signature stays on Fractions,
-since its congruence vectors become witnesses.
+a central parameter as ints (sum_forms) into one Gram.  form_gram gives a
+Gram as an int matrix over one positive denominator, and signature
+eliminates on ints: its congruence vectors, the witnesses it hands back, are
+rows (ints, den), and only its diagonal values are Fractions.  Fractions are
+built in those values, in gram_from_quadratic and in rref and solve_linear.
 """
 
 from __future__ import annotations
@@ -36,13 +39,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Optional, Sequence
-
-
-Mat = list
-
-
-def _frac_rows(rows) -> Mat:
-    return [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
 
 
 def int_row(row):
@@ -123,42 +119,47 @@ def subspace_eq(rows_a, rows_b) -> bool:
 
 def kernel_basis(rows) -> list:
     """Basis of the right kernel {v : rows @ v = 0} of the rows (pairs), as
-    lists of Fractions: one vector per free column fc of the echelon form, 1
+    rows (ints, den): one vector per free column fc of the echelon form, 1
     at fc, 0 at the other free columns and -row[fc] / row[pc] at the pivot pc
-    of each echelon row."""
+    of each echelon row, over the lcm of those pivots and then divided by the
+    gcd with it."""
     if not rows:
         return []
     ncols = len(rows[0][0])
     ints, pivots = echelon_ints(rows)
-    zero, one = Fraction(0), Fraction(1)
     basis = []
     for fc in range(ncols):
         if fc in pivots:
             continue
-        v = [zero] * ncols
-        v[fc] = one
-        for row, pc in zip(ints, pivots):
-            if row[fc]:
-                v[pc] = Fraction(-row[fc], row[pc])
-        basis.append(v)
+        hits = [(row[fc], row[pc], pc) for row, pc in zip(ints, pivots) if row[fc]]
+        den = lcm(*(p for _, p, _ in hits))
+        v = [0] * ncols
+        v[fc] = den
+        for f, p, pc in hits:
+            v[pc] = -f * (den // p)
+        g = gcd(*v)
+        basis.append(([a // g for a in v], den // g) if g > 1 else (v, den))
     return basis
 
 
-def combine(rows, coeffs) -> tuple:
-    """The row sum_i coeffs[i] rows[i], one rational coefficient per row,
-    skipping zero coefficients: summed on the rows' ints over one common
+def combine(rows, coeffs, den=1) -> tuple:
+    """The row sum_i (coeffs[i] / den) rows[i], one rational coefficient
+    (int or Fraction) per row over the positive int den, skipping zero
+    coefficients: a vector (ints, den) of kernel_basis or signature combines
+    the rows as combine(rows, *v).  Summed on the rows' ints over one common
     denominator, then divided by the gcd with it.  ValueError when the
     numbers of coefficients and rows differ."""
     if len(coeffs) != len(rows):
         raise ValueError(f"{len(coeffs)} coefficients for {len(rows)} rows")
     terms = [(c.as_integer_ratio(), row) for c, row in zip(coeffs, rows) if c]
-    den = lcm(*(cd * rd for (_, cd), (_, rd) in terms))
+    common = lcm(*(cd * rd for (_, cd), (_, rd) in terms))
     out = [0] * len(rows[0][0])
     for (cn, cd), (ints, rd) in terms:
-        f = cn * (den // (cd * rd))
+        f = cn * (common // (cd * rd))
         for k, a in enumerate(ints):
             if a:
                 out[k] += f * a
+    den *= common
     g = gcd(den, *out)
     if g > 1:
         out, den = [a // g for a in out], den // g
@@ -248,77 +249,101 @@ def sum_forms(terms, den) -> tuple:
     return tuple(cols), tuple((at[a], at[b], v) for (a, b), v in acc.items() if v), lden * den
 
 
-def form_gram(rows, form) -> list:
+def form_gram(rows, form) -> tuple:
     """The Gram matrix W Q W^T of a fixed quadratic form on the rows W of
-    `rows` (pairs), Q given as sparse_form(Q).
+    `rows` (pairs), Q given as sparse_form(Q), as (G, den): an int matrix G
+    and a positive int den with W Q W^T = G / den.
 
-    Each row's ints are read on the support columns only, so every product
-    is an int and each nonzero entry is one Fraction over den times the two
-    rows' denominators.
+    Each row's ints are read on the support columns only, over the lcm D of
+    the rows' denominators, so every product is an int and den is the form's
+    denominator times D^2.
     """
-    cols, entries, den = form
-    ints = [[w[c] for c in cols] for w, _ in rows]
-    dens = [dw for _, dw in rows]
-    d, zero = len(rows), Fraction(0)
-    gram = [[zero] * d for _ in range(d)]
+    cols, entries, fden = form
+    common = lcm(*(dw for _, dw in rows))
+    ints = [[w[c] for c in cols] if dw == common else [w[c] * (common // dw) for c in cols]
+            for w, dw in rows]
+    d = len(rows)
+    gram = [[0] * d for _ in range(d)]
     for i, w in enumerate(ints):
         qw = [0] * len(cols)
         for a, b, v in entries:
             if w[b]:
                 qw[a] += v * w[b]
         for j in range(i, d):
-            s = sum(a * b for a, b in zip(qw, ints[j]) if a)
-            if s:
-                gram[i][j] = gram[j][i] = Fraction(s, den * dens[i] * dens[j])
-    return gram
+            gram[i][j] = gram[j][i] = sum(a * b for a, b in zip(qw, ints[j]) if a)
+    return gram, fden * common * common
 
 
 def signature(gram) -> tuple:
-    """Exact signature (n_pos, n_neg, n_zero) of a symmetric rational matrix.
+    """Exact signature (n_pos, n_neg, n_zero) of a symmetric rational matrix,
+    a square list of rows of ints or Fractions.
 
     Symmetric elimination with pivoting; when no nonzero diagonal remains an
     off-diagonal entry is folded in (char 0, so u+v repairs the diagonal).
-    Also returns a congruence basis: vectors v with q(v) equal to each
-    reported diagonal value (positive, negative, or zero).
+    Also returns a congruence basis: vectors v, as rows (ints, den), with
+    q(v) equal to each reported diagonal value (positive, negative, or zero),
+    each value a Fraction.
+
+    Fraction-free: the matrix is read as ints over one denominator, and basis
+    vector r is B[r] / s[r], s[r] > 0, with the int matrix G = B Q B^T kept
+    on the active indices.  Eliminating with pivot k sets B[r] to a B[r] -
+    b B[k] for (a, b) = (G[k][k], G[r][k]), both negated when G[k][k] < 0,
+    and s[r] to a s[r]; folding j into i sets B[i] to (l / s[i]) B[i] +
+    (l / s[j]) B[j] and s[i] to l = lcm(s[i], s[j]).  Row and column r of G
+    take the same combination, and then B[r], s[r] and row and column r of
+    G are divided by gcd(s[r], B[r]).  G is the rational matrix of the
+    current vectors with row and column r scaled by s[r] > 0 (and all of it
+    by the input's denominator), so its zero tests and diagonal signs, and
+    with them every pivot and fold choice, are those of elimination on
+    Fractions, and so are the vectors.
     """
-    g = _frac_rows(gram)
-    d = len(g)
-    basis = [[Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)]
+    d = len(gram)
+    flat, den0 = int_row([x for row in gram for x in row])
+    g = [flat[i * d:(i + 1) * d] for i in range(d)]
+    basis = [[int(i == j) for j in range(d)] for i in range(d)]
+    scale = [1] * d
     active = list(range(d))
     pos, neg = [], []
+
+    def set_row(r, a, k, b, s):
+        """Vector r becomes (a B[r] + b B[k]) / s, G kept equal to B Q B^T
+        on the active indices; then reduced by its gcd."""
+        gr, gk = g[r], g[k]
+        grr = a * a * gr[r] + 2 * a * b * gr[k] + b * b * gk[k]
+        for c in active:
+            gr[c] = g[c][r] = a * gr[c] + b * gk[c]
+        gr[r] = grr
+        v = [a * x + b * y for x, y in zip(basis[r], basis[k])]
+        f = gcd(s, *v)
+        if f > 1:
+            v, s = [x // f for x in v], s // f
+            for c in active:
+                gr[c] = g[c][r] = gr[c] // f
+            gr[r] = grr // (f * f)
+        basis[r], scale[r] = v, s
+
     while active:
-        k = next((i for i in active if g[i][i] != 0), None)
+        k = next((i for i in active if g[i][i]), None)
         if k is None:
-            pair = None
-            for i in active:
-                for j in active:
-                    if i < j and g[i][j] != 0:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
+            pair = next(((i, j) for i in active for j in active if i < j and g[i][j]), None)
             if pair is None:
                 break  # remaining block is zero: radical
             i, j = pair
-            # fold row/col j into i: e_i <- e_i + e_j
-            for c in range(d):
-                g[i][c] += g[j][c]
-            for r in range(d):
-                g[r][i] += g[r][j]
-            basis[i] = [a + b for a, b in zip(basis[i], basis[j])]
+            # fold j into i: e_i <- e_i + e_j
+            l = lcm(scale[i], scale[j])
+            set_row(i, l // scale[i], j, l // scale[j], l)
             k = i
         dkk = g[k][k]
-        (pos if dkk > 0 else neg).append((dkk, basis[k][:]))
+        (pos if dkk > 0 else neg).append(
+            (Fraction(dkk, den0 * scale[k] * scale[k]), (basis[k], scale[k])))
         active.remove(k)
+        a, sign = abs(dkk), (1 if dkk > 0 else -1)
         for r in active:
-            if g[r][k] != 0:
-                f = g[r][k] / dkk
-                for c in range(d):
-                    g[r][c] -= f * g[k][c]
-                for c in range(d):
-                    g[c][r] -= f * g[c][k]
-                basis[r] = [a - f * b for a, b in zip(basis[r], basis[k])]
-    radical = [basis[i][:] for i in active]
+            if g[r][k]:
+                b = g[r][k]
+                set_row(r, a, k, -sign * b, a * scale[r])
+                g[k][r] = g[r][k] = 0
+    radical = [(basis[i], scale[i]) for i in active]
     return len(pos), len(neg), len(radical), {
         "positive": pos,
         "negative": neg,
@@ -326,9 +351,10 @@ def signature(gram) -> tuple:
     }
 
 
-def is_definite(gram) -> bool:
-    """Anisotropic over R == definite (or the zero-dimensional form)."""
-    p, n, z, _ = signature(gram)
+def is_definite(sig) -> bool:
+    """Whether a form of signature sig (as signature gives it) is anisotropic
+    over R: definite, or the zero-dimensional form."""
+    p, n, z, _ = sig
     return z == 0 and (p == 0 or n == 0)
 
 

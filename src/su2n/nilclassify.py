@@ -38,9 +38,12 @@ basis.  lambda travels as the int lambda (lr, li, ld) = lambda * ld, and
 d_lambda and _x_minus_lam_y carry the factors ld^2 and ld.  The rows of h,
 of its kernels and of every search are pairs (linalg.combine), and an
 element of the result is read off one as it is (AlgebraElement.from_ints).
-Fractions are built only in the Grams, the kernel coefficients, lambda and
-the evidence; the signatures stay on Fractions, since their congruence
-vectors become witnesses.
+A Gram is an int matrix over one positive denominator (linalg.form_gram),
+and the kernel and congruence vectors that rows are combined by are rows
+(ints, den) too.  Every reader of a Gram is scale-invariant: zero tests,
+signs and the ratio of two of its signature's diagonal values.  Fractions
+are built only in those diagonal values, lambda, the cubic's coefficients
+and the evidence.
 
 Universal statements (forms vanishing identically, anisotropy) are decided
 deterministically: Gram matrices W Q W^T of
@@ -167,6 +170,13 @@ class _Frame:
     h.echelon that Subalgebra validation computed, so h's own rows are
     reduced once.  A frame belongs to the one h it was built from, and
     _frame_of builds it once per h.
+
+    For the frame's life it keeps what it has solved (_once), keyed by the
+    rows: the kernel of each nonzero value matrix on each within (kernel_of,
+    so each (names, within) of kernel is solved once), the Grams of
+    q_center and r_alpha (fixed_gram) and of the minor parts (minor_grams)
+    on each within, and the signature of each Gram (signature), so a route
+    that asks again reads the answer.
     """
 
     def __init__(self, h: Subalgebra):
@@ -177,7 +187,8 @@ class _Frame:
         self.cols = AlgebraElement.slot_columns(self.n)
         self.full = h.rows()
         self.echelon = h.echelon
-        self._kernels = {}
+        self._full_key = _rows_key(self.full)
+        self._solved = {}
         self.z_rows = self.kernel(["phi", "x", "y"])
 
     @cached_property
@@ -206,29 +217,39 @@ class _Frame:
 
     # subspace machinery ---------------------------------------------------
 
+    def _once(self, what, key, solve):
+        """solve(), computed the first time (what, key) is asked for and kept
+        for the frame's life."""
+        value = self._solved.get((what, key))
+        if value is None:
+            value = self._solved[what, key] = solve()
+        return value
+
+    def _key(self, rows):
+        """The rows as a key (_rows_key), h's own read once."""
+        return self._full_key if rows is self.full else _rows_key(rows)
+
     def kernel_of(self, values, within):
         """Row basis of {u in within : values(u) = 0}, where `values` maps a
         row to a list of real-linear functionals.  The values are taken on
         the rows' ints scaled to one common denominator: a positive multiple
-        of the value matrix, with the same kernel basis (_solve_kernel)."""
+        of the value matrix, with the same kernel basis (_solve_kernel on its
+        nonzero rows, solved once per frame for each matrix and within)."""
         if not within:
             return []
         den = math.lcm(*(d for _, d in within))
         rows = [values(a if d == den else [v * (den // d) for v in a]) for a, d in within]
-        return _solve_kernel([list(col) for col in zip(*rows)], within)
+        matrix = tuple(col for col in zip(*rows) if any(col))
+        return self._once(matrix, self._key(within), lambda: _solve_kernel(matrix, within))
 
     def kernel(self, names, within=None):
-        """Row basis of {u in within : all named functionals vanish}; on all
-        of h (within None) each is solved once per frame.
+        """Row basis of {u in within : all named functionals vanish}, within
+        all of h when None.
 
         The functionals are columns, read off the rows' ints by kernel_of.
         """
-        if within is None:
-            key = tuple(names)
-            if key not in self._kernels:
-                self._kernels[key] = self.kernel(names, self.full)
-            return self._kernels[key]
-        return self.kernel_of(lambda c: self.funcs_on(names, c), within)
+        return self.kernel_of(lambda c: self.funcs_on(names, c),
+                              self.full if within is None else within)
 
     def vanishes_on(self, name, within) -> bool:
         sl = self.cols[name]
@@ -269,27 +290,43 @@ class _Frame:
     # quadratic forms -------------------------------------------------------
 
     def fixed_gram(self, q, within):
-        """Gram W Q W^T of q_center or r_alpha on the rows W of `within`;
-        empty, and Q not polarized, when `within` is."""
-        return linalg.form_gram(within, _fixed_form(q, self.n)) if within else []
+        """Gram (G, den) of q_center or r_alpha on the rows W of `within`,
+        W Q W^T = G / den (linalg.form_gram), solved once per frame; empty,
+        and Q not polarized, when `within` is."""
+        if not within:
+            return [], 1
+        return self._once(q, self._key(within),
+                          lambda: linalg.form_gram(within, _fixed_form(q, self.n)))
+
+    def minor_grams(self, within):
+        """_minor_grams on `within`, solved once per frame."""
+        return self._once(_minor_grams, self._key(within), lambda: _minor_grams(self, within))
 
     def pair_gram(self, q, z, within):
-        """Gram of u -> q(u, z) on `within`, for q = t_pair or pair_e at the
-        central row z: W Q W^T for Q = sum_c z[c] Q_c over the forms of
-        _pair_forms, summed on the ints of z into one sparse form."""
+        """Gram (G, den) of u -> q(u, z) on `within`, for q = t_pair or
+        pair_e at the central row z: W Q W^T for Q = sum_c z[c] Q_c over the
+        forms of _pair_forms, summed on the ints of z into one sparse form."""
         zi, zd = z
         return linalg.form_gram(within, linalg.sum_forms(
             [(zi[c], form) for c, form in _pair_forms(q, self.n) if zi[c]], zd))
 
+    def signature(self, gram):
+        """linalg.signature of the Gram (G, den), solved once per frame for
+        each G.  It is taken on G, den times the Gram: the same signature and
+        congruence vectors, each diagonal value times den."""
+        g, _ = gram
+        return self._once(linalg.signature, tuple(map(tuple, g)), lambda: linalg.signature(g))
+
     def gram_witness(self, gram, within):
-        """A row where the form with this Gram is nonzero."""
-        k = len(gram)
+        """A row where the form with this Gram (G, den) is nonzero."""
+        g, _ = gram
+        k = len(g)
         for i in range(k):
-            if gram[i][i]:
+            if g[i][i]:
                 return within[i]
         for i in range(k):
             for j in range(i + 1, k):
-                if gram[i][j]:
+                if g[i][j]:
                     return linalg.combine([within[i], within[j]], [1, 1])
         return None
 
@@ -299,21 +336,25 @@ _TRIALS = (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(1, 3), Fraction(3)
            Fraction(1, 5), Fraction(5))
 
 
+def _rows_key(rows):
+    """The rows (pairs) as a hashable key."""
+    return tuple((tuple(ints), den) for ints, den in rows)
+
+
 def _solve_kernel(values, within):
     """The rows of `within` combined by the kernel basis of `values`, the
-    value matrix of some functionals (one row per functional, one column per
-    row of `within`) up to a positive factor.  The kernels that need no
-    solve are read off the matrix: with every value zero it is all of
-    `within`, as it stands (each kernel vector is a unit vector, and a row
-    combined alone is itself), and with one row of `within` and a nonzero
-    value it is empty."""
-    values = [r for r in values if any(r)]
+    nonzero rows of the value matrix of some functionals (one row per
+    functional, one column per row of `within`) up to a positive factor.
+    The kernels that need no solve are read off the matrix: with no nonzero
+    value it is all of `within`, as it stands (each kernel vector is a unit
+    vector, and a row combined alone is itself), and with one row of
+    `within` and a nonzero value it is empty."""
     if not values:
         return within
     if len(within) == 1:
         return []
     kern = linalg.kernel_basis([(r, 1) for r in values])
-    return [linalg.combine(within, k) for k in kern]
+    return [linalg.combine(within, *k) for k in kern]
 
 
 _FRAMES = weakref.WeakKeyDictionary()
@@ -436,57 +477,53 @@ def _rank_xy(n, u) -> int:
 def _rational_zero(frame, gram_data, within, avoid_kernels=()):
     """A vector v with q(v) = 0, outside every subspace in avoid_kernels.
 
-    gram_data is the signature() certificate.  Uses the radical first, then
-    zero-diagonal congruence directions, then small rational combinations of
-    one positive and one negative congruence vector (rational when the
-    discriminant is a perfect square).  Returns (row, exact_flag) or None
-    when the real zero cone is degenerate enough to force a nonexistence
-    (caller decides that via the signature).
+    gram_data is the signature() certificate, its vectors rows (ints, den)
+    of coefficients on `within`.  Uses the radical first, then sums of two
+    radical vectors, then small rational combinations of one positive and
+    one negative congruence vector (rational when the ratio of their values
+    is a square; that ratio does not change when the Gram is scaled).
+    Returns (row, exact_flag) or None when the real zero cone is degenerate
+    enough to force a nonexistence (caller decides that via the signature).
     """
     p, nneg, z, cert = gram_data
+    radical = cert["radical"]
 
     def lift(v):
-        return linalg.combine(within, v)
+        return linalg.combine(within, *v)
 
     def ok(row):
         u = row[0]
         return any(u) and all(any(frame.funcs_on(names, u)) for names in avoid_kernels)
 
-    candidates = [lift(v) for v in cert["radical"]]
-    # combinations inside the radical
-    for i in range(len(cert["radical"])):
-        for j in range(i + 1, len(cert["radical"])):
-            candidates.append(lift([a + b for a, b in
-                                    zip(cert["radical"][i], cert["radical"][j])]))
-    for row in candidates:
+    sums = (linalg.combine(pair, [1, 1]) for pair in itertools.combinations(radical, 2))
+    for v in itertools.chain(radical, sums):
+        row = lift(v)
         if ok(row):
             return row, True
     # rational points mixing a positive and a negative direction
     for (dp, vp) in cert["positive"]:
         for (dn, vn) in cert["negative"]:
             ratio = -dn / dp  # q(vp * t + vn) = dp t^2 + dn: t^2 = -dn/dp
-            num, den = ratio.numerator, ratio.denominator
-            rn, rd = _isqrt_exact(num), _isqrt_exact(den)
+            rn, rd = _isqrt_exact(ratio.numerator), _isqrt_exact(ratio.denominator)
             if rn is None or rd is None:
                 continue
             t = Fraction(rn, rd)
-            base = [t * a + b for a, b in zip(vp, vn)]
-            for extra in [[Fraction(0)] * len(vp)] + cert["radical"]:
-                row = lift([a + b for a, b in zip(base, extra)])
+            base = linalg.combine([vp, vn], [t, 1])
+            for v in itertools.chain([base], (linalg.combine([base, e], [1, 1])
+                                              for e in radical)):
+                row = lift(v)
                 if ok(row):
                     return row, True
-            row = lift([-t * a + b for a, b in zip(vp, vn)])
+            row = lift(linalg.combine([vp, vn], [-t, 1]))
             if ok(row):
                 return row, True
     # floating fallback: exact decision, approximate witness
     for (dp, vp) in cert["positive"]:
         for (dn, vn) in cert["negative"]:
-            t = math.sqrt(float(-dn / dp))
-            coeffs = [Fraction(t).limit_denominator(10**12) * a + b
-                      for a, b in zip(vp, vn)]
-            lifted = lift(coeffs)
-            if ok(lifted):
-                return lifted, False
+            t = Fraction(math.sqrt(float(-dn / dp))).limit_denominator(10**12)
+            row = lift(linalg.combine([vp, vn], [t, 1]))
+            if ok(row):
+                return row, False
     return None
 
 
@@ -513,12 +550,12 @@ def _minor_grams(frame, within):
 def _globally_dependent(frame, within):
     """True iff every element of `within` has x, y C-dependent (all minors
     vanish identically).  Deterministic via the polarization Grams."""
-    return all(linalg.gram_is_zero(g) for g in _minor_grams(frame, within))
+    return all(linalg.gram_is_zero(g) for g, _ in frame.minor_grams(within))
 
 
 def _find_rank2(frame, within):
     """An element with C-independent x, y, or None (deterministic)."""
-    for g in _minor_grams(frame, within):
+    for g in frame.minor_grams(within):
         w = frame.gram_witness(g, within)
         if w is not None:
             return w  # the witnessed minor is nonzero, so x, y are independent
@@ -729,8 +766,7 @@ def _sq4(frame):
     V = frame.kernel(["y", "yy"])
     if frame.vanishes_on("phi", V):
         return None
-    g = frame.fixed_gram(r_alpha, V)
-    sig = linalg.signature(g)
+    sig = frame.signature(frame.fixed_gram(r_alpha, V))
     p, q, z, cert = sig
     if p > 0 and q > 0:
         res = _rational_zero(frame, sig, V, avoid_kernels=[["phi"]])
@@ -739,7 +775,7 @@ def _sq4(frame):
         row, exact = res
         return {"u": frame.element(row)}, "", exact
     # semidefinite: zero set is exactly the radical
-    rad = [linalg.combine(V, v) for v in cert["radical"]]
+    rad = [linalg.combine(V, *v) for v in cert["radical"]]
     w = frame.nonzero_with(["phi"], rad)
     if w is None:
         return None
@@ -811,9 +847,8 @@ def check_linear(h) -> Optional[Witness]:
 def _li1(frame):
     """nonzero central z with |eta_z|^2 = xx_z yy_z."""
     Z = frame.z_rows
-    sig = linalg.signature(frame.fixed_gram(q_center, Z))
-    p, q, z, cert = sig
-    if z == 0 and (p == 0 or q == 0):
+    sig = frame.signature(frame.fixed_gram(q_center, Z))
+    if linalg.is_definite(sig):
         return None  # anisotropic, or no central part
     row, exact = _rational_zero(frame, sig, Z)
     return {"z": frame.element(row)}, "", exact
@@ -1026,16 +1061,16 @@ def _li5_fixed_z(frame, zc):
     if not K:
         return None
     g = frame.pair_gram(pair_e, zc, K)
-    sig = linalg.signature(g)
-    p, q, zr, cert = sig
-    if linalg.gram_is_zero(g):
+    if linalg.gram_is_zero(g[0]):
         return witness(frame.nonzero_with(["phi", "y"], K), "E vanishes identically")
+    sig = frame.signature(g)
+    p, q, zr, cert = sig
     if p > 0 and q > 0:
         # indefinite: try rational points of the zero cone
         res = _rational_zero(frame, sig, K, avoid_kernels=[["phi"], ["y"]])
         return None if res is None else witness(res[0], "", res[1])
     # semidefinite: the zero set is the radical
-    rad = [linalg.combine(K, v) for v in cert["radical"]]
+    rad = [linalg.combine(K, *v) for v in cert["radical"]]
     return witness(frame.nonzero_with(["phi", "y"], rad), "")
 
 
@@ -1102,8 +1137,7 @@ def _tm1(frame):
         return None
     if len(frame.z_rows) != frame.d:  # z, a subspace of h, is not all of h
         return None
-    g = frame.fixed_gram(q_center, frame.full)
-    if not linalg.gram_is_zero(g):
+    if not linalg.gram_is_zero(frame.fixed_gram(q_center, frame.full)[0]):
         return None
     return NotCdsMatch(1, MuShape.curve(1, provenance="notcds-1"), {})
 
@@ -1165,12 +1199,11 @@ def _tm4(frame):
         return None
     # R descends to h / (h ∩ xx-axis); anisotropy there means the form is
     # semidefinite with radical inside the xx-axis
-    g = frame.fixed_gram(r_alpha, frame.full)
-    p, q, z, cert = linalg.signature(g)
+    p, q, z, cert = frame.signature(frame.fixed_gram(r_alpha, frame.full))
     if not (p == 0 or q == 0):
         return None
     for v in cert["radical"]:
-        if not _span_in_slots(frame, [linalg.combine(frame.full, v)], ["xx"]):
+        if not _span_in_slots(frame, [linalg.combine(frame.full, *v)], ["xx"]):
             return None
     return NotCdsMatch(4, MuShape.curve(1, provenance="notcds-4"), {})
 
@@ -1207,7 +1240,7 @@ def _tm6(frame):
         return None
     if frame.rank_one is not None:
         return None
-    if not linalg.is_definite(frame.fixed_gram(q_center, frame.z_rows)):
+    if not linalg.is_definite(frame.signature(frame.fixed_gram(q_center, frame.z_rows))):
         return None
     return NotCdsMatch(6, MuShape.curve(2, provenance="notcds-6"), {})
 
@@ -1217,7 +1250,7 @@ def _tm7(frame):
     element having a nonzero cubic, central form anisotropic: the 3/2..2 band."""
     if not frame.vanishes_on("phi", frame.full):
         return None
-    if not linalg.is_definite(frame.fixed_gram(q_center, frame.z_rows)):
+    if not linalg.is_definite(frame.signature(frame.fixed_gram(q_center, frame.z_rows))):
         return None
     has_not1 = bool(frame.z_rows) or (_find_rank2(frame, frame.full) is not None)
     if not has_not1:
@@ -1268,8 +1301,7 @@ def _tm10(frame):
         return None
     if frame.kernel(["phi"]):
         return None  # phi_h = 0 for some nonzero h
-    g = frame.fixed_gram(r_alpha, frame.full)
-    if not linalg.gram_is_zero(g):
+    if not linalg.gram_is_zero(frame.fixed_gram(r_alpha, frame.full)[0]):
         return None
     return NotCdsMatch(10, MuShape.curve(2, provenance="notcds-10"), {})
 
@@ -1428,7 +1460,7 @@ def normalizer_in_A(h) -> NormalizerResult:
     kern = linalg.kernel_basis(sys_rows)
     if not kern:
         return NormalizerResult("trivial")
-    p, q = primitive_line(*kern[0])
+    p, q = primitive_line(*kern[0][0])
     return NormalizerResult("line", (p, q), kernel_root(p, q))
 
 

@@ -3,9 +3,11 @@
 Element encoding: {"t1": s, "t2": s, "phi": [s, s], "x": [[s, s], ...],
 "y": [[s, s], ...], "eta": [s, s], "xx": s, "yy": s} where each s is an exact
 "p/q" string, an integer, or a double read as its exact binary value.  The
-reader builds an element's coords() row straight from those scalars
-(scalars.parse_rational reads the "p/q" strings the writer emits as two
-ints), with no Gaussian rational in between.  A subalgebra file wraps a
+reader reads each scalar as an int ratio (p, q): an int, and the "p/q" and
+"-p" strings the writer emits, straight to ints, any other value through
+scalars.parse_rational, with its errors.  An element is built from the
+ratios of its coords() row over their lcm (AlgebraElement.from_ints), with
+no Fraction or Gaussian rational in between.  A subalgebra file wraps a
 basis with its n and mode; AN-subgroup specs carry a "kind" of semidirect /
 graph / oneparam; the line of a semidirect or graph spec must normalize its
 U.  A semidirect "torus" [p, q] of exact scalars is
@@ -18,21 +20,41 @@ writer always emits "p/q" strings and "mode": "exact"; files marked
 from __future__ import annotations
 
 import json
+from math import lcm
 
 from .anclassify import Graph, OneParam, Semidirect, TorusLine, _normalized_by_element
 from .elements import EXTENDED_FUNCTIONALS, ROOTS, AlgebraElement, primitive_line
-from .scalars import format_rational, im, parse_rational, re
+from .scalars import _is_digits, format_rational, im, parse_rational, re
 from .subalgebra import Subalgebra, SubalgebraError
+
 
 def _cx_out(v):
     return [format_rational(re(v)), format_rational(im(v))]
 
 
+def _ratio(s):
+    """The scalar s as an int ratio (p, q), q > 0: an int, and a "p/q" or
+    "-p" string in ASCII digits with q nonzero, read directly; any other
+    value through parse_rational, which accepts and rejects it."""
+    if type(s) is str:
+        if s == "0":
+            return 0, 1
+        num, slash, den = s.partition("/")
+        if _is_digits(num.removeprefix("-")):
+            if not slash:
+                return int(num), 1
+            if _is_digits(den) and den.strip("0"):
+                return int(num), int(den)
+    elif type(s) is int:
+        return s, 1
+    return parse_rational(s).as_integer_ratio()
+
+
 def _scalar(v, field):
-    """parse_rational of v; a value that is no scalar (a JSON null, list or
-    object) is a ValueError naming `field`."""
+    """The int ratio of v (_ratio); a value that is no scalar (a JSON null,
+    list or object) is a ValueError naming `field`."""
     try:
-        return parse_rational(v)
+        return _ratio(v)
     except TypeError:
         raise ValueError(f"{field} must be a rational scalar, not {v!r}") from None
 
@@ -44,11 +66,11 @@ def _list(v, field):
 
 
 def _pair(v, field):
-    """The two scalars of the pair v, an encoded complex entry or a torus;
-    anything else is a ValueError naming `field`."""
+    """The int ratios of the two scalars of the pair v, an encoded complex
+    entry or a torus; anything else is a ValueError naming `field`."""
     if type(v) is list and len(v) == 2:
         try:
-            return parse_rational(v[0]), parse_rational(v[1])
+            return _ratio(v[0]), _ratio(v[1])
         except TypeError:
             pass
     raise ValueError(f"{field} must be a pair of scalars, not {v!r}")
@@ -78,11 +100,11 @@ def element_to_json(e: AlgebraElement) -> dict:
 
 
 def element_from_json(d: dict, n: int) -> AlgebraElement:
-    """The element of an encoding, its coords() row read straight from the
-    scalars in the slot order, with the checks and messages of
-    AlgebraElement(n, ...).  A slot of the wrong shape (a complex entry that
-    is not a pair, x or y not a list, a scalar that is a list or null) is a
-    ValueError that names it."""
+    """The element of an encoding, its coords() row the int ratios of the
+    scalars in the slot order over their lcm, with the checks and messages
+    of AlgebraElement(n, ...).  A slot of the wrong shape (a complex entry
+    that is not a pair, x or y not a list, a scalar that is a list or null)
+    is a ValueError that names it."""
     t = [_scalar(d.get("t1", 0), "t1"), _scalar(d.get("t2", 0), "t2")]
     phi = _pair(d.get("phi", [0, 0]), "phi")
     x = _pairs(d.get("x", [[0, 0]] * (n - 2)), "x")
@@ -93,8 +115,9 @@ def element_from_json(d: dict, n: int) -> AlgebraElement:
         raise ValueError("n must be >= 3")
     if len(x) != n - 2 or len(y) != n - 2:
         raise ValueError(f"x, y must have length n-2 = {n - 2}")
-    return AlgebraElement.from_coords(
-        n, [*t, *phi, *(a for z in x + y for a in z), *eta, *tail])
+    ratios = [*t, *phi, *(a for z in x + y for a in z), *eta, *tail]
+    den = lcm(*(q for _, q in ratios))
+    return AlgebraElement.from_ints(n, [p * (den // q) for p, q in ratios], den)
 
 
 def _n_of(d: dict) -> int:
@@ -156,10 +179,11 @@ def spec_from_json(d: dict):
         return subalgebra_from_json(d)
     if kind == "semidirect":
         u = subalgebra_from_json(d)
-        p, q = _pair(d.get("torus"), "torus")
+        (p, pd), (q, qd) = _pair(d.get("torus"), "torus")
         if p == 0 and q == 0:
             raise ValueError("the semidirect torus [0, 0] spans no line")
-        return _line_normalizes(Semidirect(TorusLine(*primitive_line(p, q)), u))
+        # the line of (p / pd, q / qd) is that of (p qd, q pd)
+        return _line_normalizes(Semidirect(TorusLine(*primitive_line(p * qd, q * pd)), u))
     if kind == "graph":
         u = subalgebra_from_json(d)
         omega = d.get("omega")

@@ -228,7 +228,86 @@ def reference_kernel(values, within):
     rational = [[Fraction(a, den) for a in ints] for ints, den in within]
     matrix = [list(col) for col in zip(*map(values, rational))] or [[0] * len(within)]
     return [linalg.combine(within, k)
-            for k in linalg.kernel_basis([linalg.int_row(r) for r in matrix])]
+            for k in fraction_kernel_basis([linalg.int_row(r) for r in matrix])]
+
+
+# -- the Fraction kernel and signature ------------------------------------------
+#
+# linalg.kernel_basis and linalg.signature run on ints and give their vectors
+# as rows (ints, den).  These are the same solvers on Fractions, as the
+# package computed them before, with each vector a list of Fractions.
+
+def fraction_kernel_basis(rows) -> list:
+    """Basis of the right kernel of the rows (pairs), as lists of Fractions:
+    one vector per free column fc of the echelon form, 1 at fc, 0 at the
+    other free columns and -row[fc] / row[pc] at the pivot pc of each echelon
+    row."""
+    if not rows:
+        return []
+    ncols = len(rows[0][0])
+    ints, pivots = linalg.echelon_ints(rows)
+    zero, one = Fraction(0), Fraction(1)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [zero] * ncols
+        v[fc] = one
+        for row, pc in zip(ints, pivots):
+            if row[fc]:
+                v[pc] = Fraction(-row[fc], row[pc])
+        basis.append(v)
+    return basis
+
+
+def fraction_signature(gram) -> tuple:
+    """Signature (n_pos, n_neg, n_zero) of a symmetric rational matrix by
+    symmetric elimination on Fractions, with its congruence certificate:
+    (value, vector) for each pivot and the radical's vectors, as lists of
+    Fractions."""
+    g = [[Fraction(x) for x in row] for row in gram]
+    d = len(g)
+    basis = [[Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)]
+    active = list(range(d))
+    pos, neg = [], []
+    while active:
+        k = next((i for i in active if g[i][i] != 0), None)
+        if k is None:
+            pair = None
+            for i in active:
+                for j in active:
+                    if i < j and g[i][j] != 0:
+                        pair = (i, j)
+                        break
+                if pair:
+                    break
+            if pair is None:
+                break  # remaining block is zero: radical
+            i, j = pair
+            # fold row/col j into i: e_i <- e_i + e_j
+            for c in range(d):
+                g[i][c] += g[j][c]
+            for r in range(d):
+                g[r][i] += g[r][j]
+            basis[i] = [a + b for a, b in zip(basis[i], basis[j])]
+            k = i
+        dkk = g[k][k]
+        (pos if dkk > 0 else neg).append((dkk, basis[k][:]))
+        active.remove(k)
+        for r in active:
+            if g[r][k] != 0:
+                f = g[r][k] / dkk
+                for c in range(d):
+                    g[r][c] -= f * g[k][c]
+                for c in range(d):
+                    g[c][r] -= f * g[c][k]
+                basis[r] = [a - f * b for a, b in zip(basis[r], basis[k])]
+    radical = [basis[i][:] for i in active]
+    return len(pos), len(neg), len(radical), {
+        "positive": pos,
+        "negative": neg,
+        "radical": radical,
+    }
 
 
 # -- the QQi route of conjugation ---------------------------------------------
@@ -398,10 +477,10 @@ def square_8(frame):
     if u is None:
         return None
     V = frame.kernel(["y", "yy"])
-    p, _, _, cert = linalg.signature(frame.fixed_gram(r_alpha, V))
+    p, _, _, cert = frame.signature(frame.fixed_gram(r_alpha, V))
     if p == 0:
         return None
-    return u, linalg.combine(V, cert["positive"][0][1])
+    return u, linalg.combine(V, *cert["positive"][0][1])
 
 
 def li2_global_lambda(frame):

@@ -922,6 +922,32 @@ def test_det_and_check_invariants_equal_their_qqi_references():
     assert outcomes == {"", "determinant != 1", "form not preserved"}
 
 
+def test_sparse_gaussian_product_equals_the_dense_product():
+    """_gaussian_product on the Gaussian-integer rows of random matrices,
+    with entries that cancel, and of the products the exact oracle takes
+    (matrix_of and exp_closed rows): the dense QQi product, each row in
+    column order with no zero entry."""
+    rng = random.Random(31)
+    cases = []
+    for m in (1, 3, 5, 8):
+        for _ in range(20):
+            A, B = ([[(j, rng.randint(-2, 2), rng.randint(-2, 2)) for j in range(m)
+                      if rng.random() < 0.4] for _ in range(m)] for _ in range(2))
+            cases.append(([[e for e in row if e[1] or e[2]] for row in A],
+                          [[e for e in row if e[1] or e[2]] for row in B], m))
+    for n in (3, 4, 6):
+        for _ in range(10):
+            u, v = (random_element(n, rng, max_slots=6) for _ in range(2))
+            gu, gv = (GroupElement(n, matrix_of(w)) for w in (u, v))
+            cases += [(gu.rows, gv.rows, n + 2), (exp_closed(u).rows, gv.rows, n + 2)]
+    for A, B, m in cases:
+        got = elements._gaussian_product(A, B)
+        assert all([j for j, _, _ in row] == sorted({j for j, _, _ in row}) for row in got)
+        assert all(r or i for row in got for _, r, i in row)
+        want = dense_product(elements._gaussian_matrix(A, 1, m), elements._gaussian_matrix(B, 1, m))
+        assert elements._gaussian_matrix(got, 1, m) == want
+
+
 def test_delta_identity_and_central(alg):
     assert delta(GroupElement.identity(3)) == QQi(0)
     g = exp_closed(alg(3, eta=1, xx=1, yy=1))

@@ -507,6 +507,13 @@ def _polarization_grams(values, n, rows):
         lambda v: values(AlgebraElement.from_coords(n, v)), rows)
 
 
+def _gram_values(gram):
+    """The exact Gram G / den of an int Gram (G, den), as Fractions."""
+    g, den = gram
+    assert den > 0 and all(type(x) is int for row in g for x in row)
+    return [[Fraction(x, den) for x in row] for row in g]
+
+
 def test_fixed_form_grams_equal_the_polarization_grams():
     rng = random.Random(20)
     for n in range(3, 9):
@@ -515,23 +522,25 @@ def test_fixed_form_grams_equal_the_polarization_grams():
             rows = _random_rows(rng, n, count)
             pairs = [linalg.int_row(r) for r in rows]
             for q, ref in ((q_center, qqi_q_center), (r_alpha, qqi_r_alpha)):
-                assert linalg.form_gram(pairs, _fixed_form(q, n)) == \
+                assert _gram_values(linalg.form_gram(pairs, _fixed_form(q, n))) == \
                     _polarization_grams(lambda e: [ref(e)], n, rows)[0], (n, q)
             # the forms with a central parameter z, at a random z
             eta, xx, yy = (rng.choice((0, Fraction(rng.randint(-9, 9), rng.randint(1, 7))))
                            for _ in range(3))
             z = AlgebraElement(n, eta=QQi(eta, rng.randint(-3, 3)), xx=xx, yy=yy)
             for q, ref in ((t_pair, qqi_t_pair), (pair_e, qqi_pair_e)):
-                assert _Frame.pair_gram(frame, q, (z.ints, z.den), pairs) == \
+                assert _gram_values(_Frame.pair_gram(frame, q, (z.ints, z.den), pairs)) == \
                     _polarization_grams(lambda e: [ref(e, z)], n, rows)[0], (n, q, z)
             # one Gram per minor part (none at n = 3), in _minor_parts' order
             grams = _minor_grams(frame, pairs)
             assert len(grams) == (n - 2) * (n - 3)
-            assert grams == _polarization_grams(qqi_minor_parts, n, rows), n
+            assert list(map(_gram_values, grams)) == \
+                _polarization_grams(qqi_minor_parts, n, rows), n
         # rows outside the support of every form give zero Grams
         outside = [(e.ints, e.den) for e in (AlgebraElement(n, t1=2, t2=-1, phi=QQi(1, 3)),
                                              AlgebraElement(n, y=[1] * (n - 2)))]
-        assert linalg.form_gram(outside, _fixed_form(q_center, n)) == [[0, 0], [0, 0]]
+        assert _gram_values(linalg.form_gram(outside, _fixed_form(q_center, n))) == \
+            [[0, 0], [0, 0]]
         assert _fixed_form(q_center, n)[0] == tuple(range(4 * n - 4, 4 * n))
 
 
@@ -732,7 +741,7 @@ def test_minor_grams_are_the_single_part_polarizations_in_order(alg, sub):
         expected = [_polarization_grams(lambda e, m=m, part=part: [part(qqi_minors(e)[m])],
                                         h.n, h.coord_rows())[0]
                     for m in range((h.n - 2) * (h.n - 3) // 2) for part in (re, im)]
-        assert grams == expected, h
+        assert list(map(_gram_values, grams)) == expected, h
 
 
 def test_cubic_coeffs_expand_the_cubic(alg, sub):
@@ -1093,8 +1102,8 @@ def _ad_a_normalizer(h):
         r1 = residual(echelon, ad_a(1, 0, b).coords())
         r2 = residual(echelon, ad_a(0, 1, b).coords())
         sys_rows += [[c1, c2] for c1, c2 in zip(r1, r2) if c1 or c2]
-    kern = (linalg.kernel_basis([linalg.int_row(r) for r in sys_rows]) if sys_rows
-            else [[1, 0], [0, 1]])
+    kern = (references.fraction_kernel_basis([linalg.int_row(r) for r in sys_rows])
+            if sys_rows else [[1, 0], [0, 1]])
     if len(kern) != 1:
         return NormalizerResult("full" if kern else "trivial")
     p, q = primitive_line(*kern[0])

@@ -131,14 +131,20 @@ def _pairs(rows):
     return [linalg.int_row(row) for row in rows]
 
 
+def _values(v):
+    """The Fractions of a row (ints, den)."""
+    ints, den = v
+    return [Fraction(a, den) for a in ints]
+
+
 def test_rref_rank_kernel():
     m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     red, piv = linalg.rref(m)
     assert piv == [0] and len(red) == 1
     k = linalg.kernel_basis(_pairs(m))
     assert len(k) == 1
-    v = k[0]
-    assert v[0] + 2 * v[1] == 0
+    v, den = k[0]
+    assert v[0] + 2 * v[1] == 0 and any(v) and den > 0
 
 
 def test_in_span_and_solve():
@@ -321,8 +327,10 @@ def test_integer_span_tests_and_kernels_equal_the_fraction_references(case):
     assert linalg.subspace_eq(_pairs(other), pairs) == (
         _fraction_rref(other)[0] == _fraction_rref(rows)[0])
     kern = linalg.kernel_basis(pairs)
-    assert kern == _fraction_kernel(rows)
-    assert all(type(x) is Fraction for k in kern for x in k)
+    # each vector is a row (ints, den) of the Fraction kernel vector
+    assert [_values(k) for k in kern] == _fraction_kernel(rows)
+    assert all(type(x) is int for ints, den in kern for x in (*ints, den))
+    assert all(den > 0 and gcd(den, *ints) == 1 for ints, den in kern)
     if rows:
         # combine, on ints, is the Fraction combination as a row over its
         # least positive denominator
@@ -342,8 +350,10 @@ def test_span_tests_on_small_cases():
     assert linalg.span_contains([], ([0, 0], 1)) and not linalg.span_contains([], ([0, 1], 1))
     assert linalg.subspace_leq([], [([1, 2], 1)]) and linalg.subspace_leq([([0, 0], 1)], [])
     assert linalg.kernel_basis([]) == []
-    assert linalg.kernel_basis([([0, 0], 1)]) == [[1, 0], [0, 1]]
-    assert linalg.kernel_basis([([2, -4, 6], 1)]) == [[2, 1, 0], [-3, 0, 1]]
+    assert linalg.kernel_basis([([0, 0], 1)]) == [([1, 0], 1), ([0, 1], 1)]
+    assert linalg.kernel_basis([([2, -4, 6], 1)]) == [([2, 1, 0], 1), ([-3, 0, 1], 1)]
+    # -row[fc] / row[pc] over the lcm of the pivots, reduced: (-1/2, -2/3, 1)
+    assert linalg.kernel_basis([([2, 0, 1], 1), ([0, 3, 2], 1)]) == [([-3, -4, 6], 6)]
     assert linalg.span_contains([([1, 3], 3)], ([1, 3], 1))
     assert not linalg.span_contains([([1, 0], 1), ([2, 0], 1)], ([0, 1], 1))
     assert linalg.in_span(linalg.echelon_ints([([1, 1, 0], 1), ([0, 1, -1], 1)]), [2, 3, -1])
@@ -352,6 +362,10 @@ def test_span_tests_on_small_cases():
     # the common denominator is reduced away: 3 * (1/3, 2/3) = (1, 2)
     assert linalg.combine([([1, 2], 3)], [3]) == ([1, 2], 1)
     assert linalg.combine([([1, 2], 3)], [0]) == ([0, 0], 1)
+    # coefficients over a denominator: a kernel vector (ints, den) combines
+    # the rows as combine(rows, ints, den)
+    assert linalg.combine([([1, 2], 3), ([0, 1], 1)], [3, 4], 2) == ([1, 6], 2)
+    assert linalg.combine([([1, 2], 3)], [3], 6) == ([1, 2], 6)
 
 
 @pytest.mark.parametrize("s", [
@@ -414,14 +428,15 @@ def test_int_row_clears_denominators_exactly():
 def test_signature(gram, sig):
     p, n, z, cert = linalg.signature(gram)
     assert (p, n, z) == sig
-    # certificate vectors actually achieve their signs
+    # certificate vectors, rows (ints, den), actually achieve their values
     def q(v):
+        v = _values(v)
         return sum(v[i] * gram[i][j] * v[j] for i in range(len(v))
                    for j in range(len(v)))
     for d, vec in cert["positive"]:
-        assert q(vec) > 0
+        assert q(vec) == d > 0
     for d, vec in cert["negative"]:
-        assert q(vec) < 0
+        assert q(vec) == d < 0
     for vec in cert["radical"]:
         assert q(vec) == 0
 
@@ -457,19 +472,22 @@ def test_form_gram_is_w_q_wt():
     assert form == ((1, 3), ((0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, -6)), 2)
     rows = [[Fraction(1, 3), 2, 5, Fraction(-1, 4)], [0, 0, 7, 0], [0] * 4,
             [1, Fraction(5, 6), 0, Fraction(2, 9)]]
-    gram = linalg.form_gram(_pairs(rows), form)
-    assert gram == _dense_gram(rows, q)
-    assert all(type(x) is Fraction for row in gram for x in row)
-    assert linalg.form_gram([], form) == []
+    gram, den = linalg.form_gram(_pairs(rows), form)
+    # an int Gram over the form's den times the square of the rows' lcm (36)
+    assert den == 2 * 36 * 36
+    assert [[Fraction(x, den) for x in row] for row in gram] == _dense_gram(rows, q)
+    assert all(type(x) is int for row in gram for x in row)
+    assert linalg.form_gram([], form) == ([], 2)
     # a form with empty support has a zero Gram of the right size
     zero = linalg.sparse_form([[0] * 4 for _ in range(4)])
     assert zero == ((), (), 1)
-    assert linalg.form_gram(_pairs(rows), zero) == [[0] * 4 for _ in range(4)]
+    assert linalg.form_gram(_pairs(rows), zero) == ([[0] * 4 for _ in range(4)], 36 * 36)
 
 
 def test_is_definite():
-    assert linalg.is_definite([[Fraction(1), Fraction(0)],
-                               [Fraction(0), Fraction(2)]])
-    assert not linalg.is_definite([[Fraction(1), Fraction(0)],
-                                   [Fraction(0), Fraction(-2)]])
-    assert not linalg.is_definite([[Fraction(0)]])
+    assert linalg.is_definite(linalg.signature([[Fraction(1), Fraction(0)],
+                                                [Fraction(0), Fraction(2)]]))
+    assert not linalg.is_definite(linalg.signature([[Fraction(1), Fraction(0)],
+                                                    [Fraction(0), Fraction(-2)]]))
+    assert not linalg.is_definite(linalg.signature([[Fraction(0)]]))
+    assert linalg.is_definite(linalg.signature([]))

@@ -68,6 +68,38 @@ def test_element_from_json_reads_as_the_constructor_did(d, n):
         assert got == want
 
 
+@pytest.mark.parametrize("s", [
+    0, 7, -12, 10**30, 0.5, -2.5, 0.1, 1e-300, "0", "-0", "3", "-12", "7/14", "-3/6",
+    "12/08", "0/5", "10000000000000000000000000000001/3", "+3", " 3", "0.5", "1e3",
+    "-1.25e-2"])
+def test_element_from_json_reads_a_scalar_as_from_coords_does(s):
+    """An int, a "p/q" or "-p" string and every other scalar parse_rational
+    accepts give, in a real slot and in both parts of a complex one, the
+    element from_coords builds from its parse_rational value."""
+    v = parse_rational(s)
+    d = {"t2": s, "phi": [s, 1], "x": [["1/2", s]], "eta": [s, s], "xx": s}
+    assert element_from_json(d, 3) == AlgebraElement.from_coords(
+        3, [0, v, v, 1, Fraction(1, 2), v, 0, 0, v, v, v, 0])
+
+
+@pytest.mark.parametrize("d, message", [
+    ({"xx": "1/0"}, "zero denominator in '1/0'"),
+    ({"phi": ["1", "-3/000"]}, "zero denominator in '-3/000'"),
+    ({"xx": True}, "not a rational: True"),
+    ({"eta": [False, 0]}, "not a rational: False"),
+    ({"xx": float("inf")}, "not a finite rational: inf"),
+    ({"yy": float("nan")}, "not a finite rational: nan"),
+    ({"xx": None}, "xx must be a rational scalar, not None"),
+    ({"t1": [1]}, "t1 must be a rational scalar, not [1]"),
+    ({"phi": [[1], 0]}, "phi must be a pair of scalars, not [[1], 0]"),
+    ({"x": [[None, 0]]}, "an entry of x must be a pair of scalars, not [None, 0]"),
+])
+def test_element_from_json_rejects_a_bad_scalar_with_its_message(d, message):
+    with pytest.raises(ValueError) as info:
+        element_from_json(d, 3)
+    assert str(info.value) == message
+
+
 def _float_and_exact_twin():
     """A float-mode spec with dyadic doubles, and the same spec in "p/q"."""
     floats = {"kind": "nil", "n": 3, "mode": "float", "basis": [
